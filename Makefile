@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench examples experiments fuzz fuzz-smoke plan-bench recover-bench trace-bench stat-demo repl-bench proto-bench ash-bench asof-bench ops-demo repl-demo clean
+.PHONY: all build vet test check bench bench-smoke examples experiments fuzz fuzz-smoke plan-bench recover-bench trace-bench stat-demo repl-bench proto-bench ash-bench asof-bench ops-demo repl-demo clean
 
 all: build vet test
 
@@ -45,6 +45,11 @@ check:
 # One testing.B benchmark per paper table/figure plus engine micro-benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# CI smoke variant of the engine micro-benchmarks: every benchmark once, so
+# one that no longer builds or runs fails the push instead of rotting.
+bench-smoke:
+	$(GO) test ./internal/engine -run '^$$' -bench . -benchtime 1x
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -395,17 +395,32 @@ func TestErrorCases(t *testing.T) {
 	}
 }
 
+// TestRuntimeTypeErrorInWhere: a predicate that fails to evaluate fails the
+// statement — SELECT and UPDATE/DELETE agree, whether the predicate runs in
+// the fused leaf or in a filter above a join.
 func TestRuntimeTypeErrorInWhere(t *testing.T) {
-	db := newTestDB(t, "CREATE TABLE t (a INT)")
-	mustExec(t, db, "INSERT INTO t VALUES (1)", ExecOptions{})
-	if _, err := db.Exec("SELECT a FROM t WHERE NOT a", ExecOptions{}); err == nil {
-		// NOT over a non-boolean is a runtime error once a row is evaluated...
-		// except that filter treats evaluation errors as non-matches; pin the
-		// actual behaviour: the row is simply filtered out.
-		res := mustExec(t, db, "SELECT a FROM t WHERE NOT a", ExecOptions{})
-		if len(res.Rows) != 0 {
-			t.Fatal("type-erroring predicate must not match rows")
+	db := newTestDB(t, "CREATE TABLE t (id INT PRIMARY KEY, a INT, name TEXT)", "CREATE TABLE u (id INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 1, 'x')", ExecOptions{})
+	mustExec(t, db, "INSERT INTO u VALUES (1)", ExecOptions{})
+	for _, where := range []string{"NOT a", "name - 1 > 0", "id / 0 > 1"} {
+		for _, sql := range []string{
+			"SELECT a FROM t WHERE " + where,
+			"SELECT a FROM t WHERE " + where + " LIMIT 5",
+			"UPDATE t SET a = 2 WHERE " + where,
+			"DELETE FROM t WHERE " + where,
+		} {
+			if _, err := db.Exec(sql, ExecOptions{}); err == nil {
+				t.Errorf("%s: no error from a predicate that cannot be evaluated", sql)
+			}
 		}
+	}
+	// Residual filter above a join (both tables referenced in one conjunct).
+	if _, err := db.Exec("SELECT t.a FROM t, u WHERE t.id = u.id AND NOT (t.a + u.id)", ExecOptions{}); err == nil {
+		t.Error("join residual: no error from a predicate that cannot be evaluated")
+	}
+	// The failed statements wrote nothing.
+	if got := rowsToStrings(mustExec(t, db, "SELECT id, a, name FROM t", ExecOptions{})); len(got) != 1 || got[0] != "1|1|x" {
+		t.Errorf("table after failed DML = %v", got)
 	}
 }
 

@@ -73,7 +73,6 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 				}
 			}
 		}
-		emptyEnv := &env{params: ec.params}
 		for _, rowExprs := range s.Rows {
 			row := make([]sqlval.Value, len(rowExprs))
 			for i, e := range rowExprs {
@@ -84,7 +83,7 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 					}
 					e = ne
 				}
-				v, err := evalExpr(e, emptyEnv, nil, nil)
+				v, err := evalConst(e, ec.params)
 				if err != nil {
 					return err
 				}
@@ -146,19 +145,23 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 	if err := ec.resolveDMLSubqueries(&s, opts, res); err != nil {
 		return err
 	}
-	en, matches, err := ec.matchRows(t, s.Where)
+	lay, matches, err := ec.matchRows(t, s.Where)
 	if err != nil {
 		return err
 	}
 
-	// Validate SET column names up front.
+	// Validate SET column names and bind the assigned expressions up front.
 	setIdx := make([]int, len(s.Set))
+	setExprs := make([]bound, len(s.Set))
 	for i, a := range s.Set {
 		idx := t.Schema.ColumnIndex(a.Column)
 		if idx < 0 {
 			return fmt.Errorf("table %q has no column %q", s.Table, a.Column)
 		}
 		setIdx[i] = idx
+		if setExprs[i], err = lay.bind(a.Expr); err != nil {
+			return err
+		}
 	}
 
 	pk := t.Schema.PrimaryKeyIndex()
@@ -176,9 +179,9 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 			r.usedBy.Store(res.StmtID)
 		}
 		newVals := append([]sqlval.Value(nil), r.vals...)
-		envVals := rowEnvVals(r, len(t.Schema.Columns))
-		for i, a := range s.Set {
-			v, err := evalExpr(a.Expr, en, envVals, nil)
+		old := lay.vals(r)
+		for i, set := range setExprs {
+			v, err := set(old, nil)
 			if err != nil {
 				return err
 			}
@@ -269,98 +272,41 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 
 // matchRows evaluates a WHERE clause over the current committed state of a
 // table (plus the transaction's own writes) and returns the matching live
-// versions. A matching row end-marked by a concurrent uncommitted
-// transaction is a write-write conflict: first-updater-wins, the later
-// writer errors out.
+// versions, with the stored layout the caller can bind further expressions
+// against. It is the scan leaf under the DML visibility rule: a matching
+// row end-marked by a concurrent uncommitted transaction is a write-write
+// conflict — first-updater-wins, the later writer errors out.
 //
 // The access path comes from the planner: when an index predicate applies,
 // only the candidate versions in the matching buckets are considered.
 // Because an index holds *every* version carrying a key (end-marked ones
-// included) and the full WHERE clause is still evaluated on each candidate,
-// both the match set and the conflict detection are exactly what a full
-// scan would produce.
-func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr) (*env, []*storedRow, error) {
-	en := &env{params: ec.params}
-	for _, c := range t.Schema.Columns {
-		en.bindings = append(en.bindings, binding{table: t.Name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		en.bindings = append(en.bindings, binding{table: t.Name, name: pc})
-	}
-
-	access, est := plan.PlanAccess(stmtCatalog{ec}, t.Name, where)
-	leaf := access
-	if f, ok := leaf.(*plan.FilterNode); ok {
-		leaf = f.Input
-	}
-	candidates := t.rows
-	if isn, ok := leaf.(*plan.IndexScanNode); ok {
-		if ix := t.findIndex(isn.Index); ix != nil {
-			var cand []*storedRow
-			_ = ec.ops.execEst("index_scan", isn.Detail(), isn.Est, func() (int, error) {
-				cand = indexCandidates(ix, isn, ec.params)
-				return len(cand), nil
-			})
-			ix.scans.Add(1)
-			candidates = cand
-		}
-	} else if sn, ok := leaf.(*plan.ScanNode); ok {
-		_ = ec.ops.execEst("scan", sn.Detail(), sn.Est, func() (int, error) {
-			return len(t.rows), nil
-		})
-	}
-	mRowsScanned.Add(int64(len(candidates)))
-
-	self := ec.txn.id
-	var matches []*storedRow
-	match := func() error {
-		for _, r := range candidates {
-			if r.txnID != self && ec.db.txnActive(r.txnID) {
-				continue // uncommitted insert of another transaction
-			}
-			conflict := false
-			if r.end != 0 {
-				if r.endTxn == self || !ec.db.txnActive(r.endTxn) {
-					continue // superseded/deleted by self or by a committed txn
-				}
-				conflict = true // end-marked by a concurrent uncommitted txn
-			}
-			if where != nil {
-				v, err := evalExpr(where, en, rowEnvVals(r, len(t.Schema.Columns)), nil)
-				if err != nil {
-					return err
-				}
-				if !isTrue(v) {
-					continue
-				}
-			}
-			if conflict {
-				return fmt.Errorf("could not serialize access due to concurrent update on table %s", t.Name)
-			}
-			matches = append(matches, r)
-		}
-		return nil
-	}
-	if where != nil {
-		if err := ec.ops.execEst("filter", where.String(), est, func() (int, error) {
-			return len(matches), match()
-		}); err != nil {
-			return nil, nil, err
-		}
-	} else if err := match(); err != nil {
+// included) and every conjunct of the WHERE clause is still evaluated on
+// each candidate, both the match set and the conflict detection are exactly
+// what a full scan would produce.
+func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr) (*storedLayout, []*storedRow, error) {
+	access, _ := plan.PlanAccess(stmtCatalog{ec}, t.Name, where)
+	sc, err := ec.openScan(access)
+	if err != nil {
 		return nil, nil, err
 	}
-	return en, matches, nil
-}
-
-// rowEnvVals lays out a stored row as executor values including the hidden
-// provenance attributes.
-func rowEnvVals(r *storedRow, ncols int) []sqlval.Value {
-	vals := make([]sqlval.Value, ncols+4)
-	copy(vals, r.vals)
-	vals[ncols] = sqlval.NewInt(int64(r.id))
-	vals[ncols+1] = sqlval.NewInt(int64(r.version))
-	vals[ncols+2] = sqlval.NewString(r.proc)
-	vals[ncols+3] = sqlval.NewInt(r.usedBy.Load())
-	return vals
+	self := ec.txn.id
+	visible := func(r *storedRow) bool {
+		if r.txnID != self && ec.db.txnActive(r.txnID) {
+			return false // uncommitted insert of another transaction
+		}
+		// An end mark hides the version once it is final — set by this
+		// transaction or by a committed one. Set by a concurrent
+		// uncommitted transaction it leaves the version in play: a conflict
+		// if it matches.
+		return r.end == 0 || r.endTxn != self && ec.db.txnActive(r.endTxn)
+	}
+	var matches []*storedRow
+	err = ec.run(sc, visible, func(r *storedRow) (bool, error) {
+		if r.end != 0 {
+			return false, fmt.Errorf("could not serialize access due to concurrent update on table %s", t.Name)
+		}
+		matches = append(matches, r)
+		return true, nil
+	})
+	return sc.lay, matches, err
 }

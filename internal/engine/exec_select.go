@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -12,11 +11,28 @@ import (
 	"ldv/internal/sqlval"
 )
 
+// The executor materializes: every operator consumes its whole input
+// relation and produces its whole output before its parent runs. What keeps
+// that cheap is doing the selective work first — leaves filter stored rows
+// before copying anything (scan.go), copy only the columns the statement
+// reads, and stop early under a LIMIT; ORDER BY … LIMIT keeps n rows, not
+// a sorted relation — and binding every expression once per operator.
+
 // relation is an intermediate executor result: a tuple layout plus the
 // materialized tuples.
 type relation struct {
 	env    env
 	tuples []tuple
+}
+
+// lineageSink is non-nil while a SELECT captures lineage: scans stamp
+// prov_usedby with stmt and register every version they emit, so that
+// values can be copied out for just the versions that survive into the
+// final Lineage (rows cannot change mid-statement, so the references stay
+// valid).
+type lineageSink struct {
+	stmt int64
+	rows map[TupleRef]*storedRow
 }
 
 // execSelect plans and runs a SELECT, filling res.
@@ -34,29 +50,55 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 		}
 		s = ns
 	}
-	// collect records the scanned storedRow per tuple ref; values are
-	// copied out only for refs that survive into the final Lineage (rows
-	// cannot change mid-statement, so the references stay valid).
-	var collect map[TupleRef]*storedRow
+	var lin *lineageSink
 	if withLineage {
-		collect = map[TupleRef]*storedRow{}
+		lin = &lineageSink{stmt: res.StmtID, rows: map[TupleRef]*storedRow{}}
 	}
-	rel, err := ec.runSelect(s, withLineage, res.StmtID, collect)
+	refs := append([]sqlparse.TableRef(nil), s.From...)
+	for _, j := range s.Joins {
+		refs = append(refs, j.Table)
+	}
+	seen := map[string]bool{}
+	for _, r := range refs {
+		name := r.EffectiveName()
+		if seen[name] {
+			return fmt.Errorf("duplicate table name or alias %q", name)
+		}
+		seen[name] = true
+	}
+
+	// The FROM/WHERE/GROUP BY portion: the pre-projection relation,
+	// post-aggregation for aggregate queries.
+	sp := newSelPlan(ec.selectPlan(s))
+	rel, err := ec.execAccess(sp.access, lin)
 	if err != nil {
 		return err
 	}
-	var cols []string
-	var rows [][]sqlval.Value
+	if sp.tree.Reordered {
+		// The greedy join order built the tuple layout in cost order;
+		// restore the syntactic FROM order so SELECT * stays stable.
+		rel = reorderRelation(rel, refs)
+	}
+	ar := &aggRelation{rel: rel}
+	if sp.agg != nil {
+		if err := ec.ops.node(sp.agg, func() (int, error) {
+			var aerr error
+			if ar, aerr = aggregate(s, rel); aerr != nil {
+				return 0, aerr
+			}
+			return len(ar.rel.tuples), nil
+		}); err != nil {
+			return err
+		}
+	}
 	var lineage [][]TupleRef
-	if err := ec.ops.execEst("project", "", ec.sel.estProject, func() (int, error) {
+	if err := ec.ops.node(sp.project, func() (int, error) {
 		var perr error
-		cols, rows, lineage, perr = project(s, rel, withLineage, ec.ops, ec.sel)
-		return len(rows), perr
+		res.Columns, res.Rows, lineage, perr = ec.project(s, sp, ar, withLineage)
+		return len(res.Rows), perr
 	}); err != nil {
 		return err
 	}
-	res.Columns = cols
-	res.Rows = rows
 	if withLineage {
 		t0 := time.Now()
 		defer func() { hLineage.Observe(time.Since(t0)) }()
@@ -68,16 +110,15 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 		res.Lineage = lineage
 		// Keep values only for tuple versions that actually appear in some
 		// result row's Lineage (the provenance tuples Perm would return).
-		used := map[TupleRef]bool{}
-		for _, lin := range lineage {
-			for _, ref := range lin {
-				used[ref] = true
-			}
-		}
 		res.TupleValues = map[TupleRef][]sqlval.Value{}
-		for ref := range used {
-			if r, ok := collect[ref]; ok {
-				res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
+		for _, lin1 := range lineage {
+			for _, ref := range lin1 {
+				if _, done := res.TupleValues[ref]; done {
+					continue
+				}
+				if r, ok := lin.rows[ref]; ok {
+					res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
+				}
 			}
 		}
 		if subState != nil {
@@ -89,160 +130,98 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 	return nil
 }
 
-// selPlan carries a SELECT's plan tree through execution: the relational
-// access subtree the executor walks, plus the planner estimates for the
-// projection-side stages (−1 when the plan has no such stage), which
-// EXPLAIN ANALYZE reports next to the actual row counts.
+// selPlan is a SELECT's plan tree taken apart for the executor: the
+// relational access subtree it walks, and the output stages the planner
+// stacked on top (nil when the plan has no such stage). Which stages run,
+// and what EXPLAIN ANALYZE reports beside their actual row counts, comes
+// from these nodes.
 type selPlan struct {
-	tree                                               *plan.Tree
-	access                                             plan.Node
-	estAgg, estDistinct, estSort, estLimit, estProject float64
+	tree     *plan.Tree
+	access   plan.Node
+	agg      *plan.AggregateNode
+	distinct *plan.DistinctNode
+	sort     *plan.SortNode
+	topn     *plan.TopNNode
+	limit    *plan.LimitNode
+	project  *plan.ProjectNode
 }
 
-// newSelPlan unwraps the projection chain the planner stacked on top of the
-// relational subtree (project / limit / sort / distinct / aggregate, in
-// that nesting order) and records each stage's estimate.
+// newSelPlan unwraps the output chain below the project root: one of
+// top-N / sort / limit, then distinct, then aggregate.
 func newSelPlan(tree *plan.Tree) *selPlan {
-	sp := &selPlan{tree: tree, estAgg: -1, estDistinct: -1, estSort: -1, estLimit: -1, estProject: -1}
-	n := tree.Root
-	if p, ok := n.(*plan.ProjectNode); ok {
-		sp.estProject = p.Est
-		n = p.Input
-	}
-	if l, ok := n.(*plan.LimitNode); ok {
-		sp.estLimit = l.Est
-		n = l.Input
-	}
-	if s, ok := n.(*plan.SortNode); ok {
-		sp.estSort = s.Est
-		n = s.Input
+	sp := &selPlan{tree: tree}
+	sp.project = tree.Root.(*plan.ProjectNode)
+	n := sp.project.Input
+	switch x := n.(type) {
+	case *plan.TopNNode:
+		sp.topn, n = x, x.Input
+	case *plan.SortNode:
+		sp.sort, n = x, x.Input
+	case *plan.LimitNode:
+		sp.limit, n = x, x.Input
 	}
 	if d, ok := n.(*plan.DistinctNode); ok {
-		sp.estDistinct = d.Est
-		n = d.Input
+		sp.distinct, n = d, d.Input
 	}
 	if a, ok := n.(*plan.AggregateNode); ok {
-		sp.estAgg = a.Est
-		n = a.Input
+		sp.agg, n = a, a.Input
 	}
 	sp.access = n
 	return sp
 }
 
-// runSelect plans and executes the FROM/WHERE/GROUP BY portion, returning
-// the pre-projection relation (post-aggregation for aggregate queries, with
-// aggregate values stashed per tuple via aggRelation). The plan is kept on
-// ec.sel so the projection stages can report their estimates.
-func (ec *stmtCtx) runSelect(s *sqlparse.Select, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (*aggRelation, error) {
-	if len(s.From) == 0 {
-		// Table-less SELECT (e.g. SELECT 1+1): a single empty tuple.
-		ec.sel = newSelPlan(plan.PlanSelect(stmtCatalog{ec}, s))
-		return &aggRelation{rel: relation{env: env{params: ec.params}, tuples: []tuple{{}}}}, nil
-	}
-
-	refs := append([]sqlparse.TableRef(nil), s.From...)
-	for _, j := range s.Joins {
-		refs = append(refs, j.Table)
-	}
-	seen := map[string]bool{}
-	for _, r := range refs {
-		name := r.EffectiveName()
-		if seen[name] {
-			return nil, fmt.Errorf("duplicate table name or alias %q", name)
-		}
-		seen[name] = true
-	}
-
-	sp := newSelPlan(ec.selectPlan(s))
-	ec.sel = sp
-	cur, err := ec.execAccess(sp.access, withLineage, stmtID, collect)
-	if err != nil {
-		return nil, err
-	}
-	if sp.tree.Reordered {
-		// The greedy join order built the tuple layout in cost order;
-		// restore the syntactic FROM order so SELECT * stays stable.
-		cur = reorderRelation(cur, refs)
-	}
-
-	var ar *aggRelation
-	if err := ec.ops.execEst("aggregate", exprListText(s.GroupBy), sp.estAgg, func() (int, error) {
-		var aerr error
-		ar, aerr = aggregate(s, cur)
-		if aerr != nil {
-			return 0, aerr
-		}
-		return len(ar.rel.tuples), nil
-	}); err != nil {
-		return nil, err
-	}
-	if !ar.aggregate {
-		// Plain query: the aggregate stage was a pass-through, not an operator.
-		ec.ops.dropLast()
-	}
-	return ar, nil
-}
-
-// execAccess executes a relational plan subtree (scans, index scans,
-// filters, hash joins), materializing its relation.
-func (ec *stmtCtx) execAccess(n plan.Node, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (relation, error) {
+// execAccess executes a relational plan subtree (leaves, filters, hash
+// joins), materializing its relation.
+func (ec *stmtCtx) execAccess(n plan.Node, lin *lineageSink) (relation, error) {
 	switch node := n.(type) {
-	case *plan.ScanNode:
-		var rel relation
-		err := ec.ops.execEst("scan", node.Detail(), node.Est, func() (int, error) {
-			var serr error
-			rel, serr = ec.scanTable(planTableRef(node.Table, node.As), withLineage, stmtID, collect)
-			return len(rel.tuples), serr
-		})
-		return rel, err
-	case *plan.IndexScanNode:
-		var rel relation
-		err := ec.ops.execEst("index_scan", node.Detail(), node.Est, func() (int, error) {
-			var serr error
-			rel, serr = ec.scanIndex(node, withLineage, stmtID, collect)
-			return len(rel.tuples), serr
-		})
-		return rel, err
+	case *plan.ValuesNode:
+		// Table-less SELECT (e.g. SELECT 1+1): a single empty tuple.
+		return relation{env: env{params: ec.params}, tuples: []tuple{{}}}, nil
+	case *plan.ScanNode, *plan.IndexScanNode:
+		return ec.execLeaf(n, lin)
 	case *plan.FilterNode:
-		rel, err := ec.execAccess(node.Input, withLineage, stmtID, collect)
+		switch node.Input.(type) {
+		case *plan.ScanNode, *plan.IndexScanNode:
+			return ec.execLeaf(n, lin) // fused into the leaf's loop
+		}
+		rel, err := ec.execAccess(node.Input, lin)
 		if err != nil {
 			return relation{}, err
 		}
-		if !node.Resolved {
-			// The planner could not prove these conjuncts bind; validate
-			// them now so semantic errors surface even on empty inputs.
-			for _, c := range node.Conjuncts {
-				var aggs []*sqlparse.FuncExpr
-				collectAggregates(c, &aggs)
-				if len(aggs) > 0 {
-					return relation{}, fmt.Errorf("aggregates are not allowed in WHERE")
-				}
-				var crs []*sqlparse.ColumnRef
-				columnRefs(c, &crs)
-				for _, r := range crs {
-					if _, err := rel.env.resolve(r); err != nil {
-						return relation{}, err
+		preds, err := rel.env.bindAll(node.Conjuncts, nil)
+		if err != nil {
+			return relation{}, err
+		}
+		err = ec.ops.node(node, func() (int, error) {
+			kept := rel.tuples[:0]
+		tuples:
+			for _, t := range rel.tuples {
+				for _, p := range preds {
+					v, err := p(t.vals, nil)
+					if err != nil {
+						return 0, err
+					}
+					if !isTrue(v) {
+						continue tuples
 					}
 				}
+				kept = append(kept, t)
 			}
-		}
-		out := rel
-		_ = ec.ops.execEst("filter", node.Detail(), node.Est, func() (int, error) {
-			out = filter(rel, node.Conjuncts)
-			return len(out.tuples), nil
+			rel.tuples = kept
+			return len(kept), nil
 		})
-		return out, nil
+		return rel, err
 	case *plan.HashJoinNode:
-		left, err := ec.execAccess(node.Left, withLineage, stmtID, collect)
+		left, err := ec.execAccess(node.Left, lin)
 		if err != nil {
 			return relation{}, err
 		}
-		right, err := ec.execAccess(node.Right, withLineage, stmtID, collect)
+		right, err := ec.execAccess(node.Right, lin)
 		if err != nil {
 			return relation{}, err
 		}
 		var out relation
-		err = ec.ops.execEst("hash_join", node.Detail(), node.Est, func() (int, error) {
+		err = ec.ops.node(node, func() (int, error) {
 			var jerr error
 			out, jerr = hashJoin(left, right, node.LeftKeys, node.RightKeys)
 			return len(out.tuples), jerr
@@ -252,20 +231,10 @@ func (ec *stmtCtx) execAccess(n plan.Node, withLineage bool, stmtID int64, colle
 	return relation{}, fmt.Errorf("unsupported plan node %T", n)
 }
 
-// planTableRef reconstructs the parser-level table reference a plan leaf
-// was built from.
-func planTableRef(table, as string) sqlparse.TableRef {
-	ref := sqlparse.TableRef{Name: table}
-	if as != table {
-		ref.Alias = as
-	}
-	return ref
-}
-
 // reorderRelation permutes a joined relation's per-leaf binding blocks back
 // to the syntactic FROM order. Each leaf contributed one contiguous block
-// of bindings qualified by its effective name, so the permutation moves
-// whole blocks.
+// of bindings qualified by its effective name (none at all when the
+// statement reads no column of it), so the permutation moves whole blocks.
 func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
 	type block struct{ start, end int }
 	blocks := map[string]block{}
@@ -281,10 +250,7 @@ func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
 	perm := make([]int, 0, len(rel.env.bindings))
 	bindings := make([]binding, 0, len(rel.env.bindings))
 	for _, r := range refs {
-		b, ok := blocks[r.EffectiveName()]
-		if !ok {
-			return rel
-		}
+		b := blocks[r.EffectiveName()]
 		for i := b.start; i < b.end; i++ {
 			perm = append(perm, i)
 			bindings = append(bindings, rel.env.bindings[i])
@@ -294,142 +260,15 @@ func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
 		return rel
 	}
 	out := relation{env: env{bindings: bindings, params: rel.env.params}, tuples: make([]tuple, len(rel.tuples))}
+	var vals slab[sqlval.Value]
 	for ti, t := range rel.tuples {
-		vals := make([]sqlval.Value, len(perm))
+		vals := vals.take(len(perm))
 		for i, p := range perm {
 			vals[i] = t.vals[p]
 		}
 		out.tuples[ti] = tuple{vals: vals, lineage: t.lineage}
 	}
 	return out
-}
-
-func filter(rel relation, conjuncts []sqlparse.Expr) relation {
-	out := rel.tuples[:0:0]
-	for _, t := range rel.tuples {
-		keep := true
-		for _, c := range conjuncts {
-			v, err := evalExpr(c, &rel.env, t.vals, nil)
-			if err != nil || !isTrue(v) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, t)
-		}
-	}
-	rel.tuples = out
-	return rel
-}
-
-// scanTable materializes the snapshot-visible versions of a table as a
-// relation. The tuple layout is the table's columns followed by the four
-// hidden provenance attributes, all qualified by the effective (aliased)
-// table name. In lineage mode each tuple starts with itself as lineage and
-// the scan stamps prov_usedby — the versioning write the paper charges to
-// audit overhead (§IX-B). The stamp is atomic because the scan holds only
-// the table's read lock.
-func (ec *stmtCtx) scanTable(ref sqlparse.TableRef, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (relation, error) {
-	t, err := ec.table(ref.Name)
-	if err != nil {
-		// Unknown names fall back to the system-view registry: virtual
-		// tables never appear in the lock footprint (lockTables skips
-		// unresolved names) and take no locks of their own.
-		if vt := ec.db.virtualTable(ref.Name); vt != nil {
-			return ec.scanVirtual(vt, ref), nil
-		}
-		return relation{}, err
-	}
-	name := ref.EffectiveName()
-	rel := relation{env: env{params: ec.params}}
-	for _, c := range t.Schema.Columns {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: pc})
-	}
-	ncols := len(t.Schema.Columns)
-	mRowsScanned.Add(int64(len(t.rows)))
-	rel.tuples = make([]tuple, 0, len(t.rows))
-	for _, r := range t.rows {
-		if !ec.snap.visible(r) {
-			continue
-		}
-		vals := make([]sqlval.Value, ncols+4)
-		copy(vals, r.vals)
-		if withLineage {
-			r.usedBy.Store(stmtID)
-			if collect != nil {
-				collect[r.ref(t.Name)] = r
-			}
-		}
-		vals[ncols] = sqlval.NewInt(int64(r.id))
-		vals[ncols+1] = sqlval.NewInt(int64(r.version))
-		vals[ncols+2] = sqlval.NewString(r.proc)
-		vals[ncols+3] = sqlval.NewInt(r.usedBy.Load())
-		tp := tuple{vals: vals}
-		if withLineage {
-			tp.lineage = []TupleRef{r.ref(t.Name)}
-		}
-		rel.tuples = append(rel.tuples, tp)
-	}
-	return rel, nil
-}
-
-// scanIndex materializes the snapshot-visible versions reached through a
-// secondary-index predicate. The tuple layout matches scanTable exactly;
-// only the candidate set differs — the index narrows it to the buckets
-// matching the predicate, and the residual filter above re-checks every
-// pushed conjunct, so the result is a full scan restricted to the matching
-// keys.
-func (ec *stmtCtx) scanIndex(node *plan.IndexScanNode, withLineage bool, stmtID int64, collect map[TupleRef]*storedRow) (relation, error) {
-	t, err := ec.table(node.Table)
-	if err != nil {
-		return relation{}, err
-	}
-	ix := t.findIndex(node.Index)
-	if ix == nil {
-		// The index vanished between planning and execution — impossible
-		// while the statement holds the table lock, but degrade safely.
-		return ec.scanTable(planTableRef(node.Table, node.As), withLineage, stmtID, collect)
-	}
-	name := node.As
-	rel := relation{env: env{params: ec.params}}
-	for _, c := range t.Schema.Columns {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: pc})
-	}
-	ncols := len(t.Schema.Columns)
-	cand := indexCandidates(ix, node, ec.params)
-	ix.scans.Add(1)
-	mRowsScanned.Add(int64(len(cand)))
-	rel.tuples = make([]tuple, 0, len(cand))
-	for _, r := range cand {
-		if !ec.snap.visible(r) {
-			continue
-		}
-		vals := make([]sqlval.Value, ncols+4)
-		copy(vals, r.vals)
-		if withLineage {
-			r.usedBy.Store(stmtID)
-			if collect != nil {
-				collect[r.ref(t.Name)] = r
-			}
-		}
-		vals[ncols] = sqlval.NewInt(int64(r.id))
-		vals[ncols+1] = sqlval.NewInt(int64(r.version))
-		vals[ncols+2] = sqlval.NewString(r.proc)
-		vals[ncols+3] = sqlval.NewInt(r.usedBy.Load())
-		tp := tuple{vals: vals}
-		if withLineage {
-			tp.lineage = []TupleRef{r.ref(t.Name)}
-		}
-		rel.tuples = append(rel.tuples, tp)
-	}
-	return rel, nil
 }
 
 // hashJoin joins two relations on the given key expression lists. With no
@@ -439,10 +278,10 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 	out.env.bindings = append(append([]binding(nil), left.env.bindings...), right.env.bindings...)
 	out.env.params = left.env.params
 
+	var vals slab[sqlval.Value]
 	combine := func(l, r tuple) tuple {
-		vals := make([]sqlval.Value, 0, len(l.vals)+len(r.vals))
-		vals = append(vals, l.vals...)
-		vals = append(vals, r.vals...)
+		vals := vals.take(len(l.vals) + len(r.vals))
+		copy(vals[copy(vals, l.vals):], r.vals)
 		return tuple{vals: vals, lineage: mergeLineage(l.lineage, r.lineage)}
 	}
 
@@ -455,49 +294,58 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 		return out, nil
 	}
 
-	keyOf := func(t tuple, en *env, keys []sqlparse.Expr) (string, bool, error) {
-		var sb strings.Builder
+	lk, err := left.env.bindAll(leftKeys, nil)
+	if err != nil {
+		return relation{}, err
+	}
+	rk, err := right.env.bindAll(rightKeys, nil)
+	if err != nil {
+		return relation{}, err
+	}
+	var kb keyBuilder
+	keyOf := func(t tuple, keys []bound) (key []byte, ok bool, err error) {
+		kb.reset()
 		for _, k := range keys {
-			v, err := evalExpr(k, en, t.vals, nil)
+			v, err := k(t.vals, nil)
 			if err != nil {
-				return "", false, err
+				return nil, false, err
 			}
 			if v.IsNull() {
-				return "", false, nil // NULL never joins
+				return nil, false, nil // NULL never joins
 			}
-			sb.WriteString(v.GroupKey())
-			sb.WriteByte(0)
+			kb.add(v)
 		}
-		return sb.String(), true, nil
+		return kb.buf, true, nil
 	}
 
 	// Build on the smaller side.
 	buildRight := len(right.tuples) <= len(left.tuples)
 	build, probe := right, left
-	buildKeys, probeKeys := rightKeys, leftKeys
+	buildKeys, probeKeys := rk, lk
 	if !buildRight {
 		build, probe = left, right
-		buildKeys, probeKeys = leftKeys, rightKeys
+		buildKeys, probeKeys = lk, rk
 	}
 	table := make(map[string][]int, len(build.tuples))
+	out.tuples = make([]tuple, 0, len(probe.tuples)) // a foreign-key join emits about one row per probe
 	for i, t := range build.tuples {
-		k, ok, err := keyOf(t, &build.env, buildKeys)
+		k, ok, err := keyOf(t, buildKeys)
 		if err != nil {
 			return relation{}, err
 		}
 		if ok {
-			table[k] = append(table[k], i)
+			table[string(k)] = append(table[string(k)], i)
 		}
 	}
 	for _, p := range probe.tuples {
-		k, ok, err := keyOf(p, &probe.env, probeKeys)
+		k, ok, err := keyOf(p, probeKeys)
 		if err != nil {
 			return relation{}, err
 		}
 		if !ok {
 			continue
 		}
-		for _, bi := range table[k] {
+		for _, bi := range table[string(k)] {
 			b := build.tuples[bi]
 			if buildRight {
 				out.tuples = append(out.tuples, combine(p, b))
@@ -509,15 +357,33 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relati
 	return out, nil
 }
 
-// aggRelation carries the relation plus, for aggregate queries, the
-// per-tuple aggregate values (keyed by the FuncExpr node).
-type aggRelation struct {
-	rel       relation
-	aggs      []map[sqlparse.Expr]sqlval.Value // parallel to rel.tuples; nil for plain queries
-	aggregate bool
+// keyBuilder concatenates the GroupKeys of a join or grouping key into one
+// reused buffer; map lookups by string(buf) do not allocate.
+type keyBuilder struct{ buf []byte }
+
+func (kb *keyBuilder) reset() { kb.buf = kb.buf[:0] }
+
+func (kb *keyBuilder) add(v sqlval.Value) {
+	kb.buf = append(v.AppendGroupKey(kb.buf), 0)
 }
 
-// aggregate applies GROUP BY / aggregate semantics if the query needs them.
+// aggRelation carries the relation plus, for aggregate queries, each
+// tuple's (group's) aggregate results, indexed by slots.
+type aggRelation struct {
+	rel   relation
+	aggs  [][]sqlval.Value // parallel to rel.tuples; nil for plain queries
+	slots aggSlots
+}
+
+// aggsAt returns tuple i's aggregate results (nil for plain queries).
+func (ar *aggRelation) aggsAt(i int) []sqlval.Value {
+	if ar.aggs == nil {
+		return nil
+	}
+	return ar.aggs[i]
+}
+
+// aggregate applies GROUP BY / aggregate / HAVING semantics.
 func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 	var aggCalls []*sqlparse.FuncExpr
 	for _, it := range s.Items {
@@ -531,12 +397,29 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 	if s.Having != nil {
 		collectAggregates(s.Having, &aggCalls)
 	}
-	if len(aggCalls) == 0 && len(s.GroupBy) == 0 {
-		return &aggRelation{rel: rel}, nil
-	}
-	for _, c := range aggCalls {
+	slots := make(aggSlots, len(aggCalls))
+	args := make([]bound, len(aggCalls)) // nil for count(*)
+	for i, c := range aggCalls {
 		if !sqlparse.AggregateFuncs[c.Name] {
 			return nil, fmt.Errorf("unknown function %s", c.Name)
+		}
+		slots[c] = i
+		if c.Arg != nil {
+			arg, err := rel.env.bind(c.Arg, nil)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = arg
+		}
+	}
+	groupBy, err := rel.env.bindAll(s.GroupBy, nil)
+	if err != nil {
+		return nil, err
+	}
+	var having bound
+	if s.Having != nil {
+		if having, err = rel.env.bind(s.Having, slots); err != nil {
+			return nil, err
 		}
 	}
 
@@ -546,74 +429,72 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 		linSeen map[TupleRef]bool
 		accs    []*aggAcc
 	}
-	newAccs := func() []*aggAcc {
-		accs := make([]*aggAcc, len(aggCalls))
+	newGroup := func(rep tuple) *group {
+		g := &group{rep: rep, accs: make([]*aggAcc, len(aggCalls))}
 		for i, c := range aggCalls {
-			accs[i] = newAggAcc(c)
+			g.accs[i] = newAggAcc(c)
 		}
-		return accs
+		return g
 	}
 
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
+	var kb keyBuilder
 	for _, t := range rel.tuples {
-		var sb strings.Builder
-		for _, g := range s.GroupBy {
-			v, err := evalExpr(g, &rel.env, t.vals, nil)
+		kb.reset()
+		for _, g := range groupBy {
+			v, err := g(t.vals, nil)
 			if err != nil {
 				return nil, err
 			}
-			sb.WriteString(v.GroupKey())
-			sb.WriteByte(0)
+			kb.add(v)
 		}
-		key := sb.String()
-		grp, ok := groups[key]
+		grp, ok := groups[string(kb.buf)]
 		if !ok {
-			grp = &group{rep: t, accs: newAccs(), linSeen: map[TupleRef]bool{}}
-			groups[key] = grp
-			order = append(order, key)
+			grp = newGroup(t)
+			groups[string(kb.buf)] = grp
+			order = append(order, grp)
 		}
 		// Accumulate lineage with a per-group set: repeated mergeLineage
 		// calls would be quadratic in the group size (fatal for global
 		// aggregates like Q3's count(*), whose single group spans the whole
 		// join result).
 		for _, ref := range t.lineage {
+			if grp.linSeen == nil {
+				grp.linSeen = map[TupleRef]bool{}
+			}
 			if !grp.linSeen[ref] {
 				grp.linSeen[ref] = true
 				grp.lineage = append(grp.lineage, ref)
 			}
 		}
-		for i, c := range aggCalls {
-			var arg sqlval.Value
-			if c.Arg != nil {
-				v, err := evalExpr(c.Arg, &rel.env, t.vals, nil)
-				if err != nil {
+		for i, arg := range args {
+			var v sqlval.Value
+			if arg != nil {
+				if v, err = arg(t.vals, nil); err != nil {
 					return nil, err
 				}
-				arg = v
 			}
-			grp.accs[i].add(arg)
+			grp.accs[i].add(v)
 		}
 	}
 	// A global aggregate over an empty input still yields one (empty) group.
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		groups[""] = &group{rep: tuple{vals: make([]sqlval.Value, len(rel.env.bindings))}, accs: newAccs()}
-		order = append(order, "")
+	if len(order) == 0 && len(s.GroupBy) == 0 {
+		order = append(order, newGroup(tuple{vals: make([]sqlval.Value, len(rel.env.bindings))}))
 	}
 
-	out := &aggRelation{aggregate: true}
+	out := &aggRelation{slots: slots, aggs: [][]sqlval.Value{}}
 	out.rel.env = rel.env
-	for _, key := range order {
-		grp := groups[key]
+	for _, grp := range order {
 		t := grp.rep
 		t.lineage = grp.lineage
-		m := make(map[sqlparse.Expr]sqlval.Value, len(aggCalls))
-		for i, c := range aggCalls {
-			m[c] = grp.accs[i].result()
+		results := make([]sqlval.Value, len(aggCalls))
+		for i, acc := range grp.accs {
+			results[i] = acc.result()
 		}
 		// HAVING filters whole groups, evaluated with the aggregate context.
-		if s.Having != nil {
-			v, err := evalExpr(s.Having, &rel.env, t.vals, m)
+		if having != nil {
+			v, err := having(t.vals, results)
 			if err != nil {
 				return nil, err
 			}
@@ -622,7 +503,7 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 			}
 		}
 		out.rel.tuples = append(out.rel.tuples, t)
-		out.aggs = append(out.aggs, m)
+		out.aggs = append(out.aggs, results)
 	}
 	return out, nil
 }
@@ -715,205 +596,315 @@ func (a *aggAcc) result() sqlval.Value {
 	}
 }
 
-// project evaluates the select list (star expansion excludes the hidden
-// provenance attributes), then applies DISTINCT, ORDER BY, and LIMIT —
-// each recorded as its own operator (with the planner's estimate from sp)
-// when EXPLAIN ANALYZE is collecting.
-func project(s *sqlparse.Select, ar *aggRelation, withLineage bool, oc *opCollector, sp *selPlan) (cols []string, rows [][]sqlval.Value, lineage [][]TupleRef, err error) {
-	rel := ar.rel
+// outCol is one output column: a direct slot copy (eval nil) or a bound
+// expression.
+type outCol struct {
+	name string
+	slot int
+	eval bound
+}
 
-	// Resolve output columns.
-	type outCol struct {
-		name string
-		expr sqlparse.Expr // nil for direct slot copy
-		slot int
+func (o *outCol) value(vals, aggs []sqlval.Value) (sqlval.Value, error) {
+	if o.eval == nil {
+		return vals[o.slot], nil
 	}
+	return o.eval(vals, aggs)
+}
+
+// bindOutputs resolves the select list against the layout (star expansion
+// excludes the hidden provenance attributes).
+func bindOutputs(s *sqlparse.Select, en *env, slots aggSlots) ([]outCol, error) {
 	var outs []outCol
 	for _, it := range s.Items {
-		switch {
-		case it.Star:
-			for i, b := range rel.env.bindings {
-				if IsProvColumn(b.name) {
-					continue
-				}
+		if it.Star {
+			found := it.Table == ""
+			for i, b := range en.bindings {
 				if it.Table != "" && b.table != it.Table {
 					continue
 				}
-				outs = append(outs, outCol{name: b.name, slot: i, expr: nil})
+				found = true
+				if !IsProvColumn(b.name) {
+					outs = append(outs, outCol{name: b.name, slot: i})
+				}
 			}
-			if it.Table != "" {
-				found := false
-				for _, b := range rel.env.bindings {
-					if b.table == it.Table {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return nil, nil, nil, fmt.Errorf("table %q does not exist in FROM clause", it.Table)
-				}
+			if !found {
+				return nil, fmt.Errorf("table %q does not exist in FROM clause", it.Table)
+			}
+			continue
+		}
+		o := outCol{name: it.Alias}
+		switch e := it.Expr.(type) {
+		case *sqlparse.ColumnRef:
+			slot, err := en.resolve(e)
+			if err != nil {
+				return nil, err
+			}
+			o.slot = slot
+			if o.name == "" {
+				o.name = e.Column
 			}
 		default:
-			name := it.Alias
-			if name == "" {
-				if cr, ok := it.Expr.(*sqlparse.ColumnRef); ok {
-					name = cr.Column
-				} else if fe, ok := it.Expr.(*sqlparse.FuncExpr); ok {
-					name = strings.ToLower(fe.Name)
-				} else {
-					name = "column"
+			eval, err := en.bind(it.Expr, slots)
+			if err != nil {
+				return nil, err
+			}
+			o.eval = eval
+			if fe, ok := it.Expr.(*sqlparse.FuncExpr); ok && o.name == "" {
+				o.name = strings.ToLower(fe.Name)
+			} else if o.name == "" {
+				o.name = "column"
+			}
+		}
+		outs = append(outs, o)
+	}
+	return outs, nil
+}
+
+// bindOrderKeys binds the ORDER BY keys against the pre-projection layout.
+// A bare identifier that names no column but matches an output alias
+// orders by that output.
+func bindOrderKeys(s *sqlparse.Select, en *env, slots aggSlots, outs []outCol) ([]outCol, error) {
+	keys := make([]outCol, len(s.OrderBy))
+keys:
+	for k, ob := range s.OrderBy {
+		if cr, ok := ob.Expr.(*sqlparse.ColumnRef); ok && cr.Table == "" {
+			if _, err := en.resolve(cr); err != nil {
+				for _, o := range outs {
+					if o.name == cr.Column {
+						keys[k] = o
+						continue keys
+					}
 				}
 			}
-			outs = append(outs, outCol{name: name, expr: it.Expr, slot: -1})
 		}
+		eval, err := en.bind(ob.Expr, slots)
+		if err != nil {
+			return nil, err
+		}
+		keys[k].eval = eval
+	}
+	return keys, nil
+}
+
+// project produces the result rows: which input tuples become output rows
+// and in what order is settled first (DISTINCT, ORDER BY, LIMIT — each
+// recorded as the operator the plan names when EXPLAIN ANALYZE is
+// collecting), then the select list is evaluated for those tuples only.
+// DISTINCT is the one stage that needs every row projected up front.
+func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation, withLineage bool) (cols []string, rows [][]sqlval.Value, lineage [][]TupleRef, err error) {
+	en, tuples := &ar.rel.env, ar.rel.tuples
+	outs, err := bindOutputs(s, en, ar.slots)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	keys, err := bindOrderKeys(s, en, ar.slots, outs)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	cols = make([]string, len(outs))
 	for i, o := range outs {
 		cols[i] = o.name
 	}
-
-	// Validate every column reference in the select list against the layout
-	// so that errors surface even on empty inputs.
-	for _, o := range outs {
-		if o.expr == nil {
-			continue
-		}
-		var refs []*sqlparse.ColumnRef
-		columnRefs(o.expr, &refs)
-		for _, r := range refs {
-			if _, err := rel.env.resolve(r); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	}
-
-	// Evaluate output rows plus ORDER BY keys.
-	type outRow struct {
-		vals    []sqlval.Value
-		keys    []sqlval.Value
-		lineage []TupleRef
-	}
-	aliasIndex := func(name string) int {
-		for i, o := range outs {
-			if o.name == name {
-				return i
-			}
-		}
-		return -1
-	}
-	var outRows []outRow
-	for ti, t := range rel.tuples {
-		var agg map[sqlparse.Expr]sqlval.Value
-		if ar.aggs != nil {
-			agg = ar.aggs[ti]
-		}
-		r := outRow{vals: make([]sqlval.Value, len(outs)), lineage: t.lineage}
-		for i, o := range outs {
-			if o.expr == nil {
-				r.vals[i] = t.vals[o.slot]
-				continue
-			}
-			v, err := evalExpr(o.expr, &rel.env, t.vals, agg)
+	// evalRow evaluates the given columns (outputs or order keys) for input
+	// tuple i.
+	evalRow := func(cs []outCol, i int, dst []sqlval.Value) error {
+		vals, aggs := tuples[i].vals, ar.aggsAt(i)
+		for c := range cs {
+			v, err := cs[c].value(vals, aggs)
 			if err != nil {
-				return nil, nil, nil, err
+				return err
 			}
-			r.vals[i] = v
+			dst[c] = v
 		}
-		for _, ob := range s.OrderBy {
-			// A bare identifier matching an output alias orders by that output.
-			if cr, ok := ob.Expr.(*sqlparse.ColumnRef); ok && cr.Table == "" {
-				if i := aliasIndex(cr.Column); i >= 0 {
-					if _, rerr := rel.env.resolve(cr); rerr != nil {
-						r.keys = append(r.keys, r.vals[i])
-						continue
-					}
-				}
-			}
-			v, err := evalExpr(ob.Expr, &rel.env, t.vals, agg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			r.keys = append(r.keys, v)
-		}
-		outRows = append(outRows, r)
+		return nil
 	}
 
-	if s.Distinct {
-		_ = oc.execEst("distinct", "", sp.estDistinct, func() (int, error) {
-			seen := map[string]int{}
-			dedup := outRows[:0:0]
-			var linSeen []map[TupleRef]bool // parallel to dedup, lazily built
-			for _, r := range outRows {
-				var sb strings.Builder
-				for _, v := range r.vals {
-					sb.WriteString(v.GroupKey())
-					sb.WriteByte(0)
+	// picked lists the input tuples that become output rows, in order.
+	picked := make([]int, len(tuples))
+	for i := range picked {
+		picked[i] = i
+	}
+	var vals slab[sqlval.Value]
+	var projected [][]sqlval.Value // by input tuple, when DISTINCT projected them all
+	if sp.distinct != nil {
+		if err = ec.ops.node(sp.distinct, func() (int, error) {
+			projected = make([][]sqlval.Value, len(tuples))
+			first := map[string]int{} // projected row -> the input tuple that first produced it
+			var linSeen map[int]map[TupleRef]bool
+			var kb keyBuilder
+			picked = picked[:0]
+			for i := range tuples {
+				projected[i] = vals.take(len(outs))
+				if err := evalRow(outs, i, projected[i]); err != nil {
+					return 0, err
 				}
-				k := sb.String()
-				if i, dup := seen[k]; dup {
-					// Union lineage through a per-row set; pairwise merging would
-					// be quadratic in the duplicate count.
-					if linSeen[i] == nil {
-						linSeen[i] = map[TupleRef]bool{}
-						for _, ref := range dedup[i].lineage {
-							linSeen[i][ref] = true
-						}
-					}
-					for _, ref := range r.lineage {
-						if !linSeen[i][ref] {
-							linSeen[i][ref] = true
-							dedup[i].lineage = append(dedup[i].lineage, ref)
-						}
-					}
+				kb.reset()
+				for _, v := range projected[i] {
+					kb.add(v)
+				}
+				f, dup := first[string(kb.buf)]
+				if !dup {
+					first[string(kb.buf)] = i
+					picked = append(picked, i)
 					continue
 				}
-				seen[k] = len(dedup)
-				dedup = append(dedup, r)
-				linSeen = append(linSeen, nil)
-			}
-			outRows = dedup
-			return len(outRows), nil
-		})
-	}
-
-	if len(s.OrderBy) > 0 {
-		keys := make([]sqlparse.Expr, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			keys[i] = o.Expr
-		}
-		_ = oc.execEst("sort", exprListText(keys), sp.estSort, func() (int, error) {
-			sort.SliceStable(outRows, func(i, j int) bool {
-				for k, ob := range s.OrderBy {
-					a, b := outRows[i].keys[k], outRows[j].keys[k]
-					if a.Equal(b) {
-						continue
-					}
-					less := sqlval.SortLess(a, b)
-					if ob.Desc {
-						return !less
-					}
-					return less
+				if len(tuples[i].lineage) == 0 {
+					continue
 				}
-				return false
-			})
-			return len(outRows), nil
-		})
-	}
-	if s.Limit >= 0 && len(outRows) > s.Limit {
-		_ = oc.execEst("limit", strconv.Itoa(s.Limit), sp.estLimit, func() (int, error) {
-			outRows = outRows[:s.Limit]
-			return len(outRows), nil
-		})
+				// Union lineage through a per-row set; pairwise merging would
+				// be quadratic in the duplicate count.
+				if linSeen == nil {
+					linSeen = map[int]map[TupleRef]bool{}
+				}
+				set := linSeen[f]
+				if set == nil {
+					set = map[TupleRef]bool{}
+					for _, ref := range tuples[f].lineage {
+						set[ref] = true
+					}
+					linSeen[f] = set
+				}
+				for _, ref := range tuples[i].lineage {
+					if !set[ref] {
+						set[ref] = true
+						tuples[f].lineage = append(tuples[f].lineage, ref)
+					}
+				}
+			}
+			return len(picked), nil
+		}); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 
-	rows = make([][]sqlval.Value, len(outRows))
-	lineage = make([][]TupleRef, len(outRows))
-	for i, r := range outRows {
-		rows[i] = r.vals
-		lineage[i] = r.lineage
+	order := func(n plan.Node, keep int) error {
+		return ec.ops.node(n, func() (int, error) {
+			desc := make([]bool, len(s.OrderBy))
+			for k, ob := range s.OrderBy {
+				desc[k] = ob.Desc
+			}
+			var oerr error
+			picked, oerr = firstOrdered(picked, keep, desc, func(i int, dst []sqlval.Value) error {
+				return evalRow(keys, i, dst)
+			})
+			return len(picked), oerr
+		})
 	}
-	if !withLineage {
-		lineage = nil
+	switch {
+	case sp.topn != nil:
+		err = order(sp.topn, sp.topn.N)
+	case sp.sort != nil:
+		err = order(sp.sort, len(picked))
+	case sp.limit != nil:
+		err = ec.ops.node(sp.limit, func() (int, error) {
+			if len(picked) > sp.limit.N {
+				picked = picked[:sp.limit.N]
+			}
+			return len(picked), nil
+		})
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	rows = make([][]sqlval.Value, len(picked))
+	if withLineage {
+		lineage = make([][]TupleRef, len(picked))
+	}
+	for o, i := range picked {
+		if projected != nil {
+			rows[o] = projected[i]
+		} else {
+			rows[o] = vals.take(len(outs))
+			if err := evalRow(outs, i, rows[o]); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		if withLineage {
+			lineage[o] = tuples[i].lineage
+		}
 	}
 	return cols, rows, lineage, nil
+}
+
+// firstOrdered returns the keep first of the picked tuples in ORDER BY
+// order, ties in input order — the keep-prefix of a stable sort. It never
+// holds more than keep rows: once that many are in hand they form a heap
+// with the row that sorts last on top, and a later row either displaces it
+// or is dropped after one comparison. keyAt evaluates a tuple's keys.
+func firstOrdered(picked []int, keep int, desc []bool, keyAt func(i int, dst []sqlval.Value) error) ([]int, error) {
+	if keep > len(picked) {
+		keep = len(picked)
+	}
+	if keep == 0 {
+		return nil, nil
+	}
+	type row struct {
+		idx  int
+		keys []sqlval.Value
+	}
+	// before is the output order: by keys, then by input position (picked
+	// is ascending), which makes it total.
+	before := func(a, b row) bool {
+		for k := range desc {
+			if x, y := a.keys[k], b.keys[k]; !x.Equal(y) {
+				return sqlval.SortLess(x, y) != desc[k]
+			}
+		}
+		return a.idx < b.idx
+	}
+	nk := len(desc)
+	kept := make([]row, 0, keep)
+	keybuf := make([]sqlval.Value, (keep+1)*nk)
+	cand := row{keys: keybuf[keep*nk:]}
+	// siftDown restores the heap below position i (children sort before
+	// their parent).
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(kept) {
+				return
+			}
+			if c+1 < len(kept) && before(kept[c], kept[c+1]) {
+				c++
+			}
+			if !before(kept[i], kept[c]) {
+				return
+			}
+			kept[i], kept[c] = kept[c], kept[i]
+			i = c
+		}
+	}
+	heaped := false
+	for _, i := range picked {
+		if len(kept) < keep {
+			r := row{idx: i, keys: keybuf[len(kept)*nk : (len(kept)+1)*nk]}
+			if err := keyAt(i, r.keys); err != nil {
+				return nil, err
+			}
+			kept = append(kept, r)
+			continue
+		}
+		if !heaped {
+			for j := len(kept)/2 - 1; j >= 0; j-- {
+				siftDown(j)
+			}
+			heaped = true
+		}
+		cand.idx = i
+		if err := keyAt(i, cand.keys); err != nil {
+			return nil, err
+		}
+		if before(cand, kept[0]) {
+			copy(kept[0].keys, cand.keys)
+			kept[0].idx = i
+			siftDown(0)
+		}
+	}
+	sort.Slice(kept, func(a, b int) bool { return before(kept[a], kept[b]) })
+	out := picked[:0]
+	for _, r := range kept {
+		out = append(out, r.idx)
+	}
+	return out, nil
 }

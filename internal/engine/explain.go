@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"time"
 
 	"ldv/internal/obs"
@@ -81,12 +80,15 @@ func (oc *opCollector) execEst(op, detail string, est float64, f func() (int, er
 	return err
 }
 
-// dropLast discards the most recent record (used when a stage turns out to
-// be a no-op, like aggregate over a plain query).
-func (oc *opCollector) dropLast() {
-	if oc != nil && len(oc.recs) > 0 {
-		oc.recs = oc.recs[:len(oc.recs)-1]
+// node runs the operator of one plan node, recording what the node says it
+// is next to what f says it produced. Nothing of the node is rendered when
+// no collector is attached.
+func (oc *opCollector) node(n plan.Node, f func() (int, error)) error {
+	if oc == nil {
+		_, err := f()
+		return err
 	}
+	return oc.execEst(n.Op(), n.Detail(), n.EstRows(), f)
 }
 
 // execExplainStmt serves EXPLAIN and EXPLAIN ANALYZE.
@@ -167,16 +169,4 @@ func (s *Session) execExplainStmt(ex *sqlparse.Explain, opts ExecOptions, res *R
 	})
 	res.Rows = rows
 	return nil
-}
-
-// exprListText renders expressions as a comma-separated detail string.
-func exprListText(exprs []sqlparse.Expr) string {
-	if len(exprs) == 0 {
-		return ""
-	}
-	parts := make([]string, len(exprs))
-	for i, e := range exprs {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ", ")
 }

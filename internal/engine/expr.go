@@ -53,6 +53,30 @@ type tuple struct {
 	lineage []TupleRef
 }
 
+// slab cuts tuple-sized slices out of chunks that double in size (the
+// first is exactly one tuple, so a one-row result costs what it always
+// did), turning one allocation per materialized tuple into a handful per
+// relation. Slices come back with no spare capacity: appending to one
+// never reaches its neighbour.
+type slab[T any] struct {
+	free []T
+	rows int // tuples the next chunk holds
+}
+
+const slabMaxRows = 1024
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		if s.rows < slabMaxRows {
+			s.rows = 2*s.rows + 1
+		}
+		s.free = make([]T, s.rows*n)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
 // mergeLineage unions two lineage lists, deduplicating refs.
 func mergeLineage(a, b []TupleRef) []TupleRef {
 	if len(a) == 0 {
@@ -78,209 +102,354 @@ func mergeLineage(a, b []TupleRef) []TupleRef {
 	return out
 }
 
-// evalExpr evaluates an expression against a tuple. agg supplies
-// pre-computed aggregate values when evaluating the select list of an
-// aggregate query; it is nil elsewhere (aggregates are then an error).
-func evalExpr(ex sqlparse.Expr, en *env, vals []sqlval.Value, agg map[sqlparse.Expr]sqlval.Value) (sqlval.Value, error) {
+// bound is an expression compiled against one tuple layout by env.bind:
+// column references are slot reads, `?` placeholders are the execution's
+// values, constant IN lists are sets. aggs carries the current group's
+// aggregate results where the expression was bound with aggregate slots;
+// it is nil everywhere else.
+type bound func(vals, aggs []sqlval.Value) (sqlval.Value, error)
+
+// aggSlots assigns each aggregate call of a statement its position in the
+// per-group result slice.
+type aggSlots map[*sqlparse.FuncExpr]int
+
+// bind compiles ex against the layout once per operator, so that no name
+// is resolved, no operator string compared and no parameter looked up per
+// row. Every error that does not depend on a row's values surfaces here:
+// unknown or ambiguous columns, unbound parameters, aggregates where none
+// can be (aggs nil), expression kinds the executor does not run.
+func (en *env) bind(ex sqlparse.Expr, aggs aggSlots) (bound, error) {
 	switch e := ex.(type) {
 	case *sqlparse.Literal:
-		return e.Value, nil
+		return constant(e.Value), nil
 	case *sqlparse.Param:
 		if e.Index < 1 || e.Index > len(en.params) {
-			return sqlval.Null, fmt.Errorf("parameter %d is not bound (%d values supplied)", e.Index, len(en.params))
+			return nil, fmt.Errorf("parameter %d is not bound (%d values supplied)", e.Index, len(en.params))
 		}
-		return en.params[e.Index-1], nil
+		return constant(en.params[e.Index-1]), nil
 	case *sqlparse.ColumnRef:
 		i, err := en.resolve(e)
 		if err != nil {
-			return sqlval.Null, err
+			return nil, err
 		}
-		return vals[i], nil
+		return func(vals, _ []sqlval.Value) (sqlval.Value, error) { return vals[i], nil }, nil
 	case *sqlparse.UnaryExpr:
-		v, err := evalExpr(e.Expr, en, vals, agg)
+		x, err := en.bind(e.Expr, aggs)
 		if err != nil {
-			return sqlval.Null, err
+			return nil, err
 		}
 		if e.Op == "-" {
-			return sqlval.Neg(v)
+			return one(x, sqlval.Neg), nil
 		}
 		// NOT with three-valued logic.
-		if v.IsNull() {
-			return sqlval.Null, nil
-		}
-		if v.Kind() != sqlval.KindBool {
-			return sqlval.Null, fmt.Errorf("NOT requires a boolean operand, got %s", v.Kind())
-		}
-		return sqlval.NewBool(!v.Bool()), nil
+		return one(x, func(v sqlval.Value) (sqlval.Value, error) {
+			if v.IsNull() {
+				return sqlval.Null, nil
+			}
+			if v.Kind() != sqlval.KindBool {
+				return sqlval.Null, fmt.Errorf("NOT requires a boolean operand, got %s", v.Kind())
+			}
+			return sqlval.NewBool(!v.Bool()), nil
+		}), nil
 	case *sqlparse.BinaryExpr:
-		return evalBinary(e, en, vals, agg)
+		return en.bindBinary(e, aggs)
 	case *sqlparse.BetweenExpr:
-		v, err := evalExpr(e.Expr, en, vals, agg)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		lo, err := evalExpr(e.Lo, en, vals, agg)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		hi, err := evalExpr(e.Hi, en, vals, agg)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		geLo := compareBool(v, lo, ">=")
-		leHi := compareBool(v, hi, "<=")
-		res := and3(geLo, leHi)
+		// x BETWEEN lo AND hi is x >= lo AND x <= hi, in three-valued logic too.
+		var between sqlparse.Expr = &sqlparse.BinaryExpr{Op: "AND",
+			Left:  &sqlparse.BinaryExpr{Op: ">=", Left: e.Expr, Right: e.Lo},
+			Right: &sqlparse.BinaryExpr{Op: "<=", Left: e.Expr, Right: e.Hi}}
 		if e.Negated {
-			res = not3(res)
+			between = &sqlparse.UnaryExpr{Op: "NOT", Expr: between}
 		}
-		return res, nil
+		return en.bind(between, aggs)
 	case *sqlparse.InExpr:
-		v, err := evalExpr(e.Expr, en, vals, agg)
+		return en.bindIn(e, aggs)
+	case *sqlparse.IsNullExpr:
+		x, err := en.bind(e.Expr, aggs)
+		if err != nil {
+			return nil, err
+		}
+		negated := e.Negated
+		return one(x, func(v sqlval.Value) (sqlval.Value, error) {
+			return sqlval.NewBool(v.IsNull() != negated), nil
+		}), nil
+	case *sqlparse.FuncExpr:
+		if aggs == nil {
+			return nil, fmt.Errorf("aggregate %s is not allowed here", e.Name)
+		}
+		slot, ok := aggs[e]
+		if !ok {
+			return nil, fmt.Errorf("internal: aggregate %s not precomputed", e.Name)
+		}
+		return func(_, ag []sqlval.Value) (sqlval.Value, error) { return ag[slot], nil }, nil
+	default:
+		return nil, fmt.Errorf("unsupported expression %T", ex)
+	}
+}
+
+// bindAll binds a list of expressions against the same layout.
+func (en *env) bindAll(exprs []sqlparse.Expr, aggs aggSlots) ([]bound, error) {
+	out := make([]bound, len(exprs))
+	for i, ex := range exprs {
+		b, err := en.bind(ex, aggs)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
+func constant(v sqlval.Value) bound {
+	return func(_, _ []sqlval.Value) (sqlval.Value, error) { return v, nil }
+}
+
+// one evaluates the operand and applies f to its value.
+func one(x bound, f func(sqlval.Value) (sqlval.Value, error)) bound {
+	return func(vals, ag []sqlval.Value) (sqlval.Value, error) {
+		v, err := x(vals, ag)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		return f(v)
+	}
+}
+
+// evalConst evaluates an expression that reads no tuple: INSERT values, the
+// AS OF bound, VACUUM's RETAIN, the REENACT transaction id.
+func evalConst(ex sqlparse.Expr, params []sqlval.Value) (sqlval.Value, error) {
+	b, err := (&env{params: params}).bind(ex, nil)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	return b(nil, nil)
+}
+
+func (en *env) bindBinary(e *sqlparse.BinaryExpr, aggs aggSlots) (bound, error) {
+	l, err := en.bind(e.Left, aggs)
+	if err != nil {
+		return nil, err
+	}
+	r, err := en.bind(e.Right, aggs)
+	if err != nil {
+		return nil, err
+	}
+	// both evaluates the two operands and applies f to their values.
+	both := func(f func(l, r sqlval.Value) (sqlval.Value, error)) bound {
+		return func(vals, ag []sqlval.Value) (sqlval.Value, error) {
+			lv, err := l(vals, ag)
+			if err != nil {
+				return sqlval.Null, err
+			}
+			rv, err := r(vals, ag)
+			if err != nil {
+				return sqlval.Null, err
+			}
+			return f(lv, rv)
+		}
+	}
+	switch e.Op {
+	case "AND", "OR":
+		// Short-circuit where three-valued logic allows: a FALSE (AND) or
+		// TRUE (OR) left operand decides the result.
+		isAnd := e.Op == "AND"
+		return func(vals, ag []sqlval.Value) (sqlval.Value, error) {
+			lv, err := l(vals, ag)
+			if err != nil {
+				return sqlval.Null, err
+			}
+			if isAnd && isFalse(lv) || !isAnd && isTrue(lv) {
+				return lv, nil
+			}
+			rv, err := r(vals, ag)
+			if err != nil {
+				return sqlval.Null, err
+			}
+			if isAnd {
+				return and3(lv, rv), nil
+			}
+			return or3(lv, rv), nil
+		}, nil
+	case "=", "<>", "<", "<=", ">", ">=":
+		want := cmpOps[e.Op]
+		return both(func(l, r sqlval.Value) (sqlval.Value, error) { return compareBool(l, r, want), nil }), nil
+	case "LIKE":
+		return both(func(l, r sqlval.Value) (sqlval.Value, error) {
+			m, ok := sqlval.Like(l, r)
+			if !ok {
+				if l.IsNull() || r.IsNull() {
+					return sqlval.Null, nil
+				}
+				return sqlval.Null, fmt.Errorf("LIKE requires text operands, got %s and %s", l.Kind(), r.Kind())
+			}
+			return sqlval.NewBool(m), nil
+		}), nil
+	case "+":
+		// "+" doubles as concatenation when either side is text, matching the
+		// lenient behaviour of several engines; otherwise numeric.
+		return both(func(l, r sqlval.Value) (sqlval.Value, error) {
+			if l.Kind() == sqlval.KindString || r.Kind() == sqlval.KindString {
+				return sqlval.Concat(l, r)
+			}
+			return sqlval.Add(l, r)
+		}), nil
+	case "||", "-", "*", "/", "%":
+		return both(arithOps[e.Op]), nil
+	default:
+		return nil, fmt.Errorf("unsupported operator %q", e.Op)
+	}
+}
+
+var arithOps = map[string]func(l, r sqlval.Value) (sqlval.Value, error){
+	"||": sqlval.Concat, "-": sqlval.Sub, "*": sqlval.Mul, "/": sqlval.Div, "%": sqlval.Mod,
+}
+
+// bindIn compiles IN / NOT IN. A list made only of literals and parameters
+// (which is also what an uncorrelated IN-subquery has been rewritten into)
+// becomes a set built once per execution; any other list is evaluated
+// member by member for every row.
+func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
+	x, err := en.bind(e.Expr, aggs)
+	if err != nil {
+		return nil, err
+	}
+	list, err := en.bindAll(e.List, aggs)
+	if err != nil {
+		return nil, err
+	}
+	negated := e.Negated
+	result := func(matched, anyNull bool) sqlval.Value {
+		switch {
+		case matched:
+			return sqlval.NewBool(!negated)
+		case anyNull:
+			return sqlval.Null
+		default:
+			return sqlval.NewBool(negated)
+		}
+	}
+	if set, ok := newInSet(e.List, list); ok {
+		return one(x, func(v sqlval.Value) (sqlval.Value, error) { return result(set.probe(v)), nil }), nil
+	}
+	return func(vals, ag []sqlval.Value) (sqlval.Value, error) {
+		v, err := x(vals, ag)
 		if err != nil {
 			return sqlval.Null, err
 		}
 		anyNull := v.IsNull()
-		matched := false
-		for _, item := range e.List {
-			iv, err := evalExpr(item, en, vals, agg)
+		for _, item := range list {
+			iv, err := item(vals, ag)
 			if err != nil {
 				return sqlval.Null, err
 			}
-			eq := compareBool(v, iv, "=")
+			eq := compareBool(v, iv, cmpEQ)
 			if eq.IsNull() {
 				anyNull = true
 			} else if eq.Bool() {
-				matched = true
-				break
+				return result(true, false), nil
 			}
 		}
-		var res sqlval.Value
-		switch {
-		case matched:
-			res = sqlval.NewBool(true)
-		case anyNull:
-			res = sqlval.Null
-		default:
-			res = sqlval.NewBool(false)
+		return result(false, anyNull), nil
+	}, nil
+}
+
+// inSet is a constant IN list as a hash set that answers exactly what
+// comparing the probe with each member in turn would: members are keyed so
+// that two values share a key precisely when Compare calls them equal (2
+// and 2.0 do), and hasNull/classes record what makes a non-matching probe's
+// result NULL instead of FALSE — a NULL member, or a member of a kind the
+// probe cannot be compared with.
+type inSet struct {
+	members map[inKey]struct{}
+	hasNull bool
+	classes uint8 // bit per comparability class present among the members
+}
+
+// inKey identifies a non-NULL value up to Compare-equality: its
+// comparability class plus the payload Compare looks at.
+type inKey struct {
+	class uint8
+	i     int64
+	f     float64
+	s     string
+}
+
+func keyOf(v sqlval.Value) inKey {
+	switch v.Kind() {
+	case sqlval.KindInt, sqlval.KindFloat:
+		f, _ := v.AsFloat() // Compare orders all numerics as floats
+		if f == 0 {
+			f = 0 // -0.0 compares equal to 0.0 but is a different map key
 		}
-		if e.Negated {
-			res = not3(res)
+		return inKey{class: 1, f: f}
+	case sqlval.KindString:
+		return inKey{class: 2, s: v.Str()}
+	case sqlval.KindBool:
+		if v.Bool() {
+			return inKey{class: 4, i: 1}
 		}
-		return res, nil
-	case *sqlparse.IsNullExpr:
-		v, err := evalExpr(e.Expr, en, vals, agg)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if e.Negated {
-			return sqlval.NewBool(!v.IsNull()), nil
-		}
-		return sqlval.NewBool(v.IsNull()), nil
-	case *sqlparse.FuncExpr:
-		if agg == nil {
-			return sqlval.Null, fmt.Errorf("aggregate %s is not allowed here", e.Name)
-		}
-		v, ok := agg[e]
-		if !ok {
-			return sqlval.Null, fmt.Errorf("internal: aggregate %s not precomputed", e.Name)
-		}
-		return v, nil
-	default:
-		return sqlval.Null, fmt.Errorf("unsupported expression %T", ex)
+		return inKey{class: 4}
+	default: // dates (and nothing else: NULL never gets a key)
+		return inKey{class: 8, i: v.Days()}
 	}
 }
 
-func evalBinary(e *sqlparse.BinaryExpr, en *env, vals []sqlval.Value, agg map[sqlparse.Expr]sqlval.Value) (sqlval.Value, error) {
-	switch e.Op {
-	case "AND", "OR":
-		l, err := evalExpr(e.Left, en, vals, agg)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		// Short-circuit where three-valued logic allows.
-		if e.Op == "AND" && isFalse(l) {
-			return sqlval.NewBool(false), nil
-		}
-		if e.Op == "OR" && isTrue(l) {
-			return sqlval.NewBool(true), nil
-		}
-		r, err := evalExpr(e.Right, en, vals, agg)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if e.Op == "AND" {
-			return and3(l, r), nil
-		}
-		return or3(l, r), nil
-	}
-	l, err := evalExpr(e.Left, en, vals, agg)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	r, err := evalExpr(e.Right, en, vals, agg)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	switch e.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		return compareBool(l, r, e.Op), nil
-	case "LIKE":
-		m, ok := sqlval.Like(l, r)
-		if !ok {
-			if l.IsNull() || r.IsNull() {
-				return sqlval.Null, nil
-			}
-			return sqlval.Null, fmt.Errorf("LIKE requires text operands, got %s and %s", l.Kind(), r.Kind())
-		}
-		return sqlval.NewBool(m), nil
-	case "||":
-		return sqlval.Concat(l, r)
-	case "+", "-", "*", "/", "%":
-		// "+" doubles as concatenation when either side is text, matching the
-		// lenient behaviour of several engines; otherwise numeric.
-		if e.Op == "+" && (l.Kind() == sqlval.KindString || r.Kind() == sqlval.KindString) {
-			return sqlval.Concat(l, r)
-		}
-		switch e.Op {
-		case "+":
-			return sqlval.Add(l, r)
-		case "-":
-			return sqlval.Sub(l, r)
-		case "*":
-			return sqlval.Mul(l, r)
-		case "/":
-			return sqlval.Div(l, r)
+// newInSet builds the set when every list entry is a literal or parameter
+// (bound is then a constant). ok is false for any other list.
+func newInSet(list []sqlparse.Expr, members []bound) (*inSet, bool) {
+	set := &inSet{members: make(map[inKey]struct{}, len(list))}
+	for i, ex := range list {
+		switch ex.(type) {
+		case *sqlparse.Literal, *sqlparse.Param:
 		default:
-			return sqlval.Mod(l, r)
+			return nil, false
 		}
-	default:
-		return sqlval.Null, fmt.Errorf("unsupported operator %q", e.Op)
+		v, _ := members[i](nil, nil)
+		if v.IsNull() {
+			set.hasNull = true
+			continue
+		}
+		k := keyOf(v)
+		set.members[k] = struct{}{}
+		set.classes |= k.class
 	}
+	return set, true
 }
+
+// probe reports whether v equals a member and, if not, whether some
+// comparison was UNKNOWN.
+func (s *inSet) probe(v sqlval.Value) (matched, anyNull bool) {
+	if v.IsNull() {
+		return false, true
+	}
+	k := keyOf(v)
+	if _, ok := s.members[k]; ok {
+		return true, false
+	}
+	return false, s.hasNull || s.classes&^k.class != 0
+}
+
+// cmpOp says which outcomes of Compare (-1, 0, +1, indexed +1) satisfy a
+// comparison operator.
+type cmpOp [3]bool
+
+var (
+	cmpEQ  = cmpOp{false, true, false}
+	cmpOps = map[string]cmpOp{
+		"=": cmpEQ, "<>": {true, false, true},
+		"<": {true, false, false}, "<=": {true, true, false},
+		">": {false, false, true}, ">=": {false, true, true},
+	}
+)
 
 // compareBool applies a comparison with SQL three-valued semantics,
 // returning a BOOLEAN or NULL value.
-func compareBool(l, r sqlval.Value, op string) sqlval.Value {
+func compareBool(l, r sqlval.Value, want cmpOp) sqlval.Value {
 	c, ok := l.Compare(r)
 	if !ok {
 		return sqlval.Null
 	}
-	switch op {
-	case "=":
-		return sqlval.NewBool(c == 0)
-	case "<>":
-		return sqlval.NewBool(c != 0)
-	case "<":
-		return sqlval.NewBool(c < 0)
-	case "<=":
-		return sqlval.NewBool(c <= 0)
-	case ">":
-		return sqlval.NewBool(c > 0)
-	case ">=":
-		return sqlval.NewBool(c >= 0)
-	default:
-		return sqlval.Null
-	}
+	return sqlval.NewBool(want[c+1])
 }
 
 func isTrue(v sqlval.Value) bool  { return v.Kind() == sqlval.KindBool && v.Bool() }
@@ -304,13 +473,6 @@ func or3(a, b sqlval.Value) sqlval.Value {
 		return sqlval.Null
 	}
 	return sqlval.NewBool(false)
-}
-
-func not3(a sqlval.Value) sqlval.Value {
-	if a.IsNull() {
-		return sqlval.Null
-	}
-	return sqlval.NewBool(!a.Bool())
 }
 
 // collectAggregates walks an expression and appends every aggregate call.

@@ -401,8 +401,8 @@ func tableStats(t *Table) plan.TableStats {
 	for _, c := range t.Schema.Columns {
 		cols = append(cols, c.Name)
 	}
-	cols = append(cols, ColProvRowID, ColProvV, ColProvP, ColProvUsedBy)
-	ts := plan.TableStats{Rows: t.liveRows.Load(), Columns: cols}
+	cols = append(cols, provColumns[:]...)
+	ts := plan.TableStats{Rows: t.liveRows.Load(), Columns: cols, Hidden: len(provColumns)}
 	for _, ix := range t.indexList() {
 		ts.Indexes = append(ts.Indexes, plan.IndexMeta{
 			Name: ix.name, Column: ix.column, Kind: ix.kind,

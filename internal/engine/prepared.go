@@ -18,13 +18,16 @@ import (
 // per-connection name registry, but the underlying statement and its cached
 // plan are process-wide.
 //
-// The plan cache maps fingerprint hash → plan tree. The fingerprint already
-// normalizes literals and placeholders to `?`, so `WHERE id = 5` and
-// `WHERE id = ?` share an entry — textual execution of a statement class
-// warms the cache for its prepared form and vice versa. Entries are
-// validated against the DB's DDL epoch on every lookup: table or index DDL
-// (local exec, crash recovery, replication apply) bumps the epoch, and a
-// stale entry is dropped and re-planned instead of served.
+// The plan cache maps the hash of a statement's exact text → plan tree. A
+// plan embeds the statement's constants (index probe keys, filter
+// conjuncts, LIMIT), so only statements that agree on every literal may
+// share one: the fingerprint, which normalizes literals to `?`, is too
+// coarse a key — `WHERE b = 2` would be served the plan of `WHERE b = 3`.
+// Values that vary per execution belong in `?` parameters, which plans
+// resolve at run time. Entries are validated against the DB's DDL epoch on
+// every lookup: table or index DDL (local exec, crash recovery, replication
+// apply) bumps the epoch, and a stale entry is dropped and re-planned
+// instead of served.
 
 var (
 	mPlanCacheHits          = obs.NewCounter("plan.cache_hits", "Plan-cache lookups served from a cached plan tree")
@@ -42,6 +45,8 @@ type PreparedStmt struct {
 	NumParams int
 
 	p Parsed
+	// textHash keys the plan cache.
+	textHash uint64
 	// cacheable marks SELECTs eligible for the plan cache. Statements with
 	// subqueries are excluded: the resolver substitutes per-execution
 	// literals before planning, so their plans are not reusable.
@@ -51,8 +56,8 @@ type PreparedStmt struct {
 	cacheHits atomic.Int64
 }
 
-// Fingerprint returns the statement's normalized-text fingerprint — the plan
-// cache key and the join key against ldv_stat_statements.
+// Fingerprint returns the statement's normalized-text fingerprint — the
+// join key against ldv_stat_statements.
 func (ps *PreparedStmt) Fingerprint() sqlparse.Fingerprint { return ps.p.Fingerprint }
 
 // Calls returns how many times the statement has been executed.
@@ -75,6 +80,7 @@ func PrepareStatement(sql string) (*PreparedStmt, error) {
 		SQL:       sql,
 		NumParams: nparams,
 		p:         Parsed{Stmt: stmt, Fingerprint: fp, ParseNS: int64(d)},
+		textHash:  sqlparse.HashText(sql),
 	}
 	if sel, ok := stmt.(*sqlparse.Select); ok {
 		ps.cacheable = len(sel.From) > 0 && !selectHasSubqueries(sel)
@@ -105,9 +111,8 @@ type planCacheEntry struct {
 	epoch uint64
 }
 
-// planCacheMax bounds the cache. Entries are keyed by statement fingerprint,
-// so a workload needs more distinct prepared statement *shapes* than this to
-// ever evict; on overflow an arbitrary entry is dropped (the evicted shape
+// planCacheMax bounds the cache. Entries are keyed by statement text, so a
+// workload needs more distinct prepared statements than this to ever evict; on overflow an arbitrary entry is dropped (the evicted shape
 // re-plans on its next execution).
 const planCacheMax = 256
 
@@ -118,7 +123,7 @@ func (db *DB) bumpDDLEpoch() { db.ddlEpoch.Add(1) }
 // cachedPlan returns the cached plan tree for a prepared statement, planning
 // and caching on miss or on a stale epoch.
 func (db *DB) cachedPlan(ps *PreparedStmt, build func() *plan.Tree) *plan.Tree {
-	key := ps.p.Fingerprint.Hash
+	key := ps.textHash
 	epoch := db.ddlEpoch.Load()
 	db.pcMu.Lock()
 	e, ok := db.planCache[key]

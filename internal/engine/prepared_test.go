@@ -128,7 +128,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if ps.CacheHits() != 1 {
 		t.Fatalf("CacheHits = %d, want 1 (miss then hit)", ps.CacheHits())
 	}
-	// Before the index exists, the (fingerprint-shared) plan is a table scan.
+	// Before the index exists, the plan is a table scan.
 	if ops := analyzeOps(t, db, "SELECT a FROM t WHERE b = 2"); hasOp(ops, "index_scan") {
 		t.Fatalf("unexpected index_scan before CREATE INDEX: %v", ops)
 	}
@@ -162,7 +162,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharedAcrossSessions: the cache is keyed by fingerprint, so
+// TestPlanCacheSharedAcrossSessions: the cache is keyed by statement text, so
 // two sessions preparing the same statement text share one plan tree.
 func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	db := preparedTestDB(t)
@@ -185,5 +185,33 @@ func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	}
 	if ps2.CacheHits() != 1 {
 		t.Fatalf("second statement did not hit the shared cache: hits = %d", ps2.CacheHits())
+	}
+}
+
+// TestPlanCacheKeepsLiteralsApart: a plan embeds its statement's constants,
+// so prepared statements of one shape but different literals must not share
+// a cached plan. The text protocol plans afresh and is the reference.
+func TestPlanCacheKeepsLiteralsApart(t *testing.T) {
+	db := preparedTestDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE b = 2 ORDER BY a LIMIT 1",
+		"SELECT a FROM t WHERE b = 3 ORDER BY a LIMIT 2",
+		"SELECT a FROM t WHERE b = 3 LIMIT 1",
+		"SELECT a FROM t WHERE b = 2 LIMIT 2",
+	} {
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.ExecPrepared(ps, nil, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowsToStrings(mustExec(t, db, sql, ExecOptions{}))
+		if g := rowsToStrings(got); len(g) == 0 || strings.Join(g, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: prepared rows %v, text rows %v", sql, g, want)
+		}
 	}
 }

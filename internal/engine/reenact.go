@@ -33,7 +33,7 @@ import (
 // lineage (input tuple versions) the replay derived.
 func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Result) error {
 	db := s.db
-	v, err := evalConstExpr(st.Txn, opts.Params)
+	v, err := evalConst(st.Txn, opts.Params)
 	if err != nil {
 		return fmt.Errorf("REENACT TRANSACTION: %w", err)
 	}

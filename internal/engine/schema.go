@@ -91,6 +91,10 @@ const (
 	ColProvUsedBy = "prov_usedby"
 )
 
+// provColumns is the hidden attributes in layout order: they follow a
+// table's schema columns in every stored-tuple layout.
+var provColumns = [...]string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy}
+
 // IsProvColumn reports whether name is one of the hidden provenance
 // attributes.
 func IsProvColumn(name string) bool {

@@ -634,10 +634,6 @@ type stmtCtx struct {
 	// EXPLAIN ANALYZE; planNS is the plan-phase duration recorded by plan().
 	ops    *opCollector
 	planNS int64
-
-	// sel is the most recent SELECT plan built by runSelect; the
-	// projection stages read their estimates from it.
-	sel *selPlan
 }
 
 // plan resolves and locks the statement's table footprint under an

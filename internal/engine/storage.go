@@ -176,18 +176,3 @@ func (t *Table) restorePK(r *storedRow) error {
 	t.pkIndex[key] = r
 	return nil
 }
-
-// provValue serves the hidden provenance attributes for a row.
-func provValue(r *storedRow, name string) (sqlval.Value, bool) {
-	switch name {
-	case ColProvRowID:
-		return sqlval.NewInt(int64(r.id)), true
-	case ColProvV:
-		return sqlval.NewInt(int64(r.version)), true
-	case ColProvP:
-		return sqlval.NewString(r.proc), true
-	case ColProvUsedBy:
-		return sqlval.NewInt(r.usedBy.Load()), true
-	}
-	return sqlval.Null, false
-}

@@ -190,20 +190,13 @@ func (db *DB) pruneTxnHistLocked() {
 	}
 }
 
-// evalConstExpr evaluates an expression that may reference only literals,
-// bound parameters, and arithmetic — the AS OF bound and the REENACT
-// transaction id.
-func evalConstExpr(e sqlparse.Expr, params []sqlval.Value) (sqlval.Value, error) {
-	return evalExpr(e, &env{params: params}, nil, nil)
-}
-
 // resolveAsOf turns a statement's AS OF clause (or, absent one, the
 // execution option) into a validated historical tick: a non-negative
 // integer at or above the vacuum horizon.
 func (db *DB) resolveAsOf(e sqlparse.Expr, opts ExecOptions) (uint64, error) {
 	t := opts.AsOf
 	if e != nil {
-		v, err := evalConstExpr(e, opts.Params)
+		v, err := evalConst(e, opts.Params)
 		if err != nil {
 			return 0, fmt.Errorf("AS OF: %w", err)
 		}

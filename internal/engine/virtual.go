@@ -49,32 +49,18 @@ func (db *DB) virtualTable(name string) *VirtualTable {
 	return vt
 }
 
-// scanVirtual materializes a system view as a relation with the same layout
-// contract as scanTable: the view's columns followed by the four hidden
-// provenance attributes (synthetic here — row ids number the snapshot rows,
-// versions and usedby are zero).
-func (ec *stmtCtx) scanVirtual(vt *VirtualTable, ref sqlparse.TableRef) relation {
-	name := ref.EffectiveName()
-	rel := relation{env: env{params: ec.params}}
-	for _, c := range vt.Schema.Columns {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: c.Name})
-	}
-	for _, pc := range []string{ColProvRowID, ColProvV, ColProvP, ColProvUsedBy} {
-		rel.env.bindings = append(rel.env.bindings, binding{table: name, name: pc})
-	}
-	ncols := len(vt.Schema.Columns)
+// storedRows materializes the view's current contents in the shape the
+// scan leaf walks, so filters, pruning and LIMIT apply to a system view
+// exactly as to a table. The hidden attributes are synthetic: row ids
+// number the snapshot's rows, versions and usedby are zero — which also
+// makes every row visible to every snapshot.
+func (vt *VirtualTable) storedRows() []*storedRow {
 	rows := vt.Rows()
-	rel.tuples = make([]tuple, 0, len(rows))
+	out := make([]*storedRow, len(rows))
 	for i, vals := range rows {
-		tv := make([]sqlval.Value, ncols+4)
-		copy(tv, vals)
-		tv[ncols] = sqlval.NewInt(int64(i + 1))
-		tv[ncols+1] = sqlval.NewInt(0)
-		tv[ncols+2] = sqlval.NewString("")
-		tv[ncols+3] = sqlval.NewInt(0)
-		rel.tuples = append(rel.tuples, tuple{vals: tv})
+		out[i] = &storedRow{id: RowID(i + 1), vals: vals}
 	}
-	return rel
+	return out
 }
 
 // cols builds a schema from (name, kind) pairs.

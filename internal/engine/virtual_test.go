@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,6 +150,54 @@ func TestExplainAnalyzeSelect(t *testing.T) {
 	}
 	if result[3].Int() != 2 {
 		t.Errorf("result rows = %d, want 2", result[3].Int())
+	}
+}
+
+// TestExplainAnalyzeFusedStages: the leaf's row says how many visible
+// versions the scan examined — fewer than the table holds once a LIMIT
+// stops it — the fused filter's row says how many survived, the fused
+// sort+limit reports the rows it kept, and engine.rows_scanned counts the
+// versions actually walked.
+func TestExplainAnalyzeFusedStages(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i%4), ExecOptions{})
+	}
+	mustExec(t, db, "DELETE FROM t WHERE a < 4", ExecOptions{}) // dead versions: walked, not examined
+	actuals := func(sql string) map[string]int64 {
+		t.Helper()
+		rows := map[string]int64{}
+		for _, r := range mustExec(t, db, "EXPLAIN ANALYZE "+sql, ExecOptions{}).Rows {
+			if !r[3].IsNull() {
+				rows[r[0].Str()] = r[3].Int()
+			}
+		}
+		return rows
+	}
+	scanned := mRowsScanned.Load()
+	got := actuals("SELECT a FROM t WHERE b = 1 LIMIT 3")
+	// Survivors are a = 5, 9, 13: the scan walks 14 versions, 10 of them visible.
+	if got["scan"] != 10 || got["filter"] != 3 || got["limit"] != 3 || got["result"] != 3 {
+		t.Errorf("LIMIT stop actuals = %v, want scan 10 (of 36 visible), filter 3, limit 3, result 3", got)
+	}
+	if d := mRowsScanned.Load() - scanned; d != 14 {
+		t.Errorf("engine.rows_scanned grew by %d, want the 14 versions walked", d)
+	}
+	scanned = mRowsScanned.Load()
+	got = actuals("SELECT a FROM t WHERE b = 1 ORDER BY a DESC LIMIT 3")
+	if got["scan"] != 36 || got["filter"] != 9 || got["sort_limit"] != 3 || got["result"] != 3 {
+		t.Errorf("top-N actuals = %v, want scan 36, filter 9, sort_limit 3, result 3", got)
+	}
+	if d := mRowsScanned.Load() - scanned; d != 40 {
+		t.Errorf("engine.rows_scanned grew by %d, want all 40 versions", d)
+	}
+	// The plan says what will run.
+	var ops []string
+	for _, r := range mustExec(t, db, "EXPLAIN SELECT a FROM t WHERE b = 1 LIMIT 3", ExecOptions{}).Rows {
+		ops = append(ops, r[0].Str()+"["+r[1].Str()+"]")
+	}
+	if want := "scan[t (stop after 3)] filter[(b = 1)] limit[3] project[]"; strings.Join(ops, " ") != want {
+		t.Errorf("EXPLAIN = %v, want %s", ops, want)
 	}
 }
 

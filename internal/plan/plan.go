@@ -95,16 +95,41 @@ func (t *Tree) Nodes() []Node {
 	return out
 }
 
+// Leaf is what every base-table access path carries besides its predicate.
+// The executor fuses the FilterNode directly above a leaf into the leaf's
+// loop: conjuncts run against the stored versions and only survivors are
+// materialized, so Cols and StopAfter describe the rows that pass that
+// filter (every visible row when there is none).
+type Leaf struct {
+	Table string
+	As    string // effective (aliased) name
+	// Cols is the tuple layout the leaf emits: the columns the statement
+	// can read from this table, in schema order, hidden attributes last and
+	// only when named. nil means every column plus all hidden attributes
+	// (tables without a known schema, and DML, which emits no tuples).
+	Cols []string
+	// StopAfter, when positive, ends the scan once that many rows have
+	// been emitted (a LIMIT with nothing between it and the leaf that
+	// needs to see more). 0 scans everything.
+	StopAfter int
+	Est       float64
+}
+
+func (l *Leaf) stopText() string {
+	if l.StopAfter <= 0 {
+		return ""
+	}
+	return " (stop after " + strconv.Itoa(l.StopAfter) + ")"
+}
+
 // ScanNode reads every version of a base or virtual table; visibility is
 // applied by the executor.
 type ScanNode struct {
-	Table string
-	As    string // effective (aliased) name
-	Est   float64
+	Leaf
 }
 
 func (n *ScanNode) Op() string           { return "scan" }
-func (n *ScanNode) Detail() string       { return n.As }
+func (n *ScanNode) Detail() string       { return n.As + n.stopText() }
 func (n *ScanNode) EstRows() float64     { return n.Est }
 func (n *ScanNode) Children() []Node     { return nil }
 func (n *ScanNode) Lineage() LineageMode { return LineageSource }
@@ -114,8 +139,7 @@ func (n *ScanNode) Lineage() LineageMode { return LineageSource }
 // index only). Index entries point at version chains, so the executor
 // still applies snapshot visibility to every candidate.
 type IndexScanNode struct {
-	Table  string
-	As     string
+	Leaf
 	Index  string
 	Column string
 	Kind   string        // "hash" or "ordered"
@@ -123,7 +147,6 @@ type IndexScanNode struct {
 	Lo, Hi sqlparse.Expr // range bounds; nil = unbounded
 	LoIncl bool
 	HiIncl bool
-	Est    float64
 }
 
 func (n *IndexScanNode) Op() string { return "index_scan" }
@@ -136,6 +159,7 @@ func (n *IndexScanNode) Detail() string {
 	sb.WriteString(" (")
 	sb.WriteString(n.predText())
 	sb.WriteString(")")
+	sb.WriteString(n.stopText())
 	return sb.String()
 }
 
@@ -176,8 +200,8 @@ func (n *ValuesNode) Lineage() LineageMode { return LineageNone }
 
 // FilterNode applies AND-connected conjuncts. Resolved marks filters whose
 // column references the planner proved to bind in the input; the final
-// leftover filter is unresolved and the executor validates it at runtime
-// (surfacing "no such column" / "aggregates in WHERE" errors).
+// leftover filter is unresolved, and binding it in the executor is what
+// surfaces "no such column" / "aggregate not allowed" errors.
 type FilterNode struct {
 	Input     Node
 	Conjuncts []sqlparse.Expr
@@ -245,6 +269,23 @@ func (n *SortNode) EstRows() float64     { return n.Est }
 func (n *SortNode) Children() []Node     { return []Node{n.Input} }
 func (n *SortNode) Lineage() LineageMode { return LineagePass }
 
+// TopNNode is a sort fused with the limit directly above it: the executor
+// keeps only the N best rows while it reads its input (ties keep input
+// order, as a stable sort followed by truncation would) and never orders
+// the rest. Its op name spells out both stages it replaces.
+type TopNNode struct {
+	Input Node
+	Keys  []sqlparse.Expr
+	N     int
+	Est   float64
+}
+
+func (n *TopNNode) Op() string           { return "sort_limit" }
+func (n *TopNNode) Detail() string       { return exprListText(n.Keys) + " limit " + strconv.Itoa(n.N) }
+func (n *TopNNode) EstRows() float64     { return n.Est }
+func (n *TopNNode) Children() []Node     { return []Node{n.Input} }
+func (n *TopNNode) Lineage() LineageMode { return LineagePass }
+
 // LimitNode truncates the result.
 type LimitNode struct {
 	Input Node
@@ -259,8 +300,10 @@ func (n *LimitNode) Children() []Node     { return []Node{n.Input} }
 func (n *LimitNode) Lineage() LineageMode { return LineagePass }
 
 // ProjectNode evaluates the select list. It is the root of every SELECT
-// plan; DISTINCT/sort/limit nodes sit below it because the executor runs
-// them over the projected rows (records complete children-before-parent).
+// plan; DISTINCT/sort/limit nodes sit below it because the executor orders
+// and truncates before it evaluates the select list for the rows that
+// remain (sort keys are computed from the input tuples; only DISTINCT needs
+// every row projected first).
 type ProjectNode struct {
 	Input Node
 	Est   float64

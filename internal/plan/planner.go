@@ -66,9 +66,10 @@ func PlanDelete(cat Catalog, s *sqlparse.Delete) *Tree {
 }
 
 // PlanAccess builds the row-locating subtree for UPDATE/DELETE (the DML
-// matcher executes it directly). Every conjunct not pushed into the leaf
-// lands in one unresolved filter, which the matcher evaluates strictly,
-// propagating errors.
+// matcher executes it directly): a leaf, under one filter holding every
+// conjunct of the WHERE clause — the shape the executor fuses into a single
+// loop over the stored versions. The filter counts as resolved only when
+// the planner could push all of it.
 func PlanAccess(cat Catalog, table string, where sqlparse.Expr) (Node, float64) {
 	p := newPlanner(cat, []sqlparse.TableRef{{Name: table}})
 	splitConjuncts(where, &p.conjuncts)
@@ -89,6 +90,9 @@ func PlanAccess(cat Catalog, table string, where sqlparse.Expr) (Node, float64) 
 	est := access.EstRows()
 	if len(residual) > 0 {
 		est = filteredEst(est, len(residual))
+		if f, ok := access.(*FilterNode); ok {
+			access, residual = f.Input, append(append([]sqlparse.Expr(nil), f.Conjuncts...), residual...)
+		}
 		access = &FilterNode{Input: access, Conjuncts: residual, Est: est}
 	}
 	return access, est
@@ -113,6 +117,7 @@ func PlanSelect(cat Catalog, s *sqlparse.Select) *Tree {
 			splitConjuncts(j.On, &p.conjuncts)
 		}
 		p.attribute()
+		p.requireColumns(s)
 		root = p.joinTree(tree)
 		// Everything unplaced must resolve (or error) at runtime.
 		var leftover []sqlparse.Expr
@@ -135,10 +140,17 @@ func PlanSelect(cat Catalog, s *sqlparse.Select) *Tree {
 }
 
 // planProjection wraps the relational subtree with the SELECT's output
-// stages. The project node is the root; distinct/sort/limit sit below it
-// mirroring the executor, which runs them over already-projected rows.
+// stages, in executor order below the project root. Two of them fuse with
+// what is under them: ORDER BY directly under LIMIT becomes one top-N
+// operator, and a LIMIT with nothing but a (filtered) leaf under it tells
+// that leaf to stop scanning once it has emitted enough rows.
 func planProjection(s *sqlparse.Select, in Node) Node {
 	est := in.EstRows()
+	if s.Limit > 0 && !s.Distinct && len(s.OrderBy) == 0 && !hasAggregation(s) {
+		if l := leafUnder(in); l != nil {
+			l.StopAfter = s.Limit
+		}
+	}
 	if hasAggregation(s) {
 		if len(s.GroupBy) == 0 {
 			est = 1
@@ -151,20 +163,38 @@ func planProjection(s *sqlparse.Select, in Node) Node {
 		est = maxf(1, est/2)
 		in = &DistinctNode{Input: in, Est: est}
 	}
-	if len(s.OrderBy) > 0 {
-		keys := make([]sqlparse.Expr, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			keys[i] = o.Expr
-		}
-		in = &SortNode{Input: in, Keys: keys, Est: est}
+	var keys []sqlparse.Expr
+	for _, o := range s.OrderBy {
+		keys = append(keys, o.Expr)
 	}
-	if s.Limit >= 0 {
-		if float64(s.Limit) < est {
-			est = float64(s.Limit)
-		}
+	if s.Limit >= 0 && float64(s.Limit) < est {
+		est = float64(s.Limit)
+	}
+	switch {
+	case keys != nil && s.Limit >= 0:
+		in = &TopNNode{Input: in, Keys: keys, N: s.Limit, Est: est}
+	case keys != nil:
+		in = &SortNode{Input: in, Keys: keys, Est: est}
+	case s.Limit >= 0:
 		in = &LimitNode{Input: in, N: s.Limit, Est: est}
 	}
 	return &ProjectNode{Input: in, Est: est}
+}
+
+// leafUnder returns the leaf a relational subtree consists of — the node
+// itself or the input of a filter the executor fuses onto it — or nil when
+// the subtree is anything more.
+func leafUnder(n Node) *Leaf {
+	if f, ok := n.(*FilterNode); ok {
+		n = f.Input
+	}
+	switch l := n.(type) {
+	case *ScanNode:
+		return &l.Leaf
+	case *IndexScanNode:
+		return &l.Leaf
+	}
+	return nil
 }
 
 // hasAggregation reports whether the SELECT needs the aggregate stage.
@@ -210,6 +240,9 @@ type planner struct {
 	anyUnknown bool
 	conjuncts  []sqlparse.Expr
 	conj       []conjInfo
+	// need[i] is the set of ref i's columns the statement can read; nil
+	// (no requireColumns call: DML) leaves every leaf's layout unpruned.
+	need []map[string]bool
 }
 
 func newPlanner(cat Catalog, refs []sqlparse.TableRef) *planner {
@@ -300,6 +333,70 @@ func (p *planner) attrRef(cr *sqlparse.ColumnRef) (int, bool) {
 		return 0, false // missing or ambiguous: runtime surfaces the error
 	}
 	return found, true
+}
+
+// requireColumns records, for every FROM entry with a known schema, which
+// of its columns the SELECT can read — the layout its leaf materializes.
+// A reference counts for every table it could bind to, so a name the
+// executor must report as ambiguous stays ambiguous in the pruned layouts,
+// and one that binds nowhere stays missing. `*` takes a table's whole
+// schema but none of its hidden attributes.
+func (p *planner) requireColumns(s *sqlparse.Select) {
+	p.need = make([]map[string]bool, len(p.refs))
+	for i := range p.refs {
+		p.need[i] = map[string]bool{}
+	}
+	var crs []*sqlparse.ColumnRef
+	for _, it := range s.Items {
+		if !it.Star {
+			columnRefs(it.Expr, &crs)
+			continue
+		}
+		for i := range p.refs {
+			r := &p.refs[i]
+			if it.Table != "" && it.Table != r.name {
+				continue
+			}
+			for _, c := range r.stats.Columns[:len(r.stats.Columns)-r.stats.Hidden] {
+				p.need[i][c] = true
+			}
+		}
+	}
+	columnRefs(s.Where, &crs)
+	for _, j := range s.Joins {
+		columnRefs(j.On, &crs)
+	}
+	for _, g := range s.GroupBy {
+		columnRefs(g, &crs)
+	}
+	columnRefs(s.Having, &crs)
+	for _, o := range s.OrderBy {
+		columnRefs(o.Expr, &crs)
+	}
+	for _, cr := range crs {
+		for i := range p.refs {
+			r := &p.refs[i]
+			if (cr.Table == "" || cr.Table == r.name) && r.cols[cr.Column] {
+				p.need[i][cr.Column] = true
+			}
+		}
+	}
+}
+
+// leafCols renders ref i's required set in layout order (nil when the
+// schema is unknown or no set was computed).
+func (p *planner) leafCols(i int) []string {
+	r := &p.refs[i]
+	if p.need == nil || !r.known {
+		return nil
+	}
+	cols := make([]string, 0, len(p.need[i]))
+	for _, c := range r.stats.Columns {
+		if p.need[i][c] {
+			cols = append(cols, c)
+		}
+	}
+	return cols
 }
 
 // leafPlan is one planned FROM entry awaiting join ordering.
@@ -496,12 +593,13 @@ func (p *planner) planLeaf(ref int, pushed []int) Node {
 	var access Node
 	if ri.known {
 		if isn := p.chooseIndex(ri, rows, pushed); isn != nil {
+			isn.Cols = p.leafCols(ref)
 			access = isn
 			mIndexScans.Inc()
 		}
 	}
 	if access == nil {
-		access = &ScanNode{Table: ri.table, As: ri.name, Est: rows}
+		access = &ScanNode{Leaf{Table: ri.table, As: ri.name, Cols: p.leafCols(ref), Est: rows}}
 		mFullScans.Inc()
 	}
 	if len(pushed) > 0 && ri.known {
@@ -553,8 +651,8 @@ func (p *planner) chooseIndex(ri *refInfo, rows float64, pushed []int) *IndexSca
 				rank = 0
 			}
 			c := &indexCandidate{
-				node: &IndexScanNode{Table: ri.table, As: ri.name, Index: idx.Name,
-					Column: idx.Column, Kind: idx.Kind, Eq: key, Est: est},
+				node: &IndexScanNode{Leaf: Leaf{Table: ri.table, As: ri.name, Est: est},
+					Index: idx.Name, Column: idx.Column, Kind: idx.Kind, Eq: key},
 				est: est, rank: rank,
 			}
 			if better(c) {
@@ -566,7 +664,7 @@ func (p *planner) chooseIndex(ri *refInfo, rows float64, pushed []int) *IndexSca
 		}
 		// Range: the first lower and first upper bound on the column (a
 		// non-negated BETWEEN supplies both).
-		isn := &IndexScanNode{Table: ri.table, As: ri.name, Index: idx.Name,
+		isn := &IndexScanNode{Leaf: Leaf{Table: ri.table, As: ri.name}, Index: idx.Name,
 			Column: idx.Column, Kind: idx.Kind}
 		for _, ci := range pushed {
 			lo, hi, loIncl, hiIncl, ok := p.rangeBounds(ci, ri, idx.Column)

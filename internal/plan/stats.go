@@ -16,8 +16,12 @@ type TableStats struct {
 	// Rows is the live row count (snapshot-visible cardinality estimate).
 	Rows int64
 	// Columns lists every column name the executor can resolve against the
-	// table, including the hidden provenance attributes.
+	// table in layout order: the schema's columns, then the hidden
+	// provenance attributes.
 	Columns []string
+	// Hidden is how many trailing entries of Columns are hidden attributes:
+	// resolvable when named, never part of `*`.
+	Hidden int
 	// Indexes lists the table's secondary indexes sorted by name, so index
 	// selection is deterministic.
 	Indexes []IndexMeta

@@ -90,7 +90,14 @@ func TestAsOfStableUnderConcurrentWritesTCP(t *testing.T) {
 			defer conn.Close()
 			for i := 0; i < writeOps; i++ {
 				sql := fmt.Sprintf("UPDATE kv SET v = %d WHERE k = %d", i+1, (w+i)%rows)
-				if _, err := conn.Exec(sql); err != nil {
+				// Writers share keys: one that reaches a row another has
+				// updated but not yet committed loses (first-updater-wins)
+				// and, like any client, retries.
+				_, err := conn.Exec(sql)
+				for err != nil && strings.Contains(err.Error(), "could not serialize access") {
+					_, err = conn.Exec(sql)
+				}
+				if err != nil {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}

@@ -318,18 +318,25 @@ func (v Value) Hash() uint64 {
 // GroupKey returns a string key under which Equal values collide, used for
 // GROUP BY and duplicate elimination.
 func (v Value) GroupKey() string {
+	var buf [32]byte
+	return string(v.AppendGroupKey(buf[:0]))
+}
+
+// AppendGroupKey appends the value's GroupKey to dst, for callers that
+// assemble multi-column keys in a reused buffer.
+func (v Value) AppendGroupKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, 0)
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindBool:
-		return "b" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(dst, 'b'), v.i, 10)
 	case KindDate:
-		return "d" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(dst, 'd'), v.i, 10)
 	default:
 		f, _ := v.AsFloat()
-		return "n" + strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -189,6 +190,23 @@ func TestGroupKeyDistinguishesKinds(t *testing.T) {
 	// but 1 and 1.0 must collide (they are Equal).
 	if NewInt(1).GroupKey() != NewFloat(1).GroupKey() {
 		t.Error("1 and 1.0 group keys must collide")
+	}
+}
+
+// TestAppendGroupKeyConcatenates: keys appended into one buffer are the
+// GroupKeys laid end to end, whatever the buffer already holds and however
+// long the value (GroupKey itself goes through a fixed-size scratch array).
+func TestAppendGroupKeyConcatenates(t *testing.T) {
+	vals := []Value{Null, NewInt(-7), NewFloat(2.5), NewFloat(1e21), NewBool(true),
+		NewDate(1995, 3, 15), NewString(""), NewString(strings.Repeat("long text ", 20))}
+	var buf []byte
+	want := ""
+	for _, v := range vals {
+		buf = v.AppendGroupKey(buf)
+		want += v.GroupKey()
+	}
+	if string(buf) != want {
+		t.Errorf("appended keys = %q, want %q", buf, want)
 	}
 }
 
