@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench bench-smoke examples experiments fuzz fuzz-smoke plan-bench recover-bench trace-bench stat-demo repl-bench proto-bench ash-bench asof-bench ops-demo repl-demo clean
+.PHONY: all build vet test check bench bench-smoke bench-gate examples experiments fuzz fuzz-smoke plan-bench recover-bench trace-bench stat-demo repl-bench proto-bench ash-bench asof-bench ops-demo repl-demo clean
 
 all: build vet test
 
@@ -51,6 +51,16 @@ bench:
 bench-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench . -benchtime 1x
 
+# The regression gate over the repository benchmark (benchmark/README.md):
+# a fresh ten-run set (seeds 42..51, ~20 min) compared against the newest
+# committed BENCH_<pr>.json. Exits non-zero on a breach of any end-to-end
+# bound or a higher share of failed operations. A PR that means to move a
+# number commits its own set as the next BENCH_<pr>.json.
+bench-gate:
+	mkdir -p .bench_build
+	$(GO) run ./benchmark -runs 10 -trace 0 -o .bench_build/fresh.json > .bench_build/fresh.log
+	$(GO) run ./benchmark -compare $$(ls BENCH_*.json | sort -V | tail -1) .bench_build/fresh.json
+
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/halofinder
@@ -67,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzPrepared -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzLineage -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzTraceContext -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzReplMessages -fuzztime 30s
 	$(GO) test ./internal/sqlval -fuzz FuzzDecode -fuzztime 30s

@@ -15,7 +15,6 @@ import (
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	"ldv/internal/sqlparse"
-	"ldv/internal/sqlval"
 	"ldv/internal/wire"
 )
 
@@ -394,12 +393,8 @@ func (c *Conn) readResponse(nc net.Conn, res *engine.Result) (uint64, error) {
 			}
 			res.Lineage = append(res.Lineage, m.Refs)
 		case wire.TupleValues:
-			if res.TupleValues == nil {
-				res.TupleValues = map[engine.TupleRef][]sqlval.Value{}
-			}
-			for i, ref := range m.Refs {
-				res.TupleValues[ref] = m.Rows[i]
-			}
+			// At most one per response group, already in set order.
+			res.TupleValues = engine.NewVersionSet(m.Refs, m.Rows)
 		case wire.CommandComplete:
 			res.RowsAffected = m.RowsAffected
 			res.StmtID = m.StmtID

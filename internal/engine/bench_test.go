@@ -118,6 +118,10 @@ func BenchmarkHashJoinWide(b *testing.B) {
 	benchWideQuery(b, "SELECT f.id, d.name FROM wide f, dim d WHERE f.fk = d.id AND f.v > 90", false)
 }
 
+func BenchmarkHashJoinWideWithLineage(b *testing.B) {
+	benchWideQuery(b, "SELECT f.id, d.name FROM wide f, dim d WHERE f.fk = d.id AND f.v > 90", true)
+}
+
 func BenchmarkTopN(b *testing.B) {
 	benchWideQuery(b, "SELECT id, v FROM wide ORDER BY v DESC LIMIT 10", false)
 }
@@ -136,6 +140,10 @@ func BenchmarkInList1000(b *testing.B) {
 
 func BenchmarkGroupByAggregate(b *testing.B) {
 	benchQuery(b, "SELECT fk, count(*), SUM(v), AVG(v) FROM fact GROUP BY fk", false)
+}
+
+func BenchmarkGroupByAggregateWithLineage(b *testing.B) {
+	benchQuery(b, "SELECT fk, count(*), SUM(v), AVG(v) FROM fact GROUP BY fk", true)
 }
 
 func BenchmarkLikeScan(b *testing.B) {

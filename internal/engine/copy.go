@@ -116,6 +116,7 @@ func (s *Session) CopyTo(table string, opts ExecOptions) ([][]string, *Result, e
 	res := &Result{StmtID: db.newStmtID(), Start: db.clock.Tick()}
 	t.mu.RLock()
 	records := make([][]string, 0, len(t.rows))
+	var read []*storedRow
 	for _, r := range t.rows {
 		if !snap.visible(r) {
 			continue
@@ -130,17 +131,16 @@ func (s *Session) CopyTo(table string, opts ExecOptions) ([][]string, *Result, e
 		}
 		records = append(records, rec)
 		if opts.WithLineage {
-			ref := r.ref(table)
-			res.ReadRefs = append(res.ReadRefs, ref)
-			if res.TupleValues == nil {
-				res.TupleValues = map[TupleRef][]sqlval.Value{}
-			}
-			res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
+			read = append(read, r)
 			r.usedBy.Store(res.StmtID)
 		}
 		res.RowsAffected++
 	}
 	t.mu.RUnlock()
+	if opts.WithLineage {
+		lin := &lineageSink{stmt: res.StmtID}
+		lin.finish(res, nil, lin.addReads(nil, t, read))
+	}
 	res.End = db.clock.Tick()
 	return records, res, nil
 }

@@ -91,11 +91,12 @@ type Result struct {
 	ReadRefs []TupleRef
 	// WrittenRefs lists tuple versions produced by a DML statement.
 	WrittenRefs []TupleRef
-	// TupleValues carries the attribute values of every tuple version
-	// referenced by Lineage or ReadRefs. Perm-style provenance queries
-	// return the full provenance tuples inline; LDV's packager persists
-	// them to CSV. Only populated when lineage was requested.
-	TupleValues map[TupleRef][]sqlval.Value
+	// TupleValues carries the attribute values of exactly the tuple
+	// versions referenced by Lineage or ReadRefs — the statement's read
+	// set. Perm-style provenance queries return the full provenance tuples
+	// inline; LDV's packager persists them to CSV. Empty unless lineage was
+	// requested.
+	TupleValues VersionSet
 	// TraceID is the hex trace identity of the request that executed the
 	// statement ("" when tracing is off). The client sets it from its root
 	// span; the auditor stamps it into provenance edges and the session log

@@ -41,42 +41,25 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 	}
 
 	var inputRows [][]sqlval.Value
+	var reads []vid
 	if s.Query != nil {
-		sub := &Result{StmtID: res.StmtID}
-		if err := ec.execSelect(s.Query, opts, sub); err != nil {
+		// INSERT ... SELECT reads the query's lineage (reenactment-style).
+		_, rows, lineage, err := ec.query(s.Query)
+		if err != nil {
 			return err
 		}
-		inputRows = sub.Rows
-		// INSERT ... SELECT reads the query's lineage (reenactment-style).
-		// Accumulate through a set; pairwise merging would be quadratic in
-		// the row count.
-		if opts.WithLineage {
-			seen := map[TupleRef]bool{}
-			for _, lin := range sub.Lineage {
-				for _, ref := range lin {
-					if !seen[ref] {
-						seen[ref] = true
-						res.ReadRefs = append(res.ReadRefs, ref)
-					}
-				}
-			}
-			res.TupleValues = sub.TupleValues
+		inputRows = rows
+		if ec.lin != nil {
+			reads = ec.lin.union(nil, lineage...)
 		}
 	} else {
 		// Resolve subqueries in VALUES expressions, e.g.
 		// INSERT INTO t VALUES ((SELECT MAX(a) FROM t) + 1).
-		var st *subqueryState
-		for _, rowExprs := range s.Rows {
-			for _, e := range rowExprs {
-				if hasSubqueries(e) {
-					st = &subqueryState{ec: ec, opts: opts, stmtID: res.StmtID}
-				}
-			}
-		}
+		st := subqueryState{ec: ec}
 		for _, rowExprs := range s.Rows {
 			row := make([]sqlval.Value, len(rowExprs))
 			for i, e := range rowExprs {
-				if st != nil {
+				if hasSubqueries(e) {
 					ne, _, err := st.rewriteExpr(e)
 					if err != nil {
 						return err
@@ -91,9 +74,7 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 			}
 			inputRows = append(inputRows, row)
 		}
-		if st != nil {
-			mergeSubProvenance(st, opts, res)
-		}
+		reads = st.ids
 	}
 
 	for _, in := range inputRows {
@@ -120,6 +101,9 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 		res.WrittenRefs = append(res.WrittenRefs, r.ref(s.Table))
 		res.RowsAffected++
 	}
+	if ec.lin != nil {
+		ec.lin.finish(res, nil, reads)
+	}
 	return nil
 }
 
@@ -142,7 +126,8 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 	if err != nil {
 		return err
 	}
-	if err := ec.resolveDMLSubqueries(&s, opts, res); err != nil {
+	reads, err := ec.resolveDMLSubqueries(&s)
+	if err != nil {
 		return err
 	}
 	lay, matches, err := ec.matchRows(t, s.Where)
@@ -164,18 +149,15 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 		}
 	}
 
+	// Reenactment: the pre-update versions, values included, are the
+	// statement's input. A version is never modified in place — it stays
+	// addressable, superseded — so recording which ones matched is enough.
+	if ec.lin != nil {
+		reads = ec.lin.addReads(reads, t, matches)
+	}
 	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {
-		// Reenactment: record the pre-update version, values included,
-		// *before* applying the modification — it stays addressable as a
-		// superseded version but its role here is the statement's input.
-		if opts.WithLineage {
-			ref := r.ref(s.Table)
-			res.ReadRefs = append(res.ReadRefs, ref)
-			if res.TupleValues == nil {
-				res.TupleValues = map[TupleRef][]sqlval.Value{}
-			}
-			res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
+		if ec.lin != nil {
 			r.usedBy.Store(res.StmtID)
 		}
 		newVals := append([]sqlval.Value(nil), r.vals...)
@@ -226,6 +208,9 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 		res.WrittenRefs = append(res.WrittenRefs, nv.ref(s.Table))
 		res.RowsAffected++
 	}
+	if ec.lin != nil {
+		ec.lin.finish(res, nil, reads)
+	}
 	return nil
 }
 
@@ -236,23 +221,19 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 	if err != nil {
 		return err
 	}
-	if err := ec.resolveDeleteSubqueries(&s, opts, res); err != nil {
+	reads, err := ec.resolveDeleteSubqueries(&s)
+	if err != nil {
 		return err
 	}
 	_, matches, err := ec.matchRows(t, s.Where)
 	if err != nil {
 		return err
 	}
+	if ec.lin != nil {
+		reads = ec.lin.addReads(reads, t, matches)
+	}
 	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {
-		if opts.WithLineage {
-			ref := r.ref(s.Table)
-			res.ReadRefs = append(res.ReadRefs, ref)
-			if res.TupleValues == nil {
-				res.TupleValues = map[TupleRef][]sqlval.Value{}
-			}
-			res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
-		}
 		r.end = ec.db.clock.Tick()
 		r.endTxn = ec.txn.id
 		t.liveRows.Add(-1)
@@ -266,6 +247,9 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 		ec.txn.logUndo(t, undoDelete(t, r))
 		ec.txn.logRedo(redoEntry{kind: walEnd, table: s.Table, id: r.id, version: r.version, end: r.end})
 		res.RowsAffected++
+	}
+	if ec.lin != nil {
+		ec.lin.finish(res, nil, reads)
 	}
 	return nil
 }

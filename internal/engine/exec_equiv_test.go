@@ -264,11 +264,11 @@ func TestEquivProvenanceLimit(t *testing.T) {
 					t.Errorf("%s LIMIT %d row %d: lineage %v, un-LIMITed %v", q, n, i, lim.Lineage[i], full.Lineage[i])
 				}
 				for _, ref := range lim.Lineage[i] {
-					vals, ok := lim.TupleValues[ref]
-					if !ok {
+					vals, ok := lim.TupleValues.Lookup(ref)
+					if fullVals, _ := full.TupleValues.Lookup(ref); !ok {
 						t.Errorf("%s LIMIT %d: TupleValues misses lineage ref %v", q, n, ref)
-					} else if !reflect.DeepEqual(vals, full.TupleValues[ref]) {
-						t.Errorf("%s LIMIT %d: TupleValues[%v] = %v, un-LIMITed %v", q, n, ref, vals, full.TupleValues[ref])
+					} else if !reflect.DeepEqual(vals, fullVals) {
+						t.Errorf("%s LIMIT %d: TupleValues[%v] = %v, un-LIMITed %v", q, n, ref, vals, fullVals)
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"ldv/internal/plan"
 	"ldv/internal/sqlparse"
@@ -25,35 +24,53 @@ type relation struct {
 	tuples []tuple
 }
 
-// lineageSink is non-nil while a SELECT captures lineage: scans stamp
-// prov_usedby with stmt and register every version they emit, so that
-// values can be copied out for just the versions that survive into the
-// final Lineage (rows cannot change mid-statement, so the references stay
-// valid).
-type lineageSink struct {
-	stmt int64
-	rows map[TupleRef]*storedRow
+// execSelect runs a SELECT as a statement of its own, filling res. With
+// lineage requested it opens the statement's lineage sink and, once the
+// rows are final, converts what the operators carried to the Result's
+// references and version set.
+func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result) error {
+	if opts.WithLineage || s.Provenance {
+		ec.lin = &lineageSink{stmt: res.StmtID}
+	}
+	var lineage [][]vid
+	var err error
+	if res.Columns, res.Rows, lineage, err = ec.query(s); err != nil {
+		return err
+	}
+	if ec.lin != nil {
+		ec.lin.finish(res, lineage, nil)
+	}
+	return nil
 }
 
-// execSelect plans and runs a SELECT, filling res.
-func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result) error {
-	withLineage := opts.WithLineage || s.Provenance
-	// Resolve uncorrelated subqueries up front; their lineage joins every
-	// result row's lineage below. Subqueries run in the outer statement's
-	// context: same snapshot, same already-locked table footprint.
-	var subState *subqueryState
+// query runs a SELECT with its subqueries. Uncorrelated subqueries are
+// resolved up front, in the outer statement's context — same snapshot, same
+// already-locked table footprint, same lineage sink — and what they read
+// joins every result row's lineage.
+func (ec *stmtCtx) query(s *sqlparse.Select) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
+	var sub *subqueryState
 	if selectHasSubqueries(s) {
-		subState = &subqueryState{ec: ec, opts: ExecOptions{Proc: opts.Proc, WithLineage: withLineage}, stmtID: res.StmtID}
-		ns, _, err := ec.resolveSelectSubqueries(s, subState)
-		if err != nil {
-			return err
+		sub = &subqueryState{ec: ec}
+		if s, _, err = ec.resolveSelectSubqueries(s, sub); err != nil {
+			return nil, nil, nil, err
 		}
-		s = ns
 	}
-	var lin *lineageSink
-	if withLineage {
-		lin = &lineageSink{stmt: res.StmtID, rows: map[TupleRef]*storedRow{}}
+	if cols, rows, lineage, err = ec.selectRows(s); err != nil {
+		return nil, nil, nil, err
 	}
+	if sub != nil && len(sub.ids) > 0 {
+		var ids slab[vid]
+		for i := range lineage {
+			lineage[i] = ec.lin.concat(&ids, lineage[i], sub.ids)
+		}
+	}
+	return cols, rows, lineage, nil
+}
+
+// selectRows plans and runs a SELECT whose subqueries are resolved,
+// returning its output with, when the statement captures lineage, one
+// lineage list per row.
+func (ec *stmtCtx) selectRows(s *sqlparse.Select) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
 	refs := append([]sqlparse.TableRef(nil), s.From...)
 	for _, j := range s.Joins {
 		refs = append(refs, j.Table)
@@ -62,7 +79,7 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 	for _, r := range refs {
 		name := r.EffectiveName()
 		if seen[name] {
-			return fmt.Errorf("duplicate table name or alias %q", name)
+			return nil, nil, nil, fmt.Errorf("duplicate table name or alias %q", name)
 		}
 		seen[name] = true
 	}
@@ -70,9 +87,9 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 	// The FROM/WHERE/GROUP BY portion: the pre-projection relation,
 	// post-aggregation for aggregate queries.
 	sp := newSelPlan(ec.selectPlan(s))
-	rel, err := ec.execAccess(sp.access, lin)
+	rel, err := ec.execAccess(sp.access)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	if sp.tree.Reordered {
 		// The greedy join order built the tuple layout in cost order;
@@ -83,51 +100,20 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 	if sp.agg != nil {
 		if err := ec.ops.node(sp.agg, func() (int, error) {
 			var aerr error
-			if ar, aerr = aggregate(s, rel); aerr != nil {
+			if ar, aerr = aggregate(s, rel, ec.lin); aerr != nil {
 				return 0, aerr
 			}
 			return len(ar.rel.tuples), nil
 		}); err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 	}
-	var lineage [][]TupleRef
-	if err := ec.ops.node(sp.project, func() (int, error) {
+	err = ec.ops.node(sp.project, func() (int, error) {
 		var perr error
-		res.Columns, res.Rows, lineage, perr = ec.project(s, sp, ar, withLineage)
-		return len(res.Rows), perr
-	}); err != nil {
-		return err
-	}
-	if withLineage {
-		t0 := time.Now()
-		defer func() { hLineage.Observe(time.Since(t0)) }()
-		if subState != nil && len(subState.refs) > 0 {
-			for i := range lineage {
-				lineage[i] = mergeLineage(lineage[i], subState.refs)
-			}
-		}
-		res.Lineage = lineage
-		// Keep values only for tuple versions that actually appear in some
-		// result row's Lineage (the provenance tuples Perm would return).
-		res.TupleValues = map[TupleRef][]sqlval.Value{}
-		for _, lin1 := range lineage {
-			for _, ref := range lin1 {
-				if _, done := res.TupleValues[ref]; done {
-					continue
-				}
-				if r, ok := lin.rows[ref]; ok {
-					res.TupleValues[ref] = append([]sqlval.Value(nil), r.vals...)
-				}
-			}
-		}
-		if subState != nil {
-			for ref, vals := range subState.values {
-				res.TupleValues[ref] = vals
-			}
-		}
-	}
-	return nil
+		cols, rows, lineage, perr = ec.project(s, sp, ar)
+		return len(rows), perr
+	})
+	return cols, rows, lineage, err
 }
 
 // selPlan is a SELECT's plan tree taken apart for the executor: the
@@ -172,19 +158,19 @@ func newSelPlan(tree *plan.Tree) *selPlan {
 
 // execAccess executes a relational plan subtree (leaves, filters, hash
 // joins), materializing its relation.
-func (ec *stmtCtx) execAccess(n plan.Node, lin *lineageSink) (relation, error) {
+func (ec *stmtCtx) execAccess(n plan.Node) (relation, error) {
 	switch node := n.(type) {
 	case *plan.ValuesNode:
 		// Table-less SELECT (e.g. SELECT 1+1): a single empty tuple.
 		return relation{env: env{params: ec.params}, tuples: []tuple{{}}}, nil
 	case *plan.ScanNode, *plan.IndexScanNode:
-		return ec.execLeaf(n, lin)
+		return ec.execLeaf(n)
 	case *plan.FilterNode:
 		switch node.Input.(type) {
 		case *plan.ScanNode, *plan.IndexScanNode:
-			return ec.execLeaf(n, lin) // fused into the leaf's loop
+			return ec.execLeaf(n) // fused into the leaf's loop
 		}
-		rel, err := ec.execAccess(node.Input, lin)
+		rel, err := ec.execAccess(node.Input)
 		if err != nil {
 			return relation{}, err
 		}
@@ -212,18 +198,18 @@ func (ec *stmtCtx) execAccess(n plan.Node, lin *lineageSink) (relation, error) {
 		})
 		return rel, err
 	case *plan.HashJoinNode:
-		left, err := ec.execAccess(node.Left, lin)
+		left, err := ec.execAccess(node.Left)
 		if err != nil {
 			return relation{}, err
 		}
-		right, err := ec.execAccess(node.Right, lin)
+		right, err := ec.execAccess(node.Right)
 		if err != nil {
 			return relation{}, err
 		}
 		var out relation
 		err = ec.ops.node(node, func() (int, error) {
 			var jerr error
-			out, jerr = hashJoin(left, right, node.LeftKeys, node.RightKeys)
+			out, jerr = hashJoin(left, right, node.LeftKeys, node.RightKeys, ec.lin)
 			return len(out.tuples), jerr
 		})
 		return out, err
@@ -272,17 +258,24 @@ func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
 }
 
 // hashJoin joins two relations on the given key expression lists. With no
-// keys it degrades to a cross join.
-func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr) (relation, error) {
+// keys it degrades to a cross join. lin is the statement's lineage sink
+// (nil when it captures none): a joined tuple depends on what both sides
+// depended on.
+func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *lineageSink) (relation, error) {
 	out := relation{}
 	out.env.bindings = append(append([]binding(nil), left.env.bindings...), right.env.bindings...)
 	out.env.params = left.env.params
 
 	var vals slab[sqlval.Value]
+	var ids slab[vid]
 	combine := func(l, r tuple) tuple {
 		vals := vals.take(len(l.vals) + len(r.vals))
 		copy(vals[copy(vals, l.vals):], r.vals)
-		return tuple{vals: vals, lineage: mergeLineage(l.lineage, r.lineage)}
+		t := tuple{vals: vals}
+		if lin != nil {
+			t.lineage = lin.concat(&ids, l.lineage, r.lineage)
+		}
+		return t
 	}
 
 	if len(leftKeys) == 0 {
@@ -383,8 +376,9 @@ func (ar *aggRelation) aggsAt(i int) []sqlval.Value {
 	return ar.aggs[i]
 }
 
-// aggregate applies GROUP BY / aggregate / HAVING semantics.
-func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
+// aggregate applies GROUP BY / aggregate / HAVING semantics. With a lineage
+// sink a group depends on what its members depended on.
+func aggregate(s *sqlparse.Select, rel relation, lin *lineageSink) (*aggRelation, error) {
 	var aggCalls []*sqlparse.FuncExpr
 	for _, it := range s.Items {
 		if it.Expr != nil {
@@ -424,10 +418,9 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 	}
 
 	type group struct {
-		rep     tuple // representative tuple (first member)
-		lineage []TupleRef
-		linSeen map[TupleRef]bool
-		accs    []*aggAcc
+		rep  tuple // representative tuple (first member)
+		ord  int32 // position in order
+		accs []*aggAcc
 	}
 	newGroup := func(rep tuple) *group {
 		g := &group{rep: rep, accs: make([]*aggAcc, len(aggCalls))}
@@ -439,8 +432,12 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 
 	groups := map[string]*group{}
 	var order []*group
+	var groupOf []int32 // by input tuple, kept for the lineage union
+	if lin != nil {
+		groupOf = make([]int32, len(rel.tuples))
+	}
 	var kb keyBuilder
-	for _, t := range rel.tuples {
+	for ti, t := range rel.tuples {
 		kb.reset()
 		for _, g := range groupBy {
 			v, err := g(t.vals, nil)
@@ -452,21 +449,12 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 		grp, ok := groups[string(kb.buf)]
 		if !ok {
 			grp = newGroup(t)
+			grp.ord = int32(len(order))
 			groups[string(kb.buf)] = grp
 			order = append(order, grp)
 		}
-		// Accumulate lineage with a per-group set: repeated mergeLineage
-		// calls would be quadratic in the group size (fatal for global
-		// aggregates like Q3's count(*), whose single group spans the whole
-		// join result).
-		for _, ref := range t.lineage {
-			if grp.linSeen == nil {
-				grp.linSeen = map[TupleRef]bool{}
-			}
-			if !grp.linSeen[ref] {
-				grp.linSeen[ref] = true
-				grp.lineage = append(grp.lineage, ref)
-			}
+		if lin != nil {
+			groupOf[ti] = grp.ord
 		}
 		for i, arg := range args {
 			var v sqlval.Value
@@ -483,11 +471,17 @@ func aggregate(s *sqlparse.Select, rel relation) (*aggRelation, error) {
 		order = append(order, newGroup(tuple{vals: make([]sqlval.Value, len(rel.env.bindings))}))
 	}
 
+	var lineage [][]vid // by group
+	if lin != nil {
+		lineage = lin.unionGroups(rel.tuples, groupOf, len(order))
+	}
 	out := &aggRelation{slots: slots, aggs: [][]sqlval.Value{}}
 	out.rel.env = rel.env
-	for _, grp := range order {
+	for g, grp := range order {
 		t := grp.rep
-		t.lineage = grp.lineage
+		if lin != nil {
+			t.lineage = lineage[g]
+		}
 		results := make([]sqlval.Value, len(aggCalls))
 		for i, acc := range grp.accs {
 			results[i] = acc.result()
@@ -691,7 +685,7 @@ keys:
 // recorded as the operator the plan names when EXPLAIN ANALYZE is
 // collecting), then the select list is evaluated for those tuples only.
 // DISTINCT is the one stage that needs every row projected up front.
-func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation, withLineage bool) (cols []string, rows [][]sqlval.Value, lineage [][]TupleRef, err error) {
+func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
 	en, tuples := &ar.rel.env, ar.rel.tuples
 	outs, err := bindOutputs(s, en, ar.slots)
 	if err != nil {
@@ -729,8 +723,11 @@ func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation, wit
 	if sp.distinct != nil {
 		if err = ec.ops.node(sp.distinct, func() (int, error) {
 			projected = make([][]sqlval.Value, len(tuples))
-			first := map[string]int{} // projected row -> the input tuple that first produced it
-			var linSeen map[int]map[TupleRef]bool
+			first := map[string]int32{} // projected row -> its position in picked
+			var groupOf []int32         // by input tuple, kept for the lineage union
+			if ec.lin != nil {
+				groupOf = make([]int32, len(tuples))
+			}
 			var kb keyBuilder
 			picked = picked[:0]
 			for i := range tuples {
@@ -742,33 +739,21 @@ func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation, wit
 				for _, v := range projected[i] {
 					kb.add(v)
 				}
-				f, dup := first[string(kb.buf)]
+				g, dup := first[string(kb.buf)]
 				if !dup {
-					first[string(kb.buf)] = i
+					g = int32(len(picked))
+					first[string(kb.buf)] = g
 					picked = append(picked, i)
-					continue
 				}
-				if len(tuples[i].lineage) == 0 {
-					continue
+				if ec.lin != nil {
+					groupOf[i] = g
 				}
-				// Union lineage through a per-row set; pairwise merging would
-				// be quadratic in the duplicate count.
-				if linSeen == nil {
-					linSeen = map[int]map[TupleRef]bool{}
-				}
-				set := linSeen[f]
-				if set == nil {
-					set = map[TupleRef]bool{}
-					for _, ref := range tuples[f].lineage {
-						set[ref] = true
-					}
-					linSeen[f] = set
-				}
-				for _, ref := range tuples[i].lineage {
-					if !set[ref] {
-						set[ref] = true
-						tuples[f].lineage = append(tuples[f].lineage, ref)
-					}
+			}
+			// A surviving row depends on what every duplicate of it
+			// depended on.
+			if ec.lin != nil && len(picked) < len(tuples) {
+				for g, ids := range ec.lin.unionGroups(tuples, groupOf, len(picked)) {
+					tuples[picked[g]].lineage = ids
 				}
 			}
 			return len(picked), nil
@@ -808,8 +793,8 @@ func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation, wit
 	}
 
 	rows = make([][]sqlval.Value, len(picked))
-	if withLineage {
-		lineage = make([][]TupleRef, len(picked))
+	if ec.lin != nil {
+		lineage = make([][]vid, len(picked))
 	}
 	for o, i := range picked {
 		if projected != nil {
@@ -820,7 +805,7 @@ func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation, wit
 				return nil, nil, nil, err
 			}
 		}
-		if withLineage {
+		if ec.lin != nil {
 			lineage[o] = tuples[i].lineage
 		}
 	}

@@ -46,11 +46,12 @@ func (e *env) resolve(ref *sqlparse.ColumnRef) (int, error) {
 	return found, nil
 }
 
-// tuple is one row flowing through the executor, with its lineage (the set
-// of stored tuple versions it depends on) when lineage tracking is on.
+// tuple is one row flowing through the executor, with its lineage (the
+// duplicate-free list of stored tuple versions it depends on, by vid) when
+// lineage tracking is on.
 type tuple struct {
 	vals    []sqlval.Value
-	lineage []TupleRef
+	lineage []vid
 }
 
 // slab cuts tuple-sized slices out of chunks that double in size (the
@@ -74,31 +75,6 @@ func (s *slab[T]) take(n int) []T {
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
-	return out
-}
-
-// mergeLineage unions two lineage lists, deduplicating refs.
-func mergeLineage(a, b []TupleRef) []TupleRef {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[TupleRef]bool, len(a)+len(b))
-	out := make([]TupleRef, 0, len(a)+len(b))
-	for _, r := range a {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for _, r := range b {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
 	return out
 }
 

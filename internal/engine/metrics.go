@@ -27,7 +27,7 @@ var (
 	hSnapshotAge = obs.NewHistogram("engine.snapshot_age_ticks", "Logical-clock age of transaction snapshots at statement start")
 
 	hParse   = obs.NewHistogram("engine.parse_ns", "SQL parse latency")
-	hLineage = obs.NewHistogram(obs.MetricLineageNS, "Lineage computation latency per statement")
+	hLineage = obs.NewHistogram(obs.MetricLineageNS, "Time per statement at the result boundary of lineage capture: vids to TupleRefs, and the version-set build")
 
 	// Durability: WAL traffic (records, bytes, group-commit flushes and
 	// their latency) and what the last recovery replayed.

@@ -18,8 +18,10 @@ import (
 // per-connection name registry, but the underlying statement and its cached
 // plan are process-wide.
 //
-// The plan cache maps the hash of a statement's exact text → plan tree. A
-// plan embeds the statement's constants (index probe keys, filter
+// The plan cache maps a statement's exact text → plan tree: keyed by the
+// text's 64-bit hash, each entry carrying the text itself, so that two
+// statements whose hashes collide displace each other instead of running
+// each other's plan. A plan embeds the statement's constants (index probe keys, filter
 // conjuncts, LIMIT), so only statements that agree on every literal may
 // share one: the fingerprint, which normalizes literals to `?`, is too
 // coarse a key — `WHERE b = 2` would be served the plan of `WHERE b = 3`.
@@ -105,15 +107,18 @@ func (s *Session) ExecPrepared(ps *PreparedStmt, args []sqlval.Value, opts ExecO
 // Prepare parses a statement for repeated execution against this database.
 func (db *DB) Prepare(sql string) (*PreparedStmt, error) { return PrepareStatement(sql) }
 
-// planCacheEntry pins the catalog epoch a plan tree was built under.
+// planCacheEntry is the plan tree of the statement whose text is sql,
+// pinned to the catalog epoch it was built under.
 type planCacheEntry struct {
+	sql   string
 	tree  *plan.Tree
 	epoch uint64
 }
 
 // planCacheMax bounds the cache. Entries are keyed by statement text, so a
-// workload needs more distinct prepared statements than this to ever evict; on overflow an arbitrary entry is dropped (the evicted shape
-// re-plans on its next execution).
+// workload needs more distinct prepared statements than this to ever evict;
+// on overflow an arbitrary entry is dropped (the evicted shape re-plans on
+// its next execution).
 const planCacheMax = 256
 
 // bumpDDLEpoch invalidates every cached plan: entries pin the epoch they
@@ -127,6 +132,9 @@ func (db *DB) cachedPlan(ps *PreparedStmt, build func() *plan.Tree) *plan.Tree {
 	epoch := db.ddlEpoch.Load()
 	db.pcMu.Lock()
 	e, ok := db.planCache[key]
+	if ok && e.sql != ps.SQL {
+		ok = false // a hash collision: the entry is another statement's
+	}
 	if ok && e.epoch != epoch {
 		delete(db.planCache, key)
 		ok = false
@@ -151,7 +159,7 @@ func (db *DB) cachedPlan(ps *PreparedStmt, build func() *plan.Tree) *plan.Tree {
 			break
 		}
 	}
-	db.planCache[key] = planCacheEntry{tree: tree, epoch: epoch}
+	db.planCache[key] = planCacheEntry{sql: ps.SQL, tree: tree, epoch: epoch}
 	db.pcMu.Unlock()
 	return tree
 }

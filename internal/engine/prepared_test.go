@@ -215,3 +215,45 @@ func TestPlanCacheKeepsLiteralsApart(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCacheSurvivesHashCollision forces two statement texts onto one
+// cache key: each must still run its own plan, not whichever got there
+// first.
+func TestPlanCacheSurvivesHashCollision(t *testing.T) {
+	db := preparedTestDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	sqls := []string{
+		"SELECT a FROM t WHERE b = 2 ORDER BY a LIMIT 3",
+		"SELECT b FROM t WHERE a > 17 ORDER BY b",
+	}
+	var stmts []*PreparedStmt
+	for _, sql := range sqls {
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps.textHash = 42
+		stmts = append(stmts, ps)
+	}
+	for round := 0; round < 3; round++ {
+		for i, ps := range stmts {
+			got, err := s.ExecPrepared(ps, nil, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rowsToStrings(mustExec(t, db, sqls[i], ExecOptions{}))
+			if g := rowsToStrings(got); len(g) == 0 || strings.Join(g, ",") != strings.Join(want, ",") {
+				t.Errorf("round %d, %s: prepared rows %v, text rows %v", round, sqls[i], g, want)
+			}
+		}
+	}
+	// The same statement twice in a row is still a hit.
+	before := stmts[1].CacheHits()
+	if _, err := s.ExecPrepared(stmts[1], nil, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if stmts[1].CacheHits() != before+1 {
+		t.Errorf("re-executing the cached statement: %d hits, want %d", stmts[1].CacheHits(), before+1)
+	}
+}

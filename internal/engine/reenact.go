@@ -168,17 +168,11 @@ func renderResultRows(rows [][]sqlval.Value) string {
 }
 
 // renderLineage flattens a result's lineage to a sorted, deduplicated list
-// of tuple version references.
+// of tuple version references: its version set, rendered.
 func renderLineage(res *Result) string {
-	seen := map[string]bool{}
-	refs := []string{}
-	for _, l := range res.Lineage {
-		for _, r := range l {
-			if s := r.String(); !seen[s] {
-				seen[s] = true
-				refs = append(refs, s)
-			}
-		}
+	refs := make([]string, res.TupleValues.Len())
+	for i, r := range res.TupleValues.Refs() {
+		refs[i] = r.String()
 	}
 	sort.Strings(refs)
 	return strings.Join(refs, " ")

@@ -188,11 +188,12 @@ func (ec *stmtCtx) run(sc *leafScan, visible func(*storedRow) bool, emit func(*s
 // survivors of the fused filter, laid out as the columns the plan says the
 // statement reads (every column and hidden attribute when it names none),
 // all qualified by the effective table name. In lineage mode each emitted
-// tuple starts with itself as lineage and is registered with the sink, and
-// the scan stamps prov_usedby on every visible version it examines — the
-// versioning write the paper charges to audit overhead (§IX-B). The stamp
-// is atomic because the scan holds only the table's read lock.
-func (ec *stmtCtx) execLeaf(n plan.Node, lin *lineageSink) (relation, error) {
+// tuple starts with itself — the vid the sink gives the stored version — as
+// lineage, and the scan stamps prov_usedby on every visible version it
+// examines — the versioning write the paper charges to audit overhead
+// (§IX-B). The stamp is atomic because the scan holds only the table's read
+// lock.
+func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	sc, err := ec.openScan(n)
 	if err != nil {
 		return relation{}, err
@@ -213,7 +214,8 @@ func (ec *stmtCtx) execLeaf(n plan.Node, lin *lineageSink) (relation, error) {
 			rel.env.bindings[i] = stored[from[i]]
 		}
 	}
-	if lin != nil && sc.table == nil {
+	lin := ec.lin
+	if sc.table == nil {
 		lin = nil
 	}
 	visible := ec.snap.visible
@@ -238,8 +240,12 @@ func (ec *stmtCtx) execLeaf(n plan.Node, lin *lineageSink) (relation, error) {
 		hint = min(hint, float64(stop))
 	}
 	rel.tuples = make([]tuple, 0, int(hint))
+	var known map[*storedRow]vid
+	if lin != nil {
+		known = lin.openLeaf(sc.table, int(hint))
+	}
 	var vals slab[sqlval.Value]
-	var refs slab[TupleRef]
+	var ids slab[vid]
 	err = ec.run(sc, visible, func(r *storedRow) (bool, error) {
 		tp := tuple{vals: vals.take(len(from))}
 		for i, s := range from {
@@ -250,9 +256,8 @@ func (ec *stmtCtx) execLeaf(n plan.Node, lin *lineageSink) (relation, error) {
 			}
 		}
 		if lin != nil {
-			tp.lineage = refs.take(1)
-			tp.lineage[0] = r.ref(sc.table.Name)
-			lin.rows[tp.lineage[0]] = r
+			tp.lineage = ids.take(1)
+			tp.lineage[0] = lin.add(known, sc.table, r)
 		}
 		rel.tuples = append(rel.tuples, tp)
 		return len(rel.tuples) != stop, nil

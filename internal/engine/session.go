@@ -572,6 +572,10 @@ func (s *Session) execDMLOps(stmt sqlparse.Statement, opts ExecOptions, res *Res
 // own span).
 func (s *Session) applyDML(stmt sqlparse.Statement, opts ExecOptions, res *Result, txn *Txn, oc *opCollector) error {
 	ec := &stmtCtx{db: s.db, snap: txn.snap, txn: txn, ws: s.ws, ops: oc, params: opts.Params, prep: opts.prep}
+	if opts.WithLineage {
+		// Reenactment provenance: the versions the statement reads.
+		ec.lin = &lineageSink{stmt: res.StmtID}
+	}
 	mark := len(txn.undo)
 	rmark := len(txn.redo)
 	unlock := ec.plan(stmt, opts.Span)
@@ -634,6 +638,10 @@ type stmtCtx struct {
 	// EXPLAIN ANALYZE; planNS is the plan-phase duration recorded by plan().
 	ops    *opCollector
 	planNS int64
+
+	// lin, when non-nil, captures the statement's lineage (lineage.go). The
+	// statement's entry point opens it; its subqueries share it.
+	lin *lineageSink
 }
 
 // plan resolves and locks the statement's table footprint under an

@@ -14,89 +14,71 @@ import (
 // "column does not exist" errors from the inner execution, reported with a
 // clarifying wrapper.
 
-// subqueryState accumulates the provenance of resolved subqueries. It runs
-// in the outer statement's context: same snapshot, same locked footprint.
+// subqueryState accumulates the provenance of resolved subqueries. They run
+// in the outer statement's context: same snapshot, same locked footprint,
+// same lineage sink.
 type subqueryState struct {
-	ec     *stmtCtx
-	opts   ExecOptions
-	stmtID int64
-	refs   []TupleRef
-	seen   map[TupleRef]bool
-	values map[TupleRef][]sqlval.Value
-	depth  int
+	ec *stmtCtx
+	// ids is the union of what the subqueries' rows depended on, in
+	// first-occurrence order (empty when the statement captures no lineage).
+	ids   []vid
+	depth int
 }
 
 const maxSubqueryDepth = 16
 
 // runSubquery executes one subquery and folds its provenance in.
-func (st *subqueryState) runSubquery(sel *sqlparse.Select) (*Result, error) {
+func (st *subqueryState) runSubquery(sel *sqlparse.Select) (cols []string, rows [][]sqlval.Value, err error) {
 	if st.depth >= maxSubqueryDepth {
-		return nil, fmt.Errorf("subquery nesting exceeds %d levels", maxSubqueryDepth)
+		return nil, nil, fmt.Errorf("subquery nesting exceeds %d levels", maxSubqueryDepth)
 	}
 	st.depth++
 	defer func() { st.depth-- }()
-	// The inner statement shares the outer statement's execution identity.
-	res := &Result{StmtID: st.stmtID}
 	inner, _, err := st.ec.resolveSelectSubqueries(sel, st)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := st.ec.execSelect(inner, st.opts, res); err != nil {
-		return nil, fmt.Errorf("subquery (%s): %w", sel.String(), err)
+	cols, rows, lineage, err := st.ec.selectRows(inner)
+	if err != nil {
+		return nil, nil, fmt.Errorf("subquery (%s): %w", sel.String(), err)
 	}
-	if st.opts.WithLineage {
-		if st.seen == nil {
-			st.seen = map[TupleRef]bool{}
-		}
-		for _, lin := range res.Lineage {
-			for _, ref := range lin {
-				if !st.seen[ref] {
-					st.seen[ref] = true
-					st.refs = append(st.refs, ref)
-				}
-			}
-		}
-		for ref, vals := range res.TupleValues {
-			if st.values == nil {
-				st.values = map[TupleRef][]sqlval.Value{}
-			}
-			st.values[ref] = vals
-		}
+	if st.ec.lin != nil {
+		st.ids = st.ec.lin.union(st.ids, lineage...)
 	}
-	return res, nil
+	return cols, rows, nil
 }
 
 // scalar evaluates a scalar subquery: one column, at most one row (zero
 // rows yield NULL, as in standard SQL).
 func (st *subqueryState) scalar(sel *sqlparse.Select) (sqlval.Value, error) {
-	res, err := st.runSubquery(sel)
+	cols, rows, err := st.runSubquery(sel)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	if len(res.Columns) != 1 {
-		return sqlval.Null, fmt.Errorf("scalar subquery must return one column, got %d", len(res.Columns))
+	if len(cols) != 1 {
+		return sqlval.Null, fmt.Errorf("scalar subquery must return one column, got %d", len(cols))
 	}
-	switch len(res.Rows) {
+	switch len(rows) {
 	case 0:
 		return sqlval.Null, nil
 	case 1:
-		return res.Rows[0][0], nil
+		return rows[0][0], nil
 	default:
-		return sqlval.Null, fmt.Errorf("scalar subquery returned %d rows", len(res.Rows))
+		return sqlval.Null, fmt.Errorf("scalar subquery returned %d rows", len(rows))
 	}
 }
 
 // list evaluates an IN-subquery: one column, any number of rows.
 func (st *subqueryState) list(sel *sqlparse.Select) ([]sqlparse.Expr, error) {
-	res, err := st.runSubquery(sel)
+	cols, rows, err := st.runSubquery(sel)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Columns) != 1 {
-		return nil, fmt.Errorf("IN subquery must return one column, got %d", len(res.Columns))
+	if len(cols) != 1 {
+		return nil, fmt.Errorf("IN subquery must return one column, got %d", len(cols))
 	}
-	out := make([]sqlparse.Expr, len(res.Rows))
-	for i, row := range res.Rows {
+	out := make([]sqlparse.Expr, len(rows))
+	for i, row := range rows {
 		out[i] = &sqlparse.Literal{Value: row[0]}
 	}
 	return out, nil
@@ -115,11 +97,11 @@ func (st *subqueryState) rewriteExpr(e sqlparse.Expr) (sqlparse.Expr, bool, erro
 		}
 		return &sqlparse.Literal{Value: v}, true, nil
 	case *sqlparse.ExistsExpr:
-		res, err := st.runSubquery(x.Query)
+		_, rows, err := st.runSubquery(x.Query)
 		if err != nil {
 			return nil, false, err
 		}
-		return &sqlparse.Literal{Value: sqlval.NewBool(len(res.Rows) > 0)}, true, nil
+		return &sqlparse.Literal{Value: sqlval.NewBool(len(rows) > 0)}, true, nil
 	case *sqlparse.InExpr:
 		if x.Sub != nil {
 			list, err := st.list(x.Sub)
@@ -350,64 +332,50 @@ func selectHasSubqueries(sel *sqlparse.Select) bool {
 }
 
 // resolveDMLSubqueries substitutes subqueries in an UPDATE's WHERE and SET
-// expressions, folding their provenance into res.
-func (ec *stmtCtx) resolveDMLSubqueries(sp **sqlparse.Update, opts ExecOptions, res *Result) error {
+// expressions, returning what they read (empty without a lineage sink).
+func (ec *stmtCtx) resolveDMLSubqueries(sp **sqlparse.Update) (reads []vid, err error) {
 	s := *sp
 	need := hasSubqueries(s.Where)
 	for _, a := range s.Set {
 		need = need || hasSubqueries(a.Expr)
 	}
 	if !need {
-		return nil
+		return nil, nil
 	}
-	st := &subqueryState{ec: ec, opts: opts, stmtID: res.StmtID}
+	st := &subqueryState{ec: ec}
 	out := *s
 	where, _, err := st.rewriteExpr(s.Where)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.Where = where
 	set := append([]sqlparse.Assignment(nil), s.Set...)
 	for i, a := range set {
 		ne, _, err := st.rewriteExpr(a.Expr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		set[i] = sqlparse.Assignment{Column: a.Column, Expr: ne}
 	}
 	out.Set = set
 	*sp = &out
-	mergeSubProvenance(st, opts, res)
-	return nil
+	return st.ids, nil
 }
 
-// resolveDeleteSubqueries substitutes subqueries in a DELETE's WHERE.
-func (ec *stmtCtx) resolveDeleteSubqueries(sp **sqlparse.Delete, opts ExecOptions, res *Result) error {
+// resolveDeleteSubqueries substitutes subqueries in a DELETE's WHERE,
+// returning what they read.
+func (ec *stmtCtx) resolveDeleteSubqueries(sp **sqlparse.Delete) (reads []vid, err error) {
 	s := *sp
 	if !hasSubqueries(s.Where) {
-		return nil
+		return nil, nil
 	}
-	st := &subqueryState{ec: ec, opts: opts, stmtID: res.StmtID}
+	st := &subqueryState{ec: ec}
 	out := *s
 	where, _, err := st.rewriteExpr(s.Where)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.Where = where
 	*sp = &out
-	mergeSubProvenance(st, opts, res)
-	return nil
-}
-
-func mergeSubProvenance(st *subqueryState, opts ExecOptions, res *Result) {
-	if !opts.WithLineage {
-		return
-	}
-	res.ReadRefs = mergeLineage(res.ReadRefs, st.refs)
-	if len(st.values) > 0 && res.TupleValues == nil {
-		res.TupleValues = map[TupleRef][]sqlval.Value{}
-	}
-	for ref, vals := range st.values {
-		res.TupleValues[ref] = vals
-	}
+	return st.ids, nil
 }

@@ -118,7 +118,7 @@ func TestSubqueryLineageMergesIntoOuter(t *testing.T) {
 	}
 	// TupleValues must cover the dept tuples too.
 	foundDept := false
-	for ref := range res.TupleValues {
+	for _, ref := range res.TupleValues.Refs() {
 		if ref.Table == "dept" {
 			foundDept = true
 		}

@@ -335,24 +335,17 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	_, _ = a.trace.AddEdgeTraced(procNode, stmtNode, prov.EdgeRun, iv, res.TraceID)
 
 	// hasRead edges: every tuple version in some result row's lineage or in
-	// the DML read set.
-	readSet := map[engine.TupleRef]bool{}
-	for _, lin := range res.Lineage {
-		for _, ref := range lin {
-			readSet[ref] = true
-		}
-	}
-	for _, ref := range res.ReadRefs {
-		readSet[ref] = true
-	}
-	for ref := range readSet {
+	// the DML read set — which is exactly the version set the result
+	// carries the values of.
+	read, values := res.TupleValues.Refs(), res.TupleValues.Values()
+	for i, ref := range read {
 		tupleNode := a.ensureTuple(ref)
 		_, _ = a.trace.AddEdgeTraced(tupleNode, stmtNode, prov.EdgeHasRead, iv, res.TraceID)
 		a.tupleFetched++
 		mTuplesFetched.Inc()
 		// Relevant-tuple rule (§VII-D): read by the application and not
 		// created by it.
-		if vals, ok := res.TupleValues[ref]; ok && !a.appCreated[ref] {
+		if vals := values[i]; !a.appCreated[ref] {
 			d0 := time.Now()
 			if a.DedupDisabled {
 				entry := relevantEntry{vals: vals, cells: encodeRowCells(vals)}

@@ -456,13 +456,8 @@ func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 			}
 		}
 	}
-	if len(res.TupleValues) > 0 {
-		tv := wire.TupleValues{}
-		for ref, vals := range res.TupleValues {
-			tv.Refs = append(tv.Refs, ref)
-			tv.Rows = append(tv.Rows, vals)
-		}
-		if err := wire.Write(conn, tv); err != nil {
+	if tv := res.TupleValues; tv.Len() > 0 {
+		if err := wire.Write(conn, wire.TupleValues{Refs: tv.Refs(), Rows: tv.Values()}); err != nil {
 			return err
 		}
 	}

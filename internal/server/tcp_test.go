@@ -41,8 +41,8 @@ func TestRealTCPSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Lineage) != 2 || len(res.TupleValues) != 2 {
-		t.Fatalf("lineage=%d values=%d", len(res.Lineage), len(res.TupleValues))
+	if len(res.Lineage) != 2 || res.TupleValues.Len() != 2 {
+		t.Fatalf("lineage=%d values=%d", len(res.Lineage), res.TupleValues.Len())
 	}
 	// DML metadata too.
 	res, err = conn.Exec("UPDATE t SET b = 'z' WHERE a = 1")

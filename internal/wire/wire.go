@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"ldv/internal/engine"
 	"ldv/internal/obs"
@@ -432,8 +433,15 @@ func encodePayload(m Message) []byte {
 		b = appendRefs(b, v.Refs)
 	case TupleValues:
 		b = appendRefs(b, v.Refs)
-		for _, row := range v.Rows {
+		for i, row := range v.Rows {
+			at := len(b)
 			b = sqlval.EncodeRow(b, row)
+			if i == 0 {
+				// Versions of one table are about one size; reserving the
+				// rest at the first one's spares a frame of megabytes its
+				// doublings.
+				b = slices.Grow(b, (len(v.Rows)-1)*(len(b)-at))
+			}
 		}
 	case CommandComplete:
 		b = binary.AppendVarint(b, int64(v.RowsAffected))
@@ -705,6 +713,9 @@ func appendString(b []byte, s string) []byte {
 
 func appendRefs(b []byte, refs []engine.TupleRef) []byte {
 	b = binary.AppendUvarint(b, uint64(len(refs)))
+	if len(refs) > 0 {
+		b = slices.Grow(b, len(refs)*(len(refs[0].Table)+8))
+	}
 	for _, r := range refs {
 		b = appendString(b, r.Table)
 		b = binary.AppendUvarint(b, uint64(r.Row))
@@ -717,6 +728,12 @@ func appendRefs(b []byte, refs []engine.TupleRef) []byte {
 type decoder struct {
 	buf []byte
 	err error
+	// tables[:ntables] are the table names the frame's refs have used so
+	// far, so that a frame of n refs over k tables allocates k strings, not
+	// n. A statement reads a handful of tables; past the array's size names
+	// are simply not remembered.
+	tables  [8]string
+	ntables int
 }
 
 func (d *decoder) fail(what string) {
@@ -761,34 +778,31 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
-// bytes reads a uvarint-length-prefixed byte slice (a copy).
-func (d *decoder) bytes() []byte {
+// raw reads a uvarint-length-prefixed byte slice, aliasing the frame.
+func (d *decoder) raw(what string) []byte {
 	l := d.uvarint()
 	if d.err != nil {
 		return nil
 	}
 	if uint64(len(d.buf)) < l {
-		d.fail("bytes")
+		d.fail(what)
 		return nil
 	}
-	v := append([]byte(nil), d.buf[:l]...)
+	v := d.buf[:l]
 	d.buf = d.buf[l:]
 	return v
 }
 
-func (d *decoder) string() string {
-	l := d.uvarint()
+// bytes reads a uvarint-length-prefixed byte slice (a copy).
+func (d *decoder) bytes() []byte {
+	v := d.raw("bytes")
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	if uint64(len(d.buf)) < l {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.buf[:l])
-	d.buf = d.buf[l:]
-	return s
+	return append([]byte(nil), v...)
 }
+
+func (d *decoder) string() string { return string(d.raw("string")) }
 
 // spanContextSize is the fixed wire size of a trace-context header: 16-byte
 // trace ID plus big-endian 8-byte span ID.
@@ -829,10 +843,27 @@ func (d *decoder) refs() []engine.TupleRef {
 	refs := make([]engine.TupleRef, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		refs = append(refs, engine.TupleRef{
-			Table:   d.string(),
+			Table:   d.table(),
 			Row:     engine.RowID(d.uvarint()),
 			Version: d.uvarint(),
 		})
 	}
 	return refs
+}
+
+// table reads a ref's table name, reusing the string of an earlier ref of
+// the frame that named the same table.
+func (d *decoder) table() string {
+	name := d.raw("string")
+	for _, t := range d.tables[:d.ntables] {
+		if t == string(name) {
+			return t
+		}
+	}
+	t := string(name)
+	if d.ntables < len(d.tables) {
+		d.tables[d.ntables] = t
+		d.ntables++
+	}
+	return t
 }
