@@ -30,11 +30,14 @@ func AddPROVExport(arch *Archive, aud *Auditor) error {
 	return ildv.AddPROVExport(arch, aud)
 }
 
-// NewArchive returns an empty package archive.
+// NewArchive returns an empty package archive. Archive.Add takes ownership
+// of the data it is given without copying it: the caller must not modify or
+// reuse that buffer afterwards.
 func NewArchive() *Archive { return pack.New() }
 
 // LoadArchive reads a serialized package from the real filesystem.
 func LoadArchive(path string) (*Archive, error) { return pack.Load(path) }
 
-// UnmarshalArchive parses a serialized package.
+// UnmarshalArchive parses a serialized package. The archive's members alias
+// data rather than copy it: the caller must not modify data afterwards.
 func UnmarshalArchive(data []byte) (*Archive, error) { return pack.Unmarshal(data) }

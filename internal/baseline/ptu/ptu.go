@@ -65,7 +65,7 @@ func (t *Tracer) OnEvent(ev osim.Event) {
 		t.execd[ev.Path] = true
 		child := t.proc(ev.PID)
 		parent := t.proc(ev.PPID)
-		_, _ = t.trace.AddEdge(parent, child, prov.EdgeExecuted, prov.Point(ev.Time))
+		_, _ = t.trace.Link(parent, child, prov.EdgeExecuted, prov.Point(ev.Time), 0)
 	case osim.EvOpen:
 		key := openKey{ev.PID, ev.Path, ev.Write}
 		t.opens[key] = append(t.opens[key], ev.Time)
@@ -83,29 +83,28 @@ func (t *Tracer) OnEvent(ev osim.Event) {
 			return
 		}
 		openT := stack[0]
-		t.opens[key] = stack[1:]
+		if len(stack) == 1 {
+			delete(t.opens, key)
+		} else {
+			t.opens[key] = stack[1:]
+		}
 		t.files[ev.Path] = true
 		p := t.proc(ev.PID)
-		f := t.file(ev.Path)
+		f, _ := t.trace.Intern(t.trace.FileKey(ev.Path), prov.TypeFile)
 		iv := prov.Interval{Begin: openT, End: ev.Time}
 		if ev.Write {
-			_, _ = t.trace.AddEdge(p, f, prov.EdgeHasWritten, iv)
+			_, _ = t.trace.Link(p, f, prov.EdgeHasWritten, iv, 0)
 		} else {
-			_, _ = t.trace.AddEdge(f, p, prov.EdgeReadFrom, iv)
+			_, _ = t.trace.Link(f, p, prov.EdgeReadFrom, iv, 0)
 		}
 	}
 }
 
-func (t *Tracer) proc(pid int) string {
-	id := ldv.ProcNodeID(pid)
-	_, _ = t.trace.AddNode(id, prov.TypeProcess, id)
-	return id
-}
-
-func (t *Tracer) file(path string) string {
-	id := ldv.FileNodeID(path)
-	_, _ = t.trace.AddNode(id, prov.TypeFile, path)
-	return id
+// proc returns the trace node of a process; the type is part of the
+// blackbox model, so Intern cannot fail.
+func (t *Tracer) proc(pid int) prov.Ref {
+	r, _ := t.trace.Intern(prov.ProcKey(pid), prov.TypeProcess)
+	return r
 }
 
 // Trace returns the OS-level provenance graph PTU ships for validation.
@@ -158,8 +157,9 @@ func Audit(m *ldv.Machine, apps []ldv.App) (*Tracer, error) {
 // manifestPath stores the PTU run manifest inside the package.
 const manifestPath = "/ptu/manifest.json"
 
-// tracePath stores the OS provenance graph.
-const tracePath = "/ptu/trace.json"
+// tracePath stores the OS provenance graph in the trace's native binary
+// encoding.
+const tracePath = "/ptu/trace.bin"
 
 // BuildPackage copies every traced file — the full DB included — plus the
 // OS provenance graph into an archive.

@@ -44,15 +44,31 @@ func (s Set) Sorted() []Pair {
 	return out
 }
 
+// pairKey packs "entity depends on dependsOn" for the integer-keyed sets.
+func pairKey(entity, dependsOn prov.Ref) uint64 { return uint64(entity)<<32 | uint64(dependsOn) }
+
+// render converts an integer-keyed dependency set to string ids.
+func render(tr *prov.Trace, pairs map[uint64]struct{}) Set {
+	out := make(Set, len(pairs))
+	for p := range pairs {
+		out.Add(tr.ID(prov.Ref(p>>32)), tr.ID(prov.Ref(uint32(p))))
+	}
+	return out
+}
+
 // LineageDeps returns the PLin direct dependencies D(G) recorded on the
 // trace (Definition 7): a result tuple depends on every input tuple in its
 // Lineage.
 func LineageDeps(tr *prov.Trace) Set {
-	out := Set{}
+	pairs := map[uint64]struct{}{}
+	addLineageDeps(tr, pairs)
+	return render(tr, pairs)
+}
+
+func addLineageDeps(tr *prov.Trace, pairs map[uint64]struct{}) {
 	for _, d := range tr.Deps() {
-		out.Add(d.To, d.From)
+		pairs[pairKey(d.To, d.From)] = struct{}{}
 	}
-	return out
 }
 
 // BlackboxDeps computes the PBB direct dependencies D(G) of Definition 8:
@@ -62,58 +78,74 @@ func LineageDeps(tr *prov.Trace) Set {
 // deliberately conservative — no temporal reasoning here; that is the
 // inference layer's job.
 func BlackboxDeps(tr *prov.Trace) Set {
-	out := Set{}
-	for _, src := range tr.Nodes() {
-		if src.Type != prov.TypeFile {
+	pairs := map[uint64]struct{}{}
+	addBlackboxDeps(tr, tr.Adjacency(), pairs)
+	return render(tr, pairs)
+}
+
+func addBlackboxDeps(tr *prov.Trace, adj *prov.Adjacency, pairs map[uint64]struct{}) {
+	edges := tr.Edges()
+	// visited[p] == src+1 marks process p as reached from file src.
+	visited := make([]uint32, tr.NodeCount())
+	var queue []prov.Ref
+	for n := 0; n < tr.NodeCount(); n++ {
+		src := prov.Ref(n)
+		if tr.Type(src) != prov.TypeFile {
 			continue
 		}
 		// BFS over process chains starting from processes that read src.
-		visited := map[string]bool{}
-		var queue []string
-		for _, e := range tr.Out(src.ID) {
-			if e.Label == prov.EdgeReadFrom && e.To.Type == prov.TypeProcess {
-				if !visited[e.To.ID] {
-					visited[e.To.ID] = true
-					queue = append(queue, e.To.ID)
-				}
+		visit := func(p prov.Ref) {
+			if visited[p] != uint32(src)+1 {
+				visited[p] = uint32(src) + 1
+				queue = append(queue, p)
+			}
+		}
+		queue = queue[:0]
+		for _, ei := range adj.Out(src) {
+			if e := edges[ei]; tr.EdgeLabel(e) == prov.EdgeReadFrom && tr.Type(e.To) == prov.TypeProcess {
+				visit(e.To)
 			}
 		}
 		for len(queue) > 0 {
 			pid := queue[0]
 			queue = queue[1:]
-			for _, e := range tr.Out(pid) {
-				switch {
-				case e.Label == prov.EdgeExecuted && e.To.Type == prov.TypeProcess:
-					if !visited[e.To.ID] {
-						visited[e.To.ID] = true
-						queue = append(queue, e.To.ID)
-					}
-				case e.Label == prov.EdgeHasWritten && e.To.Type == prov.TypeFile:
-					out.Add(e.To.ID, src.ID)
+			for _, ei := range adj.Out(pid) {
+				e := edges[ei]
+				switch label := tr.EdgeLabel(e); {
+				case label == prov.EdgeExecuted && tr.Type(e.To) == prov.TypeProcess:
+					visit(e.To)
+				case label == prov.EdgeHasWritten && tr.Type(e.To) == prov.TypeFile:
+					pairs[pairKey(e.To, src)] = struct{}{}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // DirectDeps unions the per-model direct dependencies of a combined trace.
 func DirectDeps(tr *prov.Trace) Set {
-	out := BlackboxDeps(tr)
-	for p := range LineageDeps(tr) {
-		out[p] = true
-	}
-	return out
+	return render(tr, directDeps(tr, tr.Adjacency()))
+}
+
+func directDeps(tr *prov.Trace, adj *prov.Adjacency) map[uint64]struct{} {
+	pairs := map[uint64]struct{}{}
+	addBlackboxDeps(tr, adj, pairs)
+	addLineageDeps(tr, pairs)
+	return pairs
 }
 
 // Inferencer evaluates the temporally-restricted dependency inference of
-// Definition 11 over a combined execution trace.
+// Definition 11 over a combined execution trace. It works on the trace's
+// integer node indices and indexes the edges the trace holds when it is
+// built; string ids appear only in its exported signatures.
 type Inferencer struct {
 	trace  *prov.Trace
-	direct Set
-	// entityModel maps an entity type to an opaque model tag; entities with
-	// equal tags are "from the same provenance model" for condition 1.
-	entityModel map[string]int
+	adj    *prov.Adjacency
+	direct map[uint64]struct{} // pairKey(entity, dependsOn)
+	// model tags each node with an opaque number for its entity type's
+	// provenance model; entities with equal tags are "from the same
+	// provenance model" for condition 1.
+	model []int
 	// Naive disables the temporal conditions (2) and (3), leaving pure
 	// path-plus-direct-dependency reachability. Used only by the ablation
 	// study quantifying how much the temporal pruning buys.
@@ -125,31 +157,60 @@ type Inferencer struct {
 // direct is normally DirectDeps(trace) but may be customized (the paper's
 // Figure 6c posits a trace where a same-model dependency is absent).
 func NewInferencer(tr *prov.Trace, direct Set, models ...*prov.Model) *Inferencer {
-	em := map[string]int{}
-	for i, m := range models {
-		for t := range m.Entities {
-			em[t] = i
+	pairs := make(map[uint64]struct{}, len(direct))
+	for p := range direct {
+		e, d := tr.Node(p.Entity), tr.Node(p.DependsOn)
+		if e != nil && d != nil {
+			pairs[pairKey(e.Ref, d.Ref)] = struct{}{}
 		}
 	}
-	return &Inferencer{trace: tr, direct: direct, entityModel: em}
+	return newInferencer(tr, tr.Adjacency(), pairs, models)
+}
+
+func newInferencer(tr *prov.Trace, adj *prov.Adjacency, direct map[uint64]struct{}, models []*prov.Model) *Inferencer {
+	tags := map[string]int{}
+	for i, m := range models {
+		for t := range m.Entities {
+			tags[t] = i
+		}
+	}
+	model := make([]int, tr.NodeCount())
+	for n := range model {
+		model[n] = tags[tr.Type(prov.Ref(n))]
+	}
+	return &Inferencer{trace: tr, adj: adj, direct: direct, model: model}
 }
 
 // NewDefaultInferencer wires the standard PBB+PLin combination with direct
 // dependencies taken from the trace itself.
 func NewDefaultInferencer(tr *prov.Trace) *Inferencer {
-	return NewInferencer(tr, DirectDeps(tr), prov.Blackbox(), prov.Lineage())
+	adj := tr.Adjacency()
+	return newInferencer(tr, adj, directDeps(tr, adj), []*prov.Model{prov.Blackbox(), prov.Lineage()})
 }
 
-func (inf *Inferencer) sameModel(a, b *prov.Node) bool {
-	return inf.entityModel[a.Type] == inf.entityModel[b.Type]
+// node resolves an id to a node the inferencer was built over; nodes added
+// to the trace since then are not found.
+func (inf *Inferencer) node(id string) (prov.Ref, bool) {
+	n := inf.trace.Node(id)
+	if n == nil || int(n.Ref) >= len(inf.model) {
+		return 0, false
+	}
+	return n.Ref, true
+}
+
+// entity resolves an id to an entity node.
+func (inf *Inferencer) entity(id string) (prov.Ref, bool) {
+	r, ok := inf.node(id)
+	return r, ok && inf.trace.IsEntity(r)
 }
 
 // state is one node of the search space: a trace node plus the last entity
 // seen on the path (condition 1 needs it at the next entity).
 type state struct {
-	node       string
-	lastEntity string
+	node, lastEntity prov.Ref
 }
+
+func (s state) key() uint64 { return uint64(s.node)<<32 | uint64(s.lastEntity) }
 
 // item is a priority-queue entry ordered by arrival time; smaller arrival
 // times are strictly more permissive, so a Dijkstra-style expansion finds
@@ -167,25 +228,29 @@ func (q queue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *queue) Push(x any)        { *q = append(*q, x.(item)) }
 func (q *queue) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
-// Dependents returns every entity that depends on source according to
-// Definition 11, together with the earliest feasible arrival time of the
-// information flow (the T at which the dependency first holds).
-func (inf *Inferencer) Dependents(source string) map[string]uint64 {
-	src := inf.trace.Node(source)
-	result := map[string]uint64{}
-	if src == nil || !src.IsEntity(inf.trace.Model) {
-		return result
-	}
-	best := map[state]uint64{}
+// noStop is the stop argument of a propagate that runs to completion; no
+// trace has a node with this index.
+const noStop = ^prov.Ref(0)
+
+// propagate runs the Definition 11 search from entity source: it returns
+// every other entity the flow reaches with its earliest feasible arrival
+// time. The search ends early, reporting stopped, if it expands node stop.
+func (inf *Inferencer) propagate(source, stop prov.Ref) (result map[prov.Ref]uint64, stopped bool) {
+	tr, edges := inf.trace, inf.trace.Edges()
+	result = map[prov.Ref]uint64{}
 	start := state{node: source, lastEntity: source}
-	best[start] = 0
+	best := map[uint64]uint64{start.key(): 0}
 	q := &queue{{st: start, arrival: 0}}
 	for q.Len() > 0 {
 		cur := heap.Pop(q).(item)
-		if cur.arrival > best[cur.st] {
+		if cur.arrival > best[cur.st.key()] {
 			continue // stale entry
 		}
-		for _, e := range inf.trace.Out(cur.st.node) {
+		if cur.st.node == stop {
+			return result, true
+		}
+		for _, ei := range inf.adj.Out(cur.st.node) {
+			e := edges[ei]
 			// Condition 2: the information present at the source endpoint must
 			// still be able to flow before the interaction ends.
 			if !inf.Naive && cur.arrival > e.T.End {
@@ -195,47 +260,76 @@ func (inf *Inferencer) Dependents(source string) map[string]uint64 {
 			if inf.Naive {
 				arrival = 0
 			}
-			next := state{node: e.To.ID, lastEntity: cur.st.lastEntity}
-			to := e.To
-			if to.IsEntity(inf.trace.Model) {
-				le := inf.trace.Node(cur.st.lastEntity)
+			next := state{node: e.To, lastEntity: cur.st.lastEntity}
+			if tr.IsEntity(e.To) {
+				le := cur.st.lastEntity
 				// Condition 1: adjacent entities from the same model on the
 				// path must be directly data dependent.
-				if inf.sameModel(le, to) && !inf.direct.Has(to.ID, le.ID) {
-					continue
+				if inf.model[le] == inf.model[e.To] {
+					if _, ok := inf.direct[pairKey(e.To, le)]; !ok {
+						continue
+					}
 				}
-				next.lastEntity = to.ID
-				if to.ID != source {
-					if prev, ok := result[to.ID]; !ok || arrival < prev {
-						result[to.ID] = arrival
+				next.lastEntity = e.To
+				if e.To != source {
+					if prev, ok := result[e.To]; !ok || arrival < prev {
+						result[e.To] = arrival
 					}
 				}
 			}
-			if prev, ok := best[next]; !ok || arrival < prev {
-				best[next] = arrival
+			if prev, ok := best[next.key()]; !ok || arrival < prev {
+				best[next.key()] = arrival
 				heap.Push(q, item{st: next, arrival: arrival})
 			}
 		}
 	}
-	return result
+	return result, false
+}
+
+// Dependents returns every entity that depends on source according to
+// Definition 11, together with the earliest feasible arrival time of the
+// information flow (the T at which the dependency first holds).
+func (inf *Inferencer) Dependents(source string) map[string]uint64 {
+	out := map[string]uint64{}
+	src, ok := inf.entity(source)
+	if !ok {
+		return out
+	}
+	reached, _ := inf.propagate(src, noStop)
+	for r, at := range reached {
+		out[inf.trace.ID(r)] = at
+	}
+	return out
 }
 
 // DependsOn answers the reachability query "does entity depend on
 // dependsOn" (the d -> d' question from the paper's introduction).
 func (inf *Inferencer) DependsOn(entity, dependsOn string) bool {
-	_, ok := inf.Dependents(dependsOn)[entity]
+	e, found := inf.node(entity)
+	src, ok := inf.entity(dependsOn)
+	if !found || !ok {
+		return false
+	}
+	reached, _ := inf.propagate(src, noStop)
+	_, ok = reached[e]
 	return ok
 }
 
 // Dependencies returns every entity the given entity depends on.
 func (inf *Inferencer) Dependencies(entity string) []string {
+	e, found := inf.node(entity)
+	if !found {
+		return nil
+	}
 	var out []string
-	for _, n := range inf.trace.Nodes() {
-		if !n.IsEntity(inf.trace.Model) || n.ID == entity {
+	for n := range inf.model {
+		src := prov.Ref(n)
+		if !inf.trace.IsEntity(src) || src == e {
 			continue
 		}
-		if inf.DependsOn(entity, n.ID) {
-			out = append(out, n.ID)
+		reached, _ := inf.propagate(src, noStop)
+		if _, ok := reached[e]; ok {
+			out = append(out, inf.trace.ID(src))
 		}
 	}
 	sort.Strings(out)
@@ -245,12 +339,18 @@ func (inf *Inferencer) Dependencies(entity string) []string {
 // All computes the full inferred dependency set D*(G).
 func (inf *Inferencer) All() Set {
 	out := Set{}
-	for _, n := range inf.trace.Nodes() {
-		if !n.IsEntity(inf.trace.Model) {
+	for n := range inf.model {
+		src := prov.Ref(n)
+		if !inf.trace.IsEntity(src) {
 			continue
 		}
-		for dep := range inf.Dependents(n.ID) {
-			out.Add(dep, n.ID)
+		reached, _ := inf.propagate(src, noStop)
+		if len(reached) == 0 {
+			continue
+		}
+		srcID := inf.trace.ID(src)
+		for dep := range reached {
+			out.Add(inf.trace.ID(dep), srcID)
 		}
 	}
 	return out
@@ -260,49 +360,14 @@ func (inf *Inferencer) All() Set {
 // comes to depend on the entity — the relevance condition LDV packaging
 // uses (§VII-D): a tuple is relevant if some activity's state depends on it.
 func (inf *Inferencer) ActivityDependsOn(activity, entity string) bool {
-	src := inf.trace.Node(entity)
-	act := inf.trace.Node(activity)
-	if src == nil || act == nil || !src.IsEntity(inf.trace.Model) || act.IsEntity(inf.trace.Model) {
+	src, ok := inf.entity(entity)
+	act, found := inf.node(activity)
+	if !ok || !found || inf.trace.IsEntity(act) {
 		return false
 	}
-	// Run the same propagation but look for the activity node in the
-	// reached states.
-	best := map[state]uint64{}
-	start := state{node: entity, lastEntity: entity}
-	best[start] = 0
-	q := &queue{{st: start, arrival: 0}}
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(item)
-		if cur.arrival > best[cur.st] {
-			continue
-		}
-		if cur.st.node == activity {
-			return true
-		}
-		for _, e := range inf.trace.Out(cur.st.node) {
-			if !inf.Naive && cur.arrival > e.T.End {
-				continue
-			}
-			arrival := maxU64(cur.arrival, e.T.Begin)
-			if inf.Naive {
-				arrival = 0
-			}
-			next := state{node: e.To.ID, lastEntity: cur.st.lastEntity}
-			to := e.To
-			if to.IsEntity(inf.trace.Model) {
-				le := inf.trace.Node(cur.st.lastEntity)
-				if inf.sameModel(le, to) && !inf.direct.Has(to.ID, le.ID) {
-					continue
-				}
-				next.lastEntity = to.ID
-			}
-			if prev, ok := best[next]; !ok || arrival < prev {
-				best[next] = arrival
-				heap.Push(q, item{st: next, arrival: arrival})
-			}
-		}
-	}
-	return false
+	// The same propagation, looking for the activity among the reached states.
+	_, reached := inf.propagate(src, act)
+	return reached
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -290,6 +290,22 @@ func TestDependentsOfNonEntity(t *testing.T) {
 	}
 }
 
+// An inferencer answers for the trace as it was when built: a node added
+// afterwards is not found, whichever argument names it.
+func TestNodeAddedAfterInferencer(t *testing.T) {
+	tr := buildFig2(t)
+	inf := NewDefaultInferencer(tr)
+	tr.AddNode("D", prov.TypeFile, "D")
+	tr.AddNode("P3", prov.TypeProcess, "P3")
+	if len(inf.Dependents("D")) != 0 || inf.DependsOn("D", "A") || inf.DependsOn("C", "D") ||
+		inf.Dependencies("D") != nil || inf.ActivityDependsOn("P3", "A") || inf.ActivityDependsOn("P1", "D") {
+		t.Fatal("a node added after the inferencer was built must not be found")
+	}
+	if !inf.DependsOn("C", "A") {
+		t.Fatal("the nodes the inferencer was built over must still answer")
+	}
+}
+
 func TestSetSorted(t *testing.T) {
 	s := Set{}
 	s.Add("b", "x")
@@ -331,9 +347,9 @@ func TestInferredDependenciesHavePaths(t *testing.T) {
 				return true
 			}
 			for _, e := range tr.Out(n) {
-				if !seen[e.To.ID] {
-					seen[e.To.ID] = true
-					queue = append(queue, e.To.ID)
+				if to := tr.ID(e.To); !seen[to] {
+					seen[to] = true
+					queue = append(queue, to)
 				}
 			}
 		}

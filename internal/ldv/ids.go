@@ -6,66 +6,39 @@
 package ldv
 
 import (
-	"fmt"
-	"strings"
-
 	"ldv/internal/engine"
+	"ldv/internal/prov"
 )
 
-// Node-ID conventions for combined execution traces. Every trace node ID is
-// prefixed by its category so IDs never collide across categories.
-const (
-	procPrefix   = "proc:"
-	filePrefix   = "file:"
-	stmtPrefix   = "stmt:"
-	tuplePrefix  = "tuple:"
-	resultPrefix = "rtuple:"
-)
+// Node-ID conventions for combined execution traces. Inside a trace nodes
+// are typed integer keys (prov.Key); these helpers render and parse the
+// string form the boundary uses (ldv-trace arguments, DOT, PROV-JSON,
+// dependency queries), whose syntax prov.ParseID defines.
 
 // ProcNodeID returns the trace node ID for a process.
-func ProcNodeID(pid int) string { return fmt.Sprintf("%s%d", procPrefix, pid) }
+func ProcNodeID(pid int) string { return prov.ProcID(uint64(pid)) }
 
 // FileNodeID returns the trace node ID for a file path.
-func FileNodeID(path string) string { return filePrefix + path }
-
-// StmtNodeID returns the trace node ID for an executed SQL statement.
-func StmtNodeID(stmtID int64) string { return fmt.Sprintf("%s%d", stmtPrefix, stmtID) }
+func FileNodeID(path string) string { return prov.FileID(path) }
 
 // TupleNodeID returns the trace node ID for a stored tuple version.
-func TupleNodeID(ref engine.TupleRef) string { return tuplePrefix + ref.String() }
-
-// ResultTupleNodeID returns the trace node ID for the i-th result tuple of
-// a statement (result tuples are not stored in the DB).
-func ResultTupleNodeID(stmtID int64, i int) string {
-	return fmt.Sprintf("%s%d/%d", resultPrefix, stmtID, i)
+func TupleNodeID(ref engine.TupleRef) string {
+	return prov.TupleID(ref.Table, uint64(ref.Row), ref.Version)
 }
 
 // FilePathOfNode recovers the path from a file node ID ("" if not a file).
 func FilePathOfNode(id string) string {
-	if strings.HasPrefix(id, filePrefix) {
-		return id[len(filePrefix):]
+	if kind, path, _, _ := prov.ParseID(id); kind == prov.KindFile {
+		return path
 	}
 	return ""
 }
 
 // TupleRefOfNode recovers the tuple ref from a tuple node ID.
 func TupleRefOfNode(id string) (engine.TupleRef, bool) {
-	if !strings.HasPrefix(id, tuplePrefix) {
+	kind, table, row, version := prov.ParseID(id)
+	if kind != prov.KindTuple {
 		return engine.TupleRef{}, false
 	}
-	body := id[len(tuplePrefix):]
-	slash := strings.LastIndex(body, "/")
-	at := strings.LastIndex(body, "@")
-	if slash < 0 || at < slash {
-		return engine.TupleRef{}, false
-	}
-	var row uint64
-	var version uint64
-	if _, err := fmt.Sscanf(body[slash+1:at], "%d", &row); err != nil {
-		return engine.TupleRef{}, false
-	}
-	if _, err := fmt.Sscanf(body[at+1:], "%d", &version); err != nil {
-		return engine.TupleRef{}, false
-	}
-	return engine.TupleRef{Table: body[:slash], Row: engine.RowID(row), Version: version}, true
+	return engine.TupleRef{Table: table, Row: engine.RowID(row), Version: version}, true
 }

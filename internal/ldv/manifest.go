@@ -11,7 +11,7 @@ import (
 // Package member paths.
 const (
 	ManifestPath = "/ldv/manifest.json"
-	TracePath    = "/ldv/trace.json.gz"
+	TracePath    = "/ldv/trace.bin.gz"
 	ProvJSONPath = "/ldv/trace.prov.json"
 	DBLogPath    = "/ldv/dblog.json.gz"
 	ProvDataDir  = "/db/provenance"

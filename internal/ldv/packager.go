@@ -1,10 +1,8 @@
 package ldv
 
 import (
-	"bytes"
-	"encoding/csv"
 	"fmt"
-	"strconv"
+	"sort"
 	"strings"
 
 	"ldv/internal/pack"
@@ -32,54 +30,35 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 		}
 	}
 
-	// Relevant DB subset as CSVs.
-	tables := []TableDef{}
-	for table, rows := range aud.RelevantTuples() {
-		t, err := m.DB.Table(table)
+	// Relevant DB subset as one CSV per table — a header, then the records
+	// the auditor encoded when each tuple first became relevant — and the
+	// schema of every table, relevant tuples or not (the application may
+	// insert into any of them on re-execution). One pass over the sorted
+	// table names, so equal audits package to equal bytes.
+	relevant := aud.relevantTableNames()
+	var tables []TableDef
+	for _, name := range m.DB.TableNames() {
+		t, err := m.DB.Table(name)
 		if err != nil {
-			return nil, fmt.Errorf("package provenance: %w", err)
+			return nil, err
 		}
 		tables = append(tables, TableDefOf(t))
-		var buf bytes.Buffer
-		w := csv.NewWriter(&buf)
-		header := append([]string{"prov_rowid", "prov_v", "prov_p"}, t.Schema.Names()...)
-		if err := w.Write(header); err != nil {
-			return nil, err
+		i := sort.SearchStrings(relevant, name)
+		if i == len(relevant) || relevant[i] != name {
+			continue
 		}
-		for _, row := range rows {
-			rec := []string{
-				strconv.FormatUint(uint64(row.Ref.Row), 10),
-				strconv.FormatUint(row.Ref.Version, 10),
-				"", // pre-existing tuples are restored as preloaded
-			}
-			rec = append(rec, row.Cells...)
-			if err := w.Write(rec); err != nil {
-				return nil, err
-			}
+		relevant = append(relevant[:i], relevant[i+1:]...)
+		csv := []byte("prov_rowid,prov_v,prov_p")
+		for _, col := range t.Schema.Names() {
+			csv = append(csv, ',')
+			start := len(csv)
+			csv = quoteCSVField(append(csv, col...), start)
 		}
-		w.Flush()
-		if err := w.Error(); err != nil {
-			return nil, err
-		}
-		arch.Add(ProvDataDir+"/"+table+".csv", buf.Bytes())
+		csv = append(csv, '\n')
+		arch.Add(ProvDataDir+"/"+name+".csv", aud.appendRelevantCSV(csv, name))
 	}
-	// Tables that were touched but contributed no relevant tuples still need
-	// their schemas (the application may insert into them on re-execution).
-	for _, name := range m.DB.TableNames() {
-		found := false
-		for _, td := range tables {
-			if td.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t, err := m.DB.Table(name)
-			if err != nil {
-				return nil, err
-			}
-			tables = append(tables, TableDefOf(t))
-		}
+	if len(relevant) > 0 {
+		return nil, fmt.Errorf("package provenance: relevant table %q is no longer in the database", relevant[0])
 	}
 
 	// Execution trace, stored compressed (metadata, not payload).
@@ -87,7 +66,7 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 	if err != nil {
 		return nil, fmt.Errorf("package trace: %w", err)
 	}
-	zipped, err := gzipBytes(traceData)
+	zipped, err := gzipLevel(traceData, traceGzipLevel)
 	if err != nil {
 		return nil, fmt.Errorf("package trace: %w", err)
 	}
@@ -112,8 +91,8 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 }
 
 // AddPROVExport adds the PROV-JSON rendering of the trace to a package —
-// an optional interchange extra (ldv-audit -prov); the native trace.json is
-// what replay and dependency queries consume.
+// an optional interchange extra (ldv-audit -prov); the native binary trace
+// (TracePath) is what replay and dependency queries consume.
 func AddPROVExport(arch *pack.Archive, aud *Auditor) error {
 	provData, err := aud.Trace().ExportPROV()
 	if err != nil {

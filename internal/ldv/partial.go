@@ -17,35 +17,35 @@ import (
 // on (Definition 11).
 func NeededBinaries(tr *prov.Trace, outputPath string, candidates []string) ([]string, error) {
 	outID := FileNodeID(outputPath)
-	if tr.Node(outID) == nil {
+	out := tr.Node(outID)
+	if out == nil {
 		return nil, fmt.Errorf("partial replay: output %q not in trace", outputPath)
 	}
 	inf := deps.NewDefaultInferencer(tr)
 
 	// Entities the output depends on, plus the output itself (its direct
 	// producers are needed too).
-	needed := map[string]bool{outID: true}
+	needed := []prov.Ref{out.Ref}
 	for _, d := range inf.Dependencies(outID) {
-		needed[d] = true
+		needed = append(needed, tr.Node(d).Ref)
 	}
 
 	// Processes that produced a needed entity: writers of needed files and
 	// the runners of statements that returned needed tuples.
-	procs := map[string]bool{}
-	markStmtRunner := func(stmtID string) {
-		for _, e := range tr.In(stmtID) {
-			if e.Label == prov.EdgeRun {
-				procs[e.From.ID] = true
-			}
-		}
-	}
-	for id := range needed {
-		for _, e := range tr.In(id) {
-			switch e.Label {
+	adj, edges := tr.Adjacency(), tr.Edges()
+	procs := map[prov.Ref]bool{}
+	for _, n := range needed {
+		for _, ei := range adj.In(n) {
+			e := edges[ei]
+			switch tr.EdgeLabel(e) {
 			case prov.EdgeHasWritten:
-				procs[e.From.ID] = true
+				procs[e.From] = true
 			case prov.EdgeHasReturned:
-				markStmtRunner(e.From.ID)
+				for _, ri := range adj.In(e.From) {
+					if run := edges[ri]; tr.EdgeLabel(run) == prov.EdgeRun {
+						procs[run.From] = true
+					}
+				}
 			}
 		}
 	}
@@ -53,18 +53,14 @@ func NeededBinaries(tr *prov.Trace, outputPath string, candidates []string) ([]s
 	// Expand each needed process through its executed-ancestor chain: if a
 	// child process did the work, its root application binary must run.
 	binaries := map[string]bool{}
-	var walk func(procID string)
-	walk = func(procID string) {
-		n := tr.Node(procID)
-		if n == nil {
-			return
-		}
-		if b := n.Attrs["binary"]; b != "" {
+	var walk func(proc prov.Ref)
+	walk = func(proc prov.Ref) {
+		if b := tr.Attr(proc, prov.AttrBinary); b != "" {
 			binaries[b] = true
 		}
-		for _, e := range tr.In(procID) {
-			if e.Label == prov.EdgeExecuted {
-				walk(e.From.ID)
+		for _, ei := range adj.In(proc) {
+			if e := edges[ei]; tr.EdgeLabel(e) == prov.EdgeExecuted {
+				walk(e.From)
 			}
 		}
 	}
@@ -72,13 +68,13 @@ func NeededBinaries(tr *prov.Trace, outputPath string, candidates []string) ([]s
 		walk(p)
 	}
 
-	var out []string
+	var result []string
 	for _, c := range candidates {
 		if binaries[c] {
-			out = append(out, c)
+			result = append(result, c)
 		}
 	}
-	return out, nil
+	return result, nil
 }
 
 // PartialReplay re-executes only the part of a server-included package

@@ -85,34 +85,37 @@ func randomApp(ops []string) App {
 	}
 }
 
-func runRandomized(t *testing.T, seed int64) {
+// newItemsMachine boots a machine with the preloaded items table the random
+// workloads run against.
+func newItemsMachine(t *testing.T, seed int64) *Machine {
 	t.Helper()
-	newM := func() *Machine {
-		m, err := NewMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.DB.ExecScript(`
-			CREATE TABLE items (id INTEGER PRIMARY KEY, score INTEGER, label TEXT);`,
+	m, err := NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DB.ExecScript(`
+		CREATE TABLE items (id INTEGER PRIMARY KEY, score INTEGER, label TEXT);`,
+		engine.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed * 977))
+	for i := 1; i <= 20; i++ {
+		if _, err := m.DB.Exec(fmt.Sprintf(
+			"INSERT INTO items VALUES (%d, %d, 'preload-%d')", i, r.Intn(100), i),
 			engine.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(seed * 977))
-		for i := 1; i <= 20; i++ {
-			if _, err := m.DB.Exec(fmt.Sprintf(
-				"INSERT INTO items VALUES (%d, %d, 'preload-%d')", i, r.Intn(100), i),
-				engine.ExecOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m
 	}
+	return m
+}
 
+func runRandomized(t *testing.T, seed int64) {
+	t.Helper()
 	ops := randomOps(seed)
 	apps := []App{randomApp(ops)}
 	progs := map[string]osim.Program{apps[0].Binary: apps[0].Prog}
 
-	m := newM()
+	m := newItemsMachine(t, seed)
 	aud, err := Audit(m, apps)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package ldv
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,31 +10,64 @@ import (
 )
 
 // Tuple values cross package boundaries in two text formats: kind-prefixed
-// CSV cells (provenance CSV files of server-included packages) and the same
-// encoding inside the JSON DB log of server-excluded packages. The prefix
-// makes NULL, empty string, and the string "42" unambiguous.
+// CSV cells (the audit spool and the provenance CSV files of server-included
+// packages) and the same encoding inside the JSON DB log of server-excluded
+// packages. The prefix makes NULL, empty string, and the string "42"
+// unambiguous.
+
+// appendCell appends a value's kind-prefixed cell to dst.
+func appendCell(dst []byte, v sqlval.Value) []byte {
+	switch v.Kind() {
+	case sqlval.KindInt:
+		return strconv.AppendInt(append(dst, "i:"...), v.Int(), 10)
+	case sqlval.KindFloat:
+		return strconv.AppendFloat(append(dst, "f:"...), v.Float(), 'g', -1, 64)
+	case sqlval.KindString:
+		return append(append(dst, "s:"...), v.Str()...)
+	case sqlval.KindBool:
+		return strconv.AppendBool(append(dst, "b:"...), v.Bool())
+	case sqlval.KindDate:
+		return append(append(dst, "d:"...), v.String()...)
+	default:
+		return append(dst, "n:"...)
+	}
+}
 
 // encodeCell renders a value as a kind-prefixed cell.
 func encodeCell(v sqlval.Value) string {
-	switch v.Kind() {
-	case sqlval.KindNull:
-		return "n:"
-	case sqlval.KindInt:
-		return "i:" + strconv.FormatInt(v.Int(), 10)
-	case sqlval.KindFloat:
-		return "f:" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
-	case sqlval.KindString:
-		return "s:" + v.Str()
-	case sqlval.KindBool:
-		if v.Bool() {
-			return "b:true"
-		}
-		return "b:false"
-	case sqlval.KindDate:
-		return "d:" + v.String()
-	default:
-		return "n:"
+	var buf [32]byte
+	return string(appendCell(buf[:0], v))
+}
+
+// appendCSVCell appends a value's kind-prefixed cell to dst as one CSV field.
+func appendCSVCell(dst []byte, v sqlval.Value) []byte {
+	start := len(dst)
+	dst = appendCell(dst, v)
+	if v.Kind() != sqlval.KindString {
+		return dst // numbers, dates, booleans and NULL hold nothing to quote
 	}
+	return quoteCSVField(dst, start)
+}
+
+// quoteCSVField makes dst[start:], a field just appended, a valid CSV field:
+// one holding a comma, a quote or a line break is wrapped in quotes with its
+// quotes doubled, as encoding/csv's Writer does; anything else is left as it
+// is. (Callers append kind-prefixed cells and column names, which are never
+// empty and never start with a space — the Writer's other two reasons to
+// quote.)
+func quoteCSVField(dst []byte, start int) []byte {
+	if bytes.IndexAny(dst[start:], ",\"\r\n") < 0 {
+		return dst
+	}
+	raw := append([]byte(nil), dst[start:]...)
+	dst = append(dst[:start], '"')
+	for _, c := range raw {
+		if c == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, c)
+	}
+	return append(dst, '"')
 }
 
 // decodeCell parses a kind-prefixed cell.

@@ -47,9 +47,11 @@ func normalize(p string) string {
 	return p
 }
 
-// Add stores a regular file, replacing any existing entry.
+// Add stores a regular file, replacing any existing entry. The archive
+// takes ownership of data without copying it: the caller must not modify it
+// afterwards.
 func (a *Archive) Add(path string, data []byte) {
-	a.files[normalize(path)] = &Entry{Data: append([]byte(nil), data...)}
+	a.files[normalize(path)] = &Entry{Data: data}
 	mFilesAdded.Inc()
 	mBytesAdded.Add(int64(len(data)))
 }
@@ -132,10 +134,21 @@ func (a *Archive) SizeUnder(dir string) int64 {
 
 const archiveMagic = "LDVPKG1\n"
 
-// Marshal serializes the archive deterministically.
+// Marshal serializes the archive deterministically, into a buffer sized
+// exactly once.
 func (a *Archive) Marshal() []byte {
-	buf := []byte(archiveMagic)
 	paths := a.Paths()
+	size := len(archiveMagic) + uvarintLen(uint64(len(paths)))
+	for _, p := range paths {
+		size += uvarintLen(uint64(len(p))) + len(p) + 1
+		if e := a.files[p]; e.Symlink != "" {
+			size += uvarintLen(uint64(len(e.Symlink))) + len(e.Symlink)
+		} else {
+			size += uvarintLen(uint64(len(e.Data))) + len(e.Data)
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, archiveMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(paths)))
 	for _, p := range paths {
 		e := a.files[p]
@@ -153,7 +166,20 @@ func (a *Archive) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal parses an archive produced by Marshal.
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// Unmarshal parses an archive produced by Marshal. The members alias data
+// instead of copying it: the caller must not modify data afterwards.
+// (ExtractTo hands each member to FileSystem.WriteFile, which keeps its own
+// copy.)
 func Unmarshal(data []byte) (*Archive, error) {
 	if len(data) < len(archiveMagic) || string(data[:len(archiveMagic)]) != archiveMagic {
 		return nil, fmt.Errorf("package: bad magic")
@@ -190,8 +216,9 @@ func Unmarshal(data []byte) (*Archive, error) {
 		if n <= 0 || uint64(len(b)-n) < size {
 			return nil, fmt.Errorf("package member %d: bad size", i)
 		}
-		a.Add(p, b[n:n+int(size)])
-		b = b[n+int(size):]
+		end := n + int(size)
+		a.Add(p, b[n:end:end])
+		b = b[end:]
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("package: %d trailing bytes", len(b))

@@ -174,3 +174,80 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The archive moves member bytes exactly once, in Marshal: Add keeps the
+// caller's slice, Unmarshal's members alias its input, and Marshal writes
+// into one buffer of exactly the final size.
+func TestNoMemberCopies(t *testing.T) {
+	big := bytes.Repeat([]byte{0xAB}, 1<<20)
+	a := New()
+	a.Add("/big", big)
+	a.Add("/small", []byte("s"))
+	a.AddSymlink("/link", "/big")
+	if got := a.Entry("/big").Data; &got[0] != &big[0] {
+		t.Error("Add copied the member instead of taking ownership")
+	}
+
+	out := a.Marshal()
+	if cap(out) != len(out) {
+		t.Errorf("Marshal buffer: len %d, cap %d; want it sized exactly", len(out), cap(out))
+	}
+	// Paths (slice + sort) and the output buffer; nothing per member, no regrowth.
+	if n := testing.AllocsPerRun(10, func() { a.Marshal() }); n > 4 {
+		t.Errorf("Marshal allocates %v times, want a constant <= 4", n)
+	}
+
+	b, err := Unmarshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.Entry("/big").Data
+	at := bytes.Index(out, big)
+	if at < 0 || &got[0] != &out[at] {
+		t.Error("Unmarshal copied the member instead of aliasing its input")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("aliased member has cap %d beyond its len %d: an append would overwrite the next member", cap(got), len(got))
+	}
+	// Three entries, three map slots, the archive: far fewer than one
+	// allocation per KB of payload.
+	if n := testing.AllocsPerRun(10, func() { Unmarshal(out) }); n > 16 {
+		t.Errorf("Unmarshal allocates %v times for 3 members", n)
+	}
+}
+
+// benchArchive has the shape of a server-included package: a few large
+// binaries, a couple of MB of CSV, and small metadata members.
+func benchArchive() *Archive {
+	a := New()
+	a.Add("/usr/lib/ldvdb/bin/ldvdb", make([]byte, 8<<20))
+	a.Add("/lib/libc.so.6", make([]byte, 2<<20))
+	a.Add("/usr/lib/libssl.so", make([]byte, 1<<20))
+	a.Add("/db/provenance/lineitem.csv", make([]byte, 2<<20))
+	a.Add("/db/provenance/orders.csv", make([]byte, 300<<10))
+	a.Add("/ldv/trace.bin.gz", make([]byte, 240<<10))
+	a.Add("/ldv/manifest.json", make([]byte, 2<<10))
+	a.AddSymlink("/usr/lib/libldvpq.so", "/usr/lib/libldvpq.so.5")
+	return a
+}
+
+func BenchmarkArchiveMarshal(b *testing.B) {
+	a := benchArchive()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(a.Marshal())))
+	}
+}
+
+func BenchmarkArchiveUnmarshal(b *testing.B) {
+	data := benchArchive().Marshal()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Unmarshal(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package prov
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -15,7 +14,8 @@ func (tr *Trace) ExportDOT() string {
 	sb.WriteString("digraph trace {\n")
 	sb.WriteString("  rankdir=LR;\n")
 	sb.WriteString("  node [fontsize=10];\n")
-	for _, n := range tr.Nodes() {
+	ids := tr.renderIDs()
+	for _, n := range tr.nodesByID(ids) {
 		shape := "box"
 		if n.IsEntity(tr.Model) {
 			shape = "ellipse"
@@ -29,20 +29,13 @@ func (tr *Trace) ExportDOT() string {
 		}
 		fmt.Fprintf(&sb, "  %s [shape=%s, label=%s];\n", dotID(n.ID), shape, dotString(label))
 	}
-	for _, e := range tr.EdgesByTime() {
+	for _, e := range tr.edgesByTime(ids) {
 		fmt.Fprintf(&sb, "  %s -> %s [label=%s];\n",
-			dotID(e.From.ID), dotID(e.To.ID), dotString(fmt.Sprintf("%s %s", e.Label, e.T)))
+			dotID(ids[e.From]), dotID(ids[e.To]), dotString(fmt.Sprintf("%s %s", tr.EdgeLabel(e), e.T)))
 	}
-	deps := tr.Deps()
-	sort.Slice(deps, func(i, j int) bool {
-		if deps[i].From != deps[j].From {
-			return deps[i].From < deps[j].From
-		}
-		return deps[i].To < deps[j].To
-	})
-	for _, d := range deps {
+	for _, d := range tr.depsByID(ids) {
 		fmt.Fprintf(&sb, "  %s -> %s [style=dashed, color=gray, label=\"dep\"];\n",
-			dotID(d.From), dotID(d.To))
+			dotID(ids[d.From]), dotID(ids[d.To]))
 	}
 	sb.WriteString("}\n")
 	return sb.String()

@@ -55,7 +55,7 @@ func TestEdgeOrderDeterminism(t *testing.T) {
 		{specs[2], specs[0], specs[4], specs[1], specs[3]},
 	}
 
-	var wantJSON []byte
+	var wantBytes []byte
 	var wantDOT string
 	for i, order := range orders {
 		tr := buildFromSpecs(t, order)
@@ -73,10 +73,10 @@ func TestEdgeOrderDeterminism(t *testing.T) {
 		}
 		dot := tr.ExportDOT()
 		if i == 0 {
-			wantJSON, wantDOT = data, dot
+			wantBytes, wantDOT = data, dot
 			continue
 		}
-		if !bytes.Equal(data, wantJSON) {
+		if !bytes.Equal(data, wantBytes) {
 			t.Errorf("order %d: Marshal differs from arrival order 0", i)
 		}
 		if dot != wantDOT {
@@ -85,8 +85,9 @@ func TestEdgeOrderDeterminism(t *testing.T) {
 	}
 
 	// The tie at tick 3 resolves by From.ID: P1's edge sorts before P2's.
-	edges := buildFromSpecs(t, orders[1]).EdgesByTime()
-	if edges[0].From.ID != "P1" || edges[1].From.ID != "P2" {
-		t.Errorf("tie-break wrong: got %s then %s", edges[0].From.ID, edges[1].From.ID)
+	tr := buildFromSpecs(t, orders[1])
+	edges := tr.EdgesByTime()
+	if tr.ID(edges[0].From) != "P1" || tr.ID(edges[1].From) != "P2" {
+		t.Errorf("tie-break wrong: got %s then %s", tr.ID(edges[0].From), tr.ID(edges[1].From))
 	}
 }

@@ -147,7 +147,7 @@ func TestTraceValidation(t *testing.T) {
 	if _, err := tr.AddNode("P", TypeFile, ""); err == nil {
 		t.Error("retyping a node must be rejected")
 	}
-	if n, err := tr.AddNode("P", TypeProcess, ""); err != nil || n != tr.Node("P") {
+	if n, err := tr.AddNode("P", TypeProcess, ""); err != nil || n != tr.Node("P").Ref {
 		t.Error("idempotent AddNode broken")
 	}
 	if _, err := tr.AddEdge("P", "F", EdgeReadFrom, Point(1)); err == nil {
@@ -193,7 +193,7 @@ func TestStateDefinition(t *testing.T) {
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	tr := buildFig2(t)
-	tr.Node("Query").Attrs["sql"] = "SELECT ..."
+	tr.SetAttr(tr.Node("Query").Ref, AttrSQL, "SELECT ...")
 	data, err := tr.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round trip size mismatch: %d/%d vs %d/%d",
 			tr2.NodeCount(), tr2.EdgeCount(), tr.NodeCount(), tr.EdgeCount())
 	}
-	if tr2.Node("Query").Attrs["sql"] != "SELECT ..." {
+	if tr2.Attr(tr2.Node("Query").Ref, AttrSQL) != "SELECT ..." {
 		t.Error("attrs lost")
 	}
 	if len(tr2.Deps()) != len(tr.Deps()) {
@@ -216,8 +216,8 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if _, err := Unmarshal(data, Blackbox()); err == nil {
 		t.Error("model mismatch must be rejected")
 	}
-	if _, err := Unmarshal([]byte("{bad"), CombinedDefault()); err == nil {
-		t.Error("bad JSON must be rejected")
+	if _, err := Unmarshal([]byte(`{"model":"PBB+PLin","nodes":[]}`), CombinedDefault()); err == nil || !strings.Contains(err.Error(), "JSON trace") {
+		t.Errorf("a JSON trace of the old format must be rejected as such, got %v", err)
 	}
 }
 
@@ -278,24 +278,24 @@ func TestEdgeTraceIDRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.TraceID != tid {
-		t.Fatalf("TraceID = %q", e.TraceID)
+	if got := tr.String(e.Trace); got != tid {
+		t.Fatalf("TraceID = %q", got)
 	}
 	data, err := tr.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"trace":"`+tid+`"`) {
-		t.Fatalf("serialized trace missing trace id: %s", data)
+	if strings.Count(string(data), tid) != 1 {
+		t.Fatalf("serialized trace must hold the trace id once: %q", data)
 	}
 	tr2, err := Unmarshal(data, CombinedDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr2.Edges()[0].TraceID; got != tid {
+	if got := tr2.String(tr2.Edges()[0].Trace); got != tid {
 		t.Fatalf("round-tripped TraceID = %q", got)
 	}
-	// Untraced edges stay untraced and omit the field on the wire.
+	// Untraced edges stay untraced.
 	tr.AddNode("Q2", TypeQuery, "")
 	if _, err := tr.AddEdge("P", "Q2", EdgeRun, Point(2)); err != nil {
 		t.Fatal(err)
@@ -304,7 +304,10 @@ func TestEdgeTraceIDRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(string(data), `"trace":`) != 1 {
-		t.Fatalf("untraced edge must omit trace field: %s", data)
+	if tr2, err = Unmarshal(data, CombinedDefault()); err != nil {
+		t.Fatal(err)
+	}
+	if e := tr2.EdgesByTime(); e[0].Trace == 0 || e[1].Trace != 0 {
+		t.Fatalf("trace ids after round trip: %v", e)
 	}
 }

@@ -1,92 +1,466 @@
 package prov
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
-// traceJSON is the native serialization of a trace, included verbatim in
-// LDV packages.
-type traceJSON struct {
-	Model string     `json:"model"`
-	Nodes []nodeJSON `json:"nodes"`
-	Edges []edgeJSON `json:"edges"`
-	Deps  []depJSON  `json:"deps,omitempty"`
+// The native serialization of a trace — the member every server-included
+// package carries — is one length-prefixed varint encoding (DESIGN.md
+// "Trace format"). All integers are uvarints, a string is its length then
+// its bytes, and every section starts with its element count:
+//
+//	magic    "LDVT", version byte
+//	model    string
+//	strings  the referenced strings, ascending; later sections name them
+//	         by 1-based position, 0 being ""
+//	nodes    groups ascending by (type name, key kind), each: type string,
+//	         kind, count, then the keys ascending by (string, A, B) with
+//	         only the fields their kind uses; a node's index is its
+//	         position in this table
+//	attrs    one list per Attr in declaration order: (node delta, string),
+//	         nodes strictly ascending
+//	labels   the model's edge labels, ascending
+//	edges    ascending by (begin, end, from, to, label, trace):
+//	         begin delta, end-begin, from, to, label, trace string
+//	deps     ascending by (from, to), each pair once: from delta, to
+//
+// Node indices, string indices and the two orders are canonical, so equal
+// traces marshal to equal bytes whatever order they were built in.
+const (
+	traceMagic   = "LDVT"
+	traceVersion = 1
+)
+
+// kindFields says which key fields each kind encodes.
+var kindFields = [numKinds]struct{ str, a, b bool }{
+	KindNamed:  {str: true},
+	KindProc:   {a: true},
+	KindFile:   {str: true},
+	KindStmt:   {a: true},
+	KindTuple:  {str: true, a: true, b: true},
+	KindResult: {a: true, b: true},
 }
 
-type nodeJSON struct {
-	ID    string            `json:"id"`
-	Type  string            `json:"type"`
-	Label string            `json:"label,omitempty"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+// compareKeys orders keys by (kind, string, A, B); the comparisons are
+// spelled out, not folded through cmp.Or, because the sorts over them are
+// most of what Marshal costs.
+func compareKeys(x, y Key) int {
+	switch {
+	case x.Kind != y.Kind:
+		return cmp.Compare(x.Kind, y.Kind)
+	case x.Str != y.Str:
+		return cmp.Compare(x.Str, y.Str)
+	case x.A != y.A:
+		return cmp.Compare(x.A, y.A)
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
-type edgeJSON struct {
-	From    string `json:"from"`
-	To      string `json:"to"`
-	Label   string `json:"label"`
-	Begin   uint64 `json:"begin"`
-	End     uint64 `json:"end"`
-	TraceID string `json:"trace,omitempty"`
-}
-
-type depJSON struct {
-	From string `json:"from"`
-	To   string `json:"to"`
+type sortNode struct {
+	typ uint8
+	key Key // Str already canonical
+	old Ref
 }
 
 // Marshal serializes the trace to its package representation.
 func (tr *Trace) Marshal() ([]byte, error) {
-	doc := traceJSON{Model: tr.Model.Name}
-	for _, n := range tr.Nodes() {
-		attrs := n.Attrs
-		if len(attrs) == 0 {
-			attrs = nil
+	// Canonical string indices: referenced strings only, ascending.
+	used := make([]bool, len(tr.strs))
+	for _, k := range tr.keys {
+		used[k.Str] = true
+	}
+	for _, table := range tr.attrs {
+		for _, s := range table {
+			used[s] = true
 		}
-		doc.Nodes = append(doc.Nodes, nodeJSON{ID: n.ID, Type: n.Type, Label: n.Label, Attrs: attrs})
 	}
-	for _, e := range tr.EdgesByTime() {
-		doc.Edges = append(doc.Edges, edgeJSON{
-			From: e.From.ID, To: e.To.ID, Label: e.Label,
-			Begin: e.T.Begin, End: e.T.End, TraceID: e.TraceID,
-		})
+	for _, e := range tr.edges {
+		used[e.Trace] = true
 	}
-	for _, d := range tr.Deps() {
-		doc.Deps = append(doc.Deps, depJSON{From: d.From, To: d.To})
+	var strOrder []StrID
+	for s := 1; s < len(used); s++ {
+		if used[s] {
+			strOrder = append(strOrder, StrID(s))
+		}
 	}
-	return json.Marshal(doc)
+	slices.SortFunc(strOrder, func(a, b StrID) int { return cmp.Compare(tr.strs[a], tr.strs[b]) })
+	strMap := make([]StrID, len(tr.strs))
+	for i, s := range strOrder {
+		strMap[s] = StrID(i + 1)
+	}
+
+	// Canonical node indices: by type (the type table is sorted), then key.
+	nodes := make([]sortNode, len(tr.keys))
+	for r, k := range tr.keys {
+		k.Str = strMap[k.Str]
+		nodes[r] = sortNode{typ: tr.typ[r], key: k, old: Ref(r)}
+	}
+	slices.SortFunc(nodes, func(x, y sortNode) int {
+		if x.typ != y.typ {
+			return cmp.Compare(x.typ, y.typ)
+		}
+		return compareKeys(x.key, y.key)
+	})
+	nodeMap := make([]Ref, len(nodes))
+	for i, n := range nodes {
+		nodeMap[n.old] = Ref(i)
+	}
+
+	edges := make([]Edge, len(tr.edges))
+	for i, e := range tr.edges {
+		e.From, e.To, e.Trace = nodeMap[e.From], nodeMap[e.To], strMap[e.Trace]
+		edges[i] = e
+	}
+	slices.SortFunc(edges, func(x, y Edge) int {
+		switch {
+		case x.T.Begin != y.T.Begin:
+			return cmp.Compare(x.T.Begin, y.T.Begin)
+		case x.T.End != y.T.End:
+			return cmp.Compare(x.T.End, y.T.End)
+		case x.From != y.From:
+			return cmp.Compare(x.From, y.From)
+		case x.To != y.To:
+			return cmp.Compare(x.To, y.To)
+		case x.Label != y.Label:
+			return cmp.Compare(x.Label, y.Label)
+		}
+		return cmp.Compare(x.Trace, y.Trace)
+	})
+
+	deps := packDeps(tr.deps, nodeMap)
+
+	buf := make([]byte, 0, 64+8*len(nodes)+12*len(edges)+6*len(deps))
+	buf = append(buf, traceMagic...)
+	buf = append(buf, traceVersion)
+	buf = appendString(buf, tr.Model.Name)
+	buf = binary.AppendUvarint(buf, uint64(len(strOrder)))
+	for _, s := range strOrder {
+		buf = appendString(buf, tr.strs[s])
+	}
+
+	groups := 0
+	for i, n := range nodes {
+		if i == 0 || n.typ != nodes[i-1].typ || n.key.Kind != nodes[i-1].key.Kind {
+			groups++
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(groups))
+	for i := 0; i < len(nodes); {
+		j := i
+		for j < len(nodes) && nodes[j].typ == nodes[i].typ && nodes[j].key.Kind == nodes[i].key.Kind {
+			j++
+		}
+		kind := nodes[i].key.Kind
+		buf = appendString(buf, tr.types[nodes[i].typ])
+		buf = binary.AppendUvarint(buf, uint64(kind))
+		buf = binary.AppendUvarint(buf, uint64(j-i))
+		f := kindFields[kind]
+		for _, n := range nodes[i:j] {
+			if f.str {
+				buf = binary.AppendUvarint(buf, uint64(n.key.Str))
+			}
+			if f.a {
+				buf = binary.AppendUvarint(buf, n.key.A)
+			}
+			if f.b {
+				buf = binary.AppendUvarint(buf, n.key.B)
+			}
+		}
+		i = j
+	}
+
+	for _, table := range tr.attrs {
+		type entry struct {
+			node Ref
+			str  StrID
+		}
+		entries := make([]entry, 0, len(table))
+		for r, s := range table {
+			entries = append(entries, entry{node: nodeMap[r], str: strMap[s]})
+		}
+		slices.SortFunc(entries, func(x, y entry) int { return cmp.Compare(x.node, y.node) })
+		buf = binary.AppendUvarint(buf, uint64(len(entries)))
+		prev := Ref(0)
+		for _, e := range entries {
+			buf = binary.AppendUvarint(buf, uint64(e.node-prev))
+			buf = binary.AppendUvarint(buf, uint64(e.str))
+			prev = e.node
+		}
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(tr.labels)))
+	for _, l := range tr.labels {
+		buf = appendString(buf, l)
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	prevBegin := uint64(0)
+	for _, e := range edges {
+		buf = binary.AppendUvarint(buf, e.T.Begin-prevBegin)
+		buf = binary.AppendUvarint(buf, e.T.End-e.T.Begin)
+		buf = binary.AppendUvarint(buf, uint64(e.From))
+		buf = binary.AppendUvarint(buf, uint64(e.To))
+		buf = binary.AppendUvarint(buf, uint64(e.Label))
+		buf = binary.AppendUvarint(buf, uint64(e.Trace))
+		prevBegin = e.T.Begin
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(deps)))
+	prevFrom := uint64(0)
+	for _, d := range deps {
+		buf = binary.AppendUvarint(buf, d>>32-prevFrom)
+		buf = binary.AppendUvarint(buf, d&math.MaxUint32)
+		prevFrom = d >> 32
+	}
+	return buf, nil
 }
 
-// Unmarshal reconstructs a trace serialized with Marshal. The model must
-// match the serialized model name.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// traceReader consumes the encoding front to back. The first failure
+// sticks: every later read returns zero values, so the decoder checks err
+// once per section instead of after every field.
+type traceReader struct {
+	b   []byte
+	err error
+}
+
+func (r *traceReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *traceReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong integer")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// index reads an integer that must be below limit.
+func (r *traceReader) index(limit int, what string) uint32 {
+	v := r.uvarint()
+	if r.err == nil && v >= uint64(limit) {
+		r.fail("%s %d out of range (have %d)", what, v, limit)
+		return 0
+	}
+	return uint32(v)
+}
+
+// count reads an element count and checks it against the bytes remaining,
+// each element taking at least minBytes, so nothing is sized by a count the
+// input cannot back.
+func (r *traceReader) count(minBytes int, what string) int {
+	v := r.uvarint()
+	if r.err == nil && v > uint64(len(r.b)/minBytes) {
+		r.fail("%s count %d exceeds the %d bytes remaining", what, v, len(r.b))
+		return 0
+	}
+	return int(v)
+}
+
+func (r *traceReader) str() string {
+	n := r.count(1, "string length")
+	if r.err != nil {
+		return ""
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// Unmarshal reconstructs a trace serialized with Marshal, treating data as
+// outside input: every count is checked against the bytes remaining before
+// anything is sized by it, every node, string and label index against the
+// table it points into, node types, edge types, intervals and dependency
+// endpoints against the model exactly as Intern, Link and LinkDep check
+// them, table orders and uniqueness as Marshal writes them, and trailing
+// bytes are rejected. The model must match the serialized model name.
 func Unmarshal(data []byte, m *Model) (*Trace, error) {
-	var doc traceJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
+	tr, err := unmarshal(data, m)
+	if err != nil {
 		return nil, fmt.Errorf("trace unmarshal: %w", err)
 	}
-	if doc.Model != m.Name {
-		return nil, fmt.Errorf("trace unmarshal: model %q does not match %q", doc.Model, m.Name)
+	return tr, nil
+}
+
+func unmarshal(data []byte, m *Model) (*Trace, error) {
+	if len(data) < len(traceMagic)+1 || string(data[:len(traceMagic)]) != traceMagic {
+		return nil, errors.New("bad magic: not a binary LDV trace (the JSON trace member of packages built before this format is not supported)")
+	}
+	if v := data[len(traceMagic)]; v != traceVersion {
+		return nil, fmt.Errorf("format version %d, this build reads version %d", v, traceVersion)
+	}
+	r := &traceReader{b: data[len(traceMagic)+1:]}
+	if name := r.str(); r.err == nil && name != m.Name {
+		return nil, fmt.Errorf("model %q does not match %q", name, m.Name)
 	}
 	tr := NewTrace(m)
-	for _, n := range doc.Nodes {
-		node, err := tr.AddNode(n.ID, n.Type, n.Label)
-		if err != nil {
-			return nil, err
+
+	nstr := r.count(2, "string")
+	for i := 0; i < nstr && r.err == nil; i++ {
+		s := r.str()
+		if r.err == nil && s <= tr.strs[len(tr.strs)-1] {
+			r.fail("string table not strictly ascending at %d", i)
 		}
-		for k, v := range n.Attrs {
-			node.Attrs[k] = v
+		tr.strIdx[s] = StrID(len(tr.strs))
+		tr.strs = append(tr.strs, s)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+
+	ngroups := r.count(3, "node group")
+	prevType, prevKind := -1, Kind(0)
+	for g := 0; g < ngroups && r.err == nil; g++ {
+		typ := r.str()
+		kind := Kind(r.index(int(numKinds), "key kind"))
+		f := kindFields[kind]
+		width := 0
+		for _, on := range []bool{f.str, f.a, f.b} {
+			if on {
+				width++
+			}
+		}
+		n := r.count(width, "node")
+		if r.err != nil {
+			break
+		}
+		ti := indexOf(tr.types, typ)
+		if ti < 0 {
+			return nil, fmt.Errorf("node type %q is not part of model %s", typ, m.Name)
+		}
+		if ti < prevType || (ti == prevType && kind <= prevKind) {
+			return nil, fmt.Errorf("node group %d (%s, kind %d) out of order", g, typ, kind)
+		}
+		prevType, prevKind = ti, kind
+		var prev Key
+		for i := 0; i < n && r.err == nil; i++ {
+			k := Key{Kind: kind}
+			if f.str {
+				k.Str = StrID(r.index(len(tr.strs), "string index"))
+			}
+			if f.a {
+				k.A = r.uvarint()
+			}
+			if f.b {
+				k.B = r.uvarint()
+			}
+			if i > 0 && compareKeys(prev, k) >= 0 {
+				r.fail("%s nodes not strictly ascending at %d", typ, i)
+			}
+			if kind == KindNamed {
+				if pk, _, _, _ := ParseID(tr.strs[k.Str]); pk != KindNamed {
+					r.fail("free-form node id %q is spelled like a typed one", tr.strs[k.Str])
+				}
+			}
+			prev = k
+			tr.index[k] = Ref(len(tr.keys))
+			tr.keys = append(tr.keys, k)
+			tr.typ = append(tr.typ, uint8(ti))
+		}
+		if r.err == nil && len(tr.index) != len(tr.keys) {
+			r.fail("a %s node repeats the key of an earlier node", typ)
 		}
 	}
-	for _, e := range doc.Edges {
-		if _, err := tr.AddEdgeTraced(e.From, e.To, e.Label, Interval{Begin: e.Begin, End: e.End}, e.TraceID); err != nil {
+	if r.err != nil {
+		return nil, r.err
+	}
+
+	for a := range tr.attrs {
+		n := r.count(2, "attribute")
+		next := 0
+		for i := 0; i < n && r.err == nil; i++ {
+			delta := r.uvarint()
+			if i > 0 && delta == 0 {
+				r.fail("attribute nodes not strictly ascending at %d", i)
+			}
+			if delta >= uint64(len(tr.keys)-next) {
+				r.fail("attribute node index out of range (have %d)", len(tr.keys))
+				break
+			}
+			next += int(delta)
+			s := StrID(r.index(len(tr.strs), "string index"))
+			if r.err == nil && s == 0 {
+				r.fail("empty attribute value")
+			}
+			if tr.attrs[a] == nil {
+				tr.attrs[a] = map[Ref]StrID{}
+			}
+			tr.attrs[a][Ref(next)] = s
+		}
+	}
+
+	nlabels := r.count(1, "edge label")
+	labelMap := make([]int, 0, nlabels)
+	for i := 0; i < nlabels && r.err == nil; i++ {
+		l := r.str()
+		li := indexOf(tr.labels, l)
+		if r.err == nil && li < 0 {
+			return nil, fmt.Errorf("edge label %q is not part of model %s", l, m.Name)
+		}
+		labelMap = append(labelMap, li)
+	}
+
+	nedges := r.count(6, "edge")
+	begin := uint64(0)
+	for i := 0; i < nedges && r.err == nil; i++ {
+		delta, length := r.uvarint(), r.uvarint()
+		from := Ref(r.index(len(tr.keys), "edge source"))
+		to := Ref(r.index(len(tr.keys), "edge target"))
+		label := r.index(len(labelMap), "edge label")
+		trace := StrID(r.index(len(tr.strs), "string index"))
+		if r.err != nil {
+			break
+		}
+		if delta > math.MaxUint64-begin || length > math.MaxUint64-begin-delta {
+			r.fail("edge %d: interval overflows", i)
+			break
+		}
+		begin += delta
+		if _, err := tr.link(from, to, labelMap[label], Interval{Begin: begin, End: begin + length}, trace); err != nil {
 			return nil, err
 		}
 	}
-	for _, d := range doc.Deps {
-		if err := tr.AddDep(d.From, d.To); err != nil {
+
+	ndeps := r.count(2, "dependency")
+	from := uint64(0)
+	for i := 0; i < ndeps && r.err == nil; i++ {
+		delta := r.uvarint()
+		to := r.index(len(tr.keys), "dependency target")
+		if r.err != nil {
+			break
+		}
+		if delta >= uint64(len(tr.keys))-from {
+			r.fail("dependency source out of range (have %d)", len(tr.keys))
+			break
+		}
+		from += delta
+		if err := tr.LinkDep(Ref(from), Ref(to)); err != nil {
 			return nil, err
 		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
 	return tr, nil
 }
@@ -108,10 +482,11 @@ func (tr *Trace) ExportPROV() ([]byte, error) {
 		Begin    uint64 `json:"ldv:begin"`
 		End      uint64 `json:"ldv:end"`
 	}
+	ids := tr.renderIDs()
 	doc := map[string]any{}
 	entities := map[string]any{}
 	activities := map[string]any{}
-	for _, n := range tr.Nodes() {
+	for _, n := range tr.nodesByID(ids) {
 		meta := map[string]string{"ldv:type": n.Type}
 		if n.Label != "" {
 			meta["prov:label"] = n.Label
@@ -125,26 +500,25 @@ func (tr *Trace) ExportPROV() ([]byte, error) {
 	used := map[string]rel{}
 	generated := map[string]rel{}
 	started := map[string]rel{}
-	for i, e := range tr.EdgesByTime() {
+	for i, e := range tr.edgesByTime(ids) {
 		key := fmt.Sprintf("_:r%d", i)
-		switch e.Label {
+		from, to := ids[e.From], ids[e.To]
+		switch label := tr.EdgeLabel(e); label {
 		case EdgeReadFrom, EdgeHasRead:
-			used[key] = rel{Activity: e.To.ID, Entity: e.From.ID, Begin: e.T.Begin, End: e.T.End}
+			used[key] = rel{Activity: to, Entity: from, Begin: e.T.Begin, End: e.T.End}
 		case EdgeHasWritten, EdgeHasReturned:
-			generated[key] = rel{Activity: e.From.ID, Entity: e.To.ID, Begin: e.T.Begin, End: e.T.End}
+			generated[key] = rel{Activity: from, Entity: to, Begin: e.T.Begin, End: e.T.End}
 		case EdgeExecuted, EdgeRun:
-			started[key] = rel{Starter: e.From.ID, Started: e.To.ID, Begin: e.T.Begin, End: e.T.End}
+			started[key] = rel{Starter: from, Started: to, Begin: e.T.Begin, End: e.T.End}
 		default:
-			return nil, fmt.Errorf("export PROV: unmapped edge label %q", e.Label)
+			return nil, fmt.Errorf("export PROV: unmapped edge label %q", label)
 		}
 	}
 	derived := map[string]any{}
-	deps := tr.Deps()
-	sort.Slice(deps, func(i, j int) bool { return deps[i].From < deps[j].From })
-	for i, d := range deps {
+	for i, d := range tr.depsByID(ids) {
 		derived[fmt.Sprintf("_:d%d", i)] = map[string]string{
-			"prov:generatedEntity": d.To,
-			"prov:usedEntity":      d.From,
+			"prov:generatedEntity": ids[d.To],
+			"prov:usedEntity":      ids[d.From],
 		}
 	}
 	doc["prefix"] = map[string]string{"ldv": "https://example.org/ldv#"}

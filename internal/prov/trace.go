@@ -2,7 +2,10 @@ package prov
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Interval is a closed logical-time interval annotating an edge
@@ -20,26 +23,30 @@ func (iv Interval) String() string { return fmt.Sprintf("[%d, %d]", iv.Begin, iv
 // Valid reports whether Begin <= End.
 func (iv Interval) Valid() bool { return iv.Begin <= iv.End }
 
-// Node is one activity or entity instance in an execution trace.
+// Node is the boundary view of one activity or entity instance: its
+// rendered id, type and description. Views are built on demand by Node,
+// Nodes and State; the trace itself holds no Node values.
 type Node struct {
+	Ref   Ref
 	ID    string
 	Type  string
-	Label string            // human-readable description
-	Attrs map[string]string // optional metadata (e.g. SQL text, file path)
+	Label string // human-readable description
 }
 
 // IsEntity reports whether the node is an entity under model m.
 func (n *Node) IsEntity(m *Model) bool { return m.IsEntity(n.Type) }
 
-// Edge is one typed, time-annotated interaction. TraceID, when set, names
-// the obs request trace (hex form) whose execution recorded the edge —
-// linking the provenance graph back to the flight recorder so a package
-// answers "which request wrote this tuple version".
+// Edge is one typed, time-annotated interaction between two nodes of a
+// trace. Label indexes the trace's edge-label table (Trace.EdgeLabel).
+// Trace, when non-zero, names in the string table the obs request trace (hex
+// form) whose execution recorded the edge — linking the provenance graph
+// back to the flight recorder so a package answers "which request wrote
+// this tuple version".
 type Edge struct {
-	From, To *Node
-	Label    string
+	From, To Ref
 	T        Interval
-	TraceID  string
+	Trace    StrID
+	Label    uint8
 }
 
 // Dep records a direct same-model data dependency between two entities:
@@ -47,190 +54,315 @@ type Edge struct {
 // derived from Lineage (Definition 7); recording them explicitly preserves
 // the per-result association that plain hasRead/hasReturned edges lose.
 type Dep struct {
-	From, To string // node IDs
+	From, To Ref
 }
+
+// Attr names one of the per-node side tables.
+type Attr uint8
+
+const (
+	AttrLabel  Attr = iota // explicit description, overriding the one derived from the key
+	AttrBinary             // process: path of the binary it was spawned from
+	AttrSQL                // statement: SQL text
+	AttrTrace              // statement: hex obs request-trace id
+	numAttrs
+)
 
 // Trace is an execution trace for a provenance model (Definition 2): a
 // typed graph with interval-annotated edges, plus recorded direct data
-// dependencies.
+// dependencies. Nodes are dense integers interned from typed keys; edges and
+// dependencies are flat slices of integer structs; every string (paths,
+// table names, SQL, request-trace ids, free-form ids) is stored once in one
+// string table. String node ids exist only at the boundary — the methods
+// taking or returning ids parse and render them. A Trace is not safe for
+// concurrent mutation.
 type Trace struct {
 	Model *Model
 
-	nodes map[string]*Node
-	edges []*Edge
-	out   map[string][]*Edge
-	in    map[string][]*Edge
-	deps  map[Dep]bool
+	// Fixed at NewTrace from the model: the admissible node types and edge
+	// labels, each sorted, and the admissible (label, from, to) triples.
+	types  []string
+	entity []bool // parallel to types
+	labels []string
+	valid  []bool // [(label*len(types)+from)*len(types)+to]
+
+	strs   []string
+	strIdx map[string]StrID
+
+	keys  []Key   // by Ref
+	typ   []uint8 // by Ref, index into types
+	index map[Key]Ref
+	attrs [numAttrs]map[Ref]StrID
+
+	edges []Edge
+	deps  []Dep // as recorded; may repeat a pair
 }
 
 // NewTrace returns an empty trace for model m.
 func NewTrace(m *Model) *Trace {
-	return &Trace{
-		Model: m,
-		nodes: map[string]*Node{},
-		out:   map[string][]*Edge{},
-		in:    map[string][]*Edge{},
-		deps:  map[Dep]bool{},
+	tr := &Trace{
+		Model:  m,
+		strs:   []string{""},
+		strIdx: map[string]StrID{"": 0},
+		index:  map[Key]Ref{},
 	}
-}
-
-// AddNode creates (or returns the existing) node with the given id and
-// type. Adding the same id with a different type is an error.
-func (tr *Trace) AddNode(id, typ, label string) (*Node, error) {
-	if !tr.Model.ValidNode(typ) {
-		return nil, fmt.Errorf("trace: node type %q is not part of model %s", typ, tr.Model.Name)
+	for t := range m.Activities {
+		tr.types = append(tr.types, t)
 	}
-	if n, ok := tr.nodes[id]; ok {
-		if n.Type != typ {
-			return nil, fmt.Errorf("trace: node %q exists with type %q, not %q", id, n.Type, typ)
+	for t := range m.Entities {
+		tr.types = append(tr.types, t)
+	}
+	sort.Strings(tr.types)
+	if len(tr.types) > math.MaxUint8 || len(m.EdgeTypes) > math.MaxUint8 {
+		panic("prov: model " + m.Name + " has more node types or edge types than a trace can index")
+	}
+	tr.entity = make([]bool, len(tr.types))
+	for i, t := range tr.types {
+		tr.entity[i] = m.IsEntity(t)
+	}
+	seen := map[string]bool{}
+	for _, et := range m.EdgeTypes {
+		if !seen[et.Label] {
+			seen[et.Label] = true
+			tr.labels = append(tr.labels, et.Label)
 		}
-		return n, nil
 	}
-	n := &Node{ID: id, Type: typ, Label: label, Attrs: map[string]string{}}
-	tr.nodes[id] = n
-	return n, nil
+	sort.Strings(tr.labels)
+	nt := len(tr.types)
+	tr.valid = make([]bool, len(tr.labels)*nt*nt)
+	for _, et := range m.EdgeTypes {
+		from, to := indexOf(tr.types, et.From), indexOf(tr.types, et.To)
+		if from >= 0 && to >= 0 {
+			tr.valid[(indexOf(tr.labels, et.Label)*nt+from)*nt+to] = true
+		}
+	}
+	return tr
 }
 
-// Node returns the node with the given id, or nil.
-func (tr *Trace) Node(id string) *Node { return tr.nodes[id] }
-
-// Nodes returns all nodes sorted by id.
-func (tr *Trace) Nodes() []*Node {
-	out := make([]*Node, 0, len(tr.nodes))
-	for _, n := range tr.nodes {
-		out = append(out, n)
+// indexOf is a linear search: the tables it serves hold a handful of names.
+func indexOf(names []string, s string) int {
+	for i, n := range names {
+		if n == s {
+			return i
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return -1
 }
 
-// AddEdge connects two existing nodes with a typed, time-annotated edge,
-// validating the edge type against the model.
-func (tr *Trace) AddEdge(fromID, toID, label string, t Interval) (*Edge, error) {
-	from, ok := tr.nodes[fromID]
-	if !ok {
-		return nil, fmt.Errorf("trace: edge source %q does not exist", fromID)
+// InternString returns the string-table index of s, adding it if new.
+func (tr *Trace) InternString(s string) StrID {
+	if id, ok := tr.strIdx[s]; ok {
+		return id
 	}
-	to, ok := tr.nodes[toID]
-	if !ok {
-		return nil, fmt.Errorf("trace: edge target %q does not exist", toID)
+	id := StrID(len(tr.strs))
+	tr.strs = append(tr.strs, s)
+	tr.strIdx[s] = id
+	return id
+}
+
+// String returns the string-table entry id ("" for 0).
+func (tr *Trace) String(id StrID) string { return tr.strs[id] }
+
+// Intern creates (or returns the existing) node with key k and type typ.
+// Adding the same key with a different type is an error.
+func (tr *Trace) Intern(k Key, typ string) (Ref, error) {
+	ti := indexOf(tr.types, typ)
+	if ti < 0 {
+		return 0, fmt.Errorf("trace: node type %q is not part of model %s", typ, tr.Model.Name)
+	}
+	if r, ok := tr.index[k]; ok {
+		if int(tr.typ[r]) != ti {
+			return 0, fmt.Errorf("trace: node %q exists with type %q, not %q", tr.ID(r), tr.types[tr.typ[r]], typ)
+		}
+		return r, nil
+	}
+	r := Ref(len(tr.keys))
+	tr.keys = append(tr.keys, k)
+	tr.typ = append(tr.typ, uint8(ti))
+	tr.index[k] = r
+	return r, nil
+}
+
+// Lookup returns the node with key k.
+func (tr *Trace) Lookup(k Key) (Ref, bool) {
+	r, ok := tr.index[k]
+	return r, ok
+}
+
+// Type returns node r's type label.
+func (tr *Trace) Type(r Ref) string { return tr.types[tr.typ[r]] }
+
+// IsEntity reports whether node r is an entity (not an activity).
+func (tr *Trace) IsEntity(r Ref) bool { return tr.entity[tr.typ[r]] }
+
+// SetAttr stores v in node r's side table a; "" clears the entry.
+func (tr *Trace) SetAttr(r Ref, a Attr, v string) {
+	if v == "" {
+		delete(tr.attrs[a], r)
+		return
+	}
+	if tr.attrs[a] == nil {
+		tr.attrs[a] = map[Ref]StrID{}
+	}
+	tr.attrs[a][r] = tr.InternString(v)
+}
+
+// Attr returns node r's entry in side table a, "" if it has none.
+func (tr *Trace) Attr(r Ref, a Attr) string { return tr.strs[tr.attrs[a][r]] }
+
+// Label describes node r for people: its AttrLabel if one was set, else a
+// description derived from the key — "process <pid>", the file path, the
+// statement's SQL text, table/row@version, or a result tuple's id.
+func (tr *Trace) Label(r Ref) string { return tr.label(r, "") }
+
+// label is Label for a caller that may already hold r's rendered id ("" if
+// not), which two of the derived descriptions are cut from.
+func (tr *Trace) label(r Ref, id string) string {
+	if s, ok := tr.attrs[AttrLabel][r]; ok {
+		return tr.strs[s]
+	}
+	k := tr.keys[r]
+	switch k.Kind {
+	case KindProc:
+		return "process " + strconv.FormatUint(k.A, 10)
+	case KindFile:
+		return tr.strs[k.Str]
+	case KindStmt:
+		return tr.Attr(r, AttrSQL)
+	case KindTuple, KindResult:
+		if id == "" {
+			id = tr.ID(r)
+		}
+		if k.Kind == KindTuple {
+			return id[len(tuplePrefix):]
+		}
+		return id
+	}
+	return ""
+}
+
+// Link connects two nodes with a typed, time-annotated edge, validating
+// the edge type against the model. trace is the string-table index of the
+// recording request's trace id, 0 for none.
+func (tr *Trace) Link(from, to Ref, label string, t Interval, trace StrID) (Edge, error) {
+	li := indexOf(tr.labels, label)
+	if li < 0 {
+		return Edge{}, fmt.Errorf("trace: edge label %q is not part of model %s", label, tr.Model.Name)
+	}
+	return tr.link(from, to, li, t, trace)
+}
+
+// link is Link with the label already resolved to its table index.
+func (tr *Trace) link(from, to Ref, label int, t Interval, trace StrID) (Edge, error) {
+	if int(from) >= len(tr.keys) || int(to) >= len(tr.keys) {
+		return Edge{}, fmt.Errorf("trace: edge %d->%d names a node outside the trace's %d", from, to, len(tr.keys))
+	}
+	if int(trace) >= len(tr.strs) {
+		return Edge{}, fmt.Errorf("trace: edge %s->%s names string %d outside the table's %d", tr.ID(from), tr.ID(to), trace, len(tr.strs))
 	}
 	if !t.Valid() {
-		return nil, fmt.Errorf("trace: invalid interval %v on edge %s->%s", t, fromID, toID)
+		return Edge{}, fmt.Errorf("trace: invalid interval %v on edge %s->%s", t, tr.ID(from), tr.ID(to))
 	}
-	if !tr.Model.ValidEdge(label, from.Type, to.Type) {
-		return nil, fmt.Errorf("trace: edge %s(%s, %s) violates model %s",
-			label, from.Type, to.Type, tr.Model.Name)
+	nt := len(tr.types)
+	if !tr.valid[(label*nt+int(tr.typ[from]))*nt+int(tr.typ[to])] {
+		return Edge{}, fmt.Errorf("trace: edge %s(%s, %s) violates model %s",
+			tr.labels[label], tr.Type(from), tr.Type(to), tr.Model.Name)
 	}
-	e := &Edge{From: from, To: to, Label: label, T: t}
+	e := Edge{From: from, To: to, T: t, Trace: trace, Label: uint8(label)}
 	tr.edges = append(tr.edges, e)
-	tr.out[fromID] = append(tr.out[fromID], e)
-	tr.in[toID] = append(tr.in[toID], e)
 	return e, nil
 }
 
-// AddEdgeTraced is AddEdge with a request-trace annotation: traceID (the
-// hex obs.TraceID, "" for none) is stamped on the edge.
-func (tr *Trace) AddEdgeTraced(fromID, toID, label string, t Interval, traceID string) (*Edge, error) {
-	e, err := tr.AddEdge(fromID, toID, label, t)
-	if err != nil {
-		return nil, err
+// LinkDep records that entity to directly depends on entity from within
+// one provenance model.
+func (tr *Trace) LinkDep(from, to Ref) error {
+	if int(from) >= len(tr.keys) || int(to) >= len(tr.keys) {
+		return fmt.Errorf("trace: dependency %d -> %d names a node outside the trace's %d", from, to, len(tr.keys))
 	}
-	e.TraceID = traceID
-	return e, nil
-}
-
-// Edges returns all edges in insertion order.
-func (tr *Trace) Edges() []*Edge { return tr.edges }
-
-// EdgesByTime returns the edges ordered by the shared logical clock
-// (interval begin, then end), with node ids and label as tie-breakers.
-// Insertion order is arrival order, which is nondeterministic when several
-// sessions record into one trace concurrently; serialized and rendered
-// traces order by time instead so equal executions produce equal artifacts.
-func (tr *Trace) EdgesByTime() []*Edge {
-	out := append([]*Edge(nil), tr.edges...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.T.Begin != b.T.Begin {
-			return a.T.Begin < b.T.Begin
-		}
-		if a.T.End != b.T.End {
-			return a.T.End < b.T.End
-		}
-		if a.From.ID != b.From.ID {
-			return a.From.ID < b.From.ID
-		}
-		if a.To.ID != b.To.ID {
-			return a.To.ID < b.To.ID
-		}
-		return a.Label < b.Label
-	})
-	return out
-}
-
-// Out returns the edges leaving node id.
-func (tr *Trace) Out(id string) []*Edge { return tr.out[id] }
-
-// In returns the edges entering node id.
-func (tr *Trace) In(id string) []*Edge { return tr.in[id] }
-
-// AddDep records that entity toID directly depends on entity fromID within
-// one provenance model. Both nodes must exist and be entities.
-func (tr *Trace) AddDep(fromID, toID string) error {
-	from, ok := tr.nodes[fromID]
-	if !ok {
-		return fmt.Errorf("trace: dep source %q does not exist", fromID)
+	if !tr.IsEntity(from) || !tr.IsEntity(to) {
+		return fmt.Errorf("trace: dependency %s -> %s must connect entities", tr.ID(from), tr.ID(to))
 	}
-	to, ok := tr.nodes[toID]
-	if !ok {
-		return fmt.Errorf("trace: dep target %q does not exist", toID)
-	}
-	if !from.IsEntity(tr.Model) || !to.IsEntity(tr.Model) {
-		return fmt.Errorf("trace: dependency %s -> %s must connect entities", fromID, toID)
-	}
-	tr.deps[Dep{From: fromID, To: toID}] = true
+	tr.deps = append(tr.deps, Dep{From: from, To: to})
 	return nil
 }
 
-// HasDep reports whether entity toID was recorded as directly depending on
-// entity fromID.
-func (tr *Trace) HasDep(fromID, toID string) bool {
-	return tr.deps[Dep{From: fromID, To: toID}]
-}
+// Edges returns all edges in insertion order. The slice is the trace's own;
+// callers must not modify it.
+func (tr *Trace) Edges() []Edge { return tr.edges }
 
-// Deps returns all recorded direct dependencies, sorted.
+// EdgeLabel returns e's label (readFrom, hasRead, ...).
+func (tr *Trace) EdgeLabel(e Edge) string { return tr.labels[e.Label] }
+
+// Deps returns the recorded direct dependencies as a set: sorted by
+// (From, To), each pair once.
 func (tr *Trace) Deps() []Dep {
-	out := make([]Dep, 0, len(tr.deps))
-	for d := range tr.deps {
-		out = append(out, d)
+	packed := packDeps(tr.deps, nil)
+	out := make([]Dep, len(packed))
+	for i, p := range packed {
+		out[i] = Dep{From: Ref(p >> 32), To: Ref(uint32(p))}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 
-// NodeCount and EdgeCount report trace size.
-func (tr *Trace) NodeCount() int { return len(tr.nodes) }
+// packDeps returns deps as a sorted set of from<<32|to words, the node
+// indices first mapped through remap when it is non-nil. One word per pair
+// lets the sort run on plain integers.
+func packDeps(deps []Dep, remap []Ref) []uint64 {
+	out := make([]uint64, len(deps))
+	for i, d := range deps {
+		if remap != nil {
+			d = Dep{From: remap[d.From], To: remap[d.To]}
+		}
+		out[i] = uint64(d.From)<<32 | uint64(d.To)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// NodeCount reports the number of nodes.
+func (tr *Trace) NodeCount() int { return len(tr.keys) }
 
 // EdgeCount reports the number of edges.
 func (tr *Trace) EdgeCount() int { return len(tr.edges) }
 
-// State implements Definition 10: the state of node v at time T is the set
-// of nodes v' with an edge (v', v) whose interaction began at or before T.
-func (tr *Trace) State(id string, t uint64) []*Node {
-	var out []*Node
-	seen := map[string]bool{}
-	for _, e := range tr.in[id] {
-		if e.T.Begin <= t && !seen[e.From.ID] {
-			seen[e.From.ID] = true
-			out = append(out, e.From)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// Adjacency is a per-node index over the edges a trace held when
+// Trace.Adjacency built it. It is immutable; edges added later are not in it.
+type Adjacency struct {
+	outStart, out []uint32
+	inStart, in   []uint32
 }
+
+// Adjacency builds the per-node out- and in-edge lists from the flat edge
+// slice, in one counting pass each.
+func (tr *Trace) Adjacency() *Adjacency {
+	n := len(tr.keys)
+	a := &Adjacency{
+		outStart: make([]uint32, n+1), out: make([]uint32, len(tr.edges)),
+		inStart: make([]uint32, n+1), in: make([]uint32, len(tr.edges)),
+	}
+	for _, e := range tr.edges {
+		a.outStart[e.From+1]++
+		a.inStart[e.To+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.outStart[i+1] += a.outStart[i]
+		a.inStart[i+1] += a.inStart[i]
+	}
+	outNext := append([]uint32(nil), a.outStart[:n]...)
+	inNext := append([]uint32(nil), a.inStart[:n]...)
+	for i, e := range tr.edges {
+		a.out[outNext[e.From]] = uint32(i)
+		outNext[e.From]++
+		a.in[inNext[e.To]] = uint32(i)
+		inNext[e.To]++
+	}
+	return a
+}
+
+// Out returns the indices into Trace.Edges of the edges leaving r, in
+// insertion order.
+func (a *Adjacency) Out(r Ref) []uint32 { return a.out[a.outStart[r]:a.outStart[r+1]] }
+
+// In returns the indices into Trace.Edges of the edges entering r, in
+// insertion order.
+func (a *Adjacency) In(r Ref) []uint32 { return a.in[a.inStart[r]:a.inStart[r+1]] }
