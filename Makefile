@@ -56,9 +56,11 @@ bench-smoke:
 # a fresh ten-run set (seeds 42..51, ~20 min) compared against the newest
 # committed BENCH_<pr>.json. Exits non-zero on a breach of any end-to-end
 # bound or a higher share of failed operations. A PR that means to move a
-# number commits its own set as the next BENCH_<pr>.json. BENCH_17.json was
-# recorded on a box a third slower on memory-bound work than BENCH_16.json's:
-# for sql_olap and wire_oltp see ROADMAP item 1a before trusting this gate.
+# number commits its own set as the next BENCH_<pr>.json (and its parent's
+# alternating rerun as BENCH_<parent>_rerun.json, which sorts below it).
+# BENCH_17.json and BENCH_19.json were recorded on a box a third slower on
+# memory-bound work than BENCH_16.json's: for sql_olap and wire_oltp see
+# ROADMAP item 1a before trusting this gate.
 bench-gate:
 	mkdir -p .bench_build
 	$(GO) run ./benchmark -runs 10 -trace 0 -o .bench_build/fresh.json > .bench_build/fresh.log
@@ -86,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/sqlval -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 30s
 	$(GO) test ./internal/engine -fuzz FuzzWALScan -fuzztime 30s
+	$(GO) test ./internal/engine -fuzz FuzzDecodeTable -fuzztime 30s
 	$(GO) test ./internal/ops -fuzz FuzzTracesHandler -fuzztime 30s
 	$(GO) test ./internal/plan -fuzz FuzzPlan -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 30s
@@ -98,6 +101,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 5s
 	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 5s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 5s
+	$(GO) test ./internal/engine -fuzz FuzzDecodeTable -fuzztime 5s
 	$(GO) test ./internal/prov -fuzz FuzzTraceUnmarshal -fuzztime 5s
 
 # WAL overhead and recovery-time measurements (EXPERIMENTS.md "Durability").

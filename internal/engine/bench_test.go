@@ -9,7 +9,7 @@ import (
 )
 
 // benchDB builds a two-table database with n fact rows.
-func benchDB(b *testing.B, n int) *DB {
+func benchDB(b testing.TB, n int) *DB {
 	b.Helper()
 	db := NewDB(nil)
 	if _, err := db.ExecScript(`
@@ -40,7 +40,7 @@ func benchDB(b *testing.B, n int) *DB {
 // more, the shape of a TPC-H lineitem row. With 4 columns the cost of
 // copying a row a query then filters out, or reads 2 columns of, hides in
 // the noise; with 16 it is the query.
-func benchWideDB(b *testing.B, n int) *DB {
+func benchWideDB(b testing.TB, n int) *DB {
 	b.Helper()
 	db := benchDB(b, n)
 	ddl := "CREATE TABLE wide (id INTEGER PRIMARY KEY, fk INTEGER, v FLOAT, tag TEXT"
@@ -196,6 +196,49 @@ func BenchmarkLoadDir(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The two above run on `fact`, 10 k rows of 4 columns: it fits in cache and
+// shows nothing of what a server start or stop costs. The Wide pair runs on
+// a lineitem-shaped table, where bytes and heap objects per stored row are
+// the cost.
+func BenchmarkCheckpointWide(b *testing.B) {
+	db := benchWideDB(b, 10000)
+	fs := newMapFS()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Checkpoint(fs, "/data"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLoadDirWide(b *testing.B) {
+	db := benchWideDB(b, 10000)
+	fs := newMapFS()
+	if err := db.Checkpoint(fs, "/data"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db2 := NewDB(nil)
+		if err := db2.LoadDir(fs, "/data"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScanWideCold scans a table far larger than a core's caches (200 k
+// rows × 16 values: ≈ 100 MB of values at 32 bytes each, against 2 MiB of L2
+// and whatever share of the host's L3 a small guest keeps), so every pass
+// streams the rows from memory — the regime the TPC-H scans of the
+// repository benchmark run in, which the 10 k-row tables above never reach.
+func BenchmarkScanWideCold(b *testing.B) {
+	db := benchWideDB(b, 200000)
+	b.ReportAllocs()
+	benchQueryOn(b, db, "SELECT id, v FROM wide WHERE v > 99", false)
 }
 
 func BenchmarkStatementOverhead(b *testing.B) {

@@ -439,8 +439,9 @@ func (db *DB) lookupTable(name string) (*Table, error) {
 	return t, nil
 }
 
-// InsertRowDirect loads a row bypassing SQL (bulk load path used by the
-// TPC-H generator and package restore). The row is recorded as preloaded:
+// InsertRowDirect loads a row bypassing SQL (the load path of the TPC-H
+// generator; a package restore uses RestoreRows). The row is recorded as
+// preloaded:
 // proc="" and stmt=0 so it never counts as application-created.
 func (db *DB) InsertRowDirect(table string, vals []sqlval.Value) (TupleRef, error) {
 	t, err := db.lookupTable(table)
@@ -457,25 +458,59 @@ func (db *DB) InsertRowDirect(table string, vals []sqlval.Value) (TupleRef, erro
 	return r.ref(table), nil
 }
 
-// RestoreRow loads a row with explicit provenance metadata (used when a
-// package re-creates the relevant DB slice with original row ids and
-// versions preserved).
-func (db *DB) RestoreRow(table string, id RowID, version uint64, proc string, vals []sqlval.Value) error {
+// RestoredRow is one tuple version handed to RestoreRows: the original row
+// id, version and producing process of a packaged tuple, and its values.
+type RestoredRow struct {
+	ID      RowID
+	Version uint64
+	Proc    string
+	Vals    []sqlval.Value
+}
+
+// RestoreRows loads tuple versions with explicit provenance metadata (a
+// package re-creating the relevant DB slice with the original row ids and
+// versions preserved) as one batch through the bulk loader: one table lock
+// and one row-id generator update for the whole batch. next fills in the
+// row it is handed and reports whether there was one; it may reuse Vals
+// between calls (the values are copied into the loader's slab, TEXT values
+// still share the caller's string bytes). sizeHint is the expected number
+// of rows — an estimate only sizes the slabs. Rows are checked as an INSERT
+// checks them; on the first bad one loading stops, the rows before it stay,
+// and the error is returned.
+func (db *DB) RestoreRows(table string, sizeHint int, next func(*RestoredRow) (bool, error)) error {
 	t, err := db.lookupTable(table)
 	if err != nil {
 		return err
 	}
-	r := &storedRow{id: id, vals: vals, version: version, proc: proc}
 	t.mu.Lock()
-	err = t.insertRow(r)
-	t.mu.Unlock()
-	if err != nil {
-		return err
+	defer t.mu.Unlock()
+	ld := t.newRowLoader(sizeHint, sizeHint)
+	defer func() {
+		ld.finish()
+		db.advanceNextRow(ld.maxRow)
+	}()
+	var row RestoredRow
+	for {
+		ok, err := next(&row)
+		if err != nil || !ok {
+			return err
+		}
+		r := ld.next()
+		r.id, r.version, r.proc = row.ID, row.Version, row.Proc
+		ld.vals = append(ld.vals, row.Vals...)
+		if err := ld.add(r); err != nil {
+			return err
+		}
 	}
+}
+
+// advanceNextRow moves the row-id generator to at least id, so ids assigned
+// from now on do not collide with a loaded row's.
+func (db *DB) advanceNextRow(id RowID) {
 	for {
 		cur := db.nextRow.Load()
 		if uint64(id) <= cur || db.nextRow.CompareAndSwap(cur, uint64(id)) {
-			return nil
+			return
 		}
 	}
 }

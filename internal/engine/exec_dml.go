@@ -184,8 +184,8 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 		// Keep the pk index pointing at the live latest version; all checks
 		// precede any mutation so an error leaves this row untouched.
 		if pk >= 0 {
-			oldKey := r.vals[pk].GroupKey()
-			newKey := newVals[pk].GroupKey()
+			oldKey := keyOf(r.vals[pk])
+			newKey := keyOf(newVals[pk])
 			if newKey != oldKey {
 				if _, dup := t.pkIndex[newKey]; dup {
 					return fmt.Errorf("table %s: duplicate primary key %s", s.Table, newVals[pk])
@@ -239,7 +239,7 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 		t.liveRows.Add(-1)
 		t.deadVersions.Add(1)
 		if pk >= 0 {
-			key := r.vals[pk].GroupKey()
+			key := keyOf(r.vals[pk])
 			if t.pkIndex[key] == r {
 				delete(t.pkIndex, key)
 			}

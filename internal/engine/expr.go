@@ -330,50 +330,41 @@ func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
 }
 
 // inSet is a constant IN list as a hash set that answers exactly what
-// comparing the probe with each member in turn would: members are keyed so
-// that two values share a key precisely when Compare calls them equal (2
-// and 2.0 do), and hasNull/classes record what makes a non-matching probe's
-// result NULL instead of FALSE — a NULL member, or a member of a kind the
-// probe cannot be compared with.
+// comparing the probe with each member in turn would. Members are keyed by
+// kind and payload (valKey), which is Compare's equality within a kind; the
+// one equality across kinds, INTEGER against FLOAT as two floats (2 = 2.0),
+// is a second probe: an integer probe also looks for the float it converts
+// to among the FLOAT members, a float probe looks in intImages, the floats
+// the INTEGER members convert to. hasNull/classes record what makes a
+// non-matching probe's result NULL instead of FALSE — a NULL member, or a
+// member of a kind the probe cannot be compared with.
 type inSet struct {
-	members map[inKey]struct{}
-	hasNull bool
-	classes uint8 // bit per comparability class present among the members
+	members   map[valKey]struct{}
+	intImages map[valKey]struct{} // float64(m) of every INTEGER member m; nil if none
+	hasFloat  bool
+	hasNull   bool
+	classes   uint8 // bit per comparability class present among the members
 }
 
-// inKey identifies a non-NULL value up to Compare-equality: its
-// comparability class plus the payload Compare looks at.
-type inKey struct {
-	class uint8
-	i     int64
-	f     float64
-	s     string
-}
-
-func keyOf(v sqlval.Value) inKey {
-	switch v.Kind() {
+// kindClass is the comparability class of a non-NULL kind: Compare orders
+// two values exactly when their classes match.
+func kindClass(k sqlval.Kind) uint8 {
+	switch k {
 	case sqlval.KindInt, sqlval.KindFloat:
-		f, _ := v.AsFloat() // Compare orders all numerics as floats
-		if f == 0 {
-			f = 0 // -0.0 compares equal to 0.0 but is a different map key
-		}
-		return inKey{class: 1, f: f}
+		return 1
 	case sqlval.KindString:
-		return inKey{class: 2, s: v.Str()}
+		return 2
 	case sqlval.KindBool:
-		if v.Bool() {
-			return inKey{class: 4, i: 1}
-		}
-		return inKey{class: 4}
-	default: // dates (and nothing else: NULL never gets a key)
-		return inKey{class: 8, i: v.Days()}
+		return 4
+	default: // dates (and nothing else: NULL never gets a class)
+		return 8
 	}
 }
 
 // newInSet builds the set when every list entry is a literal or parameter
 // (bound is then a constant). ok is false for any other list.
 func newInSet(list []sqlparse.Expr, members []bound) (*inSet, bool) {
-	set := &inSet{members: make(map[inKey]struct{}, len(list))}
+	set := &inSet{members: make(map[valKey]struct{}, len(list))}
 	for i, ex := range list {
 		switch ex.(type) {
 		case *sqlparse.Literal, *sqlparse.Param:
@@ -385,9 +376,17 @@ func newInSet(list []sqlparse.Expr, members []bound) (*inSet, bool) {
 			set.hasNull = true
 			continue
 		}
-		k := keyOf(v)
-		set.members[k] = struct{}{}
-		set.classes |= k.class
+		set.members[keyOf(v)] = struct{}{}
+		set.classes |= kindClass(v.Kind())
+		switch v.Kind() {
+		case sqlval.KindInt:
+			if set.intImages == nil {
+				set.intImages = make(map[valKey]struct{}, len(list))
+			}
+			set.intImages[floatKey(float64(v.Int()))] = struct{}{}
+		case sqlval.KindFloat:
+			set.hasFloat = true
+		}
 	}
 	return set, true
 }
@@ -399,10 +398,18 @@ func (s *inSet) probe(v sqlval.Value) (matched, anyNull bool) {
 		return false, true
 	}
 	k := keyOf(v)
-	if _, ok := s.members[k]; ok {
+	_, ok := s.members[k]
+	switch {
+	case ok:
+	case k.kind == sqlval.KindInt && s.hasFloat:
+		_, ok = s.members[floatKey(float64(v.Int()))]
+	case k.kind == sqlval.KindFloat && s.intImages != nil:
+		_, ok = s.intImages[k]
+	}
+	if ok {
 		return true, false
 	}
-	return false, s.hasNull || s.classes&^k.class != 0
+	return false, s.hasNull || s.classes&^kindClass(k.kind) != 0
 }
 
 // cmpOp says which outcomes of Compare (-1, 0, +1, indexed +1) satisfy a

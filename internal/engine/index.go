@@ -64,10 +64,17 @@ func (ix *tableIndex) bucketAt(key sqlval.Value) (int, bool) {
 	i := sort.Search(len(ix.ordered), func(j int) bool {
 		return !sqlval.SortLess(ix.ordered[j].key, key)
 	})
-	if i < len(ix.ordered) && ix.ordered[i].key.GroupKey() == key.GroupKey() {
-		return i, true
-	}
-	return i, false
+	return i, i < len(ix.ordered) && sameKey(ix.ordered[i].key, key)
+}
+
+// sameKey reports whether two non-NULL keys share a bucket of an ordered
+// index: Compare calls them equal. (The ordering is SortLess, which is
+// Compare's, so the two agree on where a bucket starts and ends; a
+// GroupKey, which formats every number as a float, would fold the INTEGERs
+// beyond 2^53 that Compare keeps apart.)
+func sameKey(a, b sqlval.Value) bool {
+	c, ok := a.Compare(b)
+	return ok && c == 0
 }
 
 // insert adds one version under the table's write lock, skipping NULL keys.
@@ -179,7 +186,7 @@ func (ix *tableIndex) rebuild(rows []*storedRow) {
 	sort.SliceStable(pairs, func(i, j int) bool { return sqlval.SortLess(pairs[i].key, pairs[j].key) })
 	ix.ordered = ix.ordered[:0]
 	for _, p := range pairs {
-		if n := len(ix.ordered); n > 0 && ix.ordered[n-1].key.GroupKey() == p.key.GroupKey() {
+		if n := len(ix.ordered); n > 0 && sameKey(ix.ordered[n-1].key, p.key) {
 			ix.ordered[n-1].rows = append(ix.ordered[n-1].rows, p.r)
 		} else {
 			ix.ordered = append(ix.ordered, indexBucket{key: p.key, rows: []*storedRow{p.r}})
@@ -218,7 +225,7 @@ func (ix *tableIndex) lookupRange(lo, hi sqlval.Value, loIncl, hiIncl bool, fn f
 			if sqlval.SortLess(hi, b.key) {
 				break
 			}
-			if !hiIncl && b.key.GroupKey() == hi.GroupKey() {
+			if !hiIncl && sameKey(b.key, hi) {
 				break
 			}
 		}

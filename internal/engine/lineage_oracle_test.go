@@ -234,7 +234,12 @@ func restrictedDB(t *testing.T, res *engine.Result, refs []engine.TupleRef) *eng
 		if !ok {
 			t.Fatalf("no values for lineage ref %v", ref)
 		}
-		if err := db.RestoreRow(ref.Table, ref.Row, ref.Version, "", append([]sqlval.Value(nil), vals...)); err != nil {
+		sent := false
+		if err := db.RestoreRows(ref.Table, 1, func(row *engine.RestoredRow) (bool, error) {
+			*row = engine.RestoredRow{ID: ref.Row, Version: ref.Version, Vals: vals}
+			sent = !sent
+			return sent, nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

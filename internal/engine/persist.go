@@ -139,30 +139,12 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 		if err != nil {
 			return fmt.Errorf("load table file %s: %w", n, err)
 		}
-		t, maxRow, horizon, err := decodeTable(data)
+		img, err := decodeTable(data)
 		if err != nil {
 			return fmt.Errorf("decode table file %s: %w", n, err)
 		}
-		db.mu.Lock()
-		db.tables[t.Name] = t
-		db.mu.Unlock()
-		if horizon > db.vacuumHorizon.Load() {
-			db.vacuumHorizon.Store(horizon)
-		}
-		for _, r := range t.rows {
-			if r.version > maxTS {
-				maxTS = r.version
-			}
-			if r.end > maxTS {
-				maxTS = r.end
-			}
-		}
-		for {
-			cur := db.nextRow.Load()
-			if uint64(maxRow) <= cur || db.nextRow.CompareAndSwap(cur, uint64(maxRow)) {
-				break
-			}
-		}
+		db.installTable(img)
+		maxTS = max(maxTS, img.maxTS)
 	}
 	// Advance the clock past every loaded stamp: dead versions carry end
 	// stamps, and a fresh clock behind them would read the ends as
@@ -173,260 +155,382 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	return nil
 }
 
+// installTable publishes a decoded table (replacing any same-named one) and
+// moves the retention horizon and the row-id generator past what it holds.
+func (db *DB) installTable(img tableImage) {
+	db.mu.Lock()
+	db.tables[img.t.Name] = img.t
+	db.mu.Unlock()
+	if img.horizon > db.vacuumHorizon.Load() {
+		db.vacuumHorizon.Store(img.horizon)
+	}
+	db.advanceNextRow(img.maxRow)
+}
+
+// The table-file format, written by encodeTable and read by decodeTable and
+// by nothing else (checkpoint files, the replica bootstrap's snapshot cut):
+//
+//	magic "LDVTBL1\n"
+//	name, ncols, ncols × (name, type byte, pk byte)
+//	nlive, nlive × (id, version, proc, stmt, usedBy, values)
+//	nidx,  nidx × (name, column, kind)               — optional from here
+//	ndead, ndead × (id, version, end, proc, stmt, values), horizon — optional
+//
+// Counts, ids and stamps are uvarints, stmt and usedBy varints, strings
+// uvarint-length-prefixed, values a sqlval.EncodeRow image.
+
+// Row classes of one encode: what encodeTable's first pass decided for each
+// version, so the counting and the writing pass cannot disagree.
+const (
+	rowSkip uint8 = iota
+	rowLive       // visible to the checkpoint's snapshot
+	rowDead       // committed history: the time-travel section
+)
+
+// minRowBytes is the least a row of either section occupies (five header
+// fields and the value count at a byte each, then a byte per value): the
+// bound a row count is checked against before anything is sized from it.
+func minRowBytes(ncols int) int { return 6 + ncols }
+
+// tableSink is the encoder's output: first a byte count, then the buffer.
+// encodeTable runs one description of the format (writeTable) against both,
+// so the buffer is allocated once at its final size and a checkpoint
+// allocates the bytes it writes, the class array, and nothing else.
+type tableSink struct {
+	counting bool
+	n        int
+	buf      []byte
+}
+
+func (w *tableSink) bytes(b ...byte) {
+	if w.counting {
+		w.n += len(b)
+	} else {
+		w.buf = append(w.buf, b...)
+	}
+}
+
+func (w *tableSink) uvarint(x uint64) {
+	if w.counting {
+		w.n += sqlval.UvarintLen(x)
+	} else {
+		w.buf = binary.AppendUvarint(w.buf, x)
+	}
+}
+
+func (w *tableSink) varint(x int64) {
+	if w.counting {
+		w.n += sqlval.VarintLen(x)
+	} else {
+		w.buf = binary.AppendVarint(w.buf, x)
+	}
+}
+
+func (w *tableSink) raw(s string) {
+	if w.counting {
+		w.n += len(s)
+	} else {
+		w.buf = append(w.buf, s...)
+	}
+}
+
+func (w *tableSink) str(s string) {
+	w.uvarint(uint64(len(s)))
+	w.raw(s)
+}
+
+func (w *tableSink) row(vals []sqlval.Value) {
+	if w.counting {
+		w.n += sqlval.EncodedRowLen(vals)
+	} else {
+		w.buf = sqlval.EncodeRow(w.buf, vals)
+	}
+}
+
+// encodeTable renders the table as seen by snap (caller holds t.mu at least
+// shared, so no version appears, vanishes or changes class between the
+// passes; prov_usedby, which lineage reads stamp under the shared lock, is
+// the one field that can — a stamp that grows a byte between the passes
+// makes the final append reallocate, nothing worse).
 func encodeTable(t *Table, snap snapshot, horizon uint64) []byte {
-	buf := []byte(tableFileMagic)
-	buf = appendString(buf, t.Name)
-	buf = binary.AppendUvarint(buf, uint64(len(t.Schema.Columns)))
-	for _, c := range t.Schema.Columns {
-		buf = appendString(buf, c.Name)
-		buf = append(buf, byte(c.Type))
-		if c.PrimaryKey {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	visible := make([]*storedRow, 0, len(t.rows))
-	for _, r := range t.rows {
+	class := make([]uint8, len(t.rows))
+	var nlive, ndead uint64
+	for i, r := range t.rows {
 		if snap.visible(r) {
-			visible = append(visible, r)
+			class[i] = rowLive
+			nlive++
+			continue
 		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(visible)))
-	for _, r := range visible {
-		buf = binary.AppendUvarint(buf, uint64(r.id))
-		buf = binary.AppendUvarint(buf, r.version)
-		buf = appendString(buf, r.proc)
-		buf = binary.AppendVarint(buf, r.stmt)
-		buf = binary.AppendVarint(buf, r.usedBy.Load())
-		buf = sqlval.EncodeRow(buf, r.vals)
-	}
-	// Secondary-index definitions follow the rows. Older table files end
-	// here; decodeTable treats the section as optional.
-	idxs := t.indexList()
-	buf = binary.AppendUvarint(buf, uint64(len(idxs)))
-	for _, ix := range idxs {
-		buf = appendString(buf, ix.name)
-		buf = appendString(buf, ix.column)
-		buf = appendString(buf, ix.kind)
-	}
-	// Time-travel section (also optional on decode): committed dead versions
-	// — the history AS OF and reenactment read — and the retention horizon.
-	// Without it a checkpoint would silently vacuum everything it supersedes
-	// in the WAL.
-	dead := make([]*storedRow, 0)
-	for _, r := range t.rows {
-		if r.end == 0 || snap.visible(r) {
+		if r.end == 0 {
 			continue
 		}
 		if _, open := snap.active[r.txnID]; open {
 			continue // uncommitted insert: its record sits beyond the WAL cut
 		}
 		if _, open := snap.active[r.endTxn]; open {
-			continue // end mark not committed (the row was encoded live above)
+			continue // end mark not committed (classed live above)
 		}
-		dead = append(dead, r)
+		class[i] = rowDead
+		ndead++
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(dead)))
-	for _, r := range dead {
-		buf = binary.AppendUvarint(buf, uint64(r.id))
-		buf = binary.AppendUvarint(buf, r.version)
-		buf = binary.AppendUvarint(buf, r.end)
-		buf = appendString(buf, r.proc)
-		buf = binary.AppendVarint(buf, r.stmt)
-		buf = sqlval.EncodeRow(buf, r.vals)
-	}
-	buf = binary.AppendUvarint(buf, horizon)
-	return buf
+	size := tableSink{counting: true}
+	writeTable(&size, t, class, nlive, ndead, horizon)
+	out := tableSink{buf: make([]byte, 0, size.n)}
+	writeTable(&out, t, class, nlive, ndead, horizon)
+	return out.buf
 }
 
-func decodeTable(data []byte) (*Table, RowID, uint64, error) {
-	if len(data) < len(tableFileMagic) || string(data[:len(tableFileMagic)]) != tableFileMagic {
-		return nil, 0, 0, fmt.Errorf("bad table file magic")
-	}
-	b := data[len(tableFileMagic):]
-	name, b, err := readString(b)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	ncols, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, 0, fmt.Errorf("bad column count")
-	}
-	b = b[n:]
-	schema := Schema{}
-	for i := uint64(0); i < ncols; i++ {
-		var cname string
-		cname, b, err = readString(b)
-		if err != nil {
-			return nil, 0, 0, err
+func writeTable(w *tableSink, t *Table, class []uint8, nlive, ndead, horizon uint64) {
+	w.raw(tableFileMagic)
+	w.str(t.Name)
+	w.uvarint(uint64(len(t.Schema.Columns)))
+	for _, c := range t.Schema.Columns {
+		w.str(c.Name)
+		pk := byte(0)
+		if c.PrimaryKey {
+			pk = 1
 		}
-		if len(b) < 2 {
-			return nil, 0, 0, fmt.Errorf("truncated column def")
+		w.bytes(byte(c.Type), pk)
+	}
+	w.uvarint(nlive)
+	for i, r := range t.rows {
+		if class[i] != rowLive {
+			continue
+		}
+		w.uvarint(uint64(r.id))
+		w.uvarint(r.version)
+		w.str(r.proc)
+		w.varint(r.stmt)
+		w.varint(r.usedBy.Load())
+		w.row(r.vals)
+	}
+	// Secondary-index definitions follow the rows. Older table files end
+	// here; decodeTable treats the section as optional.
+	idxs := t.indexList()
+	w.uvarint(uint64(len(idxs)))
+	for _, ix := range idxs {
+		w.str(ix.name)
+		w.str(ix.column)
+		w.str(ix.kind)
+	}
+	// Time-travel section (also optional on decode): committed dead versions
+	// — the history AS OF and reenactment read — and the retention horizon.
+	// Without it a checkpoint would silently vacuum everything it supersedes
+	// in the WAL.
+	w.uvarint(ndead)
+	for i, r := range t.rows {
+		if class[i] != rowDead {
+			continue
+		}
+		w.uvarint(uint64(r.id))
+		w.uvarint(r.version)
+		w.uvarint(r.end)
+		w.str(r.proc)
+		w.varint(r.stmt)
+		w.row(r.vals)
+	}
+	w.uvarint(horizon)
+}
+
+// tableSource is the decoder's cursor over a table file: the bytes, a
+// string image of them (so names and TEXT values are substrings of one
+// allocation) and the first error, after which every read returns zero.
+type tableSource struct {
+	b    []byte
+	text string
+	off  int
+	err  error
+}
+
+func (s *tableSource) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (s *tableSource) rest() int { return len(s.b) - s.off }
+
+func (s *tableSource) uvarint(what string) uint64 {
+	if s.err != nil {
+		return 0
+	}
+	x, n := binary.Uvarint(s.b[s.off:])
+	if n <= 0 {
+		s.fail("bad %s", what)
+		return 0
+	}
+	s.off += n
+	return x
+}
+
+func (s *tableSource) varint(what string) int64 {
+	if s.err != nil {
+		return 0
+	}
+	x, n := binary.Varint(s.b[s.off:])
+	if n <= 0 {
+		s.fail("bad %s", what)
+		return 0
+	}
+	s.off += n
+	return x
+}
+
+func (s *tableSource) str(what string) string {
+	l := s.uvarint(what)
+	if s.err != nil {
+		return ""
+	}
+	if l > uint64(s.rest()) {
+		s.fail("bad %s", what)
+		return ""
+	}
+	str := s.text[s.off : s.off+int(l)]
+	s.off += int(l)
+	return str
+}
+
+// count reads an element count and checks it against the bytes left, every
+// element taking at least min of them — before anything is sized from it.
+func (s *tableSource) count(what string, min int) int {
+	n := s.uvarint(what)
+	if s.err == nil && n > uint64(s.rest()/min) {
+		s.fail("%s %d exceeds the %d bytes remaining", what, n, s.rest())
+	}
+	if s.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// tableImage is a decoded table file: the table, not yet published, and
+// what the database must move past to host it.
+type tableImage struct {
+	t       *Table
+	maxRow  RowID
+	maxTS   uint64 // newest begin or end stamp of any version
+	horizon uint64
+}
+
+// decodeTable reads a table file. It is outside input (a data directory, a
+// snapshot off the network): every count is checked against the bytes
+// remaining before memory is sized from it, every version passes the row
+// check an INSERT passes (admitRow: arity, column kinds, primary key), and
+// trailing bytes are an error. Versions and values come from the bulk
+// loader's slabs and every string is a substring of one copy of data — see
+// rowLoader for what that keeps alive.
+func decodeTable(data []byte) (tableImage, error) {
+	if len(data) < len(tableFileMagic) || string(data[:len(tableFileMagic)]) != tableFileMagic {
+		return tableImage{}, fmt.Errorf("bad table file magic")
+	}
+	s := &tableSource{b: data, text: string(data), off: len(tableFileMagic)}
+	// The names outlive every row of the load; they get their own bytes.
+	name := strings.Clone(s.str("table name"))
+	ncols := s.count("column count", 3)
+	schema := Schema{Columns: make([]Column, 0, ncols)}
+	for i := 0; i < ncols && s.err == nil; i++ {
+		cname := strings.Clone(s.str("column name"))
+		if s.rest() < 2 {
+			s.fail("truncated column def")
+			break
 		}
 		schema.Columns = append(schema.Columns, Column{
-			Name: cname, Type: sqlval.Kind(b[0]), PrimaryKey: b[1] == 1,
+			Name: cname, Type: sqlval.Kind(s.b[s.off]), PrimaryKey: s.b[s.off+1] == 1,
 		})
-		b = b[2:]
+		s.off += 2
 	}
-	t := newTable(name, schema)
-	nrows, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, 0, fmt.Errorf("bad row count")
+	if s.err != nil {
+		return tableImage{}, s.err
 	}
-	b = b[n:]
-	var maxRow RowID
-	for i := uint64(0); i < nrows; i++ {
-		id, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row id")
-		}
-		b = b[n:]
-		version, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row version")
-		}
-		b = b[n:]
-		var proc string
-		proc, b, err = readString(b)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		stmt, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row stmt")
-		}
-		b = b[n:]
-		usedBy, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad row usedBy")
-		}
-		b = b[n:]
-		vals, used, err := sqlval.DecodeRow(b)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		b = b[used:]
-		r := &storedRow{id: RowID(id), vals: vals, version: version, proc: proc, stmt: stmt}
-		r.usedBy.Store(usedBy)
-		if err := t.insertRow(r); err != nil {
-			return nil, 0, 0, err
-		}
-		if r.id > maxRow {
-			maxRow = r.id
-		}
+	img := tableImage{t: newTable(name, schema)}
+	if err := img.loadRows(s, false); err != nil {
+		return tableImage{}, err
 	}
 	// Optional trailing section: secondary-index definitions (absent in
-	// table files written before indexes existed).
-	if len(b) > 0 {
-		nidx, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad index count")
-		}
-		b = b[n:]
-		for i := uint64(0); i < nidx; i++ {
-			var iname, icol, ikind string
-			if iname, b, err = readString(b); err != nil {
-				return nil, 0, 0, err
+	// table files written before indexes existed). They are installed after
+	// the last row is in, so the loader feeds no index row by row.
+	var idxs []*tableIndex
+	if s.rest() > 0 {
+		for n := s.count("index count", 3); n > 0 && s.err == nil; n-- {
+			iname, icol, ikind := s.str("index name"), s.str("index column"), s.str("index kind")
+			pos := schema.ColumnIndex(icol)
+			if s.err == nil && pos < 0 {
+				s.fail("index %q: no column %q", iname, icol)
 			}
-			if icol, b, err = readString(b); err != nil {
-				return nil, 0, 0, err
-			}
-			if ikind, b, err = readString(b); err != nil {
-				return nil, 0, 0, err
-			}
-			pos := t.Schema.ColumnIndex(icol)
-			if pos < 0 {
-				return nil, 0, 0, fmt.Errorf("index %q: no column %q", iname, icol)
-			}
-			ix := newTableIndex(iname, icol, pos, ikind)
-			t.addIndex(ix)
+			idxs = append(idxs, newTableIndex(strings.Clone(iname), strings.Clone(icol), pos, strings.Clone(ikind)))
 		}
 	}
 	// Optional time-travel section: committed dead versions and the
 	// retention horizon (absent in files written before vacuum existed).
-	var horizon uint64
-	if len(b) > 0 {
-		ndead, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad dead-version count")
+	if s.err == nil && s.rest() > 0 {
+		if err := img.loadRows(s, true); err != nil {
+			return tableImage{}, err
 		}
-		b = b[n:]
-		for i := uint64(0); i < ndead; i++ {
-			id, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row id")
-			}
-			b = b[n:]
-			version, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row version")
-			}
-			b = b[n:]
-			end, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row end")
-			}
-			b = b[n:]
-			var proc string
-			proc, b, err = readString(b)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			stmt, n := binary.Varint(b)
-			if n <= 0 {
-				return nil, 0, 0, fmt.Errorf("bad dead row stmt")
-			}
-			b = b[n:]
-			vals, used, err := sqlval.DecodeRow(b)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			b = b[used:]
-			if len(vals) != len(t.Schema.Columns) {
-				return nil, 0, 0, fmt.Errorf("dead row has %d values, schema has %d columns", len(vals), len(t.Schema.Columns))
-			}
-			// Dead versions bypass insertRow: no pk claim, no live count.
-			r := &storedRow{id: RowID(id), vals: vals, version: version, end: end, proc: proc, stmt: stmt}
-			t.rows = append(t.rows, r)
-			t.versions.Add(1)
-			t.deadVersions.Add(1)
-			if r.id > maxRow {
-				maxRow = r.id
-			}
+		img.horizon = s.uvarint("retention horizon")
+		if s.err == nil && s.rest() != 0 {
+			s.fail("table file: %d trailing bytes", s.rest())
 		}
-		horizon, n = binary.Uvarint(b)
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("bad retention horizon")
-		}
-		b = b[n:]
-		if len(b) != 0 {
-			return nil, 0, 0, fmt.Errorf("table file: %d trailing bytes", len(b))
-		}
+	}
+	if s.err != nil {
+		return tableImage{}, s.err
 	}
 	// Index contents are derived last so they cover the dead versions too.
-	for _, ix := range t.indexList() {
-		ix.rebuild(t.rows)
+	for _, ix := range idxs {
+		ix.rebuild(img.t.rows)
+		img.t.addIndex(ix)
 	}
-	return t, maxRow, horizon, nil
+	return img, nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", nil, fmt.Errorf("bad string encoding")
+// loadRows reads one row section — the live rows, or the dead versions with
+// their end stamps — through the bulk loader.
+func (img *tableImage) loadRows(s *tableSource, dead bool) error {
+	t := img.t
+	n := s.count("row count", minRowBytes(len(t.Schema.Columns)))
+	if s.err != nil {
+		return s.err
 	}
-	return string(b[n : n+int(l)]), b[n+int(l):], nil
+	live := n
+	if dead {
+		live = 0
+	}
+	ld := t.newRowLoader(n, live)
+	defer ld.finish()
+	for i := 0; i < n; i++ {
+		r := ld.next()
+		r.id = RowID(s.uvarint("row id"))
+		r.version = s.uvarint("row version")
+		if dead {
+			if r.end = s.uvarint("row end"); r.end == 0 && s.err == nil {
+				s.fail("dead version %d@%d has no end stamp", r.id, r.version)
+			}
+		}
+		r.proc = s.str("row proc")
+		r.stmt = s.varint("row stmt")
+		if !dead {
+			r.usedBy.Store(s.varint("row usedBy"))
+		}
+		if s.err != nil {
+			return s.err
+		}
+		var used int
+		var err error
+		if ld.vals, used, err = sqlval.AppendDecodeRow(ld.vals, s.b[s.off:], s.text[s.off:]); err != nil {
+			return err
+		}
+		s.off += used
+		if err := ld.add(r); err != nil {
+			return err
+		}
+	}
+	img.maxRow = max(img.maxRow, ld.maxRow)
+	img.maxTS = max(img.maxTS, ld.maxTS)
+	return nil
 }
 
 // CreateTableFromSchema programmatically creates a table (bulk-load path).
 // Like SQL DDL it is WAL-logged when a log is attached; the rows bulk
-// loaders then push through InsertRowDirect/RestoreRow are not — those
+// loaders then push through InsertRowDirect/RestoreRows are not — those
 // paths bypass transactions entirely, and callers that need them durable
 // must Checkpoint afterwards (as the machine harness does).
 func (db *DB) CreateTableFromSchema(name string, schema Schema) error {

@@ -288,6 +288,7 @@ func (db *DB) applyRedo(ix *replayIndex, e redoEntry) error {
 func (db *DB) finishRecovery() {
 	var maxTS uint64
 	var maxStmt int64
+	var maxRow RowID
 	db.mu.RLock()
 	tables := make([]*Table, 0, len(db.tables))
 	for _, t := range db.tables {
@@ -296,7 +297,7 @@ func (db *DB) finishRecovery() {
 	db.mu.RUnlock()
 	for _, t := range tables {
 		if t.pkIndex != nil {
-			t.pkIndex = make(map[string]*storedRow, len(t.rows))
+			t.pkIndex = make(map[valKey]*storedRow, len(t.rows))
 		}
 		pk := t.Schema.PrimaryKeyIndex()
 		for _, r := range t.rows {
@@ -309,20 +310,16 @@ func (db *DB) finishRecovery() {
 			if r.stmt > maxStmt {
 				maxStmt = r.stmt
 			}
-			for {
-				cur := db.nextRow.Load()
-				if uint64(r.id) <= cur || db.nextRow.CompareAndSwap(cur, uint64(r.id)) {
-					break
-				}
-			}
+			maxRow = max(maxRow, r.id)
 			if pk >= 0 && r.end == 0 {
-				t.pkIndex[r.vals[pk].GroupKey()] = r
+				t.pkIndex[keyOf(r.vals[pk])] = r
 			}
 		}
 		// WAL replay appends raw rows without touching secondary indexes;
 		// rebuild them now that the final version set is known.
 		t.rebuildIndexes()
 	}
+	db.advanceNextRow(maxRow)
 	for {
 		cur := db.nextStmt.Load()
 		if maxStmt <= cur || db.nextStmt.CompareAndSwap(cur, maxStmt) {

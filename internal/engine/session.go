@@ -58,7 +58,7 @@ func (s snapshot) visible(r *storedRow) bool {
 			return false
 		}
 		// Preloaded/bulk rows (txnID 0) are committed by definition and may
-		// carry versions from a previous database life (LoadDir, RestoreRow)
+		// carry versions from a previous database life (LoadDir, RestoreRows)
 		// that post-date this clock — they are always begin-visible, except
 		// under a historical cut, which trusts write stamps only.
 		if (r.txnID != 0 || s.asOf) && r.version > s.ts {

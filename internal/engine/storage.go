@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +57,7 @@ type Table struct {
 
 	mu      sync.RWMutex
 	rows    []*storedRow
-	pkIndex map[string]*storedRow // GroupKey of pk value -> live latest version; nil if no pk
+	pkIndex map[valKey]*storedRow // key of pk value -> live latest version; nil if no pk
 
 	// indexes is the table's secondary-index list, sorted by name. It is
 	// copy-on-write behind an atomic pointer: structure mutations (DDL and
@@ -87,7 +89,7 @@ type Table struct {
 func newTable(name string, schema Schema) *Table {
 	t := &Table{Name: name, Schema: schema}
 	if schema.PrimaryKeyIndex() >= 0 {
-		t.pkIndex = make(map[string]*storedRow)
+		t.pkIndex = make(map[valKey]*storedRow)
 	}
 	return t
 }
@@ -105,32 +107,168 @@ func (t *Table) RowCount() int {
 	return n
 }
 
-// insertRow validates and appends a row version, enforcing the primary key
-// (caller holds the table write lock).
-func (t *Table) insertRow(r *storedRow) error {
+// valKey identifies a value up to equality within its own kind: the kind
+// plus the payload Compare looks at. It is the comparable map key where a
+// formatted GroupKey string used to be — the primary-key index (a pk column
+// holds one kind, so this is exact there: INTEGER keys beyond 2^53 stay
+// distinct) and the members of a constant IN list.
+type valKey struct {
+	kind sqlval.Kind
+	bits uint64 // integer, bool (0/1), day offset, or the float's bits
+	s    string
+}
+
+func keyOf(v sqlval.Value) valKey {
+	switch v.Kind() {
+	case sqlval.KindInt:
+		return valKey{kind: sqlval.KindInt, bits: uint64(v.Int())}
+	case sqlval.KindFloat:
+		return floatKey(v.Float())
+	case sqlval.KindString:
+		return valKey{kind: sqlval.KindString, s: v.Str()}
+	case sqlval.KindBool:
+		if v.Bool() {
+			return valKey{kind: sqlval.KindBool, bits: 1}
+		}
+		return valKey{kind: sqlval.KindBool}
+	case sqlval.KindDate:
+		return valKey{kind: sqlval.KindDate, bits: uint64(v.Days())}
+	}
+	return valKey{}
+}
+
+func floatKey(f float64) valKey {
+	if f == 0 {
+		f = 0 // -0.0 compares equal to 0.0 but has different bits
+	}
+	return valKey{kind: sqlval.KindFloat, bits: math.Float64bits(f)}
+}
+
+// admitRow is the one row check, shared by insertRow and the bulk loader:
+// arity, every value against its column (a value of another kind goes
+// through checkValue, which coerces or rejects it) and, for a live version,
+// the primary key, which it claims. A version that arrives end-marked (a
+// dead version from a table file) holds no key. Caller holds the table
+// write lock.
+func (t *Table) admitRow(r *storedRow) error {
 	if len(r.vals) != len(t.Schema.Columns) {
 		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
 			t.Name, len(r.vals), len(t.Schema.Columns))
 	}
-	for i, c := range t.Schema.Columns {
-		v, err := checkValue(c, r.vals[i])
+	for i := range t.Schema.Columns {
+		if k := r.vals[i].Kind(); k == t.Schema.Columns[i].Type || k == sqlval.KindNull {
+			continue
+		}
+		v, err := checkValue(t.Schema.Columns[i], r.vals[i])
 		if err != nil {
 			return fmt.Errorf("table %s: %w", t.Name, err)
 		}
 		r.vals[i] = v
 	}
-	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
-		key := r.vals[pk].GroupKey()
+	if t.pkIndex != nil && r.end == 0 {
+		pk := t.Schema.PrimaryKeyIndex()
+		key := keyOf(r.vals[pk])
 		if _, dup := t.pkIndex[key]; dup {
 			return fmt.Errorf("table %s: duplicate primary key %s", t.Name, r.vals[pk])
 		}
 		t.pkIndex[key] = r
+	}
+	return nil
+}
+
+// insertRow validates and appends a live row version, enforcing the primary
+// key (caller holds the table write lock).
+func (t *Table) insertRow(r *storedRow) error {
+	if err := t.admitRow(r); err != nil {
+		return err
 	}
 	t.rows = append(t.rows, r)
 	t.indexInsert(r)
 	t.versions.Add(1)
 	t.liveRows.Add(1)
 	return nil
+}
+
+// rowLoader is the bulk loader: every path that brings many versions into a
+// table at once — a table file's live rows and its dead versions (LoadDir,
+// Recover, the replica bootstrap) and RestoreRows — appends through one. It
+// takes the versions from one []storedRow slab and their values from one
+// []sqlval.Value slab, both sized from the caller's row count (which the
+// caller has checked against its input, or which is only a hint: a slab
+// that runs out is followed by another of the same size, never regrown), and
+// runs each version through admitRow, the check insertRow runs.
+//
+// What a loaded table keeps alive: each slab lives as long as any version
+// carved from it is reachable, and so does whatever backing string the
+// caller's TEXT values and proc names are substrings of (decodeTable: one
+// string per table file). Vacuum drops versions from t.rows and the
+// indexes, but the memory of a slab — and of that string — returns to the
+// collector only when the last version of the load is gone.
+type rowLoader struct {
+	t      *Table
+	rows   []storedRow
+	vals   []sqlval.Value // the current row's values are vals[mark:]
+	mark   int
+	live   int64
+	dead   int64
+	maxRow RowID
+	maxTS  uint64
+}
+
+// newRowLoader prepares t for n more versions, live of them holding a
+// primary key (caller holds the table write lock, or owns a table not yet
+// published).
+func (t *Table) newRowLoader(n, live int) *rowLoader {
+	t.rows = slices.Grow(t.rows, n)
+	if t.pkIndex != nil && len(t.pkIndex) == 0 && live > 0 {
+		t.pkIndex = make(map[valKey]*storedRow, live)
+	}
+	return &rowLoader{
+		t:    t,
+		rows: make([]storedRow, 0, n),
+		vals: make([]sqlval.Value, 0, n*len(t.Schema.Columns)),
+	}
+}
+
+// next returns the slab slot of the next version, zeroed, for the caller to
+// fill; the values it then appends to l.vals become the version's row when
+// it calls add.
+func (l *rowLoader) next() *storedRow {
+	if len(l.rows) == cap(l.rows) {
+		l.rows = make([]storedRow, 0, max(cap(l.rows), 64))
+	}
+	if ncols := len(l.t.Schema.Columns); cap(l.vals)-len(l.vals) < ncols {
+		l.vals = make([]sqlval.Value, 0, max(cap(l.vals), 64*ncols))
+	}
+	l.mark = len(l.vals)
+	l.rows = l.rows[:len(l.rows)+1]
+	return &l.rows[len(l.rows)-1]
+}
+
+// add checks and appends the version next returned. On error the table
+// keeps the versions added before it and the caller abandons the load.
+func (l *rowLoader) add(r *storedRow) error {
+	r.vals = l.vals[l.mark:len(l.vals):len(l.vals)]
+	if err := l.t.admitRow(r); err != nil {
+		return err
+	}
+	l.t.rows = append(l.t.rows, r)
+	l.t.indexInsert(r)
+	if r.end == 0 {
+		l.live++
+	} else {
+		l.dead++
+	}
+	l.maxRow = max(l.maxRow, r.id)
+	l.maxTS = max(l.maxTS, r.version, r.end)
+	return nil
+}
+
+// finish publishes the batch's counters.
+func (l *rowLoader) finish() {
+	l.t.versions.Add(l.live + l.dead)
+	l.t.liveRows.Add(l.live)
+	l.t.deadVersions.Add(l.dead)
 }
 
 // removeRow physically removes a version (insert rollback only), keeping the
@@ -141,7 +279,7 @@ func (t *Table) removeRow(r *storedRow) error {
 			continue
 		}
 		if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
-			key := r.vals[pk].GroupKey()
+			key := keyOf(r.vals[pk])
 			if t.pkIndex[key] == r {
 				delete(t.pkIndex, key)
 			}
@@ -169,7 +307,7 @@ func (t *Table) restorePK(r *storedRow) error {
 	if pk < 0 {
 		return nil
 	}
-	key := r.vals[pk].GroupKey()
+	key := keyOf(r.vals[pk])
 	if cur, ok := t.pkIndex[key]; ok && cur != r {
 		return fmt.Errorf("table %s: rollback conflict: primary key %s was re-used by a concurrent transaction", t.Name, r.vals[pk])
 	}

@@ -554,3 +554,16 @@ func scanWAL(data []byte, fn func(payload []byte) error) (int64, error) {
 	}
 	return off, nil
 }
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+func readString(b []byte) (string, []byte, error) {
+	l, n := binary.Uvarint(b)
+	if n <= 0 || uint64(len(b)-n) < l {
+		return "", nil, fmt.Errorf("bad string encoding")
+	}
+	return string(b[n : n+int(l)]), b[n+int(l):], nil
+}

@@ -3,6 +3,7 @@ package ldv
 import (
 	"testing"
 
+	"ldv/internal/engine"
 	"ldv/internal/osim"
 	"ldv/internal/tpch"
 )
@@ -67,5 +68,41 @@ func BenchmarkBuildServerIncluded(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(arch.Marshal())))
+	}
+}
+
+// BenchmarkRestoreTuples times the restore half of a server-included
+// replay's initialization (replay_si_ms): every provenance CSV of the
+// package parsed and bulk-loaded into a fresh database.
+func BenchmarkRestoreTuples(b *testing.B) {
+	m, aud, apps := auditWide(b)
+	arch, err := BuildServerIncluded(m, aud, apps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mdata, err := arch.Read(ManifestPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	manifest, err := UnmarshalManifest(mdata)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := engine.NewDB(nil)
+		for _, td := range manifest.Tables {
+			schema, err := td.Schema()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := db.CreateTableFromSchema(td.Name, schema); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := restoreTuples(arch, db, manifest); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

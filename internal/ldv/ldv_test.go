@@ -9,6 +9,7 @@ import (
 	"ldv/internal/engine"
 	"ldv/internal/osim"
 	"ldv/internal/prov"
+	"ldv/internal/sqlval"
 )
 
 // aliceApps builds the paper's running example (§I/§II, Figure 1): process
@@ -527,5 +528,105 @@ func TestCopyWorkloadRoundTrip(t *testing.T) {
 	got, err = replayed.Kernel.FS().ReadFile("/sum.out")
 	if err != nil || string(got) != string(want) {
 		t.Fatalf("excluded replay: %q %v", got, err)
+	}
+}
+
+// TestReplayRestoresAwkwardText: TEXT values holding everything CSV quotes —
+// commas, quotes, line breaks — beside NULL, the empty string and multi-byte
+// runes survive the trip audit → provenance CSV → RestoreRows batch →
+// replay, and the replay writes what the audited run wrote.
+func TestReplayRestoresAwkwardText(t *testing.T) {
+	m, err := NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := []sqlval.Value{
+		sqlval.NewString("plain"),
+		sqlval.NewString("a,b,,c"),
+		sqlval.NewString(`she said "hi", twice: ""`),
+		// Not "\r\n": encoding/csv folds a CR LF inside a quoted field to LF
+		// on read, so that pair does not survive a provenance CSV (ROADMAP
+		// item 6, open).
+		sqlval.NewString("line one\nline two\rstill two\n\nline four"),
+		sqlval.NewString(""),
+		sqlval.Null,
+		sqlval.NewString("naïve 表 — \"quoted\",\n"),
+		sqlval.NewString(" leading space, s:prefix n: i:42"),
+	}
+	if _, err := m.DB.Exec("CREATE TABLE notes (id INTEGER PRIMARY KEY, body TEXT, tag TEXT)", engine.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range notes {
+		if _, err := m.DB.InsertRowDirect("notes", []sqlval.Value{sqlval.NewInt(int64(i + 1)), n, sqlval.NewString("")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const out = "/home/alice/notes.out"
+	apps := []App{{
+		Binary: "/home/alice/bin/notes",
+		Libs:   ClientLibs(),
+		Size:   64 << 10,
+		Prog: func(p *osim.Process) error {
+			conn, err := Dial(p)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			res, err := conn.Query("SELECT id, body, tag FROM notes ORDER BY id")
+			if err != nil {
+				return err
+			}
+			var sb strings.Builder
+			for _, row := range res.Rows {
+				fmt.Fprintf(&sb, "%s|%s|%q|%q\n", row[0], row[1].Kind(), row[1].String(), row[2].String())
+			}
+			return p.WriteFile(out, []byte(sb.String()))
+		},
+	}}
+	aud, err := Audit(m, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Kernel.FS().ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := BuildServerIncluded(m, aud, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Replay(arch, appProgramsOf(apps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replayed.Kernel.FS().ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("replayed output\n%s\n!= audited output\n%s", got, want)
+	}
+	refs, rows, err := replayed.DB.ScanAll("notes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != len(notes) {
+		t.Fatalf("restored %d rows, want %d", len(refs), len(notes))
+	}
+	for i, row := range rows {
+		id := row[0].Int()
+		if want := notes[id-1]; row[1].Kind() != want.Kind() || !row[1].Equal(want) {
+			t.Errorf("row %d (id %d): body %s %q, want %s %q", i, id, row[1].Kind(), row[1], want.Kind(), want)
+		}
+	}
+
+	// A record RestoreRows rejects — a duplicate of a restored key — fails
+	// the whole preparation, naming the table.
+	csvPath := arch.PathsUnder(ProvDataDir)[0]
+	data, _ := arch.Read(csvPath)
+	lines := strings.SplitAfter(string(data), "\n")
+	arch.Add(csvPath, []byte(string(data)+lines[1]))
+	if _, err := PrepareReplay(arch, appProgramsOf(apps)); err == nil || !strings.Contains(err.Error(), "restore notes") {
+		t.Fatalf("duplicate restored row: err = %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -101,7 +102,8 @@ func PrepareReplay(arch *pack.Archive, appPrograms map[string]osim.Program) (*Re
 
 // restoreTuples loads every provenance CSV into the database, preserving
 // the original row ids and versions so the restored tuple versions are the
-// ones the trace references.
+// ones the trace references. Each file is one RestoreRows batch, its
+// records streamed through a reused record rather than read whole.
 func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error {
 	for _, path := range arch.PathsUnder(ProvDataDir) {
 		table := strings.TrimSuffix(path[strings.LastIndex(path, "/")+1:], ".csv")
@@ -110,32 +112,39 @@ func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error 
 			return err
 		}
 		r := csv.NewReader(bytes.NewReader(data))
-		records, err := r.ReadAll()
-		if err != nil {
+		r.ReuseRecord = true
+		if _, err := r.Read(); err == io.EOF {
+			continue // no header: an empty member
+		} else if err != nil {
 			return fmt.Errorf("restore %s: %w", table, err)
 		}
-		if len(records) == 0 {
-			continue
-		}
-		for _, rec := range records[1:] { // skip header
+		// Every record ends a line, so the line count bounds the row count
+		// (quoted line breaks only make it generous).
+		hint := bytes.Count(data, []byte{'\n'})
+		err = db.RestoreRows(table, hint, func(row *engine.RestoredRow) (bool, error) {
+			rec, err := r.Read()
+			if err == io.EOF {
+				return false, nil
+			}
+			if err != nil {
+				return false, err
+			}
 			if len(rec) < 3 {
-				return fmt.Errorf("restore %s: short record", table)
+				return false, fmt.Errorf("short record")
 			}
-			rowID, err := strconv.ParseUint(rec[0], 10, 64)
+			id, err := strconv.ParseUint(rec[0], 10, 64)
 			if err != nil {
-				return fmt.Errorf("restore %s: bad rowid %q", table, rec[0])
+				return false, fmt.Errorf("bad rowid %q", rec[0])
 			}
-			version, err := strconv.ParseUint(rec[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("restore %s: bad version %q", table, rec[1])
+			if row.Version, err = strconv.ParseUint(rec[1], 10, 64); err != nil {
+				return false, fmt.Errorf("bad version %q", rec[1])
 			}
-			vals, err := decodeRowCells(rec[3:])
-			if err != nil {
-				return fmt.Errorf("restore %s: %w", table, err)
-			}
-			if err := db.RestoreRow(table, engine.RowID(rowID), version, rec[2], vals); err != nil {
-				return fmt.Errorf("restore %s: %w", table, err)
-			}
+			row.ID, row.Proc = engine.RowID(id), rec[2]
+			row.Vals, err = appendRowCells(row.Vals[:0], rec[3:])
+			return err == nil, err
+		})
+		if err != nil {
+			return fmt.Errorf("restore %s: %w", table, err)
 		}
 	}
 	return nil

@@ -118,13 +118,17 @@ func encodeRowCells(row []sqlval.Value) []string {
 }
 
 func decodeRowCells(cells []string) ([]sqlval.Value, error) {
-	out := make([]sqlval.Value, len(cells))
-	for i, c := range cells {
+	return appendRowCells(make([]sqlval.Value, 0, len(cells)), cells)
+}
+
+// appendRowCells decodes cells onto dst, for a caller that reuses one row.
+func appendRowCells(dst []sqlval.Value, cells []string) ([]sqlval.Value, error) {
+	for _, c := range cells {
 		v, err := decodeCell(c)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }

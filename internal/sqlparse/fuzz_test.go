@@ -18,6 +18,11 @@ func FuzzParse(f *testing.F) {
 		"SELECT 'o''brien' || x FROM t -- comment",
 		"SELECT ((((1))))",
 		"\x00\xff SELECT",
+		// FLOAT literals render with an exponent from 1e6 up and below 1e-4.
+		"SELECT 1000000.0",
+		"SELECT 1e+06",
+		"SELECT 0.00001",
+		"SELECT 1e-05",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -74,7 +74,7 @@ func (l *Lexer) Next() (Token, error) {
 	switch {
 	case isIdentStart(c):
 		return l.lexIdent(start), nil
-	case c >= '0' && c <= '9':
+	case isDigit(c):
 		return l.lexNumber(start)
 	case c == '\'':
 		return l.lexString(start)
@@ -105,8 +105,10 @@ func isIdentStart(c byte) bool {
 }
 
 func isIdentPart(c byte) bool {
-	return isIdentStart(c) || (c >= '0' && c <= '9')
+	return isIdentStart(c) || isDigit(c)
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func (l *Lexer) lexIdent(start int) Token {
 	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
@@ -132,7 +134,7 @@ func (l *Lexer) lexNumber(start int) (Token, error) {
 			l.pos++
 			continue
 		}
-		if c < '0' || c > '9' {
+		if !isDigit(c) {
 			break
 		}
 		l.pos++
@@ -141,7 +143,23 @@ func (l *Lexer) lexNumber(start int) (Token, error) {
 	if strings.HasSuffix(text, ".") {
 		return Token{}, fmt.Errorf("malformed number %q at offset %d", text, start)
 	}
-	return Token{Type: TokNumber, Text: text, Pos: start}, nil
+	// Optional exponent, [eE][+-]?digits — the form FLOAT literals of
+	// magnitude ≥ 1e6 or < 1e-4 render in (sqlval.Value.String uses 'g').
+	// An e that no digit follows is left for the next token: `1e` is still
+	// the number 1 and the name e.
+	if p := l.pos; p < len(l.src) && (l.src[p] == 'e' || l.src[p] == 'E') {
+		p++
+		if p < len(l.src) && (l.src[p] == '+' || l.src[p] == '-') {
+			p++
+		}
+		if p < len(l.src) && isDigit(l.src[p]) {
+			for p < len(l.src) && isDigit(l.src[p]) {
+				p++
+			}
+			l.pos = p
+		}
+	}
+	return Token{Type: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 }
 
 func (l *Lexer) lexString(start int) (Token, error) {

@@ -987,7 +987,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Type {
 	case TokNumber:
 		p.next()
-		if strings.Contains(t.Text, ".") {
+		if strings.ContainsAny(t.Text, ".eE") {
 			f, err := strconv.ParseFloat(t.Text, 64)
 			if err != nil {
 				return nil, p.errorf("invalid number %q", t.Text)

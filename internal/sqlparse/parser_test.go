@@ -321,12 +321,60 @@ func TestStringRoundTrip(t *testing.T) {
 		"SELECT a FROM t JOIN u ON (t.id = u.id)",
 		"SELECT DISTINCT a FROM t",
 		"SELECT COUNT(DISTINCT a) FROM t",
+		// FLOAT literals the 'g' rendering writes with an exponent, and
+		// those renderings themselves.
+		"SELECT 1000000.0",
+		"SELECT 1e+06",
+		"SELECT 0.00001",
+		"SELECT 1e-05",
+		"SELECT a FROM t WHERE b > 1.5E3 AND c < 2e-7",
 	}
 	for _, src := range sources {
 		s1 := mustParse(t, src)
 		s2 := mustParse(t, s1.String())
 		if s1.String() != s2.String() {
 			t.Errorf("not a fixed point:\n first: %s\nsecond: %s", s1, s2)
+		}
+	}
+}
+
+// TestParseFloatExponent pins what the lexer reads as an exponent: e or E,
+// an optional sign, at least one digit — and nothing else, so a bare e after
+// a number is still an alias.
+func TestParseFloatExponent(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want sqlval.Value
+	}{
+		{"SELECT 1000000.0", sqlval.NewFloat(1e6)},
+		{"SELECT 1e+06", sqlval.NewFloat(1e6)},
+		{"SELECT 0.00001", sqlval.NewFloat(1e-5)},
+		{"SELECT 1e-05", sqlval.NewFloat(1e-5)},
+		{"SELECT 25E2", sqlval.NewFloat(2500)},
+		{"SELECT 1.5e3", sqlval.NewFloat(1500)},
+		{"SELECT 1e", sqlval.NewInt(1)},     // 1 AS e
+		{"SELECT 1e+", sqlval.Null},         // 1 AS e, then a dangling +
+		{"SELECT 1e999", sqlval.Null},       // out of range
+		{"SELECT 1.e5", sqlval.Null},        // a digit must follow the point
+		{"SELECT 7 LIMIT 1e1", sqlval.Null}, // counts stay integers
+	} {
+		stmt, err := Parse(tc.src)
+		if tc.want.IsNull() {
+			if err == nil {
+				t.Errorf("Parse(%q) unexpectedly succeeded", tc.src)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.src, err)
+			continue
+		}
+		lit, ok := stmt.(*Select).Items[0].Expr.(*Literal)
+		if !ok || lit.Value.Kind() != tc.want.Kind() || !lit.Value.Equal(tc.want) {
+			t.Errorf("Parse(%q) = %v, want %s %v", tc.src, stmt, tc.want.Kind(), tc.want)
+		}
+		if _, err := Parse(stmt.String()); err != nil {
+			t.Errorf("Parse(%q) accepted, its rendering %q rejected: %v", tc.src, stmt, err)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func arith(v, o Value, op string) (Value, error) {
 		return Null, fmt.Errorf("operator %s requires numeric operands, got %s and %s", op, v.Kind(), o.Kind())
 	}
 	if v.kind == KindInt && o.kind == KindInt {
-		a, b := v.i, o.i
+		a, b := v.n, o.n
 		switch op {
 		case "+":
 			return NewInt(a + b), nil
@@ -77,9 +77,9 @@ func Neg(v Value) (Value, error) {
 	case KindNull:
 		return Null, nil
 	case KindInt:
-		return NewInt(-v.i), nil
+		return NewInt(-v.n), nil
 	case KindFloat:
-		return NewFloat(-v.f), nil
+		return NewFloat(-v.float()), nil
 	default:
 		return Null, fmt.Errorf("unary minus requires a numeric operand, got %s", v.Kind())
 	}

@@ -3,7 +3,7 @@ package sqlval
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"math/bits"
 )
 
 // The binary codec is shared by the storage layer (table data files) and the
@@ -18,11 +18,9 @@ func AppendEncode(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindInt, KindBool, KindDate:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, v.n)
 	case KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		dst = append(dst, buf[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
 	case KindString:
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
@@ -30,9 +28,44 @@ func AppendEncode(dst []byte, v Value) []byte {
 	return dst
 }
 
+// EncodedLen returns len(AppendEncode(nil, v)) without encoding.
+func EncodedLen(v Value) int {
+	switch v.kind {
+	case KindInt, KindBool, KindDate:
+		return 1 + VarintLen(v.n)
+	case KindFloat:
+		return 9
+	case KindString:
+		return 1 + UvarintLen(uint64(len(v.s))) + len(v.s)
+	default:
+		return 1
+	}
+}
+
+// EncodedRowLen returns len(EncodeRow(nil, row)) without encoding, so a
+// writer of many rows can allocate its buffer once at the final size.
+func EncodedRowLen(row []Value) int {
+	n := UvarintLen(uint64(len(row)))
+	for _, v := range row {
+		n += EncodedLen(v)
+	}
+	return n
+}
+
+// UvarintLen returns len(binary.AppendUvarint(nil, x)).
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// VarintLen returns len(binary.AppendVarint(nil, x)) (zig-zag, then uvarint).
+func VarintLen(x int64) int { return UvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
 // Decode reads one value from b, returning the value and the number of bytes
 // consumed.
-func Decode(b []byte) (Value, int, error) {
+func Decode(b []byte) (Value, int, error) { return decode(b, "") }
+
+// decode is Decode with an optional string image of b: when text is
+// non-empty it holds the same bytes as b, and a TEXT value is a substring of
+// it instead of a fresh allocation.
+func decode(b []byte, text string) (Value, int, error) {
 	if len(b) == 0 {
 		return Null, 0, fmt.Errorf("decode value: empty buffer")
 	}
@@ -46,19 +79,22 @@ func Decode(b []byte) (Value, int, error) {
 		if n <= 0 {
 			return Null, 0, fmt.Errorf("decode %s: bad varint", kind)
 		}
-		return Value{kind: kind, i: i}, 1 + n, nil
+		return Value{kind: kind, n: i}, 1 + n, nil
 	case KindFloat:
 		if len(rest) < 8 {
 			return Null, 0, fmt.Errorf("decode FLOAT: short buffer")
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		return NewFloat(f), 9, nil
+		return Value{kind: KindFloat, n: int64(binary.LittleEndian.Uint64(rest))}, 9, nil
 	case KindString:
 		l, n := binary.Uvarint(rest)
 		if n <= 0 || uint64(len(rest)-n) < l {
 			return Null, 0, fmt.Errorf("decode TEXT: bad length")
 		}
-		return NewString(string(rest[n : n+int(l)])), 1 + n + int(l), nil
+		end := 1 + n + int(l)
+		if text != "" {
+			return NewString(text[1+n : end]), end, nil
+		}
+		return NewString(string(b[1+n : end])), end, nil
 	default:
 		return Null, 0, fmt.Errorf("decode value: unknown kind tag %d", b[0])
 	}
@@ -75,27 +111,48 @@ func EncodeRow(dst []byte, row []Value) []byte {
 }
 
 // DecodeRow decodes a row produced by EncodeRow, returning the values and
-// bytes consumed.
-func DecodeRow(b []byte) ([]Value, int, error) {
+// bytes consumed. The row and each of its TEXT values are fresh allocations
+// (the WAL and the wire decode one row at a time and keep it); a reader of
+// many rows uses AppendDecodeRow.
+func DecodeRow(b []byte) ([]Value, int, error) { return AppendDecodeRow(nil, b, "") }
+
+// AppendDecodeRow is the row-decode loop: it decodes one EncodeRow image
+// from the front of b, appends its values to dst and returns the extended
+// slice and the bytes consumed. A nil dst is allocated at the row's exact
+// size. When text is non-empty it must be string(b) — the caller converted
+// the whole buffer once — and TEXT values are returned as substrings of it,
+// so decoding allocates nothing per value and every such value keeps text
+// alive. On error dst is returned as it was passed.
+func AppendDecodeRow(dst []Value, b []byte, text string) ([]Value, int, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("decode row: bad count")
+		return dst, 0, fmt.Errorf("decode row: bad count")
 	}
 	off := n
 	// Every value occupies at least one byte, so a count beyond the
 	// remaining buffer is corrupt — reject it before allocating (a fuzzer
 	// found the unchecked preallocation could be driven to OOM).
 	if count > uint64(len(b)-off) {
-		return nil, 0, fmt.Errorf("decode row: count %d exceeds buffer", count)
+		return dst, 0, fmt.Errorf("decode row: count %d exceeds buffer", count)
 	}
-	row := make([]Value, 0, count)
+	if text != "" && len(text) != len(b) {
+		return dst, 0, fmt.Errorf("decode row: text image is %d bytes, buffer %d", len(text), len(b))
+	}
+	orig := dst
+	if dst == nil {
+		dst = make([]Value, 0, count)
+	}
 	for i := uint64(0); i < count; i++ {
-		v, used, err := Decode(b[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("decode row value %d: %w", i, err)
+		var sub string
+		if text != "" {
+			sub = text[off:]
 		}
-		row = append(row, v)
+		v, used, err := decode(b[off:], sub)
+		if err != nil {
+			return orig, 0, fmt.Errorf("decode row value %d: %w", i, err)
+		}
+		dst = append(dst, v)
 		off += used
 	}
-	return row, off, nil
+	return dst, off, nil
 }

@@ -52,42 +52,50 @@ func (k Kind) String() string {
 var epoch = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Value is a single SQL scalar. The zero Value is SQL NULL.
+//
+// It is 32 bytes — kind, one 8-byte payload, the string header — so two
+// values fill a 64-byte cache line and none straddles one (DESIGN.md "Value
+// layout and table storage"). The integer and float payloads are never both
+// live, so a FLOAT keeps its IEEE-754 bits in n; every comparison, hash and
+// key goes through float() and sees a float, never the bits.
 type Value struct {
 	kind Kind
-	i    int64 // KindInt, KindBool (0/1), KindDate (days since epoch)
-	f    float64
+	n    int64 // KindInt, KindBool (0/1), KindDate (days since epoch); KindFloat: math.Float64bits
 	s    string
 }
+
+// float returns the payload of a FLOAT value (caller checked the kind).
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: int64(math.Float64bits(v))} }
 
 // NewString returns a TEXT value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewBool returns a BOOLEAN value.
 func NewBool(v bool) Value {
-	var i int64
+	var n int64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // NewDate returns a DATE value for the given civil date.
 func NewDate(year int, month time.Month, day int) Value {
 	t := time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
-	return Value{kind: KindDate, i: int64(t.Sub(epoch).Hours() / 24)}
+	return Value{kind: KindDate, n: int64(t.Sub(epoch).Hours() / 24)}
 }
 
 // NewDateDays returns a DATE value from a raw day offset since 1970-01-01.
-func NewDateDays(days int64) Value { return Value{kind: KindDate, i: days} }
+func NewDateDays(days int64) Value { return Value{kind: KindDate, n: days} }
 
 // ParseDate parses a YYYY-MM-DD literal into a DATE value.
 func ParseDate(s string) (Value, error) {
@@ -109,7 +117,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("sqlval: Int() on %s value", v.kind))
 	}
-	return v.i
+	return v.n
 }
 
 // Float returns the float payload. It panics if the value is not a FLOAT.
@@ -117,7 +125,7 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("sqlval: Float() on %s value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
 
 // Str returns the string payload. It panics if the value is not TEXT.
@@ -133,7 +141,7 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("sqlval: Bool() on %s value", v.kind))
 	}
-	return v.i != 0
+	return v.n != 0
 }
 
 // Days returns the day offset of a DATE value. It panics for other kinds.
@@ -141,7 +149,7 @@ func (v Value) Days() int64 {
 	if v.kind != KindDate {
 		panic(fmt.Sprintf("sqlval: Days() on %s value", v.kind))
 	}
-	return v.i
+	return v.n
 }
 
 // Time converts a DATE value to a time.Time at UTC midnight.
@@ -155,9 +163,9 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 func (v Value) AsFloat() (f float64, ok bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.n), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	default:
 		return 0, false
 	}
@@ -169,13 +177,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -219,57 +227,51 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.s == o.s
 	case KindFloat:
-		return v.f == o.f
+		return v.float() == o.float()
 	default:
-		return v.i == o.i
+		return v.n == o.n
 	}
 }
 
 // Compare orders two values. The second result is false when the comparison
 // is UNKNOWN under SQL semantics (either side NULL) or the kinds are
-// incomparable. Numeric kinds compare across INTEGER/FLOAT.
+// incomparable. Values of one kind compare by their own payload — two
+// INTEGERs as integers, so neighbours beyond 2^53 stay distinct — and only
+// an INTEGER against a FLOAT is compared as two floats.
 func (v Value) Compare(o Value) (cmp int, ok bool) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, false
 	}
-	if v.IsNumeric() && o.IsNumeric() {
-		a, _ := v.AsFloat()
-		b, _ := o.AsFloat()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
 	if v.kind != o.kind {
+		if v.IsNumeric() && o.IsNumeric() {
+			a, _ := v.AsFloat()
+			b, _ := o.AsFloat()
+			return cmpOrdered(a, b), true
+		}
 		return 0, false
 	}
 	switch v.kind {
 	case KindString:
 		return strings.Compare(v.s, o.s), true
 	case KindBool, KindDate, KindInt:
-		switch {
-		case v.i < o.i:
-			return -1, true
-		case v.i > o.i:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmpOrdered(v.n, o.n), true
 	case KindFloat:
-		switch {
-		case v.f < o.f:
-			return -1, true
-		case v.f > o.f:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmpOrdered(v.float(), o.float()), true
 	default:
 		return 0, false
+	}
+}
+
+// cmpOrdered is cmp.Compare without its NaN ordering: a NaN is neither
+// below nor above anything, as the < and > it is built from say.
+func cmpOrdered[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
 }
 
@@ -299,11 +301,11 @@ func (v Value) Hash() uint64 {
 		h.Write([]byte{1})
 		h.Write([]byte(v.s))
 	case KindBool:
-		h.Write([]byte{2, byte(v.i)})
+		h.Write([]byte{2, byte(v.n)})
 	case KindDate:
 		var buf [9]byte
 		buf[0] = 3
-		putUint64(buf[1:], uint64(v.i))
+		putUint64(buf[1:], uint64(v.n))
 		h.Write(buf[:])
 	default: // numeric: hash by float64 so 1 and 1.0 collide deliberately
 		f, _ := v.AsFloat()
@@ -331,9 +333,9 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 	case KindString:
 		return append(append(dst, 's'), v.s...)
 	case KindBool:
-		return strconv.AppendInt(append(dst, 'b'), v.i, 10)
+		return strconv.AppendInt(append(dst, 'b'), v.n, 10)
 	case KindDate:
-		return strconv.AppendInt(append(dst, 'd'), v.i, 10)
+		return strconv.AppendInt(append(dst, 'd'), v.n, 10)
 	default:
 		f, _ := v.AsFloat()
 		return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
