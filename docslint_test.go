@@ -2,7 +2,6 @@ package ldv
 
 import (
 	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,10 +31,7 @@ func TestPackageDocComments(t *testing.T) {
 				return filepath.SkipDir
 			}
 		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, path, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments|parser.PackageClauseOnly)
+		_, pkgs, err := parsePackages(path, parser.ParseComments|parser.PackageClauseOnly)
 		if err != nil {
 			// Directories without Go files (or with unparsable ones the
 			// build would reject anyway) are not this lint's business.

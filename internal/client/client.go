@@ -101,7 +101,10 @@ type Options struct {
 	Proc string
 	// Database selects the database name announced at startup.
 	Database string
-	// Interceptors are invoked in order for every statement.
+	// Interceptors are invoked in order for every statement sent with Query,
+	// Exec or QueryAt. Prepared executions (Stmt.Exec, Pipeline) do not run
+	// the chain, so Prepare fails with ErrNotIntercepted on a connection that
+	// has any.
 	Interceptors []Interceptor
 	// NoTrace disables request tracing: no root span, no trace-context
 	// header on queries, no "trace" startup option. This is the untraced

@@ -29,6 +29,12 @@ import (
 // with errors.Is.
 var ErrPipeline = errors.New("client: pipeline aborted")
 
+// ErrNotIntercepted is the typed error Prepare returns on a connection that
+// has interceptors: Stmt.Exec and Pipeline do not run the interceptor chain,
+// so a prepared statement there would execute unseen — unaudited under LDV's
+// auditor, unanswerable under its replayer. Match with errors.Is.
+var ErrNotIntercepted = errors.New("client: prepared statements bypass the interceptor chain; this connection has interceptors")
+
 // Stmt is a server-side prepared statement owned by one Conn.
 type Stmt struct {
 	c           *Conn
@@ -53,10 +59,14 @@ func (s *Stmt) Fingerprint() string { return s.fingerprint }
 // Prepare parses sql server-side for repeated execution. Positional `?`
 // placeholders become parameters supplied to each Exec. The statement is
 // named by the client ("s1", "s2", ...) and lives until Close or the end of
-// the connection.
+// the connection. A connection with interceptors refuses with
+// ErrNotIntercepted.
 func (c *Conn) Prepare(sql string) (*Stmt, error) {
 	if c.closed || c.broken {
 		return nil, ErrClosed
+	}
+	if len(c.interceptors) > 0 {
+		return nil, ErrNotIntercepted
 	}
 	if c.nc == nil {
 		return nil, fmt.Errorf("client: prepared statements need a server connection")

@@ -57,8 +57,9 @@ type ExecOptions struct {
 	// engine span recording.
 	Span *obs.Span
 	// Params are the values bound to the statement's positional `?`
-	// placeholders, 1-based in source order. Execution fails if the
-	// statement references a parameter index beyond len(Params).
+	// placeholders, 1-based in source order: exactly one per placeholder
+	// (of the whole script, for ExecScript), or the execution fails.
+	// Session.ExecPrepared sets it from its args.
 	Params []sqlval.Value
 	// AsOf, when non-zero, pins SELECTs to the historical snapshot at the
 	// given logical tick — the session-level form of the statement's AS OF
@@ -66,8 +67,8 @@ type ExecOptions struct {
 	// wire as the Query message's trailing as-of field.
 	AsOf uint64
 
-	// prep links the execution back to its prepared statement (plan-cache
-	// key and per-statement counters). Set only by Session.ExecPrepared.
+	// prep links the execution back to its statement (plan-cache key and
+	// per-statement counters). Set only by Session.ExecPrepared.
 	prep *PreparedStmt
 }
 
@@ -287,11 +288,6 @@ func (db *DB) Exec(sql string, opts ExecOptions) (*Result, error) {
 // default session, stopping at the first error.
 func (db *DB) ExecScript(sql string, opts ExecOptions) ([]*Result, error) {
 	return db.defaultSession().ExecScript(sql, opts)
-}
-
-// ExecStatement executes a parsed statement on the shared default session.
-func (db *DB) ExecStatement(stmt sqlparse.Statement, opts ExecOptions) (*Result, error) {
-	return db.defaultSession().ExecStatement(stmt, opts)
 }
 
 func (db *DB) execCreateTable(s *sqlparse.CreateTable) (uint64, error) {

@@ -554,6 +554,50 @@ func TestExecScript(t *testing.T) {
 	}
 }
 
+// A script statement runs from the AST the script parse produced, not from a
+// re-rendering of it: rendering 2.0 gives "2", which reparses as an INTEGER.
+func TestExecScriptKeepsLiteralKinds(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INT)")
+	for _, sql := range []string{"SELECT 7 / 2.0", "SELECT 1.0", "SELECT 3 * 1e0", "SELECT 5 % 2.0"} {
+		want, wantErr := db.Exec(sql, ExecOptions{})
+		results, err := db.ExecScript(sql+"; SELECT 1", ExecOptions{})
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: script error %v, Exec error %v", sql, err, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		got := results[0].Rows[0][0]
+		if w := want.Rows[0][0]; got.Kind() != w.Kind() || !got.Equal(w) {
+			t.Errorf("%s: script = %v (%v), Exec = %v (%v)", sql, got, got.Kind(), w, w.Kind())
+		}
+	}
+	res := mustExec(t, db, "SELECT 7 / 2.0", ExecOptions{})
+	if res.Rows[0][0].Kind() != sqlval.KindFloat || res.Rows[0][0].Float() != 3.5 {
+		t.Fatalf("7 / 2.0 = %v", res.Rows[0][0])
+	}
+}
+
+// A script's placeholders are numbered across the script and Params binds
+// exactly that many values.
+func TestExecScriptParams(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INT)")
+	script := "INSERT INTO t VALUES (?); INSERT INTO t VALUES (?); SELECT a FROM t WHERE a = ?"
+	vals := []sqlval.Value{sqlval.NewInt(10), sqlval.NewInt(20), sqlval.NewInt(20)}
+	results, err := db.ExecScript(script, ExecOptions{Params: vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 || len(results[2].Rows) != 1 || results[2].Rows[0][0].Int() != 20 {
+		t.Fatalf("script results = %+v", results)
+	}
+	for _, bad := range [][]sqlval.Value{nil, vals[:2], append(vals[:3:3], sqlval.NewInt(1))} {
+		if results, err := db.ExecScript(script, ExecOptions{Params: bad}); err == nil || len(results) != 0 {
+			t.Errorf("%d params: results = %d, err = %v; want the first statement refused", len(bad), len(results), err)
+		}
+	}
+}
+
 func TestLargeScanWithJoin(t *testing.T) {
 	db := newTestDB(t,
 		"CREATE TABLE big (id INT PRIMARY KEY, fk INT)",

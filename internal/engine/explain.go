@@ -126,9 +126,9 @@ func (s *Session) execExplainStmt(ex *sqlparse.Explain, opts ExecOptions, res *R
 	var err error
 	switch st := ex.Stmt.(type) {
 	case *sqlparse.Select:
-		err = s.execSelectOps(st, opts, inner, oc)
+		err = s.execSelectStmt(st, opts, inner, oc)
 	default:
-		err = s.execDMLOps(ex.Stmt, opts, inner, oc)
+		err = s.execDMLStmt(ex.Stmt, opts, inner, oc)
 	}
 	total := time.Since(t0)
 	if err != nil {

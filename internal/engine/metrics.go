@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"ldv/internal/obs"
 	"ldv/internal/sqlparse"
 )
@@ -86,64 +84,3 @@ func execHistogram(stmt sqlparse.Statement) *obs.Histogram {
 		return hExecOther
 	}
 }
-
-// observeStatement records one statement execution's metrics.
-func observeStatement(stmt sqlparse.Statement, res *Result, err error, d time.Duration) {
-	mStmts.Inc()
-	execHistogram(stmt).Observe(d)
-	if err != nil {
-		mStmtErrors.Inc()
-		return
-	}
-	mRowsReturned.Add(int64(len(res.Rows)))
-	mRowsAffected.Add(int64(res.RowsAffected))
-}
-
-// recordStatementStats folds one execution into the per-fingerprint store
-// behind ldv_stat_statements. Exec time is the total minus the plan phase
-// (lock acquisition), so contention shows up under plan, not exec.
-func recordStatementStats(p Parsed, res *Result, err error, total time.Duration) {
-	st := obs.Statements()
-	if !st.Enabled() {
-		return
-	}
-	execNS := int64(total) - res.planNS
-	if execNS < 0 {
-		execNS = 0
-	}
-	rows := int64(len(res.Rows)) + int64(res.RowsAffected)
-	st.Record(p.Fingerprint.Hash, p.Fingerprint.Text, p.ParseNS, res.planNS, execNS, rows, err != nil, res.TraceID)
-}
-
-// Parsed is one statement ready for execution: the AST, its fingerprint, and
-// how long the parse took (charged to the statement's stats entry).
-type Parsed struct {
-	Stmt        sqlparse.Statement
-	Fingerprint sqlparse.Fingerprint
-	ParseNS     int64
-}
-
-// ParseStatement parses one statement and computes its fingerprint in a
-// single lex pass, recording the engine.parse_ns latency metric — the parse
-// entry point for Session.Exec and the server.
-func ParseStatement(sql string) (Parsed, error) {
-	t0 := time.Now()
-	stmt, fp, err := sqlparse.ParseFingerprinted(sql)
-	d := time.Since(t0)
-	hParse.Observe(d)
-	return Parsed{Stmt: stmt, Fingerprint: fp, ParseNS: int64(d)}, err
-}
-
-// timedParse wraps sqlparse.Parse with latency accounting, for callers that
-// do not need a fingerprint.
-func timedParse(sql string) (sqlparse.Statement, error) {
-	t0 := time.Now()
-	stmt, err := sqlparse.Parse(sql)
-	hParse.Observe(time.Since(t0))
-	return stmt, err
-}
-
-// ParseTimed parses one statement, recording the engine.parse_ns latency
-// metric — the parse entry point for callers that dispatch on the parsed
-// statement themselves (the server's COPY interception).
-func ParseTimed(sql string) (sqlparse.Statement, error) { return timedParse(sql) }

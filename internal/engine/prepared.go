@@ -1,22 +1,21 @@
 package engine
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"ldv/internal/obs"
 	"ldv/internal/plan"
 	"ldv/internal/sqlparse"
-	"ldv/internal/sqlval"
 )
 
-// Prepared statements parse once and execute many times with positional `?`
-// parameters. The AST is immutable after the parse (the subquery resolver is
-// copy-on-write and plan trees never alias executor state), so one
-// *PreparedStmt is safe to share across sessions — the server keeps a
-// per-connection name registry, but the underlying statement and its cached
-// plan are process-wide.
+// Every statement executes as a *PreparedStmt: a text statement is prepared,
+// executed once and dropped; a named one parses once and executes many times
+// with positional `?` parameters. The AST is immutable after the parse (the
+// subquery resolver is copy-on-write and plan trees never alias executor
+// state), so one *PreparedStmt is safe to share across sessions — the server
+// keeps a per-connection name registry, but the underlying statement and its
+// cached plan are process-wide.
 //
 // The plan cache maps a statement's exact text → plan tree: keyed by the
 // text's 64-bit hash, each entry carrying the text itself, so that two
@@ -37,30 +36,43 @@ var (
 	mPlanCacheInvalidations = obs.NewCounter("plan.cache_invalidations", "Cached plans discarded because DDL bumped the catalog epoch")
 )
 
-// PreparedStmt is one parsed, fingerprinted statement ready for repeated
-// execution. Immutable after PrepareStatement except for the counters.
+// PreparedStmt is the one executable form of a statement: everything
+// Session.ExecPrepared needs that depends on the text alone, worked out once
+// by PrepareStatement. Immutable after that except for the counters.
 type PreparedStmt struct {
 	// SQL is the original statement text.
 	SQL string
-	// NumParams is the number of positional `?` placeholders a Bind must
-	// supply values for.
+	// NumParams is the number of positional `?` placeholders an execution
+	// must supply values for.
 	NumParams int
 
-	p Parsed
-	// textHash keys the plan cache.
-	textHash uint64
-	// cacheable marks SELECTs eligible for the plan cache. Statements with
-	// subqueries are excluded: the resolver substitutes per-execution
+	stmt sqlparse.Statement
+	fp   sqlparse.Fingerprint
+	// info is what a session publishes while it runs the statement: the
+	// fingerprint's hex key, rendered here once, and the text.
+	info    obs.StmtInfo
+	parseNS int64
+	// latency is the histogram of the statement's kind; writes marks the
+	// kinds a read-only database refuses.
+	latency *obs.Histogram
+	writes  bool
+	// cacheable marks statements whose plan tree the plan cache may keep,
+	// keyed by textHash: SELECTs prepared through DB.Prepare. Statements with
+	// subqueries are excluded — the resolver substitutes per-execution
 	// literals before planning, so their plans are not reusable.
 	cacheable bool
+	textHash  uint64
 
 	calls     atomic.Int64
 	cacheHits atomic.Int64
 }
 
-// Fingerprint returns the statement's normalized-text fingerprint — the
-// join key against ldv_stat_statements.
-func (ps *PreparedStmt) Fingerprint() sqlparse.Fingerprint { return ps.p.Fingerprint }
+// Statement returns the parsed statement (shared, not to be modified).
+func (ps *PreparedStmt) Statement() sqlparse.Statement { return ps.stmt }
+
+// Info returns the statement's fingerprint key — the 16-digit hex join key
+// against ldv_stat_statements — and text, as sessions publish them.
+func (ps *PreparedStmt) Info() *obs.StmtInfo { return &ps.info }
 
 // Calls returns how many times the statement has been executed.
 func (ps *PreparedStmt) Calls() int64 { return ps.calls.Load() }
@@ -68,8 +80,11 @@ func (ps *PreparedStmt) Calls() int64 { return ps.calls.Load() }
 // CacheHits returns how many executions reused a cached plan tree.
 func (ps *PreparedStmt) CacheHits() int64 { return ps.cacheHits.Load() }
 
-// PrepareStatement parses and fingerprints a statement for repeated
-// execution, recording engine.parse_ns like every other parse entry point.
+// PrepareStatement parses and fingerprints one statement in a single lex
+// pass, recording engine.parse_ns — the one parse entry point. The result
+// plans afresh on every execution, which is what a text statement wants: its
+// plan embeds its literals, so caching it under its exact text would fill the
+// bounded cache with entries that are never asked for again.
 func PrepareStatement(sql string) (*PreparedStmt, error) {
 	t0 := time.Now()
 	stmt, fp, nparams, err := sqlparse.ParsePrepared(sql)
@@ -78,34 +93,36 @@ func PrepareStatement(sql string) (*PreparedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps := &PreparedStmt{
+	return newPrepared(stmt, fp, nparams, sql, int64(d)), nil
+}
+
+// newPrepared builds the executable form of an already parsed statement.
+func newPrepared(stmt sqlparse.Statement, fp sqlparse.Fingerprint, nparams int, sql string, parseNS int64) *PreparedStmt {
+	return &PreparedStmt{
 		SQL:       sql,
 		NumParams: nparams,
-		p:         Parsed{Stmt: stmt, Fingerprint: fp, ParseNS: int64(d)},
-		textHash:  sqlparse.HashText(sql),
+		stmt:      stmt,
+		fp:        fp,
+		info:      obs.StmtInfo{Fingerprint: fp.String(), SQL: sql},
+		parseNS:   parseNS,
+		latency:   execHistogram(stmt),
+		writes:    stmtWrites(stmt),
 	}
-	if sel, ok := stmt.(*sqlparse.Select); ok {
+}
+
+// Prepare parses a statement for repeated execution against this database:
+// PrepareStatement, plus a place in the plan cache for a SELECT's plan tree.
+func (db *DB) Prepare(sql string) (*PreparedStmt, error) {
+	ps, err := PrepareStatement(sql)
+	if err != nil {
+		return nil, err
+	}
+	if sel, ok := ps.stmt.(*sqlparse.Select); ok {
 		ps.cacheable = len(sel.From) > 0 && !selectHasSubqueries(sel)
+		ps.textHash = sqlparse.HashText(sql)
 	}
 	return ps, nil
 }
-
-// ExecPrepared executes a prepared statement with the given parameter
-// values, preserving the full ExecParsed flow (MVCC snapshot, tracing,
-// fingerprinted statement stats) and consulting the plan cache for
-// cacheable SELECTs.
-func (s *Session) ExecPrepared(ps *PreparedStmt, args []sqlval.Value, opts ExecOptions) (*Result, error) {
-	if len(args) != ps.NumParams {
-		return nil, fmt.Errorf("prepared statement wants %d parameters, got %d", ps.NumParams, len(args))
-	}
-	ps.calls.Add(1)
-	opts.Params = args
-	opts.prep = ps
-	return s.ExecParsed(ps.p, opts)
-}
-
-// Prepare parses a statement for repeated execution against this database.
-func (db *DB) Prepare(sql string) (*PreparedStmt, error) { return PrepareStatement(sql) }
 
 // planCacheEntry is the plan tree of the statement whose text is sql,
 // pinned to the catalog epoch it was built under.

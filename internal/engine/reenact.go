@@ -64,10 +64,11 @@ func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Resul
 		if sub, ok := subs[ord]; ok {
 			sql = sub
 		}
-		stmt, err := timedParse(sql)
+		prep, err := PrepareStatement(sql)
 		if err != nil {
 			return fmt.Errorf("REENACT statement %d: %w", ord, err)
 		}
+		stmt := prep.stmt
 
 		// The historical cut at the transaction's snapshot tick, widened so
 		// the transaction's own writes from statements before this one are

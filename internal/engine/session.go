@@ -296,13 +296,6 @@ func (s *Session) SetWaitState(ws *obs.SessionState) {
 	s.ws = ws
 }
 
-// WaitState returns the handle set by SetWaitState (nil when none).
-func (s *Session) WaitState() *obs.SessionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ws
-}
-
 // NewSession opens an independent session on the database.
 func (db *DB) NewSession() *Session {
 	return &Session{db: db}
@@ -330,27 +323,34 @@ func (s *Session) Close() error {
 	return err
 }
 
-// Exec parses and executes a single SQL statement on this session.
+// Exec prepares and executes a single SQL statement on this session, binding
+// opts.Params to its placeholders.
 func (s *Session) Exec(sql string, opts ExecOptions) (*Result, error) {
-	p, err := ParseStatement(sql)
+	ps, err := PrepareStatement(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecParsed(p, opts)
+	return s.ExecPrepared(ps, opts.Params, opts)
 }
 
-// ExecScript parses and executes a semicolon-separated script, stopping at
-// the first error.
+// ExecScript executes a semicolon-separated script, stopping at the first
+// error. The whole script must parse before anything runs. Placeholders are
+// numbered across the script, so opts.Params holds exactly one value per `?`
+// in the script and every statement is bound against all of them. Each
+// statement runs from the AST the script parse produced, fingerprinted from
+// its canonical rendering.
 func (s *Session) ExecScript(sql string, opts ExecOptions) ([]*Result, error) {
 	t0 := time.Now()
-	stmts, err := sqlparse.ParseScript(sql)
+	stmts, nparams, err := sqlparse.ParseScript(sql)
 	hParse.Observe(time.Since(t0))
 	if err != nil {
 		return nil, err
 	}
 	results := make([]*Result, 0, len(stmts))
 	for _, st := range stmts {
-		r, err := s.ExecStatement(st, opts)
+		text := st.String()
+		ps := newPrepared(st, sqlparse.ComputeFingerprint(text), nparams, text, 0)
+		r, err := s.ExecPrepared(ps, opts.Params, opts)
 		if err != nil {
 			return results, err
 		}
@@ -359,55 +359,68 @@ func (s *Session) ExecScript(sql string, opts ExecOptions) ([]*Result, error) {
 	return results, nil
 }
 
-// ExecStatement executes a parsed statement on this session. The statement's
-// fingerprint is recovered from its normalized rendering; callers that parsed
-// with ParseStatement should prefer ExecParsed, which reuses the fingerprint
-// computed during the parse.
-func (s *Session) ExecStatement(stmt sqlparse.Statement, opts ExecOptions) (*Result, error) {
-	return s.ExecParsed(Parsed{Stmt: stmt}, opts)
-}
-
-// ExecParsed executes one parsed, fingerprinted statement on this session —
-// the core execution entry point. A zero fingerprint is filled in from the
-// statement's normalized rendering so Result.Fingerprint and the
-// ldv_stat_statements store see every execution path.
-func (s *Session) ExecParsed(p Parsed, opts ExecOptions) (*Result, error) {
+// ExecPrepared executes a statement with the given parameter values — the
+// one execute entry: every statement, however it arrived, runs here once and
+// is recorded here once.
+func (s *Session) ExecPrepared(ps *PreparedStmt, args []sqlval.Value, opts ExecOptions) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stmt := p.Stmt
-	if p.Fingerprint.IsZero() && stmt != nil {
-		p.Fingerprint = sqlparse.ComputeFingerprint(stmt.String())
-	}
 	db := s.db
+	opts.Params, opts.prep = args, ps
 	t0 := time.Now()
-	res := &Result{StmtID: db.newStmtID(), Start: db.clock.Tick(), Fingerprint: p.Fingerprint.String()}
+	res := &Result{StmtID: db.newStmtID(), Start: db.clock.Tick(), Fingerprint: ps.info.Fingerprint}
 	if opts.Span != nil {
 		res.TraceID = opts.Span.TraceID().String()
 	}
-	s.ws.StartStatement(res.Fingerprint, res.TraceID)
-	finish := func(err error) (*Result, error) {
-		res.End = db.clock.Tick()
-		total := time.Since(t0)
-		observeStatement(stmt, res, err, total)
-		recordStatementStats(p, res, err, total)
-		s.ws.FinishStatement()
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
+	s.ws.StartStatement(&ps.info, res.TraceID, t0)
+	err := s.execute(ps, opts, res)
+	res.End = db.clock.Tick()
+	total := time.Since(t0)
 
+	// The finish step: the one place an execution is written to the metrics,
+	// the per-fingerprint store behind ldv_stat_statements, and the session's
+	// live record. Exec time is the total minus the plan phase (lock
+	// acquisition), so contention shows up under plan, not exec.
+	ps.calls.Add(1)
+	mStmts.Inc()
+	ps.latency.Observe(total)
+	if err != nil {
+		mStmtErrors.Inc()
+	} else {
+		mRowsReturned.Add(int64(len(res.Rows)))
+		mRowsAffected.Add(int64(res.RowsAffected))
+	}
+	if st := obs.Statements(); st.Enabled() {
+		execNS := max(int64(total)-res.planNS, 0)
+		rows := int64(len(res.Rows)) + int64(res.RowsAffected)
+		st.Record(ps.fp.Hash, ps.fp.Text, ps.parseNS, res.planNS, execNS, rows, err != nil, res.TraceID)
+	}
+	s.ws.FinishStatement()
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// execute runs one statement into res: transaction control here, everything
+// else by statement type.
+func (s *Session) execute(ps *PreparedStmt, opts ExecOptions, res *Result) error {
+	db := s.db
+	stmt := ps.stmt
+	if len(opts.Params) != ps.NumParams {
+		return fmt.Errorf("statement wants %d parameters, got %d", ps.NumParams, len(opts.Params))
+	}
 	switch stmt.(type) {
 	case *sqlparse.Begin:
 		if s.txn != nil {
-			return finish(fmt.Errorf("a transaction is already open"))
+			return fmt.Errorf("a transaction is already open")
 		}
 		s.txn = db.beginTxn()
 		s.ws.SetTxn(s.txn.id)
-		return finish(nil)
+		return nil
 	case *sqlparse.Commit:
 		if s.txn == nil {
-			return finish(fmt.Errorf("no transaction is open"))
+			return fmt.Errorf("no transaction is open")
 		}
 		seq, err := db.commitTxn(s.txn, opts.Span, s.ws)
 		res.CommitSeq = seq
@@ -418,16 +431,16 @@ func (s *Session) ExecParsed(p Parsed, opts ExecOptions) (*Result, error) {
 		} else {
 			mTxnRollbacks.Inc()
 		}
-		return finish(err)
+		return err
 	case *sqlparse.Rollback:
 		if s.txn == nil {
-			return finish(fmt.Errorf("no transaction is open"))
+			return fmt.Errorf("no transaction is open")
 		}
 		err := s.txn.rollback()
 		s.txn = nil
 		s.ws.SetTxn(0)
 		mTxnRollbacks.Inc()
-		return finish(err)
+		return err
 	}
 
 	if s.txn != nil {
@@ -436,19 +449,19 @@ func (s *Session) ExecParsed(p Parsed, opts ExecOptions) (*Result, error) {
 		hSnapshotAge.Record(int64(res.Start - s.txn.snap.ts))
 	}
 
-	if db.ReadOnly() && stmtWrites(stmt) {
-		return finish(fmt.Errorf("%w: statement rejected", ErrReadOnly))
+	if ps.writes && db.ReadOnly() {
+		return fmt.Errorf("%w: statement rejected", ErrReadOnly)
 	}
 
 	var err error
 	switch st := stmt.(type) {
 	case *sqlparse.Select:
-		err = s.execSelectStmt(st, opts, res)
+		err = s.execSelectStmt(st, opts, res, nil)
 		if err == nil && s.txn != nil {
 			s.txn.recordStmt(stmt, res, opts.Params)
 		}
 	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
-		err = s.execDMLStmt(stmt, opts, res)
+		err = s.execDMLStmt(stmt, opts, res, nil)
 		if err == nil && s.txn != nil {
 			s.txn.recordStmt(stmt, res, opts.Params)
 		}
@@ -495,18 +508,13 @@ func (s *Session) ExecParsed(p Parsed, opts ExecOptions) (*Result, error) {
 	default:
 		err = fmt.Errorf("unsupported statement type %T", stmt)
 	}
-	return finish(err)
+	return err
 }
 
 // execSelectStmt runs a query against the session's snapshot: the open
-// transaction's (repeatable) snapshot, or a fresh cut per statement.
-func (s *Session) execSelectStmt(sel *sqlparse.Select, opts ExecOptions, res *Result) error {
-	return s.execSelectOps(sel, opts, res, nil)
-}
-
-// execSelectOps is execSelectStmt with an optional per-operator collector
-// attached (EXPLAIN ANALYZE).
-func (s *Session) execSelectOps(sel *sqlparse.Select, opts ExecOptions, res *Result, oc *opCollector) error {
+// transaction's (repeatable) snapshot, or a fresh cut per statement. oc, when
+// non-nil, collects per-operator actuals (EXPLAIN ANALYZE).
+func (s *Session) execSelectStmt(sel *sqlparse.Select, opts ExecOptions, res *Result, oc *opCollector) error {
 	ec := &stmtCtx{db: s.db, txn: s.txn, ws: s.ws, ops: oc, params: opts.Params, prep: opts.prep}
 	switch {
 	case sel.AsOf != nil || opts.AsOf > 0:
@@ -536,13 +544,8 @@ func (s *Session) execSelectOps(sel *sqlparse.Select, opts ExecOptions, res *Res
 // statement gets an implicit one, which both gives it statement-level
 // atomicity (a mid-statement error rolls back its partial writes) and keeps
 // its in-flight writes invisible to concurrent snapshots until it finishes.
-func (s *Session) execDMLStmt(stmt sqlparse.Statement, opts ExecOptions, res *Result) error {
-	return s.execDMLOps(stmt, opts, res, nil)
-}
-
-// execDMLOps is execDMLStmt with an optional per-operator collector attached
-// (EXPLAIN ANALYZE).
-func (s *Session) execDMLOps(stmt sqlparse.Statement, opts ExecOptions, res *Result, oc *opCollector) error {
+// oc, when non-nil, collects per-operator actuals (EXPLAIN ANALYZE).
+func (s *Session) execDMLStmt(stmt sqlparse.Statement, opts ExecOptions, res *Result, oc *opCollector) error {
 	db := s.db
 	txn := s.txn
 	implicit := txn == nil
@@ -630,7 +633,7 @@ type stmtCtx struct {
 	ws *obs.SessionState
 
 	// params holds the execution's bound parameter values; prep links back
-	// to the prepared statement (nil for text-protocol executions).
+	// to the statement being executed (nil inside REENACT's replays).
 	params []sqlval.Value
 	prep   *PreparedStmt
 

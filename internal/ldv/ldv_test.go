@@ -1,10 +1,14 @@
 package ldv
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ldv/internal/client"
 	"ldv/internal/deps"
 	"ldv/internal/engine"
 	"ldv/internal/osim"
@@ -439,6 +443,47 @@ func TestRunPlainBaseline(t *testing.T) {
 	}
 }
 
+// TestAuditedAppCannotPrepareUnseen: prepared executions do not run the
+// interceptor chain, so under the auditor's interceptor Prepare is refused
+// with a typed error rather than letting the statement run unaudited (its
+// package could not replay); the same program prepares fine on a plain run.
+func TestAuditedAppCannotPrepareUnseen(t *testing.T) {
+	var prepareErr error
+	apps := []App{{
+		Binary: "/home/alice/bin/prep",
+		Libs:   ClientLibs(),
+		Size:   64 << 10,
+		Prog: func(p *osim.Process) error {
+			conn, err := Dial(p)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			var st *client.Stmt
+			if st, prepareErr = conn.Prepare("SELECT price FROM sales WHERE id = ?"); prepareErr != nil {
+				_, err = conn.Query("SELECT price FROM sales WHERE id = 2")
+				return err
+			}
+			_, err = st.Exec(2)
+			return err
+		},
+	}}
+	if err := Run(newAliceMachine(t), apps); err != nil || prepareErr != nil {
+		t.Fatalf("plain run: %v, Prepare: %v", err, prepareErr)
+	}
+	aud, err := Audit(newAliceMachine(t), apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(prepareErr, client.ErrNotIntercepted) {
+		t.Fatalf("audited Prepare: %v, want ErrNotIntercepted", prepareErr)
+	}
+	// The statement the app fell back to is in the audit; nothing ran beside it.
+	if n := aud.StatementCount(); n != 1 {
+		t.Fatalf("audit recorded %d statements, want 1", n)
+	}
+}
+
 func TestDialWithoutRuntimeFails(t *testing.T) {
 	k := osim.NewKernel()
 	p := k.Start("x")
@@ -531,10 +576,52 @@ func TestCopyWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSVReaderReadsWhatQuoteCSVFieldWrites: every field comes back byte for
+// byte, a last record needs no newline, and the two ways a member can be
+// malformed are errors, not guesses.
+func TestCSVReaderReadsWhatQuoteCSVFieldWrites(t *testing.T) {
+	records := [][]string{
+		{"prov_rowid", "prov_v", "prov_p", "a column, quoted"},
+		{"1", "2", "", "s:a\r\nb,\"c\""},
+		{"3", "4", "", "s:\"", "s:\"\"", "s:\n", "s:\r", "n:", "s:"},
+		{"5"},
+	}
+	var data []byte
+	for _, rec := range records {
+		for i, f := range rec {
+			if i > 0 {
+				data = append(data, ',')
+			}
+			start := len(data)
+			data = quoteCSVField(append(data, f...), start)
+		}
+		data = append(data, '\n')
+	}
+	for _, in := range [][]byte{data, data[:len(data)-1]} {
+		r := csvReader{data: in}
+		for i, want := range records {
+			got, err := r.read()
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("record %d: %q, %v; want %q", i, got, err, want)
+			}
+		}
+		if _, err := r.read(); err != io.EOF {
+			t.Fatalf("after the last record: %v, want io.EOF", err)
+		}
+	}
+	for _, bad := range []string{"1,\"open\n", "1,\"shut\"x,2\n"} {
+		r := csvReader{data: []byte(bad)}
+		if rec, err := r.read(); err == nil {
+			t.Errorf("%q read as %q, want an error", bad, rec)
+		}
+	}
+}
+
 // TestReplayRestoresAwkwardText: TEXT values holding everything CSV quotes —
-// commas, quotes, line breaks — beside NULL, the empty string and multi-byte
-// runes survive the trip audit → provenance CSV → RestoreRows batch →
-// replay, and the replay writes what the audited run wrote.
+// commas, quotes, line breaks, CR LF — beside NULL, the empty string and
+// multi-byte runes survive the trip audit → provenance CSV → RestoreRows
+// batch → replay, and the replay writes what the audited run wrote; so does
+// the server-excluded replay, from the DB log.
 func TestReplayRestoresAwkwardText(t *testing.T) {
 	m, err := NewMachine()
 	if err != nil {
@@ -544,10 +631,10 @@ func TestReplayRestoresAwkwardText(t *testing.T) {
 		sqlval.NewString("plain"),
 		sqlval.NewString("a,b,,c"),
 		sqlval.NewString(`she said "hi", twice: ""`),
-		// Not "\r\n": encoding/csv folds a CR LF inside a quoted field to LF
-		// on read, so that pair does not survive a provenance CSV (ROADMAP
-		// item 6, open).
 		sqlval.NewString("line one\nline two\rstill two\n\nline four"),
+		// A CR LF inside a quoted field: encoding/csv's Reader would hand it
+		// back as LF, which is why restoreTuples reads with csvReader.
+		sqlval.NewString("a\r\nb,\"c\""),
 		sqlval.NewString(""),
 		sqlval.Null,
 		sqlval.NewString("naïve 表 — \"quoted\",\n"),
@@ -618,6 +705,17 @@ func TestReplayRestoresAwkwardText(t *testing.T) {
 		if want := notes[id-1]; row[1].Kind() != want.Kind() || !row[1].Equal(want) {
 			t.Errorf("row %d (id %d): body %s %q, want %s %q", i, id, row[1].Kind(), row[1], want.Kind(), want)
 		}
+	}
+
+	exc, err := BuildServerExcluded(m, aud, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed, err = Replay(exc, appProgramsOf(apps)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = replayed.Kernel.FS().ReadFile(out); err != nil || string(got) != string(want) {
+		t.Fatalf("server-excluded replay wrote\n%s\n(err %v), audited run\n%s", got, err, want)
 	}
 
 	// A record RestoreRows rejects — a duplicate of a restored key — fails

@@ -2,7 +2,6 @@ package ldv
 
 import (
 	"bytes"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -111,9 +110,8 @@ func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error 
 		if err != nil {
 			return err
 		}
-		r := csv.NewReader(bytes.NewReader(data))
-		r.ReuseRecord = true
-		if _, err := r.Read(); err == io.EOF {
+		r := csvReader{data: data}
+		if _, err := r.read(); err == io.EOF {
 			continue // no header: an empty member
 		} else if err != nil {
 			return fmt.Errorf("restore %s: %w", table, err)
@@ -122,7 +120,7 @@ func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error 
 		// (quoted line breaks only make it generous).
 		hint := bytes.Count(data, []byte{'\n'})
 		err = db.RestoreRows(table, hint, func(row *engine.RestoredRow) (bool, error) {
-			rec, err := r.Read()
+			rec, err := r.read()
 			if err == io.EOF {
 				return false, nil
 			}

@@ -127,12 +127,13 @@ func (a *ASHSampler) sampleOnce(now time.Time) {
 		if raw > 0 && raw < int32(numWaitEvents) {
 			ev = WaitEvent(raw)
 		}
+		stmt := st.stmt.Load()
 		switch {
 		case ev == WaitClientRead:
 			s.State, s.Event = "idle", ev.Name()
 		case ev != WaitNone:
 			s.State, s.Event = "waiting", ev.Name()
-		case st.active.Load():
+		case stmt != nil:
 			s.State = "cpu"
 		default:
 			s.State = "idle"
@@ -142,8 +143,8 @@ func (a *ASHSampler) sampleOnce(now time.Time) {
 				s.WaitNS = nowNS - begun
 			}
 		}
-		if fp := st.fp.Load(); fp != nil {
-			s.Fingerprint = *fp
+		if stmt != nil {
+			s.Fingerprint = stmt.Fingerprint
 		}
 		if tr := st.trace.Load(); tr != nil {
 			s.TraceID = *tr

@@ -29,7 +29,7 @@ func TestASHSampleStates(t *testing.T) {
 	// Idle: registered, nothing running.
 	a.sampleOnce(base)
 	// On CPU mid-statement.
-	st.StartStatement("fp1", "trace1")
+	st.StartStatement(&StmtInfo{Fingerprint: "fp1"}, "trace1", time.Now())
 	st.SetTxn(42)
 	a.sampleOnce(base.Add(time.Millisecond))
 	// Blocked on a table lock (the tick lands mid-wait, so wait_ns > 0).

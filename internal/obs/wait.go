@@ -113,13 +113,24 @@ func WaitEventStats() []WaitEventStat {
 	return out
 }
 
-// SessionState is one session's lock-free publication surface: the
-// connection goroutine writes its current statement, transaction, and wait
-// state with plain atomic stores, and the ASH sampler reads them with atomic
-// loads — no locks on either side, so publishing costs nanoseconds and a
-// stalled session can never block the sampler (or vice versa). Fields may be
-// read torn across each other (a sample can pair the new wait event with the
-// previous fingerprint for one tick); ASH is statistical and tolerates that.
+// StmtInfo identifies a statement to the introspection surfaces: the hex
+// fingerprint key of ldv_stat_statements and the statement text. A prepared
+// statement owns one, and every execution publishes a pointer to it, so
+// publishing allocates nothing.
+type StmtInfo struct {
+	Fingerprint string
+	SQL         string
+}
+
+// SessionState is one session's lock-free publication surface — the single
+// live record of what the session is doing, read by the ASH sampler and by
+// the server's ldv_stat_activity view alike. The connection goroutine writes
+// its current statement, transaction, and wait state with plain atomic
+// stores, and readers use atomic loads — no locks on either side, so
+// publishing costs nanoseconds and a stalled session can never block a reader
+// (or vice versa). Fields may be read torn across each other (a sample can
+// pair the new wait event with the previous statement for one tick); both
+// readers are statistical and tolerate that.
 // All methods are nil-safe so engine paths without a registered session
 // (library embedding, tests) pass nil and publish nothing.
 type SessionState struct {
@@ -131,11 +142,12 @@ type SessionState struct {
 	event     atomic.Int32
 	waitStart atomic.Int64
 
-	// active marks a statement mid-execution; fp and trace identify it.
-	active atomic.Bool
-	txn    atomic.Int64
-	fp     atomic.Pointer[string]
-	trace  atomic.Pointer[string]
+	// stmt is the statement mid-execution (nil between statements), started
+	// at stmtStart (UnixNano) under trace (nil when untraced).
+	stmt      atomic.Pointer[StmtInfo]
+	stmtStart atomic.Int64
+	trace     atomic.Pointer[string]
+	txn       atomic.Int64
 
 	// Per-statement wait accumulation, reset by ResetStatementWaits at each
 	// request boundary and summed by StatementWaits — the source of the
@@ -161,14 +173,17 @@ func (st *SessionState) ResetStatementWaits() {
 	}
 }
 
-// StartStatement publishes a statement as executing.
-func (st *SessionState) StartStatement(fingerprint, traceID string) {
+// StartStatement publishes a statement as executing since start.
+func (st *SessionState) StartStatement(info *StmtInfo, traceID string, start time.Time) {
 	if st == nil {
 		return
 	}
-	st.fp.Store(&fingerprint)
-	st.trace.Store(&traceID)
-	st.active.Store(true)
+	if traceID != "" {
+		id := traceID // a copy, so only traced statements pay the allocation
+		st.trace.Store(&id)
+	}
+	st.stmtStart.Store(start.UnixNano())
+	st.stmt.Store(info)
 }
 
 // FinishStatement returns the session to its between-statements state. The
@@ -178,9 +193,21 @@ func (st *SessionState) FinishStatement() {
 	if st == nil {
 		return
 	}
-	st.active.Store(false)
-	st.fp.Store(nil)
+	st.stmt.Store(nil)
 	st.trace.Store(nil)
+}
+
+// Activity reports what the session is doing now: the statement it is
+// executing (nil between statements), for how long, and its open transaction
+// id (0 = none) — the ldv_stat_activity row, from the record ASH samples.
+func (st *SessionState) Activity(now time.Time) (stmt *StmtInfo, elapsed time.Duration, txn int64) {
+	if st == nil {
+		return nil, 0, 0
+	}
+	if stmt = st.stmt.Load(); stmt != nil {
+		elapsed = time.Duration(now.UnixNano() - st.stmtStart.Load())
+	}
+	return stmt, elapsed, st.txn.Load()
 }
 
 // SetTxn publishes the session's open transaction id (0 = none).

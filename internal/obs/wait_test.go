@@ -55,7 +55,7 @@ func TestWaitBeginNilSession(t *testing.T) {
 
 	// All SessionState methods tolerate nil too.
 	var st *SessionState
-	st.StartStatement("fp", "tr")
+	st.StartStatement(&StmtInfo{Fingerprint: "fp"}, "tr", time.Now())
 	st.FinishStatement()
 	st.SetTxn(7)
 	st.ResetStatementWaits()

@@ -85,7 +85,7 @@ func TestASHEndpoint(t *testing.T) {
 	// (started by RegisterSession) to catch it repeatedly.
 	st := obs.RegisterSession(9301, "opstest")
 	defer obs.UnregisterSession(9301)
-	st.StartStatement("fp-ops", "trace-ops")
+	st.StartStatement(&obs.StmtInfo{Fingerprint: "fp-ops"}, "trace-ops", time.Now())
 	end := obs.WaitBegin(st, obs.WaitLockTable)
 	deadline := time.Now().Add(2 * time.Second)
 	for obs.ASH().Len() < 5 && time.Now().Before(deadline) {

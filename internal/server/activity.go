@@ -2,78 +2,32 @@ package server
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"ldv/internal/engine"
 	"ldv/internal/sqlval"
 )
 
-// ldv_stat_activity: one row per live connection, served from a registry the
-// connection goroutines maintain. A session querying the view sees itself as
-// active — its own statement is mid-execution when the provider runs.
+// ldv_stat_activity: one row per live connection, rendered from the
+// obs.SessionState each connection publishes through — the record the ASH
+// sampler reads, so the view and ldv_stat_ash cannot disagree. A session
+// querying the view sees itself as active: its own statement is mid-execution
+// when the provider runs.
 
-// sessionActivity is one connection's entry. The per-entry mutex keeps the
-// provider's reads consistent without serializing connections against each
-// other; methods are nil-safe so internal callers without an entry can pass
-// nil.
-type sessionActivity struct {
-	id   int64
-	proc string
-
-	mu          sync.Mutex
-	state       string // "idle", "active", "idle in transaction"
-	fingerprint string // current statement's fingerprint ("" when idle)
-	query       string // current statement's SQL ("" when idle)
-	started     time.Time
-}
-
-// begin marks the session active on one statement.
-func (a *sessionActivity) begin(fingerprint, query string) {
-	if a == nil {
-		return
+// liveConns snapshots the server's connections, ordered by session id.
+func (s *Server) liveConns() []*clientConn {
+	s.connMu.Lock()
+	conns := make([]*clientConn, 0, len(s.conns))
+	for _, c := range s.conns {
+		conns = append(conns, c)
 	}
-	a.mu.Lock()
-	a.state = "active"
-	a.fingerprint = fingerprint
-	a.query = query
-	a.started = time.Now()
-	a.mu.Unlock()
-}
-
-// finish returns the session to idle (or idle-in-transaction).
-func (a *sessionActivity) finish(inTxn bool) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if inTxn {
-		a.state = "idle in transaction"
-	} else {
-		a.state = "idle"
-	}
-	a.fingerprint = ""
-	a.query = ""
-	a.started = time.Time{}
-	a.mu.Unlock()
-}
-
-func (s *Server) registerActivity(sid int64, proc string) *sessionActivity {
-	a := &sessionActivity{id: sid, proc: proc, state: "idle"}
-	s.actMu.Lock()
-	s.activity[sid] = a
-	s.actMu.Unlock()
-	return a
-}
-
-func (s *Server) deregisterActivity(sid int64) {
-	s.actMu.Lock()
-	delete(s.activity, sid)
-	s.actMu.Unlock()
+	s.connMu.Unlock()
+	sort.Slice(conns, func(i, j int) bool { return conns[i].id < conns[j].id })
+	return conns
 }
 
 // registerActivityView replaces the engine's placeholder ldv_stat_activity
-// with this server's live registry.
+// with this server's live connections.
 func (s *Server) registerActivityView() {
 	s.db.RegisterVirtualTable(&engine.VirtualTable{
 		Name: "ldv_stat_activity",
@@ -90,31 +44,26 @@ func (s *Server) registerActivityView() {
 }
 
 func (s *Server) activityRows() [][]sqlval.Value {
-	s.actMu.Lock()
-	acts := make([]*sessionActivity, 0, len(s.activity))
-	for _, a := range s.activity {
-		acts = append(acts, a)
-	}
-	s.actMu.Unlock()
-	sort.Slice(acts, func(i, j int) bool { return acts[i].id < acts[j].id })
-
+	conns := s.liveConns()
 	now := time.Now()
-	rows := make([][]sqlval.Value, 0, len(acts))
-	for _, a := range acts {
-		a.mu.Lock()
-		var elapsed int64
-		if !a.started.IsZero() {
-			elapsed = int64(now.Sub(a.started))
+	rows := make([][]sqlval.Value, 0, len(conns))
+	for _, c := range conns {
+		stmt, elapsed, txn := c.ws.Activity(now)
+		state, fingerprint, query := "idle", "", ""
+		switch {
+		case stmt != nil:
+			state, fingerprint, query = "active", stmt.Fingerprint, stmt.SQL
+		case txn != 0:
+			state = "idle in transaction"
 		}
 		rows = append(rows, []sqlval.Value{
-			sqlval.NewInt(a.id),
-			sqlval.NewString(a.proc),
-			sqlval.NewString(a.state),
-			sqlval.NewString(a.fingerprint),
-			sqlval.NewString(a.query),
-			sqlval.NewInt(elapsed),
+			sqlval.NewInt(c.id),
+			sqlval.NewString(c.proc),
+			sqlval.NewString(state),
+			sqlval.NewString(fingerprint),
+			sqlval.NewString(query),
+			sqlval.NewInt(int64(elapsed)),
 		})
-		a.mu.Unlock()
 	}
 	return rows
 }

@@ -1,164 +1,58 @@
 package server
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"sync"
-	"time"
 
 	"ldv/internal/engine"
 	"ldv/internal/obs"
-	obslog "ldv/internal/obs/log"
 	"ldv/internal/sqlval"
 	"ldv/internal/wire"
 )
 
 // Protocol-v2 prepared statements: Parse registers a named statement on the
 // connection, Bind stores parameter values, Execute runs the statement with
-// the most recently bound values. Statement names are per connection (two
-// sessions may both own an "s1"), but the underlying *engine.PreparedStmt —
-// and therefore the plan cache — is shared process-wide. The server-side
-// registry also feeds the ldv_stat_prepared system view.
+// the most recently bound values (runStatement, the path text queries take).
+// Statement names are per connection (two sessions may both own an "s1"), but
+// the underlying *engine.PreparedStmt — and therefore the plan cache — is
+// shared process-wide. The per-connection registry also feeds the
+// ldv_stat_prepared system view.
 
 var mStmtsPrepared = obs.NewCounter("server.stmts_prepared", "Prepared statements created over the wire (Parse messages)")
 
-// sessionStmts is one connection's prepared-statement namespace. The mutex
-// guards against the ldv_stat_prepared provider reading while the connection
-// goroutine parses or closes statements.
-type sessionStmts struct {
-	sid int64
-
-	mu    sync.Mutex
-	stmts map[string]*engine.PreparedStmt
-	args  map[string][]sqlval.Value // most recent Bind per statement
-}
-
-func (ss *sessionStmts) set(name string, ps *engine.PreparedStmt) {
-	ss.mu.Lock()
-	ss.stmts[name] = ps
-	delete(ss.args, name) // a re-Parse invalidates any earlier Bind
-	ss.mu.Unlock()
+// parse prepares a statement under the client-chosen name and answers
+// ParseComplete (or Error).
+func (c *clientConn) parse(m wire.Parse) error {
+	ps, err := c.srv.db.Prepare(m.SQL)
+	if err != nil {
+		mErrors.Inc()
+		return c.fail(err)
+	}
+	c.mu.Lock()
+	c.stmts[m.Name] = ps
+	delete(c.args, m.Name) // a re-Parse invalidates any earlier Bind
+	c.mu.Unlock()
+	mStmtsPrepared.Inc()
+	return wire.Write(c.out, wire.ParseComplete{Name: m.Name, NumParams: ps.NumParams, Fingerprint: ps.Info().Fingerprint})
 }
 
 // bind stores parameter values for a statement's next Execute. Unknown names
 // are stored anyway: Bind is fire-and-forget, so the error surfaces on the
 // Execute that tries to use the statement.
-func (ss *sessionStmts) bind(name string, args []sqlval.Value) {
-	ss.mu.Lock()
-	ss.args[name] = args
-	ss.mu.Unlock()
+func (c *clientConn) bind(name string, args []sqlval.Value) {
+	c.mu.Lock()
+	c.args[name] = args
+	c.mu.Unlock()
 }
 
-func (ss *sessionStmts) lookup(name string) (*engine.PreparedStmt, []sqlval.Value, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ps, ok := ss.stmts[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown prepared statement %q", name)
-	}
-	return ps, ss.args[name], nil
-}
-
-func (ss *sessionStmts) close(name string) {
-	ss.mu.Lock()
-	delete(ss.stmts, name)
-	delete(ss.args, name)
-	ss.mu.Unlock()
-}
-
-func (s *Server) registerStmts(sid int64) *sessionStmts {
-	ss := &sessionStmts{
-		sid:   sid,
-		stmts: map[string]*engine.PreparedStmt{},
-		args:  map[string][]sqlval.Value{},
-	}
-	s.prepMu.Lock()
-	s.prepared[sid] = ss
-	s.prepMu.Unlock()
-	return ss
-}
-
-func (s *Server) deregisterStmts(sid int64) {
-	s.prepMu.Lock()
-	delete(s.prepared, sid)
-	s.prepMu.Unlock()
-}
-
-// handleParse prepares a statement under the client-chosen name and answers
-// ParseComplete (or Error) followed by Ready.
-func (s *Server) handleParse(conn io.Writer, sess *engine.Session, stmts *sessionStmts, m wire.Parse) error {
-	ps, err := s.db.Prepare(m.SQL)
-	if err != nil {
-		mErrors.Inc()
-		if werr := wire.Write(conn, wire.Error{Message: err.Error()}); werr != nil {
-			return werr
-		}
-	} else {
-		stmts.set(m.Name, ps)
-		mStmtsPrepared.Inc()
-		pc := wire.ParseComplete{Name: m.Name, NumParams: ps.NumParams, Fingerprint: ps.Fingerprint().String()}
-		if werr := wire.Write(conn, pc); werr != nil {
-			return werr
-		}
-	}
-	return wire.Write(conn, wire.Ready{InTxn: sess.InTxn()})
-}
-
-// handleExecute runs a prepared statement and streams its response group,
-// ending with Ready — the Execute counterpart of handleQuery. The writer is
-// HandleConn's session output buffer, so a pipelined burst's response groups
-// accumulate and leave in one flush.
-func (s *Server) handleExecute(conn io.Writer, sess *engine.Session, act *sessionActivity, slog *obslog.Logger, proc string, stmts *sessionStmts, ex wire.Execute, sc obs.SpanContext) error {
-	if err := s.runExecute(conn, sess, act, slog, proc, stmts, ex, sc); err != nil {
-		return err
-	}
-	return wire.Write(conn, wire.Ready{InTxn: sess.InTxn()})
-}
-
-// runExecute is runQuery's prepared twin: same read gate, span, slow-query
-// log and streaming, but the parse is already paid and the plan usually
-// cached. A missing statement or a Bind arity mismatch surfaces here as an
-// Error — Bind itself never responds.
-func (s *Server) runExecute(conn io.Writer, sess *engine.Session, act *sessionActivity, slog *obslog.Logger, proc string, stmts *sessionStmts, ex wire.Execute, sc obs.SpanContext) error {
-	var sp *obs.Span
-	if !sc.IsZero() {
-		sp = obs.StartSpanIn("server.execute", sc)
-		slog = slog.With("trace", sp.TraceID())
-	}
-	defer sp.End()
-	ps, args, err := stmts.lookup(ex.Stmt)
-	if err != nil {
-		mErrors.Inc()
-		slog.Error("execute failed", "err", err, "stmt", ex.Stmt)
-		return wire.Write(conn, wire.Error{Message: err.Error()})
-	}
-	if g := s.readGate(); g != nil {
-		if err := gateWait(g, sess.WaitState(), ex.MinApplied); err != nil {
-			mErrors.Inc()
-			slog.Error("read gate failed", "err", err, "min_applied", ex.MinApplied)
-			return wire.Write(conn, wire.Error{Message: err.Error()})
-		}
-	}
-	t0 := time.Now()
-	act.begin(ps.Fingerprint().String(), ps.SQL)
-	res, err := sess.ExecPrepared(ps, args, engine.ExecOptions{Proc: proc, WithLineage: ex.WithLineage, Span: sp})
-	act.finish(sess.InTxn())
-	elapsed := time.Since(t0)
-	if thr := s.slowQueryNS.Load(); thr > 0 && elapsed >= time.Duration(thr) {
-		slog.Warn("slow query", "elapsed", elapsed, "fingerprint", ps.Fingerprint().String(),
-			"waits", waitSummary(sess.WaitState()), "sql", ps.SQL)
-	}
-	if err != nil {
-		mErrors.Inc()
-		slog.Error("statement failed", "err", err, "sql", ps.SQL)
-		return wire.Write(conn, wire.Error{Message: err.Error()})
-	}
-	return streamResult(conn, res, ex.Tag)
+func (c *clientConn) closeStmt(name string) {
+	c.mu.Lock()
+	delete(c.stmts, name)
+	delete(c.args, name)
+	c.mu.Unlock()
 }
 
 // registerPreparedView replaces the engine's placeholder ldv_stat_prepared
-// with this server's live registry: one row per (session, statement name).
+// with this server's live connections: one row per (session, statement name).
 func (s *Server) registerPreparedView() {
 	s.db.RegisterVirtualTable(&engine.VirtualTable{
 		Name: "ldv_stat_prepared",
@@ -175,34 +69,26 @@ func (s *Server) registerPreparedView() {
 }
 
 func (s *Server) preparedRows() [][]sqlval.Value {
-	s.prepMu.Lock()
-	sessions := make([]*sessionStmts, 0, len(s.prepared))
-	for _, ss := range s.prepared {
-		sessions = append(sessions, ss)
-	}
-	s.prepMu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].sid < sessions[j].sid })
-
 	var rows [][]sqlval.Value
-	for _, ss := range sessions {
-		ss.mu.Lock()
-		names := make([]string, 0, len(ss.stmts))
-		for name := range ss.stmts {
+	for _, c := range s.liveConns() {
+		c.mu.Lock()
+		names := make([]string, 0, len(c.stmts))
+		for name := range c.stmts {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			ps := ss.stmts[name]
+			ps := c.stmts[name]
 			rows = append(rows, []sqlval.Value{
-				sqlval.NewInt(ss.sid),
+				sqlval.NewInt(c.id),
 				sqlval.NewString(name),
-				sqlval.NewString(ps.Fingerprint().String()),
+				sqlval.NewString(ps.Info().Fingerprint),
 				sqlval.NewInt(int64(ps.NumParams)),
 				sqlval.NewInt(ps.Calls()),
 				sqlval.NewInt(ps.CacheHits()),
 			})
 		}
-		ss.mu.Unlock()
+		c.mu.Unlock()
 	}
 	return rows
 }

@@ -21,6 +21,7 @@ import (
 	"ldv/internal/obs"
 	obslog "ldv/internal/obs/log"
 	"ldv/internal/sqlparse"
+	"ldv/internal/sqlval"
 	"ldv/internal/wire"
 )
 
@@ -59,15 +60,10 @@ type Server struct {
 	repl ReplicationSource
 	gate ReadGate
 
-	// activity tracks live connections for the ldv_stat_activity system
-	// view, keyed by session id.
-	actMu    sync.Mutex
-	activity map[int64]*sessionActivity
-
-	// prepared tracks each connection's named prepared statements for the
-	// ldv_stat_prepared system view, keyed by session id.
-	prepMu   sync.Mutex
-	prepared map[int64]*sessionStmts
+	// conns holds the live connections by session id — what the
+	// ldv_stat_activity and ldv_stat_prepared system views are rendered from.
+	connMu sync.Mutex
+	conns  map[int64]*clientConn
 }
 
 // ReplicationSource serves replication subscriptions — the primary role.
@@ -116,7 +112,7 @@ func (s *Server) readGate() ReadGate {
 // New returns a server over db. logger may be nil to disable logging; it
 // must not be changed after New (sessions read it concurrently, unlocked).
 func New(db *engine.DB, logger *obslog.Logger) *Server {
-	s := &Server{db: db, logger: logger, activity: map[int64]*sessionActivity{}, prepared: map[int64]*sessionStmts{}}
+	s := &Server{db: db, logger: logger, conns: map[int64]*clientConn{}}
 	s.registerActivityView()
 	s.registerPreparedView()
 	return s
@@ -160,6 +156,31 @@ func (s *Server) Serve(l Acceptor) error {
 	}
 }
 
+// clientConn is one client connection: everything a statement needs on its
+// way from frame to engine and back.
+type clientConn struct {
+	srv  *Server
+	id   int64
+	proc string
+	out  *bufio.Writer // flushed when the request stream drains
+	sess *engine.Session
+	ws   *obs.SessionState
+	log  *obslog.Logger
+
+	// traceAware connections announced the "trace" Startup option: the server
+	// records spans joining the trace context their statements carry.
+	// defaultTrace is the standing context set by TraceContext messages;
+	// per-statement headers override it.
+	traceAware   bool
+	defaultTrace obs.SpanContext
+
+	// The connection's prepared-statement namespace (prepared.go). mu guards
+	// it against the ldv_stat_prepared provider.
+	mu    sync.Mutex
+	stmts map[string]*engine.PreparedStmt
+	args  map[string][]sqlval.Value // most recent Bind per statement
+}
+
 // HandleConn runs one client session to completion.
 //
 // Transport batching: reads go through a BufferedConn and responses
@@ -171,7 +192,6 @@ func (s *Server) Serve(l Acceptor) error {
 func (s *Server) HandleConn(conn net.Conn) {
 	defer conn.Close()
 	bc := wire.NewBufferedConn(conn)
-	out := bufio.NewWriterSize(conn, 64<<10)
 
 	first, err := wire.Read(bc)
 	if err != nil {
@@ -187,53 +207,54 @@ func (s *Server) HandleConn(conn net.Conn) {
 	sid := mSessions.Add(1)
 	gActiveSessions.Add(1)
 	defer gActiveSessions.Add(-1)
-	slog := s.logger.With("sid", sid)
-	slog.Info("session open", "proc", startup.Proc, "db", startup.Database)
-
-	// traceAware sessions announced the "trace" Startup option: the server
-	// records spans joining the trace context their queries carry.
-	traceAware := false
+	c := &clientConn{
+		srv: s, id: sid, proc: startup.Proc,
+		out:   bufio.NewWriterSize(conn, 64<<10),
+		sess:  s.db.NewSession(),
+		log:   s.logger.With("sid", sid),
+		stmts: map[string]*engine.PreparedStmt{},
+		args:  map[string][]sqlval.Value{},
+	}
+	c.log.Info("session open", "proc", startup.Proc, "db", startup.Database)
 	for _, o := range startup.Options {
 		if o == "trace" {
-			traceAware = true
+			c.traceAware = true
 		}
 	}
-	// defaultTrace is the session's standing trace context, set by
-	// TraceContext messages; per-query headers override it.
-	var defaultTrace obs.SpanContext
-
 	// Session teardown rolls back any transaction the client abandoned.
-	sess := s.db.NewSession()
-	defer sess.Close()
+	defer c.sess.Close()
 
-	// Publish this session's state to the ASH sampler. From here on, every
+	// Publish this session's state: to the ASH sampler and, through the
+	// server's connection set, to ldv_stat_activity. From here on, every
 	// blocking point below (client reads, read-gate waits, and — via the
 	// session — lock and group-commit waits) reports a wait event.
-	ws := obs.RegisterSession(sid, startup.Proc)
+	c.ws = obs.RegisterSession(sid, startup.Proc)
 	defer obs.UnregisterSession(sid)
-	sess.SetWaitState(ws)
+	c.sess.SetWaitState(c.ws)
+	s.connMu.Lock()
+	s.conns[sid] = c
+	s.connMu.Unlock()
+	defer func() {
+		s.connMu.Lock()
+		delete(s.conns, sid)
+		s.connMu.Unlock()
+	}()
 
-	act := s.registerActivity(sid, startup.Proc)
-	defer s.deregisterActivity(sid)
-
-	stmts := s.registerStmts(sid)
-	defer s.deregisterStmts(sid)
-
-	if err := wire.Write(out, wire.Ready{InTxn: sess.InTxn()}); err != nil {
+	if err := c.ready(); err != nil {
 		return
 	}
 	for {
 		// About to block on the client: ship everything queued first.
 		if bc.Buffered() == 0 {
-			if err := out.Flush(); err != nil {
-				slog.Error("flush failed", "err", err)
+			if err := c.out.Flush(); err != nil {
+				c.log.Error("flush failed", "err", err)
 				return
 			}
 		}
-		msg, err := readClient(bc, ws)
+		msg, err := readClient(bc, c.ws)
 		if err != nil {
 			if err != io.EOF {
-				slog.Error("read failed", "err", err)
+				c.log.Error("read failed", "err", err)
 			}
 			return
 		}
@@ -241,81 +262,69 @@ func (s *Server) HandleConn(conn net.Conn) {
 		case wire.Terminate:
 			return
 		case wire.TraceContext:
-			defaultTrace = m.Context
-		case wire.Query:
-			mStatements.Inc()
-			sc := m.Trace
-			if sc.IsZero() {
-				sc = defaultTrace
-			}
-			if !traceAware {
-				sc = obs.SpanContext{}
-			}
-			if err := s.handleQuery(out, sess, act, slog, startup.Proc, m, sc); err != nil {
-				slog.Error("query connection failed", "err", err)
-				return
-			}
-		case wire.Parse:
-			if err := s.handleParse(out, sess, stmts, m); err != nil {
-				slog.Error("parse connection failed", "err", err)
-				return
-			}
+			c.defaultTrace = m.Context
+			continue
 		case wire.Bind:
 			// Fire-and-forget like TraceContext: errors surface on Execute.
-			stmts.bind(m.Stmt, m.Args)
-		case wire.Execute:
-			mStatements.Inc()
-			sc := m.Trace
-			if sc.IsZero() {
-				sc = defaultTrace
-			}
-			if !traceAware {
-				sc = obs.SpanContext{}
-			}
-			if err := s.handleExecute(out, sess, act, slog, startup.Proc, stmts, m, sc); err != nil {
-				slog.Error("execute connection failed", "err", err)
-				return
-			}
+			c.bind(m.Stmt, m.Args)
+			continue
 		case wire.CloseStmt:
 			// Fire-and-forget; closing an unknown name is a no-op.
-			stmts.close(m.Name)
+			c.closeStmt(m.Name)
+			continue
+		case wire.Query:
+			err = c.runStatement(request{span: "server.query", sql: m.SQL,
+				lineage: m.WithLineage, trace: m.Trace, minApplied: m.MinApplied, asOf: m.AsOf})
+		case wire.Execute:
+			err = c.runStatement(request{span: "server.execute", name: m.Stmt, prepared: true, tag: m.Tag,
+				lineage: m.WithLineage, trace: m.Trace, minApplied: m.MinApplied})
+		case wire.Parse:
+			err = c.parse(m)
 		case wire.Stats:
-			if err := s.handleStats(out, sess, m); err != nil {
-				slog.Error("stats failed", "err", err)
-				return
-			}
+			err = c.stats(m)
 		case wire.Subscribe:
 			src := s.replicationSource()
 			if src == nil {
-				if err := wire.Write(out, wire.Error{Message: "this server is not a replication primary"}); err != nil {
-					return
-				}
-				if err := wire.Write(out, wire.Ready{InTxn: sess.InTxn()}); err != nil {
-					return
-				}
-				continue
+				err = c.fail(fmt.Errorf("this server is not a replication primary"))
+				break
 			}
 			// The connection becomes a replication subscription: the source
 			// owns it until the replica disconnects, then the session ends.
 			// Hand it the buffered conn (reads must drain our buffer) after
 			// flushing our own pending responses.
-			slog.Info("replication subscription", "replica", m.ReplicaID)
-			if err := out.Flush(); err != nil {
+			c.log.Info("replication subscription", "replica", m.ReplicaID)
+			if err := c.out.Flush(); err != nil {
 				return
 			}
 			if err := src.ServeSubscription(bc, startup.Proc, m); err != nil {
-				slog.Error("replication subscription ended", "replica", m.ReplicaID, "err", err)
+				c.log.Error("replication subscription ended", "replica", m.ReplicaID, "err", err)
 			}
 			return
 		default:
-			if err := wire.Write(out, wire.Error{Message: fmt.Sprintf("protocol error: unexpected %T", msg)}); err != nil {
-				return
-			}
-			if err := wire.Write(out, wire.Ready{InTxn: sess.InTxn()}); err != nil {
-				return
-			}
+			err = c.fail(fmt.Errorf("protocol error: unexpected %T", msg))
+		}
+		// Every response group ends with Ready, written here and nowhere else.
+		// A statement's goes out only after runStatement has returned — i.e.
+		// after its span has ended — because the client seals the trace when it
+		// reads Ready, and the server's spans must be in the flight recorder by
+		// then.
+		if err == nil {
+			err = c.ready()
+		}
+		if err != nil {
+			c.log.Error("connection failed", "err", err)
+			return
 		}
 	}
+}
+
+func (c *clientConn) ready() error {
+	return wire.Write(c.out, wire.Ready{InTxn: c.sess.InTxn()})
+}
+
+// fail answers a request with an Error frame; the frame loop's Ready follows.
+func (c *clientConn) fail(err error) error {
+	return wire.Write(c.out, wire.Error{Message: err.Error()})
 }
 
 // readClient blocks for the next client message under a client.read wait,
@@ -354,9 +363,9 @@ func waitSummary(ws *obs.SessionState) string {
 	return fmt.Sprintf("%s:%s/%s", ev.Name(), time.Duration(domNS), time.Duration(totalNS))
 }
 
-// handleStats serves a Stats request with the requested observability
-// document: the metrics snapshot, or the flight recorder's completed traces.
-func (s *Server) handleStats(conn io.Writer, sess *engine.Session, req wire.Stats) error {
+// stats serves a Stats request with the requested observability document:
+// the metrics snapshot, or the flight recorder's completed traces.
+func (c *clientConn) stats(req wire.Stats) error {
 	var data []byte
 	var err error
 	switch req.Kind {
@@ -368,73 +377,104 @@ func (s *Server) handleStats(conn io.Writer, sess *engine.Session, req wire.Stat
 		err = fmt.Errorf("unknown stats kind %d", req.Kind)
 	}
 	if err != nil {
-		if werr := wire.Write(conn, wire.Error{Message: err.Error()}); werr != nil {
-			return werr
-		}
-		return wire.Write(conn, wire.Ready{InTxn: sess.InTxn()})
+		return c.fail(err)
 	}
-	if err := wire.Write(conn, wire.StatsResult{JSON: data}); err != nil {
-		return err
-	}
-	return wire.Write(conn, wire.Ready{InTxn: sess.InTxn()})
+	return wire.Write(c.out, wire.StatsResult{JSON: data})
 }
 
-// handleQuery executes one Query and streams its response. The response
-// body (rows, completion or error) is written by runQuery, which owns the
-// per-request span; the final Ready goes out only after runQuery returns —
-// i.e. after the span has ended — because the client seals the trace when it
-// reads Ready, and the server's spans must be in the flight recorder by then.
-// The writer is HandleConn's session output buffer, flushed when the request
-// stream drains.
-func (s *Server) handleQuery(conn io.Writer, sess *engine.Session, act *sessionActivity, slog *obslog.Logger, proc string, q wire.Query, sc obs.SpanContext) error {
-	if err := s.runQuery(conn, sess, act, slog, proc, q, sc); err != nil {
-		return err
-	}
-	return wire.Write(conn, wire.Ready{InTxn: sess.InTxn()})
+// request is a Query or an Execute frame with the differences between the
+// two settled by the frame loop: where the statement comes from, what its
+// span is called, and the tag its CommandComplete echoes.
+type request struct {
+	span       string
+	sql        string // a Query's text, parsed per request
+	name       string // the prepared statement an Execute names
+	prepared   bool
+	tag        uint64 // 0 for a Query
+	lineage    bool
+	trace      obs.SpanContext
+	minApplied uint64
+	asOf       uint64
 }
 
-// runQuery executes the statement under a server.query span joining the
-// request's trace context (when one is present) and writes everything up to
-// but not including the final Ready.
-func (s *Server) runQuery(conn io.Writer, sess *engine.Session, act *sessionActivity, slog *obslog.Logger, proc string, q wire.Query, sc obs.SpanContext) error {
+// runStatement is the one path a statement takes through the server, whether
+// it arrived as a Query's text or as an Execute naming a prepared statement:
+// wait at the read gate, resolve the request to an *engine.PreparedStmt,
+// execute it, log it if slow, stream the response group — all under the
+// request's span, joining its trace context when there is one. A missing
+// statement or a Bind arity mismatch surfaces here as an Error: Bind itself
+// never responds.
+func (c *clientConn) runStatement(r request) error {
+	mStatements.Inc()
+	sc := r.trace
+	if sc.IsZero() {
+		sc = c.defaultTrace
+	}
+	log := c.log
 	var sp *obs.Span
-	if !sc.IsZero() {
-		sp = obs.StartSpanIn("server.query", sc)
-		slog = slog.With("trace", sp.TraceID())
+	if c.traceAware && !sc.IsZero() {
+		sp = obs.StartSpanIn(r.span, sc)
+		log = log.With("trace", sp.TraceID())
 	}
 	defer sp.End()
-	// On a replica, hold the query until the apply loop has caught up to the
-	// client's read-your-writes bound (and, bound or not, until the replica
-	// has bootstrapped at all).
-	if g := s.readGate(); g != nil {
-		if err := gateWait(g, sess.WaitState(), q.MinApplied); err != nil {
-			mErrors.Inc()
-			slog.Error("read gate failed", "err", err, "min_applied", q.MinApplied)
-			return wire.Write(conn, wire.Error{Message: err.Error()})
-		}
+
+	// On a replica, hold the statement until the apply loop has caught up to
+	// the client's read-your-writes bound (and, bound or not, until the
+	// replica has bootstrapped at all).
+	var err error
+	if g := c.srv.readGate(); g != nil {
+		err = gateWait(g, c.ws, r.minApplied)
 	}
-	t0 := time.Now()
-	res, err := s.exec(sess, act, q.SQL, engine.ExecOptions{Proc: proc, WithLineage: q.WithLineage, Span: sp, AsOf: q.AsOf})
-	elapsed := time.Since(t0)
-	if thr := s.slowQueryNS.Load(); thr > 0 && elapsed >= time.Duration(thr) {
-		// The fingerprint makes a slow-query entry joinable against
-		// ldv_stat_statements (falling back to a fresh computation when the
-		// statement failed before producing a Result).
-		fp := ""
-		if res != nil {
-			fp = res.Fingerprint
+	var (
+		ps   *engine.PreparedStmt
+		args []sqlval.Value
+		res  *engine.Result
+	)
+	sql, t0 := r.sql, time.Now()
+	if err == nil {
+		ps, args, err = c.resolve(r, sp)
+	}
+	if err == nil {
+		sql = ps.SQL
+		opts := engine.ExecOptions{Proc: c.proc, WithLineage: r.lineage, Span: sp, AsOf: r.asOf}
+		if cp, ok := ps.Statement().(*sqlparse.Copy); ok {
+			res, err = c.execCopy(cp, ps, opts) // needs the server's file access
 		} else {
-			fp = sqlparse.ComputeFingerprint(q.SQL).String()
+			res, err = c.sess.ExecPrepared(ps, args, opts)
 		}
-		slog.Warn("slow query", "elapsed", elapsed, "fingerprint", fp,
-			"waits", waitSummary(sess.WaitState()), "sql", q.SQL)
+		// The fingerprint makes a slow-query entry joinable against
+		// ldv_stat_statements.
+		elapsed := time.Since(t0)
+		if thr := c.srv.slowQueryNS.Load(); thr > 0 && elapsed >= time.Duration(thr) {
+			log.Warn("slow query", "elapsed", elapsed, "fingerprint", ps.Info().Fingerprint,
+				"waits", waitSummary(c.ws), "sql", sql)
+		}
 	}
 	if err != nil {
 		mErrors.Inc()
-		slog.Error("statement failed", "err", err, "sql", q.SQL)
-		return wire.Write(conn, wire.Error{Message: err.Error()})
+		log.Error("statement failed", "err", err, "sql", sql)
+		return c.fail(err)
 	}
-	return streamResult(conn, res, 0)
+	return streamResult(c.out, res, r.tag)
+}
+
+// resolve turns a request into the statement to run: a Query's text is parsed
+// under an engine.parse span; an Execute's name is looked up, with the values
+// its most recent Bind stored.
+func (c *clientConn) resolve(r request, parent *obs.Span) (*engine.PreparedStmt, []sqlval.Value, error) {
+	if !r.prepared {
+		sp := parent.Child("engine.parse")
+		defer sp.End()
+		ps, err := engine.PrepareStatement(r.sql)
+		return ps, nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ps, ok := c.stmts[r.name]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown prepared statement %q", r.name)
+	}
+	return ps, c.args[r.name], nil
 }
 
 // streamResult writes one statement's response group — RowDescription, rows
@@ -475,38 +515,23 @@ func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 	return wire.Write(conn, cc)
 }
 
-// exec runs one statement on the connection's session, intercepting COPY
-// (which needs file access). The activity entry covers execution only — a
-// session burning in parse shows idle, which is fine at parse latencies.
-func (s *Server) exec(sess *engine.Session, act *sessionActivity, sql string, opts engine.ExecOptions) (*engine.Result, error) {
-	p, err := parseTraced(sql, opts.Span)
-	if err != nil {
-		return nil, err
-	}
-	act.begin(p.Fingerprint.String(), sql)
-	defer func() { act.finish(sess.InTxn()) }()
-	if c, ok := p.Stmt.(*sqlparse.Copy); ok {
-		return s.execCopy(sess, c, opts)
-	}
-	return sess.ExecParsed(p, opts)
-}
-
-// parseTraced parses one statement under an engine.parse span.
-func parseTraced(sql string, parent *obs.Span) (engine.Parsed, error) {
-	sp := parent.Child("engine.parse")
-	defer sp.End()
-	return engine.ParseStatement(sql)
-}
-
 // execCopy performs COPY table FROM/TO 'path' using the server's
-// filesystem. Records are CSV; NULL is \N.
-func (s *Server) execCopy(sess *engine.Session, c *sqlparse.Copy, opts engine.ExecOptions) (*engine.Result, error) {
-	fs := s.fileSystem()
+// filesystem. Records are CSV; NULL is \N. The engine's COPY entry points
+// take a table, not a statement, so the session's live record is kept here.
+func (c *clientConn) execCopy(cp *sqlparse.Copy, ps *engine.PreparedStmt, opts engine.ExecOptions) (*engine.Result, error) {
+	traceID := ""
+	if opts.Span != nil {
+		traceID = opts.Span.TraceID().String()
+	}
+	c.ws.StartStatement(ps.Info(), traceID, time.Now())
+	defer c.ws.FinishStatement()
+	sess := c.sess
+	fs := c.srv.fileSystem()
 	if fs == nil {
 		return nil, fmt.Errorf("COPY: server has no filesystem configured")
 	}
-	if c.To {
-		records, res, err := sess.CopyTo(c.Table, opts)
+	if cp.To {
+		records, res, err := sess.CopyTo(cp.Table, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -515,19 +540,19 @@ func (s *Server) execCopy(sess *engine.Session, c *sqlparse.Copy, opts engine.Ex
 		if err := w.WriteAll(records); err != nil {
 			return nil, err
 		}
-		if err := fs.WriteFile(c.Path, buf.Bytes()); err != nil {
-			return nil, fmt.Errorf("COPY TO %s: %w", c.Path, err)
+		if err := fs.WriteFile(cp.Path, buf.Bytes()); err != nil {
+			return nil, fmt.Errorf("COPY TO %s: %w", cp.Path, err)
 		}
 		return res, nil
 	}
-	data, err := fs.ReadFile(c.Path)
+	data, err := fs.ReadFile(cp.Path)
 	if err != nil {
-		return nil, fmt.Errorf("COPY FROM %s: %w", c.Path, err)
+		return nil, fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
 	}
 	r := csv.NewReader(bytes.NewReader(data))
 	records, err := r.ReadAll()
 	if err != nil {
-		return nil, fmt.Errorf("COPY FROM %s: %w", c.Path, err)
+		return nil, fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
 	}
-	return sess.CopyFrom(c.Table, records, opts)
+	return sess.CopyFrom(cp.Table, records, opts)
 }

@@ -35,11 +35,13 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]Statement, error) {
+// ParseScript parses a semicolon-separated sequence of statements. Positional
+// `?` placeholders are numbered across the whole script; the count is
+// returned with the statements.
+func ParseScript(src string) ([]Statement, int, error) {
 	toks, err := Tokenize(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &Parser{toks: toks, src: src}
 	var stmts []Statement
@@ -49,14 +51,14 @@ func ParseScript(src string) ([]Statement, error) {
 		}
 		stmt, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		stmts = append(stmts, stmt)
 		if !p.acceptOp(";") && !p.atEOF() {
-			return nil, p.errorf("expected ';' between statements, got %q", p.peek().Text)
+			return nil, 0, p.errorf("expected ';' between statements, got %q", p.peek().Text)
 		}
 	}
-	return stmts, nil
+	return stmts, p.nparams, nil
 }
 
 func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }

@@ -267,12 +267,16 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript("CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
+	stmts, nparams, err := ParseScript("CREATE TABLE t (a INT); INSERT INTO t VALUES (?); SELECT * FROM t WHERE a = ?;")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 3 {
-		t.Fatalf("stmts = %d", len(stmts))
+	if len(stmts) != 3 || nparams != 2 {
+		t.Fatalf("stmts = %d, nparams = %d", len(stmts), nparams)
+	}
+	// Placeholders are numbered across the script, not per statement.
+	if p, ok := stmts[2].(*Select).Where.(*BinaryExpr).Right.(*Param); !ok || p.Index != 2 {
+		t.Fatalf("second statement's placeholder = %#v", stmts[2].(*Select).Where)
 	}
 }
 

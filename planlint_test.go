@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"sort"
 	"strings"
 	"testing"
@@ -80,10 +79,7 @@ func lintPlanNodes(files map[string]*ast.File) []string {
 // TestPlanNodeSurface is the plan lint run by `make check`: every operator
 // type in internal/plan implements the full explain + lineage surface.
 func TestPlanNodeSurface(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, "internal/plan", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	_, pkgs, err := parsePackages("internal/plan", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
