@@ -25,7 +25,8 @@ test:
 # started and every obs.WaitBegin on the request path is ended via defer, and
 # every wait event is described), metric (every registered metric needs a
 # help string and a conforming name), plan (every plan operator carries the
-# full explain + lineage surface), proto (every wire message kind is
+# full explain + lineage surface), ast (every SQL expression kind and each of
+# its operands is visited by sqlparse.Walk), proto (every wire message kind is
 # documented in PROTOCOL.md and vice versa) — and the public-API tests; the
 # durability and replication crash matrices under the race detector; then
 # the whole tree under the race detector with shuffled test order (to
@@ -95,6 +96,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 5s
+	$(GO) test ./internal/plan -fuzz FuzzPlan -fuzztime 5s
 	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 5s
 	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 5s
 	$(GO) test ./internal/engine -fuzz FuzzDecodeTable -fuzztime 5s

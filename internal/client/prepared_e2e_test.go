@@ -65,6 +65,48 @@ func TestPreparedExec(t *testing.T) {
 	}
 }
 
+// TestPreparedSubqueryCacheHits: a prepared statement with subqueries is
+// planned once — its second execution shows in ldv_stat_prepared as served
+// from the plan cache — and still answers from the rows of each execution.
+func TestPreparedSubqueryCacheHits(t *testing.T) {
+	srv := newServerWithData(t)
+	conn, err := Dial(pipeDialer{srv}, "db", Options{Proc: "p1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	st, err := conn.Prepare("SELECT id FROM sales WHERE price >= (SELECT MAX(price) FROM sales)" +
+		" AND id IN (SELECT id FROM sales WHERE price > ?) AND EXISTS (SELECT id FROM sales) ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := st.Exec(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Rows) != 1 {
+		t.Fatalf("rows = %v", first.Rows)
+	}
+	top := first.Rows[0][0].Int()
+	if _, err := conn.Exec(fmt.Sprintf("DELETE FROM sales WHERE id = %d", top)); err != nil {
+		t.Fatal(err)
+	}
+	second, err := st.Exec(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second.Rows) != 1 || second.Rows[0][0].Int() == top {
+		t.Fatalf("after deleting row %d the cached plan returned %v", top, second.Rows)
+	}
+	view, err := conn.Query("SELECT calls, cache_hits FROM ldv_stat_prepared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Rows) != 1 || view.Rows[0][0].Int() != 2 || view.Rows[0][1].Int() != 1 {
+		t.Fatalf("ldv_stat_prepared (calls, cache_hits) = %v, want [2 1]", view.Rows)
+	}
+}
+
 func TestPrepareError(t *testing.T) {
 	srv := newServerWithData(t)
 	conn, err := Dial(pipeDialer{srv}, "db", Options{Proc: "p1"})

@@ -18,7 +18,7 @@ import (
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT. Produced tuple
 // versions are stamped with the executing process and statement so that
 // packaging can exclude application-created tuples (§II of the paper).
-func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result) error {
+func (ec *stmtCtx) execInsert(s *sqlparse.Insert, tree *plan.Tree, opts ExecOptions, res *Result) error {
 	t, err := ec.table(s.Table)
 	if err != nil {
 		return err
@@ -44,7 +44,7 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 	var reads []vid
 	if s.Query != nil {
 		// INSERT ... SELECT reads the query's lineage (reenactment-style).
-		_, rows, lineage, err := ec.query(s.Query)
+		_, rows, lineage, err := ec.query(tree)
 		if err != nil {
 			return err
 		}
@@ -53,28 +53,20 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, opts ExecOptions, res *Result)
 			reads = ec.lin.union(nil, lineage...)
 		}
 	} else {
-		// Resolve subqueries in VALUES expressions, e.g.
+		// VALUES expressions may hold subqueries too, e.g.
 		// INSERT INTO t VALUES ((SELECT MAX(a) FROM t) + 1).
-		st := subqueryState{ec: ec}
+		if err := ec.runInit(tree, &reads); err != nil {
+			return err
+		}
 		for _, rowExprs := range s.Rows {
 			row := make([]sqlval.Value, len(rowExprs))
 			for i, e := range rowExprs {
-				if hasSubqueries(e) {
-					ne, _, err := st.rewriteExpr(e)
-					if err != nil {
-						return err
-					}
-					e = ne
-				}
-				v, err := evalConst(e, ec.params)
-				if err != nil {
+				if row[i], err = evalConst(e, &ec.vals); err != nil {
 					return err
 				}
-				row[i] = v
 			}
 			inputRows = append(inputRows, row)
 		}
-		reads = st.ids
 	}
 
 	for _, in := range inputRows {
@@ -121,16 +113,16 @@ func redoInsertEntry(table string, r *storedRow) redoEntry {
 // modification is applied, mirroring GProM's retrieve-then-execute strategy
 // (§VII-B of the paper). Each modified row version is end-marked and a
 // successor version appended.
-func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result) error {
+func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOptions, res *Result) error {
 	t, err := ec.table(s.Table)
 	if err != nil {
 		return err
 	}
-	reads, err := ec.resolveDMLSubqueries(&s)
-	if err != nil {
+	var reads []vid // what the subqueries read, then the matched versions
+	if err := ec.runInit(tree, &reads); err != nil {
 		return err
 	}
-	lay, matches, err := ec.matchRows(t, s.Where)
+	lay, matches, err := ec.matchRows(t, tree.Root.(*plan.UpdateNode).Access)
 	if err != nil {
 		return err
 	}
@@ -216,16 +208,16 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, opts ExecOptions, res *Result)
 
 // execDelete end-marks matching row versions, recording them as reads (a
 // delete's provenance is the tuples it consumed).
-func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result) error {
+func (ec *stmtCtx) execDelete(s *sqlparse.Delete, tree *plan.Tree, opts ExecOptions, res *Result) error {
 	t, err := ec.table(s.Table)
 	if err != nil {
 		return err
 	}
-	reads, err := ec.resolveDeleteSubqueries(&s)
-	if err != nil {
+	var reads []vid
+	if err := ec.runInit(tree, &reads); err != nil {
 		return err
 	}
-	_, matches, err := ec.matchRows(t, s.Where)
+	_, matches, err := ec.matchRows(t, tree.Root.(*plan.DeleteNode).Access)
 	if err != nil {
 		return err
 	}
@@ -254,8 +246,9 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 	return nil
 }
 
-// matchRows evaluates a WHERE clause over the current committed state of a
-// table (plus the transaction's own writes) and returns the matching live
+// matchRows runs an UPDATE's or DELETE's access subtree — the WHERE clause
+// as the planner lowered it — over the current committed state of a table
+// (plus the transaction's own writes) and returns the matching live
 // versions, with the stored layout the caller can bind further expressions
 // against. It is the scan leaf under the DML visibility rule: a matching
 // row end-marked by a concurrent uncommitted transaction is a write-write
@@ -267,8 +260,7 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, opts ExecOptions, res *Result)
 // included) and every conjunct of the WHERE clause is still evaluated on
 // each candidate, both the match set and the conflict detection are exactly
 // what a full scan would produce.
-func (ec *stmtCtx) matchRows(t *Table, where sqlparse.Expr) (*storedLayout, []*storedRow, error) {
-	access, _ := plan.PlanAccess(stmtCatalog{ec}, t.Name, where)
+func (ec *stmtCtx) matchRows(t *Table, access plan.Node) (*storedLayout, []*storedRow, error) {
 	sc, err := ec.openScan(access)
 	if err != nil {
 		return nil, nil, err

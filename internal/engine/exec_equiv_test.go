@@ -353,6 +353,56 @@ func TestEquivInList(t *testing.T) {
 		rowsToStrings(mustExec(t, db, "SELECT id FROM t WHERE k = 4 OR k = 6 OR k = 8 OR k = 10", ExecOptions{})))
 }
 
+// TestEquivCachedSubqueryPlan: a prepared statement with a scalar, an EXISTS
+// and an IN subquery returns from its cached plan what a fresh plan of the
+// same text returns, while rows under each subquery come and go between
+// executions — the tree keeps nothing an earlier execution computed.
+func TestEquivCachedSubqueryPlan(t *testing.T) {
+	db := equivDB(t, 11, 120)
+	const sql = "SELECT id, k FROM t WHERE k2 < (SELECT MAX(w) FROM u WHERE k < ?)" +
+		" AND EXISTS (SELECT k FROM u WHERE label = ?) AND k IN (SELECT k FROM u WHERE w > ?) ORDER BY id"
+	ps, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	defer s.Close()
+	args := func(below int64, label string, above float64) []sqlval.Value {
+		return []sqlval.Value{sqlval.NewInt(below), sqlval.NewString(label), sqlval.NewFloat(above)}
+	}
+	steps := []struct {
+		change []string // applied before the execution
+		params []sqlval.Value
+	}{
+		{nil, args(12, "l0", 3)},
+		{[]string{"DELETE FROM u WHERE k = 4", "INSERT INTO u VALUES (3, 'l3', 9.75)"}, args(12, "l0", 3)},
+		{[]string{"DELETE FROM u WHERE label = 'l0'"}, args(12, "l0", 3)}, // EXISTS turns false
+		{[]string{"INSERT INTO u VALUES (0, 'l0', 0.25)", "DELETE FROM u WHERE k = 3"}, args(4, "l0", 1)},
+		{[]string{"DELETE FROM u WHERE k < 4"}, args(4, "l6", 1)}, // the scalar turns NULL
+		{[]string{"INSERT INTO u VALUES (1, 'l1', 4.75)"}, args(4, "l6", 7)},
+	}
+	seen := map[string]bool{}
+	for i, st := range steps {
+		for _, sql := range st.change {
+			mustExec(t, db, sql, ExecOptions{})
+		}
+		res, err := s.ExecPrepared(ps, st.params, ExecOptions{})
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		got := rowsToStrings(res)
+		sameRows(t, fmt.Sprintf("step %d, cached plan vs fresh plan", i),
+			got, rowsToStrings(mustExec(t, db, sql, ExecOptions{Params: st.params})))
+		seen[strings.Join(got, " ")] = true
+	}
+	if len(seen) < 5 || !seen[""] {
+		t.Errorf("the steps produced %d distinct results (an empty one: %v); the data no longer exercises the subqueries", len(seen), seen[""])
+	}
+	if hits := ps.CacheHits(); hits != int64(len(steps)-1) {
+		t.Errorf("CacheHits = %d, want %d: every execution after the first runs the cached tree", hits, len(steps)-1)
+	}
+}
+
 func TestEquivJoinReorderKeepsStarOrder(t *testing.T) {
 	db := equivDB(t, 8, 160)
 	// u is far smaller, so the planner starts from it although t is first.

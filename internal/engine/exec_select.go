@@ -34,7 +34,7 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 	}
 	var lineage [][]vid
 	var err error
-	if res.Columns, res.Rows, lineage, err = ec.query(s); err != nil {
+	if res.Columns, res.Rows, lineage, err = ec.query(ec.db.planTree(stmtCatalog{ec}, ec.prep, s)); err != nil {
 		return err
 	}
 	if ec.lin != nil {
@@ -43,34 +43,82 @@ func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result)
 	return nil
 }
 
-// query runs a SELECT with its subqueries. Uncorrelated subqueries are
-// resolved up front, in the outer statement's context — same snapshot, same
-// already-locked table footprint, same lineage sink — and what they read
-// joins every result row's lineage.
-func (ec *stmtCtx) query(s *sqlparse.Select) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
-	var sub *subqueryState
-	if selectHasSubqueries(s) {
-		sub = &subqueryState{ec: ec}
-		if s, _, err = ec.resolveSelectSubqueries(s, sub); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if cols, rows, lineage, err = ec.selectRows(s); err != nil {
+// query runs the SELECT of a tree (a query's own, or an INSERT ... SELECT's)
+// with its subqueries: what they read joins every result row's lineage.
+func (ec *stmtCtx) query(tree *plan.Tree) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
+	var sub []vid
+	if err = ec.runInit(tree, &sub); err != nil {
 		return nil, nil, nil, err
 	}
-	if sub != nil && len(sub.ids) > 0 {
+	if cols, rows, lineage, err = ec.selectRows(tree); err != nil {
+		return nil, nil, nil, err
+	}
+	if len(sub) > 0 {
 		var ids slab[vid]
 		for i := range lineage {
-			lineage[i] = ec.lin.concat(&ids, lineage[i], sub.ids)
+			lineage[i] = ec.lin.concat(&ids, lineage[i], sub)
 		}
 	}
 	return cols, rows, lineage, nil
 }
 
-// selectRows plans and runs a SELECT whose subqueries are resolved,
-// returning its output with, when the statement captures lineage, one
-// lineage list per row.
-func (ec *stmtCtx) selectRows(s *sqlparse.Select) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
+// runInit runs a tree's init-plans — the statement's uncorrelated subqueries
+// — once each, in order and before anything that reads them, leaving their
+// results in the execution's value table. They run in the statement's own
+// context: same snapshot, same already-locked table footprint, same lineage
+// sink; reads gains what their rows depended on, in first-occurrence order
+// (nothing when the statement captures no lineage). A correlated subquery
+// surfaces as the inner query's "column does not exist", wrapped to say so.
+func (ec *stmtCtx) runInit(tree *plan.Tree, reads *[]vid) error {
+	for _, ip := range tree.Init {
+		if ip.Tree == nil {
+			return fmt.Errorf("subquery nesting exceeds %d levels", plan.MaxSubqueryDepth)
+		}
+		if err := ec.runInit(ip.Tree, reads); err != nil {
+			return err
+		}
+		cols, rows, lineage, err := ec.selectRows(ip.Tree)
+		if err != nil {
+			return fmt.Errorf("subquery (%s): %w", ip.Tree.Select.String(), err)
+		}
+		if ec.lin != nil {
+			*reads = ec.lin.union(*reads, lineage...)
+		}
+		var r subResult
+		switch ip.Expr.(type) {
+		case *sqlparse.ExistsExpr:
+			r.val = sqlval.NewBool(len(rows) > 0)
+		case *sqlparse.InExpr:
+			if len(cols) != 1 {
+				return fmt.Errorf("IN subquery must return one column, got %d", len(cols))
+			}
+			r.set = newInSet(len(rows))
+			for _, row := range rows {
+				r.set.add(row[0])
+			}
+		default: // scalar: zero rows yield NULL, as in standard SQL
+			if len(cols) != 1 {
+				return fmt.Errorf("scalar subquery must return one column, got %d", len(cols))
+			}
+			if len(rows) > 1 {
+				return fmt.Errorf("scalar subquery returned %d rows", len(rows))
+			}
+			if len(rows) == 1 {
+				r.val = rows[0][0]
+			}
+		}
+		if ec.vals.subs == nil {
+			ec.vals.subs = map[sqlparse.Expr]subResult{}
+		}
+		ec.vals.subs[ip.Expr] = r
+	}
+	return nil
+}
+
+// selectRows runs a tree's SELECT, its init-plans done, returning its output
+// with, when the statement captures lineage, one lineage list per row.
+func (ec *stmtCtx) selectRows(tree *plan.Tree) (cols []string, rows [][]sqlval.Value, lineage [][]vid, err error) {
+	s := tree.Select
 	refs := append([]sqlparse.TableRef(nil), s.From...)
 	for _, j := range s.Joins {
 		refs = append(refs, j.Table)
@@ -86,7 +134,7 @@ func (ec *stmtCtx) selectRows(s *sqlparse.Select) (cols []string, rows [][]sqlva
 
 	// The FROM/WHERE/GROUP BY portion: the pre-projection relation,
 	// post-aggregation for aggregate queries.
-	sp := newSelPlan(ec.selectPlan(s))
+	sp := newSelPlan(tree)
 	rel, err := ec.execAccess(sp.access)
 	if err != nil {
 		return nil, nil, nil, err
@@ -132,11 +180,16 @@ type selPlan struct {
 	project  *plan.ProjectNode
 }
 
-// newSelPlan unwraps the output chain below the project root: one of
-// top-N / sort / limit, then distinct, then aggregate.
+// newSelPlan unwraps the output chain below the project root (the query
+// under an INSERT ... SELECT's root): one of top-N / sort / limit, then
+// distinct, then aggregate.
 func newSelPlan(tree *plan.Tree) *selPlan {
 	sp := &selPlan{tree: tree}
-	sp.project = tree.Root.(*plan.ProjectNode)
+	root := tree.Root
+	if ins, ok := root.(*plan.InsertNode); ok {
+		root = ins.Query
+	}
+	sp.project = root.(*plan.ProjectNode)
 	n := sp.project.Input
 	switch x := n.(type) {
 	case *plan.TopNNode:
@@ -162,7 +215,7 @@ func (ec *stmtCtx) execAccess(n plan.Node) (relation, error) {
 	switch node := n.(type) {
 	case *plan.ValuesNode:
 		// Table-less SELECT (e.g. SELECT 1+1): a single empty tuple.
-		return relation{env: env{params: ec.params}, tuples: []tuple{{}}}, nil
+		return relation{env: env{vals: &ec.vals}, tuples: []tuple{{}}}, nil
 	case *plan.ScanNode, *plan.IndexScanNode:
 		return ec.execLeaf(n)
 	case *plan.FilterNode:
@@ -245,7 +298,7 @@ func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
 	if len(perm) != len(rel.env.bindings) {
 		return rel
 	}
-	out := relation{env: env{bindings: bindings, params: rel.env.params}, tuples: make([]tuple, len(rel.tuples))}
+	out := relation{env: env{bindings: bindings, vals: rel.env.vals}, tuples: make([]tuple, len(rel.tuples))}
 	var vals slab[sqlval.Value]
 	for ti, t := range rel.tuples {
 		vals := vals.take(len(perm))
@@ -264,7 +317,7 @@ func reorderRelation(rel relation, refs []sqlparse.TableRef) relation {
 func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *lineageSink) (relation, error) {
 	out := relation{}
 	out.env.bindings = append(append([]binding(nil), left.env.bindings...), right.env.bindings...)
-	out.env.params = left.env.params
+	out.env.vals = left.env.vals
 
 	var vals slab[sqlval.Value]
 	var ids slab[vid]
@@ -380,17 +433,20 @@ func (ar *aggRelation) aggsAt(i int) []sqlval.Value {
 // sink a group depends on what its members depended on.
 func aggregate(s *sqlparse.Select, rel relation, lin *lineageSink) (*aggRelation, error) {
 	var aggCalls []*sqlparse.FuncExpr
-	for _, it := range s.Items {
-		if it.Expr != nil {
-			collectAggregates(it.Expr, &aggCalls)
+	collect := func(x sqlparse.Expr) bool {
+		c, isAgg := x.(*sqlparse.FuncExpr)
+		if isAgg {
+			aggCalls = append(aggCalls, c)
 		}
+		return !isAgg
+	}
+	for _, it := range s.Items {
+		sqlparse.Walk(it.Expr, collect)
 	}
 	for _, o := range s.OrderBy {
-		collectAggregates(o.Expr, &aggCalls)
+		sqlparse.Walk(o.Expr, collect)
 	}
-	if s.Having != nil {
-		collectAggregates(s.Having, &aggCalls)
-	}
+	sqlparse.Walk(s.Having, collect)
 	slots := make(aggSlots, len(aggCalls))
 	args := make([]bound, len(aggCalls)) // nil for count(*)
 	for i, c := range aggCalls {

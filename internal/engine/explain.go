@@ -38,7 +38,7 @@ func stmtWrites(stmt sqlparse.Statement) bool {
 }
 
 // opCollector accumulates per-operator execution records for EXPLAIN
-// ANALYZE. The nil collector is the common (non-EXPLAIN) case: exec then
+// ANALYZE. The nil collector is the common (non-EXPLAIN) case: node then
 // runs the operator with no timing, span, or allocation overhead.
 type opCollector struct {
 	parent *obs.Span
@@ -46,9 +46,9 @@ type opCollector struct {
 }
 
 // opRecord is one executed operator: what it did, the planner's output
-// estimate (negative = none), the rows it produced, and the wall time it
-// took (child operators' time included — records appear in completion
-// order, children before parents).
+// estimate, the rows it produced, and the wall time it took (child
+// operators' time included — records appear in completion order, children
+// before parents).
 type opRecord struct {
 	op     string
 	detail string
@@ -57,38 +57,22 @@ type opRecord struct {
 	ns     int64
 }
 
-// exec runs one operator through the collector with no planner estimate. f
-// returns the operator's output row count; the record is appended after f
-// completes so nested operators (e.g. the SELECT feeding an INSERT) list
-// before their parent.
-func (oc *opCollector) exec(op, detail string, f func() (int, error)) error {
-	return oc.execEst(op, detail, -1, f)
-}
-
-// execEst is exec with the planner's output-cardinality estimate attached
-// to the record (negative renders as NULL).
-func (oc *opCollector) execEst(op, detail string, est float64, f func() (int, error)) error {
-	if oc == nil {
-		_, err := f()
-		return err
-	}
-	t0 := time.Now()
-	sp := oc.parent.Child("engine.op." + op)
-	defer sp.End()
-	n, err := f()
-	oc.recs = append(oc.recs, opRecord{op: op, detail: detail, est: est, rows: n, ns: int64(time.Since(t0))})
-	return err
-}
-
 // node runs the operator of one plan node, recording what the node says it
-// is next to what f says it produced. Nothing of the node is rendered when
-// no collector is attached.
+// is next to what f says it produced: f returns the operator's output row
+// count, and the record is appended after f completes, so nested operators
+// (a subquery, the SELECT feeding an INSERT) list before their parent. The
+// nil collector runs f and renders nothing of the node.
 func (oc *opCollector) node(n plan.Node, f func() (int, error)) error {
 	if oc == nil {
 		_, err := f()
 		return err
 	}
-	return oc.execEst(n.Op(), n.Detail(), n.EstRows(), f)
+	t0 := time.Now()
+	sp := oc.parent.Child("engine.op." + n.Op())
+	defer sp.End()
+	rows, err := f()
+	oc.recs = append(oc.recs, opRecord{op: n.Op(), detail: n.Detail(), est: n.EstRows(), rows: rows, ns: int64(time.Since(t0))})
+	return err
 }
 
 // execExplainStmt serves EXPLAIN and EXPLAIN ANALYZE.
@@ -98,7 +82,7 @@ func (s *Session) execExplainStmt(ex *sqlparse.Explain, opts ExecOptions, res *R
 		// Plain EXPLAIN renders the planner's tree without executing or
 		// locking anything: est_rows from the statistics catalog, rows and
 		// time_ns NULL. What is printed is the tree the executor would walk.
-		tree := plan.PlanStatement(dbCatalog{s.db}, ex.Stmt)
+		tree := s.db.planTree(dbCatalog{s.db}, nil, ex.Stmt)
 		var rows [][]sqlval.Value
 		for _, n := range tree.Nodes() {
 			rows = append(rows, []sqlval.Value{
@@ -140,14 +124,10 @@ func (s *Session) execExplainStmt(ex *sqlparse.Explain, opts ExecOptions, res *R
 
 	rows := make([][]sqlval.Value, 0, len(oc.recs)+1)
 	for _, r := range oc.recs {
-		est := sqlval.Null
-		if r.est >= 0 {
-			est = sqlval.NewInt(int64(r.est))
-		}
 		rows = append(rows, []sqlval.Value{
 			sqlval.NewString(r.op),
 			sqlval.NewString(r.detail),
-			est,
+			sqlval.NewInt(int64(r.est)),
 			sqlval.NewInt(int64(r.rows)),
 			sqlval.NewInt(r.ns),
 		})

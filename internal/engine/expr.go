@@ -15,13 +15,30 @@ type binding struct {
 	name  string
 }
 
-// env resolves column references against the current tuple layout. params
-// holds the execution's bound parameter values (prepared statements); it is
-// copied into every derived env so `?` placeholders resolve at any depth of
-// the operator tree.
+// env resolves column references against the current tuple layout. vals is
+// the execution's value table; every derived env points at the same one, so
+// `?` placeholders and subqueries resolve at any depth of the operator tree.
 type env struct {
 	bindings []binding
-	params   []sqlval.Value
+	vals     *execVals
+}
+
+// execVals is the per-execution value table: what an expression reads that
+// is neither spelled in it nor a column of the current tuple. params are the
+// values bound to the `?` placeholders; subs are the results of the
+// statement's init-plans (plan.Tree.Init), filed under the AST node that
+// reads them by stmtCtx.runInit before any operator binds an expression.
+type execVals struct {
+	params []sqlval.Value
+	subs   map[sqlparse.Expr]subResult
+}
+
+// subResult is what an uncorrelated subquery left behind: val for a scalar
+// subquery (NULL when it returned no row) and for EXISTS, set for an
+// IN-subquery.
+type subResult struct {
+	val sqlval.Value
+	set *inSet
 }
 
 // resolve returns the slot index for a column reference. Unqualified names
@@ -79,8 +96,8 @@ func (s *slab[T]) take(n int) []T {
 }
 
 // bound is an expression compiled against one tuple layout by env.bind:
-// column references are slot reads, `?` placeholders are the execution's
-// values, constant IN lists are sets. aggs carries the current group's
+// column references are slot reads, `?` placeholders and subqueries are the
+// execution's values, constant IN lists are sets. aggs carries the current group's
 // aggregate results where the expression was bound with aggregate slots;
 // it is nil everywhere else.
 type bound func(vals, aggs []sqlval.Value) (sqlval.Value, error)
@@ -99,10 +116,14 @@ func (en *env) bind(ex sqlparse.Expr, aggs aggSlots) (bound, error) {
 	case *sqlparse.Literal:
 		return constant(e.Value), nil
 	case *sqlparse.Param:
-		if e.Index < 1 || e.Index > len(en.params) {
-			return nil, fmt.Errorf("parameter %d is not bound (%d values supplied)", e.Index, len(en.params))
+		params := en.vals.params
+		if e.Index < 1 || e.Index > len(params) {
+			return nil, fmt.Errorf("parameter %d is not bound (%d values supplied)", e.Index, len(params))
 		}
-		return constant(en.params[e.Index-1]), nil
+		return constant(params[e.Index-1]), nil
+	case *sqlparse.SubqueryExpr, *sqlparse.ExistsExpr:
+		r, err := en.sub(ex)
+		return constant(r.val), err
 	case *sqlparse.ColumnRef:
 		i, err := en.resolve(e)
 		if err != nil {
@@ -191,10 +212,21 @@ func one(x bound, f func(sqlval.Value) (sqlval.Value, error)) bound {
 	}
 }
 
+// sub returns the result of the init-plan behind ex. Only a statement's own
+// expressions have one: a subquery in an AS OF bound or a VACUUM RETAIN is
+// refused here.
+func (en *env) sub(ex sqlparse.Expr) (subResult, error) {
+	r, ok := en.vals.subs[ex]
+	if !ok {
+		return r, fmt.Errorf("unsupported expression %T", ex)
+	}
+	return r, nil
+}
+
 // evalConst evaluates an expression that reads no tuple: INSERT values, the
 // AS OF bound, VACUUM's RETAIN, the REENACT transaction id.
-func evalConst(ex sqlparse.Expr, params []sqlval.Value) (sqlval.Value, error) {
-	b, err := (&env{params: params}).bind(ex, nil)
+func evalConst(ex sqlparse.Expr, vals *execVals) (sqlval.Value, error) {
+	b, err := (&env{vals: vals}).bind(ex, nil)
 	if err != nil {
 		return sqlval.Null, err
 	}
@@ -280,10 +312,10 @@ var arithOps = map[string]func(l, r sqlval.Value) (sqlval.Value, error){
 	"||": sqlval.Concat, "-": sqlval.Sub, "*": sqlval.Mul, "/": sqlval.Div, "%": sqlval.Mod,
 }
 
-// bindIn compiles IN / NOT IN. A list made only of literals and parameters
-// (which is also what an uncorrelated IN-subquery has been rewritten into)
-// becomes a set built once per execution; any other list is evaluated
-// member by member for every row.
+// bindIn compiles IN / NOT IN. An IN-subquery probes the set its init-plan
+// built; a list made only of literals and parameters becomes a set built
+// once per execution; any other list is evaluated member by member for
+// every row.
 func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
 	x, err := en.bind(e.Expr, aggs)
 	if err != nil {
@@ -292,6 +324,14 @@ func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
 	list, err := en.bindAll(e.List, aggs)
 	if err != nil {
 		return nil, err
+	}
+	set := constInSet(e.List, list)
+	if e.Sub != nil {
+		r, err := en.sub(e)
+		if err != nil {
+			return nil, err
+		}
+		set = r.set
 	}
 	negated := e.Negated
 	result := func(matched, anyNull bool) sqlval.Value {
@@ -304,7 +344,7 @@ func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
 			return sqlval.NewBool(negated)
 		}
 	}
-	if set, ok := newInSet(e.List, list); ok {
+	if set != nil {
 		return one(x, func(v sqlval.Value) (sqlval.Value, error) { return result(set.probe(v)), nil }), nil
 	}
 	return func(vals, ag []sqlval.Value) (sqlval.Value, error) {
@@ -329,8 +369,9 @@ func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
 	}, nil
 }
 
-// inSet is a constant IN list as a hash set that answers exactly what
-// comparing the probe with each member in turn would. Members are keyed by
+// inSet is a constant IN list, or an IN-subquery's rows, as a hash set that
+// answers exactly what comparing the probe with each member in turn would.
+// Members are keyed by
 // kind and payload (valKey), which is Compare's equality within a kind; the
 // one equality across kinds, INTEGER against FLOAT as two floats (2 = 2.0),
 // is a second probe: an integer probe also looks for the float it converts
@@ -344,6 +385,7 @@ type inSet struct {
 	hasFloat  bool
 	hasNull   bool
 	classes   uint8 // bit per comparability class present among the members
+	sizeHint  int
 }
 
 // kindClass is the comparability class of a non-NULL kind: Compare orders
@@ -361,34 +403,44 @@ func kindClass(k sqlval.Kind) uint8 {
 	}
 }
 
-// newInSet builds the set when every list entry is a literal or parameter
-// (bound is then a constant). ok is false for any other list.
-func newInSet(list []sqlparse.Expr, members []bound) (*inSet, bool) {
-	set := &inSet{members: make(map[valKey]struct{}, len(list))}
+// constInSet builds the set of a list whose every entry is a literal or a
+// parameter (bound, each is then a constant), and returns nil for any other
+// list.
+func constInSet(list []sqlparse.Expr, members []bound) *inSet {
+	set := newInSet(len(list))
 	for i, ex := range list {
 		switch ex.(type) {
 		case *sqlparse.Literal, *sqlparse.Param:
 		default:
-			return nil, false
+			return nil
 		}
 		v, _ := members[i](nil, nil)
-		if v.IsNull() {
-			set.hasNull = true
-			continue
-		}
-		set.members[keyOf(v)] = struct{}{}
-		set.classes |= kindClass(v.Kind())
-		switch v.Kind() {
-		case sqlval.KindInt:
-			if set.intImages == nil {
-				set.intImages = make(map[valKey]struct{}, len(list))
-			}
-			set.intImages[floatKey(float64(v.Int()))] = struct{}{}
-		case sqlval.KindFloat:
-			set.hasFloat = true
-		}
+		set.add(v)
 	}
-	return set, true
+	return set
+}
+
+// newInSet returns an empty set sized for n members.
+func newInSet(n int) *inSet {
+	return &inSet{members: make(map[valKey]struct{}, n), sizeHint: n}
+}
+
+func (s *inSet) add(v sqlval.Value) {
+	if v.IsNull() {
+		s.hasNull = true
+		return
+	}
+	s.members[keyOf(v)] = struct{}{}
+	s.classes |= kindClass(v.Kind())
+	switch v.Kind() {
+	case sqlval.KindInt:
+		if s.intImages == nil {
+			s.intImages = make(map[valKey]struct{}, s.sizeHint)
+		}
+		s.intImages[floatKey(float64(v.Int()))] = struct{}{}
+	case sqlval.KindFloat:
+		s.hasFloat = true
+	}
 }
 
 // probe reports whether v equals a member and, if not, whether some
@@ -456,56 +508,4 @@ func or3(a, b sqlval.Value) sqlval.Value {
 		return sqlval.Null
 	}
 	return sqlval.NewBool(false)
-}
-
-// collectAggregates walks an expression and appends every aggregate call.
-func collectAggregates(ex sqlparse.Expr, out *[]*sqlparse.FuncExpr) {
-	switch e := ex.(type) {
-	case *sqlparse.FuncExpr:
-		*out = append(*out, e)
-	case *sqlparse.BinaryExpr:
-		collectAggregates(e.Left, out)
-		collectAggregates(e.Right, out)
-	case *sqlparse.UnaryExpr:
-		collectAggregates(e.Expr, out)
-	case *sqlparse.BetweenExpr:
-		collectAggregates(e.Expr, out)
-		collectAggregates(e.Lo, out)
-		collectAggregates(e.Hi, out)
-	case *sqlparse.InExpr:
-		collectAggregates(e.Expr, out)
-		for _, i := range e.List {
-			collectAggregates(i, out)
-		}
-	case *sqlparse.IsNullExpr:
-		collectAggregates(e.Expr, out)
-	}
-}
-
-// columnRefs walks an expression and appends every column reference.
-func columnRefs(ex sqlparse.Expr, out *[]*sqlparse.ColumnRef) {
-	switch e := ex.(type) {
-	case *sqlparse.ColumnRef:
-		*out = append(*out, e)
-	case *sqlparse.BinaryExpr:
-		columnRefs(e.Left, out)
-		columnRefs(e.Right, out)
-	case *sqlparse.UnaryExpr:
-		columnRefs(e.Expr, out)
-	case *sqlparse.BetweenExpr:
-		columnRefs(e.Expr, out)
-		columnRefs(e.Lo, out)
-		columnRefs(e.Hi, out)
-	case *sqlparse.InExpr:
-		columnRefs(e.Expr, out)
-		for _, i := range e.List {
-			columnRefs(i, out)
-		}
-	case *sqlparse.IsNullExpr:
-		columnRefs(e.Expr, out)
-	case *sqlparse.FuncExpr:
-		if e.Arg != nil {
-			columnRefs(e.Arg, out)
-		}
-	}
 }

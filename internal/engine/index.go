@@ -450,16 +450,16 @@ func (c dbCatalog) TableStats(name string) (plan.TableStats, bool) {
 // returning every version in the matching buckets. The result is a superset
 // of the rows where the predicate holds; callers re-check the full residual
 // filter on each candidate.
-func indexCandidates(ix *tableIndex, n *plan.IndexScanNode, params []sqlval.Value) []*storedRow {
+func indexCandidates(ix *tableIndex, n *plan.IndexScanNode, vals *execVals) []*storedRow {
 	if n.Eq != nil {
-		return ix.lookupEq(probeValue(n.Eq, params))
+		return ix.lookupEq(probeValue(n.Eq, vals))
 	}
 	lo, hi := sqlval.Null, sqlval.Null
 	if n.Lo != nil {
-		lo = probeValue(n.Lo, params)
+		lo = probeValue(n.Lo, vals)
 	}
 	if n.Hi != nil {
-		hi = probeValue(n.Hi, params)
+		hi = probeValue(n.Hi, vals)
 	}
 	var out []*storedRow
 	ix.lookupRange(lo, hi, n.LoIncl, n.HiIncl, func(r *storedRow) {
@@ -469,19 +469,21 @@ func indexCandidates(ix *tableIndex, n *plan.IndexScanNode, params []sqlval.Valu
 }
 
 // probeValue extracts the constant an index probe compares against: a
-// literal, or a `?` parameter resolved against the execution's bound values.
-// The planner only emits probes built from these, so anything else is a
-// planner bug; Null (matching nothing via lookupEq, everything via an
-// unbounded range end) keeps the executor safe regardless — the residual
-// filter still decides membership.
-func probeValue(e sqlparse.Expr, params []sqlval.Value) sqlval.Value {
+// literal, or a `?` parameter or scalar subquery resolved against the
+// execution's value table. The planner only emits probes built from these
+// (plan.literalExpr), so anything else is a planner bug; Null (matching
+// nothing via lookupEq, everything via an unbounded range end) keeps the
+// executor safe regardless — the residual filter still decides membership.
+func probeValue(e sqlparse.Expr, vals *execVals) sqlval.Value {
 	switch x := e.(type) {
 	case *sqlparse.Literal:
 		return x.Value
 	case *sqlparse.Param:
-		if x.Index >= 1 && x.Index <= len(params) {
-			return params[x.Index-1]
+		if x.Index >= 1 && x.Index <= len(vals.params) {
+			return vals.params[x.Index-1]
 		}
+	case *sqlparse.SubqueryExpr:
+		return vals.subs[x].val
 	}
 	return sqlval.Null
 }

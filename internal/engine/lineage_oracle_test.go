@@ -375,6 +375,46 @@ func TestLineageOracle(t *testing.T) {
 						}
 					}
 				}
+
+				// (e) prepared, for the queries whose plan carries
+				// init-plans: in process and over the wire, the first
+				// execution and the one served from the plan cache report
+				// what the text statement did.
+				if c.sub == "" {
+					return
+				}
+				ps, err := db.Prepare(withProvenance(c.sql))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := conn.Prepare(withProvenance(c.sql))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess := db.NewSession()
+				defer sess.Close()
+				for run := 0; run < 2; run++ {
+					local, err := sess.ExecPrepared(ps, nil, engine.ExecOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					remote, err := st.Exec()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for who, prep := range map[string]*engine.Result{"in process": local, "over the wire": remote} {
+						if !reflect.DeepEqual(rowStrings(prep), rowStrings(res)) || !reflect.DeepEqual(prep.Lineage, res.Lineage) {
+							t.Errorf("prepared run %d %s: %d rows, lineage equal %v; text %d rows",
+								run, who, len(prep.Rows), reflect.DeepEqual(prep.Lineage, res.Lineage), len(res.Rows))
+						}
+						if got, want := sortedRefs(versionRefs(prep)), sortedRefs(versionRefs(res)); !reflect.DeepEqual(got, want) {
+							t.Errorf("prepared run %d %s: version set %v, text %v", run, who, got, want)
+						}
+					}
+				}
+				if ps.CacheHits() < 1 {
+					t.Errorf("the prepared statement never ran its cached plan (%d hits)", ps.CacheHits())
+				}
 			})
 		}
 		oracleDML(t, db, cnt, rng)

@@ -26,81 +26,42 @@ type lockSet struct {
 func stmtTables(stmt sqlparse.Statement) lockSet {
 	ls := lockSet{reads: map[string]bool{}, writes: map[string]bool{}}
 	switch s := stmt.(type) {
-	case *sqlparse.Select:
-		collectSelectTables(s, &ls)
 	case *sqlparse.Insert:
 		ls.writes[s.Table] = true
-		for _, row := range s.Rows {
-			for _, e := range row {
-				collectExprTables(e, &ls)
-			}
-		}
-		if s.Query != nil {
-			collectSelectTables(s.Query, &ls)
-		}
 	case *sqlparse.Update:
 		ls.writes[s.Table] = true
-		collectExprTables(s.Where, &ls)
-		for _, a := range s.Set {
-			collectExprTables(a.Expr, &ls)
-		}
 	case *sqlparse.Delete:
 		ls.writes[s.Table] = true
-		collectExprTables(s.Where, &ls)
 	}
+	ls.addReads(stmt)
 	return ls
 }
 
-func collectSelectTables(s *sqlparse.Select, ls *lockSet) {
-	for _, r := range s.From {
-		ls.reads[r.Name] = true
-	}
-	for _, j := range s.Joins {
-		ls.reads[j.Table.Name] = true
-		collectExprTables(j.On, ls)
-	}
-	for _, it := range s.Items {
-		collectExprTables(it.Expr, ls)
-	}
-	collectExprTables(s.Where, ls)
-	collectExprTables(s.Having, ls)
-	for _, g := range s.GroupBy {
-		collectExprTables(g, ls)
-	}
-	for _, o := range s.OrderBy {
-		collectExprTables(o.Expr, ls)
-	}
-}
-
-func collectExprTables(e sqlparse.Expr, ls *lockSet) {
-	switch x := e.(type) {
-	case nil:
-	case *sqlparse.SubqueryExpr:
-		collectSelectTables(x.Query, ls)
-	case *sqlparse.ExistsExpr:
-		collectSelectTables(x.Query, ls)
-	case *sqlparse.InExpr:
-		collectExprTables(x.Expr, ls)
-		for _, i := range x.List {
-			collectExprTables(i, ls)
+// addReads adds the tables stmt reads: a SELECT's FROM entries, and those of
+// the query feeding an INSERT and of every subquery in any of its
+// expressions, however deep.
+func (ls *lockSet) addReads(stmt sqlparse.Statement) {
+	switch s := stmt.(type) {
+	case *sqlparse.Select:
+		for _, r := range s.From {
+			ls.reads[r.Name] = true
 		}
-		if x.Sub != nil {
-			collectSelectTables(x.Sub, ls)
+		for _, j := range s.Joins {
+			ls.reads[j.Table.Name] = true
 		}
-	case *sqlparse.BinaryExpr:
-		collectExprTables(x.Left, ls)
-		collectExprTables(x.Right, ls)
-	case *sqlparse.UnaryExpr:
-		collectExprTables(x.Expr, ls)
-	case *sqlparse.BetweenExpr:
-		collectExprTables(x.Expr, ls)
-		collectExprTables(x.Lo, ls)
-		collectExprTables(x.Hi, ls)
-	case *sqlparse.IsNullExpr:
-		collectExprTables(x.Expr, ls)
-	case *sqlparse.FuncExpr:
-		collectExprTables(x.Arg, ls)
+	case *sqlparse.Insert:
+		if s.Query != nil {
+			ls.addReads(s.Query)
+		}
 	}
+	sqlparse.StmtExprs(stmt, func(e sqlparse.Expr) {
+		sqlparse.Walk(e, func(x sqlparse.Expr) bool {
+			if q := sqlparse.Subquery(x); q != nil {
+				ls.addReads(q)
+			}
+			return true
+		})
+	})
 }
 
 // lockTables resolves and locks the statement's footprint, filling

@@ -11,9 +11,10 @@ import (
 
 // Every statement executes as a *PreparedStmt: a text statement is prepared,
 // executed once and dropped; a named one parses once and executes many times
-// with positional `?` parameters. The AST is immutable after the parse (the
-// subquery resolver is copy-on-write and plan trees never alias executor
-// state), so one *PreparedStmt is safe to share across sessions — the server
+// with positional `?` parameters. The AST is immutable after the parse (plan
+// trees never alias executor state: what an execution computes, bound
+// parameters and subquery results alike, lives in its value table), so one
+// *PreparedStmt is safe to share across sessions — the server
 // keeps a per-connection name registry, but the underlying statement and its
 // cached plan are process-wide.
 //
@@ -57,9 +58,7 @@ type PreparedStmt struct {
 	latency *obs.Histogram
 	writes  bool
 	// cacheable marks statements whose plan tree the plan cache may keep,
-	// keyed by textHash: SELECTs prepared through DB.Prepare. Statements with
-	// subqueries are excluded — the resolver substitutes per-execution
-	// literals before planning, so their plans are not reusable.
+	// keyed by textHash: SELECTs over tables prepared through DB.Prepare.
 	cacheable bool
 	textHash  uint64
 
@@ -118,7 +117,7 @@ func (db *DB) Prepare(sql string) (*PreparedStmt, error) {
 		return nil, err
 	}
 	if sel, ok := ps.stmt.(*sqlparse.Select); ok {
-		ps.cacheable = len(sel.From) > 0 && !selectHasSubqueries(sel)
+		ps.cacheable = len(sel.From) > 0
 		ps.textHash = sqlparse.HashText(sql)
 	}
 	return ps, nil
@@ -142,9 +141,15 @@ const planCacheMax = 256
 // were built under and lookups discard mismatches.
 func (db *DB) bumpDDLEpoch() { db.ddlEpoch.Add(1) }
 
-// cachedPlan returns the cached plan tree for a prepared statement, planning
-// and caching on miss or on a stale epoch.
-func (db *DB) cachedPlan(ps *PreparedStmt, build func() *plan.Tree) *plan.Tree {
+// planTree is where a statement gets its plan, for execution and for EXPLAIN
+// alike: the planner's one entry, behind the plan cache for a cacheable
+// prepared statement (ps may be nil). cat is the caller's view of the
+// catalog — a statement's locked footprint, or the whole catalog for plain
+// EXPLAIN, which locks nothing.
+func (db *DB) planTree(cat plan.Catalog, ps *PreparedStmt, stmt sqlparse.Statement) *plan.Tree {
+	if ps == nil || !ps.cacheable {
+		return plan.PlanStatement(cat, stmt)
+	}
 	key := ps.textHash
 	epoch := db.ddlEpoch.Load()
 	db.pcMu.Lock()
@@ -168,7 +173,7 @@ func (db *DB) cachedPlan(ps *PreparedStmt, build func() *plan.Tree) *plan.Tree {
 	// slow relative to the map operations. If DDL lands mid-plan the entry
 	// is stored under the pre-plan epoch and discarded on its next lookup —
 	// exactly the guarantee per-execution planning gives today.
-	tree := build()
+	tree := plan.PlanStatement(cat, stmt)
 	db.pcMu.Lock()
 	if len(db.planCache) >= planCacheMax {
 		for k := range db.planCache {
@@ -179,15 +184,4 @@ func (db *DB) cachedPlan(ps *PreparedStmt, build func() *plan.Tree) *plan.Tree {
 	db.planCache[key] = planCacheEntry{sql: ps.SQL, tree: tree, epoch: epoch}
 	db.pcMu.Unlock()
 	return tree
-}
-
-// selectPlan builds (or fetches) the plan tree for a SELECT: cached for
-// cacheable prepared executions, planned from scratch otherwise.
-func (ec *stmtCtx) selectPlan(s *sqlparse.Select) *plan.Tree {
-	if ec.prep == nil || !ec.prep.cacheable {
-		return plan.PlanSelect(stmtCatalog{ec}, s)
-	}
-	return ec.db.cachedPlan(ec.prep, func() *plan.Tree {
-		return plan.PlanSelect(stmtCatalog{ec}, s)
-	})
 }

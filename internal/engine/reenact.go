@@ -33,7 +33,7 @@ import (
 // lineage (input tuple versions) the replay derived.
 func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Result) error {
 	db := s.db
-	v, err := evalConst(st.Txn, opts.Params)
+	v, err := evalConst(st.Txn, &execVals{params: opts.Params})
 	if err != nil {
 		return fmt.Errorf("REENACT TRANSACTION: %w", err)
 	}
@@ -78,7 +78,7 @@ func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Resul
 		snap.selfBound = h.Start
 
 		replay := func(sel *sqlparse.Select) (*Result, error) {
-			ec := &stmtCtx{db: db, snap: snap, ws: s.ws, params: h.Params}
+			ec := &stmtCtx{db: db, snap: snap, ws: s.ws, vals: execVals{params: h.Params}}
 			unlock := ec.plan(sel, opts.Span)
 			defer unlock()
 			inner := &Result{StmtID: db.newStmtID(), Start: rec.SnapTS}

@@ -27,9 +27,9 @@ type storedLayout struct {
 	buf    []sqlval.Value
 }
 
-func newStoredLayout(cols []Column, as string, params []sqlval.Value) *storedLayout {
+func newStoredLayout(cols []Column, as string, vals *execVals) *storedLayout {
 	l := &storedLayout{ncols: len(cols)}
-	l.env.params = params
+	l.env.vals = vals
 	l.env.bindings = make([]binding, 0, len(cols)+len(provColumns))
 	for _, c := range cols {
 		l.env.bindings = append(l.env.bindings, binding{table: as, name: c.Name})
@@ -41,11 +41,12 @@ func newStoredLayout(cols []Column, as string, params []sqlval.Value) *storedLay
 }
 
 func (l *storedLayout) bind(ex sqlparse.Expr) (bound, error) {
-	var refs []*sqlparse.ColumnRef
-	columnRefs(ex, &refs)
-	for _, r := range refs {
-		l.hidden = l.hidden || IsProvColumn(r.Column)
-	}
+	sqlparse.Walk(ex, func(x sqlparse.Expr) bool {
+		if cr, ok := x.(*sqlparse.ColumnRef); ok && IsProvColumn(cr.Column) {
+			l.hidden = true
+		}
+		return true
+	})
 	return l.env.bind(ex, nil)
 }
 
@@ -115,7 +116,7 @@ func (ec *stmtCtx) openScan(n plan.Node) (*leafScan, error) {
 			// A vanished index is impossible while the statement holds the
 			// table lock; walking the heap instead is always equivalent.
 			if ix := t.findIndex(isn.Index); ix != nil {
-				sc.rows = indexCandidates(ix, isn, ec.params)
+				sc.rows = indexCandidates(ix, isn, &ec.vals)
 				ix.scans.Add(1)
 			}
 		}
@@ -124,7 +125,7 @@ func (ec *stmtCtx) openScan(n plan.Node) (*leafScan, error) {
 	} else {
 		return nil, err
 	}
-	sc.lay = newStoredLayout(cols, sc.leaf.As, ec.params)
+	sc.lay = newStoredLayout(cols, sc.leaf.As, &ec.vals)
 	if sc.filter != nil {
 		sc.preds = make([]bound, len(sc.filter.Conjuncts))
 		for i, c := range sc.filter.Conjuncts {
@@ -199,7 +200,7 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 		return relation{}, err
 	}
 	stored := sc.lay.env.bindings
-	rel := relation{env: env{bindings: stored, params: ec.params}}
+	rel := relation{env: env{bindings: stored, vals: &ec.vals}}
 	from := make([]int, len(stored)) // stored slot of each emitted column
 	for i := range from {
 		from[i] = i

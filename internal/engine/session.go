@@ -515,7 +515,7 @@ func (s *Session) execute(ps *PreparedStmt, opts ExecOptions, res *Result) error
 // transaction's (repeatable) snapshot, or a fresh cut per statement. oc, when
 // non-nil, collects per-operator actuals (EXPLAIN ANALYZE).
 func (s *Session) execSelectStmt(sel *sqlparse.Select, opts ExecOptions, res *Result, oc *opCollector) error {
-	ec := &stmtCtx{db: s.db, txn: s.txn, ws: s.ws, ops: oc, params: opts.Params, prep: opts.prep}
+	ec := &stmtCtx{db: s.db, txn: s.txn, ws: s.ws, ops: oc, vals: execVals{params: opts.Params}, prep: opts.prep}
 	switch {
 	case sel.AsOf != nil || opts.AsOf > 0:
 		// Time travel: the statement runs against the historical snapshot at
@@ -574,7 +574,7 @@ func (s *Session) execDMLStmt(stmt sqlparse.Statement, opts ExecOptions, res *Re
 // closes when the locks release, before any commit work (wal.commit gets its
 // own span).
 func (s *Session) applyDML(stmt sqlparse.Statement, opts ExecOptions, res *Result, txn *Txn, oc *opCollector) error {
-	ec := &stmtCtx{db: s.db, snap: txn.snap, txn: txn, ws: s.ws, ops: oc, params: opts.Params, prep: opts.prep}
+	ec := &stmtCtx{db: s.db, snap: txn.snap, txn: txn, ws: s.ws, ops: oc, vals: execVals{params: opts.Params}, prep: opts.prep}
 	if opts.WithLineage {
 		// Reenactment provenance: the versions the statement reads.
 		ec.lin = &lineageSink{stmt: res.StmtID}
@@ -586,27 +586,19 @@ func (s *Session) applyDML(stmt sqlparse.Statement, opts ExecOptions, res *Resul
 	res.planNS = ec.planNS
 	sp := opts.Span.Child("engine.exec")
 	defer sp.End()
-	var err error
-	switch st := stmt.(type) {
-	case *sqlparse.Insert:
-		err = ec.ops.exec("insert", st.Table, func() (int, error) {
-			before := res.RowsAffected
-			e := ec.execInsert(st, opts, res)
-			return res.RowsAffected - before, e
-		})
-	case *sqlparse.Update:
-		err = ec.ops.exec("update", st.Table, func() (int, error) {
-			before := res.RowsAffected
-			e := ec.execUpdate(st, opts, res)
-			return res.RowsAffected - before, e
-		})
-	case *sqlparse.Delete:
-		err = ec.ops.exec("delete", st.Table, func() (int, error) {
-			before := res.RowsAffected
-			e := ec.execDelete(st, opts, res)
-			return res.RowsAffected - before, e
-		})
-	}
+	tree := s.db.planTree(stmtCatalog{ec}, ec.prep, stmt)
+	err := ec.ops.node(tree.Root, func() (int, error) {
+		var err error
+		switch st := stmt.(type) {
+		case *sqlparse.Insert:
+			err = ec.execInsert(st, tree, opts, res)
+		case *sqlparse.Update:
+			err = ec.execUpdate(st, tree, opts, res)
+		case *sqlparse.Delete:
+			err = ec.execDelete(st, tree, opts, res)
+		}
+		return res.RowsAffected, err
+	})
 	if err != nil {
 		// Statement-level atomicity: undo this statement's writes while its
 		// table locks are still held, inside or outside an explicit txn —
@@ -632,10 +624,11 @@ type stmtCtx struct {
 	// nil outside a registered session.
 	ws *obs.SessionState
 
-	// params holds the execution's bound parameter values; prep links back
-	// to the statement being executed (nil inside REENACT's replays).
-	params []sqlval.Value
-	prep   *PreparedStmt
+	// vals is the execution's value table: the bound parameter values, and
+	// the subquery results runInit adds; prep links back to the statement
+	// being executed (nil inside REENACT's replays).
+	vals execVals
+	prep *PreparedStmt
 
 	// ops, when non-nil, collects per-operator rows and timings for
 	// EXPLAIN ANALYZE; planNS is the plan-phase duration recorded by plan().

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ldv/internal/sqlparse"
+	"ldv/internal/sqlval"
 )
 
 func subqueryDB(t *testing.T) *DB {
@@ -179,5 +180,148 @@ func TestExistsSubquery(t *testing.T) {
 	res = mustExec(t, db, "SELECT count(*) FROM emp WHERE NOT EXISTS (SELECT id FROM dept WHERE budget > 999)", ExecOptions{})
 	if res.Rows[0][0].Int() != 4 {
 		t.Fatalf("not exists = %v", rowsToStrings(res))
+	}
+}
+
+// TestSubqueryExplainIsWhatRuns: the planner sees the statement that
+// executes, subqueries in place, so plain EXPLAIN prints the operators
+// EXPLAIN ANALYZE then runs — the subquery's own, the index scan a scalar
+// subquery keys, the DML root with the planner's estimate — in the same
+// order with the same details and estimates.
+func TestSubqueryExplainIsWhatRuns(t *testing.T) {
+	db := newTestDB(t,
+		"CREATE TABLE t (a INT PRIMARY KEY, b INT, c INT)",
+		"CREATE TABLE u (x INT PRIMARY KEY, y INT)",
+		"CREATE INDEX ix_b ON t (b)")
+	for i := 1; i <= 12; i++ {
+		mustExec(t, db, "INSERT INTO t VALUES (?, ?, 0)", ExecOptions{Params: []sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewInt(int64(i % 7))}})
+	}
+	mustExec(t, db, "INSERT INTO u VALUES (1, 2), (2, 6), (3, 4)", ExecOptions{})
+
+	const probe = "index_scan|t via ix_b (b = (SELECT MAX(y) FROM u))"
+	cases := []struct {
+		sql  string
+		want []string // op|detail rows that must appear, in this order
+	}{
+		{"SELECT a FROM t WHERE b = (SELECT MAX(y) FROM u)",
+			[]string{"scan|u", "aggregate|", probe, "project|"}},
+		{"UPDATE t SET c = c + 1 WHERE b = (SELECT MAX(y) FROM u)",
+			[]string{"scan|u", "aggregate|", probe, "update|t"}},
+		{"SELECT a FROM t WHERE b IN (SELECT y FROM u WHERE x > 1) AND c >= 0",
+			[]string{"scan|u", "project|", "scan|t", "filter|(b IN (SELECT y FROM u WHERE (x > 1))), (c >= 0)"}},
+		{"DELETE FROM t WHERE EXISTS (SELECT x FROM u WHERE y > 5) AND b < (SELECT MIN(y) FROM u)",
+			[]string{"scan|u", "scan|u", "aggregate|", "filter|EXISTS (SELECT x FROM u WHERE (y > 5)), (b < (SELECT MIN(y) FROM u))", "delete|t"}},
+		{"INSERT INTO t VALUES ((SELECT MAX(a) FROM t) + 1, 1, 0)",
+			[]string{"scan|t", "aggregate|", "insert|t"}},
+		{"INSERT INTO t SELECT a + 100, b, c FROM t WHERE b = (SELECT MIN(y) FROM u)",
+			[]string{"scan|u", "aggregate|", "index_scan|t via ix_b (b = (SELECT MIN(y) FROM u))", "insert|t"}},
+	}
+	// render is an EXPLAIN result as op|detail|est_rows lines.
+	render := func(res *Result) []string {
+		out := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			out[i] = r[0].Str() + "|" + r[1].Str() + "|" + r[2].String()
+		}
+		return out
+	}
+	for _, c := range cases {
+		plain := render(mustExec(t, db, "EXPLAIN "+c.sql, ExecOptions{}))
+		ran := render(mustExec(t, db, "EXPLAIN ANALYZE "+c.sql, ExecOptions{}))
+		if n := len(ran) - 1; n < 0 || !strings.HasPrefix(ran[n], "result|") {
+			t.Fatalf("%s: EXPLAIN ANALYZE does not end in its result row: %v", c.sql, ran)
+		} else {
+			ran = ran[:n]
+		}
+		if strings.Join(plain, "\n") != strings.Join(ran, "\n") {
+			t.Errorf("%s:\nEXPLAIN\n  %s\nEXPLAIN ANALYZE\n  %s", c.sql, strings.Join(plain, "\n  "), strings.Join(ran, "\n  "))
+		}
+		at := 0
+		for _, line := range plain {
+			if strings.HasSuffix(line, "|NULL") {
+				t.Errorf("%s: row %q has no planner estimate", c.sql, line)
+			}
+			if at < len(c.want) && strings.HasPrefix(line, c.want[at]+"|") {
+				at++
+			}
+		}
+		if at != len(c.want) {
+			t.Errorf("%s: EXPLAIN lacks %q (in order %q):\n  %s", c.sql, c.want[at], c.want, strings.Join(plain, "\n  "))
+		}
+	}
+}
+
+// TestSubqueryNestingCap: sixteen levels of subquery run, the seventeenth is
+// refused — by the executor, when it reaches the init-plan the planner left
+// unplanned — and plain EXPLAIN of either still renders.
+func TestSubqueryNestingCap(t *testing.T) {
+	db := subqueryDB(t)
+	nested := func(levels int) string {
+		sql := "SELECT MAX(salary) FROM emp"
+		for i := 0; i < levels; i++ {
+			sql = "SELECT MAX(salary) FROM emp WHERE salary <= (" + sql + ")"
+		}
+		return sql
+	}
+	if got := rowsToStrings(mustExec(t, db, nested(16), ExecOptions{})); len(got) != 1 || got[0] != "90" {
+		t.Fatalf("16 levels = %v, want 90", got)
+	}
+	_, err := db.Exec(nested(17), ExecOptions{})
+	if err == nil || !strings.Contains(err.Error(), "subquery nesting exceeds 16 levels") {
+		t.Fatalf("17 levels: err = %v", err)
+	}
+	_, err = db.Exec("DELETE FROM emp WHERE salary > ("+nested(16)+")", ExecOptions{})
+	if err == nil || !strings.Contains(err.Error(), "subquery nesting exceeds 16 levels") {
+		t.Fatalf("17 levels under DELETE: err = %v", err)
+	}
+	if n := mustExec(t, db, "SELECT count(*) FROM emp", ExecOptions{}).Rows[0][0].Int(); n != 4 {
+		t.Fatalf("refused DELETE left %d rows", n)
+	}
+	mustExec(t, db, "EXPLAIN "+nested(17), ExecOptions{})
+}
+
+// TestPreparedSubqueryPlanIsCached: a plan tree holds no subquery result —
+// an execution keeps those in its value table — so a prepared SELECT with
+// subqueries is served from the plan cache like any other, to whichever
+// parse of the text asks, and still sees the rows of its own execution.
+func TestPreparedSubqueryPlanIsCached(t *testing.T) {
+	db := subqueryDB(t)
+	const sql = "SELECT id, (SELECT MAX(budget) FROM dept) FROM emp WHERE salary > (SELECT AVG(salary) FROM emp) ORDER BY id"
+	var stmts [2]*PreparedStmt
+	for i := range stmts {
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ps.cacheable {
+			t.Fatal("a SELECT with subqueries must be plan-cacheable")
+		}
+		stmts[i] = ps
+	}
+	s := db.NewSession()
+	defer s.Close()
+	hits0 := mPlanCacheHits.Load()
+	run := func(ps *PreparedStmt) string {
+		res, err := s.ExecPrepared(ps, nil, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(rowsToStrings(res), " ")
+	}
+	if got := run(stmts[0]); got != "1|100 2|100" {
+		t.Fatalf("first execution = %q", got)
+	}
+	mustExec(t, db, "INSERT INTO emp VALUES (5, 3, 500)", ExecOptions{})
+	mustExec(t, db, "UPDATE dept SET budget = 700 WHERE id = 3", ExecOptions{})
+	// avg is now 154: only the new row qualifies, under the new budget.
+	for i, ps := range []*PreparedStmt{stmts[0], stmts[1]} {
+		if got := run(ps); got != "5|700" {
+			t.Fatalf("cached execution %d = %q, want 5|700", i, got)
+		}
+	}
+	if stmts[0].CacheHits() != 1 || stmts[1].CacheHits() != 1 {
+		t.Errorf("CacheHits = %d, %d; want 1, 1", stmts[0].CacheHits(), stmts[1].CacheHits())
+	}
+	if got := mPlanCacheHits.Load() - hits0; got != 2 {
+		t.Errorf("plan.cache_hits delta = %d, want 2", got)
 	}
 }

@@ -196,7 +196,7 @@ func (db *DB) pruneTxnHistLocked() {
 func (db *DB) resolveAsOf(e sqlparse.Expr, opts ExecOptions) (uint64, error) {
 	t := opts.AsOf
 	if e != nil {
-		v, err := evalConst(e, opts.Params)
+		v, err := evalConst(e, &execVals{params: opts.Params})
 		if err != nil {
 			return 0, fmt.Errorf("AS OF: %w", err)
 		}

@@ -189,7 +189,7 @@ func (db *DB) execVacuum(st *sqlparse.Vacuum, opts ExecOptions, res *Result) err
 	var requested uint64
 	switch {
 	case st.Retain != nil:
-		v, err := evalConst(st.Retain, opts.Params)
+		v, err := evalConst(st.Retain, &execVals{params: opts.Params})
 		if err != nil {
 			return fmt.Errorf("VACUUM RETAIN: %w", err)
 		}

@@ -46,23 +46,10 @@ func AuditWithOptions(m *Machine, apps []App, opts AuditOptions) (*Auditor, erro
 	SetRuntime(m.Kernel, &Runtime{Mode: ModeAudit, Addr: m.Addr, Database: m.Database, Auditor: aud})
 	defer ClearRuntime(m.Kernel)
 
-	root := m.Kernel.Start("ldv-audit")
-	if err := m.StartServer(root); err != nil {
-		return nil, fmt.Errorf("audit: start server: %w", err)
-	}
-	var runErr error
-	for _, app := range apps {
-		if err := root.Spawn(app.Binary, app.Libs...); err != nil {
-			runErr = fmt.Errorf("audit: run %s: %w", app.Binary, err)
-			break
-		}
-	}
-	if err := m.StopServer(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("audit: stop server: %w", err)
-	}
-	root.Exit()
-	if runErr != nil {
-		return nil, runErr
+	err := m.runApps(m.Kernel.Start("ldv-audit"), apps, appRun{server: true,
+		startErr: "audit: start server: %w", appErr: "audit: run %s: %w", stopErr: "audit: stop server: %w"})
+	if err != nil {
+		return nil, err
 	}
 	return aud, nil
 }
@@ -76,21 +63,59 @@ func Run(m *Machine, apps []App) error {
 	SetRuntime(m.Kernel, &Runtime{Mode: ModePlain, Addr: m.Addr, Database: m.Database})
 	defer ClearRuntime(m.Kernel)
 
-	root := m.Kernel.Start("run")
-	if err := m.StartServer(root); err != nil {
-		return fmt.Errorf("run: start server: %w", err)
+	return m.runApps(m.Kernel.Start("run"), apps, appRun{server: true,
+		startErr: "run: start server: %w", appErr: "run %s: %w"})
+}
+
+// appRun says how one entry point runs its applications: whether the DB
+// server brackets them, which of them run, and how a failure reads.
+type appRun struct {
+	server bool                     // start the server first, stop it after
+	keep   func(binary string) bool // nil runs every app
+	span   *obs.Span                // a replay's run span, given a child per step; nil elsewhere
+	// fmt formats for a failure to start the server, to run an app (its
+	// binary, then the error) and to stop the server; "" hands the error up
+	// as it is.
+	startErr, appErr, stopErr string
+}
+
+// runApps is the run every entry point performs under its root process:
+// start the server, spawn each application in order, stop the server, exit
+// the root — stopping at the first application that fails and reporting the
+// first error.
+func (m *Machine) runApps(root *osim.Process, apps []App, r appRun) error {
+	defer root.Exit()
+	wrap := func(format string, err error, args ...any) error {
+		if format == "" {
+			return err
+		}
+		return fmt.Errorf(format, append(args, err)...)
+	}
+	if r.server {
+		boot := r.span.Child("replay.start_server")
+		if err := m.StartServer(root); err != nil {
+			return wrap(r.startErr, err)
+		}
+		boot.End()
 	}
 	var runErr error
 	for _, app := range apps {
-		if err := root.Spawn(app.Binary, app.Libs...); err != nil {
-			runErr = fmt.Errorf("run %s: %w", app.Binary, err)
+		if r.keep != nil && !r.keep(app.Binary) {
+			continue
+		}
+		step := r.span.Child("replay.app").SetAttr("binary", app.Binary)
+		err := root.Spawn(app.Binary, app.Libs...)
+		step.End()
+		if err != nil {
+			runErr = wrap(r.appErr, err, app.Binary)
 			break
 		}
 	}
-	if err := m.StopServer(); err != nil && runErr == nil {
-		runErr = err
+	if r.server {
+		if err := m.StopServer(); err != nil && runErr == nil {
+			runErr = wrap(r.stopErr, err)
+		}
 	}
-	root.Exit()
 	return runErr
 }
 

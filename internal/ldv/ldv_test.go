@@ -3,8 +3,6 @@ package ldv
 import (
 	"errors"
 	"fmt"
-	"io"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -576,47 +574,6 @@ func TestCopyWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSVReaderReadsWhatQuoteCSVFieldWrites: every field comes back byte for
-// byte, a last record needs no newline, and the two ways a member can be
-// malformed are errors, not guesses.
-func TestCSVReaderReadsWhatQuoteCSVFieldWrites(t *testing.T) {
-	records := [][]string{
-		{"prov_rowid", "prov_v", "prov_p", "a column, quoted"},
-		{"1", "2", "", "s:a\r\nb,\"c\""},
-		{"3", "4", "", "s:\"", "s:\"\"", "s:\n", "s:\r", "n:", "s:"},
-		{"5"},
-	}
-	var data []byte
-	for _, rec := range records {
-		for i, f := range rec {
-			if i > 0 {
-				data = append(data, ',')
-			}
-			start := len(data)
-			data = quoteCSVField(append(data, f...), start)
-		}
-		data = append(data, '\n')
-	}
-	for _, in := range [][]byte{data, data[:len(data)-1]} {
-		r := csvReader{data: in}
-		for i, want := range records {
-			got, err := r.read()
-			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("record %d: %q, %v; want %q", i, got, err, want)
-			}
-		}
-		if _, err := r.read(); err != io.EOF {
-			t.Fatalf("after the last record: %v, want io.EOF", err)
-		}
-	}
-	for _, bad := range []string{"1,\"open\n", "1,\"shut\"x,2\n"} {
-		r := csvReader{data: []byte(bad)}
-		if rec, err := r.read(); err == nil {
-			t.Errorf("%q read as %q, want an error", bad, rec)
-		}
-	}
-}
-
 // TestReplayRestoresAwkwardText: TEXT values holding everything CSV quotes —
 // commas, quotes, line breaks, CR LF — beside NULL, the empty string and
 // multi-byte runes survive the trip audit → provenance CSV → RestoreRows
@@ -633,7 +590,7 @@ func TestReplayRestoresAwkwardText(t *testing.T) {
 		sqlval.NewString(`she said "hi", twice: ""`),
 		sqlval.NewString("line one\nline two\rstill two\n\nline four"),
 		// A CR LF inside a quoted field: encoding/csv's Reader would hand it
-		// back as LF, which is why restoreTuples reads with csvReader.
+		// back as LF, which is why restoreTuples reads with csvrec.Reader.
 		sqlval.NewString("a\r\nb,\"c\""),
 		sqlval.NewString(""),
 		sqlval.Null,

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"ldv/internal/csvrec"
 	"ldv/internal/pack"
 )
 
@@ -52,7 +53,7 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 		for _, col := range t.Schema.Names() {
 			csv = append(csv, ',')
 			start := len(csv)
-			csv = quoteCSVField(append(csv, col...), start)
+			csv = csvrec.Quote(append(csv, col...), start)
 		}
 		csv = append(csv, '\n')
 		arch.Add(ProvDataDir+"/"+name+".csv", aud.appendRelevantCSV(csv, name))

@@ -105,28 +105,10 @@ func PartialReplay(arch *pack.Archive, programs map[string]osim.Program, outputP
 		neededSet[b] = true
 	}
 
-	root := setup.Machine.Kernel.Start("ldv-exec-partial")
-	defer root.Exit()
-	if setup.Manifest.Type == TypeServerIncluded {
-		if err := setup.Machine.StartServer(root); err != nil {
-			return nil, nil, err
-		}
-	}
-	var runErr error
-	for _, app := range setup.Apps {
-		if !neededSet[app.Binary] {
-			continue
-		}
-		if err := root.Spawn(app.Binary, app.Libs...); err != nil {
-			runErr = fmt.Errorf("partial replay %s: %w", app.Binary, err)
-			break
-		}
-	}
-	if setup.Manifest.Type == TypeServerIncluded {
-		if err := setup.Machine.StopServer(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
+	runErr := setup.Machine.runApps(setup.Machine.Kernel.Start("ldv-exec-partial"), setup.Apps, appRun{
+		server: setup.Manifest.Type == TypeServerIncluded,
+		keep:   func(binary string) bool { return neededSet[binary] },
+		appErr: "partial replay %s: %w"})
 	if runErr != nil {
 		return nil, nil, runErr
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ldv/internal/csvrec"
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	"ldv/internal/osim"
@@ -110,8 +111,8 @@ func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error 
 		if err != nil {
 			return err
 		}
-		r := csvReader{data: data}
-		if _, err := r.read(); err == io.EOF {
+		r := csvrec.Reader{Data: data}
+		if _, err := r.Read(); err == io.EOF {
 			continue // no header: an empty member
 		} else if err != nil {
 			return fmt.Errorf("restore %s: %w", table, err)
@@ -120,7 +121,7 @@ func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error 
 		// (quoted line breaks only make it generous).
 		hint := bytes.Count(data, []byte{'\n'})
 		err = db.RestoreRows(table, hint, func(row *engine.RestoredRow) (bool, error) {
-			rec, err := r.read()
+			rec, err := r.Read()
 			if err == io.EOF {
 				return false, nil
 			}
@@ -154,31 +155,9 @@ func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error 
 func (s *ReplaySetup) Run() error {
 	run := obs.StartSpan("replay.run").SetAttr("type", string(s.Manifest.Type))
 	defer run.End()
-	root := s.Machine.Kernel.Start("ldv-exec")
-	defer root.Exit()
-	if s.Manifest.Type == TypeServerIncluded {
-		boot := run.Child("replay.start_server")
-		if err := s.Machine.StartServer(root); err != nil {
-			return fmt.Errorf("replay: start packaged server: %w", err)
-		}
-		boot.End()
-	}
-	var runErr error
-	for _, app := range s.Apps {
-		step := run.Child("replay.app").SetAttr("binary", app.Binary)
-		if err := root.Spawn(app.Binary, app.Libs...); err != nil {
-			runErr = fmt.Errorf("replay %s: %w", app.Binary, err)
-			step.End()
-			break
-		}
-		step.End()
-	}
-	if s.Manifest.Type == TypeServerIncluded {
-		if err := s.Machine.StopServer(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	return runErr
+	return s.Machine.runApps(s.Machine.Kernel.Start("ldv-exec"), s.Apps, appRun{
+		server: s.Manifest.Type == TypeServerIncluded, span: run,
+		startErr: "replay: start packaged server: %w", appErr: "replay %s: %w"})
 }
 
 // Replay is the one-call `ldv-exec` equivalent: prepare, run, and return

@@ -1,12 +1,11 @@
 package ldv
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
+	"ldv/internal/csvrec"
 	"ldv/internal/sqlval"
 )
 
@@ -47,88 +46,7 @@ func appendCSVCell(dst []byte, v sqlval.Value) []byte {
 	if v.Kind() != sqlval.KindString {
 		return dst // numbers, dates, booleans and NULL hold nothing to quote
 	}
-	return quoteCSVField(dst, start)
-}
-
-// quoteCSVField makes dst[start:], a field just appended, a valid CSV field:
-// one holding a comma, a quote or a line break is wrapped in quotes with its
-// quotes doubled, as encoding/csv's Writer does; anything else is left as it
-// is. (Callers append kind-prefixed cells and column names, which are never
-// empty and never start with a space — the Writer's other two reasons to
-// quote.)
-func quoteCSVField(dst []byte, start int) []byte {
-	if bytes.IndexAny(dst[start:], ",\"\r\n") < 0 {
-		return dst
-	}
-	raw := append([]byte(nil), dst[start:]...)
-	dst = append(dst[:start], '"')
-	for _, c := range raw {
-		if c == '"' {
-			dst = append(dst, '"')
-		}
-		dst = append(dst, c)
-	}
-	return append(dst, '"')
-}
-
-// csvReader reads back the CSV this package alone writes (quoteCSVField):
-// records end in '\n', fields are separated by ',', and a field that opens
-// with '"' runs to its closing quote, "" standing for one quote and every
-// other byte — a CR LF included — for itself. That last clause is why this is
-// not encoding/csv, whose Reader folds a quoted CR LF to LF.
-type csvReader struct {
-	data []byte   // the records not yet read
-	buf  []byte   // the current record's fields, unquoted, back to back
-	ends []int    // where each of them ends in buf
-	rec  []string // the record handed out, reused by the next read
-}
-
-// read returns the next record, valid until the following call, or io.EOF.
-func (r *csvReader) read() ([]string, error) {
-	d := r.data
-	if len(d) == 0 {
-		return nil, io.EOF
-	}
-	r.buf, r.ends = r.buf[:0], r.ends[:0]
-	for more := true; more; {
-		if len(d) > 0 && d[0] == '"' {
-			for d = d[1:]; ; d = d[1:] {
-				i := bytes.IndexByte(d, '"')
-				if i < 0 {
-					return nil, fmt.Errorf("unterminated quoted field")
-				}
-				r.buf = append(r.buf, d[:i]...)
-				if d = d[i+1:]; len(d) == 0 || d[0] != '"' {
-					break
-				}
-				r.buf = append(r.buf, '"')
-			}
-			if len(d) > 0 && d[0] != ',' && d[0] != '\n' {
-				return nil, fmt.Errorf("%q after a closing quote", d[0])
-			}
-		} else {
-			i := bytes.IndexAny(d, ",\n")
-			if i < 0 {
-				i = len(d)
-			}
-			r.buf = append(r.buf, d[:i]...)
-			d = d[i:]
-		}
-		r.ends = append(r.ends, len(r.buf))
-		more = len(d) > 0 && d[0] == ','
-		if len(d) > 0 {
-			d = d[1:] // the separator
-		}
-	}
-	// One string per record; the fields are its substrings.
-	all, start := string(r.buf), 0
-	r.rec = r.rec[:0]
-	for _, end := range r.ends {
-		r.rec = append(r.rec, all[start:end])
-		start = end
-	}
-	r.data = d
-	return r.rec, nil
+	return csvrec.Quote(dst, start)
 }
 
 // decodeCell parses a kind-prefixed cell.

@@ -3,10 +3,12 @@
 // pushes predicates toward the leaves, and greedily reorders joins, all
 // driven by per-table statistics supplied through the Catalog interface
 // (row counts and per-column distinct estimates maintained as atomics at
-// the engine's mutation sites). The engine executes a statement by walking
-// the tree, and EXPLAIN renders the same tree, so what is printed is what
-// runs. Lineage capture also rides the tree: each node declares how it
-// contributes provenance edges via its LineageMode.
+// the engine's mutation sites). PlanStatement is the one entry: queries, DML
+// and the uncorrelated subqueries of either are lowered by it, the engine
+// executes a statement by walking the tree it returned, and EXPLAIN renders
+// the same tree, so what is printed is what runs. Lineage capture also rides
+// the tree: each node declares how it contributes provenance edges via its
+// LineageMode.
 package plan
 
 import (
@@ -65,6 +67,18 @@ type Node interface {
 // Tree is a fully lowered statement.
 type Tree struct {
 	Root Node
+	// Select is the query the tree's operators evaluate (nil for UPDATE,
+	// DELETE and INSERT ... VALUES): the nodes name their stages, the select
+	// list, grouping and ordering expressions are read from here. A tree
+	// served from a plan cache therefore runs with the AST it was planned
+	// from, whichever parse of the same text asked for it.
+	Select *sqlparse.Select
+	// Init holds the statement's uncorrelated subqueries in the order the
+	// statement spells them, each nesting its own. The executor runs them
+	// once, before Root, and the expressions that read their results find
+	// them by AST node, so the tree itself embeds nothing an execution
+	// computed.
+	Init []InitPlan
 	// Reordered is set when the greedy join order differs from the
 	// syntactic FROM order; the executor then restores the syntactic
 	// column order before projection.
@@ -77,8 +91,22 @@ type Tree struct {
 	AsOf string
 }
 
-// Nodes returns the tree's operators in post order (children first), the
-// order EXPLAIN prints and the executor completes them.
+// InitPlan is one uncorrelated subquery: the expression that reads its
+// result (a *sqlparse.SubqueryExpr, *sqlparse.ExistsExpr, or *sqlparse.InExpr
+// with Sub) and the plan that computes it. Tree is nil for a subquery nested
+// deeper than MaxSubqueryDepth: planning never fails, so the executor
+// raises the error when it gets there.
+type InitPlan struct {
+	Expr sqlparse.Expr
+	Tree *Tree
+}
+
+// MaxSubqueryDepth bounds how deep subqueries may nest.
+const MaxSubqueryDepth = 16
+
+// Nodes returns the tree's operators in the order EXPLAIN prints and the
+// executor completes them: each init-plan's operators, then the root's in
+// post order (children first).
 func (t *Tree) Nodes() []Node {
 	if t == nil || t.Root == nil {
 		return nil
@@ -90,6 +118,9 @@ func (t *Tree) Nodes() []Node {
 			walk(c)
 		}
 		out = append(out, n)
+	}
+	for _, ip := range t.Init {
+		out = append(out, ip.Tree.Nodes()...)
 	}
 	walk(t.Root)
 	return out

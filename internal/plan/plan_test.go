@@ -67,6 +67,8 @@ func TestPlanDeterminism(t *testing.T) {
 		"UPDATE orders SET total = 0 WHERE cust = 7",
 		"DELETE FROM orders WHERE total < 5",
 		"SELECT 1",
+		"SELECT id FROM orders WHERE cust IN (SELECT id FROM customers WHERE region = (SELECT a FROM tiny)) AND EXISTS (SELECT a FROM tiny)",
+		"UPDATE orders SET total = (SELECT MAX(b) FROM tiny) WHERE cust = (SELECT id FROM customers WHERE name = 'x')",
 	}
 	for _, q := range queries {
 		stmt, err := sqlparse.Parse(q)
@@ -100,6 +102,9 @@ func TestPlanIndexSelection(t *testing.T) {
 		{"SELECT id FROM orders WHERE cust > 3", "scan[orders]", "index_scan", "hash index cannot serve a range"},
 		{"SELECT id FROM orders WHERE cust = id", "scan[orders]", "index_scan", "non-literal probe is not indexable"},
 		{"SELECT o.id FROM orders o, customers c WHERE o.cust = c.id", "hash_join", "", "equi-join plans a hash join"},
+		{"SELECT id FROM orders WHERE cust = (SELECT id FROM customers WHERE name = 'x')", "index_scan[orders via ix_cust (cust = (SELECT", "", "a scalar subquery is a run-time constant"},
+		{"UPDATE orders SET region = 'eu' WHERE total <= (SELECT MAX(b) FROM tiny)", "index_scan[orders via ix_total (total <= (SELECT", "", "in DML too"},
+		{"SELECT id FROM orders WHERE cust IN (SELECT id FROM customers)", "scan[orders]", "index_scan", "an IN-subquery is a set, not a probe key"},
 	}
 	for _, c := range cases {
 		stmt, err := sqlparse.Parse(c.sql)
@@ -137,6 +142,93 @@ func TestPlanJoinOrder(t *testing.T) {
 	}
 }
 
+// nestedSubquery is a query over tiny with levels subqueries nested in its
+// WHERE clause.
+func nestedSubquery(levels int) string {
+	sql := "SELECT MAX(a) FROM tiny"
+	for i := 0; i < levels; i++ {
+		sql = "SELECT MAX(a) FROM tiny WHERE b <= (" + sql + ")"
+	}
+	return sql
+}
+
+// checkInitPlans asserts what the executor relies on: every init-plan's
+// expression is a subquery, its tree is that subquery's plan, and the one
+// thing planning leaves out — a tree past the nesting cap — is left out
+// exactly there.
+func checkInitPlans(t *testing.T, tree *Tree, depth int) {
+	t.Helper()
+	for _, ip := range tree.Init {
+		q := sqlparse.Subquery(ip.Expr)
+		switch {
+		case q == nil:
+			t.Fatalf("init-plan over %T, which runs no query", ip.Expr)
+		case ip.Tree == nil:
+			if depth < MaxSubqueryDepth {
+				t.Fatalf("subquery %s at depth %d was not planned", q, depth)
+			}
+		case depth >= MaxSubqueryDepth:
+			t.Fatalf("subquery %s planned at depth %d, past the cap", q, depth)
+		case ip.Tree.Select != q:
+			t.Fatalf("init-plan of %s carries the tree of %s", q, ip.Tree.Select)
+		default:
+			checkInitPlans(t, ip.Tree, depth+1)
+		}
+	}
+}
+
+// TestPlanInitPlans: subqueries become init-plans in the order the statement
+// spells them, nested ones inside their parent's tree, rendered before the
+// operators that read them; past the cap the init-plan has no tree.
+func TestPlanInitPlans(t *testing.T) {
+	stmt, err := sqlparse.Parse("UPDATE orders SET total = (SELECT MAX(b) FROM tiny)" +
+		" WHERE cust IN (SELECT id FROM customers WHERE region = (SELECT a FROM tiny WHERE b = 1)) AND EXISTS (SELECT id FROM customers)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := PlanStatement(testCatalog(), stmt)
+	checkInitPlans(t, tree, 0)
+	var got []string
+	for _, ip := range tree.Init {
+		got = append(got, fmt.Sprintf("%T/%d", ip.Expr, len(ip.Tree.Init)))
+	}
+	if want := "*sqlparse.SubqueryExpr/0 *sqlparse.InExpr/1 *sqlparse.ExistsExpr/0"; strings.Join(got, " ") != want {
+		t.Errorf("init-plans = %v, want %s", got, want)
+	}
+	var ops []string
+	for _, n := range tree.Nodes() {
+		ops = append(ops, n.Op()+"["+n.Detail()+"]")
+	}
+	want := "scan[tiny] aggregate[] project[]" + // SET
+		" scan[tiny] filter[(b = 1)] project[]" + // nested in the IN-subquery
+		" scan[customers] filter[(region = (SELECT a FROM tiny WHERE (b = 1)))] project[]" +
+		" scan[customers] project[]" + // EXISTS
+		" scan[orders] filter[(cust IN (SELECT id FROM customers WHERE (region = (SELECT a FROM tiny WHERE (b = 1))))), EXISTS (SELECT id FROM customers)] update[orders]"
+	if strings.Join(ops, " ") != want {
+		t.Errorf("Nodes() =\n  %s\nwant\n  %s", strings.Join(ops, " "), want)
+	}
+
+	for _, c := range []struct {
+		levels  int
+		planned bool
+	}{{MaxSubqueryDepth, true}, {MaxSubqueryDepth + 1, false}} {
+		stmt, err := sqlparse.Parse(nestedSubquery(c.levels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := PlanStatement(testCatalog(), stmt)
+		checkInitPlans(t, tree, 0)
+		levels := 0
+		for len(tree.Init) == 1 && tree.Init[0].Tree != nil {
+			tree = tree.Init[0].Tree
+			levels++
+		}
+		if planned := len(tree.Init) == 0; planned != c.planned || levels != MaxSubqueryDepth {
+			t.Errorf("%d levels: planned %d of them, all planned %v; want %d, %v", c.levels, levels, planned, MaxSubqueryDepth, c.planned)
+		}
+	}
+}
+
 // FuzzPlan lowers arbitrary parsed statements: whatever parses must plan
 // without panicking, and every node must render.
 func FuzzPlan(f *testing.F) {
@@ -150,6 +242,16 @@ func FuzzPlan(f *testing.F) {
 		"INSERT INTO tiny VALUES (1, 2)",
 		"SELECT id FROM orders WHERE cust = 7 OR total > 9",
 		"SELECT 1 + 2",
+		"SELECT id, (SELECT MAX(a) FROM tiny) FROM orders o JOIN customers c ON o.cust = c.id AND c.id IN (SELECT a FROM tiny)" +
+			" WHERE EXISTS (SELECT 1 FROM tiny) GROUP BY (SELECT 1) HAVING count(*) > (SELECT MIN(b) FROM tiny) ORDER BY (SELECT 2)",
+		"INSERT INTO tiny VALUES ((SELECT MAX(a) FROM tiny) + 1, (SELECT count(*) FROM orders WHERE cust IN (SELECT id FROM customers)))",
+		"INSERT INTO tiny SELECT id, cust FROM orders WHERE total > (SELECT AVG(total) FROM orders)",
+		"UPDATE orders SET total = (SELECT MAX(b) FROM tiny), region = (SELECT name FROM customers WHERE id = 1) WHERE cust = (SELECT id FROM customers WHERE name = 'x')",
+		"DELETE FROM orders WHERE NOT EXISTS (SELECT id FROM customers WHERE region = (SELECT a FROM tiny)) OR cust NOT IN (SELECT id FROM nowhere)",
+		nestedSubquery(MaxSubqueryDepth + 3),
+		"DELETE FROM tiny WHERE a IN (" + nestedSubquery(MaxSubqueryDepth) + ")",
+		"UPDATE tiny SET a = (" + nestedSubquery(MaxSubqueryDepth+1) + ")",
+		"INSERT INTO tiny VALUES ((" + nestedSubquery(MaxSubqueryDepth+1) + "), 0)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -170,6 +272,7 @@ func FuzzPlan(f *testing.F) {
 			_ = n.EstRows()
 			_ = n.Lineage()
 		}
+		checkInitPlans(t, tree, 0)
 		// Planning twice yields the same tree.
 		if a, b := outline(tree), outline(PlanStatement(cat, stmt)); a != b {
 			t.Fatalf("nondeterministic plan for %q:\n  %s\n  %s", sql, a, b)

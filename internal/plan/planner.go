@@ -19,64 +19,68 @@ const defaultRows = 1000
 // filterSelectivity is the per-conjunct row reduction guess.
 const filterSelectivity = 1.0 / 3
 
-// PlanStatement lowers any plannable statement, returning nil for
-// statement kinds that have no execution tree (DDL, COPY, transaction
-// control).
+// PlanStatement lowers any plannable statement, its uncorrelated subqueries
+// included, returning nil for statement kinds that have no execution tree
+// (DDL, COPY, transaction control).
 func PlanStatement(cat Catalog, stmt sqlparse.Statement) *Tree {
+	return planStatement(cat, stmt, 0)
+}
+
+// planStatement lowers a statement found depth subqueries below the one
+// PlanStatement was handed. To everything but this function a subquery is a
+// run-time constant, as a `?` parameter is (literalExpr): the statement is
+// planned with its subqueries in place, then each gets a tree of its own.
+func planStatement(cat Catalog, stmt sqlparse.Statement, depth int) *Tree {
+	var tree *Tree
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
-		return PlanSelect(cat, s)
+		tree = planSelect(cat, s)
 	case *sqlparse.Insert:
-		return PlanInsert(cat, s)
+		n := &InsertNode{Table: s.Table, Est: float64(len(s.Rows))}
+		tree = &Tree{Root: n}
+		if s.Query != nil {
+			// INSERT ... SELECT embeds the query's plan, init-plans and all.
+			q := planStatement(cat, s.Query, depth)
+			n.Query, n.Est = q.Root, q.Root.EstRows()
+			tree.Select, tree.Init, tree.Reordered = q.Select, q.Init, q.Reordered
+		}
 	case *sqlparse.Update:
-		return PlanUpdate(cat, s)
+		access, est := planAccess(cat, s.Table, s.Where)
+		tree = &Tree{Root: &UpdateNode{Table: s.Table, Access: access, Est: est}}
 	case *sqlparse.Delete:
-		return PlanDelete(cat, s)
+		access, est := planAccess(cat, s.Table, s.Where)
+		tree = &Tree{Root: &DeleteNode{Table: s.Table, Access: access, Est: est}}
 	default:
 		return nil
 	}
+	sqlparse.StmtExprs(stmt, func(e sqlparse.Expr) {
+		sqlparse.Walk(e, func(x sqlparse.Expr) bool {
+			if q := sqlparse.Subquery(x); q != nil {
+				ip := InitPlan{Expr: x}
+				if depth < MaxSubqueryDepth {
+					ip.Tree = planStatement(cat, q, depth+1)
+				}
+				tree.Init = append(tree.Init, ip)
+			}
+			return true
+		})
+	})
+	return tree
 }
 
-// PlanInsert lowers an INSERT; INSERT ... SELECT embeds the query's plan.
-func PlanInsert(cat Catalog, s *sqlparse.Insert) *Tree {
-	n := &InsertNode{Table: s.Table}
-	reordered := false
-	if s.Query != nil {
-		qt := PlanSelect(cat, s.Query)
-		n.Query = qt.Root
-		n.Est = qt.Root.EstRows()
-		reordered = qt.Reordered
-	} else {
-		n.Est = float64(len(s.Rows))
-	}
-	return &Tree{Root: n, Reordered: reordered}
-}
-
-// PlanUpdate lowers an UPDATE: an access path over the target table (index
-// scan when the WHERE clause matches an index) under the update operator.
-func PlanUpdate(cat Catalog, s *sqlparse.Update) *Tree {
-	access, est := PlanAccess(cat, s.Table, s.Where)
-	return &Tree{Root: &UpdateNode{Table: s.Table, Access: access, Est: est}}
-}
-
-// PlanDelete lowers a DELETE the same way as an UPDATE.
-func PlanDelete(cat Catalog, s *sqlparse.Delete) *Tree {
-	access, est := PlanAccess(cat, s.Table, s.Where)
-	return &Tree{Root: &DeleteNode{Table: s.Table, Access: access, Est: est}}
-}
-
-// PlanAccess builds the row-locating subtree for UPDATE/DELETE (the DML
-// matcher executes it directly): a leaf, under one filter holding every
-// conjunct of the WHERE clause — the shape the executor fuses into a single
-// loop over the stored versions. The filter counts as resolved only when
-// the planner could push all of it.
-func PlanAccess(cat Catalog, table string, where sqlparse.Expr) (Node, float64) {
+// planAccess builds the row-locating subtree of an UPDATE or DELETE — an
+// access path over the target table (index scan when the WHERE clause
+// matches an index) under one filter holding every conjunct of the WHERE
+// clause, the shape the executor fuses into a single loop over the stored
+// versions. The filter counts as resolved only when the planner could push
+// all of it.
+func planAccess(cat Catalog, table string, where sqlparse.Expr) (Node, float64) {
 	p := newPlanner(cat, []sqlparse.TableRef{{Name: table}})
 	splitConjuncts(where, &p.conjuncts)
 	p.attribute()
 	var pushed []int
 	for i, c := range p.conj {
-		if c.ok && !c.hasAgg && !c.hasSub && len(c.refs) <= 1 {
+		if c.ok && !c.hasAgg && len(c.refs) <= 1 {
 			pushed = append(pushed, i)
 		}
 	}
@@ -98,11 +102,11 @@ func PlanAccess(cat Catalog, table string, where sqlparse.Expr) (Node, float64) 
 	return access, est
 }
 
-// PlanSelect lowers a SELECT: per-leaf index selection and predicate
+// planSelect lowers a SELECT: per-leaf index selection and predicate
 // pushdown, greedy join ordering, then the projection chain in executor
 // order (aggregate, distinct, sort, limit below the project root).
-func PlanSelect(cat Catalog, s *sqlparse.Select) *Tree {
-	tree := &Tree{}
+func planSelect(cat Catalog, s *sqlparse.Select) *Tree {
+	tree := &Tree{Select: s}
 	var root Node
 	if len(s.From) == 0 {
 		root = &ValuesNode{}
@@ -203,7 +207,7 @@ func hasAggregation(s *sqlparse.Select) bool {
 		return true
 	}
 	for _, it := range s.Items {
-		if it.Expr != nil && containsAggregate(it.Expr) {
+		if containsAggregate(it.Expr) {
 			return true
 		}
 	}
@@ -230,7 +234,6 @@ type conjInfo struct {
 	refs   []int // ascending ref indices the conjunct's columns bind to
 	ok     bool  // every column reference attributed unambiguously
 	hasAgg bool
-	hasSub bool
 	used   bool
 }
 
@@ -276,7 +279,6 @@ func (p *planner) attribute() {
 			refs:   refs,
 			ok:     ok,
 			hasAgg: containsAggregate(c),
-			hasSub: containsSubquery(c),
 		}
 	}
 }
@@ -288,21 +290,22 @@ func (p *planner) attribute() {
 // only when exactly one known table has the column and no unknown-schema
 // table could shadow it — mirroring the executor's ambiguity rules.
 func (p *planner) attrExpr(e sqlparse.Expr) (refs []int, ok bool) {
-	var crs []*sqlparse.ColumnRef
-	columnRefs(e, &crs)
 	seen := map[int]bool{}
 	ok = true
-	for _, cr := range crs {
+	sqlparse.Walk(e, func(x sqlparse.Expr) bool {
+		cr, isRef := x.(*sqlparse.ColumnRef)
+		if !isRef {
+			return true
+		}
 		i, bound := p.attrRef(cr)
 		if !bound {
 			ok = false
-			continue
-		}
-		if !seen[i] {
+		} else if !seen[i] {
 			seen[i] = true
 			refs = append(refs, i)
 		}
-	}
+		return true
+	})
 	sort.Ints(refs)
 	return refs, ok
 }
@@ -346,10 +349,8 @@ func (p *planner) requireColumns(s *sqlparse.Select) {
 	for i := range p.refs {
 		p.need[i] = map[string]bool{}
 	}
-	var crs []*sqlparse.ColumnRef
 	for _, it := range s.Items {
 		if !it.Star {
-			columnRefs(it.Expr, &crs)
 			continue
 		}
 		for i := range p.refs {
@@ -362,25 +363,19 @@ func (p *planner) requireColumns(s *sqlparse.Select) {
 			}
 		}
 	}
-	columnRefs(s.Where, &crs)
-	for _, j := range s.Joins {
-		columnRefs(j.On, &crs)
-	}
-	for _, g := range s.GroupBy {
-		columnRefs(g, &crs)
-	}
-	columnRefs(s.Having, &crs)
-	for _, o := range s.OrderBy {
-		columnRefs(o.Expr, &crs)
-	}
-	for _, cr := range crs {
-		for i := range p.refs {
-			r := &p.refs[i]
-			if (cr.Table == "" || cr.Table == r.name) && r.cols[cr.Column] {
-				p.need[i][cr.Column] = true
+	sqlparse.StmtExprs(s, func(e sqlparse.Expr) {
+		sqlparse.Walk(e, func(x sqlparse.Expr) bool {
+			if cr, ok := x.(*sqlparse.ColumnRef); ok {
+				for i := range p.refs {
+					r := &p.refs[i]
+					if (cr.Table == "" || cr.Table == r.name) && r.cols[cr.Column] {
+						p.need[i][cr.Column] = true
+					}
+				}
 			}
-		}
-	}
+			return true
+		})
+	})
 }
 
 // leafCols renders ref i's required set in layout order (nil when the
@@ -416,7 +411,7 @@ func (p *planner) joinTree(tree *Tree) Node {
 	for i := range p.refs {
 		var pushed []int
 		for ci, c := range p.conj {
-			if c.ok && !c.hasAgg && !c.hasSub && len(c.refs) == 1 && c.refs[0] == i {
+			if c.ok && !c.hasAgg && len(c.refs) == 1 && c.refs[0] == i {
 				pushed = append(pushed, ci)
 			}
 		}
@@ -482,7 +477,7 @@ func (p *planner) joinTree(tree *Tree) Node {
 		// Conjuncts whose tables are now all joined apply here.
 		var post []sqlparse.Expr
 		for ci, c := range p.conj {
-			if c.used || !c.ok || c.hasAgg || c.hasSub || len(c.refs) == 0 {
+			if c.used || !c.ok || c.hasAgg || len(c.refs) == 0 {
 				continue
 			}
 			if p.covered(c.refs, inTree) {
@@ -531,7 +526,7 @@ func (p *planner) connects(inTree map[int]bool, leaf int) bool {
 // candidate leaf, returning tree-aligned and leaf-aligned keys.
 func (p *planner) equiKey(ci int, inTree map[int]bool, leaf int) (l, r sqlparse.Expr, ok bool) {
 	c := p.conj[ci]
-	if c.used || !c.ok || c.hasAgg || c.hasSub {
+	if c.used || !c.ok || c.hasAgg {
 		return nil, nil, false
 	}
 	be, isBin := p.conjuncts[ci].(*sqlparse.BinaryExpr)
@@ -553,12 +548,12 @@ func (p *planner) equiKey(ci int, inTree map[int]bool, leaf int) (l, r sqlparse.
 	return nil, nil, false
 }
 
-// withConstFilters attaches column-free conjuncts (e.g. 1 = 1, or
-// subquery comparisons already rewritten to literals) to the first leaf.
+// withConstFilters attaches column-free conjuncts (e.g. 1 = 1, or an
+// EXISTS) to the first leaf.
 func (p *planner) withConstFilters(n Node) Node {
 	var consts []sqlparse.Expr
 	for ci, c := range p.conj {
-		if !c.used && c.ok && !c.hasAgg && !c.hasSub && len(c.refs) == 0 {
+		if !c.used && c.ok && !c.hasAgg && len(c.refs) == 0 {
 			consts = append(consts, p.conjuncts[ci])
 			p.conj[ci].used = true
 		}
@@ -784,20 +779,20 @@ func (p *planner) isLeafColumn(e sqlparse.Expr, ri *refInfo, column string) bool
 	return cr.Table == "" || cr.Table == ri.name
 }
 
-// literalExpr returns e if it is a non-NULL literal or a `?` parameter
-// placeholder (NULL never matches an index predicate under SQL comparison
-// semantics, so the planner leaves it to the filter path). A parameter's
-// value is unknown at plan time; the executor resolves it per execution, and
-// a NULL binding degrades safely — an equality probe on NULL matches
-// nothing, a NULL range bound means unbounded with the residual filter
-// re-checking every candidate.
+// literalExpr returns e if it is a non-NULL literal, a `?` parameter
+// placeholder or a scalar subquery (NULL never matches an index predicate
+// under SQL comparison semantics, so the planner leaves it to the filter
+// path). A parameter's value, like a subquery's, is unknown at plan time; the
+// executor resolves it per execution, and a NULL degrades safely — an
+// equality probe on NULL matches nothing, a NULL range bound means unbounded
+// with the residual filter re-checking every candidate.
 func literalExpr(e sqlparse.Expr) sqlparse.Expr {
 	switch x := e.(type) {
 	case *sqlparse.Literal:
 		if !x.Value.IsNull() {
 			return x
 		}
-	case *sqlparse.Param:
+	case *sqlparse.Param, *sqlparse.SubqueryExpr:
 		return x
 	}
 	return nil
@@ -816,90 +811,16 @@ func splitConjuncts(e sqlparse.Expr, out *[]sqlparse.Expr) {
 	*out = append(*out, e)
 }
 
-// columnRefs collects column references without descending into
-// subqueries (their columns bind in the inner scope).
-func columnRefs(ex sqlparse.Expr, out *[]*sqlparse.ColumnRef) {
-	switch e := ex.(type) {
-	case *sqlparse.ColumnRef:
-		*out = append(*out, e)
-	case *sqlparse.BinaryExpr:
-		columnRefs(e.Left, out)
-		columnRefs(e.Right, out)
-	case *sqlparse.UnaryExpr:
-		columnRefs(e.Expr, out)
-	case *sqlparse.BetweenExpr:
-		columnRefs(e.Expr, out)
-		columnRefs(e.Lo, out)
-		columnRefs(e.Hi, out)
-	case *sqlparse.InExpr:
-		columnRefs(e.Expr, out)
-		for _, i := range e.List {
-			columnRefs(i, out)
-		}
-	case *sqlparse.IsNullExpr:
-		columnRefs(e.Expr, out)
-	case *sqlparse.FuncExpr:
-		if e.Arg != nil {
-			columnRefs(e.Arg, out)
-		}
-	}
-}
-
 // containsAggregate reports whether the expression contains an aggregate
 // call (such conjuncts can never be filters).
-func containsAggregate(ex sqlparse.Expr) bool {
-	switch e := ex.(type) {
-	case *sqlparse.FuncExpr:
-		return true
-	case *sqlparse.BinaryExpr:
-		return containsAggregate(e.Left) || containsAggregate(e.Right)
-	case *sqlparse.UnaryExpr:
-		return containsAggregate(e.Expr)
-	case *sqlparse.BetweenExpr:
-		return containsAggregate(e.Expr) || containsAggregate(e.Lo) || containsAggregate(e.Hi)
-	case *sqlparse.InExpr:
-		if containsAggregate(e.Expr) {
-			return true
-		}
-		for _, i := range e.List {
-			if containsAggregate(i) {
-				return true
-			}
-		}
-	case *sqlparse.IsNullExpr:
-		return containsAggregate(e.Expr)
-	}
-	return false
-}
-
-// containsSubquery reports whether the expression still contains an
-// unresolved subquery (only possible on the plain-EXPLAIN path; execution
-// rewrites subqueries to literals before planning).
-func containsSubquery(ex sqlparse.Expr) bool {
-	switch e := ex.(type) {
-	case *sqlparse.SubqueryExpr, *sqlparse.ExistsExpr:
-		return true
-	case *sqlparse.BinaryExpr:
-		return containsSubquery(e.Left) || containsSubquery(e.Right)
-	case *sqlparse.UnaryExpr:
-		return containsSubquery(e.Expr)
-	case *sqlparse.BetweenExpr:
-		return containsSubquery(e.Expr) || containsSubquery(e.Lo) || containsSubquery(e.Hi)
-	case *sqlparse.InExpr:
-		if e.Sub != nil || containsSubquery(e.Expr) {
-			return true
-		}
-		for _, i := range e.List {
-			if containsSubquery(i) {
-				return true
-			}
-		}
-	case *sqlparse.IsNullExpr:
-		return containsSubquery(e.Expr)
-	case *sqlparse.FuncExpr:
-		return e.Arg != nil && containsSubquery(e.Arg)
-	}
-	return false
+func containsAggregate(e sqlparse.Expr) bool {
+	found := false
+	sqlparse.Walk(e, func(x sqlparse.Expr) bool {
+		_, isAgg := x.(*sqlparse.FuncExpr)
+		found = found || isAgg
+		return !found
+	})
+	return found
 }
 
 func filteredEst(est float64, nconj int) float64 {

@@ -8,8 +8,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"net"
@@ -17,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ldv/internal/csvrec"
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	obslog "ldv/internal/obs/log"
@@ -535,12 +534,18 @@ func (c *clientConn) execCopy(cp *sqlparse.Copy, ps *engine.PreparedStmt, opts e
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		w := csv.NewWriter(&buf)
-		if err := w.WriteAll(records); err != nil {
-			return nil, err
+		var data []byte
+		for _, rec := range records {
+			for i, field := range rec {
+				if i > 0 {
+					data = append(data, ',')
+				}
+				start := len(data)
+				data = csvrec.Quote(append(data, field...), start)
+			}
+			data = append(data, '\n')
 		}
-		if err := fs.WriteFile(cp.Path, buf.Bytes()); err != nil {
+		if err := fs.WriteFile(cp.Path, data); err != nil {
 			return nil, fmt.Errorf("COPY TO %s: %w", cp.Path, err)
 		}
 		return res, nil
@@ -549,10 +554,17 @@ func (c *clientConn) execCopy(cp *sqlparse.Copy, ps *engine.PreparedStmt, opts e
 	if err != nil {
 		return nil, fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
 	}
-	r := csv.NewReader(bytes.NewReader(data))
-	records, err := r.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
+	r := csvrec.Reader{Data: data}
+	var records [][]string
+	for {
+		rec, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("COPY FROM %s: record %d: %w", cp.Path, len(records)+1, err)
+		}
+		records = append(records, append([]string(nil), rec...))
 	}
 	return sess.CopyFrom(cp.Table, records, opts)
 }

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	"ldv/internal/osim"
+	"ldv/internal/sqlval"
 	"ldv/internal/wire"
 )
 
@@ -230,6 +233,60 @@ func TestServerCopyFromTo(t *testing.T) {
 	defer c2.Close()
 	if _, _, serr := query(t, c2, "COPY t TO '/x.csv'", false); serr == "" {
 		t.Fatal("COPY without FS must error")
+	}
+}
+
+// TestServerCopyRoundTripsAwkwardText: COPY TO then COPY FROM hands every
+// TEXT value back byte for byte — commas, quotes, a CR LF, the empty string —
+// with NULL beside them, and a file with CR LF line ends loads.
+func TestServerCopyRoundTripsAwkwardText(t *testing.T) {
+	s := newTestServer(t)
+	fs := osim.NewFS()
+	s.SetFS(fs)
+	db := s.DB()
+	if _, err := db.Exec("CREATE TABLE t2 (a INT PRIMARY KEY, b TEXT)", engine.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	texts := []sqlval.Value{
+		sqlval.NewString("a\r\nb,\"c\""),
+		sqlval.NewString("line\nbreak\rand\r\n"),
+		sqlval.NewString(" leading, \"quoted\""),
+		sqlval.NewString(""),
+		sqlval.Null,
+	}
+	for i, v := range texts {
+		if _, err := db.Exec("INSERT INTO t VALUES (?, ?)", engine.ExecOptions{Params: []sqlval.Value{sqlval.NewInt(int64(10 + i)), v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := dial(t, s, "p")
+	defer c.Close()
+	if _, _, serr := query(t, c, "COPY t TO '/dump.csv'", false); serr != "" {
+		t.Fatalf("copy to: %s", serr)
+	}
+	if _, _, serr := query(t, c, "COPY t2 FROM '/dump.csv'", false); serr != "" {
+		t.Fatalf("copy from: %s", serr)
+	}
+	rows := func(table string) []string {
+		res, err := db.Exec("SELECT a, b FROM "+table+" ORDER BY a", engine.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			out[i] = fmt.Sprintf("%v %q null=%v", r[0], r[1].String(), r[1].IsNull())
+		}
+		return out
+	}
+	if got, want := rows("t2"), rows("t"); len(want) != 2+len(texts) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("COPY TO then COPY FROM:\n got  %q\n want %q", got, want)
+	}
+	fs.WriteFile("/dos.csv", []byte("20,\"q,\"\r\n21,plain\r\n"))
+	if _, _, serr := query(t, c, "COPY t2 FROM '/dos.csv'", false); serr != "" {
+		t.Fatalf("copy from a CR LF file: %s", serr)
+	}
+	if got := rows("t2"); got[len(got)-2] != `20 "q," null=false` || got[len(got)-1] != `21 "plain" null=false` {
+		t.Fatalf("CR LF file loaded as %q", got[len(got)-2:])
 	}
 }
 

@@ -104,6 +104,97 @@ func (*SubqueryExpr) exprNode() {}
 func (*ExistsExpr) exprNode()   {}
 func (*Param) exprNode()        {}
 
+// Walk calls f for e and then, unless f returned false, for every operand of
+// e, parents first and left to right — the one descent over the expression
+// kinds; whoever searches an expression passes a closure. It stays inside
+// one scope: the query of a SubqueryExpr, an ExistsExpr or an IN-subquery
+// is not entered (Subquery hands it to the callers that want it). A nil e
+// is no expression and is skipped.
+func Walk(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *Literal, *ColumnRef, *Param:
+	case *BinaryExpr:
+		Walk(x.Left, f)
+		Walk(x.Right, f)
+	case *UnaryExpr:
+		Walk(x.Expr, f)
+	case *BetweenExpr:
+		Walk(x.Expr, f)
+		Walk(x.Lo, f)
+		Walk(x.Hi, f)
+	case *InExpr: // skip: Sub
+		Walk(x.Expr, f)
+		for _, m := range x.List {
+			Walk(m, f)
+		}
+	case *IsNullExpr:
+		Walk(x.Expr, f)
+	case *FuncExpr:
+		Walk(x.Arg, f)
+	case *SubqueryExpr: // skip: Query
+	case *ExistsExpr: // skip: Query
+	}
+}
+
+// Subquery returns the query e runs — e is a scalar subquery, an EXISTS or
+// an IN-subquery — or nil when e is any other expression.
+func Subquery(e Expr) *Select {
+	switch x := e.(type) {
+	case *SubqueryExpr:
+		return x.Query
+	case *ExistsExpr:
+		return x.Query
+	case *InExpr:
+		return x.Sub
+	}
+	return nil
+}
+
+// StmtExprs calls f for every expression a SELECT, INSERT ... VALUES, UPDATE
+// or DELETE evaluates per row or per statement, in the order the statement
+// spells them. The query of an INSERT ... SELECT is a statement of its own,
+// and an AS OF bound is resolved before anything runs; neither is listed.
+func StmtExprs(stmt Statement, f func(Expr)) {
+	each := func(e Expr) {
+		if e != nil {
+			f(e)
+		}
+	}
+	switch s := stmt.(type) {
+	case *Select:
+		for _, it := range s.Items {
+			each(it.Expr)
+		}
+		for _, j := range s.Joins {
+			each(j.On)
+		}
+		each(s.Where)
+		for _, g := range s.GroupBy {
+			each(g)
+		}
+		each(s.Having)
+		for _, o := range s.OrderBy {
+			each(o.Expr)
+		}
+	case *Insert:
+		for _, row := range s.Rows {
+			for _, e := range row {
+				each(e)
+			}
+		}
+	case *Update:
+		for _, a := range s.Set {
+			each(a.Expr)
+		}
+		each(s.Where)
+	case *Delete:
+		each(s.Where)
+	}
+}
+
 func (e *Literal) String() string { return e.Value.SQLLiteral() }
 
 func (e *ColumnRef) String() string {
