@@ -42,11 +42,11 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# CI smoke variant of the engine and trace/packaging micro-benchmarks: every
-# benchmark once, so one that no longer builds or runs fails the push instead
-# of rotting.
+# CI smoke variant of the engine, client and trace/packaging micro-benchmarks:
+# every benchmark once, so one that no longer builds or runs fails the push
+# instead of rotting.
 bench-smoke:
-	$(GO) test ./internal/engine ./internal/prov ./internal/ldv ./internal/deps ./internal/pack -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/engine ./internal/client ./internal/prov ./internal/ldv ./internal/deps ./internal/pack -run '^$$' -bench . -benchtime 1x
 
 # The regression gate over the repository benchmark (benchmark/README.md):
 # a fresh ten-run set (seeds 42..51, ~20 min) compared against the newest

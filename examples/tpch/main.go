@@ -43,9 +43,15 @@ func workloadApp(cfg tpch.Config) (ldv.App, error) {
 			if err := w.InsertStep(conn); err != nil {
 				return err
 			}
+			// The Table II query is prepared once, its PARAM the one bind
+			// parameter: audited and replayed like the text statements.
+			sel, err := conn.Prepare(q.Prepared)
+			if err != nil {
+				return err
+			}
 			var rows int
 			for i := 0; i < w.NumSelects; i++ {
-				res, err := conn.Query(q.SQL)
+				res, err := sel.Exec(q.Arg)
 				if err != nil {
 					return err
 				}

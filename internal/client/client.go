@@ -8,6 +8,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	"ldv/internal/sqlparse"
+	"ldv/internal/sqlval"
 	"ldv/internal/wire"
 )
 
@@ -38,23 +40,29 @@ type NetDialer struct{}
 func (NetDialer) Connect(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // QueryInfo describes one statement about to be executed; interceptors may
-// mutate it (e.g. set WithLineage). AsOf, when non-zero, pins the statement
-// to the historical snapshot at that logical tick (the SQL's own AS OF
-// clause, if any, wins server-side).
+// mutate it (e.g. set WithLineage). For an execution of a prepared statement
+// SQL is the prepared text and Args the values bound to its `?` placeholders;
+// a text statement has no Args. AsOf, when non-zero, pins the statement to
+// the historical snapshot at that logical tick (the SQL's own AS OF clause,
+// if any, wins server-side).
 type QueryInfo struct {
 	SQL         string
+	Args        []sqlval.Value
 	WithLineage bool
 	AsOf        uint64
 }
 
-// Interceptor observes and optionally handles statements flowing through a
-// connection.
+// Interceptor observes and optionally handles every statement flowing
+// through a connection, however it was issued: Query, Exec and QueryAt,
+// Stmt.Exec, and each execution a Pipeline flushes.
 type Interceptor interface {
 	// BeforeQuery runs before the statement is sent. Returning a non-nil
 	// result short-circuits the network entirely (replay mode); returning an
 	// error aborts the statement.
 	BeforeQuery(info *QueryInfo) (*engine.Result, error)
-	// AfterQuery observes the statement's outcome (res is nil on error).
+	// AfterQuery observes the statement's outcome (res is nil on error). A
+	// pipelined execution reports when its response group has been read —
+	// also the ones a failed Flush drains, which the server did execute.
 	AfterQuery(info QueryInfo, res *engine.Result, err error)
 	// OnConnect runs when a connection is established (addr) or replayed.
 	OnConnect(proc, addr string)
@@ -92,7 +100,8 @@ type Conn struct {
 	readYourWrites bool
 	lastCommitSeq  uint64 // CommitSeq of the last acknowledged write
 
-	stmtSeq int // server-side statement names handed out by Prepare
+	stmtSeq int          // server-side statement names handed out by Prepare
+	wbuf    bytes.Buffer // a request's frames, sent in one write
 }
 
 // Options configure Dial.
@@ -101,10 +110,8 @@ type Options struct {
 	Proc string
 	// Database selects the database name announced at startup.
 	Database string
-	// Interceptors are invoked in order for every statement sent with Query,
-	// Exec or QueryAt. Prepared executions (Stmt.Exec, Pipeline) do not run
-	// the chain, so Prepare fails with ErrNotIntercepted on a connection that
-	// has any.
+	// Interceptors are invoked in order for every statement, however it was
+	// issued — as text, through a prepared statement, or on a pipeline.
 	Interceptors []Interceptor
 	// NoTrace disables request tracing: no root span, no trace-context
 	// header on queries, no "trace" startup option. This is the untraced
@@ -220,26 +227,120 @@ func (c *Conn) QueryAt(sql string, asOf uint64) (*engine.Result, error) {
 	if c.closed || c.broken {
 		return nil, ErrClosed
 	}
-	info := QueryInfo{SQL: sql, AsOf: asOf}
-	for _, ic := range c.interceptors {
-		res, err := ic.BeforeQuery(&info)
-		if err != nil {
-			c.notifyAfter(info, nil, err)
-			return nil, err
+	cl := call{info: QueryInfo{SQL: sql, AsOf: asOf}}
+	return c.do(&cl)
+}
+
+// call is one statement on its way through the connection: a Query's text or
+// one execution of a prepared statement. Every statement, however it was
+// issued, is one call taken through start and finish — Query and Stmt.Exec
+// back to back (do), a Pipeline with the write of all its calls in between.
+type call struct {
+	info QueryInfo
+	stmt *Stmt    // nil: info.SQL goes out as a Query frame
+	tag  uint64   // echoed by CommandComplete; non-zero on a pipeline
+	nc   net.Conn // the session its frames went to; nil when the chain settled it
+	sp   *obs.Span
+	res  *engine.Result
+	err  error
+}
+
+// start runs the BeforeQuery chain and, unless an interceptor answered or
+// refused the statement, routes it, opens its span and appends its frames to
+// w. Unless the connection was dialed with NoTrace, the statement runs under
+// a fresh root span whose context rides the frame; server, engine, and WAL
+// spans join it. The span outlives this function (a pipelined call is
+// finished after the write of the whole batch), so it is held in the call and
+// ended by finish, which do and Pipeline.Flush run for every call they start.
+func (c *Conn) start(cl *call, w *bytes.Buffer) {
+	if len(c.interceptors) > 0 {
+		// The chain mutates a copy, so a connection without interceptors
+		// keeps the call off the heap.
+		info := cl.info
+		for _, ic := range c.interceptors {
+			if cl.res, cl.err = ic.BeforeQuery(&info); cl.res != nil || cl.err != nil {
+				break
+			}
 		}
-		if res != nil {
-			c.notifyAfter(info, res, nil)
-			return res, nil
+		cl.info = info
+		if cl.res != nil || cl.err != nil {
+			return
 		}
 	}
 	if c.nc == nil {
-		err := fmt.Errorf("no server connection and no interceptor handled %q", sql)
-		c.notifyAfter(info, nil, err)
-		return nil, err
+		cl.err = fmt.Errorf("no server connection and no interceptor handled %q", cl.info.SQL)
+		return
 	}
-	res, err := c.roundTrip(info)
-	c.notifyAfter(info, res, err)
-	return res, err
+	// Encoding into a buffer cannot fail.
+	if cl.stmt == nil {
+		var minApplied uint64
+		cl.nc, minApplied = c.route(cl.info.SQL)
+		if !c.noTrace {
+			cl.sp = obs.StartSpan("client.query").SetAttr("sql", cl.info.SQL)
+		}
+		_ = wire.Write(w, wire.Query{SQL: cl.info.SQL, WithLineage: cl.info.WithLineage,
+			Trace: cl.sp.Context(), MinApplied: minApplied, AsOf: cl.info.AsOf})
+		return
+	}
+	// A prepared statement's name lives in the primary's session, so replica
+	// routing does not apply. Bind never answers: the pair costs one round
+	// trip.
+	cl.nc = c.nc
+	if !c.noTrace {
+		cl.sp = obs.StartSpan("client.exec").SetAttr("sql", cl.info.SQL)
+	}
+	if len(cl.info.Args) > 0 {
+		_ = wire.Write(w, wire.Bind{Stmt: cl.stmt.name, Args: cl.info.Args})
+	}
+	_ = wire.Write(w, wire.Execute{Stmt: cl.stmt.name, Tag: cl.tag,
+		WithLineage: cl.info.WithLineage, Trace: cl.sp.Context()})
+}
+
+// finish reads the call's response group if its frames went out, ends its
+// span — after the final Ready has been read, i.e. after the server recorded
+// its spans, which seals the trace into the flight recorder — and runs the
+// AfterQuery chain.
+func (c *Conn) finish(cl *call) (*engine.Result, error) {
+	switch {
+	case cl.nc == nil || cl.err != nil: // settled by the chain, or never left
+	case c.broken: // an earlier call of the same flush lost the stream
+		cl.err = ErrClosed
+	default:
+		rp := reply{res: &engine.Result{TraceID: traceIDString(cl.sp)}}
+		if cl.err = c.readResponse(cl.nc, &rp); cl.err == nil && rp.tag != cl.tag {
+			c.broken = true
+			cl.err = fmt.Errorf("%w: response tag %d, want %d", ErrClosed, rp.tag, cl.tag)
+		}
+		cl.res = rp.res
+	}
+	cl.sp.End()
+	if cl.err != nil {
+		cl.res = nil
+	}
+	for _, ic := range c.interceptors {
+		ic.AfterQuery(cl.info, cl.res, cl.err)
+	}
+	return cl.res, cl.err
+}
+
+// do is the request routine of a statement sent on its own.
+func (c *Conn) do(cl *call) (*engine.Result, error) {
+	c.wbuf.Reset()
+	c.start(cl, &c.wbuf)
+	if cl.nc != nil {
+		cl.err = c.send(cl.nc, c.wbuf.Bytes())
+	}
+	return c.finish(cl)
+}
+
+// send writes encoded frames in one transport write. A failure poisons the
+// connection.
+func (c *Conn) send(nc net.Conn, frames []byte) error {
+	if _, err := nc.Write(frames); err != nil {
+		c.broken = true
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	return nil
 }
 
 // Stats fetches the server's observability snapshot via a wire Stats
@@ -252,11 +353,11 @@ func (c *Conn) Stats() (*obs.Snapshot, error) {
 	if c.nc == nil {
 		return obs.TakeSnapshot(), nil
 	}
-	data, err := c.statsRoundTrip(wire.StatsKindMetrics)
-	if err != nil {
+	var rp reply
+	if err := c.roundTrip(wire.Stats{Kind: wire.StatsKindMetrics}, &rp); err != nil {
 		return nil, err
 	}
-	return obs.ParseSnapshot(data)
+	return obs.ParseSnapshot(rp.stats)
 }
 
 // Traces fetches the server's flight recorder — its completed request
@@ -269,11 +370,11 @@ func (c *Conn) Traces() ([]obs.TraceRecord, error) {
 	if c.nc == nil {
 		return obs.Traces(), nil
 	}
-	data, err := c.statsRoundTrip(wire.StatsKindTraces)
-	if err != nil {
+	var rp reply
+	if err := c.roundTrip(wire.Stats{Kind: wire.StatsKindTraces}, &rp); err != nil {
 		return nil, err
 	}
-	return obs.ParseTraces(data)
+	return obs.ParseTraces(rp.stats)
 }
 
 // SetTraceContext sets the server session's default trace context
@@ -290,93 +391,47 @@ func (c *Conn) SetTraceContext(sc obs.SpanContext) error {
 	return wire.Write(c.nc, wire.TraceContext{Context: sc})
 }
 
-// statsRoundTrip issues one Stats request of the given kind and returns the
-// JSON document from the StatsResult.
-func (c *Conn) statsRoundTrip(kind byte) ([]byte, error) {
-	if err := wire.Write(c.nc, wire.Stats{Kind: kind}); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
+// roundTrip sends one request that is not a statement (Parse, Stats) to the
+// primary and reads its response group.
+func (c *Conn) roundTrip(m wire.Message, rp *reply) error {
+	c.wbuf.Reset()
+	_ = wire.Write(&c.wbuf, m) // encoding into a buffer cannot fail
+	if err := c.send(c.nc, c.wbuf.Bytes()); err != nil {
+		return err
 	}
-	var data []byte
-	for {
-		msg, err := wire.Read(c.nc)
-		if err != nil {
-			c.broken = true
-			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		switch m := msg.(type) {
-		case wire.StatsResult:
-			data = m.JSON
-		case wire.Error:
-			// Drain the Ready that follows an error.
-			if next, rerr := wire.Read(c.nc); rerr == nil {
-				r, ok := next.(wire.Ready)
-				if !ok {
-					c.broken = true
-					return nil, fmt.Errorf("protocol error after server error: %T", next)
-				}
-				c.inTxn = r.InTxn
-			}
-			return nil, fmt.Errorf("server error: %s", m.Message)
-		case wire.Ready:
-			c.inTxn = m.InTxn
-			if data == nil {
-				return nil, fmt.Errorf("protocol error: Ready before StatsResult")
-			}
-			return data, nil
-		default:
-			c.broken = true
-			return nil, fmt.Errorf("protocol error: unexpected %T", msg)
-		}
-	}
+	return c.readResponse(c.nc, rp)
 }
 
-func (c *Conn) notifyAfter(info QueryInfo, res *engine.Result, err error) {
-	for _, ic := range c.interceptors {
-		ic.AfterQuery(info, res, err)
-	}
+// reply is what one response group carried: a statement's frames collected
+// into res, or the answer to a Parse or Stats request.
+type reply struct {
+	res    *engine.Result
+	tag    uint64 // CommandComplete.Tag: 0 unless the execution was pipelined
+	parsed wire.ParseComplete
+	stats  []byte
 }
 
-// roundTrip sends one Query and collects the response stream. Unless the
-// connection was dialed with NoTrace, the statement runs under a fresh root
-// span whose context rides the Query frame; server, engine, and WAL spans
-// join it, and the deferred End — which runs after the final Ready has been
-// read, i.e. after the server recorded its spans — seals the trace into the
-// flight recorder.
-func (c *Conn) roundTrip(info QueryInfo) (*engine.Result, error) {
-	nc, minApplied := c.route(info)
-	var sp *obs.Span
-	if !c.noTrace {
-		sp = obs.StartSpan("client.query").SetAttr("sql", info.SQL)
+// readResponse collects one response group — everything up to and including
+// the Ready — into rp. It is the only frame reader after the handshake, so
+// there is one rule for every request: transport and framing failures poison
+// the connection, including a failure to read the Ready that follows a server
+// Error; a server Error whose Ready arrives (keeping the stream synced) does
+// not.
+func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
+	res := rp.res
+	if res == nil {
+		// A Parse or Stats reply: statement frames are no answer to these;
+		// they are tolerated and dropped.
+		res = new(engine.Result)
 	}
-	defer sp.End()
-	q := wire.Query{SQL: info.SQL, WithLineage: info.WithLineage, Trace: sp.Context(), MinApplied: minApplied, AsOf: info.AsOf}
-	if err := wire.Write(nc, q); err != nil {
-		c.broken = true
-		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
-	}
-	res := &engine.Result{TraceID: traceIDString(sp)}
-	if _, err := c.readResponse(nc, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// readResponse collects one statement's response group — everything up to
-// and including the Ready — into res, returning the CommandComplete's
-// pipeline tag (0 for plain queries). Shared by the Query, prepared-Execute,
-// and pipeline paths. Transport and framing failures poison the connection;
-// a server Error (its Ready is drained, keeping the stream synced) does not.
-func (c *Conn) readResponse(nc net.Conn, res *engine.Result) (uint64, error) {
-	var tag uint64
-	var sawLineage bool
+	var sawLineage, answered bool
 	for {
 		msg, err := wire.Read(nc)
 		if err != nil {
 			// The stream position is gone; no further frame boundary can be
 			// trusted, so poison the connection.
 			c.broken = true
-			return 0, fmt.Errorf("%w: %v", ErrClosed, err)
+			return fmt.Errorf("%w: %v", ErrClosed, err)
 		}
 		switch m := msg.(type) {
 		case wire.RowDescription:
@@ -407,7 +462,7 @@ func (c *Conn) readResponse(nc net.Conn, res *engine.Result) (uint64, error) {
 			res.WrittenRefs = m.WrittenRefs
 			res.CommitSeq = m.CommitSeq
 			res.Fingerprint = m.Fingerprint
-			tag = m.Tag
+			rp.tag, answered = m.Tag, true
 			if m.CommitSeq > 0 {
 				c.lastCommitSeq = m.CommitSeq
 			}
@@ -416,43 +471,50 @@ func (c *Conn) readResponse(nc net.Conn, res *engine.Result) (uint64, error) {
 					res.Lineage = append(res.Lineage, nil)
 				}
 			}
+		case wire.ParseComplete:
+			rp.parsed, answered = m, true
+		case wire.StatsResult:
+			rp.stats, answered = m.JSON, true
 		case wire.Error:
 			// Drain the Ready that follows an error.
 			next, rerr := wire.Read(nc)
 			if rerr != nil {
 				c.broken = true
-				return 0, fmt.Errorf("server error: %s (then %v)", m.Message, rerr)
+				return fmt.Errorf("server error: %s (then %w: %v)", m.Message, ErrClosed, rerr)
 			}
 			r, ok := next.(wire.Ready)
 			if !ok {
 				c.broken = true
-				return 0, fmt.Errorf("protocol error after server error: %T", next)
+				return fmt.Errorf("protocol error after server error: %T", next)
 			}
 			if nc == c.nc {
 				c.inTxn = r.InTxn
 			}
-			return 0, fmt.Errorf("server error: %s", m.Message)
+			return fmt.Errorf("server error: %s", m.Message)
 		case wire.Ready:
 			if nc == c.nc {
 				c.inTxn = m.InTxn
 			}
-			return tag, nil
+			if !answered {
+				return fmt.Errorf("protocol error: Ready before an answer")
+			}
+			return nil
 		default:
 			c.broken = true
-			return 0, fmt.Errorf("protocol error: unexpected %T", msg)
+			return fmt.Errorf("protocol error: unexpected %T", msg)
 		}
 	}
 }
 
-// route picks the connection for one statement: read-only statements outside
-// a transaction go to the read replica when one is attached, carrying the
-// read-your-writes bound if enabled. Everything else — writes, transaction
-// control, unparseable statements — goes to the primary.
-func (c *Conn) route(info QueryInfo) (net.Conn, uint64) {
+// route picks the connection for one text statement: read-only statements
+// outside a transaction go to the read replica when one is attached,
+// carrying the read-your-writes bound if enabled. Everything else — writes,
+// transaction control, unparseable statements — goes to the primary.
+func (c *Conn) route(sql string) (net.Conn, uint64) {
 	if c.rnc == nil || c.inTxn {
 		return c.nc, 0
 	}
-	stmt, err := sqlparse.Parse(info.SQL)
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return c.nc, 0
 	}

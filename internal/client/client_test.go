@@ -1,14 +1,17 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
 	"ldv/internal/engine"
 	"ldv/internal/osim"
 	"ldv/internal/server"
+	"ldv/internal/wire"
 )
 
 // pipeDialer connects straight to an in-process server via net.Pipe.
@@ -115,6 +118,45 @@ func TestClientClosedConn(t *testing.T) {
 	conn.Close() // idempotent
 	if _, err := conn.Query("SELECT 1"); err == nil {
 		t.Fatal("query on closed conn must fail")
+	}
+}
+
+// TestConnPoisonsWhenErrorIsNotFollowedByReady: every request is read by the
+// one response loop, so a server Error whose Ready never arrives poisons the
+// connection whatever was asked — a statement, a Stats request or a Parse.
+// (Stats used to return the server error and leave the desynced stream in
+// use.)
+func TestConnPoisonsWhenErrorIsNotFollowedByReady(t *testing.T) {
+	requests := map[string]func(*Conn) error{
+		"Query":   func(c *Conn) error { _, err := c.Query("SELECT 1"); return err },
+		"Stats":   func(c *Conn) error { _, err := c.Stats(); return err },
+		"Traces":  func(c *Conn) error { _, err := c.Traces(); return err },
+		"Prepare": func(c *Conn) error { _, err := c.Prepare("SELECT 1"); return err },
+	}
+	for name, request := range requests {
+		cEnd, sEnd := net.Pipe()
+		go func() {
+			if _, err := wire.Read(sEnd); err != nil { // Startup
+				return
+			}
+			_ = wire.Write(sEnd, wire.Ready{})
+			if _, err := wire.Read(sEnd); err != nil { // the request
+				return
+			}
+			_ = wire.Write(sEnd, wire.Error{Message: "boom"})
+			sEnd.Close()
+		}()
+		conn, err := Dial(funcDialer(func() (net.Conn, error) { return cEnd, nil }), "db", Options{Proc: "p"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := request(conn); err == nil || !strings.Contains(err.Error(), "boom") || !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: error %v, want the server's message and ErrClosed", name, err)
+		}
+		if _, err := conn.Query("SELECT 1"); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: the desynced connection accepted a query: %v", name, err)
+		}
+		conn.Close()
 	}
 }
 

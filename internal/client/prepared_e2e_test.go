@@ -3,8 +3,12 @@ package client
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"ldv/internal/engine"
+	"ldv/internal/sqlval"
 )
 
 func TestPreparedExec(t *testing.T) {
@@ -286,5 +290,175 @@ func TestInterleavedPipelineAndQuery(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// chainRecorder renders every interceptor callback it sees, forcing lineage
+// the way LDV's auditor does.
+type chainRecorder struct {
+	BaseInterceptor
+	before, after []string
+}
+
+func (r *chainRecorder) BeforeQuery(info *QueryInfo) (*engine.Result, error) {
+	info.WithLineage = true
+	r.before = append(r.before, fmt.Sprintf("%s %v", info.SQL, info.Args))
+	return nil, nil
+}
+
+func (r *chainRecorder) AfterQuery(info QueryInfo, res *engine.Result, err error) {
+	if !info.WithLineage {
+		err = fmt.Errorf("AfterQuery lost the interceptor's WithLineage (%v)", err)
+	}
+	outcome := fmt.Sprint("error: ", err)
+	if err == nil {
+		outcome = fmt.Sprintf("rows %v affected %d lineage %v", res.Rows, res.RowsAffected, res.Lineage)
+	}
+	r.after = append(r.after, fmt.Sprintf("%s %v -> %s", info.SQL, info.Args, outcome))
+}
+
+// TestTextPreparedPipelinedRunTheChain: the three ways to issue a statement
+// are one request routine, so an interceptor sees the same statements with
+// the same outcomes whichever was used — including lineage it asked for, a
+// statement that fails, and the write a failed pipeline flush drains.
+func TestTextPreparedPipelinedRunTheChain(t *testing.T) {
+	stmts := []struct {
+		text, sql string
+		args      []any
+	}{
+		{"SELECT id FROM sales WHERE price > 10 ORDER BY id", "SELECT id FROM sales WHERE price > ? ORDER BY id", []any{10}},
+		{"UPDATE sales SET price = price + 1 WHERE id = 2", "UPDATE sales SET price = price + ? WHERE id = ?", []any{1, 2}},
+		{"SELECT id FROM nosuch", "SELECT id FROM nosuch", nil},
+		{"INSERT INTO sales VALUES (4, 1.5)", "INSERT INTO sales VALUES (?, ?)", []any{4, 1.5}},
+		{"SELECT SUM(price) FROM sales", "SELECT SUM(price) FROM sales", nil},
+	}
+	run := func(form string) *chainRecorder {
+		rec := &chainRecorder{}
+		conn, err := Dial(pipeDialer{newServerWithData(t)}, "db", Options{Proc: "p", Interceptors: []Interceptor{rec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		p := conn.Pipeline()
+		for i, s := range stmts {
+			if form == "text" {
+				if _, err := conn.Query(s.text); (err != nil) != (i == 2) {
+					t.Fatalf("text %q: %v", s.text, err)
+				}
+				continue
+			}
+			st, err := conn.Prepare(s.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if form == "pipelined" {
+				err = p.Queue(st, s.args...)
+			} else if _, err = st.Exec(s.args...); i == 2 && err != nil {
+				err = nil
+			}
+			if err != nil {
+				t.Fatalf("%s %q: %v", form, s.sql, err)
+			}
+		}
+		if form == "pipelined" {
+			if len(rec.before)+len(rec.after) != 0 {
+				t.Fatalf("Queue ran the chain before Flush: %v %v", rec.before, rec.after)
+			}
+			if results, err := p.Flush(); !errors.Is(err, ErrPipeline) || len(results) != 2 {
+				t.Fatalf("Flush: %d results, %v", len(results), err)
+			}
+		}
+		return rec
+	}
+	text, prepared, pipelined := run("text"), run("prepared"), run("pipelined")
+	if len(prepared.after) != len(stmts) || !strings.Contains(prepared.after[3], "affected 1") {
+		t.Fatalf("prepared AfterQuery sequence: %q", prepared.after)
+	}
+	if fmt.Sprint(prepared.before) != fmt.Sprint(pipelined.before) || fmt.Sprint(prepared.after) != fmt.Sprint(pipelined.after) {
+		t.Errorf("prepared and pipelined differ:\n%q\n%q\nvs\n%q\n%q", prepared.before, prepared.after, pipelined.before, pipelined.after)
+	}
+	for i, s := range stmts {
+		if want := s.text + " []"; text.before[i] != want {
+			t.Errorf("text BeforeQuery %d = %q, want %q", i, text.before[i], want)
+		}
+		if want := fmt.Sprintf("%s %v", s.sql, mustValues(t, s.args)); prepared.before[i] != want {
+			t.Errorf("prepared BeforeQuery %d = %q, want %q", i, prepared.before[i], want)
+		}
+		_, textOutcome, _ := strings.Cut(text.after[i], " -> ")
+		_, prepOutcome, _ := strings.Cut(prepared.after[i], " -> ")
+		if textOutcome != prepOutcome {
+			t.Errorf("statement %d: text outcome %q, prepared %q", i, textOutcome, prepOutcome)
+		}
+	}
+	if !strings.Contains(text.after[0], "lineage [[") {
+		t.Errorf("the SELECT carried no lineage: %q", text.after[0])
+	}
+}
+
+func mustValues(t *testing.T, args []any) []sqlval.Value {
+	t.Helper()
+	vals, err := toValues(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
+// answeringInterceptor short-circuits every statement with its own SQL and
+// arguments as the result.
+type answeringInterceptor struct{ BaseInterceptor }
+
+func (answeringInterceptor) BeforeQuery(info *QueryInfo) (*engine.Result, error) {
+	return &engine.Result{Columns: []string{info.SQL}, Rows: [][]sqlval.Value{info.Args}}, nil
+}
+
+// TestShortCircuitAnswersAllThreeForms: with no server at all (ReplayDialer)
+// Prepare is answered locally and Query, Stmt.Exec and Pipeline.Flush by the
+// chain.
+func TestShortCircuitAnswersAllThreeForms(t *testing.T) {
+	conn, err := Dial(ReplayDialer{}, "nowhere", Options{Interceptors: []Interceptor{answeringInterceptor{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	check := func(form string, res *engine.Result, err error, sql string, arg int64) {
+		t.Helper()
+		if err != nil || res.Columns[0] != sql || (arg != 0) != (len(res.Rows[0]) == 1) || (arg != 0 && res.Rows[0][0].Int() != arg) {
+			t.Fatalf("%s: %+v, %v", form, res, err)
+		}
+	}
+	res, err := conn.Query("SELECT 1")
+	check("text", res, err, "SELECT 1", 0)
+	const sql = "SELECT id FROM sales WHERE price > ? ORDER BY id"
+	st, err := conn.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumParams() != 1 || st.Fingerprint() == "" {
+		t.Fatalf("local Prepare: params=%d fingerprint=%q", st.NumParams(), st.Fingerprint())
+	}
+	if _, err := conn.Prepare("SELEKT nope"); err == nil {
+		t.Error("local Prepare of invalid SQL must fail")
+	}
+	if _, err := st.Exec(); err == nil {
+		t.Error("local Prepare must still check arity")
+	}
+	res, err = st.Exec(7)
+	check("prepared", res, err, sql, 7)
+	p := conn.Pipeline()
+	for a := 1; a <= 3; a++ {
+		if err := p.Queue(st, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err := p.Flush()
+	if err != nil || len(results) != 3 {
+		t.Fatalf("pipelined: %v, %v", results, err)
+	}
+	for i, res := range results {
+		check("pipelined", res, nil, sql, int64(i+1))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -79,6 +79,26 @@ func TestEndToEndTrace(t *testing.T) {
 	if insRes.TraceID == selRes.TraceID {
 		t.Fatal("each statement must get its own trace")
 	}
+	// The same statement prepared, run once on its own and twice on a
+	// pipeline: each execution is its own traced request.
+	st, err := conn.Prepare("SELECT a, b FROM t WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	execRes, err := st.Exec(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := conn.Pipeline()
+	for _, a := range []int{1, 2} {
+		if err := p.Queue(st, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	piped, err := p.Flush()
+	if err != nil || len(piped) != 2 {
+		t.Fatalf("pipeline: %v, %v", piped, err)
+	}
 
 	// Over the wire: the Stats extension returns the flight recorder.
 	traces, err := conn.Traces()
@@ -101,6 +121,24 @@ func TestEndToEndTrace(t *testing.T) {
 	}
 	if !spanNames(ins)["wal.commit"] {
 		t.Errorf("insert trace missing wal.commit span (have %v)", spanNames(ins))
+	}
+	for i, res := range []*engine.Result{execRes, piped[0], piped[1]} {
+		tr, ok := findTrace(traces, res.TraceID)
+		if !ok {
+			t.Fatalf("prepared execution %d: trace %q not in flight recorder", i, res.TraceID)
+		}
+		names := spanNames(tr)
+		for _, want := range []string{"client.exec", "server.execute", "engine.plan", "engine.exec"} {
+			if !names[want] {
+				t.Errorf("prepared execution %d: trace missing span %q (have %v)", i, want, names)
+			}
+		}
+		if tr.Root != "client.exec" {
+			t.Errorf("prepared execution %d: root span = %q", i, tr.Root)
+		}
+	}
+	if piped[0].TraceID == piped[1].TraceID || piped[0].TraceID == execRes.TraceID {
+		t.Error("pipelined executions must each get their own trace")
 	}
 	if sel.Root != "client.query" {
 		t.Errorf("root span = %q", sel.Root)
@@ -168,6 +206,17 @@ func TestNoTraceLeavesNoTrace(t *testing.T) {
 	}
 	if res.TraceID != "" {
 		t.Errorf("NoTrace result carries trace id %q", res.TraceID)
+	}
+	st, err := conn.Prepare("SELECT a FROM q WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := conn.Pipeline()
+	if err := p.Queue(st, 1); err != nil {
+		t.Fatal(err)
+	}
+	if piped, err := p.Flush(); err != nil || len(piped) != 1 || piped[0].TraceID != "" {
+		t.Errorf("NoTrace pipeline: %v, %v", piped, err)
 	}
 	traces, err := conn.Traces()
 	if err != nil {

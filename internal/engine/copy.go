@@ -2,42 +2,86 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 
+	"ldv/internal/csvrec"
+	"ldv/internal/sqlparse"
 	"ldv/internal/sqlval"
 )
 
 // Bulk transfer (COPY) — the "standard bulk copy and DB dump utilities" the
-// paper's applications are assumed to use (§II). The engine converts
-// between tables and text records; the server performs the file I/O so
-// the access is attributed to the server process (and therefore lands in
-// file-granularity packages).
+// paper's applications are assumed to use (§II). COPY is a statement like any
+// other (Session.execute); the file it names is read or written through the
+// filesystem the execution was handed (ExecOptions.FS) — the server passes
+// its own, so the access is attributed to the server process (and therefore
+// lands in file-granularity packages). Records are CSV; NULL is \N.
 
 // copyNull is the record representation of SQL NULL (PostgreSQL's \N).
 const copyNull = `\N`
 
-// CopyFrom bulk-loads text records into a table, coercing each field by
+// execCopy runs COPY table FROM/TO 'path' into res.
+func (s *Session) execCopy(cp *sqlparse.Copy, opts ExecOptions, res *Result) error {
+	fs := opts.FS
+	if fs == nil {
+		return fmt.Errorf("COPY needs a filesystem, and this execution was given none (ExecOptions.FS); a server passes its own")
+	}
+	if cp.To {
+		records, err := s.copyTo(cp.Table, opts, res)
+		if err != nil {
+			return err
+		}
+		var data []byte
+		for _, rec := range records {
+			for i, field := range rec {
+				if i > 0 {
+					data = append(data, ',')
+				}
+				start := len(data)
+				data = csvrec.Quote(append(data, field...), start)
+			}
+			data = append(data, '\n')
+		}
+		if err := fs.WriteFile(cp.Path, data); err != nil {
+			return fmt.Errorf("COPY TO %s: %w", cp.Path, err)
+		}
+		return nil
+	}
+	data, err := fs.ReadFile(cp.Path)
+	if err != nil {
+		return fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
+	}
+	r := csvrec.Reader{Data: data}
+	var records [][]string
+	for {
+		rec, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("COPY FROM %s: record %d: %w", cp.Path, len(records)+1, err)
+		}
+		records = append(records, append([]string(nil), rec...))
+	}
+	return s.copyFrom(cp.Table, records, opts, res)
+}
+
+// copyFrom bulk-loads text records into a table, coercing each field by
 // the column's declared type. Rows are stamped like INSERTs (the calling
 // process and statement own them); like DML, the load runs inside the
 // session's open transaction or an implicit one, so a failed load leaves
 // nothing behind and a concurrent snapshot never sees a torn load.
-func (s *Session) CopyFrom(table string, records [][]string, opts ExecOptions) (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Session) copyFrom(table string, records [][]string, opts ExecOptions, res *Result) error {
 	db := s.db
-	if db.ReadOnly() {
-		return nil, fmt.Errorf("%w: COPY FROM rejected", ErrReadOnly)
-	}
 	t, err := db.lookupTable(table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	txn := s.txn
 	implicit := txn == nil
 	if implicit {
 		txn = db.beginTxn()
 	}
-	res := &Result{StmtID: db.newStmtID(), Start: db.clock.Tick()}
 	mark := len(txn.undo)
 	rmark := len(txn.redo)
 	t.mu.Lock()
@@ -83,29 +127,20 @@ func (s *Session) CopyFrom(table string, records [][]string, opts ExecOptions) (
 	if implicit {
 		if err != nil {
 			db.endTxn(txn.id)
-			return nil, err
+			return err
 		}
-		seq, cerr := db.commitTxn(txn, opts.Span, s.ws)
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.CommitSeq = seq
-	} else if err != nil {
-		return nil, err
+		res.CommitSeq, err = db.commitTxn(txn, opts.Span, s.ws)
 	}
-	res.End = db.clock.Tick()
-	return res, nil
+	return err
 }
 
-// CopyTo dumps the snapshot-visible rows of a table as text records in row
+// copyTo dumps the snapshot-visible rows of a table as text records in row
 // order (the session's transaction snapshot, or a fresh cut).
-func (s *Session) CopyTo(table string, opts ExecOptions) ([][]string, *Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Session) copyTo(table string, opts ExecOptions, res *Result) ([][]string, error) {
 	db := s.db
 	t, err := db.lookupTable(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var snap snapshot
 	if s.txn != nil {
@@ -113,7 +148,6 @@ func (s *Session) CopyTo(table string, opts ExecOptions) ([][]string, *Result, e
 	} else {
 		snap = db.takeSnapshot(0)
 	}
-	res := &Result{StmtID: db.newStmtID(), Start: db.clock.Tick()}
 	t.mu.RLock()
 	records := make([][]string, 0, len(t.rows))
 	var read []*storedRow
@@ -141,18 +175,7 @@ func (s *Session) CopyTo(table string, opts ExecOptions) ([][]string, *Result, e
 		lin := &lineageSink{stmt: res.StmtID}
 		lin.finish(res, nil, lin.addReads(nil, t, read))
 	}
-	res.End = db.clock.Tick()
-	return records, res, nil
-}
-
-// CopyFrom is the single-session compatibility wrapper.
-func (db *DB) CopyFrom(table string, records [][]string, opts ExecOptions) (*Result, error) {
-	return db.defaultSession().CopyFrom(table, records, opts)
-}
-
-// CopyTo is the single-session compatibility wrapper.
-func (db *DB) CopyTo(table string, opts ExecOptions) ([][]string, *Result, error) {
-	return db.defaultSession().CopyTo(table, opts)
+	return records, nil
 }
 
 // parseCopyField coerces one text field to the column's type.

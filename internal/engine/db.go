@@ -66,6 +66,10 @@ type ExecOptions struct {
 	// clause (an explicit clause in the statement wins). Carried over the
 	// wire as the Query message's trailing as-of field.
 	AsOf uint64
+	// FS is where COPY reads and writes the file it names. Not a user knob:
+	// a server sets it to its own filesystem on every statement, so the file
+	// access is the server process's; without it COPY fails.
+	FS FileSystem
 
 	// prep links the execution back to its statement (plan-cache key and
 	// per-statement counters). Set only by Session.ExecPrepared.

@@ -492,7 +492,7 @@ func (s *Session) execute(ps *PreparedStmt, opts ExecOptions, res *Result) error
 			res.CommitSeq, err = db.execDropIndex(st)
 		}
 	case *sqlparse.Copy:
-		err = fmt.Errorf("COPY runs on the server, which owns the file access; execute it through a connection")
+		err = s.execCopy(st, opts, res)
 	case *sqlparse.Vacuum:
 		if s.txn != nil {
 			err = fmt.Errorf("VACUUM is not allowed inside a transaction")

@@ -374,6 +374,9 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	}()
 
 	entry := LogEntry{SQL: info.SQL}
+	if len(info.Args) > 0 {
+		entry.Args = encodeRowCells(info.Args)
+	}
 	if err != nil {
 		entry.Error = err.Error()
 		log.Entries = append(log.Entries, entry)
@@ -398,6 +401,11 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		return
 	}
 	tr.SetAttr(stmt, prov.AttrSQL, info.SQL)
+	if len(entry.Args) > 0 {
+		// What tells two executions of one prepared statement apart when
+		// people read the trace (ldv-trace, DOT, PROV-JSON).
+		tr.SetAttr(stmt, prov.AttrLabel, describeStatement(info.SQL, entry.Args))
+	}
 	tr.SetAttr(stmt, prov.AttrTrace, res.TraceID)
 	traceID := tr.InternString(res.TraceID)
 	proc := a.ensureProc(pid)

@@ -3,6 +3,7 @@ package ldv
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"ldv/internal/engine"
 )
@@ -17,16 +18,28 @@ type SessionLog struct {
 	Entries []LogEntry `json:"entries"`
 }
 
-// LogEntry is one recorded statement with its full response. TraceID, when
-// present, is the hex obs request-trace identity of the recorded execution,
-// linking the replay log back to the flight recorder and provenance edges.
+// LogEntry is one recorded statement with its full response. Args are the
+// values an execution of a prepared statement bound to SQL's `?` placeholders
+// (absent for a text statement). TraceID, when present, is the hex obs
+// request-trace identity of the recorded execution, linking the replay log
+// back to the flight recorder and provenance edges.
 type LogEntry struct {
 	SQL          string     `json:"sql"`
+	Args         []string   `json:"args,omitempty"` // kind-prefixed cells
 	TraceID      string     `json:"trace,omitempty"`
 	Columns      []string   `json:"columns,omitempty"`
 	Rows         [][]string `json:"rows,omitempty"` // kind-prefixed cells
 	RowsAffected int        `json:"rows_affected,omitempty"`
 	Error        string     `json:"error,omitempty"`
+}
+
+// describeStatement renders a statement for people: its SQL, then the values
+// bound to it, if any, as a trailing comment of kind-prefixed cells.
+func describeStatement(sql string, args []string) string {
+	if len(args) == 0 {
+		return sql
+	}
+	return sql + " -- " + strings.Join(args, ", ")
 }
 
 // dbLogDoc is the on-disk format of /ldv/dblog.json.

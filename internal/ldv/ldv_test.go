@@ -1,15 +1,14 @@
 package ldv
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
-	"ldv/internal/client"
 	"ldv/internal/deps"
 	"ldv/internal/engine"
 	"ldv/internal/osim"
+	"ldv/internal/pack"
 	"ldv/internal/prov"
 	"ldv/internal/sqlval"
 )
@@ -441,13 +440,13 @@ func TestRunPlainBaseline(t *testing.T) {
 	}
 }
 
-// TestAuditedAppCannotPrepareUnseen: prepared executions do not run the
-// interceptor chain, so under the auditor's interceptor Prepare is refused
-// with a typed error rather than letting the statement run unaudited (its
-// package could not replay); the same program prepares fine on a plain run.
-func TestAuditedAppCannotPrepareUnseen(t *testing.T) {
-	var prepareErr error
-	apps := []App{{
+// TestAuditedAppPreparesSeen: prepared and pipelined executions run the
+// client's interceptor chain like text statements, so an application that
+// prepares is audited — every execution is counted, logged with the values it
+// bound, traced with lineage — and both package flavours replay it.
+func TestAuditedAppPreparesSeen(t *testing.T) {
+	id := 2 // what the app binds; a replay that binds something else diverges
+	app := App{
 		Binary: "/home/alice/bin/prep",
 		Libs:   ClientLibs(),
 		Size:   64 << 10,
@@ -457,28 +456,97 @@ func TestAuditedAppCannotPrepareUnseen(t *testing.T) {
 				return err
 			}
 			defer conn.Close()
-			var st *client.Stmt
-			if st, prepareErr = conn.Prepare("SELECT price FROM sales WHERE id = ?"); prepareErr != nil {
-				_, err = conn.Query("SELECT price FROM sales WHERE id = 2")
+			sel, err := conn.Prepare("SELECT price FROM sales WHERE id = ?")
+			if err != nil {
 				return err
 			}
-			_, err = st.Exec(2)
-			return err
+			upd, err := conn.Prepare("UPDATE sales SET price = price + ? WHERE id = ?")
+			if err != nil {
+				return err
+			}
+			first, err := sel.Exec(id)
+			if err != nil {
+				return err
+			}
+			pipe := conn.Pipeline()
+			if err := pipe.Queue(upd, 0.5, id); err != nil {
+				return err
+			}
+			if err := pipe.Queue(sel, id); err != nil {
+				return err
+			}
+			burst, err := pipe.Flush()
+			if err != nil {
+				return err
+			}
+			return p.WriteFile("/home/alice/prep.txt", []byte(fmt.Sprintf("%v -> %v (%d updated)\n",
+				first.Rows, burst[1].Rows, burst[0].RowsAffected)))
 		},
-	}}
-	if err := Run(newAliceMachine(t), apps); err != nil || prepareErr != nil {
-		t.Fatalf("plain run: %v, Prepare: %v", err, prepareErr)
 	}
-	aud, err := Audit(newAliceMachine(t), apps)
+	apps := []App{app}
+	progs := map[string]osim.Program{app.Binary: app.Prog}
+	m := newAliceMachine(t)
+	aud, err := Audit(m, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(prepareErr, client.ErrNotIntercepted) {
-		t.Fatalf("audited Prepare: %v, want ErrNotIntercepted", prepareErr)
+	want, err := m.Kernel.FS().ReadFile("/home/alice/prep.txt")
+	if err != nil || string(want) != "[[11]] -> [[11.5]] (1 updated)\n" {
+		t.Fatalf("audited run wrote %q, %v", want, err)
 	}
-	// The statement the app fell back to is in the audit; nothing ran beside it.
-	if n := aud.StatementCount(); n != 1 {
-		t.Fatalf("audit recorded %d statements, want 1", n)
+	if n := aud.StatementCount(); n != 3 {
+		t.Fatalf("audit recorded %d statements, want 3", n)
+	}
+	var logged []string
+	for _, e := range aud.DBLog()[0].Entries {
+		logged = append(logged, describeStatement(e.SQL, e.Args))
+	}
+	if got, want := strings.Join(logged, "\n"), "SELECT price FROM sales WHERE id = ? -- i:2\n"+
+		"UPDATE sales SET price = price + ? WHERE id = ? -- f:0.5, i:2\n"+
+		"SELECT price FROM sales WHERE id = ? -- i:2"; got != want {
+		t.Errorf("DB log:\n%s\nwant:\n%s", got, want)
+	}
+	// The interceptor's WithLineage rode the Execute frames: the one row the
+	// statements read is relevant (in the version that predates the app's own
+	// update), and each result depends on the version it was computed from.
+	rel := aud.RelevantTuples()["sales"]
+	if len(rel) != 1 || rel[0].Values[0].Int() != 2 || rel[0].Values[1].Float() != 11 {
+		t.Errorf("relevant tuples = %+v, want the preloaded version of row 2", rel)
+	}
+	tr := aud.Trace()
+	var labels []string
+	for _, n := range tr.Nodes() {
+		if n.Type == prov.TypeQuery || n.Type == prov.TypeUpdate {
+			labels = append(labels, tr.Label(n.Ref))
+		}
+	}
+	if fmt.Sprint(labels) != fmt.Sprint(logged) {
+		t.Errorf("trace statement labels = %q, want %q", labels, logged)
+	}
+	if d := len(tr.Deps()); d != 3 { // two results on their row versions, the new version on the old
+		t.Errorf("trace has %d dependencies, want 3", d)
+	}
+
+	included, err := BuildServerIncluded(m, aud, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	excluded, err := BuildServerExcluded(m, aud, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pkg := range map[string]*pack.Archive{"server-included": included, "server-excluded": excluded} {
+		rep, err := Replay(pkg, progs)
+		if err != nil {
+			t.Fatalf("%s replay: %v", name, err)
+		}
+		if got, _ := rep.Kernel.FS().ReadFile("/home/alice/prep.txt"); string(got) != string(want) {
+			t.Errorf("%s replay wrote %q, want %q", name, got, want)
+		}
+	}
+	id = 3
+	if _, err := Replay(excluded, progs); err == nil || !strings.Contains(err.Error(), "diverges from recorded") {
+		t.Errorf("server-excluded replay binding another value: %v", err)
 	}
 }
 

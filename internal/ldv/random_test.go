@@ -1,11 +1,14 @@
 package ldv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"ldv/internal/client"
 	"ldv/internal/engine"
 	"ldv/internal/osim"
 )
@@ -13,47 +16,99 @@ import (
 // TestRandomizedWorkloadRoundTrip is the pipeline's property test: for
 // random DB workloads (inserts, selective and aggregate queries, updates,
 // deletes), both package flavours must re-execute to byte-identical
-// outputs on a fresh machine.
+// outputs on a fresh machine — whether the application spells its statements
+// as text or issues a seeded share of them as Prepare + Exec(args…) and one
+// burst through a Pipeline, a statement of which fails.
 func TestRandomizedWorkloadRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRandomized(t, seed)
+			w := randomOps(seed)
+			text, textStmts := runRandomized(t, seed, w, false)
+			bound, boundStmts := runRandomized(t, seed, w, true)
+			if text != bound || textStmts != boundStmts {
+				t.Fatalf("seed %d: the app that prepares and pipelines reported\n%s(%d statements audited)\nthe all-text one\n%s(%d)",
+					seed, bound, boundStmts, text, textStmts)
+			}
 		})
 	}
 }
 
+// op is one generated statement in both spellings: sql binds args to its `?`
+// placeholders, Text carries them as literals.
+type op struct {
+	sql      string
+	args     []any
+	prepared bool // issued as Prepare + Exec by the app that binds
+}
+
+func (o op) Text() string {
+	text := o.sql
+	for _, a := range o.args {
+		lit := fmt.Sprint(a)
+		if s, ok := a.(string); ok {
+			lit = "'" + s + "'"
+		}
+		text = strings.Replace(text, "?", lit, 1)
+	}
+	return text
+}
+
+// workload is a statement list of which ops[burst:burst+burstLen] go out as
+// one pipelined burst.
+type workload struct {
+	ops   []op
+	burst int
+}
+
+const burstLen = 5
+
 // randomOps builds a deterministic random statement list. Statements are
 // generated up front so audit and replay issue identical SQL.
-func randomOps(seed int64) []string {
+func randomOps(seed int64) workload {
 	r := rand.New(rand.NewSource(seed))
-	var ops []string
+	var w workload
+	add := func(sql string, args ...any) {
+		w.ops = append(w.ops, op{sql: sql, args: args, prepared: r.Intn(2) == 0})
+	}
 	nextKey := 1000
+	burstAt := 5 + r.Intn(15)
 	for i := 0; i < 25; i++ {
+		if i == burstAt {
+			// The second INSERT repeats the first one's key and fails; the
+			// server still executes the UPDATE and the SELECT behind it.
+			w.burst = len(w.ops)
+			nextKey++
+			add("INSERT INTO items VALUES (?, ?, ?)", nextKey, r.Intn(100), fmt.Sprintf("burst-%d", nextKey))
+			add("SELECT count(*) FROM items WHERE score > ?", r.Intn(100))
+			add("INSERT INTO items VALUES (?, ?, ?)", nextKey, r.Intn(100), "again")
+			add("UPDATE items SET score = score + ? WHERE id = ?", 1+r.Intn(5), nextKey)
+			add("SELECT id, score FROM items WHERE id = ?", nextKey)
+		}
 		switch r.Intn(5) {
 		case 0:
 			nextKey++
-			ops = append(ops, fmt.Sprintf("INSERT INTO items VALUES (%d, %d, 'item-%d')",
-				nextKey, r.Intn(100), nextKey))
+			add("INSERT INTO items VALUES (?, ?, ?)", nextKey, r.Intn(100), fmt.Sprintf("item-%d", nextKey))
 		case 1:
-			ops = append(ops, fmt.Sprintf("SELECT id, score FROM items WHERE score > %d ORDER BY id", r.Intn(100)))
+			add("SELECT id, score FROM items WHERE score > ? ORDER BY id", r.Intn(100))
 		case 2:
-			ops = append(ops, fmt.Sprintf("SELECT count(*), SUM(score) FROM items WHERE score BETWEEN %d AND %d",
-				r.Intn(50), 50+r.Intn(50)))
+			add("SELECT count(*), SUM(score) FROM items WHERE score BETWEEN ? AND ?", r.Intn(50), 50+r.Intn(50))
 		case 3:
-			ops = append(ops, fmt.Sprintf("UPDATE items SET score = score + %d WHERE id = %d",
-				1+r.Intn(5), 1+r.Intn(20)))
+			add("UPDATE items SET score = score + ? WHERE id = ?", 1+r.Intn(5), 1+r.Intn(20))
 		case 4:
-			ops = append(ops, fmt.Sprintf("DELETE FROM items WHERE id = %d AND score < %d",
-				1+r.Intn(20), r.Intn(30)))
+			add("DELETE FROM items WHERE id = ? AND score < ?", 1+r.Intn(20), r.Intn(30))
 		}
 	}
 	// Always end with a deterministic full report.
-	ops = append(ops, "SELECT id, score, label FROM items ORDER BY id")
-	return ops
+	add("SELECT id, score, label FROM items ORDER BY id")
+	return w
 }
 
-func randomApp(ops []string) App {
+// randomApp runs the workload and reports every result to /report.txt. With
+// bind it prepares what the workload marks and pipelines the burst; without,
+// every statement is text — the burst too, reported the way a failed Flush
+// reports: results up to the failure, the rest executed but dropped.
+func randomApp(w workload, bind bool) App {
 	return App{
 		Binary: "/bin/random-workload",
 		Libs:   ClientLibs(),
@@ -64,11 +119,7 @@ func randomApp(ops []string) App {
 			}
 			defer conn.Close()
 			var sb strings.Builder
-			for _, op := range ops {
-				res, err := conn.Query(op)
-				if err != nil {
-					return err
-				}
+			report := func(res *engine.Result) {
 				for _, row := range res.Rows {
 					for j, v := range row {
 						if j > 0 {
@@ -79,6 +130,64 @@ func randomApp(ops []string) App {
 					sb.WriteByte('\n')
 				}
 				fmt.Fprintf(&sb, "-- affected %d\n", res.RowsAffected)
+			}
+			stmts := map[string]*client.Stmt{}
+			prepare := func(sql string) (*client.Stmt, error) {
+				if st := stmts[sql]; st != nil {
+					return st, nil
+				}
+				st, err := conn.Prepare(sql)
+				stmts[sql] = st
+				return st, err
+			}
+			for i := 0; i < len(w.ops); i++ {
+				o := w.ops[i]
+				switch {
+				case i == w.burst && bind:
+					pipe := conn.Pipeline()
+					for _, o := range w.ops[i : i+burstLen] {
+						st, err := prepare(o.sql)
+						if err != nil {
+							return err
+						}
+						if err := pipe.Queue(st, o.args...); err != nil {
+							return err
+						}
+					}
+					results, err := pipe.Flush()
+					if !errors.Is(err, client.ErrPipeline) {
+						return fmt.Errorf("burst: %v, want ErrPipeline", err)
+					}
+					for _, res := range results {
+						report(res)
+					}
+					i += burstLen - 1
+				case i == w.burst:
+					failed := false
+					for _, o := range w.ops[i : i+burstLen] {
+						res, err := conn.Query(o.Text())
+						if failed = failed || err != nil; !failed {
+							report(res)
+						}
+					}
+					i += burstLen - 1
+				case o.prepared && bind:
+					st, err := prepare(o.sql)
+					if err != nil {
+						return err
+					}
+					res, err := st.Exec(o.args...)
+					if err != nil {
+						return err
+					}
+					report(res)
+				default:
+					res, err := conn.Query(o.Text())
+					if err != nil {
+						return err
+					}
+					report(res)
+				}
 			}
 			return p.WriteFile("/report.txt", []byte(sb.String()))
 		},
@@ -109,10 +218,11 @@ func newItemsMachine(t *testing.T, seed int64) *Machine {
 	return m
 }
 
-func runRandomized(t *testing.T, seed int64) {
+// runRandomized audits the workload, replays both package flavours against
+// the audited report and returns it with the audited statement count.
+func runRandomized(t *testing.T, seed int64, w workload, bind bool) (string, int) {
 	t.Helper()
-	ops := randomOps(seed)
-	apps := []App{randomApp(ops)}
+	apps := []App{randomApp(w, bind)}
 	progs := map[string]osim.Program{apps[0].Binary: apps[0].Prog}
 
 	m := newItemsMachine(t, seed)
@@ -156,4 +266,21 @@ func runRandomized(t *testing.T, seed int64) {
 	if string(got) != string(want) {
 		t.Fatalf("seed %d: server-excluded replay diverged", seed)
 	}
+
+	if bind {
+		// The same program binding another value is another execution: the
+		// recorded answers are not its answers.
+		other := workload{ops: slices.Clone(w.ops), burst: w.burst}
+		for i, o := range w.ops { // a failed burst is this app's normal case, so not one of its statements
+			if o.prepared && len(o.args) > 0 && (i < w.burst || i >= w.burst+burstLen) {
+				other.ops[i].args = append([]any{-1}, o.args[1:]...)
+				break
+			}
+		}
+		app := randomApp(other, true)
+		if _, err := Replay(excluded, map[string]osim.Program{app.Binary: app.Prog}); err == nil || !strings.Contains(err.Error(), "diverges from recorded") {
+			t.Fatalf("seed %d: excluded replay of an app binding other values: %v", seed, err)
+		}
+	}
+	return string(want), aud.StatementCount()
 }

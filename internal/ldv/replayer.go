@@ -2,6 +2,7 @@ package ldv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ldv/internal/client"
@@ -11,9 +12,10 @@ import (
 
 // Replayer serves recorded DB interactions during server-excluded
 // re-execution (§VIII): connection requests are matched to recorded
-// sessions in open order, and each statement must follow the recorded
-// order and SQL text; its recorded response is substituted for a server
-// round trip.
+// sessions in open order, and each statement — however the application
+// issues it: as text, through a prepared statement, on a pipeline — must
+// follow the recorded order, SQL text and bound values; its recorded response
+// is substituted for a server round trip.
 type Replayer struct {
 	mu       sync.Mutex
 	sessions []*SessionLog
@@ -54,9 +56,9 @@ type replayInterceptor struct {
 	next int
 }
 
-// BeforeQuery serves the next recorded response. A SQL mismatch means the
-// re-execution diverged from the recorded one, which voids the replay
-// guarantee, so it is an error.
+// BeforeQuery serves the next recorded response. A mismatch of the SQL or of
+// the values bound to it means the re-execution diverged from the recorded
+// one, which voids the replay guarantee, so it is an error.
 func (ic *replayInterceptor) BeforeQuery(info *client.QueryInfo) (*engine.Result, error) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
@@ -65,8 +67,9 @@ func (ic *replayInterceptor) BeforeQuery(info *client.QueryInfo) (*engine.Result
 	}
 	entry := &ic.log.Entries[ic.next]
 	ic.next++
-	if entry.SQL != info.SQL {
-		return nil, fmt.Errorf("replay: statement %q diverges from recorded %q", info.SQL, entry.SQL)
+	if args := encodeRowCells(info.Args); entry.SQL != info.SQL || !slices.Equal(entry.Args, args) {
+		return nil, fmt.Errorf("replay: statement %q diverges from recorded %q",
+			describeStatement(info.SQL, args), describeStatement(entry.SQL, entry.Args))
 	}
 	return entry.Result()
 }

@@ -77,7 +77,7 @@ func TestAuditedTraceRoundTrip(t *testing.T) {
 	cases["alice"] = audited{m, aud, apps}
 	for seed := int64(1); seed <= 6; seed++ {
 		m := newItemsMachine(t, seed)
-		apps := []App{randomApp(randomOps(seed))}
+		apps := []App{randomApp(randomOps(seed), seed%2 == 0)} // every other one prepares and pipelines
 		aud, err := Audit(m, apps)
 		if err != nil {
 			t.Fatal(err)

@@ -15,11 +15,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ldv/internal/csvrec"
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	obslog "ldv/internal/obs/log"
-	"ldv/internal/sqlparse"
 	"ldv/internal/sqlval"
 	"ldv/internal/wire"
 )
@@ -102,10 +100,13 @@ func (s *Server) replicationSource() ReplicationSource {
 	return s.repl
 }
 
-func (s *Server) readGate() ReadGate {
+// statementEnv returns what every statement is run against: the read gate
+// it waits at (nil unless this is a replica) and the filesystem a COPY reads
+// and writes.
+func (s *Server) statementEnv() (ReadGate, engine.FileSystem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gate
+	return s.gate, s.fs
 }
 
 // New returns a server over db. logger may be nil to disable logging; it
@@ -131,12 +132,6 @@ func (s *Server) SetFS(fs engine.FileSystem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fs = fs
-}
-
-func (s *Server) fileSystem() engine.FileSystem {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fs
 }
 
 // DB exposes the underlying database (used by packagers that need direct
@@ -417,12 +412,13 @@ func (c *clientConn) runStatement(r request) error {
 	}
 	defer sp.End()
 
+	gate, fs := c.srv.statementEnv()
 	// On a replica, hold the statement until the apply loop has caught up to
 	// the client's read-your-writes bound (and, bound or not, until the
 	// replica has bootstrapped at all).
 	var err error
-	if g := c.srv.readGate(); g != nil {
-		err = gateWait(g, c.ws, r.minApplied)
+	if gate != nil {
+		err = gateWait(gate, c.ws, r.minApplied)
 	}
 	var (
 		ps   *engine.PreparedStmt
@@ -435,12 +431,8 @@ func (c *clientConn) runStatement(r request) error {
 	}
 	if err == nil {
 		sql = ps.SQL
-		opts := engine.ExecOptions{Proc: c.proc, WithLineage: r.lineage, Span: sp, AsOf: r.asOf}
-		if cp, ok := ps.Statement().(*sqlparse.Copy); ok {
-			res, err = c.execCopy(cp, ps, opts) // needs the server's file access
-		} else {
-			res, err = c.sess.ExecPrepared(ps, args, opts)
-		}
+		res, err = c.sess.ExecPrepared(ps, args, engine.ExecOptions{Proc: c.proc,
+			WithLineage: r.lineage, Span: sp, AsOf: r.asOf, FS: fs})
 		// The fingerprint makes a slow-query entry joinable against
 		// ldv_stat_statements.
 		elapsed := time.Since(t0)
@@ -512,59 +504,4 @@ func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 		Tag:          tag,
 	}
 	return wire.Write(conn, cc)
-}
-
-// execCopy performs COPY table FROM/TO 'path' using the server's
-// filesystem. Records are CSV; NULL is \N. The engine's COPY entry points
-// take a table, not a statement, so the session's live record is kept here.
-func (c *clientConn) execCopy(cp *sqlparse.Copy, ps *engine.PreparedStmt, opts engine.ExecOptions) (*engine.Result, error) {
-	traceID := ""
-	if opts.Span != nil {
-		traceID = opts.Span.TraceID().String()
-	}
-	c.ws.StartStatement(ps.Info(), traceID, time.Now())
-	defer c.ws.FinishStatement()
-	sess := c.sess
-	fs := c.srv.fileSystem()
-	if fs == nil {
-		return nil, fmt.Errorf("COPY: server has no filesystem configured")
-	}
-	if cp.To {
-		records, res, err := sess.CopyTo(cp.Table, opts)
-		if err != nil {
-			return nil, err
-		}
-		var data []byte
-		for _, rec := range records {
-			for i, field := range rec {
-				if i > 0 {
-					data = append(data, ',')
-				}
-				start := len(data)
-				data = csvrec.Quote(append(data, field...), start)
-			}
-			data = append(data, '\n')
-		}
-		if err := fs.WriteFile(cp.Path, data); err != nil {
-			return nil, fmt.Errorf("COPY TO %s: %w", cp.Path, err)
-		}
-		return res, nil
-	}
-	data, err := fs.ReadFile(cp.Path)
-	if err != nil {
-		return nil, fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
-	}
-	r := csvrec.Reader{Data: data}
-	var records [][]string
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("COPY FROM %s: record %d: %w", cp.Path, len(records)+1, err)
-		}
-		records = append(records, append([]string(nil), rec...))
-	}
-	return sess.CopyFrom(cp.Table, records, opts)
 }

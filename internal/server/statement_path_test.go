@@ -350,6 +350,14 @@ func TestPreparedCopyAndBindErrorsTakeTheStatementPath(t *testing.T) {
 	if rows, _, _ := query(t, c, "SELECT a FROM t WHERE b IS NULL", false); rows != 1 {
 		t.Fatal("prepared COPY FROM loaded no NULL")
 	}
+	// The statement store is process-wide; other tests COPY TO as well.
+	copyCalls := func() (calls, errs int64) {
+		for _, row := range queryRows(t, c, "SELECT calls, errors FROM ldv_stat_statements WHERE query LIKE 'COPY t TO%'") {
+			calls, errs = calls+row[0].Int(), errs+row[1].Int()
+		}
+		return
+	}
+	callsBefore, errsBefore := copyCalls()
 	if r := execute("out", "COPY t TO '/prepared.csv'"); r.Err != "" || r.Done.RowsAffected != 4 {
 		t.Fatalf("prepared COPY TO: %+v", r)
 	}
@@ -360,6 +368,11 @@ func TestPreparedCopyAndBindErrorsTakeTheStatementPath(t *testing.T) {
 	text, _ := fs.ReadFile("/text.csv")
 	if len(text) == 0 || !bytes.Equal(prepared, text) {
 		t.Fatalf("prepared COPY TO wrote\n%s\ntext COPY TO\n%s", prepared, text)
+	}
+	// COPY runs in the engine's execute entry and is recorded by its finish
+	// step like every statement: both forms are one ldv_stat_statements row.
+	if calls, errs := copyCalls(); calls != callsBefore+2 || errs != errsBefore {
+		t.Errorf("ldv_stat_statements after two COPY TO: calls %d → %d, errors %d → %d", callsBefore, calls, errsBefore, errs)
 	}
 
 	obs.Reset()

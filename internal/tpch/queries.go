@@ -15,6 +15,10 @@ type Query struct {
 	Family, Variant int
 	// SQL is the executable text with PARAM substituted.
 	SQL string
+	// Prepared is the same statement with PARAM as its one `?` placeholder,
+	// and Arg the value to bind there.
+	Prepared string
+	Arg      any
 	// Param is the substituted parameter, as the paper's Table II prints it.
 	Param string
 	// Selectivity is the fraction of the probed table(s) the query touches
@@ -33,54 +37,34 @@ func Queries(cfg Config) []Query {
 	cnt := cfg.Counts()
 	var out []Query
 
-	pcts := []float64{0.01, 0.02, 0.05, 0.10, 0.25}
-	for v, pct := range pcts {
-		param := int(math.Ceil(pct * float64(cnt.Supplier)))
-		if param < 1 {
-			param = 1
+	add := func(family, variant int, param string, sel float64, prepared string, arg any, literal string) {
+		out = append(out, Query{
+			ID: fmt.Sprintf("Q%d-%d", family, variant), Family: family, Variant: variant,
+			Param: param, Selectivity: sel,
+			SQL: strings.Replace(prepared, "?", literal, 1), Prepared: prepared, Arg: arg,
+		})
+	}
+	suppkey := func(family int, prepared string) {
+		for v, pct := range []float64{0.01, 0.02, 0.05, 0.10, 0.25} {
+			param := max(int(math.Ceil(pct*float64(cnt.Supplier))), 1)
+			lit := fmt.Sprint(param)
+			add(family, v+1, lit, float64(param)/float64(cnt.Supplier), prepared, param, lit)
 		}
-		out = append(out, Query{
-			ID: fmt.Sprintf("Q1-%d", v+1), Family: 1, Variant: v + 1,
-			Param:       fmt.Sprintf("%d", param),
-			Selectivity: float64(param) / float64(cnt.Supplier),
-			SQL: fmt.Sprintf(`SELECT l_quantity, l_partkey, l_extendedprice, l_shipdate, l_receiptdate `+
-				`FROM lineitem WHERE l_suppkey BETWEEN 1 AND %d`, param),
-		})
 	}
-
-	zeros := zeroParams(cnt.Customer)
-	for v, z := range zeros {
-		param := strings.Repeat("0", z.zeros)
-		out = append(out, Query{
-			ID: fmt.Sprintf("Q2-%d", v+1), Family: 2, Variant: v + 1,
-			Param: param, Selectivity: z.sel,
-			SQL: fmt.Sprintf(`SELECT o_comment, l_comment FROM lineitem l, orders o, customer c `+
-				`WHERE l.l_orderkey = o.o_orderkey AND o.o_custkey = c.c_custkey AND c.c_name LIKE '%%%s%%'`, param),
-		})
-	}
-	for v, z := range zeros {
-		param := strings.Repeat("0", z.zeros)
-		out = append(out, Query{
-			ID: fmt.Sprintf("Q3-%d", v+1), Family: 3, Variant: v + 1,
-			Param: param, Selectivity: z.sel,
-			SQL: fmt.Sprintf(`SELECT count(*) FROM lineitem l, orders o, customer c `+
-				`WHERE l.l_orderkey = o.o_orderkey AND o.o_custkey = c.c_custkey AND c.c_name LIKE '%%%s%%'`, param),
-		})
-	}
-
-	for v, pct := range pcts {
-		param := int(math.Ceil(pct * float64(cnt.Supplier)))
-		if param < 1 {
-			param = 1
+	zeros := func(family int, prepared string) {
+		for v, z := range zeroParams(cnt.Customer) {
+			param := strings.Repeat("0", z.zeros)
+			add(family, v+1, param, z.sel, prepared, "%"+param+"%", "'%"+param+"%'")
 		}
-		out = append(out, Query{
-			ID: fmt.Sprintf("Q4-%d", v+1), Family: 4, Variant: v + 1,
-			Param:       fmt.Sprintf("%d", param),
-			Selectivity: float64(param) / float64(cnt.Supplier),
-			SQL: fmt.Sprintf(`SELECT o_orderkey, AVG(l_quantity) AS avgq FROM lineitem l, orders o `+
-				`WHERE l.l_orderkey = o.o_orderkey AND l_suppkey BETWEEN 1 AND %d GROUP BY o_orderkey`, param),
-		})
 	}
+	suppkey(1, `SELECT l_quantity, l_partkey, l_extendedprice, l_shipdate, l_receiptdate `+
+		`FROM lineitem WHERE l_suppkey BETWEEN 1 AND ?`)
+	zeros(2, `SELECT o_comment, l_comment FROM lineitem l, orders o, customer c `+
+		`WHERE l.l_orderkey = o.o_orderkey AND o.o_custkey = c.c_custkey AND c.c_name LIKE ?`)
+	zeros(3, `SELECT count(*) FROM lineitem l, orders o, customer c `+
+		`WHERE l.l_orderkey = o.o_orderkey AND o.o_custkey = c.c_custkey AND c.c_name LIKE ?`)
+	suppkey(4, `SELECT o_orderkey, AVG(l_quantity) AS avgq FROM lineitem l, orders o `+
+		`WHERE l.l_orderkey = o.o_orderkey AND l_suppkey BETWEEN 1 AND ? GROUP BY o_orderkey`)
 	return out
 }
 

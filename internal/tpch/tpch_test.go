@@ -8,6 +8,7 @@ import (
 
 	"ldv/internal/engine"
 	"ldv/internal/sqlparse"
+	"ldv/internal/sqlval"
 )
 
 func loadTest(t *testing.T, cfg Config) (*engine.DB, Stats) {
@@ -113,8 +114,19 @@ func TestAllQueriesParseAndRun(t *testing.T) {
 			t.Errorf("%s does not parse: %v", q.ID, err)
 			continue
 		}
-		if _, err := db.Exec(q.SQL, engine.ExecOptions{}); err != nil {
+		res, err := db.Exec(q.SQL, engine.ExecOptions{})
+		if err != nil {
 			t.Errorf("%s does not run: %v", q.ID, err)
+			continue
+		}
+		// The prepared spelling is the same statement.
+		arg := sqlval.NewString(fmt.Sprint(q.Arg))
+		if n, ok := q.Arg.(int); ok {
+			arg = sqlval.NewInt(int64(n))
+		}
+		bound, err := db.Exec(q.Prepared, engine.ExecOptions{Params: []sqlval.Value{arg}})
+		if err != nil || fmt.Sprint(bound.Rows) != fmt.Sprint(res.Rows) {
+			t.Errorf("%s prepared as %q with %v: %d rows (text: %d), %v", q.ID, q.Prepared, q.Arg, len(bound.Rows), len(res.Rows), err)
 		}
 	}
 }

@@ -208,7 +208,10 @@ func checkPairCases(t *testing.T, rule pairRule, cases []pairCase) {
 // TestSpanEndDiscipline is the trace lint run by `make check`: in the
 // packages on the request path, every span is ended by a `defer <var>.End()`
 // in the function that started it. The obs package itself is exempt: it
-// constructs spans internally.
+// constructs spans internally. So is the one span a function cannot own:
+// the client's per-statement span lives in its call from Conn.start to
+// Conn.finish (a pipeline writes the whole batch in between); assigned to a
+// field, it is not a held variable to this check.
 func TestSpanEndDiscipline(t *testing.T) {
 	checkPairs(t, spanRule, "internal/engine", "internal/server", "internal/client")
 }
