@@ -38,6 +38,14 @@ const (
 	opInsU
 	opTxnB    // BEGIN; INSERT 12; INSERT 13; COMMIT
 	opDropIx2 // create+drop a second index, exercising drop durability
+	// The hazard of skipping clean tables: a checkpoint taken while a
+	// transaction is open writes t without that transaction's rows, the commit
+	// changes no byte of the table, and the next checkpoint truncates the
+	// commit's log record — so it must write t again, not skip it.
+	opCkptOpenTxn // BEGIN; INSERT 14; INSERT 15; checkpoint
+	opTxnC        // COMMIT
+	opCkpt2
+	opIns5 // one more logged operation, so there are crash points past the truncation
 	opCount
 )
 
@@ -74,6 +82,8 @@ func crashWorkload(fs FileSystem) (acked [opCount]bool, boot bool) {
 			return nil
 		}
 	}
+	open := db.NewSession() // opCkptOpenTxn's transaction, committed by opTxnC
+	defer open.Close()
 	steps := []struct {
 		op  crashOp
 		run func() error
@@ -99,6 +109,17 @@ func crashWorkload(fs FileSystem) (acked [opCount]bool, boot bool) {
 			_, err := db.Exec("DROP INDEX ix_tmp", ExecOptions{})
 			return err
 		}},
+		{opCkptOpenTxn, func() error {
+			for _, sql := range []string{"BEGIN", "INSERT INTO t VALUES (14, 'c')", "INSERT INTO t VALUES (15, 'c')"} {
+				if _, err := open.Exec(sql, ExecOptions{}); err != nil {
+					return err
+				}
+			}
+			return db.Checkpoint(fs, "/data")
+		}},
+		{opTxnC, func() error { _, err := open.Exec("COMMIT", ExecOptions{}); return err }},
+		{opCkpt2, func() error { return db.Checkpoint(fs, "/data") }},
+		{opIns5, exec("INSERT INTO t VALUES (5, 'five')")},
 	}
 	for _, s := range steps {
 		if !step(s.op, s.run) {
@@ -177,6 +198,7 @@ func checkContract(t *testing.T, db *DB, acked [opCount]bool, label string) {
 	}
 	requireRow(1, "one", opIns1, "insert")
 	requireRow(4, "four", opIns4, "insert")
+	requireRow(5, "five", opIns5, "insert")
 
 	// Index contract: an acked CREATE INDEX survives recovery, an
 	// unattempted one is absent, and whatever the crash left behind, a query
@@ -222,7 +244,7 @@ func checkContract(t *testing.T, db *DB, acked [opCount]bool, label string) {
 	for _, pair := range []struct {
 		a, b int64
 		op   crashOp
-	}{{10, 11, opTxnA}, {12, 13, opTxnB}} {
+	}{{10, 11, opTxnA}, {12, 13, opTxnB}, {14, 15, opTxnC}} {
 		_, hasA := rows[pair.a]
 		_, hasB := rows[pair.b]
 		if hasA != hasB {

@@ -260,6 +260,18 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
+// tableList returns every table, sorted by name.
+func (db *DB) tableList() []*Table {
+	db.mu.RLock()
+	tables := make([]*Table, 0, len(db.tables))
+	for _, t := range db.tables {
+		tables = append(tables, t)
+	}
+	db.mu.RUnlock()
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+	return tables
+}
+
 // TableMeta is an immutable view of a table's metadata: a snapshot of the
 // schema plus the live row count at the time of the call. Unlike a *Table it
 // can be read without holding any engine lock.

@@ -146,6 +146,7 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOpti
 	// addressable, superseded — so recording which ones matched is enough.
 	if ec.lin != nil {
 		reads = ec.lin.addReads(reads, t, matches)
+		t.touch() // for the prov_usedby stamps below, whatever else the loop gets to
 	}
 	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {
@@ -186,14 +187,8 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOpti
 			}
 			t.pkIndex[newKey] = nv
 		}
-		r.end = nv.version
-		r.endTxn = ec.txn.id
-		t.liveRows.Add(-1)
-		t.deadVersions.Add(1)
-		t.rows = append(t.rows, nv)
-		t.indexInsert(nv)
-		t.versions.Add(1)
-		t.liveRows.Add(1)
+		t.setEnd(r, nv.version, ec.txn.id)
+		t.appendLive(nv)
 		ec.txn.logUndo(t, undoUpdate(t, r, nv))
 		ec.txn.logRedo(redoEntry{kind: walEnd, table: s.Table, id: r.id, version: r.version, end: r.end})
 		ec.txn.logRedo(redoInsertEntry(s.Table, nv))
@@ -226,10 +221,7 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, tree *plan.Tree, opts ExecOpti
 	}
 	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {
-		r.end = ec.db.clock.Tick()
-		r.endTxn = ec.txn.id
-		t.liveRows.Add(-1)
-		t.deadVersions.Add(1)
+		t.setEnd(r, ec.db.clock.Tick(), ec.txn.id)
 		if pk >= 0 {
 			key := keyOf(r.vals[pk])
 			if t.pkIndex[key] == r {

@@ -262,6 +262,7 @@ func (t *Table) addIndex(ix *tableIndex) {
 	next := append(append([]*tableIndex(nil), t.indexList()...), ix)
 	sort.Slice(next, func(i, j int) bool { return next[i].name < next[j].name })
 	t.indexes.Store(&next)
+	t.touch()
 }
 
 // removeIndex uninstalls an index by name (caller holds the table write
@@ -278,6 +279,7 @@ func (t *Table) removeIndex(name string) bool {
 		return false
 	}
 	t.indexes.Store(&next)
+	t.touch()
 	return true
 }
 

@@ -37,6 +37,15 @@ var (
 	mRecoveredTxns  = obs.NewCounter("recovery.replayed_txns", "Transactions replayed by crash recovery")
 	hRecoveryNS     = obs.NewHistogram("recovery.ns", "Crash recovery duration")
 
+	// Server start and stop: what the sync rule (DESIGN.md "Value layout and
+	// table storage") saved. A table is skipped or kept when it still equals
+	// the file in the directory.
+	mCkptWritten = obs.NewCounter("engine.checkpoint.tables_written", "Table files a checkpoint encoded and wrote")
+	mCkptSkipped = obs.NewCounter("engine.checkpoint.tables_skipped", "Tables a checkpoint did not write: the file already equals them")
+	mCkptBytes   = obs.NewCounter("engine.checkpoint.bytes_written", "Bytes of table files written by checkpoints")
+	mLoadDecoded = obs.NewCounter("engine.load.tables_decoded", "Table files a data-directory load decoded")
+	mLoadKept    = obs.NewCounter("engine.load.tables_kept", "Table files a data-directory load read and verified but did not decode: the table in memory already equals them")
+
 	// Per-kind statement latency. Unknown statement types fall back to
 	// hExecOther. The family prefix carries the shared description (see init).
 	hExecSelect = obs.GetHistogram("engine.exec_ns.select")

@@ -3,7 +3,9 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"path"
+	"reflect"
 	"strings"
 
 	"ldv/internal/sqlval"
@@ -51,12 +53,20 @@ type FileRemover interface {
 	Remove(path string) error
 }
 
-const tableFileMagic = "LDVTBL1\n"
+const tableFileMagic = "LDVTBL2\n"
 
-// Checkpoint writes every table to dir as <table>.tbl data files, creating
-// dir if needed. The checkpoint is a fresh snapshot's view: uncommitted
-// writes of transactions open at the time are excluded. When a WAL is
-// attached, a completed checkpoint also truncates the log records it
+// in reports whether dir on fs is where the image was last written or read.
+// (A FileSystem that cannot be compared is never the same one twice.)
+func (im *fileImage) in(fs FileSystem, dir string) bool {
+	return im.dir == dir && reflect.ValueOf(fs).Comparable() && im.fs == fs
+}
+
+// Checkpoint brings dir up to date with the database: every table whose
+// <table>.tbl file there is not already the image the table equals (the sync
+// rule, DESIGN.md "Value layout and table storage") is written, in name
+// order, creating dir if needed. The checkpoint is a fresh snapshot's view:
+// uncommitted writes of transactions open at the time are excluded. When a
+// WAL is attached, a completed checkpoint also truncates the log records it
 // supersedes; see the protocol notes below.
 //
 // Truncation protocol: commits hold commitMu shared across their WAL
@@ -64,21 +74,27 @@ const tableFileMagic = "LDVTBL1\n"
 // it copies the catalog, takes its snapshot, and records the log offset
 // (the cut). Every record before the cut therefore belongs to a
 // transaction the snapshot sees — it is fully contained in the table files
-// written below — and every commit the snapshot misses sits at or after
-// the cut, which truncateTo preserves. A crash anywhere in between leaves
-// old and new table files mixed with an untruncated log, which recovery
-// resolves by idempotent replay.
+// written below, or in the file a skipped table equals: a table is marked
+// as equal to a file only if the image held every version it stored, so a
+// table with a version the snapshot skipped (an open transaction's insert or
+// end mark, whose commit bumps nothing) is written again — and every commit
+// the snapshot misses sits at or after the cut, which truncateTo preserves.
+// A crash anywhere in between leaves old and new table files mixed with an
+// untruncated log, which recovery resolves by idempotent replay.
 func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	if err := fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	db.commitMu.Lock()
-	db.mu.RLock()
-	tables := make(map[string]*Table, len(db.tables))
-	for name, t := range db.tables {
-		tables[name] = t
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	db.mu.RUnlock()
+	onDisk := make(map[string]bool, len(names))
+	for _, n := range names {
+		onDisk[n] = true
+	}
+	db.commitMu.Lock()
+	tables := db.tableList()
 	snap := db.takeSnapshot(0)
 	wal := db.wal
 	var cut int64
@@ -87,28 +103,32 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	}
 	db.commitMu.Unlock()
 
-	horizon := db.vacuumHorizon.Load()
-	for name, t := range tables {
+	for _, t := range tables {
+		file := t.Name + ".tbl"
+		had := onDisk[file]
+		delete(onDisk, file) // what is left at the end belongs to dropped tables
+		if im := t.current(); had && im != nil && im.in(fs, dir) {
+			mCkptSkipped.Inc()
+			continue
+		}
 		t.mu.RLock()
-		data := encodeTable(t, snap, horizon)
+		at := t.mutations.Load() // before the horizon: see advanceHorizon
+		data, whole := encodeTable(t, snap, db.vacuumHorizon.Load())
 		t.mu.RUnlock()
-		if err := fs.WriteFile(path.Join(dir, name+".tbl"), data); err != nil {
-			return fmt.Errorf("checkpoint table %s: %w", name, err)
+		if err := fs.WriteFile(path.Join(dir, file), data); err != nil {
+			return fmt.Errorf("checkpoint table %s: %w", t.Name, err)
+		}
+		mCkptWritten.Inc()
+		mCkptBytes.Add(int64(len(data)))
+		if whole {
+			t.image.Store(&fileImage{digest: binary.BigEndian.Uint64(data[len(data)-digestLen:]), at: at, fs: fs, dir: dir})
 		}
 	}
 	// Retire table files whose tables were dropped: once the DROP's WAL
 	// record is truncated below, a stale file would resurrect the table.
 	if rm, ok := fs.(FileRemover); ok {
-		names, err := fs.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
 		for _, n := range names {
-			tn, isTbl := strings.CutSuffix(n, ".tbl")
-			if !isTbl {
-				continue
-			}
-			if _, live := tables[tn]; !live {
+			if strings.HasSuffix(n, ".tbl") && onDisk[n] {
 				if err := rm.Remove(path.Join(dir, n)); err != nil {
 					return fmt.Errorf("checkpoint: retire %s: %w", n, err)
 				}
@@ -123,8 +143,10 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	return nil
 }
 
-// LoadDir reads every <table>.tbl file in dir into the database, replacing
-// any same-named tables.
+// LoadDir brings the database up to date with dir: every <table>.tbl file
+// there is read and its digest verified, and a file that is not the image
+// its table already equals is decoded into a table that replaces any
+// same-named one.
 func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -132,18 +154,36 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	}
 	var maxTS uint64
 	for _, n := range names {
-		if !strings.HasSuffix(n, ".tbl") {
+		tn, isTbl := strings.CutSuffix(n, ".tbl")
+		if !isTbl {
 			continue
 		}
 		data, err := fs.ReadFile(path.Join(dir, n))
 		if err != nil {
 			return fmt.Errorf("load table file %s: %w", n, err)
 		}
-		img, err := decodeTable(data)
+		digest, err := tableDigest(data)
 		if err != nil {
 			return fmt.Errorf("decode table file %s: %w", n, err)
 		}
+		if t, _ := db.lookupTable(tn); t != nil {
+			if im := t.current(); im != nil && im.digest == digest {
+				t.image.Store(&fileImage{digest: digest, at: im.at, fs: fs, dir: dir})
+				mLoadKept.Inc()
+				continue
+			}
+		}
+		img, err := decodeTableBody(data)
+		if err != nil {
+			return fmt.Errorf("decode table file %s: %w", n, err)
+		}
+		mLoadDecoded.Inc()
 		db.installTable(img)
+		// The table equals its file unless the database is past the file's
+		// horizon: encoded again it would carry the database's.
+		if img.horizon == db.vacuumHorizon.Load() {
+			img.t.image.Store(&fileImage{digest: digest, at: img.t.mutations.Load(), fs: fs, dir: dir})
+		}
 		maxTS = max(maxTS, img.maxTS)
 	}
 	// Advance the clock past every loaded stamp: dead versions carry end
@@ -161,23 +201,50 @@ func (db *DB) installTable(img tableImage) {
 	db.mu.Lock()
 	db.tables[img.t.Name] = img.t
 	db.mu.Unlock()
-	if img.horizon > db.vacuumHorizon.Load() {
-		db.vacuumHorizon.Store(img.horizon)
-	}
+	db.advanceHorizon(img.horizon)
 	db.advanceNextRow(img.maxRow)
 }
 
 // The table-file format, written by encodeTable and read by decodeTable and
 // by nothing else (checkpoint files, the replica bootstrap's snapshot cut):
 //
-//	magic "LDVTBL1\n"
+//	magic "LDVTBL2\n"
 //	name, ncols, ncols × (name, type byte, pk byte)
 //	nlive, nlive × (id, version, proc, stmt, usedBy, values)
-//	nidx,  nidx × (name, column, kind)               — optional from here
-//	ndead, ndead × (id, version, end, proc, stmt, values), horizon — optional
+//	nidx,  nidx × (name, column, kind)
+//	ndead, ndead × (id, version, end, proc, stmt, values), horizon
+//	digest: 8 bytes, big-endian, of every byte before them
 //
 // Counts, ids and stamps are uvarints, stmt and usedBy varints, strings
-// uvarint-length-prefixed, values a sqlval.EncodeRow image.
+// uvarint-length-prefixed, values a sqlval.EncodeRow image. Every file has
+// every section. The digest is CRC-32C in the high word and CRC-32/IEEE in
+// the low one — two hardware-accelerated passes, 64 bits between them. It is
+// what detects a torn or corrupted file, and it is the file's name in the
+// sync rule: a table that is known to equal the image with this digest is
+// neither decoded from it again nor written over it.
+
+const digestLen = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func digestOf(body []byte) uint64 {
+	return uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
+}
+
+// tableDigest checks what can be checked of a table file without decoding it
+// — the magic, and the trailer against the bytes before it — and returns the
+// digest.
+func tableDigest(data []byte) (uint64, error) {
+	if len(data) < len(tableFileMagic)+digestLen || string(data[:len(tableFileMagic)]) != tableFileMagic {
+		return 0, fmt.Errorf("bad table file magic")
+	}
+	body := data[:len(data)-digestLen]
+	digest := binary.BigEndian.Uint64(data[len(body):])
+	if digest != digestOf(body) {
+		return 0, fmt.Errorf("table file digest mismatch: truncated or corrupt")
+	}
+	return digest, nil
+}
 
 // Row classes of one encode: what encodeTable's first pass decided for each
 // version, so the counting and the writing pass cannot disagree.
@@ -251,14 +318,18 @@ func (w *tableSink) row(vals []sqlval.Value) {
 // shared, so no version appears, vanishes or changes class between the
 // passes; prov_usedby, which lineage reads stamp under the shared lock, is
 // the one field that can — a stamp that grows a byte between the passes
-// makes the final append reallocate, nothing worse).
-func encodeTable(t *Table, snap snapshot, horizon uint64) []byte {
+// makes the final append reallocate, nothing worse). whole reports that the
+// image holds every stored version and every end mark: only then does the
+// table equal it.
+func encodeTable(t *Table, snap snapshot, horizon uint64) (data []byte, whole bool) {
 	class := make([]uint8, len(t.rows))
 	var nlive, ndead uint64
+	openEnd := false // a version written as live whose end mark is not committed yet
 	for i, r := range t.rows {
 		if snap.visible(r) {
 			class[i] = rowLive
 			nlive++
+			openEnd = openEnd || r.end != 0
 			continue
 		}
 		if r.end == 0 {
@@ -275,9 +346,10 @@ func encodeTable(t *Table, snap snapshot, horizon uint64) []byte {
 	}
 	size := tableSink{counting: true}
 	writeTable(&size, t, class, nlive, ndead, horizon)
-	out := tableSink{buf: make([]byte, 0, size.n)}
+	out := tableSink{buf: make([]byte, 0, size.n+digestLen)}
 	writeTable(&out, t, class, nlive, ndead, horizon)
-	return out.buf
+	data = binary.BigEndian.AppendUint64(out.buf, digestOf(out.buf))
+	return data, !openEnd && nlive+ndead == uint64(len(t.rows))
 }
 
 func writeTable(w *tableSink, t *Table, class []uint8, nlive, ndead, horizon uint64) {
@@ -304,8 +376,6 @@ func writeTable(w *tableSink, t *Table, class []uint8, nlive, ndead, horizon uin
 		w.varint(r.usedBy.Load())
 		w.row(r.vals)
 	}
-	// Secondary-index definitions follow the rows. Older table files end
-	// here; decodeTable treats the section as optional.
 	idxs := t.indexList()
 	w.uvarint(uint64(len(idxs)))
 	for _, ix := range idxs {
@@ -313,10 +383,9 @@ func writeTable(w *tableSink, t *Table, class []uint8, nlive, ndead, horizon uin
 		w.str(ix.column)
 		w.str(ix.kind)
 	}
-	// Time-travel section (also optional on decode): committed dead versions
-	// — the history AS OF and reenactment read — and the retention horizon.
-	// Without it a checkpoint would silently vacuum everything it supersedes
-	// in the WAL.
+	// Time-travel section: committed dead versions — the history AS OF and
+	// reenactment read — and the retention horizon. Without it a checkpoint
+	// would silently vacuum everything it supersedes in the WAL.
 	w.uvarint(ndead)
 	for i, r := range t.rows {
 		if class[i] != rowDead {
@@ -413,17 +482,23 @@ type tableImage struct {
 }
 
 // decodeTable reads a table file. It is outside input (a data directory, a
-// snapshot off the network): every count is checked against the bytes
-// remaining before memory is sized from it, every version passes the row
-// check an INSERT passes (admitRow: arity, column kinds, primary key), and
-// trailing bytes are an error. Versions and values come from the bulk
-// loader's slabs and every string is a substring of one copy of data — see
-// rowLoader for what that keeps alive.
+// snapshot off the network): the digest is verified first, every count is
+// checked against the bytes remaining before memory is sized from it, every
+// version passes the row check an INSERT passes (admitRow: arity, column
+// kinds, primary key), and trailing bytes are an error. Versions and values
+// come from the bulk loader's slabs and every string is a substring of one
+// copy of data — see rowLoader for what that keeps alive.
 func decodeTable(data []byte) (tableImage, error) {
-	if len(data) < len(tableFileMagic) || string(data[:len(tableFileMagic)]) != tableFileMagic {
-		return tableImage{}, fmt.Errorf("bad table file magic")
+	if _, err := tableDigest(data); err != nil {
+		return tableImage{}, err
 	}
-	s := &tableSource{b: data, text: string(data), off: len(tableFileMagic)}
+	return decodeTableBody(data)
+}
+
+// decodeTableBody decodes a file tableDigest has accepted.
+func decodeTableBody(data []byte) (tableImage, error) {
+	body := data[:len(data)-digestLen]
+	s := &tableSource{b: body, text: string(body), off: len(tableFileMagic)}
 	// The names outlive every row of the load; they get their own bytes.
 	name := strings.Clone(s.str("table name"))
 	ncols := s.count("column count", 3)
@@ -446,30 +521,26 @@ func decodeTable(data []byte) (tableImage, error) {
 	if err := img.loadRows(s, false); err != nil {
 		return tableImage{}, err
 	}
-	// Optional trailing section: secondary-index definitions (absent in
-	// table files written before indexes existed). They are installed after
-	// the last row is in, so the loader feeds no index row by row.
+	// Index definitions are installed after the last row is in, so the
+	// loader feeds no index row by row.
 	var idxs []*tableIndex
-	if s.rest() > 0 {
-		for n := s.count("index count", 3); n > 0 && s.err == nil; n-- {
-			iname, icol, ikind := s.str("index name"), s.str("index column"), s.str("index kind")
-			pos := schema.ColumnIndex(icol)
-			if s.err == nil && pos < 0 {
-				s.fail("index %q: no column %q", iname, icol)
-			}
-			idxs = append(idxs, newTableIndex(strings.Clone(iname), strings.Clone(icol), pos, strings.Clone(ikind)))
+	for n := s.count("index count", 3); n > 0 && s.err == nil; n-- {
+		iname, icol, ikind := s.str("index name"), s.str("index column"), s.str("index kind")
+		pos := schema.ColumnIndex(icol)
+		if s.err == nil && pos < 0 {
+			s.fail("index %q: no column %q", iname, icol)
 		}
+		idxs = append(idxs, newTableIndex(strings.Clone(iname), strings.Clone(icol), pos, strings.Clone(ikind)))
 	}
-	// Optional time-travel section: committed dead versions and the
-	// retention horizon (absent in files written before vacuum existed).
-	if s.err == nil && s.rest() > 0 {
-		if err := img.loadRows(s, true); err != nil {
-			return tableImage{}, err
-		}
-		img.horizon = s.uvarint("retention horizon")
-		if s.err == nil && s.rest() != 0 {
-			s.fail("table file: %d trailing bytes", s.rest())
-		}
+	if s.err != nil {
+		return tableImage{}, s.err
+	}
+	if err := img.loadRows(s, true); err != nil {
+		return tableImage{}, err
+	}
+	img.horizon = s.uvarint("retention horizon")
+	if s.err == nil && s.rest() != 0 {
+		s.fail("table file: %d trailing bytes", s.rest())
 	}
 	if s.err != nil {
 		return tableImage{}, s.err

@@ -231,3 +231,87 @@ func TestCheckpointLoadCheckpointByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestRowCountIsTheLiveCounter: Table.RowCount answers from the liveRows
+// counter, which has to agree with a walk over the versions after everything
+// that adds, ends, revives or removes one.
+func TestRowCountIsTheLiveCounter(t *testing.T) {
+	fs := newMapFS()
+	db := NewDB(nil)
+	if _, err := db.Recover(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(db *DB, after string) {
+		t.Helper()
+		tbl, err := db.lookupTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked := 0
+		for _, r := range tbl.rows {
+			if r.end == 0 {
+				walked++
+			}
+		}
+		meta, _ := db.Table("t")
+		if tbl.RowCount() != walked || meta.Rows != walked {
+			t.Errorf("after %s: RowCount = %d, DB.Table().Rows = %d, a walk finds %d live versions", after, tbl.RowCount(), meta.Rows, walked)
+		}
+	}
+	s := db.NewSession()
+	defer s.Close()
+	for _, sql := range []string{
+		"CREATE TABLE t (k INT PRIMARY KEY, v INT)",
+		"INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)",
+		"UPDATE t SET v = v + 1 WHERE k < 3",
+		"DELETE FROM t WHERE k = 5",
+		"BEGIN", "INSERT INTO t VALUES (6, 6)", "UPDATE t SET v = 0 WHERE k = 1", "DELETE FROM t WHERE k = 2", "ROLLBACK",
+		"BEGIN", "DELETE FROM t WHERE k = 3", "COMMIT",
+		"VACUUM",
+	} {
+		if _, err := s.Exec(sql, ExecOptions{}); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		check(db, sql)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (1, 9)", ExecOptions{}); err == nil {
+		t.Fatal("duplicate key accepted")
+	}
+	check(db, "a failed insert")
+	if err := db.Checkpoint(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "UPDATE t SET v = 7 WHERE k = 4", ExecOptions{}) // recovered from the log
+	loaded := NewDB(nil)
+	if err := loaded.LoadDir(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, "LoadDir")
+	recovered := NewDB(nil)
+	if _, err := recovered.Recover(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	check(recovered, "Recover")
+}
+
+// TestCheckpointWritesInNameOrder: the order of a checkpoint's file writes is
+// the tables' name order, not Go's map order — the Nth filesystem operation
+// of a crash matrix, and the Nth write event of an audited server's trace,
+// are the same from run to run.
+func TestCheckpointWritesInNameOrder(t *testing.T) {
+	db := NewDB(nil)
+	var want []string
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("t%02d", (i*7)%12)
+		mustExec(t, db, "CREATE TABLE "+name+" (k INT)", ExecOptions{})
+		want = append(want, "/d/"+name+".tbl")
+	}
+	sort.Strings(want)
+	fs := newRecFS()
+	if err := db.Checkpoint(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.written(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("checkpoint wrote %v", got)
+	}
+}

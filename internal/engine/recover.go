@@ -126,7 +126,7 @@ func (db *DB) Recover(fs FileSystem, dir string) (RecoveryStats, error) {
 	if recHorizon > 0 {
 		// Re-establish the retention floor and re-apply the prune: a crash
 		// mid-vacuum may have left versions below the logged horizon.
-		db.vacuumHorizon.Store(recHorizon)
+		db.advanceHorizon(recHorizon)
 		db.pruneVersions(recHorizon)
 		db.pruneMetaBelow(recHorizon)
 	}
@@ -240,6 +240,7 @@ func (db *DB) applyRedo(ix *replayIndex, e redoEntry) error {
 		t.rows = append(t.rows, r)
 		t.versions.Add(1)
 		t.liveRows.Add(1)
+		t.touch()
 		m[key] = r
 		return nil
 	case walCreateIndex:
@@ -271,9 +272,7 @@ func (db *DB) applyRedo(ix *replayIndex, e redoEntry) error {
 			return fmt.Errorf("wal replay: end mark on %q: %w", e.table, err)
 		}
 		if r, ok := ix.forTable(t)[TupleRef{Row: e.id, Version: e.version}]; ok && r.end == 0 {
-			r.end = e.end
-			t.liveRows.Add(-1)
-			t.deadVersions.Add(1)
+			t.setEnd(r, e.end, 0)
 		}
 		// A missing version is fine: the checkpoint may already exclude it
 		// (superseded versions are not checkpointed).
@@ -289,13 +288,7 @@ func (db *DB) finishRecovery() {
 	var maxTS uint64
 	var maxStmt int64
 	var maxRow RowID
-	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
-	for _, t := range tables {
+	for _, t := range db.tableList() {
 		if t.pkIndex != nil {
 			t.pkIndex = make(map[valKey]*storedRow, len(t.rows))
 		}

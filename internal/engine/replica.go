@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Replication support: the primary side cuts a consistent snapshot against
@@ -60,29 +59,18 @@ func (db *DB) ReplicationSnapshot() (*ReplSnapshot, error) {
 		db.commitMu.Unlock()
 		return nil, fmt.Errorf("replication snapshot: no WAL attached")
 	}
-	db.mu.RLock()
-	tables := make(map[string]*Table, len(db.tables))
-	for name, t := range db.tables {
-		tables[name] = t
-	}
-	db.mu.RUnlock()
+	tables := db.tableList()
 	snap := db.takeSnapshot(0)
 	cut := db.wal.Seq()
 	db.commitMu.Unlock()
 
-	names := make([]string, 0, len(tables))
-	for n := range tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rs := &ReplSnapshot{CutSeq: cut, Tables: make([]TableImage, 0, len(names))}
+	rs := &ReplSnapshot{CutSeq: cut, Tables: make([]TableImage, 0, len(tables))}
 	horizon := db.vacuumHorizon.Load()
-	for _, name := range names {
-		t := tables[name]
+	for _, t := range tables {
 		t.mu.RLock()
-		data := encodeTable(t, snap, horizon)
+		data, _ := encodeTable(t, snap, horizon)
 		t.mu.RUnlock()
-		rs.Tables = append(rs.Tables, TableImage{Name: name, Data: data})
+		rs.Tables = append(rs.Tables, TableImage{Name: t.Name, Data: data})
 	}
 	return rs, nil
 }
@@ -271,10 +259,7 @@ func (db *DB) applyLive(ix *replayIndex, applyTxn int64, e redoEntry, maxTS *uin
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		if r, ok := ix.forTable(t)[TupleRef{Row: e.id, Version: e.version}]; ok && r.end == 0 {
-			r.end = e.end
-			r.endTxn = applyTxn
-			t.liveRows.Add(-1)
-			t.deadVersions.Add(1)
+			t.setEnd(r, e.end, applyTxn)
 			if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
 				if key := keyOf(r.vals[pk]); t.pkIndex[key] == r {
 					delete(t.pkIndex, key)

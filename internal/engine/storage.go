@@ -84,6 +84,54 @@ type Table struct {
 
 	// vacuumPruned counts versions this table lost to vacuum passes.
 	vacuumPruned atomic.Int64
+
+	// mutations counts the changes to anything a table file carries, image
+	// is the file the table equalled when mutations read image.at: the sync
+	// rule of DESIGN.md "Value layout and table storage". Nothing ever clears
+	// a dirty bit, so a change that races a checkpoint is never lost.
+	mutations atomic.Uint64
+	image     atomic.Pointer[fileImage]
+}
+
+// fileImage names a table file by its digest, with where it was last written
+// or read and the table's mutation count when the table equalled it.
+type fileImage struct {
+	digest uint64
+	at     uint64
+	fs     FileSystem
+	dir    string
+}
+
+// touch records a change to what the table's file would hold. A writer
+// calls it inside its table-lock hold; a lineage read, which stamps
+// prov_usedby under the shared lock, calls it after its last stamp, so an
+// encode that saw only some of the stamps is invalidated by the call.
+func (t *Table) touch() { t.mutations.Add(1) }
+
+// current returns the file image the table still equals, or nil.
+func (t *Table) current() *fileImage {
+	if im := t.image.Load(); im != nil && im.at == t.mutations.Load() {
+		return im
+	}
+	return nil
+}
+
+// setEnd end-marks a live version on behalf of txn (0: replayed from the
+// log); clearEnd takes the mark back on rollback. Caller holds the table
+// write lock and maintains the primary-key index.
+func (t *Table) setEnd(r *storedRow, end uint64, txn int64) {
+	r.end, r.endTxn = end, txn
+	t.liveRows.Add(-1)
+	t.deadVersions.Add(1)
+	t.touch()
+}
+
+func (t *Table) clearEnd(r *storedRow) error {
+	r.end, r.endTxn = 0, 0
+	t.liveRows.Add(1)
+	t.deadVersions.Add(-1)
+	t.touch()
+	return t.restorePK(r)
 }
 
 func newTable(name string, schema Schema) *Table {
@@ -95,17 +143,7 @@ func newTable(name string, schema Schema) *Table {
 }
 
 // RowCount returns the number of live (not end-marked) tuple versions.
-func (t *Table) RowCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	for _, r := range t.rows {
-		if r.end == 0 {
-			n++
-		}
-	}
-	return n
-}
+func (t *Table) RowCount() int { return int(t.liveRows.Load()) }
 
 // valKey identifies a value up to equality within its own kind: the kind
 // plus the payload Compare looks at. It is the comparable map key where a
@@ -182,11 +220,18 @@ func (t *Table) insertRow(r *storedRow) error {
 	if err := t.admitRow(r); err != nil {
 		return err
 	}
+	t.appendLive(r)
+	return nil
+}
+
+// appendLive stores an admitted live version (insertRow, and UPDATE's
+// successor version, whose key the statement has already moved).
+func (t *Table) appendLive(r *storedRow) {
 	t.rows = append(t.rows, r)
 	t.indexInsert(r)
 	t.versions.Add(1)
 	t.liveRows.Add(1)
-	return nil
+	t.touch()
 }
 
 // rowLoader is the bulk loader: every path that brings many versions into a
@@ -266,6 +311,7 @@ func (l *rowLoader) add(r *storedRow) error {
 
 // finish publishes the batch's counters.
 func (l *rowLoader) finish() {
+	l.t.touch()
 	l.t.versions.Add(l.live + l.dead)
 	l.t.liveRows.Add(l.live)
 	l.t.deadVersions.Add(l.dead)
@@ -288,6 +334,7 @@ func (t *Table) removeRow(r *storedRow) error {
 		t.rows[i] = t.rows[last]
 		t.rows = t.rows[:last]
 		t.indexRemove(r)
+		t.touch()
 		t.versions.Add(-1)
 		if r.end == 0 {
 			t.liveRows.Add(-1)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -96,7 +97,8 @@ func genTableDB(t testing.TB, seed int64) *DB {
 
 // dumpDB renders everything a table file carries, in a canonical order:
 // schema, index definitions and their statistics, the three counters, and
-// every stored version with its prov_* attributes.
+// every stored version with its prov_* attributes (prov_usedby for live
+// versions only: no file carries a dead version's).
 func dumpDB(db *DB) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "horizon %d\n", db.vacuumHorizon.Load())
@@ -110,7 +112,10 @@ func dumpDB(db *DB) string {
 		}
 		lines := make([]string, 0, len(t.rows))
 		for _, r := range t.rows {
-			line := fmt.Sprintf("  %d@%d end=%d proc=%q stmt=%d usedby=%d", r.id, r.version, r.end, r.proc, r.stmt, r.usedBy.Load())
+			line := fmt.Sprintf("  %d@%d end=%d proc=%q stmt=%d", r.id, r.version, r.end, r.proc, r.stmt)
+			if r.end == 0 {
+				line += fmt.Sprintf(" usedby=%d", r.usedBy.Load())
+			}
 			for _, v := range r.vals {
 				line += fmt.Sprintf(" %s:%q", v.Kind(), v.String())
 			}
@@ -177,7 +182,10 @@ func TestTableCodecRoundTrip(t *testing.T) {
 		}
 		for _, name := range db.TableNames() {
 			tbl, _ := db.lookupTable(name)
-			buf := encodeTable(tbl, db.takeSnapshot(0), db.vacuumHorizon.Load())
+			buf, whole := encodeTable(tbl, db.takeSnapshot(0), db.vacuumHorizon.Load())
+			if !whole {
+				t.Fatalf("seed %d: %s: the image of a quiescent table is not whole", seed, name)
+			}
 			if len(buf) != cap(buf) {
 				t.Fatalf("seed %d: %s encoded into %d bytes of a %d-byte buffer: the sizing pass and the writing pass disagree", seed, name, len(buf), cap(buf))
 			}
@@ -217,6 +225,13 @@ func (b *fileBuilder) liveRow(id uint64, vals ...sqlval.Value) *fileBuilder {
 
 func (b *fileBuilder) count(n uint64) *fileBuilder { b.uvarint(n); return b }
 
+// seal returns the file: what was built, then its digest.
+func (b *fileBuilder) seal() []byte { return sealTable(b.buf) }
+
+func sealTable(body []byte) []byte {
+	return binary.BigEndian.AppendUint64(bytes.Clone(body), digestOf(body))
+}
+
 var (
 	intPK  = Column{Name: "id", Type: sqlval.KindInt, PrimaryKey: true}
 	fltCol = Column{Name: "f", Type: sqlval.KindFloat}
@@ -224,26 +239,31 @@ var (
 
 func TestDecodeTableRejectsMalformedInput(t *testing.T) {
 	golden := goldenBytes(t)
-	full, err := decodeTable(golden)
-	if err != nil {
+	if _, err := decodeTable(golden); err != nil {
 		t.Fatal(err)
 	}
+	body := golden[:len(golden)-digestLen]
 
-	// Every strict prefix is an error, except the two that end where an
-	// optional section starts: those are older, shorter files.
-	valid := 0
+	// Every strict prefix is an error, of the file and — under the digest it
+	// would have — of the body: there is no shorter, older file. So is any
+	// single flipped bit, in the body or in the digest: a damaged file is
+	// never a table with other rows.
 	for n := 0; n < len(golden); n++ {
-		img, err := decodeTable(golden[:n])
-		if err != nil {
-			continue
+		if _, err := decodeTable(golden[:n]); err == nil {
+			t.Errorf("prefix of %d bytes decodes", n)
 		}
-		valid++
-		if got, want := img.t.liveRows.Load(), full.t.liveRows.Load(); got != want {
-			t.Errorf("prefix of %d bytes decodes with %d live rows, want %d", n, got, want)
+		if n < len(body) {
+			if _, err := decodeTable(sealTable(body[:n])); err == nil {
+				t.Errorf("sealed prefix of %d body bytes decodes: a section is optional", n)
+			}
 		}
 	}
-	if valid != 2 {
-		t.Errorf("%d prefixes of the golden file decode, want 2 (the file without its time-travel section, and without its index section too)", valid)
+	for bit := 0; bit < 8*len(golden); bit++ {
+		bad := bytes.Clone(golden)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, err := decodeTable(bad); err == nil {
+			t.Fatalf("golden file with bit %d flipped decodes", bit)
+		}
 	}
 
 	for _, tc := range []struct {
@@ -251,23 +271,28 @@ func TestDecodeTableRejectsMalformedInput(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"trailing bytes", append(bytes.Clone(golden), 0), "trailing bytes"},
-		{"bad magic", []byte("LDVTBL2\n"), "magic"},
-		{"wrong arity", newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1)).buf, "row has 1 values, schema has 2 columns"},
-		{"uncoercible kind", newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1), sqlval.NewString("x")).buf, "not assignable"},
-		{"fractional float in integer column", newFileBuilder(intPK).count(1).liveRow(1, sqlval.NewFloat(1.5)).buf, "not assignable"},
-		{"duplicate primary key", newFileBuilder(intPK).count(2).liveRow(1, sqlval.NewInt(7)).liveRow(2, sqlval.NewInt(7)).buf, "duplicate primary key"},
+		{"trailing bytes", sealTable(append(bytes.Clone(body), 0)), "trailing bytes"},
+		{"bad magic", sealTable([]byte("LDVTBL9\n")), "magic"},
+		{"no trailer", body, "digest"},
+		{"truncated trailer", golden[:len(golden)-3], "digest"},
+		{"stale trailer", append(append(bytes.Clone(body), 0), golden[len(body):]...), "digest"},
+		{"no time-travel section", sealTable(newFileBuilder(intPK).count(0).count(0).buf), "row count"},
+		{"no index section", sealTable(newFileBuilder(intPK).count(0).buf), "index count"},
+		{"wrong arity", newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1)).seal(), "row has 1 values, schema has 2 columns"},
+		{"uncoercible kind", newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1), sqlval.NewString("x")).seal(), "not assignable"},
+		{"fractional float in integer column", newFileBuilder(intPK).count(1).liveRow(1, sqlval.NewFloat(1.5)).seal(), "not assignable"},
+		{"duplicate primary key", newFileBuilder(intPK).count(2).liveRow(1, sqlval.NewInt(7)).liveRow(2, sqlval.NewInt(7)).seal(), "duplicate primary key"},
 		{"unknown value tag", func() []byte {
-			b := newFileBuilder(intPK).count(1).liveRow(1, sqlval.Null).buf
-			b[len(b)-1] = 0x7f // the row's one value
-			return b
+			b := newFileBuilder(intPK).count(1).liveRow(1, sqlval.Null)
+			b.buf[len(b.buf)-1] = 0x7f // the row's one value
+			return b.seal()
 		}(), "unknown kind tag"},
 		{"index on a missing column", func() []byte {
 			b := newFileBuilder(intPK).count(0).count(1)
 			b.str("ix")
 			b.str("nope")
 			b.str("hash")
-			return b.buf
+			return b.seal()
 		}(), "no column"},
 		{"dead version without an end stamp", func() []byte {
 			b := newFileBuilder(intPK).count(0).count(0).count(1)
@@ -278,7 +303,7 @@ func TestDecodeTableRejectsMalformedInput(t *testing.T) {
 			b.varint(0)
 			b.row([]sqlval.Value{sqlval.NewInt(1)})
 			b.uvarint(0) // horizon
-			return b.buf
+			return b.seal()
 		}(), "no end stamp"},
 	} {
 		if _, err := decodeTable(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -288,7 +313,7 @@ func TestDecodeTableRejectsMalformedInput(t *testing.T) {
 
 	// A value of another kind that checkValue can coerce loads, coerced —
 	// the check is the one INSERT runs, not a stricter or a laxer one.
-	img, err := decodeTable(newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewFloat(3), sqlval.NewInt(2)).buf)
+	img, err := decodeTable(newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewFloat(3), sqlval.NewInt(2)).count(0).count(0).count(0).seal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,18 +329,18 @@ func TestDecodeTableRejectsMalformedInput(t *testing.T) {
 func TestDecodeTableChecksCountsBeforeSizing(t *testing.T) {
 	const huge = 1 << 40
 	files := map[string][]byte{
-		"row count":  newFileBuilder(intPK, fltCol).count(huge).liveRow(1, sqlval.NewInt(1), sqlval.NewFloat(1)).buf,
-		"dead count": newFileBuilder(intPK).count(0).count(0).count(huge).buf,
+		"row count":  newFileBuilder(intPK, fltCol).count(huge).liveRow(1, sqlval.NewInt(1), sqlval.NewFloat(1)).seal(),
+		"dead count": newFileBuilder(intPK).count(0).count(0).count(huge).seal(),
 	}
 	cols := &fileBuilder{}
 	cols.raw(tableFileMagic)
 	cols.str("t")
 	cols.uvarint(huge)
-	files["column count"] = cols.buf
-	files["index count"] = newFileBuilder(intPK).count(0).count(huge).buf
+	files["column count"] = cols.seal()
+	files["index count"] = newFileBuilder(intPK).count(0).count(huge).seal()
 	// One row short: three rows promised, bytes for two.
 	short := newFileBuilder(intPK).count(3).liveRow(1, sqlval.NewInt(1)).liveRow(2, sqlval.NewInt(2))
-	files["row count one past the bytes"] = short.buf
+	files["row count one past the bytes"] = short.seal()
 
 	for name, data := range files {
 		var before, after runtime.MemStats
@@ -338,26 +363,36 @@ func TestDecodeTableChecksCountsBeforeSizing(t *testing.T) {
 // FuzzDecodeTable: the table decoder never panics and never sizes memory
 // from an unchecked count, and whatever it accepts, the codec reproduces:
 // the loaded table checkpoints to a file that loads to the same database.
+// The input is tried as a file and — since a mutated file all but never
+// carries its own digest — as a body, sealed with the digest it should have.
 func FuzzDecodeTable(f *testing.F) {
 	golden := goldenBytes(f)
+	body := golden[:len(golden)-digestLen]
 	f.Add(golden)
-	f.Add(golden[:len(golden)/2])
-	f.Add(newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1), sqlval.NewFloat(2)).buf)
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(golden[:len(golden)-3]) // truncated trailer
+	flipped := bytes.Clone(golden)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add(newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1), sqlval.NewFloat(2)).count(0).count(0).count(0).buf)
 	f.Add([]byte(tableFileMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := decodeTable(data)
-		if err != nil {
-			return
-		}
-		db := NewDB(nil)
-		db.installTable(img)
-		db.finishRecovery() // clock and generators past the loaded stamps, as Recover does
-		fs1 := checkpointFiles(t, db)
-		db2 := loadFiles(t, fs1)
-		fs2 := checkpointFiles(t, db2)
-		for p, d := range fs1.files {
-			if !bytes.Equal(d, fs2.files[p]) {
-				t.Fatalf("%s: checkpoint of the loaded checkpoint differs", p)
+		for _, file := range [][]byte{data, sealTable(data)} {
+			img, err := decodeTable(file)
+			if err != nil {
+				continue
+			}
+			db := NewDB(nil)
+			db.installTable(img)
+			db.finishRecovery() // clock and generators past the loaded stamps, as Recover does
+			fs1 := checkpointFiles(t, db)
+			db2 := loadFiles(t, fs1)
+			fs2 := checkpointFiles(t, db2)
+			for p, d := range fs1.files {
+				if !bytes.Equal(d, fs2.files[p]) {
+					t.Fatalf("%s: checkpoint of the loaded checkpoint differs", p)
+				}
 			}
 		}
 	})
@@ -365,34 +400,51 @@ func FuzzDecodeTable(f *testing.F) {
 
 // TestBulkLoadAllocations pins what the bulk loader is for: loading a data
 // directory allocates per table, not per row, and a checkpoint allocates a
-// few buffers per table whatever it holds.
+// few buffers per table whatever it holds. And what the sync rule is for: a
+// start over files the tables already equal, and a stop with nothing changed,
+// allocate per file — a directory listing and each file's bytes on the way
+// through the FileSystem — whatever the tables hold.
 func TestBulkLoadAllocations(t *testing.T) {
-	measure := func(rows int) (load, checkpoint float64, tables int) {
+	type allocs struct{ load, checkpoint, warmLoad, cleanCheckpoint float64 }
+	measure := func(rows int) (a allocs, tables int) {
 		db := benchWideDB(t, rows)
 		fs := checkpointFiles(t, db)
-		load = testing.AllocsPerRun(5, func() { loadFiles(t, fs) })
+		a.load = testing.AllocsPerRun(5, func() { loadFiles(t, fs) })
 		out := newMapFS()
-		checkpoint = testing.AllocsPerRun(5, func() {
+		checkpoint := func() {
 			if err := db.Checkpoint(out, "/d"); err != nil {
 				t.Fatal(err)
 			}
+		}
+		a.checkpoint = testing.AllocsPerRun(5, func() { touchAll(db); checkpoint() })
+		a.cleanCheckpoint = testing.AllocsPerRun(5, checkpoint)
+		a.warmLoad = testing.AllocsPerRun(5, func() {
+			if err := db.LoadDir(out, "/d"); err != nil {
+				t.Fatal(err)
+			}
 		})
-		return load, checkpoint, len(db.TableNames())
+		return a, len(db.TableNames())
 	}
-	load1k, ckpt1k, tables := measure(1000)
-	load10k, ckpt10k, _ := measure(10000)
-	t.Logf("LoadDir allocs: %.0f at 1 k rows, %.0f at 10 k; Checkpoint allocs: %.0f and %.0f (%d tables)", load1k, load10k, ckpt1k, ckpt10k, tables)
+	a1k, tables := measure(1000)
+	a10k, _ := measure(10000)
+	t.Logf("%d tables; allocations at 1 k rows: %+v; at 10 k: %+v", tables, a1k, a10k)
 	// 18 000 more rows (two tables grow) may cost the few extra allocations a
 	// larger pre-sized map takes — not one per row, nor one per hundred.
-	if extra := load10k - load1k; extra > 180 {
-		t.Errorf("LoadDir allocations grow with rows: %.0f at 1 k, %.0f at 10 k", load1k, load10k)
+	if extra := a10k.load - a1k.load; extra > 180 {
+		t.Errorf("LoadDir allocations grow with rows: %.0f at 1 k, %.0f at 10 k", a1k.load, a10k.load)
 	}
-	if load10k > float64(100*tables) {
-		t.Errorf("LoadDir of %d tables allocates %.0f times", tables, load10k)
+	if a10k.load > float64(100*tables) {
+		t.Errorf("LoadDir of %d tables allocates %.0f times", tables, a10k.load)
 	}
-	for _, c := range []float64{ckpt1k, ckpt10k} {
-		if c > float64(8*tables)+8 {
-			t.Errorf("Checkpoint of %d tables allocates %.0f times, want a small constant per table", tables, c)
+	for _, a := range []allocs{a1k, a10k} {
+		if a.checkpoint > float64(8*tables)+8 {
+			t.Errorf("Checkpoint of %d tables allocates %.0f times, want a small constant per table", tables, a.checkpoint)
 		}
+		if a.cleanCheckpoint > float64(4*tables)+8 || a.warmLoad > float64(4*tables)+8 {
+			t.Errorf("with nothing changed, Checkpoint allocates %.0f times and LoadDir %.0f, want a few per file (%d tables)", a.cleanCheckpoint, a.warmLoad, tables)
+		}
+	}
+	if a10k.cleanCheckpoint != a1k.cleanCheckpoint || a10k.warmLoad != a1k.warmLoad {
+		t.Errorf("clean Checkpoint / warm LoadDir allocations depend on the rows: %+v at 1 k, %+v at 10 k", a1k, a10k)
 	}
 }

@@ -123,6 +123,59 @@ func TestAsOfSurvivesCheckpointRestart(t *testing.T) {
 	}
 }
 
+// TestHorizonOfAVacuumThatPrunesNothingSurvivesRestart: the horizon lives in
+// every table file and, until the next checkpoint, in the log. A VACUUM over
+// tables with nothing to reclaim changes no row of any of them — and still
+// has to reach the files, because the checkpoint that follows truncates its
+// log record: every table is written again, and a restart from the files
+// alone fences AS OF where the running database did.
+func TestHorizonOfAVacuumThatPrunesNothingSurvivesRestart(t *testing.T) {
+	fs := newMapFS()
+	db := NewDB(nil)
+	if _, err := db.Recover(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE t (k INT, v TEXT)", ExecOptions{})
+	mustExec(t, db, "CREATE TABLE u (k INT)", ExecOptions{})
+	mustExec(t, db, "INSERT INTO t VALUES (1, 'one')", ExecOptions{})
+	if err := db.Checkpoint(fs, "/d"); err != nil { // both tables now equal their files
+		t.Fatal(err)
+	}
+	past := db.ClockNow()
+	if res := mustExec(t, db, "VACUUM", ExecOptions{}); res.RowsAffected != 0 {
+		t.Fatalf("VACUUM pruned %d versions of tables without history", res.RowsAffected)
+	}
+	h := db.VacuumHorizon()
+	if h <= past {
+		t.Fatalf("horizon %d did not move past %d", h, past)
+	}
+	if err := db.Checkpoint(fs, "/d"); err != nil { // truncates the walVacuum record
+		t.Fatal(err)
+	}
+	db2 := NewDB(nil)
+	if _, err := db2.Recover(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.VacuumHorizon(); got != h {
+		t.Fatalf("horizon after restart = %d, want %d", got, h)
+	}
+	if _, err := db2.Exec(fmt.Sprintf("SELECT v FROM t AS OF %d", past), ExecOptions{}); err == nil {
+		t.Fatalf("AS OF %d below the horizon %d answered after restart", past, h)
+	}
+	// Dropping one table does not take the horizon with it: every file has it.
+	mustExec(t, db2, "DROP TABLE t", ExecOptions{})
+	if err := db2.Checkpoint(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	db3 := NewDB(nil)
+	if _, err := db3.Recover(fs, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if got := db3.VacuumHorizon(); got != h {
+		t.Fatalf("horizon after dropping a table and restarting = %d, want %d", got, h)
+	}
+}
+
 func TestVacuumReclaimsAndFencesAsOf(t *testing.T) {
 	db := newTestDB(t, "CREATE TABLE t (k INT, v INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 0)", ExecOptions{})

@@ -22,21 +22,11 @@ func undoUpdate(t *Table, old, successor *storedRow) func() error {
 		if err := t.removeRow(successor); err != nil {
 			return err
 		}
-		old.end = 0
-		old.endTxn = 0
-		t.liveRows.Add(1)
-		t.deadVersions.Add(-1)
-		return t.restorePK(old)
+		return t.clearEnd(old)
 	}
 }
 
 // undoDelete clears a delete's end mark.
 func undoDelete(t *Table, r *storedRow) func() error {
-	return func() error {
-		r.end = 0
-		r.endTxn = 0
-		t.liveRows.Add(1)
-		t.deadVersions.Add(-1)
-		return t.restorePK(r)
-	}
+	return func() error { return t.clearEnd(r) }
 }

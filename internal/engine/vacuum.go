@@ -68,8 +68,7 @@ func (db *DB) VacuumTo(requested uint64) (VacuumResult, error) {
 	}
 	db.commitMu.RUnlock()
 
-	db.vacuumHorizon.Store(h)
-	gVacuumTicks.Set(int64(h))
+	db.advanceHorizon(h)
 	pruned := db.pruneVersions(h)
 	db.pruneMetaBelow(h)
 
@@ -82,17 +81,32 @@ func (db *DB) VacuumTo(requested uint64) (VacuumResult, error) {
 	return VacuumResult{Horizon: h, Pruned: pruned}, nil
 }
 
+// advanceHorizon raises the retention horizon to h if it is below it. Every
+// table file carries the horizon, so an advance is a change to every table:
+// the store comes first, then the touches, and Checkpoint reads a table's
+// mutation count before the horizon — an image encoded with the old horizon
+// is invalidated by the touch.
+func (db *DB) advanceHorizon(h uint64) bool {
+	if h <= db.vacuumHorizon.Load() {
+		return false
+	}
+	db.vacuumHorizon.Store(h)
+	gVacuumTicks.Set(int64(h))
+	for _, t := range db.tableList() {
+		t.touch()
+	}
+	return true
+}
+
 // applyVacuumHorizon installs a horizon decided elsewhere (the replication
 // apply path): no WAL record, no active-snapshot clamp — the primary already
 // made that call.
 func (db *DB) applyVacuumHorizon(h uint64) {
 	db.vacuumMu.Lock()
 	defer db.vacuumMu.Unlock()
-	if h <= db.vacuumHorizon.Load() {
+	if !db.advanceHorizon(h) {
 		return
 	}
-	db.vacuumHorizon.Store(h)
-	gVacuumTicks.Set(int64(h))
 	pruned := db.pruneVersions(h)
 	db.pruneMetaBelow(h)
 	db.vacuumPasses.Add(1)
@@ -107,13 +121,6 @@ func (db *DB) applyVacuumHorizon(h uint64) {
 // in place and re-deriving beats per-row removal). Returns the number of
 // versions reclaimed.
 func (db *DB) pruneVersions(horizon uint64) int64 {
-	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
-
 	// One copy of the active set for the whole pass: a transaction that
 	// begins mid-pass ticks past the horizon and cannot end-mark below it,
 	// and one that commits mid-pass merely survives until the next pass.
@@ -132,7 +139,7 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 	}
 
 	var pruned int64
-	for _, t := range tables {
+	for _, t := range db.tableList() {
 		t.mu.Lock()
 		kept := t.rows[:0]
 		removed := 0
@@ -149,6 +156,7 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 			}
 			t.rows = kept
 			t.rebuildIndexes()
+			t.touch()
 			t.versions.Add(-int64(removed))
 			t.deadVersions.Add(-int64(removed))
 			t.vacuumPruned.Add(int64(removed))

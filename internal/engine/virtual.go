@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"ldv/internal/obs"
 	"ldv/internal/sqlparse"
 	"ldv/internal/sqlval"
@@ -69,6 +67,7 @@ func viewSchema(cols ...Column) Schema { return Schema{Columns: cols} }
 func intCol(name string) Column   { return Column{Name: name, Type: sqlval.KindInt} }
 func textCol(name string) Column  { return Column{Name: name, Type: sqlval.KindString} }
 func floatCol(name string) Column { return Column{Name: name, Type: sqlval.KindFloat} }
+func boolCol(name string) Column  { return Column{Name: name, Type: sqlval.KindBool} }
 
 // registerBuiltinVirtualTables installs the ldv_stat_* views every database
 // serves. ldv_stat_activity and ldv_stat_replication start as empty shells;
@@ -114,16 +113,10 @@ func (db *DB) registerBuiltinVirtualTables() {
 		Schema: viewSchema(
 			textCol("name"), intCol("live_rows"), intCol("versions"),
 			intCol("dead_versions"),
-			intCol("lock_waits"), intCol("lock_wait_ns"),
+			intCol("lock_waits"), intCol("lock_wait_ns"), boolCol("synced"),
 		),
 		Rows: func() [][]sqlval.Value {
-			db.mu.RLock()
-			tables := make([]*Table, 0, len(db.tables))
-			for _, t := range db.tables {
-				tables = append(tables, t)
-			}
-			db.mu.RUnlock()
-			sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+			tables := db.tableList()
 			rows := make([][]sqlval.Value, 0, len(tables))
 			for _, t := range tables {
 				rows = append(rows, []sqlval.Value{
@@ -133,6 +126,7 @@ func (db *DB) registerBuiltinVirtualTables() {
 					sqlval.NewInt(t.deadVersions.Load()),
 					sqlval.NewInt(t.lockWaits.Load()),
 					sqlval.NewInt(t.lockWaitNS.Load()),
+					sqlval.NewBool(t.current() != nil), // the next checkpoint to its directory skips it
 				})
 			}
 			return rows
@@ -193,13 +187,7 @@ func (db *DB) registerBuiltinVirtualTables() {
 			textCol("kind"), intCol("entries"), intCol("scans"),
 		),
 		Rows: func() [][]sqlval.Value {
-			db.mu.RLock()
-			tables := make([]*Table, 0, len(db.tables))
-			for _, t := range db.tables {
-				tables = append(tables, t)
-			}
-			db.mu.RUnlock()
-			sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+			tables := db.tableList()
 			var rows [][]sqlval.Value
 			for _, t := range tables {
 				for _, ix := range t.indexList() {

@@ -69,6 +69,29 @@ func TestStatTablesCounters(t *testing.T) {
 	if vers := res.Rows[0][1].Int(); vers < 4 {
 		t.Errorf("versions = %d, want >= 4", vers)
 	}
+	// synced answers "will the next checkpoint write this table?" — and the
+	// checkpoint counters say what the last ones did.
+	synced := func() string {
+		return strings.Join(rowsToStrings(mustExec(t, db, "SELECT synced FROM ldv_stat_tables WHERE name = 't'", ExecOptions{})), ",")
+	}
+	written, skipped := obs.Default().Counter("engine.checkpoint.tables_written"), obs.Default().Counter("engine.checkpoint.tables_skipped")
+	w0, s0 := written.Load(), skipped.Load()
+	fs := newMapFS()
+	for i, want := range []string{"false", "true", "true"} {
+		if got := synced(); got != want {
+			t.Errorf("synced before checkpoint %d = %s, want %s", i+1, got, want)
+		}
+		if err := db.Checkpoint(fs, "/d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, s := written.Load()-w0, skipped.Load()-s0; w != 1 || s != 2 {
+		t.Errorf("three checkpoints of one unchanged table wrote it %d times and skipped it %d times, want 1 and 2", w, s)
+	}
+	mustExec(t, db, "INSERT INTO t VALUES (9)", ExecOptions{})
+	if got := synced(); got != "false" {
+		t.Errorf("synced after an insert = %s", got)
+	}
 }
 
 func TestStatStatementsViaSQL(t *testing.T) {
