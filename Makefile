@@ -27,7 +27,9 @@ test:
 # help string and a conforming name), plan (every plan operator carries the
 # full explain + lineage surface), ast (every SQL expression kind and each of
 # its operands is visited by sqlparse.Walk), proto (every wire message kind is
-# documented in PROTOCOL.md and vice versa) — and the public-API tests; the
+# documented in PROTOCOL.md and vice versa), codec (no package outside
+# internal/bin decodes varints or declares a string primitive of its own) —
+# and the public-API tests; the
 # durability and replication crash matrices under the race detector; then
 # the whole tree under the race detector with shuffled test order (to
 # surface order-dependent state).
@@ -42,11 +44,11 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# CI smoke variant of the engine, client and trace/packaging micro-benchmarks:
+# CI smoke variant of the engine, client, wire and trace/packaging micro-benchmarks:
 # every benchmark once, so one that no longer builds or runs fails the push
 # instead of rotting.
 bench-smoke:
-	$(GO) test ./internal/engine ./internal/client ./internal/prov ./internal/ldv ./internal/deps ./internal/pack -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/engine ./internal/client ./internal/wire ./internal/prov ./internal/ldv ./internal/deps ./internal/pack -run '^$$' -bench . -benchtime 1x
 
 # The regression gate over the repository benchmark (benchmark/README.md):
 # a fresh ten-run set (seeds 42..51, ~20 min) compared against the newest
@@ -74,33 +76,22 @@ examples:
 experiments:
 	$(GO) run ./cmd/ldv-bench -exp all
 
-# Short fuzzing pass over the parser, codecs, and ops endpoint.
-fuzz:
-	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzPrepared -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzLineage -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzTraceContext -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzReplMessages -fuzztime 30s
-	$(GO) test ./internal/sqlval -fuzz FuzzDecode -fuzztime 30s
-	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 30s
-	$(GO) test ./internal/engine -fuzz FuzzWALScan -fuzztime 30s
-	$(GO) test ./internal/engine -fuzz FuzzDecodeTable -fuzztime 30s
-	$(GO) test ./internal/ops -fuzz FuzzTracesHandler -fuzztime 30s
-	$(GO) test ./internal/plan -fuzz FuzzPlan -fuzztime 30s
-	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 30s
-	$(GO) test ./internal/prov -fuzz FuzzTraceUnmarshal -fuzztime 30s
+# Every fuzz target, as package:Target (package under internal/). `fuzz` is a
+# short fuzzing pass over the parser, the codecs and the ops endpoint, 30s per
+# target; `fuzz-smoke` (CI) runs the same list for a few seconds per target,
+# keeping the corpus exercised on every push — one list, so a new target
+# cannot miss CI.
+FUZZ_TARGETS = sqlparse:FuzzParse sqlparse:FuzzAsOf plan:FuzzPlan \
+	wire:FuzzRead wire:FuzzPrepared wire:FuzzLineage wire:FuzzTraceContext wire:FuzzReplMessages \
+	sqlval:FuzzDecode engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable \
+	ops:FuzzTracesHandler prov:FuzzTraceUnmarshal pack:FuzzUnmarshal
+fuzz_each = for t in $(FUZZ_TARGETS); do $(GO) test ./internal/$${t%:*} -fuzz "^$${t\#*:}$$" -fuzztime $(1) || exit 1; done
 
-# CI smoke variant of `fuzz`: a few seconds per target, every target. Keeps
-# the corpus exercised on every push without the 30s-per-target cost.
+fuzz:
+	$(call fuzz_each,30s)
+
 fuzz-smoke:
-	$(GO) test ./internal/sqlparse -fuzz FuzzParse -fuzztime 5s
-	$(GO) test ./internal/sqlparse -fuzz FuzzAsOf -fuzztime 5s
-	$(GO) test ./internal/plan -fuzz FuzzPlan -fuzztime 5s
-	$(GO) test ./internal/wire -fuzz FuzzRead -fuzztime 5s
-	$(GO) test ./internal/engine -fuzz FuzzWALDecode -fuzztime 5s
-	$(GO) test ./internal/engine -fuzz FuzzDecodeTable -fuzztime 5s
-	$(GO) test ./internal/prov -fuzz FuzzTraceUnmarshal -fuzztime 5s
+	$(call fuzz_each,5s)
 
 # WAL overhead and recovery-time measurements (EXPERIMENTS.md "Durability").
 recover-bench:

@@ -1,9 +1,9 @@
 package ldv
 
 import (
+	"go/ast"
 	"go/parser"
-	"os"
-	"path/filepath"
+	"go/token"
 	"strings"
 	"testing"
 )
@@ -14,29 +14,7 @@ import (
 // the contract ARCHITECTURE.md's package map summarizes; a package without
 // one is invisible to godoc and to the next reader.
 func TestPackageDocComments(t *testing.T) {
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if strings.HasPrefix(name, ".") || name == "testdata" || name == "results" {
-			if path != root {
-				return filepath.SkipDir
-			}
-		}
-		_, pkgs, err := parsePackages(path, parser.ParseComments|parser.PackageClauseOnly)
-		if err != nil {
-			// Directories without Go files (or with unparsable ones the
-			// build would reject anyway) are not this lint's business.
-			return nil
-		}
+	walkPackages(t, parser.ParseComments|parser.PackageClauseOnly, func(rel string, _ *token.FileSet, pkgs map[string]*ast.Package) {
 		for pkgName, pkg := range pkgs {
 			documented := false
 			for _, f := range pkg.Files {
@@ -46,13 +24,8 @@ func TestPackageDocComments(t *testing.T) {
 				}
 			}
 			if !documented {
-				rel, _ := filepath.Rel(root, path)
 				t.Errorf("package %s (%s) has no package doc comment", pkgName, rel)
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

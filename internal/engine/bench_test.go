@@ -263,3 +263,48 @@ func BenchmarkStatementOverhead(b *testing.B) {
 		}
 	}
 }
+
+// benchWALRecord is the record of a committed UPDATE of ten orders-shaped
+// rows — ten end marks, ten new versions and the statement's history entry.
+func benchWALRecord() []redoEntry {
+	var redo []redoEntry
+	for i := 0; i < 10; i++ {
+		id := RowID(4000 + i)
+		redo = append(redo, redoEntry{kind: walEnd, table: "orders", id: id, version: 1, end: 12040})
+		redo = append(redo, redoEntry{kind: walInsert, table: "orders", id: id, version: 12040, proc: "p3", stmt: 812,
+			vals: []sqlval.Value{
+				sqlval.NewInt(int64(id)), sqlval.NewInt(1201), sqlval.NewString("O"), sqlval.NewFloat(173665.47),
+				sqlval.NewDateDays(9497), sqlval.NewString("5-LOW"), sqlval.NewString("Clerk#000000951"),
+				sqlval.NewInt(0), sqlval.NewString("nstructions sleep furiously among "),
+			}})
+	}
+	return append(redo, redoEntry{kind: walStmt, table: "UPDATE", id: 12039, version: 12040, end: 12041,
+		proc: "UPDATE orders SET o_orderstatus = ? WHERE o_orderkey BETWEEN ? AND ?", stmt: 10,
+		vals: []sqlval.Value{sqlval.NewString("O"), sqlval.NewInt(4000), sqlval.NewInt(4009)}})
+}
+
+// BenchmarkDecodeWALRecord decodes benchWALRecord, what recovery and a
+// replica decode per transaction.
+func BenchmarkDecodeWALRecord(b *testing.B) {
+	payload := encodeWALTxn(77, benchWALRecord())
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := decodeWALTxn(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeWALRecord encodes benchWALRecord, what every commit does
+// before its record joins the group-commit batch.
+func BenchmarkEncodeWALRecord(b *testing.B) {
+	redo := benchWALRecord()
+	b.SetBytes(int64(len(encodeWALTxn(77, redo))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encodeWALTxn(77, redo)
+	}
+}

@@ -496,7 +496,7 @@ func (db *DB) RestoreRows(table string, sizeHint int, next func(*RestoredRow) (b
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ld := t.newRowLoader(sizeHint, sizeHint)
+	ld := t.newRowLoader(sizeHint, sizeHint, sizeHint)
 	defer func() {
 		ld.finish()
 		db.advanceNextRow(ld.maxRow)

@@ -7,7 +7,9 @@ import (
 	"path"
 	"reflect"
 	"strings"
+	"unsafe"
 
+	"ldv/internal/bin"
 	"ldv/internal/sqlval"
 )
 
@@ -216,7 +218,8 @@ func (db *DB) installTable(img tableImage) {
 //	digest: 8 bytes, big-endian, of every byte before them
 //
 // Counts, ids and stamps are uvarints, stmt and usedBy varints, strings
-// uvarint-length-prefixed, values a sqlval.EncodeRow image. Every file has
+// uvarint-length-prefixed (internal/bin), values a sqlval.EncodeRow image;
+// the column, index and version pieces are the WAL record's. Every file has
 // every section. The digest is CRC-32C in the high word and CRC-32/IEEE in
 // the low one — two hardware-accelerated passes, 64 bits between them. It is
 // what detects a torn or corrupted file, and it is the file's name in the
@@ -259,68 +262,22 @@ const (
 // bound a row count is checked against before anything is sized from it.
 func minRowBytes(ncols int) int { return 6 + ncols }
 
-// tableSink is the encoder's output: first a byte count, then the buffer.
-// encodeTable runs one description of the format (writeTable) against both,
-// so the buffer is allocated once at its final size and a checkpoint
-// allocates the bytes it writes, the class array, and nothing else.
-type tableSink struct {
-	counting bool
-	n        int
-	buf      []byte
-}
-
-func (w *tableSink) bytes(b ...byte) {
-	if w.counting {
-		w.n += len(b)
-	} else {
-		w.buf = append(w.buf, b...)
-	}
-}
-
-func (w *tableSink) uvarint(x uint64) {
-	if w.counting {
-		w.n += sqlval.UvarintLen(x)
-	} else {
-		w.buf = binary.AppendUvarint(w.buf, x)
-	}
-}
-
-func (w *tableSink) varint(x int64) {
-	if w.counting {
-		w.n += sqlval.VarintLen(x)
-	} else {
-		w.buf = binary.AppendVarint(w.buf, x)
-	}
-}
-
-func (w *tableSink) raw(s string) {
-	if w.counting {
-		w.n += len(s)
-	} else {
-		w.buf = append(w.buf, s...)
-	}
-}
-
-func (w *tableSink) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.raw(s)
-}
-
-func (w *tableSink) row(vals []sqlval.Value) {
-	if w.counting {
-		w.n += sqlval.EncodedRowLen(vals)
-	} else {
-		w.buf = sqlval.EncodeRow(w.buf, vals)
-	}
+// loadedRowBytes is about what a loaded version of ncols values takes in
+// memory — its slab slot, its pointer in Table.rows, its values and a
+// primary-key index slot: what the loader reserves per row a count claims.
+func loadedRowBytes(ncols int) int {
+	return int(unsafe.Sizeof(storedRow{})+unsafe.Sizeof(&storedRow{})) + 48 + ncols*int(unsafe.Sizeof(sqlval.Value{}))
 }
 
 // encodeTable renders the table as seen by snap (caller holds t.mu at least
-// shared, so no version appears, vanishes or changes class between the
-// passes; prov_usedby, which lineage reads stamp under the shared lock, is
-// the one field that can — a stamp that grows a byte between the passes
-// makes the final append reallocate, nothing worse). whole reports that the
-// image holds every stored version and every end mark: only then does the
-// table equal it.
+// shared, so no version appears, vanishes or changes class between
+// bin.Encode's passes; prov_usedby, which lineage reads stamp under the
+// shared lock, is the one field that can — a stamp that grows a byte between
+// the passes makes the final append reallocate, nothing worse). The buffer
+// is allocated once at its final size, so a checkpoint allocates the bytes
+// it writes, the class array, and nothing else. whole reports that the image
+// holds every stored version and every end mark: only then does the table
+// equal it.
 func encodeTable(t *Table, snap snapshot, horizon uint64) (data []byte, whole bool) {
 	class := make([]uint8, len(t.rows))
 	var nlive, ndead uint64
@@ -344,132 +301,102 @@ func encodeTable(t *Table, snap snapshot, horizon uint64) (data []byte, whole bo
 		class[i] = rowDead
 		ndead++
 	}
-	size := tableSink{counting: true}
-	writeTable(&size, t, class, nlive, ndead, horizon)
-	out := tableSink{buf: make([]byte, 0, size.n+digestLen)}
-	writeTable(&out, t, class, nlive, ndead, horizon)
-	data = binary.BigEndian.AppendUint64(out.buf, digestOf(out.buf))
+	data = bin.Encode(digestLen, func(w *bin.Writer) { writeTable(w, t, class, nlive, ndead, horizon) })
+	data = binary.BigEndian.AppendUint64(data, digestOf(data))
 	return data, !openEnd && nlive+ndead == uint64(len(t.rows))
 }
 
-func writeTable(w *tableSink, t *Table, class []uint8, nlive, ndead, horizon uint64) {
-	w.raw(tableFileMagic)
-	w.str(t.Name)
-	w.uvarint(uint64(len(t.Schema.Columns)))
-	for _, c := range t.Schema.Columns {
-		w.str(c.Name)
-		pk := byte(0)
-		if c.PrimaryKey {
-			pk = 1
-		}
-		w.bytes(byte(c.Type), pk)
-	}
-	w.uvarint(nlive)
+func writeTable(w *bin.Writer, t *Table, class []uint8, nlive, ndead, horizon uint64) {
+	w.Fixed([]byte(tableFileMagic))
+	w.Str(t.Name)
+	writeSchema(w, t.Schema)
+	w.Uvarint(nlive)
 	for i, r := range t.rows {
-		if class[i] != rowLive {
-			continue
+		if class[i] == rowLive {
+			writeVersion(w, r.id, r.version, nil, r.proc, r.stmt)
+			w.Varint(r.usedBy.Load())
+			sqlval.WriteRow(w, r.vals)
 		}
-		w.uvarint(uint64(r.id))
-		w.uvarint(r.version)
-		w.str(r.proc)
-		w.varint(r.stmt)
-		w.varint(r.usedBy.Load())
-		w.row(r.vals)
 	}
 	idxs := t.indexList()
-	w.uvarint(uint64(len(idxs)))
+	w.Uvarint(uint64(len(idxs)))
 	for _, ix := range idxs {
-		w.str(ix.name)
-		w.str(ix.column)
-		w.str(ix.kind)
+		writeIndexDef(w, ix.name, ix.column, ix.kind)
 	}
 	// Time-travel section: committed dead versions — the history AS OF and
 	// reenactment read — and the retention horizon. Without it a checkpoint
 	// would silently vacuum everything it supersedes in the WAL.
-	w.uvarint(ndead)
+	w.Uvarint(ndead)
 	for i, r := range t.rows {
-		if class[i] != rowDead {
-			continue
+		if class[i] == rowDead {
+			writeVersion(w, r.id, r.version, &r.end, r.proc, r.stmt)
+			sqlval.WriteRow(w, r.vals)
 		}
-		w.uvarint(uint64(r.id))
-		w.uvarint(r.version)
-		w.uvarint(r.end)
-		w.str(r.proc)
-		w.varint(r.stmt)
-		w.row(r.vals)
 	}
-	w.uvarint(horizon)
+	w.Uvarint(horizon)
 }
 
-// tableSource is the decoder's cursor over a table file: the bytes, a
-// string image of them (so names and TEXT values are substrings of one
-// allocation) and the first error, after which every read returns zero.
-type tableSource struct {
-	b    []byte
-	text string
-	off  int
-	err  error
+// The pieces a table file and a WAL record share. A snapshot chunk and a log
+// record describe one state, so a column definition, an index definition
+// and a version header are the same bytes in both, written and read here.
+// Names outlive the record they are read from: they are clones, so a loaded
+// table keeps no file image alive.
+
+// writeSchema writes the column count, then each column's name, type byte
+// and primary-key byte.
+func writeSchema(w *bin.Writer, s Schema) {
+	w.Uvarint(uint64(len(s.Columns)))
+	for _, c := range s.Columns {
+		pk := byte(0)
+		if c.PrimaryKey {
+			pk = 1
+		}
+		w.Str(c.Name)
+		w.Byte(byte(c.Type))
+		w.Byte(pk)
+	}
 }
 
-func (s *tableSource) fail(format string, args ...any) {
-	if s.err == nil {
-		s.err = fmt.Errorf(format, args...)
+func readSchema(r *bin.Reader) Schema {
+	n := r.Count("column", 3)
+	s := Schema{Columns: bin.Make[Column](n, r.Len())}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s.Columns = append(s.Columns, Column{Name: strings.Clone(r.Str()), Type: sqlval.Kind(r.Byte()), PrimaryKey: r.Byte() == 1})
 	}
+	return s
 }
 
-func (s *tableSource) rest() int { return len(s.b) - s.off }
-
-func (s *tableSource) uvarint(what string) uint64 {
-	if s.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(s.b[s.off:])
-	if n <= 0 {
-		s.fail("bad %s", what)
-		return 0
-	}
-	s.off += n
-	return x
+func writeIndexDef(w *bin.Writer, name, column, kind string) {
+	w.Str(name)
+	w.Str(column)
+	w.Str(kind)
 }
 
-func (s *tableSource) varint(what string) int64 {
-	if s.err != nil {
-		return 0
-	}
-	x, n := binary.Varint(s.b[s.off:])
-	if n <= 0 {
-		s.fail("bad %s", what)
-		return 0
-	}
-	s.off += n
-	return x
+func readIndexDef(r *bin.Reader) (name, column, kind string) {
+	return strings.Clone(r.Str()), strings.Clone(r.Str()), strings.Clone(r.Str())
 }
 
-func (s *tableSource) str(what string) string {
-	l := s.uvarint(what)
-	if s.err != nil {
-		return ""
+// writeVersion writes a version header: row id, begin stamp, the end stamp
+// when end is not nil (dead versions, the statements of a transaction's
+// history), producing process and statement.
+func writeVersion(w *bin.Writer, id RowID, version uint64, end *uint64, proc string, stmt int64) {
+	w.Uvarint(uint64(id))
+	w.Uvarint(version)
+	if end != nil {
+		w.Uvarint(*end)
 	}
-	if l > uint64(s.rest()) {
-		s.fail("bad %s", what)
-		return ""
-	}
-	str := s.text[s.off : s.off+int(l)]
-	s.off += int(l)
-	return str
+	w.Str(proc)
+	w.Varint(stmt)
 }
 
-// count reads an element count and checks it against the bytes left, every
-// element taking at least min of them — before anything is sized from it.
-func (s *tableSource) count(what string, min int) int {
-	n := s.uvarint(what)
-	if s.err == nil && n > uint64(s.rest()/min) {
-		s.fail("%s %d exceeds the %d bytes remaining", what, n, s.rest())
+func readVersion(r *bin.Reader, id *RowID, version, end *uint64, proc *string, stmt *int64) {
+	*id = RowID(r.Uvarint())
+	*version = r.Uvarint()
+	if end != nil {
+		*end = r.Uvarint()
 	}
-	if s.err != nil {
-		return 0
-	}
-	return int(n)
+	*proc = r.Str()
+	*stmt = r.Varint()
 }
 
 // tableImage is a decoded table file: the table, not yet published, and
@@ -497,53 +424,37 @@ func decodeTable(data []byte) (tableImage, error) {
 
 // decodeTableBody decodes a file tableDigest has accepted.
 func decodeTableBody(data []byte) (tableImage, error) {
-	body := data[:len(data)-digestLen]
-	s := &tableSource{b: body, text: string(body), off: len(tableFileMagic)}
-	// The names outlive every row of the load; they get their own bytes.
-	name := strings.Clone(s.str("table name"))
-	ncols := s.count("column count", 3)
-	schema := Schema{Columns: make([]Column, 0, ncols)}
-	for i := 0; i < ncols && s.err == nil; i++ {
-		cname := strings.Clone(s.str("column name"))
-		if s.rest() < 2 {
-			s.fail("truncated column def")
-			break
-		}
-		schema.Columns = append(schema.Columns, Column{
-			Name: cname, Type: sqlval.Kind(s.b[s.off]), PrimaryKey: s.b[s.off+1] == 1,
-		})
-		s.off += 2
-	}
-	if s.err != nil {
-		return tableImage{}, s.err
+	r := bin.NewTextReader(data[:len(data)-digestLen])
+	r.Fixed(len(tableFileMagic))
+	name := strings.Clone(r.Str())
+	schema := readSchema(r)
+	if r.Err() != nil {
+		return tableImage{}, r.Err()
 	}
 	img := tableImage{t: newTable(name, schema)}
-	if err := img.loadRows(s, false); err != nil {
+	if err := img.loadRows(r, false); err != nil {
 		return tableImage{}, err
 	}
 	// Index definitions are installed after the last row is in, so the
 	// loader feeds no index row by row.
 	var idxs []*tableIndex
-	for n := s.count("index count", 3); n > 0 && s.err == nil; n-- {
-		iname, icol, ikind := s.str("index name"), s.str("index column"), s.str("index kind")
+	for n := r.Count("index", 3); n > 0 && r.Err() == nil; n-- {
+		iname, icol, ikind := readIndexDef(r)
 		pos := schema.ColumnIndex(icol)
-		if s.err == nil && pos < 0 {
-			s.fail("index %q: no column %q", iname, icol)
+		if pos < 0 {
+			r.Failf("index %q: no column %q", iname, icol)
 		}
-		idxs = append(idxs, newTableIndex(strings.Clone(iname), strings.Clone(icol), pos, strings.Clone(ikind)))
+		idxs = append(idxs, newTableIndex(iname, icol, pos, ikind))
 	}
-	if s.err != nil {
-		return tableImage{}, s.err
+	if r.Err() != nil {
+		return tableImage{}, r.Err()
 	}
-	if err := img.loadRows(s, true); err != nil {
+	if err := img.loadRows(r, true); err != nil {
 		return tableImage{}, err
 	}
-	img.horizon = s.uvarint("retention horizon")
-	if s.err == nil && s.rest() != 0 {
-		s.fail("table file: %d trailing bytes", s.rest())
-	}
-	if s.err != nil {
-		return tableImage{}, s.err
+	img.horizon = r.Uvarint()
+	if err := r.Done(); err != nil {
+		return tableImage{}, err
 	}
 	// Index contents are derived last so they cover the dead versions too.
 	for _, ix := range idxs {
@@ -554,43 +465,40 @@ func decodeTableBody(data []byte) (tableImage, error) {
 }
 
 // loadRows reads one row section — the live rows, or the dead versions with
-// their end stamps — through the bulk loader.
-func (img *tableImage) loadRows(s *tableSource, dead bool) error {
+// their end stamps — through the bulk loader, which is sized for as many
+// rows as the bytes left can back (bin.Reserve) and grows if more decode.
+func (img *tableImage) loadRows(r *bin.Reader, dead bool) error {
 	t := img.t
-	n := s.count("row count", minRowBytes(len(t.Schema.Columns)))
-	if s.err != nil {
-		return s.err
+	ncols := len(t.Schema.Columns)
+	n := r.Count("row", minRowBytes(ncols))
+	if r.Err() != nil {
+		return r.Err()
 	}
-	live := n
+	room := bin.Reserve(n, loadedRowBytes(ncols), r.Len())
+	live := room
 	if dead {
 		live = 0
 	}
-	ld := t.newRowLoader(n, live)
+	ld := t.newRowLoader(n, room, live)
 	defer ld.finish()
 	for i := 0; i < n; i++ {
-		r := ld.next()
-		r.id = RowID(s.uvarint("row id"))
-		r.version = s.uvarint("row version")
+		v := ld.next()
+		var end *uint64
 		if dead {
-			if r.end = s.uvarint("row end"); r.end == 0 && s.err == nil {
-				s.fail("dead version %d@%d has no end stamp", r.id, r.version)
-			}
+			end = &v.end
 		}
-		r.proc = s.str("row proc")
-		r.stmt = s.varint("row stmt")
+		readVersion(r, &v.id, &v.version, end, &v.proc, &v.stmt)
+		if dead && v.end == 0 {
+			r.Failf("dead version %d@%d has no end stamp", v.id, v.version)
+		}
 		if !dead {
-			r.usedBy.Store(s.varint("row usedBy"))
+			v.usedBy.Store(r.Varint())
 		}
-		if s.err != nil {
-			return s.err
+		ld.vals = sqlval.ReadRow(r, ld.vals)
+		if r.Err() != nil {
+			return r.Err()
 		}
-		var used int
-		var err error
-		if ld.vals, used, err = sqlval.AppendDecodeRow(ld.vals, s.b[s.off:], s.text[s.off:]); err != nil {
-			return err
-		}
-		s.off += used
-		if err := ld.add(r); err != nil {
+		if err := ld.add(v); err != nil {
 			return err
 		}
 	}

@@ -238,10 +238,10 @@ func (t *Table) appendLive(r *storedRow) {
 // table at once — a table file's live rows and its dead versions (LoadDir,
 // Recover, the replica bootstrap) and RestoreRows — appends through one. It
 // takes the versions from one []storedRow slab and their values from one
-// []sqlval.Value slab, both sized from the caller's row count (which the
-// caller has checked against its input, or which is only a hint: a slab
-// that runs out is followed by another of the same size, never regrown), and
-// runs each version through admitRow, the check insertRow runs.
+// []sqlval.Value slab, both sized from the caller's row count — the room a
+// decoder could back with the bytes it had left (bin.Reserve), or only a
+// hint. A slab that runs out is followed by another, never regrown (see
+// slabRows). Each version goes through admitRow, the check insertRow runs.
 //
 // What a loaded table keeps alive: each slab lives as long as any version
 // carved from it is reachable, and so does whatever backing string the
@@ -254,24 +254,26 @@ type rowLoader struct {
 	rows   []storedRow
 	vals   []sqlval.Value // the current row's values are vals[mark:]
 	mark   int
+	want   int // versions announced and not yet taken
 	live   int64
 	dead   int64
 	maxRow RowID
 	maxTS  uint64
 }
 
-// newRowLoader prepares t for n more versions, live of them holding a
-// primary key (caller holds the table write lock, or owns a table not yet
-// published).
-func (t *Table) newRowLoader(n, live int) *rowLoader {
-	t.rows = slices.Grow(t.rows, n)
+// newRowLoader prepares t for n more versions, with room for the first room
+// of them, live of those holding a primary key (caller holds the table
+// write lock, or owns a table not yet published).
+func (t *Table) newRowLoader(n, room, live int) rowLoader {
+	t.rows = slices.Grow(t.rows, room)
 	if t.pkIndex != nil && len(t.pkIndex) == 0 && live > 0 {
 		t.pkIndex = make(map[valKey]*storedRow, live)
 	}
-	return &rowLoader{
+	return rowLoader{
 		t:    t,
-		rows: make([]storedRow, 0, n),
-		vals: make([]sqlval.Value, 0, n*len(t.Schema.Columns)),
+		rows: make([]storedRow, 0, room),
+		vals: make([]sqlval.Value, 0, room*len(t.Schema.Columns)),
+		want: n,
 	}
 }
 
@@ -280,14 +282,26 @@ func (t *Table) newRowLoader(n, live int) *rowLoader {
 // it calls add.
 func (l *rowLoader) next() *storedRow {
 	if len(l.rows) == cap(l.rows) {
-		l.rows = make([]storedRow, 0, max(cap(l.rows), 64))
+		l.rows = make([]storedRow, 0, l.slabRows(cap(l.rows)))
 	}
 	if ncols := len(l.t.Schema.Columns); cap(l.vals)-len(l.vals) < ncols {
-		l.vals = make([]sqlval.Value, 0, max(cap(l.vals), 64*ncols))
+		l.vals = make([]sqlval.Value, 0, ncols*l.slabRows(cap(l.vals)/ncols))
 	}
+	l.want--
 	l.mark = len(l.vals)
 	l.rows = l.rows[:len(l.rows)+1]
 	return &l.rows[len(l.rows)-1]
+}
+
+// slabRows sizes the slab that follows one of last versions: up to twice
+// as large while versions are still announced, never more than those (so a
+// count the input did not back grows memory only as fast as versions
+// decode), and once they are in, as large but never under 64.
+func (l *rowLoader) slabRows(last int) int {
+	if l.want > 0 {
+		return min(max(2*last, 1), l.want)
+	}
+	return max(last, 64)
 }
 
 // add checks and appends the version next returned. On error the table

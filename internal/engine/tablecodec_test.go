@@ -193,9 +193,16 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// fileBuilder writes table files by hand, field by field, through the
-// encoder's own sink.
-type fileBuilder struct{ tableSink }
+// fileBuilder writes table files by hand, field by field, without the
+// encoder.
+type fileBuilder struct{ buf []byte }
+
+func (b *fileBuilder) raw(s string)            { b.buf = append(b.buf, s...) }
+func (b *fileBuilder) bytes(p ...byte)         { b.buf = append(b.buf, p...) }
+func (b *fileBuilder) uvarint(x uint64)        { b.buf = binary.AppendUvarint(b.buf, x) }
+func (b *fileBuilder) varint(x int64)          { b.buf = binary.AppendVarint(b.buf, x) }
+func (b *fileBuilder) str(s string)            { b.uvarint(uint64(len(s))); b.raw(s) }
+func (b *fileBuilder) row(vals []sqlval.Value) { b.buf = sqlval.EncodeRow(b.buf, vals) }
 
 func newFileBuilder(cols ...Column) *fileBuilder {
 	b := &fileBuilder{}
@@ -356,6 +363,35 @@ func TestDecodeTableChecksCountsBeforeSizing(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: decoding a %d-byte file allocated %d bytes", name, len(data), grew)
+		}
+	}
+}
+
+// TestDecodeTableAllocatesInProportion: a table file, digest and all, whose
+// row count claims as many rows as the bytes after it hold at the least a row
+// takes, is refused at its first row — and refusing it allocates at most a
+// small constant times the file's size, not what the claimed rows would take.
+func TestDecodeTableAllocatesInProportion(t *testing.T) {
+	const n, perByte = 64 << 10, 12
+	for _, c := range []struct {
+		name string
+		b    *fileBuilder
+		min  int
+	}{
+		{"live rows", newFileBuilder(intPK, fltCol), minRowBytes(2)},
+		{"dead versions", newFileBuilder(intPK).count(0).count(0), minRowBytes(1)},
+	} {
+		rest := n - len(c.b.buf) - 3 - digestLen // a count below 1<<21 takes three bytes
+		c.b.count(uint64(rest / c.min))
+		c.b.buf = append(c.b.buf, bytes.Repeat([]byte{0xff}, rest)...)
+		file := c.b.seal()
+		var err error
+		grew := allocated(func() { _, err = decodeTable(file) })
+		if err == nil {
+			t.Errorf("%s: a file of unreadable rows decoded", c.name)
+		}
+		if grew > perByte*len(file) {
+			t.Errorf("%s: refusing a %d-byte file allocated %d bytes (%.1f per byte)", c.name, len(file), grew, float64(grew)/float64(len(file)))
 		}
 	}
 }

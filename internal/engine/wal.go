@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"ldv/internal/bin"
 	"ldv/internal/sqlval"
 )
 
@@ -297,251 +299,95 @@ func (w *WAL) truncateTo(cut int64) error {
 // ---- record encoding ----
 
 // encodeWALTxn serializes a committed transaction's redo entries into one
-// record payload: varint txn id, entry count, then the entries.
+// record payload: varint txn id, entry count, then the entries — each a kind
+// byte and a table name, then the kind's fields. Column definitions, index
+// definitions and version headers are the table file's (persist.go).
 func encodeWALTxn(txnID int64, redo []redoEntry) []byte {
-	var buf []byte
-	buf = binary.AppendVarint(buf, txnID)
-	buf = binary.AppendUvarint(buf, uint64(len(redo)))
-	for _, e := range redo {
-		buf = append(buf, e.kind)
-		buf = appendString(buf, e.table)
-		switch e.kind {
-		case walInsert:
-			buf = binary.AppendUvarint(buf, uint64(e.id))
-			buf = binary.AppendUvarint(buf, e.version)
-			buf = appendString(buf, e.proc)
-			buf = binary.AppendVarint(buf, e.stmt)
-			buf = sqlval.EncodeRow(buf, e.vals)
-		case walEnd:
-			buf = binary.AppendUvarint(buf, uint64(e.id))
-			buf = binary.AppendUvarint(buf, e.version)
-			buf = binary.AppendUvarint(buf, e.end)
-		case walCreate:
-			buf = binary.AppendUvarint(buf, uint64(len(e.schema.Columns)))
-			for _, c := range e.schema.Columns {
-				buf = appendString(buf, c.Name)
-				buf = append(buf, byte(c.Type))
-				if c.PrimaryKey {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
+	return bin.Encode(0, func(w *bin.Writer) {
+		w.Varint(txnID)
+		w.Uvarint(uint64(len(redo)))
+		for i := range redo {
+			e := &redo[i]
+			w.Byte(e.kind)
+			w.Str(e.table)
+			switch e.kind {
+			case walInsert:
+				writeVersion(w, e.id, e.version, nil, e.proc, e.stmt)
+				sqlval.WriteRow(w, e.vals)
+			case walEnd:
+				w.Uvarint(uint64(e.id))
+				w.Uvarint(e.version)
+				w.Uvarint(e.end)
+			case walCreate:
+				writeSchema(w, e.schema)
+			case walCreateIndex:
+				writeIndexDef(w, e.idxName, e.idxCol, e.idxKind)
+			case walDropIndex:
+				w.Str(e.idxName)
+			case walVacuum:
+				w.Uvarint(e.version)
+			case walStmt:
+				writeVersion(w, e.id, e.version, &e.end, e.proc, e.stmt)
+				sqlval.WriteRow(w, e.vals)
 			}
-		case walDrop:
-		case walCreateIndex:
-			buf = appendString(buf, e.idxName)
-			buf = appendString(buf, e.idxCol)
-			buf = appendString(buf, e.idxKind)
-		case walDropIndex:
-			buf = appendString(buf, e.idxName)
-		case walVacuum:
-			buf = binary.AppendUvarint(buf, e.version)
-		case walStmt:
-			buf = binary.AppendUvarint(buf, uint64(e.id))
-			buf = binary.AppendUvarint(buf, e.version)
-			buf = binary.AppendUvarint(buf, e.end)
-			buf = appendString(buf, e.proc)
-			buf = binary.AppendVarint(buf, e.stmt)
-			buf = sqlval.EncodeRow(buf, e.vals)
 		}
-	}
-	return buf
+	})
 }
 
 // decodeWALTxn parses one record payload. It is the inverse of
-// encodeWALTxn and must never panic on corrupt input (fuzzed).
+// encodeWALTxn and outside input — a replica decodes payloads straight off
+// the network — so it must never panic on corrupt input (fuzzed) nor size
+// memory from a count its bytes cannot back.
 func decodeWALTxn(payload []byte) (int64, []redoEntry, error) {
-	txnID, n := binary.Varint(payload)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wal record: bad txn id")
-	}
-	b := payload[n:]
-	count, n := binary.Uvarint(b)
-	if n <= 0 || count > uint64(len(b)) {
-		return 0, nil, fmt.Errorf("wal record: bad entry count")
-	}
-	b = b[n:]
-	entries := make([]redoEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(b) == 0 {
-			return 0, nil, fmt.Errorf("wal record: truncated entry")
-		}
-		e := redoEntry{kind: b[0]}
-		b = b[1:]
-		var err error
-		e.table, b, err = readString(b)
-		if err != nil {
-			return 0, nil, err
-		}
+	r := bin.NewReader(payload)
+	txnID := r.Varint()
+	n := r.Count("entry", 2) // a kind byte and an empty table name
+	entries := bin.Make[redoEntry](n, r.Len())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := redoEntry{kind: r.Byte(), table: r.Str()}
 		switch e.kind {
 		case walInsert:
-			id, n := binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad row id")
-			}
-			b = b[n:]
-			e.id = RowID(id)
-			e.version, n = binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad version")
-			}
-			b = b[n:]
-			e.proc, b, err = readString(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			e.stmt, n = binary.Varint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad stmt id")
-			}
-			b = b[n:]
-			vals, used, err := sqlval.DecodeRow(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			e.vals = vals
-			b = b[used:]
+			readVersion(r, &e.id, &e.version, nil, &e.proc, &e.stmt)
+			e.vals = sqlval.ReadRow(r, nil)
 		case walEnd:
-			id, n := binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad row id")
-			}
-			b = b[n:]
-			e.id = RowID(id)
-			e.version, n = binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad version")
-			}
-			b = b[n:]
-			e.end, n = binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad end timestamp")
-			}
-			b = b[n:]
+			e.id, e.version, e.end = RowID(r.Uvarint()), r.Uvarint(), r.Uvarint()
 		case walCreate:
-			ncols, n := binary.Uvarint(b)
-			if n <= 0 || ncols > uint64(len(b))+1 {
-				return 0, nil, fmt.Errorf("wal record: bad column count")
-			}
-			b = b[n:]
-			for c := uint64(0); c < ncols; c++ {
-				var cname string
-				cname, b, err = readString(b)
-				if err != nil {
-					return 0, nil, err
-				}
-				if len(b) < 2 {
-					return 0, nil, fmt.Errorf("wal record: truncated column def")
-				}
-				e.schema.Columns = append(e.schema.Columns, Column{
-					Name: cname, Type: sqlval.Kind(b[0]), PrimaryKey: b[1] == 1,
-				})
-				b = b[2:]
-			}
+			e.schema = readSchema(r)
 		case walDrop:
 		case walCreateIndex:
-			e.idxName, b, err = readString(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			e.idxCol, b, err = readString(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			e.idxKind, b, err = readString(b)
-			if err != nil {
-				return 0, nil, err
-			}
+			e.idxName, e.idxCol, e.idxKind = readIndexDef(r)
 		case walDropIndex:
-			e.idxName, b, err = readString(b)
-			if err != nil {
-				return 0, nil, err
-			}
+			e.idxName = r.Str()
 		case walVacuum:
-			e.version, n = binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad vacuum horizon")
-			}
-			b = b[n:]
+			e.version = r.Uvarint()
 		case walStmt:
-			id, n := binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad snapshot tick")
-			}
-			b = b[n:]
-			e.id = RowID(id)
-			e.version, n = binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad stmt start")
-			}
-			b = b[n:]
-			e.end, n = binary.Uvarint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad stmt end")
-			}
-			b = b[n:]
-			e.proc, b, err = readString(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			e.stmt, n = binary.Varint(b)
-			if n <= 0 {
-				return 0, nil, fmt.Errorf("wal record: bad stmt rows")
-			}
-			b = b[n:]
-			vals, used, err := sqlval.DecodeRow(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			e.vals = vals
-			b = b[used:]
+			readVersion(r, &e.id, &e.version, &e.end, &e.proc, &e.stmt)
+			e.vals = sqlval.ReadRow(r, nil)
 		default:
-			return 0, nil, fmt.Errorf("wal record: unknown entry kind %d", e.kind)
+			r.Failf("unknown entry kind %d", e.kind)
 		}
 		entries = append(entries, e)
 	}
-	if len(b) != 0 {
-		return 0, nil, fmt.Errorf("wal record: %d trailing bytes", len(b))
+	if err := r.Done(); err != nil {
+		return 0, nil, fmt.Errorf("wal record: %w", err)
 	}
 	return txnID, entries, nil
 }
 
-// SplitWALBatch splits a flushed group-commit batch (the bytes a shipper
-// hook receives: concatenated framed records, no file magic) into the
-// individual record payloads, one per committed transaction. Malformed
-// framing terminates the walk — on shipper-produced input that never
-// happens, but the decoder stays total for defense in depth.
-func SplitWALBatch(batch []byte) [][]byte {
-	var recs [][]byte
-	for len(batch) >= walRecHeader {
-		l := binary.LittleEndian.Uint32(batch)
-		if l > walMaxRecord || int(l) > len(batch)-walRecHeader {
-			break
-		}
-		recs = append(recs, batch[walRecHeader:walRecHeader+int(l)])
-		batch = batch[walRecHeader+int(l):]
-	}
-	return recs
-}
-
-// scanWAL walks the framed records of a log image, calling fn for each
-// record that frames and checksums correctly, and returns the byte length
-// of the valid prefix. Decoding stops at the first torn or corrupt record:
-// everything from there on is the un-acknowledged tail a crash may leave.
-func scanWAL(data []byte, fn func(payload []byte) error) (int64, error) {
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("bad wal magic")
-	}
-	off := int64(len(walMagic))
-	b := data[len(walMagic):]
-	for len(b) >= walRecHeader {
-		l := binary.LittleEndian.Uint32(b)
-		sum := binary.LittleEndian.Uint32(b[4:])
-		if l > walMaxRecord || int(l) > len(b)-walRecHeader {
+// walRecords walks the framed records at the front of b, calling fn (when
+// not nil) with each payload that frames and checksums correctly, and
+// returns the length of that valid prefix. The walk stops at the first
+// record that does not: everything from there on is the un-acknowledged
+// tail a crash may leave.
+func walRecords(b []byte, fn func(payload []byte) error) (int, error) {
+	off := 0
+	for len(b)-off >= walRecHeader {
+		l := binary.LittleEndian.Uint32(b[off:])
+		if l > walMaxRecord || int(l) > len(b)-off-walRecHeader {
 			break // torn tail: length prefix promises more than exists
 		}
-		payload := b[walRecHeader : walRecHeader+int(l)]
-		if crc32.ChecksumIEEE(payload) != sum {
+		payload := b[off+walRecHeader : off+walRecHeader+int(l)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[off+4:]) {
 			break // torn tail: partially written payload
 		}
 		if fn != nil {
@@ -549,21 +395,31 @@ func scanWAL(data []byte, fn func(payload []byte) error) (int64, error) {
 				return off, err
 			}
 		}
-		off += walRecHeader + int64(l)
-		b = b[walRecHeader+int(l):]
+		off += walRecHeader + int(l)
 	}
 	return off, nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
+// SplitWALBatch splits a flushed group-commit batch (the bytes a shipper
+// hook receives: concatenated framed records, no file magic) into the
+// individual record payloads, one per committed transaction. A record that
+// does not frame or checksum ends the walk — on shipper-produced input that
+// never happens, but the decoder stays total for defense in depth.
+func SplitWALBatch(batch []byte) [][]byte {
+	var recs [][]byte
+	walRecords(batch, func(payload []byte) error {
+		recs = append(recs, payload)
+		return nil
+	})
+	return recs
 }
 
-func readString(b []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", nil, fmt.Errorf("bad string encoding")
+// scanWAL walks the framed records of a log image (walRecords after the
+// magic) and returns the byte length of the valid prefix, magic included.
+func scanWAL(data []byte, fn func(payload []byte) error) (int64, error) {
+	if !bytes.HasPrefix(data, []byte(walMagic)) {
+		return 0, fmt.Errorf("bad wal magic")
 	}
-	return string(b[n : n+int(l)]), b[n+int(l):], nil
+	n, err := walRecords(data[len(walMagic):], fn)
+	return int64(len(walMagic) + n), err
 }

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"ldv/internal/sqlval"
 )
 
 // recoverInto boots a fresh DB from fs and fails the test on error.
@@ -321,6 +325,97 @@ func TestWALRoundTripEncoding(t *testing.T) {
 	}
 	if len(got[0].schema.Columns) != 1 || got[0].schema.Columns[0].Name != "k" {
 		t.Fatalf("schema lost: %+v", got[0].schema)
+	}
+}
+
+const walGoldenPath = "testdata/all_kinds.walrec"
+
+// walGoldenEntries is one record holding all eight redo entry kinds, with a
+// NULL, multi-byte text, a negative statement id and multi-byte varints.
+func walGoldenEntries() []redoEntry {
+	return []redoEntry{
+		{kind: walCreate, table: "naïve", schema: Schema{Columns: []Column{
+			{Name: "k", Type: sqlval.KindInt, PrimaryKey: true},
+			{Name: "v", Type: sqlval.KindString},
+			{Name: "f", Type: sqlval.KindFloat},
+		}}},
+		{kind: walInsert, table: "naïve", id: 300, version: 70000, proc: "p/2", stmt: -3,
+			vals: []sqlval.Value{sqlval.NewInt(-1), sqlval.NewString("表 naïve"), sqlval.Null}},
+		{kind: walEnd, table: "naïve", id: 300, version: 70000, end: 70001},
+		{kind: walCreateIndex, table: "naïve", idxName: "ix", idxCol: "v", idxKind: "ordered"},
+		{kind: walDropIndex, table: "naïve", idxName: "ix"},
+		{kind: walVacuum, version: 69999},
+		{kind: walStmt, table: "UPDATE", id: 69998, version: 70000, end: 70001, proc: "UPDATE naïve SET v = ? WHERE k = ?", stmt: 1,
+			vals: []sqlval.Value{sqlval.NewString("x"), sqlval.NewFloat(2.5)}},
+		{kind: walDrop, table: "naïve"},
+	}
+}
+
+// TestWALRecordGolden pins the WAL record payload byte for byte against
+// testdata/all_kinds.walrec: the record encodes to the file, the file decodes
+// to entries that encode to it again, and every strict prefix of it is
+// refused. Regenerate it (-update-golden) only for a deliberate format change.
+func TestWALRecordGolden(t *testing.T) {
+	got := encodeWALTxn(-12, walGoldenEntries())
+	if *updateGolden {
+		if err := os.WriteFile(walGoldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(walGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL record encoding changed:\n got %x\nwant %x", got, want)
+	}
+	txnID, entries, err := decodeWALTxn(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := encodeWALTxn(txnID, entries); txnID != -12 || !bytes.Equal(again, want) {
+		t.Fatalf("golden record decodes to txn %d, %+v, which encodes to %x", txnID, entries, again)
+	}
+	for n := 0; n < len(want); n++ {
+		if _, _, err := decodeWALTxn(want[:n]); err == nil {
+			t.Errorf("prefix of %d bytes decodes", n)
+		}
+	}
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestWALRecordAllocatesInProportion: a record payload whose entry (or
+// column) count is as large as the bytes after it is refused, and refusing it
+// allocates at most a small constant times the payload's size. A replica
+// decodes these payloads straight off the network.
+func TestWALRecordAllocatesInProportion(t *testing.T) {
+	const n, perByte = 64 << 10, 12
+	for _, c := range []struct {
+		name   string
+		prefix []byte
+	}{
+		{"entries", binary.AppendVarint(nil, 1)},
+		{"columns of a CREATE TABLE", append(binary.AppendVarint(nil, 1), 1, walCreate, 1, 't')},
+	} {
+		rest := n - len(c.prefix) - 3 // a count below 1<<21 takes three bytes
+		payload := binary.AppendUvarint(bytes.Clone(c.prefix), uint64(rest))
+		payload = append(payload, bytes.Repeat([]byte{0xff}, rest)...)
+		var err error
+		grew := allocated(func() { _, _, err = decodeWALTxn(payload) })
+		if err == nil {
+			t.Errorf("%s: a count beyond the payload decoded", c.name)
+		}
+		if grew > perByte*n {
+			t.Errorf("%s: refusing a %d-byte payload allocated %d bytes (%.1f per byte)", c.name, n, grew, float64(grew)/n)
+		}
 	}
 }
 

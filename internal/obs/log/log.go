@@ -177,7 +177,7 @@ func appendPairs(b []byte, kv []any) []byte {
 func appendValue(b []byte, v any) []byte {
 	switch v := v.(type) {
 	case string:
-		return appendString(b, v)
+		return appendQuoted(b, v)
 	case int:
 		return strconv.AppendInt(b, int64(v), 10)
 	case int64:
@@ -194,14 +194,14 @@ func appendValue(b []byte, v any) []byte {
 		if v == nil {
 			return append(b, "<nil>"...)
 		}
-		return appendString(b, v.Error())
+		return appendQuoted(b, v.Error())
 	case nil:
 		return append(b, "<nil>"...)
 	default:
 		if s, ok := v.(interface{ String() string }); ok {
-			return appendString(b, s.String())
+			return appendQuoted(b, s.String())
 		}
-		return appendString(b, typeless(v))
+		return appendQuoted(b, typeless(v))
 	}
 }
 
@@ -214,9 +214,9 @@ func typeless(v any) string {
 	return "?" // unformattable without fmt; callers pass supported types
 }
 
-// appendString quotes only when the value contains whitespace, '=', or
+// appendQuoted quotes only when the value contains whitespace, '=', or
 // quote characters, keeping the common token case grep-friendly.
-func appendString(b []byte, s string) []byte {
+func appendQuoted(b []byte, s string) []byte {
 	if needsQuoting(s) {
 		return strconv.AppendQuote(b, s)
 	}

@@ -6,12 +6,13 @@
 package pack
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 
+	"ldv/internal/bin"
 	"ldv/internal/obs"
 )
 
@@ -135,93 +136,62 @@ func (a *Archive) SizeUnder(dir string) int64 {
 const archiveMagic = "LDVPKG1\n"
 
 // Marshal serializes the archive deterministically, into a buffer sized
-// exactly once.
+// exactly once: the magic, the member count, then per member in path order
+// its path, a type byte and either the file's bytes (0) or the symlink's
+// target (1), all length-prefixed.
 func (a *Archive) Marshal() []byte {
 	paths := a.Paths()
-	size := len(archiveMagic) + uvarintLen(uint64(len(paths)))
-	for _, p := range paths {
-		size += uvarintLen(uint64(len(p))) + len(p) + 1
-		if e := a.files[p]; e.Symlink != "" {
-			size += uvarintLen(uint64(len(e.Symlink))) + len(e.Symlink)
-		} else {
-			size += uvarintLen(uint64(len(e.Data))) + len(e.Data)
+	buf := bin.Encode(0, func(w *bin.Writer) {
+		w.Fixed([]byte(archiveMagic))
+		w.Uvarint(uint64(len(paths)))
+		for _, p := range paths {
+			w.Str(p)
+			if e := a.files[p]; e.Symlink != "" {
+				w.Byte(1)
+				w.Str(e.Symlink)
+			} else {
+				w.Byte(0)
+				w.Raw(e.Data)
+			}
 		}
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, archiveMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(paths)))
-	for _, p := range paths {
-		e := a.files[p]
-		buf = appendString(buf, p)
-		if e.Symlink != "" {
-			buf = append(buf, 1)
-			buf = appendString(buf, e.Symlink)
-		} else {
-			buf = append(buf, 0)
-			buf = binary.AppendUvarint(buf, uint64(len(e.Data)))
-			buf = append(buf, e.Data...)
-		}
-	}
+	})
 	mBytesMarshaled.Add(int64(len(buf)))
 	return buf
 }
 
-// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// Unmarshal parses an archive produced by Marshal. The members alias data
-// instead of copying it: the caller must not modify data afterwards.
-// (ExtractTo hands each member to FileSystem.WriteFile, which keeps its own
-// copy.)
+// Unmarshal parses an archive produced by Marshal — and only that: members
+// must come in strictly ascending path order, paths must be absolute and
+// symlink targets non-empty, so an accepted input marshals back to itself.
+// The members alias data instead of copying it: the caller must not modify
+// data afterwards. (ExtractTo hands each member to FileSystem.WriteFile,
+// which keeps its own copy.)
 func Unmarshal(data []byte) (*Archive, error) {
-	if len(data) < len(archiveMagic) || string(data[:len(archiveMagic)]) != archiveMagic {
+	if !bytes.HasPrefix(data, []byte(archiveMagic)) {
 		return nil, fmt.Errorf("package: bad magic")
 	}
-	b := data[len(archiveMagic):]
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("package: bad member count")
-	}
-	b = b[n:]
+	r := bin.NewReader(data[len(archiveMagic):])
 	a := New()
-	for i := uint64(0); i < count; i++ {
-		var p string
-		var err error
-		p, b, err = readString(b)
-		if err != nil {
-			return nil, fmt.Errorf("package member %d: %w", i, err)
-		}
-		if len(b) == 0 {
-			return nil, fmt.Errorf("package member %d: truncated", i)
-		}
-		isLink := b[0] == 1
-		b = b[1:]
-		if isLink {
-			var target string
-			target, b, err = readString(b)
-			if err != nil {
-				return nil, fmt.Errorf("package member %d: %w", i, err)
+	prev := ""
+	for n := r.Count("member", 3); n > 0 && r.Err() == nil; n-- {
+		p := r.Str()
+		switch kind := r.Byte(); {
+		case !strings.HasPrefix(p, "/") || p <= prev:
+			r.Failf("member %q: not an absolute path after %q", p, prev)
+		case kind == 0:
+			a.Add(p, r.Raw())
+		case kind == 1:
+			if target := r.Str(); target != "" {
+				a.AddSymlink(p, target)
+			} else {
+				r.Failf("member %q: empty symlink target", p)
 			}
-			a.AddSymlink(p, target)
-			continue
+		default:
+			r.Failf("member %q: unknown type %d", p, kind)
 		}
-		size, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < size {
-			return nil, fmt.Errorf("package member %d: bad size", i)
-		}
-		end := n + int(size)
-		a.Add(p, b[n:end:end])
-		b = b[end:]
+		prev = p
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("package: %d trailing bytes", len(b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("package: %w", err)
 	}
 	return a, nil
 }
@@ -272,17 +242,4 @@ func Load(osPath string) (*Archive, error) {
 		return nil, err
 	}
 	return Unmarshal(data)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", nil, fmt.Errorf("bad string")
-	}
-	return string(b[n : n+int(l)]), b[n+int(l):], nil
 }

@@ -2,9 +2,14 @@ package pack
 
 import (
 	"bytes"
+	"encoding/binary"
+	"flag"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -250,4 +255,103 @@ func BenchmarkArchiveUnmarshal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.ldvpkg from goldenArchive")
+
+const goldenArchivePath = "testdata/golden.ldvpkg"
+
+// goldenArchive holds one member of each shape: a file, an empty file and a
+// symlink.
+func goldenArchive() *Archive {
+	a := New()
+	a.Add("/bin/app", []byte("\x7fELF\x00naïve"))
+	a.Add("/etc/empty", nil)
+	a.AddSymlink("/lib/link.so", "/lib/real.so")
+	return a
+}
+
+// TestArchiveGolden pins the archive format byte for byte against
+// testdata/golden.ldvpkg: the archive marshals to the file, the file
+// unmarshals to the same members and marshals to itself, and every strict
+// prefix of it is refused. Regenerate it only for a deliberate format change.
+func TestArchiveGolden(t *testing.T) {
+	got := goldenArchive().Marshal()
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenArchivePath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenArchivePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("archive encoding changed:\n got %q\nwant %q", got, want)
+	}
+	a, err := Unmarshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantArchive := goldenArchive()
+	if !reflect.DeepEqual(a.Paths(), wantArchive.Paths()) {
+		t.Fatalf("paths = %v", a.Paths())
+	}
+	for _, p := range a.Paths() {
+		if e, w := a.Entry(p), wantArchive.Entry(p); e.Symlink != w.Symlink || !bytes.Equal(e.Data, w.Data) {
+			t.Errorf("%s = %+v, want %+v", p, e, w)
+		}
+	}
+	if again := a.Marshal(); !bytes.Equal(again, want) {
+		t.Fatalf("golden archive re-marshals to %q", again)
+	}
+	for n := 0; n < len(want); n++ {
+		if _, err := Unmarshal(want[:n]); err == nil {
+			t.Errorf("prefix of %d bytes unmarshals", n)
+		}
+	}
+}
+
+// TestUnmarshalAllocatesInProportion: an archive whose member count claims
+// more members than its bytes could hold is refused, and refusing it
+// allocates at most a small constant times its size.
+func TestUnmarshalAllocatesInProportion(t *testing.T) {
+	const n, perByte = 64 << 10, 12
+	data := binary.AppendUvarint([]byte(archiveMagic), math.MaxUint64)
+	data = append(data, bytes.Repeat([]byte{0xff}, n-len(data))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a member count beyond the archive unmarshalled")
+	}
+	if grew := int(after.TotalAlloc - before.TotalAlloc); grew > perByte*n {
+		t.Errorf("refusing a %d-byte archive allocated %d bytes (%.1f per byte)", n, grew, float64(grew)/n)
+	}
+}
+
+// FuzzUnmarshal: no input makes the decoder panic, and an input it accepts
+// is an archive Marshal writes — it marshals back to exactly those bytes.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(goldenArchive().Marshal())
+	f.Add(New().Marshal())
+	f.Add([]byte(archiveMagic))
+	a := New()
+	a.Add("/a", []byte("alpha"))
+	a.Add("/b/c", nil)
+	a.AddSymlink("/d", "relative/target")
+	f.Add(a.Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if out := a.Marshal(); !bytes.Equal(out, data) {
+			t.Fatalf("accepted %q, which marshals to %q", data, out)
+		}
+	})
 }

@@ -2,8 +2,10 @@ package prov
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -294,6 +296,40 @@ func TestCodecRejects(t *testing.T) {
 	alias := "LDVT\x01\x08PBB+PLin" + "\x01\x06proc:1" + "\x01\x07process\x00\x01\x01" + "\x00\x00\x00\x00" + "\x00" + "\x00" + "\x00"
 	if _, err := Unmarshal([]byte(alias), m); err == nil || !strings.Contains(err.Error(), "spelled like a typed one") {
 		t.Errorf("aliasing free-form id: %v", err)
+	}
+}
+
+// TestUnmarshalAllocatesInProportion: a trace whose section count claims as
+// many elements as the bytes after it hold at the least one takes is refused
+// at its first element, and refusing it allocates at most a small constant
+// times the input's size.
+func TestUnmarshalAllocatesInProportion(t *testing.T) {
+	const n, perByte = 64 << 10, 12
+	for _, c := range []struct {
+		section, prefix string
+		min             int
+	}{
+		{"strings", pinHeader, 2},
+		{"node groups", pinHeader + pinStrings, 3},
+		{"nodes", pinHeader + pinStrings + "\x01\x04file\x02", 1},
+		{"attributes", pinHeader + pinStrings + pinNodes, 2},
+		{"edge labels", pinHeader + pinStrings + pinNodes + pinAttrs, 1},
+		{"edges", pinHeader + pinStrings + pinNodes + pinAttrs + pinLabels, 6},
+		{"dependencies", pinHeader + pinStrings + pinNodes + pinAttrs + pinLabels + pinEdges, 2},
+	} {
+		rest := n - len(c.prefix) - 3 // a count below 1<<21 takes three bytes
+		data := binary.AppendUvarint([]byte(c.prefix), uint64(rest/c.min))
+		data = append(data, bytes.Repeat([]byte{0xff}, rest)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(data, CombinedDefault())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: unreadable elements decoded", c.section)
+		}
+		if grew := int(after.TotalAlloc - before.TotalAlloc); grew > perByte*n {
+			t.Errorf("%s: refusing a %d-byte trace allocated %d bytes (%.1f per byte)", c.section, n, grew, float64(grew)/n)
+		}
 	}
 }
 

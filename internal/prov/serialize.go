@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"ldv/internal/bin"
 )
 
 // The native serialization of a trace — the member every server-included
@@ -138,10 +140,10 @@ func (tr *Trace) Marshal() ([]byte, error) {
 	buf := make([]byte, 0, 64+8*len(nodes)+12*len(edges)+6*len(deps))
 	buf = append(buf, traceMagic...)
 	buf = append(buf, traceVersion)
-	buf = appendString(buf, tr.Model.Name)
+	buf = bin.AppendString(buf, tr.Model.Name)
 	buf = binary.AppendUvarint(buf, uint64(len(strOrder)))
 	for _, s := range strOrder {
-		buf = appendString(buf, tr.strs[s])
+		buf = bin.AppendString(buf, tr.strs[s])
 	}
 
 	groups := 0
@@ -157,7 +159,7 @@ func (tr *Trace) Marshal() ([]byte, error) {
 			j++
 		}
 		kind := nodes[i].key.Kind
-		buf = appendString(buf, tr.types[nodes[i].typ])
+		buf = bin.AppendString(buf, tr.types[nodes[i].typ])
 		buf = binary.AppendUvarint(buf, uint64(kind))
 		buf = binary.AppendUvarint(buf, uint64(j-i))
 		f := kindFields[kind]
@@ -196,7 +198,7 @@ func (tr *Trace) Marshal() ([]byte, error) {
 
 	buf = binary.AppendUvarint(buf, uint64(len(tr.labels)))
 	for _, l := range tr.labels {
-		buf = appendString(buf, l)
+		buf = bin.AppendString(buf, l)
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))
@@ -221,68 +223,14 @@ func (tr *Trace) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// traceReader consumes the encoding front to back. The first failure
-// sticks: every later read returns zero values, so the decoder checks err
-// once per section instead of after every field.
-type traceReader struct {
-	b   []byte
-	err error
-}
-
-func (r *traceReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *traceReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated or overlong integer")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
 // index reads an integer that must be below limit.
-func (r *traceReader) index(limit int, what string) uint32 {
-	v := r.uvarint()
-	if r.err == nil && v >= uint64(limit) {
-		r.fail("%s %d out of range (have %d)", what, v, limit)
+func index(r *bin.Reader, limit int, what string) uint32 {
+	v := r.Uvarint()
+	if v >= uint64(limit) {
+		r.Failf("%s %d out of range (have %d)", what, v, limit)
 		return 0
 	}
 	return uint32(v)
-}
-
-// count reads an element count and checks it against the bytes remaining,
-// each element taking at least minBytes, so nothing is sized by a count the
-// input cannot back.
-func (r *traceReader) count(minBytes int, what string) int {
-	v := r.uvarint()
-	if r.err == nil && v > uint64(len(r.b)/minBytes) {
-		r.fail("%s count %d exceeds the %d bytes remaining", what, v, len(r.b))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *traceReader) str() string {
-	n := r.count(1, "string length")
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
 }
 
 // Unmarshal reconstructs a trace serialized with Marshal, treating data as
@@ -307,30 +255,30 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 	if v := data[len(traceMagic)]; v != traceVersion {
 		return nil, fmt.Errorf("format version %d, this build reads version %d", v, traceVersion)
 	}
-	r := &traceReader{b: data[len(traceMagic)+1:]}
-	if name := r.str(); r.err == nil && name != m.Name {
+	r := bin.NewReader(data[len(traceMagic)+1:])
+	if name := r.Str(); r.Err() == nil && name != m.Name {
 		return nil, fmt.Errorf("model %q does not match %q", name, m.Name)
 	}
 	tr := NewTrace(m)
 
-	nstr := r.count(2, "string")
-	for i := 0; i < nstr && r.err == nil; i++ {
-		s := r.str()
-		if r.err == nil && s <= tr.strs[len(tr.strs)-1] {
-			r.fail("string table not strictly ascending at %d", i)
+	nstr := r.Count("string", 2)
+	for i := 0; i < nstr && r.Err() == nil; i++ {
+		s := r.Str()
+		if r.Err() == nil && s <= tr.strs[len(tr.strs)-1] {
+			r.Failf("string table not strictly ascending at %d", i)
 		}
 		tr.strIdx[s] = StrID(len(tr.strs))
 		tr.strs = append(tr.strs, s)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 
-	ngroups := r.count(3, "node group")
+	ngroups := r.Count("node group", 3)
 	prevType, prevKind := -1, Kind(0)
-	for g := 0; g < ngroups && r.err == nil; g++ {
-		typ := r.str()
-		kind := Kind(r.index(int(numKinds), "key kind"))
+	for g := 0; g < ngroups && r.Err() == nil; g++ {
+		typ := r.Str()
+		kind := Kind(index(r, int(numKinds), "key kind"))
 		f := kindFields[kind]
 		width := 0
 		for _, on := range []bool{f.str, f.a, f.b} {
@@ -338,8 +286,8 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 				width++
 			}
 		}
-		n := r.count(width, "node")
-		if r.err != nil {
+		n := r.Count("node", width)
+		if r.Err() != nil {
 			break
 		}
 		ti := indexOf(tr.types, typ)
@@ -351,23 +299,23 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 		}
 		prevType, prevKind = ti, kind
 		var prev Key
-		for i := 0; i < n && r.err == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			k := Key{Kind: kind}
 			if f.str {
-				k.Str = StrID(r.index(len(tr.strs), "string index"))
+				k.Str = StrID(index(r, len(tr.strs), "string index"))
 			}
 			if f.a {
-				k.A = r.uvarint()
+				k.A = r.Uvarint()
 			}
 			if f.b {
-				k.B = r.uvarint()
+				k.B = r.Uvarint()
 			}
 			if i > 0 && compareKeys(prev, k) >= 0 {
-				r.fail("%s nodes not strictly ascending at %d", typ, i)
+				r.Failf("%s nodes not strictly ascending at %d", typ, i)
 			}
 			if kind == KindNamed {
 				if pk, _, _, _ := ParseID(tr.strs[k.Str]); pk != KindNamed {
-					r.fail("free-form node id %q is spelled like a typed one", tr.strs[k.Str])
+					r.Failf("free-form node id %q is spelled like a typed one", tr.strs[k.Str])
 				}
 			}
 			prev = k
@@ -375,30 +323,30 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 			tr.keys = append(tr.keys, k)
 			tr.typ = append(tr.typ, uint8(ti))
 		}
-		if r.err == nil && len(tr.index) != len(tr.keys) {
-			r.fail("a %s node repeats the key of an earlier node", typ)
+		if r.Err() == nil && len(tr.index) != len(tr.keys) {
+			r.Failf("a %s node repeats the key of an earlier node", typ)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 
 	for a := range tr.attrs {
-		n := r.count(2, "attribute")
+		n := r.Count("attribute", 2)
 		next := 0
-		for i := 0; i < n && r.err == nil; i++ {
-			delta := r.uvarint()
+		for i := 0; i < n && r.Err() == nil; i++ {
+			delta := r.Uvarint()
 			if i > 0 && delta == 0 {
-				r.fail("attribute nodes not strictly ascending at %d", i)
+				r.Failf("attribute nodes not strictly ascending at %d", i)
 			}
 			if delta >= uint64(len(tr.keys)-next) {
-				r.fail("attribute node index out of range (have %d)", len(tr.keys))
+				r.Failf("attribute node index out of range (have %d)", len(tr.keys))
 				break
 			}
 			next += int(delta)
-			s := StrID(r.index(len(tr.strs), "string index"))
-			if r.err == nil && s == 0 {
-				r.fail("empty attribute value")
+			s := StrID(index(r, len(tr.strs), "string index"))
+			if r.Err() == nil && s == 0 {
+				r.Failf("empty attribute value")
 			}
 			if tr.attrs[a] == nil {
 				tr.attrs[a] = map[Ref]StrID{}
@@ -407,30 +355,30 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 		}
 	}
 
-	nlabels := r.count(1, "edge label")
-	labelMap := make([]int, 0, nlabels)
-	for i := 0; i < nlabels && r.err == nil; i++ {
-		l := r.str()
+	nlabels := r.Count("edge label", 1)
+	labelMap := bin.Make[int](nlabels, r.Len())
+	for i := 0; i < nlabels && r.Err() == nil; i++ {
+		l := r.Str()
 		li := indexOf(tr.labels, l)
-		if r.err == nil && li < 0 {
+		if r.Err() == nil && li < 0 {
 			return nil, fmt.Errorf("edge label %q is not part of model %s", l, m.Name)
 		}
 		labelMap = append(labelMap, li)
 	}
 
-	nedges := r.count(6, "edge")
+	nedges := r.Count("edge", 6)
 	begin := uint64(0)
-	for i := 0; i < nedges && r.err == nil; i++ {
-		delta, length := r.uvarint(), r.uvarint()
-		from := Ref(r.index(len(tr.keys), "edge source"))
-		to := Ref(r.index(len(tr.keys), "edge target"))
-		label := r.index(len(labelMap), "edge label")
-		trace := StrID(r.index(len(tr.strs), "string index"))
-		if r.err != nil {
+	for i := 0; i < nedges && r.Err() == nil; i++ {
+		delta, length := r.Uvarint(), r.Uvarint()
+		from := Ref(index(r, len(tr.keys), "edge source"))
+		to := Ref(index(r, len(tr.keys), "edge target"))
+		label := index(r, len(labelMap), "edge label")
+		trace := StrID(index(r, len(tr.strs), "string index"))
+		if r.Err() != nil {
 			break
 		}
 		if delta > math.MaxUint64-begin || length > math.MaxUint64-begin-delta {
-			r.fail("edge %d: interval overflows", i)
+			r.Failf("edge %d: interval overflows", i)
 			break
 		}
 		begin += delta
@@ -439,16 +387,16 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 		}
 	}
 
-	ndeps := r.count(2, "dependency")
+	ndeps := r.Count("dependency", 2)
 	from := uint64(0)
-	for i := 0; i < ndeps && r.err == nil; i++ {
-		delta := r.uvarint()
-		to := r.index(len(tr.keys), "dependency target")
-		if r.err != nil {
+	for i := 0; i < ndeps && r.Err() == nil; i++ {
+		delta := r.Uvarint()
+		to := index(r, len(tr.keys), "dependency target")
+		if r.Err() != nil {
 			break
 		}
 		if delta >= uint64(len(tr.keys))-from {
-			r.fail("dependency source out of range (have %d)", len(tr.keys))
+			r.Failf("dependency source out of range (have %d)", len(tr.keys))
 			break
 		}
 		from += delta
@@ -456,11 +404,8 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 			return nil, err
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }

@@ -3,13 +3,14 @@ package sqlval
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
+
+	"ldv/internal/bin"
 )
 
-// The binary codec is shared by the storage layer (table data files) and the
-// wire protocol (DataRow payloads). Layout per value: 1 tag byte followed by
-// a kind-specific payload. Integers use varint encoding; strings are
-// length-prefixed.
+// The value codec is shared by the storage layer (table files, WAL records)
+// and the wire protocol (DataRow payloads), on top of internal/bin's
+// primitives. Layout per value: 1 tag byte followed by a kind-specific
+// payload. Integers use varint encoding; strings are length-prefixed.
 
 // AppendEncode appends the binary encoding of v to dst and returns the
 // extended slice.
@@ -22,8 +23,7 @@ func AppendEncode(dst []byte, v Value) []byte {
 	case KindFloat:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = bin.AppendString(dst, v.s)
 	}
 	return dst
 }
@@ -32,31 +32,41 @@ func AppendEncode(dst []byte, v Value) []byte {
 func EncodedLen(v Value) int {
 	switch v.kind {
 	case KindInt, KindBool, KindDate:
-		return 1 + VarintLen(v.n)
+		return 1 + bin.VarintLen(v.n)
 	case KindFloat:
 		return 9
 	case KindString:
-		return 1 + UvarintLen(uint64(len(v.s))) + len(v.s)
+		return 1 + bin.UvarintLen(uint64(len(v.s))) + len(v.s)
 	default:
 		return 1
 	}
 }
 
-// EncodedRowLen returns len(EncodeRow(nil, row)) without encoding, so a
-// writer of many rows can allocate its buffer once at the final size.
+// EncodedRowLen returns len(EncodeRow(nil, row)) without encoding.
 func EncodedRowLen(row []Value) int {
-	n := UvarintLen(uint64(len(row)))
+	n := bin.UvarintLen(uint64(len(row)))
 	for _, v := range row {
 		n += EncodedLen(v)
 	}
 	return n
 }
 
-// UvarintLen returns len(binary.AppendUvarint(nil, x)).
-func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// EncodeRow encodes a slice of values: a uvarint count followed by each
+// value's encoding.
+func EncodeRow(dst []byte, row []Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(row)))
+	for _, v := range row {
+		dst = AppendEncode(dst, v)
+	}
+	return dst
+}
 
-// VarintLen returns len(binary.AppendVarint(nil, x)) (zig-zag, then uvarint).
-func VarintLen(x int64) int { return UvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+// WriteRow writes EncodeRow's image of row through w — sized with
+// EncodedRowLen while w counts — so a writer of many rows allocates its
+// buffer once at the final size.
+func WriteRow(w *bin.Writer, row []Value) {
+	w.Append(func() int { return EncodedRowLen(row) }, func(b []byte) []byte { return EncodeRow(b, row) })
+}
 
 // Decode reads one value from b, returning the value and the number of bytes
 // consumed.
@@ -100,29 +110,34 @@ func decode(b []byte, text string) (Value, int, error) {
 	}
 }
 
-// EncodeRow encodes a slice of values: a uvarint count followed by each
-// value's encoding.
-func EncodeRow(dst []byte, row []Value) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	for _, v := range row {
-		dst = AppendEncode(dst, v)
-	}
-	return dst
-}
-
 // DecodeRow decodes a row produced by EncodeRow, returning the values and
-// bytes consumed. The row and each of its TEXT values are fresh allocations
-// (the WAL and the wire decode one row at a time and keep it); a reader of
-// many rows uses AppendDecodeRow.
+// bytes consumed. The row and each of its TEXT values are fresh allocations;
+// a reader of many rows uses AppendDecodeRow.
 func DecodeRow(b []byte) ([]Value, int, error) { return AppendDecodeRow(nil, b, "") }
+
+// ReadRow reads one EncodeRow image at r's position, appending its values to
+// dst (nil: a slice of the row's size), TEXT values being substrings of r's
+// string image when it has one. On error r fails and dst is returned as it
+// was passed.
+func ReadRow(r *bin.Reader, dst []Value) []Value {
+	b, text := r.Rest()
+	vals, n, err := AppendDecodeRow(dst, b, text)
+	if err != nil {
+		r.Failf("%w", err)
+		return dst
+	}
+	r.Fixed(n)
+	return vals
+}
 
 // AppendDecodeRow is the row-decode loop: it decodes one EncodeRow image
 // from the front of b, appends its values to dst and returns the extended
-// slice and the bytes consumed. A nil dst is allocated at the row's exact
-// size. When text is non-empty it must be string(b) — the caller converted
-// the whole buffer once — and TEXT values are returned as substrings of it,
-// so decoding allocates nothing per value and every such value keeps text
-// alive. On error dst is returned as it was passed.
+// slice and the bytes consumed. A nil dst is allocated at the row's size, as
+// far as the bytes after the count can back it (bin.Make). When text is
+// non-empty it must be string(b) — the caller converted the whole buffer
+// once — and TEXT values are returned as substrings of it, so decoding
+// allocates nothing per value and every such value keeps text alive. On
+// error dst is returned as it was passed.
 func AppendDecodeRow(dst []Value, b []byte, text string) ([]Value, int, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -140,7 +155,7 @@ func AppendDecodeRow(dst []Value, b []byte, text string) ([]Value, int, error) {
 	}
 	orig := dst
 	if dst == nil {
-		dst = make([]Value, 0, count)
+		dst = bin.Make[Value](int(count), len(b)-off)
 	}
 	for i := uint64(0); i < count; i++ {
 		var sub string

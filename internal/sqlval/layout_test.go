@@ -2,11 +2,12 @@ package sqlval
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"ldv/internal/bin"
 )
 
 // TestValueIs32Bytes pins the representation: two values per 64-byte cache
@@ -106,13 +107,9 @@ func TestEncodedLenIsExact(t *testing.T) {
 		if got, want := EncodedRowLen(vals[:n]), len(EncodeRow(nil, vals[:n])); got != want {
 			t.Fatalf("EncodedRowLen of %d values = %d, encoding is %d bytes", n, got, want)
 		}
-	}
-	for _, x := range []uint64{0, 1, 127, 128, 16383, 16384, math.MaxInt64, math.MaxUint64} {
-		if got, want := UvarintLen(x), len(binary.AppendUvarint(nil, x)); got != want {
-			t.Fatalf("UvarintLen(%d) = %d, want %d", x, got, want)
-		}
-		if got, want := VarintLen(int64(x)), len(binary.AppendVarint(nil, int64(x))); got != want {
-			t.Fatalf("VarintLen(%d) = %d, want %d", int64(x), got, want)
+		got := bin.Encode(0, func(w *bin.Writer) { WriteRow(w, vals[:n]) })
+		if want := EncodeRow(nil, vals[:n]); len(got) != cap(got) || !bytes.Equal(got, want) {
+			t.Fatalf("WriteRow of %d values: %d bytes in a %d-byte buffer, want %d", n, len(got), cap(got), len(want))
 		}
 	}
 }

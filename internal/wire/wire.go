@@ -11,6 +11,7 @@ import (
 	"io"
 	"slices"
 
+	"ldv/internal/bin"
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	"ldv/internal/sqlval"
@@ -389,14 +390,14 @@ func encodePayload(m Message) []byte {
 	var b []byte
 	switch v := m.(type) {
 	case Startup:
-		b = appendString(b, v.Proc)
-		b = appendString(b, v.Database)
+		b = bin.AppendString(b, v.Proc)
+		b = bin.AppendString(b, v.Database)
 		// Options are a trailing field: omitted entirely when empty so the
 		// frame is byte-identical to the pre-options protocol.
 		if len(v.Options) > 0 {
 			b = binary.AppendUvarint(b, uint64(len(v.Options)))
 			for _, o := range v.Options {
-				b = appendString(b, o)
+				b = bin.AppendString(b, o)
 			}
 		}
 	case Query:
@@ -405,7 +406,7 @@ func encodePayload(m Message) []byte {
 		} else {
 			b = append(b, 0)
 		}
-		b = appendString(b, v.SQL)
+		b = bin.AppendString(b, v.SQL)
 		// Trace context trails the frame: exactly 24 bytes when present,
 		// absent when zero, so pre-tracing peers parse the frame unchanged.
 		// A MinApplied bound trails the trace context, and an AS OF tick
@@ -425,7 +426,7 @@ func encodePayload(m Message) []byte {
 	case RowDescription:
 		b = binary.AppendUvarint(b, uint64(len(v.Columns)))
 		for _, c := range v.Columns {
-			b = appendString(b, c)
+			b = bin.AppendString(b, c)
 		}
 	case DataRow:
 		b = sqlval.EncodeRow(b, v.Values)
@@ -459,13 +460,13 @@ func encodePayload(m Message) []byte {
 			b = binary.AppendUvarint(b, v.CommitSeq)
 		}
 		if v.Fingerprint != "" || v.Tag != 0 {
-			b = appendString(b, v.Fingerprint)
+			b = bin.AppendString(b, v.Fingerprint)
 		}
 		if v.Tag != 0 {
 			b = binary.AppendUvarint(b, v.Tag)
 		}
 	case Error:
-		b = appendString(b, v.Message)
+		b = bin.AppendString(b, v.Message)
 	case StatsResult:
 		b = append(b, v.JSON...)
 	case Ready:
@@ -483,9 +484,9 @@ func encodePayload(m Message) []byte {
 	case TraceContext:
 		b = appendSpanContext(b, v.Context)
 	case Subscribe:
-		b = appendString(b, v.ReplicaID)
+		b = bin.AppendString(b, v.ReplicaID)
 	case SnapshotChunk:
-		b = appendString(b, v.Table)
+		b = bin.AppendString(b, v.Table)
 		if v.Done {
 			b = append(b, 1)
 		} else {
@@ -502,21 +503,21 @@ func encodePayload(m Message) []byte {
 			b = append(b, rec...)
 		}
 	case ReplicaStatus:
-		b = appendString(b, v.ID)
+		b = bin.AppendString(b, v.ID)
 		b = binary.AppendUvarint(b, v.AppliedSeq)
 		b = binary.AppendUvarint(b, v.AppliedTS)
 	case Parse:
-		b = appendString(b, v.Name)
-		b = appendString(b, v.SQL)
+		b = bin.AppendString(b, v.Name)
+		b = bin.AppendString(b, v.SQL)
 	case ParseComplete:
-		b = appendString(b, v.Name)
+		b = bin.AppendString(b, v.Name)
 		b = binary.AppendUvarint(b, uint64(v.NumParams))
-		b = appendString(b, v.Fingerprint)
+		b = bin.AppendString(b, v.Fingerprint)
 	case Bind:
-		b = appendString(b, v.Stmt)
+		b = bin.AppendString(b, v.Stmt)
 		b = sqlval.EncodeRow(b, v.Args)
 	case Execute:
-		b = appendString(b, v.Stmt)
+		b = bin.AppendString(b, v.Stmt)
 		b = binary.AppendUvarint(b, v.Tag)
 		if v.WithLineage {
 			b = append(b, 1)
@@ -529,186 +530,135 @@ func encodePayload(m Message) []byte {
 		b = appendSpanContext(b, v.Trace)
 		b = binary.AppendUvarint(b, v.MinApplied)
 	case CloseStmt:
-		b = appendString(b, v.Name)
+		b = bin.AppendString(b, v.Name)
 	case Terminate:
 	}
 	return b
 }
 
 func decodePayload(tag byte, b []byte) (Message, error) {
-	d := &decoder{buf: b}
+	d := &decoder{Reader: *bin.NewReader(b)}
 	var m Message
 	switch tag {
 	case TagStartup:
-		s := Startup{Proc: d.string(), Database: d.string()}
+		s := Startup{Proc: d.Str(), Database: d.Str()}
 		// Trailing options (absent in pre-options frames).
-		if d.err == nil && len(d.buf) > 0 {
-			n := d.uvarint()
-			if n > uint64(len(d.buf)) {
-				return nil, fmt.Errorf("wire Startup: option count %d exceeds frame", n)
-			}
-			s.Options = make([]string, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				s.Options = append(s.Options, d.string())
-			}
+		if d.Len() > 0 {
+			s.Options = d.strings("option")
 		}
 		m = s
 	case TagQuery:
-		withLineage := d.byte() == 1
-		q := Query{WithLineage: withLineage, SQL: d.string()}
+		q := Query{WithLineage: d.Byte() == 1, SQL: d.Str()}
 		// Trailing trace context (absent in pre-tracing frames), then the
 		// optional MinApplied bound, then the optional AS OF tick.
-		if d.err == nil && len(d.buf) > 0 {
+		if d.Len() > 0 {
 			q.Trace = d.spanContext()
-			if d.err == nil && len(d.buf) > 0 {
-				q.MinApplied = d.uvarint()
+			if d.Len() > 0 {
+				q.MinApplied = d.Uvarint()
 			}
-			if d.err == nil && len(d.buf) > 0 {
-				q.AsOf = d.uvarint()
+			if d.Len() > 0 {
+				q.AsOf = d.Uvarint()
 			}
 		}
 		m = q
 	case TagRowDescription:
-		n := d.uvarint()
-		if n > uint64(len(d.buf)) {
-			return nil, fmt.Errorf("wire RowDescription: column count %d exceeds frame", n)
-		}
-		cols := make([]string, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			cols = append(cols, d.string())
-		}
-		m = RowDescription{Columns: cols}
+		m = RowDescription{Columns: d.strings("column")}
 	case TagDataRow:
-		vals, n, err := sqlval.DecodeRow(b)
-		if err != nil {
-			return nil, fmt.Errorf("wire DataRow: %w", err)
-		}
-		d.buf = b[n:]
-		m = DataRow{Values: vals}
+		m = DataRow{Values: sqlval.ReadRow(&d.Reader, nil)}
 	case TagLineageRow:
 		m = LineageRow{Refs: d.refs()}
 	case TagTupleValues:
 		refs := d.refs()
 		rows := make([][]sqlval.Value, 0, len(refs))
-		for i := 0; i < len(refs) && d.err == nil; i++ {
-			vals, n, err := sqlval.DecodeRow(d.buf)
-			if err != nil {
-				return nil, fmt.Errorf("wire TupleValues row %d: %w", i, err)
-			}
-			d.buf = d.buf[n:]
-			rows = append(rows, vals)
+		for i := 0; i < len(refs) && d.Err() == nil; i++ {
+			rows = append(rows, sqlval.ReadRow(&d.Reader, nil))
 		}
 		m = TupleValues{Refs: refs, Rows: rows}
 	case TagCommandComplete:
 		cc := CommandComplete{
-			RowsAffected: int(d.varint()),
-			StmtID:       d.varint(),
-			Start:        d.uvarint(),
-			End:          d.uvarint(),
+			RowsAffected: int(d.Varint()),
+			StmtID:       d.Varint(),
+			Start:        d.Uvarint(),
+			End:          d.Uvarint(),
 			ReadRefs:     d.refs(),
 			WrittenRefs:  d.refs(),
 		}
 		// Trailing commit sequence (absent in pre-replication frames), then
 		// the statement fingerprint (absent in pre-introspection frames),
 		// then the pipeline tag (absent outside v2 Execute responses).
-		if d.err == nil && len(d.buf) > 0 {
-			cc.CommitSeq = d.uvarint()
+		if d.Len() > 0 {
+			cc.CommitSeq = d.Uvarint()
 		}
-		if d.err == nil && len(d.buf) > 0 {
-			cc.Fingerprint = d.string()
+		if d.Len() > 0 {
+			cc.Fingerprint = d.Str()
 		}
-		if d.err == nil && len(d.buf) > 0 {
-			cc.Tag = d.uvarint()
+		if d.Len() > 0 {
+			cc.Tag = d.Uvarint()
 		}
 		m = cc
 	case TagError:
-		m = Error{Message: d.string()}
+		m = Error{Message: d.Str()}
 	case TagStats:
 		// Tolerate the pre-kind empty payload: absent kind means metrics.
-		if len(d.buf) > 0 {
-			m = Stats{Kind: d.byte()}
-		} else {
-			m = Stats{}
+		var s Stats
+		if d.Len() > 0 {
+			s.Kind = d.Byte()
 		}
+		m = s
 	case TagTraceContext:
 		m = TraceContext{Context: d.spanContext()}
 	case TagStatsResult:
-		m = StatsResult{JSON: append([]byte(nil), d.buf...)}
-		d.buf = nil
+		m = StatsResult{JSON: append([]byte(nil), d.Fixed(d.Len())...)}
 	case TagReady:
 		// Tolerate the pre-transaction empty payload (old peers, replay
 		// corpora): absent flag means no open transaction.
-		if len(d.buf) > 0 {
-			m = Ready{InTxn: d.byte() == 1}
-		} else {
-			m = Ready{}
+		var r Ready
+		if d.Len() > 0 {
+			r.InTxn = d.Byte() == 1
 		}
+		m = r
 	case TagSubscribe:
-		m = Subscribe{ReplicaID: d.string()}
+		m = Subscribe{ReplicaID: d.Str()}
 	case TagSnapshotChunk:
-		c := SnapshotChunk{Table: d.string(), Done: d.byte() == 1, CutSeq: d.uvarint()}
-		if d.err == nil {
-			c.Data = append([]byte(nil), d.buf...)
-			d.buf = nil
-		}
+		c := SnapshotChunk{Table: d.Str(), Done: d.Byte() == 1, CutSeq: d.Uvarint()}
+		c.Data = append([]byte(nil), d.Fixed(d.Len())...) // raw to frame end
 		m = c
 	case TagWALSegment:
-		seg := WALSegment{FirstSeq: d.uvarint(), PrimaryTS: d.uvarint()}
-		n := d.uvarint()
-		if n > uint64(len(d.buf)) {
-			return nil, fmt.Errorf("wire WALSegment: record count %d exceeds frame", n)
-		}
-		if n > 0 {
-			seg.Records = make([][]byte, 0, n)
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			seg.Records = append(seg.Records, d.bytes())
+		seg := WALSegment{FirstSeq: d.Uvarint(), PrimaryTS: d.Uvarint()}
+		if n := d.Count("record", 1); n > 0 {
+			seg.Records = bin.Make[[]byte](n, d.Len())
+			for i := 0; i < n && d.Err() == nil; i++ {
+				seg.Records = append(seg.Records, append([]byte(nil), d.Raw()...))
+			}
 		}
 		m = seg
 	case TagReplicaStatus:
-		m = ReplicaStatus{ID: d.string(), AppliedSeq: d.uvarint(), AppliedTS: d.uvarint()}
+		m = ReplicaStatus{ID: d.Str(), AppliedSeq: d.Uvarint(), AppliedTS: d.Uvarint()}
 	case TagParse:
-		m = Parse{Name: d.string(), SQL: d.string()}
+		m = Parse{Name: d.Str(), SQL: d.Str()}
 	case TagParseComplete:
-		m = ParseComplete{Name: d.string(), NumParams: int(d.uvarint()), Fingerprint: d.string()}
+		m = ParseComplete{Name: d.Str(), NumParams: int(d.Uvarint()), Fingerprint: d.Str()}
 	case TagBind:
-		bd := Bind{Stmt: d.string()}
-		if d.err == nil {
-			args, n, err := sqlval.DecodeRow(d.buf)
-			if err != nil {
-				return nil, fmt.Errorf("wire Bind: %w", err)
-			}
-			d.buf = d.buf[n:]
-			bd.Args = args
-		}
-		m = bd
+		m = Bind{Stmt: d.Str(), Args: sqlval.ReadRow(&d.Reader, nil)}
 	case TagExecute:
 		m = Execute{
-			Stmt:        d.string(),
-			Tag:         d.uvarint(),
-			WithLineage: d.byte() == 1,
+			Stmt:        d.Str(),
+			Tag:         d.Uvarint(),
+			WithLineage: d.Byte() == 1,
 			Trace:       d.spanContext(),
-			MinApplied:  d.uvarint(),
+			MinApplied:  d.Uvarint(),
 		}
 	case TagCloseStmt:
-		m = CloseStmt{Name: d.string()}
+		m = CloseStmt{Name: d.Str()}
 	case TagTerminate:
 		m = Terminate{}
 	default:
 		return nil, fmt.Errorf("wire: unknown message tag %q", tag)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("wire decode %q: %w", tag, d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire decode %q: %d trailing bytes", tag, len(d.buf))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("wire decode %q: %w", tag, err)
 	}
 	return m, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 func appendRefs(b []byte, refs []engine.TupleRef) []byte {
@@ -717,92 +667,35 @@ func appendRefs(b []byte, refs []engine.TupleRef) []byte {
 		b = slices.Grow(b, len(refs)*(len(refs[0].Table)+8))
 	}
 	for _, r := range refs {
-		b = appendString(b, r.Table)
+		b = bin.AppendString(b, r.Table)
 		b = binary.AppendUvarint(b, uint64(r.Row))
 		b = binary.AppendUvarint(b, r.Version)
 	}
 	return b
 }
 
-// decoder is a cursor with sticky error handling.
+// decoder is a frame's cursor: the one bin.Reader every format decodes
+// through, plus what only frames need — the decoding of refs and trace
+// contexts, and a per-frame intern of the table names refs carry:
+// tables[:ntables] are the names the frame's refs have used so far, so that
+// a frame of n refs over k tables allocates k strings, not n. A statement
+// reads a handful of tables; past the array's size names are simply not
+// remembered.
 type decoder struct {
-	buf []byte
-	err error
-	// tables[:ntables] are the table names the frame's refs have used so
-	// far, so that a frame of n refs over k tables allocates k strings, not
-	// n. A statement reads a handful of tables; past the array's size names
-	// are simply not remembered.
+	bin.Reader
 	tables  [8]string
 	ntables int
 }
 
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s", what)
+// strings reads a count of strings, then the strings.
+func (d *decoder) strings(what string) []string {
+	n := d.Count(what, 1)
+	s := bin.Make[string](n, d.Len())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s = append(s, d.Str())
 	}
+	return s
 }
-
-func (d *decoder) byte() byte {
-	if d.err != nil || len(d.buf) == 0 {
-		d.fail("byte")
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// raw reads a uvarint-length-prefixed byte slice, aliasing the frame.
-func (d *decoder) raw(what string) []byte {
-	l := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(len(d.buf)) < l {
-		d.fail(what)
-		return nil
-	}
-	v := d.buf[:l]
-	d.buf = d.buf[l:]
-	return v
-}
-
-// bytes reads a uvarint-length-prefixed byte slice (a copy).
-func (d *decoder) bytes() []byte {
-	v := d.raw("bytes")
-	if d.err != nil {
-		return nil
-	}
-	return append([]byte(nil), v...)
-}
-
-func (d *decoder) string() string { return string(d.raw("string")) }
 
 // spanContextSize is the fixed wire size of a trace-context header: 16-byte
 // trace ID plus big-endian 8-byte span ID.
@@ -814,38 +707,25 @@ func appendSpanContext(b []byte, sc obs.SpanContext) []byte {
 	return binary.BigEndian.AppendUint64(b, sc.Span)
 }
 
-func (d *decoder) spanContext() obs.SpanContext {
-	if d.err != nil {
-		return obs.SpanContext{}
+func (d *decoder) spanContext() (sc obs.SpanContext) {
+	if b := d.Fixed(spanContextSize); b != nil {
+		copy(sc.Trace[:], b)
+		sc.Span = binary.BigEndian.Uint64(b[16:])
 	}
-	if len(d.buf) < spanContextSize {
-		d.fail("trace context")
-		return obs.SpanContext{}
-	}
-	var sc obs.SpanContext
-	copy(sc.Trace[:], d.buf[:16])
-	sc.Span = binary.BigEndian.Uint64(d.buf[16:spanContextSize])
-	d.buf = d.buf[spanContextSize:]
 	return sc
 }
 
 func (d *decoder) refs() []engine.TupleRef {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
+	n := d.Count("ref", 3) // an empty table name, a row id and a version
+	if n == 0 {
 		return nil
 	}
-	// Each ref needs at least 3 bytes; reject corrupt counts before
-	// allocating.
-	if n > uint64(len(d.buf)) {
-		d.fail("ref count")
-		return nil
-	}
-	refs := make([]engine.TupleRef, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	refs := bin.Make[engine.TupleRef](n, d.Len())
+	for i := 0; i < n && d.Err() == nil; i++ {
 		refs = append(refs, engine.TupleRef{
 			Table:   d.table(),
-			Row:     engine.RowID(d.uvarint()),
-			Version: d.uvarint(),
+			Row:     engine.RowID(d.Uvarint()),
+			Version: d.Uvarint(),
 		})
 	}
 	return refs
@@ -854,7 +734,7 @@ func (d *decoder) refs() []engine.TupleRef {
 // table reads a ref's table name, reusing the string of an earlier ref of
 // the frame that named the same table.
 func (d *decoder) table() string {
-	name := d.raw("string")
+	name := d.Raw()
 	for _, t := range d.tables[:d.ntables] {
 		if t == string(name) {
 			return t

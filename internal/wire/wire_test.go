@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +140,63 @@ func TestReadErrors(t *testing.T) {
 	buf.Reset()
 	if _, err := Read(&buf); err == nil {
 		t.Error("EOF must fail")
+	}
+}
+
+// appendString spells the string encoding apart from the encoder, for the
+// frames the pinned tests build by hand.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc - before.TotalAlloc)
+}
+
+// claimPayload is an n-byte payload: prefix, then an element count as large
+// as the bytes after it — the most a check of one byte per element lets
+// through — then those bytes, none of which starts a valid element.
+func claimPayload(prefix []byte, n int) []byte {
+	rest := n - len(prefix) - 3 // a count below 1<<21 takes three bytes
+	b := binary.AppendUvarint(append([]byte(nil), prefix...), uint64(rest))
+	return append(b, bytes.Repeat([]byte{0xff}, rest)...)
+}
+
+// TestDecodeAllocatesInProportion: for every kind with an element count, a
+// frame whose count claims more than its bytes can hold is refused, and
+// refusing it allocates at most a small constant times the frame's size —
+// whatever the count claimed.
+func TestDecodeAllocatesInProportion(t *testing.T) {
+	const n, perByte = 64 << 10, 12
+	for _, c := range []struct {
+		name   string
+		tag    byte
+		prefix []byte
+	}{
+		{"Startup options", TagStartup, []byte{0, 0}},
+		{"RowDescription columns", TagRowDescription, nil},
+		{"DataRow values", TagDataRow, nil},
+		{"LineageRow refs", TagLineageRow, nil},
+		{"TupleValues refs", TagTupleValues, nil},
+		{"CommandComplete read refs", TagCommandComplete, []byte{0, 0, 0, 0}},
+		{"CommandComplete written refs", TagCommandComplete, []byte{0, 0, 0, 0, 0}},
+		{"WALSegment records", TagWALSegment, []byte{0, 0}},
+		{"Bind args", TagBind, []byte{0}},
+	} {
+		payload := claimPayload(c.prefix, n)
+		var err error
+		grew := allocated(func() { _, err = decodePayload(c.tag, payload) })
+		if err == nil {
+			t.Errorf("%s: a count beyond the frame decoded", c.name)
+		}
+		if grew > perByte*n {
+			t.Errorf("%s: refusing a %d-byte frame allocated %d bytes (%.1f per byte)", c.name, n, grew, float64(grew)/n)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,13 +15,42 @@ import (
 )
 
 // parsePackages parses the non-test files of the packages in dir — the one
-// package walk the docs, plan, trace and wait lints share.
+// package walk the docs, codec, plan, trace and wait lints share.
 func parsePackages(dir string, mode parser.Mode) (*token.FileSet, map[string]*ast.Package, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, mode)
 	return fset, pkgs, err
+}
+
+// walkPackages calls fn for every directory of the module with Go files the
+// build would accept — hidden directories, testdata and results skipped —
+// with its slash path relative to the root and its parsed packages.
+func walkPackages(t *testing.T, mode parser.Mode, fn func(rel string, fset *token.FileSet, pkgs map[string]*ast.Package)) {
+	t.Helper()
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "results") {
+			return filepath.SkipDir
+		}
+		fset, pkgs, err := parsePackages(path, mode)
+		if err != nil {
+			return nil // no Go files here, or none the build would accept
+		}
+		rel, _ := filepath.Rel(root, path)
+		fn(filepath.ToSlash(rel), fset, pkgs)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // pairRule is one begin/end discipline: the result of a begin call must be
