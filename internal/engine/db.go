@@ -527,6 +527,16 @@ func (db *DB) advanceNextRow(id RowID) {
 	}
 }
 
+// advanceNextStmt moves the statement-id generator to at least id.
+func (db *DB) advanceNextStmt(id int64) {
+	for {
+		cur := db.nextStmt.Load()
+		if id <= cur || db.nextStmt.CompareAndSwap(cur, id) {
+			return
+		}
+	}
+}
+
 // ScanAll returns every tuple version of a table visible to a fresh snapshot
 // along with its values (used by whole-DB packaging baselines and tests).
 func (db *DB) ScanAll(table string) ([]TupleRef, [][]sqlval.Value, error) {

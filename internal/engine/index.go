@@ -147,8 +147,8 @@ func (ix *tableIndex) remove(r *storedRow) {
 	}
 }
 
-// rebuild re-derives the whole index from a table's version array (crash
-// recovery and table-image loads, where rows bypass insertRow).
+// rebuild re-derives the whole index from a table's version array (CREATE
+// INDEX, applied or executed; table-file loads; a vacuum pass).
 func (ix *tableIndex) rebuild(rows []*storedRow) {
 	if ix.kind == "hash" {
 		ix.hash = make(map[string][]*storedRow)

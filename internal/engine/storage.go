@@ -338,12 +338,7 @@ func (t *Table) removeRow(r *storedRow) error {
 		if t.rows[i] != r {
 			continue
 		}
-		if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
-			key := keyOf(r.vals[pk])
-			if t.pkIndex[key] == r {
-				delete(t.pkIndex, key)
-			}
-		}
+		t.releasePK(r)
 		last := len(t.rows) - 1
 		t.rows[i] = t.rows[last]
 		t.rows = t.rows[:last]
@@ -358,6 +353,16 @@ func (t *Table) removeRow(r *storedRow) error {
 		return nil
 	}
 	return fmt.Errorf("table %s: row %d not found", t.Name, r.id)
+}
+
+// releasePK drops r's primary-key entry if r holds its key (caller holds the
+// table write lock).
+func (t *Table) releasePK(r *storedRow) {
+	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
+		if key := keyOf(r.vals[pk]); t.pkIndex[key] == r {
+			delete(t.pkIndex, key)
+		}
+	}
 }
 
 // restorePK re-points the pk index at a version whose end mark is being

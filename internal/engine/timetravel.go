@@ -97,10 +97,10 @@ func (db *DB) commitTxnHist(x *Txn, cts, seq uint64) {
 	db.txnMu.Unlock()
 }
 
-// recordRecoveredStmt rebuilds transaction history from a walStmt entry, on
-// the recovery and replication apply paths. It also advances nextTxn past
-// the recovered id so a restarted primary never reissues a transaction id
-// that the history still refers to.
+// recordRecoveredStmt rebuilds transaction history from a walStmt entry of
+// the record at WAL sequence seq, on the apply path (recovery and
+// replication). It also advances nextTxn past the recovered id so a restarted
+// primary never reissues a transaction id that the history still refers to.
 func (db *DB) recordRecoveredStmt(txnID int64, e redoEntry, seq uint64) {
 	db.txnMu.Lock()
 	rec := db.txnHist[txnID]

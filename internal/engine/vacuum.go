@@ -68,17 +68,26 @@ func (db *DB) VacuumTo(requested uint64) (VacuumResult, error) {
 	}
 	db.commitMu.RUnlock()
 
+	pruned := db.pruneTo(h)
+	db.vacuumLastNS.Store(int64(time.Since(t0)))
+	hVacuumNS.Observe(time.Since(t0))
+	return VacuumResult{Horizon: h, Pruned: pruned}, nil
+}
+
+// pruneTo is a vacuum pass at horizon h: the retention floor rises to h if it
+// is below, and every committed version end-marked at or before h goes, with
+// the commit stamps and histories h makes unreachable. The pass runs even
+// when the floor does not move: a version may have been end-marked below it
+// since the last one. Caller holds vacuumMu.
+func (db *DB) pruneTo(h uint64) int64 {
 	db.advanceHorizon(h)
 	pruned := db.pruneVersions(h)
 	db.pruneMetaBelow(h)
-
 	db.vacuumPasses.Add(1)
 	db.vacuumPruned.Add(pruned)
-	db.vacuumLastNS.Store(int64(time.Since(t0)))
 	mVacuumPasses.Inc()
 	mVacuumPruned.Add(pruned)
-	hVacuumNS.Observe(time.Since(t0))
-	return VacuumResult{Horizon: h, Pruned: pruned}, nil
+	return pruned
 }
 
 // advanceHorizon raises the retention horizon to h if it is below it. Every
@@ -86,33 +95,15 @@ func (db *DB) VacuumTo(requested uint64) (VacuumResult, error) {
 // the store comes first, then the touches, and Checkpoint reads a table's
 // mutation count before the horizon — an image encoded with the old horizon
 // is invalidated by the touch.
-func (db *DB) advanceHorizon(h uint64) bool {
+func (db *DB) advanceHorizon(h uint64) {
 	if h <= db.vacuumHorizon.Load() {
-		return false
+		return
 	}
 	db.vacuumHorizon.Store(h)
 	gVacuumTicks.Set(int64(h))
 	for _, t := range db.tableList() {
 		t.touch()
 	}
-	return true
-}
-
-// applyVacuumHorizon installs a horizon decided elsewhere (the replication
-// apply path): no WAL record, no active-snapshot clamp — the primary already
-// made that call.
-func (db *DB) applyVacuumHorizon(h uint64) {
-	db.vacuumMu.Lock()
-	defer db.vacuumMu.Unlock()
-	if !db.advanceHorizon(h) {
-		return
-	}
-	pruned := db.pruneVersions(h)
-	db.pruneMetaBelow(h)
-	db.vacuumPasses.Add(1)
-	db.vacuumPruned.Add(pruned)
-	mVacuumPasses.Inc()
-	mVacuumPruned.Add(pruned)
 }
 
 // pruneVersions removes every committed version end-marked at or before the

@@ -229,6 +229,46 @@ func TestReplicaPrefixConsistentReads(t *testing.T) {
 	assertSameRows(t, pdb, rdb, "SELECT k, v FROM kv ORDER BY k")
 }
 
+// TestReplicaHistoryMatchesPrimary: after write transactions stream, the
+// replica's transaction history is the primary's — the same transactions,
+// snapshot ticks, WAL sequences, statement and row counts. commit_tick is
+// left out: the WAL record is written before the commit tick exists.
+func TestReplicaHistoryMatchesPrimary(t *testing.T) {
+	srv, pdb := newPrimary(t)
+	r, rdb := newReplica(t, srv, "r1")
+	r.Start()
+	if err := r.WaitApplied(0); err != nil {
+		t.Fatal(err)
+	}
+	s := pdb.NewSession()
+	defer s.Close()
+	var last uint64
+	for i := 0; i < 8; i++ {
+		res, err := pdb.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, 'auto')", 2*i), engine.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			"BEGIN",
+			fmt.Sprintf("INSERT INTO kv VALUES (%d, 'txn')", 2*i+1),
+			fmt.Sprintf("UPDATE kv SET v = 'both' WHERE k >= %d", 2*i),
+			"COMMIT",
+		} {
+			if res, err = s.Exec(sql, engine.ExecOptions{}); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		last = res.CommitSeq
+	}
+	if err := r.WaitApplied(last); err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, pdb, rdb, "SELECT txn, snapshot_tick, commit_seq, statements, rows FROM ldv_stat_versions ORDER BY txn")
+	if n := len(rows(t, rdb, "SELECT txn FROM ldv_stat_versions")); n != 16 {
+		t.Fatalf("replica history holds %d transactions, want 16", n)
+	}
+}
+
 func TestWaitAppliedTimeout(t *testing.T) {
 	srv, _ := newPrimary(t)
 	r, _ := newReplica(t, srv, "r1")

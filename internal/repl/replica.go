@@ -247,7 +247,7 @@ func (r *Replica) applySegment(a *engine.Applier, seg wire.WALSegment) error {
 		if err := r.hook(fmt.Sprintf("apply:%d", seq)); err != nil {
 			return err
 		}
-		ts, err := a.ApplyRecord(rec)
+		ts, err := a.ApplyRecord(seq, rec)
 		if err != nil {
 			return fmt.Errorf("replication: apply record %d: %w", seq, err)
 		}
