@@ -132,8 +132,8 @@ func AblationDedup(cfg Config, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "Ablation 2: duplicate-suppression hash table (§VII-D)")
-	fmt.Fprintf(w, "relevant tuples with dedup:    %d (provenance CSVs %s MB)\n", withDedup, sizeDedup)
-	fmt.Fprintf(w, "relevant tuples without dedup: %d (provenance CSVs %s MB)\n", without, sizeNo)
+	fmt.Fprintf(w, "relevant tuples with dedup:    %d (provenance table files %s MB)\n", withDedup, sizeDedup)
+	fmt.Fprintf(w, "relevant tuples without dedup: %d (provenance table files %s MB)\n", without, sizeNo)
 	if withDedup > 0 {
 		fmt.Fprintf(w, "duplication factor:            %.1fx\n", float64(without)/float64(withDedup))
 	}
@@ -175,7 +175,7 @@ func AblationTableGranularity(cfg Config, w io.Writer) error {
 		wholeSize += info.Size
 	}
 	fmt.Fprintln(w, "Ablation 3: tuple-granularity slicing vs whole-table copy")
-	fmt.Fprintf(w, "relevant-tuple CSVs:     %s MB\n", mb(sliceSize))
+	fmt.Fprintf(w, "relevant-tuple files:    %s MB\n", mb(sliceSize))
 	fmt.Fprintf(w, "whole touched tables:    %s MB\n", mb(wholeSize))
 	if sliceSize > 0 {
 		fmt.Fprintf(w, "whole-table blowup:      %.1fx\n", float64(wholeSize)/float64(sliceSize))

@@ -225,6 +225,14 @@ func Encode(extra int, write func(w *Writer)) []byte {
 	return w.buf
 }
 
+// AppendTo runs write against a Writer that appends to dst, and returns the
+// extended buffer — for records appended one at a time to a growing run.
+func AppendTo(dst []byte, write func(w *Writer)) []byte {
+	w := Writer{buf: dst, writing: true}
+	write(&w)
+	return w.buf
+}
+
 // Byte writes one byte.
 func (w *Writer) Byte(c byte) {
 	if w.writing {

@@ -452,9 +452,8 @@ func (db *DB) lookupTable(name string) (*Table, error) {
 }
 
 // InsertRowDirect loads a row bypassing SQL (the load path of the TPC-H
-// generator; a package restore uses RestoreRows). The row is recorded as
-// preloaded:
-// proc="" and stmt=0 so it never counts as application-created.
+// generator). The row is recorded as preloaded: proc="" and stmt=0 so it
+// never counts as application-created.
 func (db *DB) InsertRowDirect(table string, vals []sqlval.Value) (TupleRef, error) {
 	t, err := db.lookupTable(table)
 	if err != nil {
@@ -470,8 +469,8 @@ func (db *DB) InsertRowDirect(table string, vals []sqlval.Value) (TupleRef, erro
 	return r.ref(table), nil
 }
 
-// RestoredRow is one tuple version handed to RestoreRows: the original row
-// id, version and producing process of a packaged tuple, and its values.
+// RestoredRow is one tuple version handed to RestoreRows: its original row
+// id, version and producing process, and its values.
 type RestoredRow struct {
 	ID      RowID
 	Version uint64
@@ -479,9 +478,9 @@ type RestoredRow struct {
 	Vals    []sqlval.Value
 }
 
-// RestoreRows loads tuple versions with explicit provenance metadata (a
-// package re-creating the relevant DB slice with the original row ids and
-// versions preserved) as one batch through the bulk loader: one table lock
+// RestoreRows loads tuple versions with explicit provenance metadata (the
+// original row ids and versions preserved, as a server-included package's
+// table files carry them) as one batch through the bulk loader: one table lock
 // and one row-id generator update for the whole batch. next fills in the
 // row it is handed and reports whether there was one; it may reuse Vals
 // between calls (the values are copied into the loader's slab, TEXT values

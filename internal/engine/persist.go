@@ -148,7 +148,7 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 // LoadDir brings the database up to date with dir: every <table>.tbl file
 // there is read and its digest verified, and a file that is not the image
 // its table already equals is decoded into a table that replaces any
-// same-named one.
+// same-named one. A file must hold the table it is named after.
 func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -179,6 +179,9 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 		if err != nil {
 			return fmt.Errorf("decode table file %s: %w", n, err)
 		}
+		if img.t.Name != tn {
+			return fmt.Errorf("table file %s holds table %q, not %q", n, img.t.Name, tn)
+		}
 		mLoadDecoded.Inc()
 		db.installTable(img)
 		// The table equals its file unless the database is past the file's
@@ -207,8 +210,9 @@ func (db *DB) installTable(img tableImage) {
 	db.advanceNextRow(img.maxRow)
 }
 
-// The table-file format, written by encodeTable and read by decodeTable and
-// by nothing else (checkpoint files, the replica bootstrap's snapshot cut):
+// The table-file format, written by encodeTable and EncodeTableFile (a
+// server-included package's relevant subset) and read by decodeTable and by
+// nothing else (checkpoint files, the replica bootstrap's snapshot cut):
 //
 //	magic "LDVTBL2\n"
 //	name, ncols, ncols × (name, type byte, pk byte)
@@ -301,21 +305,22 @@ func encodeTable(t *Table, snap snapshot, horizon uint64) (data []byte, whole bo
 		class[i] = rowDead
 		ndead++
 	}
-	data = bin.Encode(digestLen, func(w *bin.Writer) { writeTable(w, t, class, nlive, ndead, horizon) })
-	data = binary.BigEndian.AppendUint64(data, digestOf(data))
+	data = encodeSealed(func(w *bin.Writer) { writeTable(w, t, class, nlive, ndead, horizon) })
 	return data, !openEnd && nlive+ndead == uint64(len(t.rows))
 }
 
+// encodeSealed encodes a table file through write and appends its digest.
+func encodeSealed(write func(w *bin.Writer)) []byte {
+	data := bin.Encode(digestLen, write)
+	return binary.BigEndian.AppendUint64(data, digestOf(data))
+}
+
 func writeTable(w *bin.Writer, t *Table, class []uint8, nlive, ndead, horizon uint64) {
-	w.Fixed([]byte(tableFileMagic))
-	w.Str(t.Name)
-	writeSchema(w, t.Schema)
+	writeTableHead(w, t.Name, t.Schema)
 	w.Uvarint(nlive)
 	for i, r := range t.rows {
 		if class[i] == rowLive {
-			writeVersion(w, r.id, r.version, nil, r.proc, r.stmt)
-			w.Varint(r.usedBy.Load())
-			sqlval.WriteRow(w, r.vals)
+			writeLiveRecord(w, r.id, r.version, r.proc, r.stmt, r.usedBy.Load(), r.vals)
 		}
 	}
 	idxs := t.indexList()
@@ -334,6 +339,46 @@ func writeTable(w *bin.Writer, t *Table, class []uint8, nlive, ndead, horizon ui
 		}
 	}
 	w.Uvarint(horizon)
+}
+
+func writeTableHead(w *bin.Writer, name string, schema Schema) {
+	w.Fixed([]byte(tableFileMagic))
+	w.Str(name)
+	writeSchema(w, schema)
+}
+
+// writeLiveRecord writes one record of the live-row section: the version
+// header, the prov_usedby stamp and the values.
+func writeLiveRecord(w *bin.Writer, id RowID, version uint64, proc string, stmt, usedBy int64, vals []sqlval.Value) {
+	writeVersion(w, id, version, nil, proc, stmt)
+	w.Varint(usedBy)
+	sqlval.WriteRow(w, vals)
+}
+
+// AppendLiveRecord appends to dst the live-row record a table file holds for
+// a preloaded version — one no process or statement of the database's life
+// produced and none has stamped — with the given row id, version and values.
+// A server-included package's auditor encodes each relevant version so, once.
+func AppendLiveRecord(dst []byte, id RowID, version uint64, vals []sqlval.Value) []byte {
+	return bin.AppendTo(dst, func(w *bin.Writer) { writeLiveRecord(w, id, version, "", 0, 0, vals) })
+}
+
+// EncodeTableFile seals the table file of a table that holds only the live
+// versions whose records (AppendLiveRecord's) are given, in that order: no
+// index definitions, no history, horizon 0 — byte for byte the file
+// Checkpoint writes for a fresh database into which those versions were
+// restored in that order.
+func EncodeTableFile(name string, schema Schema, records [][]byte) []byte {
+	return encodeSealed(func(w *bin.Writer) {
+		writeTableHead(w, name, schema)
+		w.Uvarint(uint64(len(records)))
+		for _, rec := range records {
+			w.Fixed(rec)
+		}
+		w.Uvarint(0) // indexes
+		w.Uvarint(0) // dead versions
+		w.Uvarint(0) // horizon
+	})
 }
 
 // The pieces a table file and a WAL record share. A snapshot chunk and a log

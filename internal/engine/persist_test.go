@@ -139,6 +139,40 @@ func TestLoadDirErrors(t *testing.T) {
 	}
 }
 
+// TestLoadDirRefusesAMisnamedFile: a table file's body names the table it
+// installs, so a file named after another table — a data directory is outside
+// input — is refused, naming both, before it replaces anything; and of two
+// files holding one table, neither wins by directory order.
+func TestLoadDirRefusesAMisnamedFile(t *testing.T) {
+	src := newTestDB(t, "CREATE TABLE b (k INT PRIMARY KEY)")
+	mustExec(t, src, "INSERT INTO b VALUES (1)", ExecOptions{})
+	fs := newMapFS()
+	if err := src.Checkpoint(fs, "/src"); err != nil {
+		t.Fatal(err)
+	}
+	b := fs.files["/src/b.tbl"]
+
+	db := newTestDB(t, "CREATE TABLE b (k INT PRIMARY KEY)")
+	mustExec(t, db, "INSERT INTO b VALUES (2), (3)", ExecOptions{})
+	fs.files["/data/a.tbl"] = b
+	err := db.LoadDir(fs, "/data")
+	if err == nil || !strings.Contains(err.Error(), "a.tbl") || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("a.tbl holding table b: err = %v", err)
+	}
+	if names := db.TableNames(); strings.Join(names, ",") != "b" {
+		t.Errorf("tables after the refused load: %v", names)
+	}
+	if got := rowsToStrings(mustExec(t, db, "SELECT k FROM b ORDER BY k", ExecOptions{})); strings.Join(got, " ") != "2 3" {
+		t.Errorf("table b after the refused load: %v", got)
+	}
+
+	fs.files["/two/a.tbl"] = b
+	fs.files["/two/b.tbl"] = b
+	if err := NewDB(nil).LoadDir(fs, "/two"); err == nil || !strings.Contains(err.Error(), "a.tbl") {
+		t.Fatalf("two files holding table b: err = %v", err)
+	}
+}
+
 func TestCreateTableFromSchema(t *testing.T) {
 	db := NewDB(nil)
 	schema := Schema{Columns: []Column{{Name: "id", Type: 1, PrimaryKey: true}}}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -76,35 +75,27 @@ const (
 // once, when it first becomes relevant — the "write accessed tuples to
 // external storage" cost the paper charges to the first (cold-cache) query
 // of an audited run (§IX-B); later queries hit the dedup flags and skip it.
-// The encoding is one CSV record per version, prov_rowid,prov_v,prov_p and
-// then the kind-prefixed cells, and the same bytes are the spool line and
-// the package row.
+// The encoding is the table file's live-row record of a preloaded version
+// (engine.AppendLiveRecord), and the same bytes are the spool's and the
+// package's row section.
 type relevantTable struct {
 	name    string
 	rows    []relevantRow // in first-relevance order
-	csv     []byte        // the rows' records, back to back
-	spooled int           // prefix of csv already appended to the spool file
+	recs    []byte        // the rows' records, back to back
+	spooled int           // prefix of recs already appended to the spool file
 }
 
 type relevantRow struct {
 	row     engine.RowID
 	version uint64
 	vals    []sqlval.Value
-	end     int // the record is csv[previous row's end:end]
+	end     int // the record is recs[previous row's end:end]
 }
 
 // add encodes one tuple version at the end of the table.
 func (t *relevantTable) add(ref engine.TupleRef, vals []sqlval.Value) {
-	b := strconv.AppendUint(t.csv, uint64(ref.Row), 10)
-	b = append(b, ',')
-	b = strconv.AppendUint(b, ref.Version, 10)
-	b = append(b, ',') // prov_p stays empty: pre-existing tuples are restored as preloaded
-	for _, v := range vals {
-		b = append(b, ',')
-		b = appendCSVCell(b, v)
-	}
-	t.csv = append(b, '\n')
-	t.rows = append(t.rows, relevantRow{row: ref.Row, version: ref.Version, vals: vals, end: len(t.csv)})
+	t.recs = engine.AppendLiveRecord(t.recs, ref.Row, ref.Version, vals)
+	t.rows = append(t.rows, relevantRow{row: ref.Row, version: ref.Version, vals: vals, end: len(t.recs)})
 }
 
 // order returns the row indices in (row, version) order.
@@ -132,9 +123,9 @@ type openKey struct {
 // SpoolDir is where the auditor incrementally persists newly relevant
 // tuples during monitoring — §VII-D: "immediately compute the provenance
 // for every operation ... and write these tuples to files on disk", one
-// header-less CSV per accessed table, appended to after every statement. The
-// cold-cache first query of a workload pays for most of these writes; later
-// queries hit the dedup table.
+// <table>.rows file of table-file records per accessed table, appended to
+// after every statement. The cold-cache first query of a workload pays for
+// most of these writes; later queries hit the dedup table.
 const SpoolDir = "/var/spool/ldv-audit"
 
 // NewAuditor creates an auditor and attaches it to the kernel. Call Detach
@@ -503,14 +494,14 @@ func (a *Auditor) linkDep(from engine.TupleRef, to prov.Ref) {
 	}
 }
 
-// spool appends the records added since the last call to the per-table CSV
+// spool appends the records added since the last call to the per-table
 // spool files in the simulated filesystem — the incremental disk write the
 // paper charges to the first (cold-cache) query.
 func (a *Auditor) spool() {
 	for _, t := range a.tables {
-		if t.spooled < len(t.csv) {
-			_ = a.kernel.FS().AppendFile(SpoolDir+"/"+t.name+".csv", t.csv[t.spooled:])
-			t.spooled = len(t.csv)
+		if t.spooled < len(t.recs) {
+			_ = a.kernel.FS().AppendFile(SpoolDir+"/"+t.name+".rows", t.recs[t.spooled:])
+			t.spooled = len(t.recs)
 		}
 	}
 }
@@ -552,27 +543,27 @@ func (a *Auditor) relevantTableNames() []string {
 	return names
 }
 
-// appendRelevantCSV appends table's relevant-tuple records — the bytes
-// encoded at first relevance — to dst in (row, version) order.
-func (a *Auditor) appendRelevantCSV(dst []byte, table string) []byte {
+// tableFile seals the package's table file of one table: its relevant
+// versions' records — the bytes encoded at first relevance — in (row,
+// version) order.
+func (a *Auditor) tableFile(name string, schema engine.Schema) []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t := a.tables[table]
-	if t == nil {
-		return dst
-	}
-	dst = slices.Grow(dst, len(t.csv))
-	for _, i := range t.order() {
-		start := 0
-		if i > 0 {
-			start = t.rows[i-1].end
+	var recs [][]byte
+	if t := a.tables[name]; t != nil {
+		recs = make([][]byte, 0, len(t.rows))
+		for _, i := range t.order() {
+			start := 0
+			if i > 0 {
+				start = t.rows[i-1].end
+			}
+			recs = append(recs, t.recs[start:t.rows[i].end])
 		}
-		dst = append(dst, t.csv[start:t.rows[i].end]...)
 	}
-	return dst
+	return engine.EncodeTableFile(name, schema, recs)
 }
 
-// RelevantTuple is one tuple version destined for a package CSV.
+// RelevantTuple is one tuple version destined for a package's table file.
 type RelevantTuple struct {
 	Ref    engine.TupleRef
 	Values []sqlval.Value

@@ -5,22 +5,35 @@ import (
 
 	"ldv/internal/engine"
 	"ldv/internal/osim"
+	"ldv/internal/pack"
 	"ldv/internal/tpch"
 )
 
-// auditWide audits the select-only application of the repository
-// benchmark's ldv_wide workload (benchmark/README.md): the widest variant
-// of each Table II family over TPC-H at SF 0.005 — four statements, ~29 k
-// tuple reads, a 31.6 k-node trace.
-func auditWide(tb testing.TB) (*Machine, *Auditor, []App) {
+// wideFixture is the select-only application of the repository benchmark's
+// ldv_wide workload (benchmark/README.md) — the widest variant of each Table
+// II family over TPC-H at SF 0.005: four statements, ~29 k tuple reads, a
+// 31.6 k-node trace — and the data directory its machines boot from, as
+// table-file images.
+func wideFixture(tb testing.TB) (files map[string][]byte, apps []App) {
 	tb.Helper()
 	cfg := tpch.Config{SF: 0.005, Seed: 42}
-	m, err := NewMachine()
+	db := engine.NewDB(nil)
+	if _, err := tpch.Load(db, cfg); err != nil {
+		tb.Fatal(err)
+	}
+	fs := osim.NewFS()
+	if err := db.Checkpoint(fs, DefaultDataDir); err != nil {
+		tb.Fatal(err)
+	}
+	names, err := fs.ReadDir(DefaultDataDir)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := tpch.Load(m.DB, cfg); err != nil {
-		tb.Fatal(err)
+	files = map[string][]byte{}
+	for _, n := range names {
+		if files[n], err = fs.ReadFile(DefaultDataDir + "/" + n); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	var sqls []string
 	for _, id := range []string{"Q1-5", "Q2-1", "Q3-1", "Q4-5"} {
@@ -30,7 +43,7 @@ func auditWide(tb testing.TB) (*Machine, *Auditor, []App) {
 		}
 		sqls = append(sqls, q.SQL)
 	}
-	apps := []App{{
+	apps = []App{{
 		Binary: "/usr/bin/wide-app",
 		Libs:   ClientLibs(),
 		Size:   180 << 10,
@@ -48,11 +61,57 @@ func auditWide(tb testing.TB) (*Machine, *Auditor, []App) {
 			return nil
 		},
 	}}
+	return files, apps
+}
+
+// bootWide is a machine whose database was loaded from the fixture's data
+// directory, as the repository benchmark boots one.
+func bootWide(tb testing.TB, files map[string][]byte) *Machine {
+	tb.Helper()
+	m, err := NewMachine()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fs := m.Kernel.FS()
+	for name, data := range files {
+		if err := fs.WriteFile(m.DataDir+"/"+name, data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := m.DB.LoadDir(fs, m.DataDir); err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// auditWide audits the wide application on a freshly booted machine.
+func auditWide(tb testing.TB) (*Machine, *Auditor, []App) {
+	tb.Helper()
+	files, apps := wideFixture(tb)
+	m := bootWide(tb, files)
 	aud, err := Audit(m, apps)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return m, aud, apps
+}
+
+// BenchmarkAuditWide times what the repository benchmark reports as
+// audit_si_ms on ldv_wide: a server-included audit of the wide application,
+// from server start to server stop, on a machine booted from its data
+// directory (the boot is not timed).
+func BenchmarkAuditWide(b *testing.B) {
+	files, apps := wideFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := bootWide(b, files)
+		b.StartTimer()
+		if _, err := Audit(m, apps); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkBuildServerIncluded times what the repository benchmark reports
@@ -71,37 +130,31 @@ func BenchmarkBuildServerIncluded(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreTuples times the restore half of a server-included
-// replay's initialization (replay_si_ms): every provenance CSV of the
-// package parsed and bulk-loaded into a fresh database.
-func BenchmarkRestoreTuples(b *testing.B) {
+// BenchmarkReplayWide times what the repository benchmark reports as
+// replay_si_ms on ldv_wide: the server-included package unmarshalled,
+// prepared and run — the server's start, the application, the server's stop.
+func BenchmarkReplayWide(b *testing.B) {
 	m, aud, apps := auditWide(b)
 	arch, err := BuildServerIncluded(m, aud, apps)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mdata, err := arch.Read(ManifestPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	manifest, err := UnmarshalManifest(mdata)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := arch.Marshal()
+	progs := appProgramsOf(apps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db := engine.NewDB(nil)
-		for _, td := range manifest.Tables {
-			schema, err := td.Schema()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := db.CreateTableFromSchema(td.Name, schema); err != nil {
-				b.Fatal(err)
-			}
+		arch, err := pack.Unmarshal(data)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if err := restoreTuples(arch, db, manifest); err != nil {
+		setup, err := PrepareReplay(arch, progs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = setup.Run()
+		ClearRuntime(setup.Machine.Kernel)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

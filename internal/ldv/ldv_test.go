@@ -1,6 +1,7 @@
 package ldv
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -177,7 +178,7 @@ func TestServerIncludedPackageContents(t *testing.T) {
 	}
 	mustHave := []string{
 		ManifestPath, TracePath,
-		"/db/provenance/sales.csv",
+		"/db/provenance/sales.tbl",
 		ServerBinaryPath, LibCPath, LibSSLPath,
 		"/home/alice/bin/loader", "/home/alice/bin/halofinder",
 		"/home/alice/input.csv",
@@ -205,8 +206,16 @@ func TestServerIncludedPackageContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if manifest.Type != TypeServerIncluded || len(manifest.Apps) != 2 || len(manifest.Tables) != 1 {
+	if manifest.Type != TypeServerIncluded || len(manifest.Apps) != 2 || manifest.DataDir != ProvDataDir {
 		t.Fatalf("manifest: %+v", manifest)
+	}
+	// The data directory holds one table file per table, and nothing else:
+	// the schema rides in the file, not in the manifest.
+	if got := arch.PathsUnder(ProvDataDir); len(got) != 1 || got[0] != "/db/provenance/sales.tbl" {
+		t.Errorf("package data directory = %v", got)
+	}
+	if strings.Contains(string(mdata), "columns") || strings.Contains(string(mdata), "tables") {
+		t.Errorf("manifest still describes schemas:\n%s", mdata)
 	}
 	// The PROV export is an opt-in extra.
 	if arch.Has(ProvJSONPath) {
@@ -237,7 +246,7 @@ func TestServerExcludedPackageContents(t *testing.T) {
 	}
 	for _, p := range arch.Paths() {
 		if strings.HasPrefix(p, "/db/provenance") {
-			t.Errorf("server-excluded package leaked provenance CSV %s", p)
+			t.Errorf("server-excluded package leaked provenance table file %s", p)
 		}
 	}
 	// Server-excluded must be smaller than server-included here (tiny query
@@ -642,11 +651,12 @@ func TestCopyWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayRestoresAwkwardText: TEXT values holding everything CSV quotes —
-// commas, quotes, line breaks, CR LF — beside NULL, the empty string and
-// multi-byte runes survive the trip audit → provenance CSV → RestoreRows
-// batch → replay, and the replay writes what the audited run wrote; so does
-// the server-excluded replay, from the DB log.
+// TestReplayRestoresAwkwardText: TEXT values holding everything a text
+// format has to quote — commas, quotes, line breaks, CR LF — beside NULL, the
+// empty string and multi-byte runes survive the trip audit → packaged table
+// file → the replayed server's start → replay, and the replay writes what the
+// audited run wrote; so does the server-excluded replay, from the DB log.
+// A damaged table file fails the replay at server start.
 func TestReplayRestoresAwkwardText(t *testing.T) {
 	m, err := NewMachine()
 	if err != nil {
@@ -657,8 +667,7 @@ func TestReplayRestoresAwkwardText(t *testing.T) {
 		sqlval.NewString("a,b,,c"),
 		sqlval.NewString(`she said "hi", twice: ""`),
 		sqlval.NewString("line one\nline two\rstill two\n\nline four"),
-		// A CR LF inside a quoted field: encoding/csv's Reader would hand it
-		// back as LF, which is why restoreTuples reads with csvrec.Reader.
+		// A CR LF inside a field, which a CSV reader may hand back as LF.
 		sqlval.NewString("a\r\nb,\"c\""),
 		sqlval.NewString(""),
 		sqlval.Null,
@@ -743,13 +752,36 @@ func TestReplayRestoresAwkwardText(t *testing.T) {
 		t.Fatalf("server-excluded replay wrote\n%s\n(err %v), audited run\n%s", got, err, want)
 	}
 
-	// A record RestoreRows rejects — a duplicate of a restored key — fails
-	// the whole preparation, naming the table.
-	csvPath := arch.PathsUnder(ProvDataDir)[0]
-	data, _ := arch.Read(csvPath)
-	lines := strings.SplitAfter(string(data), "\n")
-	arch.Add(csvPath, []byte(string(data)+lines[1]))
-	if _, err := PrepareReplay(arch, appProgramsOf(apps)); err == nil || !strings.Contains(err.Error(), "restore notes") {
-		t.Fatalf("duplicate restored row: err = %v", err)
+	// A package's data directory is outside input, checked where a server
+	// checks its own: at start. One flipped byte fails the digest, naming the
+	// file.
+	const tbl = ProvDataDir + "/notes.tbl"
+	data, err := arch.Read(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 0x10
+	arch.Add(tbl, flipped)
+	if _, err := Replay(arch, appProgramsOf(apps)); err == nil ||
+		!strings.Contains(err.Error(), "start packaged server") || !strings.Contains(err.Error(), "notes.tbl") ||
+		!strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("flipped byte: err = %v", err)
+	}
+	// A file sealed with a valid digest over a duplicated key fails the row
+	// check every loaded version passes.
+	meta, err := m.DB.Table("notes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := aud.RelevantTuples()["notes"][0]
+	recs := [][]byte{
+		engine.AppendLiveRecord(nil, first.Ref.Row, first.Ref.Version, first.Values),
+		engine.AppendLiveRecord(nil, first.Ref.Row+1000, first.Ref.Version, first.Values),
+	}
+	arch.Add(tbl, engine.EncodeTableFile("notes", meta.Schema, recs))
+	if _, err := Replay(arch, appProgramsOf(apps)); err == nil ||
+		!strings.Contains(err.Error(), "notes.tbl") || !strings.Contains(err.Error(), "duplicate primary key") {
+		t.Fatalf("duplicated key: err = %v", err)
 	}
 }

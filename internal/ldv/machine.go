@@ -87,9 +87,10 @@ func NewMachine() (*Machine, error) {
 }
 
 // NewMachineForReplay boots a machine around an existing kernel (whose
-// filesystem was populated by package extraction) and a pre-restored
-// database. Only the server *program* is registered — the binary file must
-// already exist in the filesystem (it came from the package).
+// filesystem was populated by package extraction) and the database its
+// server serves, which the server's start loads from dataDir. Only the server
+// *program* is registered — the binary file must already exist in the
+// filesystem (it came from the package).
 func NewMachineForReplay(k *osim.Kernel, db *engine.DB, addr, dataDir, database string) *Machine {
 	m := &Machine{
 		Kernel:   k,

@@ -2,18 +2,17 @@ package ldv
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"ldv/internal/csvrec"
 	"ldv/internal/pack"
 )
 
 // BuildServerIncluded assembles a server-included package (§VII-D): the
 // application's binaries/libraries/input files, the DB server binary and
-// libraries, the relevant tuple versions as one CSV per table, the table
-// schemas, and the serialized combined execution trace. The server's raw
-// data files are NOT included — the relevant subset replaces them.
+// libraries, the relevant tuple versions as the server's own table files in
+// the package's data directory (ProvDataDir), and the serialized combined
+// execution trace. The server's raw data files are NOT included — the
+// relevant subset replaces them, and the replayed server starts from it.
 func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, error) {
 	arch := pack.New()
 	if err := addAppFiles(arch, m, aud); err != nil {
@@ -31,35 +30,21 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 		}
 	}
 
-	// Relevant DB subset as one CSV per table — a header, then the records
-	// the auditor encoded when each tuple first became relevant — and the
-	// schema of every table, relevant tuples or not (the application may
-	// insert into any of them on re-execution). One pass over the sorted
-	// table names, so equal audits package to equal bytes.
-	relevant := aud.relevantTableNames()
-	var tables []TableDef
+	// The relevant DB subset as one table file per table — the records the
+	// auditor encoded when each tuple first became relevant, sorted and
+	// sealed — for every table, relevant tuples or not: the file carries the
+	// schema, and the application may insert into any table on re-execution.
 	for _, name := range m.DB.TableNames() {
 		t, err := m.DB.Table(name)
 		if err != nil {
 			return nil, err
 		}
-		tables = append(tables, TableDefOf(t))
-		i := sort.SearchStrings(relevant, name)
-		if i == len(relevant) || relevant[i] != name {
-			continue
-		}
-		relevant = append(relevant[:i], relevant[i+1:]...)
-		csv := []byte("prov_rowid,prov_v,prov_p")
-		for _, col := range t.Schema.Names() {
-			csv = append(csv, ',')
-			start := len(csv)
-			csv = csvrec.Quote(append(csv, col...), start)
-		}
-		csv = append(csv, '\n')
-		arch.Add(ProvDataDir+"/"+name+".csv", aud.appendRelevantCSV(csv, name))
+		arch.Add(ProvDataDir+"/"+name+".tbl", aud.tableFile(name, t.Schema))
 	}
-	if len(relevant) > 0 {
-		return nil, fmt.Errorf("package provenance: relevant table %q is no longer in the database", relevant[0])
+	for _, name := range aud.relevantTableNames() {
+		if !arch.Has(ProvDataDir + "/" + name + ".tbl") {
+			return nil, fmt.Errorf("package provenance: relevant table %q is no longer in the database", name)
+		}
 	}
 
 	// Execution trace, stored compressed (metadata, not payload).
@@ -77,11 +62,10 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 		Type:         TypeServerIncluded,
 		Database:     m.Database,
 		Addr:         m.Addr,
-		DataDir:      m.DataDir,
+		DataDir:      ProvDataDir,
 		ServerBinary: ServerBinaryPath,
 		ServerLibs:   ServerLibs(),
 		Apps:         appManifests(apps),
-		Tables:       tables,
 	}
 	mdata, err := MarshalManifest(manifest)
 	if err != nil {

@@ -1,13 +1,8 @@
 package ldv
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
-	"ldv/internal/csvrec"
 	"ldv/internal/engine"
 	"ldv/internal/obs"
 	"ldv/internal/osim"
@@ -24,11 +19,14 @@ type ReplaySetup struct {
 	Apps     []App
 }
 
-// PrepareReplay extracts a package into a fresh simulated machine and, for
-// server-included packages, restores the relevant DB subset from the
-// provenance CSVs (§VIII: "we restore these tuples before any query
-// occurs"). The appPrograms map supplies the behaviour for each binary path
-// in the manifest — the simulation's stand-in for loading machine code.
+// PrepareReplay extracts a package into a fresh simulated machine. For a
+// server-included package that is all the restore there is (§VIII: "we
+// restore these tuples before any query occurs"): the package's data
+// directory holds the relevant DB subset as table files, and the packaged
+// server's start in Run loads them into the machine's empty database —
+// digests verified, every row checked as an INSERT checks it. The
+// appPrograms map supplies the behaviour for each binary path in the
+// manifest — the simulation's stand-in for loading machine code.
 func PrepareReplay(arch *pack.Archive, appPrograms map[string]osim.Program) (*ReplaySetup, error) {
 	prep := obs.StartSpan("replay.prepare")
 	defer prep.End()
@@ -62,22 +60,7 @@ func PrepareReplay(arch *pack.Archive, appPrograms map[string]osim.Program) (*Re
 	setup := &ReplaySetup{Manifest: manifest, Apps: apps}
 	switch manifest.Type {
 	case TypeServerIncluded:
-		db := engine.NewDB(k.Clock())
-		for _, td := range manifest.Tables {
-			schema, err := td.Schema()
-			if err != nil {
-				return nil, err
-			}
-			if err := db.CreateTableFromSchema(td.Name, schema); err != nil {
-				return nil, err
-			}
-		}
-		restore := prep.Child("replay.restore_tuples")
-		if err := restoreTuples(arch, db, manifest); err != nil {
-			return nil, err
-		}
-		restore.End()
-		m := NewMachineForReplay(k, db, manifest.Addr, manifest.DataDir, manifest.Database)
+		m := NewMachineForReplay(k, engine.NewDB(k.Clock()), manifest.Addr, manifest.DataDir, manifest.Database)
 		m.RegisterApps(apps)
 		setup.Machine = m
 		SetRuntime(k, &Runtime{Mode: ModePlain, Addr: m.Addr, Database: m.Database})
@@ -100,58 +83,11 @@ func PrepareReplay(arch *pack.Archive, appPrograms map[string]osim.Program) (*Re
 	return setup, nil
 }
 
-// restoreTuples loads every provenance CSV into the database, preserving
-// the original row ids and versions so the restored tuple versions are the
-// ones the trace references. Each file is one RestoreRows batch, its
-// records streamed through a reused record rather than read whole.
-func restoreTuples(arch *pack.Archive, db *engine.DB, manifest *Manifest) error {
-	for _, path := range arch.PathsUnder(ProvDataDir) {
-		table := strings.TrimSuffix(path[strings.LastIndex(path, "/")+1:], ".csv")
-		data, err := arch.Read(path)
-		if err != nil {
-			return err
-		}
-		r := csvrec.Reader{Data: data}
-		if _, err := r.Read(); err == io.EOF {
-			continue // no header: an empty member
-		} else if err != nil {
-			return fmt.Errorf("restore %s: %w", table, err)
-		}
-		// Every record ends a line, so the line count bounds the row count
-		// (quoted line breaks only make it generous).
-		hint := bytes.Count(data, []byte{'\n'})
-		err = db.RestoreRows(table, hint, func(row *engine.RestoredRow) (bool, error) {
-			rec, err := r.Read()
-			if err == io.EOF {
-				return false, nil
-			}
-			if err != nil {
-				return false, err
-			}
-			if len(rec) < 3 {
-				return false, fmt.Errorf("short record")
-			}
-			id, err := strconv.ParseUint(rec[0], 10, 64)
-			if err != nil {
-				return false, fmt.Errorf("bad rowid %q", rec[0])
-			}
-			if row.Version, err = strconv.ParseUint(rec[1], 10, 64); err != nil {
-				return false, fmt.Errorf("bad version %q", rec[1])
-			}
-			row.ID, row.Proc = engine.RowID(id), rec[2]
-			row.Vals, err = appendRowCells(row.Vals[:0], rec[3:])
-			return err == nil, err
-		})
-		if err != nil {
-			return fmt.Errorf("restore %s: %w", table, err)
-		}
-	}
-	return nil
-}
-
 // Run re-executes the package's applications: for server-included packages
-// it starts the packaged server first and stops it after; for
-// server-excluded packages the apps run against the replayer alone.
+// it starts the packaged server first — the start restores the relevant
+// subset — and stops it after, which writes back only the tables the
+// applications changed; for server-excluded packages the apps run against
+// the replayer alone.
 func (s *ReplaySetup) Run() error {
 	run := obs.StartSpan("replay.run").SetAttr("type", string(s.Manifest.Type))
 	defer run.End()

@@ -17,7 +17,9 @@ import (
 // counters show it: the server reads every data file on every start (so a
 // file-granularity packager still captures them), but decodes only a file its
 // database does not already equal, and on stop writes only the tables the run
-// changed — a plain run's writes, an audited run's prov_usedby stamps.
+// changed — a plain run's writes, an audited run's prov_usedby stamps. A
+// server-included replay's server starts from the package's table files and
+// follows the same rule.
 
 // dataFileTrace records which data files were opened, by whom, for what.
 type dataFileTrace struct {
@@ -25,6 +27,10 @@ type dataFileTrace struct {
 	reads  map[string]bool
 	writes map[string]bool
 	pids   map[int]bool
+}
+
+func newDataFileTrace() *dataFileTrace {
+	return &dataFileTrace{reads: map[string]bool{}, writes: map[string]bool{}, pids: map[int]bool{}}
 }
 
 func (tr *dataFileTrace) OnEvent(ev osim.Event) {
@@ -149,7 +155,7 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 		for boot, newMachine := range boots {
 			t.Run(tc.name+"/"+boot, func(t *testing.T) {
 				m := newMachine(t)
-				tr := &dataFileTrace{reads: map[string]bool{}, writes: map[string]bool{}, pids: map[int]bool{}}
+				tr := newDataFileTrace()
 				m.Kernel.Trace(tr)
 				defer m.Kernel.Detach(tr)
 				decoded := obs.Default().Counter("engine.load.tables_decoded")
@@ -190,5 +196,55 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// The package's table files are the replayed server's data directory: its
+	// start reads every one — into an empty database, so it decodes them all —
+	// and its stop writes only what the replayed application changed.
+	for _, tc := range []struct {
+		name      string
+		app       App
+		wantWrite []string
+	}{
+		{"server-included replay of a select-only app", selects, nil},
+		{"server-included replay of an app that writes one table", writes, []string{"sales"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := boots["persisted"](t)
+			apps := []App{tc.app}
+			aud, err := Audit(m, apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arch, err := BuildServerIncluded(m, aud, apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			setup, err := PrepareReplay(arch, appProgramsOf(apps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ClearRuntime(setup.Machine.Kernel)
+			tr := newDataFileTrace()
+			setup.Machine.Kernel.Trace(tr)
+			defer setup.Machine.Kernel.Detach(tr)
+			decoded := obs.Default().Counter("engine.load.tables_decoded")
+			before := decoded.Load()
+			if err := setup.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedKeys(tr.reads); !reflect.DeepEqual(got, all) {
+				t.Errorf("the replayed server read %v, want every packaged table file %v", got, all)
+			}
+			if n := decoded.Load() - before; n != int64(len(all)) {
+				t.Errorf("the replayed server decoded %d table files, want %d", n, len(all))
+			}
+			if got := sortedKeys(tr.writes); !reflect.DeepEqual(got, append([]string{}, tc.wantWrite...)) {
+				t.Errorf("the replayed server wrote %v, want %v", got, tc.wantWrite)
+			}
+			if !reflect.DeepEqual(tr.pids, map[int]bool{setup.Machine.ServerPID(): true}) {
+				t.Errorf("data files opened by pids %v, want only the server's %d", tr.pids, setup.Machine.ServerPID())
+			}
+		})
 	}
 }

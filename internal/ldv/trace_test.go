@@ -2,19 +2,19 @@ package ldv
 
 import (
 	"bytes"
-	"encoding/csv"
+	"cmp"
 	"fmt"
 	"os"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
+	"ldv/internal/bin"
 	"ldv/internal/engine"
 	"ldv/internal/osim"
 	"ldv/internal/pack"
 	"ldv/internal/prov"
+	"ldv/internal/sqlval"
 )
 
 // The PROV-JSON and DOT renderings of the alice trace were generated at the
@@ -140,7 +140,7 @@ func TestReadTraceRejectsJSONMember(t *testing.T) {
 }
 
 // Packaging is a function of the audit: building twice from one Auditor
-// gives the same bytes. (The manifest's table list used to follow map
+// gives the same bytes. (A package's list of tables once followed map
 // iteration order.)
 func TestPackageBuildIsDeterministic(t *testing.T) {
 	m, err := NewMachine()
@@ -190,11 +190,61 @@ func TestPackageBuildIsDeterministic(t *testing.T) {
 	}
 }
 
-// The audit spool is CSV, and it is the package: each relevant tuple is
-// encoded once, and those bytes are both its spool line and its package
-// row — values with commas, quotes, line breaks, the empty string and NULL
-// included — and restore from the package to the same values.
-func TestSpoolIsThePackageCSV(t *testing.T) {
+// liveRecord is one record of a table file's live-row section.
+type liveRecord struct {
+	id, version  uint64
+	proc         string
+	stmt, usedBy int64
+	vals         []sqlval.Value
+}
+
+func (rec liveRecord) String() string {
+	return fmt.Sprintf("%d@%d proc=%q stmt=%d usedBy=%d %v", rec.id, rec.version, rec.proc, rec.stmt, rec.usedBy, rec.vals)
+}
+
+// readLiveRecord reads one live-row record field by field (DESIGN.md "Value
+// layout and table storage"), without the engine's decoder.
+func readLiveRecord(r *bin.Reader) liveRecord {
+	rec := liveRecord{id: r.Uvarint(), version: r.Uvarint(), proc: r.Str(), stmt: r.Varint(), usedBy: r.Varint()}
+	rec.vals = sqlval.ReadRow(r, nil)
+	return rec
+}
+
+// readPackagedTableFile decodes a packaged table file by hand: magic, name,
+// schema, the live rows, and empty index and history sections at horizon 0
+// before the digest.
+func readPackagedTableFile(t *testing.T, data []byte) (name string, recs []liveRecord) {
+	t.Helper()
+	r := bin.NewReader(data)
+	if magic := string(r.Fixed(8)); magic != "LDVTBL2\n" {
+		t.Fatalf("magic %q", magic)
+	}
+	name = r.Str()
+	for n := r.Count("column", 3); n > 0; n-- {
+		r.Str()
+		r.Byte()
+		r.Byte()
+	}
+	for n := r.Count("row", 6); n > 0 && r.Err() == nil; n-- {
+		recs = append(recs, readLiveRecord(r))
+	}
+	if nidx, ndead, horizon := r.Count("index", 3), r.Count("dead", 7), r.Uvarint(); nidx != 0 || ndead != 0 || horizon != 0 {
+		t.Errorf("%s: %d indexes, %d dead versions, horizon %d; want none", name, nidx, ndead, horizon)
+	}
+	r.Fixed(8) // the digest
+	if err := r.Done(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return name, recs
+}
+
+// The audit spool is the package's row section, and the package's table
+// files are the server's own: each relevant tuple is encoded once, as the
+// table file's live-row record, and those bytes are both its spool record and
+// its package row — values with commas, quotes, line breaks, the empty string
+// and NULL included. Sealed, they are byte for byte what a checkpoint of the
+// same versions writes, and they replay to the same values.
+func TestSpoolIsThePackageRowSection(t *testing.T) {
 	m, err := NewMachine()
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +255,7 @@ func TestSpoolIsThePackageCSV(t *testing.T) {
 		script += fmt.Sprintf("INSERT INTO notes VALUES (%d, '%s', %d);", i+1, v, i)
 	}
 	script += "INSERT INTO notes VALUES (100, NULL, NULL);"
+	script += "CREATE TABLE tags (id INTEGER PRIMARY KEY, tag TEXT); INSERT INTO tags VALUES (1, 'unread');"
 	if _, err := m.DB.ExecScript(script, engine.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,52 +293,100 @@ func TestSpoolIsThePackageCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	readCSV := func(what string, data []byte) [][]string {
-		recs, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	mustRead := func(data []byte, err error) []byte {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%s is not CSV: %v\n%s", what, err, data)
+			t.Fatal(err)
 		}
-		return recs
+		return data
 	}
-	spoolData, err := m.Kernel.FS().ReadFile(SpoolDir + "/notes.csv")
+	// The spool: records back to back, nothing else.
+	spoolData, err := m.Kernel.FS().ReadFile(SpoolDir + "/notes.rows")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgData, err := arch.Read(ProvDataDir + "/notes.csv")
-	if err != nil {
-		t.Fatal(err)
+	var spool []liveRecord
+	for r := bin.NewReader(spoolData); r.Len() > 0; {
+		if rec := readLiveRecord(r); r.Err() == nil {
+			spool = append(spool, rec)
+		} else {
+			t.Fatalf("spool record %d: %v", len(spool), r.Err())
+		}
 	}
-	spool, pkg := readCSV("spool", spoolData), readCSV("package CSV", pkgData)
+	if m.Kernel.FS().Exists(SpoolDir + "/tags.rows") {
+		t.Error("a table the application never read was spooled")
+	}
+	name, file := readPackagedTableFile(t, mustRead(arch.Read(ProvDataDir+"/notes.tbl")))
+	if name != "notes" {
+		t.Errorf("notes.tbl holds table %q", name)
+	}
+	// The same versions — one per relevant tuple, each preloaded — in two
+	// orders: the spool's is first relevance (the first statement read ids
+	// above 3), the file's is (row, version) whatever order they were read in.
 	if len(spool) != len(values)+1 {
 		t.Fatalf("spool holds %d records, want one per relevant tuple (%d)", len(spool), len(values)+1)
 	}
-	body := pkg[1:] // minus the header
-	if got := strings.Join(pkg[0], ","); got != "prov_rowid,prov_v,prov_p,id,body,n" {
-		t.Errorf("package CSV header = %s", got)
-	}
-	byRecord := func(recs [][]string) []string {
-		out := make([]string, len(recs))
-		for i, r := range recs {
-			out[i] = strings.Join(r, "\x1f")
+	byRowVersion := func(a, b liveRecord) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
 		}
-		sort.Strings(out)
-		return out
+		return cmp.Compare(a.version, b.version)
 	}
-	if !slices.Equal(byRecord(spool), byRecord(body)) {
-		t.Errorf("spool and package rows differ:\nspool %q\npackage %q", spool, body)
+	if !slices.IsSortedFunc(file, byRowVersion) {
+		t.Errorf("the package's rows are not in (row, version) order:\n%v", file)
 	}
-	// The spool is in first-relevance order (ids 4.. first); the package is
-	// in row order whatever order the statements read in.
-	if spool[0][0] == body[0][0] {
-		t.Errorf("spool starts with row %s: the second statement did not add lower row ids", spool[0][0])
+	sorted := slices.Clone(spool)
+	slices.SortStableFunc(sorted, byRowVersion)
+	if fmt.Sprint(sorted) != fmt.Sprint(file) {
+		t.Errorf("spool and package rows differ:\nspool   %v\npackage %v", spool, file)
 	}
-	rowOf := func(r []string) int { n, _ := strconv.Atoi(r[0]); return n }
-	if !slices.IsSortedFunc(body, func(a, b []string) int { return rowOf(a) - rowOf(b) }) {
-		t.Errorf("package rows are not in row order: %q", body)
+	for i, rec := range spool {
+		if first := rec.vals[0].Int() > 3; first != (i < 4) {
+			t.Errorf("spool record %d is id %d: not first-relevance order\n%v", i, rec.vals[0].Int(), spool)
+		}
+		if rec.proc != "" || rec.stmt != 0 || rec.usedBy != 0 {
+			t.Errorf("spool record %v is not a preloaded version", rec)
+		}
 	}
 	for _, v := range values {
-		if !slices.ContainsFunc(body, func(r []string) bool { return r[4] == "s:"+v }) {
-			t.Errorf("value %q did not survive as one CSV field", v)
+		if !slices.ContainsFunc(file, func(rec liveRecord) bool { return rec.vals[1].Str() == v }) {
+			t.Errorf("value %q did not survive", v)
+		}
+	}
+
+	// Every table of the database is packaged, and each file is what a
+	// checkpoint writes for a fresh database holding those versions.
+	if got := arch.PathsUnder(ProvDataDir); fmt.Sprint(got) != "[/db/provenance/notes.tbl /db/provenance/tags.tbl]" {
+		t.Errorf("package data directory = %v", got)
+	}
+	for _, table := range m.DB.TableNames() {
+		packaged := mustRead(arch.Read(ProvDataDir + "/" + table + ".tbl"))
+		_, recs := readPackagedTableFile(t, packaged)
+		meta, err := m.DB.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := engine.NewDB(nil)
+		if err := fresh.CreateTableFromSchema(table, meta.Schema); err != nil {
+			t.Fatal(err)
+		}
+		next := recs
+		if err := fresh.RestoreRows(table, len(recs), func(row *engine.RestoredRow) (bool, error) {
+			if len(next) == 0 {
+				return false, nil
+			}
+			row.ID, row.Version, row.Proc, row.Vals = engine.RowID(next[0].id), next[0].version, next[0].proc, next[0].vals
+			next = next[1:]
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fs := osim.NewFS()
+		if err := fresh.Checkpoint(fs, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		if ckpt := mustRead(fs.ReadFile("/d/" + table + ".tbl")); !bytes.Equal(packaged, ckpt) {
+			t.Errorf("%s: the packaged table file is not the checkpoint of its versions\npackage    %x\ncheckpoint %x", table, packaged, ckpt)
 		}
 	}
 

@@ -5,48 +5,30 @@ import (
 	"strconv"
 	"strings"
 
-	"ldv/internal/csvrec"
 	"ldv/internal/sqlval"
 )
 
-// Tuple values cross package boundaries in two text formats: kind-prefixed
-// CSV cells (the audit spool and the provenance CSV files of server-included
-// packages) and the same encoding inside the JSON DB log of server-excluded
-// packages. The prefix makes NULL, empty string, and the string "42"
-// unambiguous.
-
-// appendCell appends a value's kind-prefixed cell to dst.
-func appendCell(dst []byte, v sqlval.Value) []byte {
-	switch v.Kind() {
-	case sqlval.KindInt:
-		return strconv.AppendInt(append(dst, "i:"...), v.Int(), 10)
-	case sqlval.KindFloat:
-		return strconv.AppendFloat(append(dst, "f:"...), v.Float(), 'g', -1, 64)
-	case sqlval.KindString:
-		return append(append(dst, "s:"...), v.Str()...)
-	case sqlval.KindBool:
-		return strconv.AppendBool(append(dst, "b:"...), v.Bool())
-	case sqlval.KindDate:
-		return append(append(dst, "d:"...), v.String()...)
-	default:
-		return append(dst, "n:"...)
-	}
-}
+// Tuple values in the JSON DB log of server-excluded packages are
+// kind-prefixed cells. The prefix makes NULL, empty string, and the string
+// "42" unambiguous.
 
 // encodeCell renders a value as a kind-prefixed cell.
 func encodeCell(v sqlval.Value) string {
 	var buf [32]byte
-	return string(appendCell(buf[:0], v))
-}
-
-// appendCSVCell appends a value's kind-prefixed cell to dst as one CSV field.
-func appendCSVCell(dst []byte, v sqlval.Value) []byte {
-	start := len(dst)
-	dst = appendCell(dst, v)
-	if v.Kind() != sqlval.KindString {
-		return dst // numbers, dates, booleans and NULL hold nothing to quote
+	switch v.Kind() {
+	case sqlval.KindInt:
+		return string(strconv.AppendInt(append(buf[:0], "i:"...), v.Int(), 10))
+	case sqlval.KindFloat:
+		return string(strconv.AppendFloat(append(buf[:0], "f:"...), v.Float(), 'g', -1, 64))
+	case sqlval.KindString:
+		return "s:" + v.Str()
+	case sqlval.KindBool:
+		return "b:" + strconv.FormatBool(v.Bool())
+	case sqlval.KindDate:
+		return "d:" + v.String()
+	default:
+		return "n:"
 	}
-	return csvrec.Quote(dst, start)
 }
 
 // decodeCell parses a kind-prefixed cell.
@@ -97,17 +79,13 @@ func encodeRowCells(row []sqlval.Value) []string {
 }
 
 func decodeRowCells(cells []string) ([]sqlval.Value, error) {
-	return appendRowCells(make([]sqlval.Value, 0, len(cells)), cells)
-}
-
-// appendRowCells decodes cells onto dst, for a caller that reuses one row.
-func appendRowCells(dst []sqlval.Value, cells []string) ([]sqlval.Value, error) {
-	for _, c := range cells {
+	row := make([]sqlval.Value, len(cells))
+	for i, c := range cells {
 		v, err := decodeCell(c)
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, v)
+		row[i] = v
 	}
-	return dst, nil
+	return row, nil
 }
