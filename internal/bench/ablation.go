@@ -99,41 +99,32 @@ func AblationTemporalPruning(cfg Config, w io.Writer) error {
 
 // AblationDedup quantifies design choice 3: the duplicate-suppression hash
 // table of §VII-D. Repeated selects re-fetch the same provenance tuples;
-// without dedup every copy lands in the package.
+// without dedup every copy would land in the package. One audit counts both:
+// the tuples it stored, and the re-reads the table suppressed.
 func AblationDedup(cfg Config, w io.Writer) error {
 	q, err := tpch.QueryByID(cfg.TPCH(), "Q1-1")
 	if err != nil {
 		return err
 	}
-	run := func(disable bool) (tuples int, sizeMB string, err error) {
-		m, err := NewMachine(cfg)
-		if err != nil {
-			return 0, "", err
-		}
-		var st StepTimes
-		app := workloadApp(cfg.workload(q), &st, false)
-		aud, err := ldv.AuditWithOptions(m, []ldv.App{app},
-			ldv.AuditOptions{CollectLineage: true, DisableDedup: disable})
-		if err != nil {
-			return 0, "", err
-		}
-		pkg, err := ldv.BuildServerIncluded(m, aud, []ldv.App{app})
-		if err != nil {
-			return 0, "", err
-		}
-		return aud.RelevantTupleCount(), mb(pkg.SizeUnder(ldv.ProvDataDir)), nil
-	}
-	withDedup, sizeDedup, err := run(false)
+	m, err := NewMachine(cfg)
 	if err != nil {
 		return err
 	}
-	without, sizeNo, err := run(true)
+	var st StepTimes
+	app := workloadApp(cfg.workload(q), &st, false)
+	aud, err := ldv.Audit(m, []ldv.App{app})
 	if err != nil {
 		return err
 	}
+	pkg, err := ldv.BuildServerIncluded(m, aud, []ldv.App{app})
+	if err != nil {
+		return err
+	}
+	withDedup := aud.RelevantTupleCount()
+	without := withDedup + aud.DuplicateTupleCount()
 	fmt.Fprintln(w, "Ablation 2: duplicate-suppression hash table (§VII-D)")
-	fmt.Fprintf(w, "relevant tuples with dedup:    %d (provenance table files %s MB)\n", withDedup, sizeDedup)
-	fmt.Fprintf(w, "relevant tuples without dedup: %d (provenance table files %s MB)\n", without, sizeNo)
+	fmt.Fprintf(w, "relevant tuples with dedup:    %d (provenance table files %s MB)\n", withDedup, mb(pkg.SizeUnder(ldv.ProvDataDir)))
+	fmt.Fprintf(w, "relevant tuples without dedup: %d\n", without)
 	if withDedup > 0 {
 		fmt.Fprintf(w, "duplication factor:            %.1fx\n", float64(without)/float64(withDedup))
 	}

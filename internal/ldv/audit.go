@@ -22,9 +22,6 @@ type AuditOptions struct {
 	// server-included packaging; disable it to reproduce the cheaper
 	// server-excluded-only audit configuration of §IX-B.
 	CollectLineage bool
-	// DisableDedup turns off the duplicate-suppression hash table of §VII-D
-	// (ablation only).
-	DisableDedup bool
 }
 
 // AuditWithOptions is Audit with explicit monitoring options.
@@ -39,7 +36,6 @@ func AuditWithOptions(m *Machine, apps []App, opts AuditOptions) (*Auditor, erro
 	}
 	aud := NewAuditor(m.Kernel)
 	aud.CollectLineage = opts.CollectLineage
-	aud.DedupDisabled = opts.DisableDedup
 	aud.MarkServerBinary(ServerBinaryPath)
 	defer aud.Detach()
 

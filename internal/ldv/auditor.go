@@ -49,9 +49,7 @@ type Auditor struct {
 	tables     map[string]*relevantTable
 	tupleFlags []uint8
 	relevantN  int
-	// DedupDisabled turns the duplicate-suppression table into append-only
-	// storage (ablation: quantifies §VII-D's dedup hash table).
-	DedupDisabled bool
+	duplicates int // reads of a version already relevant, suppressed
 
 	// CollectLineage controls whether the audit interceptor forces Lineage
 	// computation on every statement. Server-included packaging requires it;
@@ -192,6 +190,16 @@ func (a *Auditor) RelevantTupleCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.relevantN
+}
+
+// DuplicateTupleCount reports how many reads of an already relevant tuple
+// version the duplicate-suppression table kept out of the package — what
+// storage without it (§VII-D) would have stored on top of
+// RelevantTupleCount.
+func (a *Auditor) DuplicateTupleCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.duplicates
 }
 
 // OnEvent implements osim.Tracer, translating syscall events into PBB trace
@@ -364,10 +372,11 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		hSpoolNS.Observe(spoolDur)
 	}()
 
-	entry := LogEntry{SQL: info.SQL}
-	if len(info.Args) > 0 {
-		entry.Args = encodeRowCells(info.Args)
-	}
+	// The log keeps the values as the client decoded them: the client hands
+	// the interceptor a fresh Args slice and a fresh slice per row. The list
+	// of rows is cloned, so an application that reorders or filters its
+	// result in place does not rewrite what a replay will serve.
+	entry := LogEntry{SQL: info.SQL, Args: info.Args}
 	if err != nil {
 		entry.Error = err.Error()
 		log.Entries = append(log.Entries, entry)
@@ -377,9 +386,7 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	entry.TraceID = res.TraceID
 	entry.Columns = res.Columns
 	entry.RowsAffected = res.RowsAffected
-	for _, row := range res.Rows {
-		entry.Rows = append(entry.Rows, encodeRowCells(row))
-	}
+	entry.Rows = slices.Clone(res.Rows)
 	log.Entries = append(log.Entries, entry)
 	mAudLogEntries.Inc()
 	a.stmtCount++
@@ -392,10 +399,10 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		return
 	}
 	tr.SetAttr(stmt, prov.AttrSQL, info.SQL)
-	if len(entry.Args) > 0 {
+	if len(info.Args) > 0 {
 		// What tells two executions of one prepared statement apart when
 		// people read the trace (ldv-trace, DOT, PROV-JSON).
-		tr.SetAttr(stmt, prov.AttrLabel, describeStatement(info.SQL, entry.Args))
+		tr.SetAttr(stmt, prov.AttrLabel, describeStatement(info.SQL, info.Args))
 	}
 	tr.SetAttr(stmt, prov.AttrTrace, res.TraceID)
 	traceID := tr.InternString(res.TraceID)
@@ -423,7 +430,8 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		f := a.flags(node)
 		switch {
 		case *f&flagAppCreated != 0:
-		case *f&flagRelevant != 0 && !a.DedupDisabled:
+		case *f&flagRelevant != 0:
+			a.duplicates++
 			mTuplesDeduped.Inc()
 		default:
 			*f |= flagRelevant
@@ -432,11 +440,9 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 			mTuplesStored.Inc()
 		}
 	}
-	if !a.DedupDisabled {
-		s0 := time.Now()
-		a.spool()
-		spoolDur = time.Since(s0)
-	}
+	s0 := time.Now()
+	a.spool()
+	spoolDur = time.Since(s0)
 	dedupDur = time.Since(d0)
 
 	// hasReturned edges for stored tuples produced by DML, plus version

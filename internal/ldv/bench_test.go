@@ -159,3 +159,33 @@ func BenchmarkReplayWide(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplaySEWide times what the repository benchmark reports as
+// replay_se_ms on ldv_wide: the server-excluded package unmarshalled — its
+// DB log decoded — prepared and run against the recorded responses.
+func BenchmarkReplaySEWide(b *testing.B) {
+	m, aud, apps := auditWide(b)
+	arch, err := BuildServerExcluded(m, aud, apps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := arch.Marshal()
+	progs := appProgramsOf(apps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arch, err := pack.Unmarshal(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		setup, err := PrepareReplay(arch, progs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = setup.Run()
+		ClearRuntime(setup.Machine.Kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -30,8 +30,9 @@ func gzipBytes(data []byte) ([]byte, error) { return gzipLevel(data, gzip.Defaul
 // encoding is already compact (varints, one string table), so the default
 // level's longer match search buys little: on the ldv_wide trace (752 KB
 // encoded) BestSpeed takes 9 ms for 288 KB where the default takes 57 ms for
-// 269 KB (DESIGN.md "Trace format"). The DB log is JSON text and keeps the
-// default.
+// 269 KB (DESIGN.md "Trace format"). The DB log keeps the default: at
+// BestSpeed the ldv_wide log's 193 KB would grow to 221 KB, 1 % of its
+// package (DESIGN.md "Compression").
 const traceGzipLevel = gzip.BestSpeed
 
 func gzipLevel(data []byte, level int) ([]byte, error) {
@@ -60,19 +61,11 @@ func gunzipBytes(data []byte) ([]byte, error) {
 	return io.ReadAll(zr)
 }
 
-// oldJSONTracePath is where packages built before the binary trace format
-// kept their trace. It is only recognized, to say why such a package has no
-// readable trace; nothing reads it.
-const oldJSONTracePath = "/ldv/trace.json.gz"
-
 // ReadTrace loads and decompresses the combined execution trace from a
 // server-included package.
 func ReadTrace(arch *pack.Archive) (*prov.Trace, error) {
 	raw, err := arch.Read(TracePath)
 	if err != nil {
-		if arch.Has(oldJSONTracePath) {
-			return nil, fmt.Errorf("package carries only %s: the JSON trace member of packages built before the binary trace format is not supported", oldJSONTracePath)
-		}
 		return nil, fmt.Errorf("package has no trace: %w", err)
 	}
 	data, err := gunzipBytes(raw)

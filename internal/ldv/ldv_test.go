@@ -348,6 +348,86 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesUnconsumedLog: a server-excluded replay must issue every
+// recorded statement of every recorded session. An application that skips
+// its query, or never connects, re-executes something other than what was
+// recorded, though each statement it did issue matched.
+func TestReplayRefusesUnconsumedLog(t *testing.T) {
+	m, aud, apps := auditAlice(t)
+	arch, err := BuildServerExcluded(m, aud, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		prog osim.Program
+		want string
+	}{
+		"skips its query": {func(p *osim.Process) error {
+			conn, err := Dial(p)
+			if err != nil {
+				return err
+			}
+			return conn.Close()
+		}, "session 2 ended after 0 of 1 recorded statements; next recorded \"SELECT id, price"},
+		"never connects": {func(p *osim.Process) error { return nil }, "2 recorded sessions, the re-execution opened 1"},
+	} {
+		progs := appProgramsOf(apps)
+		progs["/home/alice/bin/halofinder"] = c.prog
+		if _, err := Replay(arch, progs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("halofinder %s: replay err = %v, want one mentioning %q", name, err, c.want)
+		}
+	}
+}
+
+// TestReplayServesWhatTheServerSent: the DB log shares its values with the
+// audited application's result, but not the result's list of rows, so an
+// application that filters its result in place — keeping rows at the front
+// of the same backing array — does not rewrite what the replay serves.
+func TestReplayServesWhatTheServerSent(t *testing.T) {
+	m := newAliceMachine(t)
+	apps := []App{{
+		Binary: "/home/alice/bin/filter",
+		Libs:   ClientLibs(),
+		Prog: func(p *osim.Process) error {
+			conn, err := Dial(p)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			res, err := conn.Query("SELECT id, price FROM sales ORDER BY id")
+			if err != nil {
+				return err
+			}
+			kept := res.Rows[:0]
+			for _, row := range res.Rows {
+				if row[1].Float() > 10 {
+					kept = append(kept, row)
+				}
+			}
+			return p.WriteFile("/home/alice/kept.txt", []byte(fmt.Sprint(kept)))
+		},
+	}}
+	aud, err := Audit(m, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Kernel.FS().ReadFile("/home/alice/kept.txt")
+	if err != nil || string(want) != "[[2 11] [3 14]]" {
+		t.Fatalf("audited run wrote %q, %v", want, err)
+	}
+	arch, err := BuildServerExcluded(m, aud, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Replay(arch, appProgramsOf(apps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := replayed.Kernel.FS().ReadFile("/home/alice/kept.txt"); string(got) != string(want) {
+		t.Fatalf("server-excluded replay wrote %q, audited run %q", got, want)
+	}
+}
+
 func TestReplayMissingProgram(t *testing.T) {
 	m, aud, apps := auditAlice(t)
 	arch, err := BuildServerExcluded(m, aud, apps)
@@ -366,16 +446,13 @@ func TestDBLogRoundTrip(t *testing.T) {
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d", len(sessions))
 	}
-	data, err := MarshalDBLog(sessions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := MarshalDBLog(sessions)
 	back, err := UnmarshalDBLog(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || len(back[1].Entries) != len(sessions[1].Entries) {
-		t.Fatal("db log round trip mismatch")
+	if got, want := describeDBLog(back), describeDBLog(sessions); got != want {
+		t.Fatalf("db log round trip:\n got %s\nwant %s", got, want)
 	}
 	// Entries re-materialize into results.
 	res, err := back[1].Entries[0].Result()
@@ -408,24 +485,6 @@ func TestNodeIDHelpers(t *testing.T) {
 	}
 }
 
-func TestValueCellCodec(t *testing.T) {
-	vals := []string{"n:", "i:42", "f:2.5", "s:", "s:hello, world", "b:true", "b:false", "d:2015-04-13"}
-	for _, cell := range vals {
-		v, err := decodeCell(cell)
-		if err != nil {
-			t.Fatalf("decode %q: %v", cell, err)
-		}
-		if encodeCell(v) != cell {
-			t.Errorf("cell %q round trips to %q", cell, encodeCell(v))
-		}
-	}
-	for _, bad := range []string{"", "x:1", "i:abc", "f:zz", "b:maybe", "d:notadate", "noprefix"} {
-		if _, err := decodeCell(bad); err == nil {
-			t.Errorf("decode(%q) must fail", bad)
-		}
-	}
-}
-
 func TestRunPlainBaseline(t *testing.T) {
 	m := newAliceMachine(t)
 	if err := Run(m, aliceApps()); err != nil {
@@ -454,7 +513,7 @@ func TestRunPlainBaseline(t *testing.T) {
 // prepares is audited — every execution is counted, logged with the values it
 // bound, traced with lineage — and both package flavours replay it.
 func TestAuditedAppPreparesSeen(t *testing.T) {
-	id := 2 // what the app binds; a replay that binds something else diverges
+	var id any = 2 // what the app binds; a replay that binds something else diverges
 	app := App{
 		Binary: "/home/alice/bin/prep",
 		Libs:   ClientLibs(),
@@ -510,9 +569,9 @@ func TestAuditedAppPreparesSeen(t *testing.T) {
 	for _, e := range aud.DBLog()[0].Entries {
 		logged = append(logged, describeStatement(e.SQL, e.Args))
 	}
-	if got, want := strings.Join(logged, "\n"), "SELECT price FROM sales WHERE id = ? -- i:2\n"+
-		"UPDATE sales SET price = price + ? WHERE id = ? -- f:0.5, i:2\n"+
-		"SELECT price FROM sales WHERE id = ? -- i:2"; got != want {
+	if got, want := strings.Join(logged, "\n"), "SELECT price FROM sales WHERE id = ? -- 2\n"+
+		"UPDATE sales SET price = price + ? WHERE id = ? -- 0.5, 2\n"+
+		"SELECT price FROM sales WHERE id = ? -- 2"; got != want {
 		t.Errorf("DB log:\n%s\nwant:\n%s", got, want)
 	}
 	// The interceptor's WithLineage rode the Execute frames: the one row the
@@ -556,6 +615,13 @@ func TestAuditedAppPreparesSeen(t *testing.T) {
 	id = 3
 	if _, err := Replay(excluded, progs); err == nil || !strings.Contains(err.Error(), "diverges from recorded") {
 		t.Errorf("server-excluded replay binding another value: %v", err)
+	}
+	// FLOAT 2.0 selects the same row as INTEGER 2, but it is not the value
+	// recorded: values match kind and all.
+	id = 2.0
+	if _, err := Replay(excluded, progs); err == nil || !strings.Contains(err.Error(), "diverges from recorded") ||
+		!strings.Contains(err.Error(), "-- 2 (FLOAT)") || !strings.Contains(err.Error(), "-- 2 (INTEGER)") {
+		t.Errorf("server-excluded replay binding FLOAT 2.0 for INTEGER 2: %v", err)
 	}
 }
 

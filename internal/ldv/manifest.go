@@ -10,7 +10,7 @@ const (
 	ManifestPath = "/ldv/manifest.json"
 	TracePath    = "/ldv/trace.bin.gz"
 	ProvJSONPath = "/ldv/trace.prov.json"
-	DBLogPath    = "/ldv/dblog.json.gz"
+	DBLogPath    = "/ldv/dblog.bin.gz"
 	ProvDataDir  = "/db/provenance"
 )
 

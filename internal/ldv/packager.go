@@ -96,11 +96,7 @@ func BuildServerExcluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 	if err := addAppFiles(arch, m, aud); err != nil {
 		return nil, err
 	}
-	logData, err := MarshalDBLog(aud.DBLog())
-	if err != nil {
-		return nil, fmt.Errorf("package db log: %w", err)
-	}
-	zipped, err := gzipBytes(logData)
+	zipped, err := gzipBytes(MarshalDBLog(aud.DBLog()))
 	if err != nil {
 		return nil, fmt.Errorf("package db log: %w", err)
 	}

@@ -87,13 +87,17 @@ func PrepareReplay(arch *pack.Archive, appPrograms map[string]osim.Program) (*Re
 // it starts the packaged server first — the start restores the relevant
 // subset — and stops it after, which writes back only the tables the
 // applications changed; for server-excluded packages the apps run against
-// the replayer alone.
+// the replayer alone, and must consume everything it recorded.
 func (s *ReplaySetup) Run() error {
 	run := obs.StartSpan("replay.run").SetAttr("type", string(s.Manifest.Type))
 	defer run.End()
-	return s.Machine.runApps(s.Machine.Kernel.Start("ldv-exec"), s.Apps, appRun{
+	err := s.Machine.runApps(s.Machine.Kernel.Start("ldv-exec"), s.Apps, appRun{
 		server: s.Manifest.Type == TypeServerIncluded, span: run,
 		startErr: "replay: start packaged server: %w", appErr: "replay %s: %w"})
+	if err == nil && s.Replayer != nil {
+		err = s.Replayer.Done()
+	}
+	return err
 }
 
 // Replay is the one-call `ldv-exec` equivalent: prepare, run, and return

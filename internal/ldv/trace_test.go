@@ -12,7 +12,6 @@ import (
 	"ldv/internal/bin"
 	"ldv/internal/engine"
 	"ldv/internal/osim"
-	"ldv/internal/pack"
 	"ldv/internal/prov"
 	"ldv/internal/sqlval"
 )
@@ -130,12 +129,6 @@ func TestReadTraceRejectsJSONMember(t *testing.T) {
 	arch.Add(TracePath, old)
 	if _, err := ReadTrace(arch); err == nil || !strings.Contains(err.Error(), "JSON trace") {
 		t.Fatalf("JSON trace member: %v", err)
-	}
-	// As such a package was actually laid out: the member under its old name.
-	oldPkg := pack.New()
-	oldPkg.Add(oldJSONTracePath, old)
-	if _, err := ReadTrace(oldPkg); err == nil || !strings.Contains(err.Error(), "JSON trace") {
-		t.Fatalf("JSON trace member under its old path: %v", err)
 	}
 }
 

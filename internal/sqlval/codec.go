@@ -86,7 +86,7 @@ func decode(b []byte, text string) (Value, int, error) {
 		return Null, 1, nil
 	case KindInt, KindBool, KindDate:
 		i, n := binary.Varint(rest)
-		if n <= 0 {
+		if n <= 0 || overlong(rest, n) {
 			return Null, 0, fmt.Errorf("decode %s: bad varint", kind)
 		}
 		return Value{kind: kind, n: i}, 1 + n, nil
@@ -97,7 +97,7 @@ func decode(b []byte, text string) (Value, int, error) {
 		return Value{kind: KindFloat, n: int64(binary.LittleEndian.Uint64(rest))}, 9, nil
 	case KindString:
 		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < l {
+		if n <= 0 || overlong(rest, n) || uint64(len(rest)-n) < l {
 			return Null, 0, fmt.Errorf("decode TEXT: bad length")
 		}
 		end := 1 + n + int(l)
@@ -109,6 +109,11 @@ func decode(b []byte, text string) (Value, int, error) {
 		return Null, 0, fmt.Errorf("decode value: unknown kind tag %d", b[0])
 	}
 }
+
+// overlong reports whether the n-byte varint at the front of b is not in its
+// shortest form. AppendEncode writes only that form, so decoding reads only
+// it — bin.Reader's rule — and an accepted encoding re-encodes to its bytes.
+func overlong(b []byte, n int) bool { return n > 1 && b[n-1] == 0 }
 
 // DecodeRow decodes a row produced by EncodeRow, returning the values and
 // bytes consumed. The row and each of its TEXT values are fresh allocations;
@@ -140,7 +145,7 @@ func ReadRow(r *bin.Reader, dst []Value) []Value {
 // error dst is returned as it was passed.
 func AppendDecodeRow(dst []Value, b []byte, text string) ([]Value, int, error) {
 	count, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || overlong(b, n) {
 		return dst, 0, fmt.Errorf("decode row: bad count")
 	}
 	off := n

@@ -194,8 +194,10 @@ func (v Value) String() string {
 	}
 }
 
-// SQLLiteral renders the value as a SQL literal suitable for re-parsing,
-// e.g. for CSV-to-INSERT round trips during package restore.
+// SQLLiteral renders the value as a SQL literal suitable for re-parsing —
+// how a statement's bound values read in a trace label or a replay's
+// divergence message. A FLOAT with an integral value renders as that
+// integer, so the literal does not tell FLOAT 2.0 from INTEGER 2.
 func (v Value) SQLLiteral() string {
 	switch v.kind {
 	case KindNull:

@@ -341,3 +341,25 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("truncated row must error")
 	}
 }
+
+// TestDecodeRejectsOverlongVarints: a varint padded past its shortest form
+// decodes to the same number, but AppendEncode never writes one, so the
+// decoder refuses it — in a value, a TEXT length and a row count alike — and
+// whatever decodes re-encodes to the bytes it came from.
+func TestDecodeRejectsOverlongVarints(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"INTEGER":     {byte(KindInt), 0x84, 0x00},
+		"DATE":        {byte(KindDate), 0x80, 0x80, 0x00},
+		"TEXT length": {byte(KindString), 0x81, 0x00, 'x'},
+	} {
+		if _, _, err := Decode(b); err == nil {
+			t.Errorf("%s: overlong varint decoded", name)
+		}
+	}
+	if _, _, err := DecodeRow([]byte{0x81, 0x00, byte(KindNull)}); err == nil {
+		t.Error("row: overlong count decoded")
+	}
+	if _, _, err := DecodeRow([]byte{0x01, byte(KindInt), 0x80, 0x01}); err != nil {
+		t.Errorf("a multi-byte varint in its shortest form: %v", err)
+	}
+}
