@@ -82,7 +82,7 @@ experiments:
 # keeping the corpus exercised on every push — one list, so a new target
 # cannot miss CI.
 FUZZ_TARGETS = sqlparse:FuzzParse sqlparse:FuzzAsOf plan:FuzzPlan \
-	wire:FuzzRead wire:FuzzPrepared wire:FuzzLineage wire:FuzzTraceContext wire:FuzzReplMessages \
+	wire:FuzzRead wire:FuzzPrepared wire:FuzzLineage wire:FuzzStatementFrames wire:FuzzReplMessages \
 	sqlval:FuzzDecode engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable \
 	ops:FuzzTracesHandler prov:FuzzTraceUnmarshal pack:FuzzUnmarshal ldv:FuzzDBLog
 fuzz_each = for t in $(FUZZ_TARGETS); do $(GO) test ./internal/$${t%:*} -fuzz "^$${t\#*:}$$" -fuzztime $(1) || exit 1; done

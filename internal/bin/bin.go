@@ -26,6 +26,19 @@ func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
+// AppendBytes appends p as a uvarint length then its bytes.
+func AppendBytes(b, p []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
+}
+
+// AppendBool appends v as the byte 1 or 0.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 // expansion and reserveFloor bound what a decoder reserves from a count
 // ahead of decoding the elements: at most expansion bytes of memory per
 // byte of input left, or reserveFloor bytes. Real data decodes within it (a
@@ -110,6 +123,17 @@ func (r *Reader) Byte() byte {
 	}
 	r.fail()
 	return 0
+}
+
+// Bool reads a boolean byte. Only 0 and 1 are booleans; any other byte fails
+// like a truncation, so that a boolean has one encoding.
+func (r *Reader) Bool() bool {
+	if r.off < len(r.b) && r.b[r.off] <= 1 {
+		r.off++
+		return r.b[r.off-1] == 1
+	}
+	r.fail()
+	return false
 }
 
 // Uvarint reads an unsigned varint.
@@ -239,6 +263,15 @@ func (w *Writer) Byte(c byte) {
 		w.buf = append(w.buf, c)
 	} else {
 		w.n++
+	}
+}
+
+// Bool writes v as the byte 1 or 0.
+func (w *Writer) Bool(v bool) {
+	if v {
+		w.Byte(1)
+	} else {
+		w.Byte(0)
 	}
 }
 

@@ -71,6 +71,19 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBools: a boolean is the byte 1 or 0 from every writer, and only those
+// two bytes read as one; AppendBytes writes what Writer.Raw does.
+func TestBools(t *testing.T) {
+	b := Encode(0, func(w *Writer) { w.Bool(true); w.Bool(false); w.Raw([]byte{5}) })
+	if want := AppendBytes(AppendBool(AppendBool(nil, true), false), []byte{5}); !bytes.Equal(b, want) || !bytes.Equal(b, []byte{1, 0, 1, 5}) {
+		t.Fatalf("Writer wrote %x, the appenders %x", b, want)
+	}
+	r := NewReader(b)
+	if !r.Bool() || r.Bool() || !bytes.Equal(r.Raw(), []byte{5}) || r.Done() != nil {
+		t.Fatalf("read back wrong: %v", r.Done())
+	}
+}
+
 // TestReaderFailures: every read past the end, every length or count the
 // bytes cannot back, fails — the first failure sticks, later reads return
 // zero values, and Len reports nothing left.
@@ -91,6 +104,8 @@ func TestReaderFailures(t *testing.T) {
 		{"str", []byte{0xff, 0x01}, func(r *Reader) { r.Str() }, "malformed input at byte 2"},
 		{"count", []byte{3, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count("pair", 2) }, "pair count 3 exceeds the 5 bytes left"},
 		{"bad count", []byte{0x80}, func(r *Reader) { r.Count("pair", 2) }, "bad pair count"},
+		{"bool", []byte{2}, func(r *Reader) { r.Bool() }, "malformed input at byte 0"},
+		{"bool at the end", nil, func(r *Reader) { r.Bool() }, "truncated or malformed input at byte 0"},
 		{"trailing", []byte{1, 2}, func(r *Reader) { r.Byte() }, "1 trailing bytes"},
 	}
 	for _, c := range cases {

@@ -113,9 +113,10 @@ type Options struct {
 	// Interceptors are invoked in order for every statement, however it was
 	// issued — as text, through a prepared statement, or on a pipeline.
 	Interceptors []Interceptor
-	// NoTrace disables request tracing: no root span, no trace-context
-	// header on queries, no "trace" startup option. This is the untraced
-	// baseline the tracing-overhead benchmark measures against.
+	// NoTrace disables request tracing: no root span, and a zero trace
+	// context on every statement frame, so the server records no spans for
+	// it either. This is the untraced baseline the tracing-overhead
+	// benchmark measures against.
 	NoTrace bool
 	// ReadReplica, when non-empty, is the address of a read replica. A
 	// second session is dialed there and read-only statements issued
@@ -126,10 +127,6 @@ type Options struct {
 	// until its apply loop has caught up to the client's own writes.
 	ReadYourWrites bool
 }
-
-// TraceOption is the Startup option string announcing that the client
-// originates traces and the server should record spans that join them.
-const TraceOption = "trace"
 
 // Dial opens a session via d to addr. If an interceptor fully handles
 // queries (replay mode), pass a ReplayDialer that succeeds without a server.
@@ -178,11 +175,7 @@ func Dial(d Dialer, addr string, opts Options) (*Conn, error) {
 
 // handshake performs the startup exchange on one freshly-dialed connection.
 func handshake(nc net.Conn, opts Options) (inTxn bool, err error) {
-	st := wire.Startup{Proc: opts.Proc, Database: opts.Database}
-	if !opts.NoTrace {
-		st.Options = []string{TraceOption}
-	}
-	if err := wire.Write(nc, st); err != nil {
+	if err := wire.Write(nc, wire.Startup{Proc: opts.Proc, Database: opts.Database}); err != nil {
 		return false, err
 	}
 	msg, err := wire.Read(nc)
@@ -221,8 +214,8 @@ func (c *Conn) Exec(sql string) (*engine.Result, error) { return c.Query(sql) }
 
 // QueryAt executes one SQL statement against the historical snapshot at the
 // given logical tick — time travel without rewriting the SQL. Equivalent to
-// appending AS OF asOf to a SELECT; the bound rides the Query frame's
-// trailing field.
+// appending AS OF asOf to a SELECT; the bound rides the Query frame's AsOf
+// field.
 func (c *Conn) QueryAt(sql string, asOf uint64) (*engine.Result, error) {
 	if c.closed || c.broken {
 		return nil, ErrClosed
@@ -375,20 +368,6 @@ func (c *Conn) Traces() ([]obs.TraceRecord, error) {
 		return nil, err
 	}
 	return obs.ParseTraces(rp.stats)
-}
-
-// SetTraceContext sets the server session's default trace context
-// (fire-and-forget): statements without their own per-query header join it
-// until the next call. A zero context clears the default. No-op for
-// replay-only sessions.
-func (c *Conn) SetTraceContext(sc obs.SpanContext) error {
-	if c.closed || c.broken {
-		return ErrClosed
-	}
-	if c.nc == nil {
-		return nil
-	}
-	return wire.Write(c.nc, wire.TraceContext{Context: sc})
 }
 
 // roundTrip sends one request that is not a statement (Parse, Stats) to the

@@ -224,7 +224,7 @@ func TestPipelineError(t *testing.T) {
 
 // TestInterleavedPipelineAndQuery drives pipelined prepared executions and
 // plain Queries through the same and concurrent sessions — the -race e2e of
-// the v2 protocol sharing one server with the v1 path.
+// the prepared-statement kinds sharing one server with the text path.
 func TestInterleavedPipelineAndQuery(t *testing.T) {
 	srv := newServerWithData(t)
 
@@ -246,7 +246,7 @@ func TestInterleavedPipelineAndQuery(t *testing.T) {
 				return
 			}
 			for iter := 0; iter < 10; iter++ {
-				// Plain v1 Query...
+				// A text Query...
 				res, err := conn.Query("SELECT id FROM sales WHERE price > 10 ORDER BY id")
 				if err != nil {
 					errc <- err

@@ -392,13 +392,9 @@ func EncodeTableFile(name string, schema Schema, records [][]byte) []byte {
 func writeSchema(w *bin.Writer, s Schema) {
 	w.Uvarint(uint64(len(s.Columns)))
 	for _, c := range s.Columns {
-		pk := byte(0)
-		if c.PrimaryKey {
-			pk = 1
-		}
 		w.Str(c.Name)
 		w.Byte(byte(c.Type))
-		w.Byte(pk)
+		w.Bool(c.PrimaryKey)
 	}
 }
 
@@ -406,7 +402,7 @@ func readSchema(r *bin.Reader) Schema {
 	n := r.Count("column", 3)
 	s := Schema{Columns: bin.Make[Column](n, r.Len())}
 	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Columns = append(s.Columns, Column{Name: strings.Clone(r.Str()), Type: sqlval.Kind(r.Byte()), PrimaryKey: r.Byte() == 1})
+		s.Columns = append(s.Columns, Column{Name: strings.Clone(r.Str()), Type: sqlval.Kind(r.Byte()), PrimaryKey: r.Bool()})
 	}
 	return s
 }

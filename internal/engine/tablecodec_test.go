@@ -289,6 +289,12 @@ func TestDecodeTableRejectsMalformedInput(t *testing.T) {
 		{"uncoercible kind", newFileBuilder(intPK, fltCol).count(1).liveRow(1, sqlval.NewInt(1), sqlval.NewString("x")).seal(), "not assignable"},
 		{"fractional float in integer column", newFileBuilder(intPK).count(1).liveRow(1, sqlval.NewFloat(1.5)).seal(), "not assignable"},
 		{"duplicate primary key", newFileBuilder(intPK).count(2).liveRow(1, sqlval.NewInt(7)).liveRow(2, sqlval.NewInt(7)).seal(), "duplicate primary key"},
+		{"primary-key byte of 2", func() []byte {
+			b := newFileBuilder(intPK)
+			b.buf[len(b.buf)-1] = 2 // the column's primary-key byte
+			b.count(0).count(0).count(0).uvarint(0)
+			return b.seal()
+		}(), "malformed"},
 		{"unknown value tag", func() []byte {
 			b := newFileBuilder(intPK).count(1).liveRow(1, sqlval.Null)
 			b.buf[len(b.buf)-1] = 0x7f // the row's one value

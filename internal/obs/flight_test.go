@@ -12,7 +12,7 @@ import (
 // stream of leaks costs bounded memory — and well-behaved traces sealing
 // concurrently with the leaks must still reach the ring.
 func TestFlightRecorderEvictsAbandonedTraces(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 
 	// Leak far more traces than the open cap, interleaved with completed
 	// ones, from several goroutines (run under -race by `make check`).
@@ -64,7 +64,7 @@ func TestFlightRecorderEvictsAbandonedTraces(t *testing.T) {
 // recreated state must still drain and seal when the entry span ends, rather
 // than waiting forever on a lost in-flight count.
 func TestFlightRecorderDrainsEvictedTrace(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	root := r.StartSpan("victim")
 	child := root.Child("stage")
 
@@ -87,7 +87,7 @@ func TestFlightRecorderDrainsEvictedTrace(t *testing.T) {
 // maxSpansPerTrace keeps the first spans and drops the rest, bounding the
 // sealed record's size.
 func TestFlightRecorderCapsSpansPerTrace(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	root := r.StartSpan("big")
 	for i := 0; i < maxSpansPerTrace+50; i++ {
 		root.Child("stage").End()

@@ -1,7 +1,7 @@
 // Package obs is the LDV observability layer: a stdlib-only, lock-cheap
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
-// histograms) plus lightweight hierarchical spans recorded into a bounded
-// in-memory ring buffer. Every hot path of the system — engine statement
+// histograms) plus lightweight hierarchical spans, each recorded into a
+// per-name duration histogram. Every hot path of the system — engine statement
 // execution, wire-protocol framing, server sessions, the audit monitor, and
 // the packagers — reports here, and snapshots export as JSON (served over
 // the wire protocol as a Stats request) or as a human-readable table.
@@ -62,7 +62,7 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 func (g *Gauge) reset() { g.v.Store(0) }
 
-// Registry holds named metrics and the span ring buffer. Metric handles are
+// Registry holds named metrics and the flight recorder. Metric handles are
 // created once under a mutex and updated thereafter with atomics only.
 // The zero value is not usable; call NewRegistry or use Default.
 type Registry struct {
@@ -71,7 +71,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	spans  *spanRing
 	flight *flightRecorder
 	stmts  *StatementStats
 
@@ -81,26 +80,18 @@ type Registry struct {
 	logicalClock atomic.Value // func() uint64
 }
 
-// DefaultSpanCapacity bounds the span ring buffer of new registries.
-const DefaultSpanCapacity = 4096
-
-// NewRegistry returns an empty registry whose span ring holds up to
-// spanCapacity finished spans (<= 0 selects DefaultSpanCapacity).
-func NewRegistry(spanCapacity int) *Registry {
-	if spanCapacity <= 0 {
-		spanCapacity = DefaultSpanCapacity
-	}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spans:    newSpanRing(spanCapacity),
 		flight:   newFlightRecorder(DefaultTraceCapacity),
 		stmts:    newStatementStats(),
 	}
 }
 
-var defaultRegistry = NewRegistry(DefaultSpanCapacity)
+var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry all built-in instrumentation
 // reports to.
@@ -158,8 +149,8 @@ func (r *Registry) logicalNow() uint64 {
 	return 0
 }
 
-// Reset zeroes every metric and clears the span ring. Existing handles stay
-// valid — callers holding a *Counter keep recording into the same metric.
+// Reset zeroes every metric and clears the flight recorder. Existing handles
+// stay valid — callers holding a *Counter keep recording into the same metric.
 // The benchmark harness resets between the native and audited runs so the
 // overhead report attributes costs to exactly one run.
 func (r *Registry) Reset() {
@@ -174,7 +165,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.reset()
 	}
-	r.spans.reset()
 	r.flight.reset()
 	r.stmts.reset()
 }

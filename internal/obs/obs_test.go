@@ -8,7 +8,7 @@ import (
 )
 
 func TestCounterConcurrent(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	c := r.Counter("c")
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
@@ -32,7 +32,7 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestGauge(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	g := r.Gauge("g")
 	g.Set(5)
 	g.Add(-2)
@@ -42,7 +42,7 @@ func TestGauge(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	h := r.Histogram("h")
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
@@ -95,7 +95,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestSpanNesting(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.SetLogicalClock(func() uint64 { return 42 })
 	root := r.StartSpan("root")
 	child := root.Child("child").SetAttr("k", "v")
@@ -104,12 +104,12 @@ func TestSpanNesting(t *testing.T) {
 	child.End()
 	root.End()
 
-	snap := r.Snapshot()
-	if len(snap.Spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(snap.Spans))
+	traces := r.Traces()
+	if len(traces) != 1 || len(traces[0].Spans) != 3 {
+		t.Fatalf("got %+v, want one trace of 3 spans", traces)
 	}
 	byName := map[string]SpanRecord{}
-	for _, sp := range snap.Spans {
+	for _, sp := range traces[0].Spans {
 		byName[sp.Name] = sp
 	}
 	if byName["child"].Parent != byName["root"].ID {
@@ -128,42 +128,18 @@ func TestSpanNesting(t *testing.T) {
 		t.Fatal("logical clock ticks not recorded")
 	}
 	// End also feeds the span.<name> histogram.
-	if snap.Histogram("span.root").Count != 1 {
+	if r.Snapshot().Histogram("span.root").Count != 1 {
 		t.Fatal("span end did not observe into span.root histogram")
 	}
 	// Double End is a no-op.
 	root.End()
-	if got := r.Snapshot().SpanTotal; got != 3 {
-		t.Fatalf("double End recorded extra span: total %d", got)
-	}
-}
-
-func TestSpanRingEviction(t *testing.T) {
-	const capacity = 8
-	r := NewRegistry(capacity)
-	for i := 0; i < capacity+5; i++ {
-		r.StartSpan("s").End()
-	}
-	snap := r.Snapshot()
-	if len(snap.Spans) != capacity {
-		t.Fatalf("retained %d spans, want %d", len(snap.Spans), capacity)
-	}
-	if snap.SpanTotal != capacity+5 {
-		t.Fatalf("span total = %d, want %d", snap.SpanTotal, capacity+5)
-	}
-	// Oldest-first: the first retained span is #6 (IDs start at 1).
-	if snap.Spans[0].ID != 6 {
-		t.Fatalf("oldest retained span ID = %d, want 6", snap.Spans[0].ID)
-	}
-	for i := 1; i < len(snap.Spans); i++ {
-		if snap.Spans[i].ID != snap.Spans[i-1].ID+1 {
-			t.Fatal("retained spans not in chronological order")
-		}
+	if got := r.Snapshot().Histogram("span.root").Count; got != 1 {
+		t.Fatalf("double End recorded extra span: span.root count %d", got)
 	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Counter("engine.stmts").Add(7)
 	r.Gauge("server.active").Set(2)
 	r.Histogram("engine.exec_ns.select").Observe(1500 * time.Nanosecond)
@@ -186,8 +162,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Histogram("engine.exec_ns.select").Count != 1 {
 		t.Fatal("histogram lost in round trip")
 	}
-	if len(back.Spans) != 1 || back.Spans[0].Name != "replay.extract" {
-		t.Fatal("spans lost in round trip")
+	if back.Histogram("span.replay.extract").Count != 1 {
+		t.Fatal("span histogram lost in round trip")
 	}
 
 	var buf strings.Builder
@@ -201,7 +177,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestResetKeepsHandles(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	c := r.Counter("c")
 	h := r.Histogram("h")
 	c.Add(3)
@@ -209,7 +185,8 @@ func TestResetKeepsHandles(t *testing.T) {
 	r.StartSpan("s").End()
 	r.Reset()
 	snap := r.Snapshot()
-	if snap.Counter("c") != 0 || snap.Histogram("h").Count != 0 || snap.SpanTotal != 0 {
+	if snap.Counter("c") != 0 || snap.Histogram("h").Count != 0 ||
+		snap.Histogram("span.s").Count != 0 || len(r.Traces()) != 0 {
 		t.Fatal("Reset did not zero metrics")
 	}
 	// Old handles keep recording into the (zeroed) metrics.
@@ -225,7 +202,7 @@ func TestResetKeepsHandles(t *testing.T) {
 }
 
 func TestOverheadReport(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Histogram(MetricLineageNS).Record(int64(10 * time.Millisecond))
 	r.Histogram(MetricTraceNS).Record(int64(5 * time.Millisecond))
 	r.Histogram(MetricDedupNS).Record(int64(2 * time.Millisecond))

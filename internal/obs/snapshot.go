@@ -16,10 +16,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// Spans holds the retained ring-buffer contents oldest-first;
-	// SpanTotal counts every span ever finished, including evicted ones.
-	Spans     []SpanRecord `json:"spans,omitempty"`
-	SpanTotal int64        `json:"span_total"`
 }
 
 // Snapshot captures the registry's current state.
@@ -53,7 +49,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for n, h := range hists {
 		s.Histograms[n] = h.snapshot()
 	}
-	s.Spans, s.SpanTotal = r.spans.records()
 	return s
 }
 
@@ -102,8 +97,8 @@ func fmtNS(ns int64) string {
 }
 
 // WriteTable renders the snapshot as a human-readable report: counters and
-// gauges sorted by name, histograms with count/mean/p50/p95/max, and a
-// per-name span summary.
+// gauges sorted by name, and histograms (spans among them, as
+// `span.<name>`) with count/mean/p50/p95/max/total.
 func (s *Snapshot) WriteTable(w io.Writer) {
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(w, "-- counters --")
@@ -126,27 +121,6 @@ func (s *Snapshot) WriteTable(w io.Writer) {
 			fmt.Fprintf(w, "%-44s %10d %12s %12s %12s %12s %14s\n",
 				n, h.Count, fmtNS(int64(h.Mean())), fmtNS(h.Quantile(0.50)),
 				fmtNS(h.Quantile(0.95)), fmtNS(h.Max), fmtNS(h.Sum))
-		}
-	}
-	if s.SpanTotal > 0 {
-		type agg struct {
-			count int64
-			total int64
-		}
-		byName := map[string]*agg{}
-		for _, sp := range s.Spans {
-			a := byName[sp.Name]
-			if a == nil {
-				a = &agg{}
-				byName[sp.Name] = a
-			}
-			a.count++
-			a.total += sp.DurationNS
-		}
-		fmt.Fprintf(w, "-- spans (%d retained of %d total) --\n", len(s.Spans), s.SpanTotal)
-		for _, n := range sortedKeys(byName) {
-			a := byName[n]
-			fmt.Fprintf(w, "%-44s %10d %14s\n", n, a.count, fmtNS(a.total))
 		}
 	}
 }

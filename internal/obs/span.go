@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 func init() {
 	DescribePrefix("span.", "Span duration by span name")
@@ -20,10 +17,10 @@ type Attr struct {
 // the hierarchy without goroutine-local context plumbing. Every span belongs
 // to a trace: StartSpan originates a fresh 128-bit TraceID, Child inherits
 // its parent's, and StartSpanIn joins a trace whose context arrived over the
-// wire. End records the finished span into the registry's bounded ring
-// buffer, into the `span.<name>` latency histogram, and into the flight
-// recorder (which seals the trace once its entry span has ended and no
-// local spans remain in flight — see the flight recorder's doc comment).
+// wire. End records the finished span into the `span.<name>` latency
+// histogram and into the flight recorder (which seals the trace once its
+// entry span has ended and no local spans remain in flight — see the flight
+// recorder's doc comment).
 //
 // All methods are safe on a nil *Span and do nothing, so instrumented code
 // can thread an optional parent span without nil checks at every call site.
@@ -159,13 +156,12 @@ func (s *Span) End() time.Duration {
 		EndTick:    s.reg.logicalNow(),
 		Attrs:      s.attrs,
 	}
-	s.reg.spans.add(rec)
 	s.reg.flight.observe(s.trace, rec, s.entry)
 	s.reg.Histogram("span." + s.name).Observe(d)
 	return d
 }
 
-// SpanRecord is one finished span as stored in the ring buffer.
+// SpanRecord is one finished span as the flight recorder keeps it.
 type SpanRecord struct {
 	ID     uint64  `json:"id"`
 	Parent uint64  `json:"parent,omitempty"`
@@ -189,53 +185,4 @@ func (r SpanRecord) Attr(key string) string {
 		}
 	}
 	return ""
-}
-
-// spanRing is a bounded circular buffer of finished spans: the most recent
-// cap spans survive, older ones are evicted.
-type spanRing struct {
-	mu    sync.Mutex
-	buf   []SpanRecord
-	next  int
-	full  bool
-	total int64 // lifetime count, including evicted spans
-}
-
-func newSpanRing(capacity int) *spanRing {
-	return &spanRing{buf: make([]SpanRecord, capacity)}
-}
-
-func (r *spanRing) add(rec SpanRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = rec
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// records returns retained spans oldest-first plus the lifetime total.
-func (r *spanRing) records() ([]SpanRecord, int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []SpanRecord
-	if r.full {
-		out = make([]SpanRecord, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append([]SpanRecord(nil), r.buf[:r.next]...)
-	}
-	return out, r.total
-}
-
-func (r *spanRing) reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next = 0
-	r.full = false
-	r.total = 0
 }

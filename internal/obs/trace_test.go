@@ -43,7 +43,7 @@ func TestTraceIDUnique(t *testing.T) {
 }
 
 func TestSpanTraceInheritance(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	root := r.StartSpan("root")
 	if root.TraceID().IsZero() {
 		t.Fatal("root span has zero trace ID")
@@ -77,7 +77,7 @@ func TestNilSpanSafe(t *testing.T) {
 }
 
 func TestFlightRecorderSealsOnRootEnd(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	root := r.StartSpan("client.query")
 	child := root.Child("server.query")
 	grand := child.Child("engine.exec").SetAttr("sql", "SELECT 1")
@@ -108,7 +108,7 @@ func TestFlightRecorderSealsOnRootEnd(t *testing.T) {
 }
 
 func TestFlightRecorderNewestFirstAndBounded(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	const capacity = DefaultTraceCapacity
 	var last TraceID
 	for i := 0; i < capacity+10; i++ {
@@ -126,7 +126,7 @@ func TestFlightRecorderNewestFirstAndBounded(t *testing.T) {
 }
 
 func TestMarshalParseTraces(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	sp := r.StartSpan("q")
 	sp.Child("c").End()
 	sp.End()
@@ -147,7 +147,7 @@ func TestMarshalParseTraces(t *testing.T) {
 }
 
 func TestWaterfall(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	root := r.StartSpan("client.query")
 	root.Child("server.query").End()
 	root.End()
@@ -172,7 +172,7 @@ func TestWaterfall(t *testing.T) {
 // TestFlightRecorderConcurrent races span writers against Traces/Snapshot
 // readers; run under -race it checks the flight recorder's locking.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	r := NewRegistry(256)
+	r := NewRegistry()
 	const writers = 8
 	const perWriter = 200
 	var wg sync.WaitGroup
@@ -230,7 +230,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 // client's root span ends in another process — must still seal its local
 // view once the entry span ends and every child has drained.
 func TestFlightRecorderSealsJoinedTrace(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	remote := SpanContext{Trace: NewTraceID(), Span: 42}
 	srv := r.StartSpanIn("server.query", remote)
 	child := srv.Child("engine.exec")

@@ -15,7 +15,7 @@ import (
 // and two completed traces.
 func testRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
-	reg := obs.NewRegistry(64)
+	reg := obs.NewRegistry()
 	obs.Describe("server.sessions_open", "Sessions currently open")
 	obs.DescribePrefix("wire.msgs_out.", "Messages sent by kind")
 	obs.DescribePrefix("engine.exec_ns.", "Statement latency by statement kind")
@@ -193,7 +193,7 @@ func FuzzTracesHandler(f *testing.F) {
 	f.Add("limit=1&format=waterfall")
 	f.Add("limit=99999999999999999999")
 	f.Add("%zz")
-	reg := obs.NewRegistry(64)
+	reg := obs.NewRegistry()
 	sp := reg.StartSpan("client.query")
 	sp.Child("server.query").End()
 	sp.End()

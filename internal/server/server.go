@@ -161,13 +161,6 @@ type clientConn struct {
 	ws   *obs.SessionState
 	log  *obslog.Logger
 
-	// traceAware connections announced the "trace" Startup option: the server
-	// records spans joining the trace context their statements carry.
-	// defaultTrace is the standing context set by TraceContext messages;
-	// per-statement headers override it.
-	traceAware   bool
-	defaultTrace obs.SpanContext
-
 	// The connection's prepared-statement namespace (prepared.go). mu guards
 	// it against the ldv_stat_prepared provider.
 	mu    sync.Mutex
@@ -210,11 +203,6 @@ func (s *Server) HandleConn(conn net.Conn) {
 		args:  map[string][]sqlval.Value{},
 	}
 	c.log.Info("session open", "proc", startup.Proc, "db", startup.Database)
-	for _, o := range startup.Options {
-		if o == "trace" {
-			c.traceAware = true
-		}
-	}
 	// Session teardown rolls back any transaction the client abandoned.
 	defer c.sess.Close()
 
@@ -255,11 +243,8 @@ func (s *Server) HandleConn(conn net.Conn) {
 		switch m := msg.(type) {
 		case wire.Terminate:
 			return
-		case wire.TraceContext:
-			c.defaultTrace = m.Context
-			continue
 		case wire.Bind:
-			// Fire-and-forget like TraceContext: errors surface on Execute.
+			// Fire-and-forget: errors surface on Execute.
 			c.bind(m.Stmt, m.Args)
 			continue
 		case wire.CloseStmt:
@@ -400,14 +385,10 @@ type request struct {
 // never responds.
 func (c *clientConn) runStatement(r request) error {
 	mStatements.Inc()
-	sc := r.trace
-	if sc.IsZero() {
-		sc = c.defaultTrace
-	}
 	log := c.log
 	var sp *obs.Span
-	if c.traceAware && !sc.IsZero() {
-		sp = obs.StartSpanIn(r.span, sc)
+	if !r.trace.IsZero() {
+		sp = obs.StartSpanIn(r.span, r.trace)
 		log = log.With("trace", sp.TraceID())
 	}
 	defer sp.End()
@@ -471,8 +452,7 @@ func (c *clientConn) resolve(r request, parent *obs.Span) (*engine.PreparedStmt,
 // streamResult writes one statement's response group — RowDescription, rows
 // (with lineage when computed), inline provenance tuples, CommandComplete —
 // shared by the Query and Execute paths. tag is echoed in CommandComplete.Tag
-// for pipelined Executes (0 for plain queries, keeping their frames
-// byte-identical to the pre-v2 protocol).
+// for pipelined Executes (0 for plain queries).
 func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 	if err := wire.Write(conn, wire.RowDescription{Columns: res.Columns}); err != nil {
 		return err

@@ -5,60 +5,54 @@ import (
 	"testing"
 )
 
-// FuzzRead asserts the frame decoder never panics on arbitrary bytes.
+// FuzzRead asserts the frame decoder never panics on arbitrary bytes, and
+// that frames are canonical: a frame Read accepts writes back to exactly the
+// bytes Read consumed, so a message has one encoding.
 func FuzzRead(f *testing.F) {
-	var buf bytes.Buffer
-	Write(&buf, Query{SQL: "SELECT 1", WithLineage: true})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, CommandComplete{RowsAffected: 3, StmtID: 9})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Query{SQL: "SELECT 1", Trace: testSpanContext()})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, TraceContext{Context: testSpanContext()})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Startup{Proc: "p", Database: "db", Options: []string{"trace"}})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Stats{Kind: StatsKindTraces})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Subscribe{ReplicaID: "r1"})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, SnapshotChunk{Table: "t", Data: []byte{1, 2}, Done: true, CutSeq: 9})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, WALSegment{FirstSeq: 3, PrimaryTS: 8, Records: [][]byte{{4, 5}}})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, ReplicaStatus{ID: "r1", AppliedSeq: 2, AppliedTS: 7})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Query{SQL: "SELECT 1", MinApplied: 12})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, CommandComplete{RowsAffected: 1, CommitSeq: 12})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Parse{Name: "s1", SQL: "SELECT ?"})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Bind{Stmt: "s1"})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, Execute{Stmt: "s1", Tag: 4})
-	f.Add(buf.Bytes())
-	buf.Reset()
-	Write(&buf, CommandComplete{RowsAffected: 1, Tag: 4})
-	f.Add(buf.Bytes())
+	for _, m := range []Message{
+		Query{SQL: "SELECT 1", WithLineage: true},
+		CommandComplete{RowsAffected: 3, StmtID: 9},
+		Query{SQL: "SELECT 1", Trace: testSpanContext()},
+		Startup{Proc: "p", Database: "db"},
+		Stats{Kind: StatsKindTraces},
+		Subscribe{ReplicaID: "r1"},
+		SnapshotChunk{Table: "t", Data: []byte{1, 2}, Done: true, CutSeq: 9},
+		WALSegment{FirstSeq: 3, PrimaryTS: 8, Records: [][]byte{{4, 5}}},
+		ReplicaStatus{ID: "r1", AppliedSeq: 2, AppliedTS: 7},
+		Query{SQL: "SELECT 1", MinApplied: 12},
+		CommandComplete{RowsAffected: 1, CommitSeq: 12},
+		Parse{Name: "s1", SQL: "SELECT ?"},
+		Bind{Stmt: "s1"},
+		Execute{Stmt: "s1", Tag: 4},
+		CommandComplete{RowsAffected: 1, Tag: 4},
+		StatsResult{JSON: []byte(`{}`)},
+		Ready{InTxn: true},
+	} {
+		var buf bytes.Buffer
+		Write(&buf, m)
+		f.Add(buf.Bytes())
+	}
 	f.Add([]byte{'D', 0, 0, 0, 4, 1, 2, 3, 4})
 	f.Add([]byte{'?', 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{'c', 0, 0, 0, 3, 1, 2, 3})
+	// A Ready and a Stats without their field, a metrics Stats with its
+	// field, a Query whose WithLineage byte is 2: each is either rejected or
+	// must write back byte for byte.
+	f.Add([]byte{'Z', 0, 0, 0, 0})
+	f.Add([]byte{'T', 0, 0, 0, 0})
+	f.Add([]byte{'T', 0, 0, 0, 1, 0})
+	f.Add([]byte{'Q', 0, 0, 0, 2, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Read(bytes.NewReader(data)) // must not panic
+		r := bytes.NewReader(data)
+		m, err := Read(r)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := Write(&again, m); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("frame %x reads as %#v, which writes %x", consumed, m, again.Bytes())
+		}
 	})
 }

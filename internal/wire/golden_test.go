@@ -17,10 +17,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/frames.go
 
 const goldenFramesPath = "testdata/frames.golden"
 
-// goldenFrames is a frame of every kind the other pinned tests leave out, and
-// of every trailing-field combination a kind can take: Startup with and
-// without options, Query with each combination of its trailing fields,
-// multi-byte text, an empty string, an empty WAL record.
+// goldenFrames is a frame of every kind, with each field of a kind zero and
+// non-zero somewhere: Query with each of its fields set alone and all
+// together, multi-byte text, an empty string, an empty WAL record.
 func goldenFrames() []struct {
 	name string
 	m    Message
@@ -36,7 +35,6 @@ func goldenFrames() []struct {
 		m    Message
 	}{
 		{"startup", Startup{Proc: "p12", Database: "tpch"}},
-		{"startup_options", Startup{Proc: "p", Database: "db", Options: []string{"trace", "x=1", ""}}},
 		{"query", Query{SQL: "SELECT 1"}},
 		{"query_lineage", Query{SQL: "SELECT * FROM naïve", WithLineage: true}},
 		{"query_trace", Query{SQL: "SELECT 1", Trace: sc}},
@@ -48,8 +46,11 @@ func goldenFrames() []struct {
 		{"row_description_none", RowDescription{}},
 		{"data_row", DataRow{Values: row}},
 		{"data_row_none", DataRow{}},
+		{"lineage_row", LineageRow{Refs: refs}},
+		{"tuple_values", TupleValues{Refs: refs, Rows: [][]sqlval.Value{row, row[:1]}}},
 		{"command_complete", CommandComplete{RowsAffected: -1, StmtID: -3, Start: 10, End: 300,
 			ReadRefs: refs, WrittenRefs: refs[:1], CommitSeq: 17, Fingerprint: "ab12", Tag: 9}},
+		{"command_complete_none", CommandComplete{}},
 		{"error", Error{Message: "boom: naïve"}},
 		{"ready", Ready{}},
 		{"ready_in_txn", Ready{InTxn: true}},
@@ -57,15 +58,16 @@ func goldenFrames() []struct {
 		{"stats", Stats{}},
 		{"stats_traces", Stats{Kind: StatsKindTraces}},
 		{"stats_result", StatsResult{JSON: []byte(`{"counters":{"engine.stmts":7}}`)}},
-		{"trace_context", TraceContext{Context: sc}},
-		{"trace_context_zero", TraceContext{}},
 		{"subscribe", Subscribe{ReplicaID: "replica-1"}},
 		{"snapshot_chunk", SnapshotChunk{Table: "orders", CutSeq: 0, Data: []byte{1, 2, 3}}},
 		{"snapshot_done", SnapshotChunk{Done: true, CutSeq: 99}},
 		{"wal_segment", WALSegment{FirstSeq: 7, PrimaryTS: 123, Records: [][]byte{{0xAA}, nil, {0xBB, 0xCC}}}},
 		{"wal_segment_heartbeat", WALSegment{FirstSeq: 8, PrimaryTS: 124}},
 		{"replica_status", ReplicaStatus{ID: "replica-1", AppliedSeq: 300, AppliedTS: 4}},
+		{"parse", Parse{Name: "s1", SQL: "SELECT ?"}},
+		{"parse_complete", ParseComplete{Name: "s1", NumParams: 1, Fingerprint: "ab12"}},
 		{"bind", Bind{Stmt: "s1", Args: row}},
+		{"execute", Execute{Stmt: "s1", Tag: 300, WithLineage: true, Trace: sc, MinApplied: 5}},
 		{"close_stmt", CloseStmt{Name: "s1"}},
 	}
 }
@@ -120,6 +122,28 @@ func TestFramesGolden(t *testing.T) {
 		}
 		if !bytes.Equal(again.Bytes(), frame) {
 			t.Errorf("%s: pinned frame reads as %#v, which writes %x", name, m, again.Bytes())
+		}
+	}
+}
+
+// TestFramePrefixesRejected: a frame cut anywhere is an error. Every strict
+// prefix of every golden frame's payload fails to decode, because every
+// field of every kind is always present and no field's length is implied by
+// where the frame ends. The golden frames cover every kind.
+func TestFramePrefixesRejected(t *testing.T) {
+	kinds := map[byte]bool{}
+	for _, c := range goldenFrames() {
+		kinds[c.m.tag()] = true
+		payload := encodePayload(c.m)
+		for n := 0; n < len(payload); n++ {
+			if m, err := decodePayload(c.m.tag(), payload[:n]); err == nil {
+				t.Errorf("%s cut to %d of %d payload bytes decodes as %#v", c.name, n, len(payload), m)
+			}
+		}
+	}
+	for _, tag := range Tags() {
+		if !kinds[tag] {
+			t.Errorf("no golden frame of kind %s", TagName(tag))
 		}
 	}
 }

@@ -2,16 +2,15 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"testing"
 
 	"ldv/internal/sqlval"
 )
 
-// TestPreparedEncodingsPinned pins the v2 frame payloads byte-for-byte so an
-// encoder change cannot silently break deployed peers. v2 messages have no
-// legacy form: every field is always present, in declaration order.
+// TestPreparedEncodingsPinned pins the prepared-statement frame payloads
+// byte-for-byte, spelled apart from the encoder: every field is present, in
+// declaration order.
 func TestPreparedEncodingsPinned(t *testing.T) {
 	zeroTrace := make([]byte, spanContextSize)
 	cases := []struct {
@@ -24,8 +23,8 @@ func TestPreparedEncodingsPinned(t *testing.T) {
 			[]byte("\x02s1\x02\x02ab")},
 		{CloseStmt{Name: "s1"},
 			[]byte("\x02s1")},
-		// Execute always carries the 24-byte trace context and the
-		// MinApplied uvarint, zero or not.
+		// Execute carries the 24-byte trace context and the MinApplied
+		// uvarint, zero or not.
 		{Execute{Stmt: "s1", Tag: 7},
 			append([]byte("\x02s1\x07\x00"), append(zeroTrace, 0)...)},
 		{Execute{Stmt: "s1", Tag: 1, WithLineage: true, MinApplied: 3},
@@ -38,50 +37,7 @@ func TestPreparedEncodingsPinned(t *testing.T) {
 	}
 }
 
-// TestCommandCompleteTagCompatible pins the CommandComplete trailing-field
-// chain: a zero Tag emits the pre-v2 frame byte-for-byte, and a non-zero Tag
-// force-encodes the fingerprint and commit sequence so the decoder can tell
-// the three trailing fields apart by position.
-func TestCommandCompleteTagCompatible(t *testing.T) {
-	// Hand-built legacy frame: counts, refs, then CommitSeq + Fingerprint.
-	legacy := binary.AppendVarint(nil, 1)     // RowsAffected
-	legacy = binary.AppendVarint(legacy, 2)   // StmtID
-	legacy = binary.AppendUvarint(legacy, 10) // Start
-	legacy = binary.AppendUvarint(legacy, 20) // End
-	legacy = binary.AppendUvarint(legacy, 0)  // ReadRefs
-	legacy = binary.AppendUvarint(legacy, 0)  // WrittenRefs
-	legacy = binary.AppendUvarint(legacy, 17) // CommitSeq
-	legacy = appendString(legacy, "fp")       // Fingerprint
-
-	m := CommandComplete{RowsAffected: 1, StmtID: 2, Start: 10, End: 20, CommitSeq: 17, Fingerprint: "fp"}
-	if got := encodePayload(m); !bytes.Equal(got, legacy) {
-		t.Fatalf("zero-Tag CommandComplete differs from legacy: %x vs %x", got, legacy)
-	}
-	// A legacy frame decodes with Tag zero.
-	dec, err := decodePayload(TagCommandComplete, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dec.(CommandComplete); got.Tag != 0 || !reflect.DeepEqual(got, m) {
-		t.Fatalf("legacy decode: got %#v, want %#v", got, m)
-	}
-	// Tag forces the two earlier trailing fields even when zero/empty.
-	withTag := encodePayload(CommandComplete{RowsAffected: 1, StmtID: 2, Start: 10, End: 20, Tag: 9})
-	want := binary.AppendVarint(nil, 1)
-	want = binary.AppendVarint(want, 2)
-	want = binary.AppendUvarint(want, 10)
-	want = binary.AppendUvarint(want, 20)
-	want = binary.AppendUvarint(want, 0) // ReadRefs
-	want = binary.AppendUvarint(want, 0) // WrittenRefs
-	want = binary.AppendUvarint(want, 0) // CommitSeq, forced
-	want = appendString(want, "")        // Fingerprint, forced
-	want = binary.AppendUvarint(want, 9) // Tag
-	if !bytes.Equal(withTag, want) {
-		t.Fatalf("tagged CommandComplete = %x, want %x", withTag, want)
-	}
-}
-
-// FuzzPrepared round-trips the v2 message kinds through Write/Read.
+// FuzzPrepared round-trips the prepared-statement kinds through Write/Read.
 func FuzzPrepared(f *testing.F) {
 	f.Add("s1", "SELECT * FROM t WHERE a = ?", uint64(1), true, uint64(0), int64(42), "x")
 	f.Add("", "", uint64(0), false, uint64(99), int64(-7), "")

@@ -6,54 +6,6 @@ import (
 	"testing"
 )
 
-// TestReplFieldsBackwardCompatible pins the trailing-field contract of the
-// replication extensions: zero CommitSeq / MinApplied encode byte-identically
-// to the pre-replication frames.
-func TestReplFieldsBackwardCompatible(t *testing.T) {
-	// CommandComplete without a commit sequence is the legacy frame.
-	legacy := encodePayload(CommandComplete{RowsAffected: 2, StmtID: 5, Start: 1, End: 9})
-	withZero := encodePayload(CommandComplete{RowsAffected: 2, StmtID: 5, Start: 1, End: 9, CommitSeq: 0})
-	if !bytes.Equal(legacy, withZero) {
-		t.Fatalf("zero-CommitSeq frame differs from legacy: %x vs %x", withZero, legacy)
-	}
-	m, err := decodePayload(TagCommandComplete, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc := m.(CommandComplete); cc.CommitSeq != 0 {
-		t.Fatalf("legacy CommandComplete decoded CommitSeq %d", cc.CommitSeq)
-	}
-
-	// Query without a bound is the legacy frame; with a bound the trace
-	// context is forced present so the decoder can distinguish extensions.
-	legacyQ := encodePayload(Query{SQL: "SELECT 1"})
-	if got := encodePayload(Query{SQL: "SELECT 1", MinApplied: 0}); !bytes.Equal(got, legacyQ) {
-		t.Fatalf("zero-MinApplied Query frame differs from legacy")
-	}
-	bound := encodePayload(Query{SQL: "SELECT 1", MinApplied: 7})
-	if len(bound) != len(legacyQ)+spanContextSize+1 {
-		t.Fatalf("bounded Query frame length %d, want %d", len(bound), len(legacyQ)+spanContextSize+1)
-	}
-	m, err = decodePayload(TagQuery, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := m.(Query)
-	if q.MinApplied != 7 || !q.Trace.IsZero() || q.SQL != "SELECT 1" {
-		t.Fatalf("bounded Query decoded as %#v", q)
-	}
-
-	// Both extensions together survive a round trip.
-	full := Query{SQL: "SELECT 2", Trace: testSpanContext(), MinApplied: 42}
-	m, err = decodePayload(TagQuery, encodePayload(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m, full) {
-		t.Fatalf("round trip: got %#v, want %#v", m, full)
-	}
-}
-
 // TestReplDecodeErrors exercises the failure paths of the replication
 // message decoders: truncation must produce errors, never panics or
 // silently short values.
@@ -69,6 +21,10 @@ func TestReplDecodeErrors(t *testing.T) {
 	// A SnapshotChunk cut before its fixed fields.
 	if _, err := decodePayload(TagSnapshotChunk, []byte{1, 'x'}); err == nil {
 		t.Fatal("truncated SnapshotChunk must fail")
+	}
+	// A SnapshotChunk whose Done byte is neither 0 nor 1.
+	if _, err := decodePayload(TagSnapshotChunk, []byte{0, 2, 0, 0}); err == nil {
+		t.Fatal("SnapshotChunk with Done 2 must fail")
 	}
 	// A ReplicaStatus missing its positions.
 	st := encodePayload(ReplicaStatus{ID: "r", AppliedSeq: 300, AppliedTS: 4})

@@ -21,10 +21,9 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	for _, m := range []Message{
 		Query{SQL: "SELECT 1", Trace: sc},
 		Query{SQL: "SELECT 1", WithLineage: true, Trace: sc},
-		TraceContext{Context: sc},
-		TraceContext{}, // zero context clears the session default
-		Startup{Proc: "p1", Database: "tpch", Options: []string{"trace"}},
-		Startup{Proc: "p1", Database: "tpch", Options: []string{"trace", "x=1"}},
+		// A zero trace id with a span id is kept as it is.
+		Query{SQL: "SELECT 1", Trace: obs.SpanContext{Span: sc.Span}},
+		Execute{Stmt: "s1", Trace: obs.SpanContext{Span: 1}},
 		Stats{Kind: StatsKindTraces},
 		Stats{Kind: StatsKindMetrics},
 	} {
@@ -42,81 +41,47 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceFieldsBackwardCompatible pins the old-peer story: frames without
-// the trailing trace fields decode to zero values, and frames WITH them are
-// byte-identical to old frames when the new fields are zero/empty.
-func TestTraceFieldsBackwardCompatible(t *testing.T) {
-	// An old peer's Query frame (no trailing trace context).
-	old := encodePayload(Query{SQL: "SELECT 1"})
-	m, err := decodePayload(TagQuery, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := m.(Query); !q.Trace.IsZero() {
-		t.Fatalf("legacy Query decoded with trace %v", q.Trace)
-	}
-	// A new peer sending a zero trace emits the legacy frame byte-for-byte.
-	if got := encodePayload(Query{SQL: "SELECT 1", Trace: obs.SpanContext{}}); !bytes.Equal(got, old) {
-		t.Fatalf("zero-trace Query frame differs from legacy: %x vs %x", got, old)
-	}
-	// Same for Startup without options and Stats kind metrics.
-	oldStartup := encodePayload(Startup{Proc: "p", Database: "db"})
-	if got := encodePayload(Startup{Proc: "p", Database: "db", Options: nil}); !bytes.Equal(got, oldStartup) {
-		t.Fatal("optionless Startup frame differs from legacy")
-	}
-	if got := encodePayload(Stats{Kind: StatsKindMetrics}); len(got) != 0 {
-		t.Fatalf("metrics Stats frame not empty: %x", got)
-	}
-}
-
 func TestTraceContextDecodeErrors(t *testing.T) {
-	// A trailing trace context must be exactly 24 bytes: a partial one is a
-	// decode error, not a silently ignored suffix.
-	b := encodePayload(Query{SQL: "SELECT 1"})
-	b = append(b, 1, 2, 3)
-	if _, err := decodePayload(TagQuery, b); err == nil {
+	// A trace context is exactly 24 bytes: a frame cut inside one is a
+	// decode error, not a zero context.
+	b := encodePayload(Query{SQL: "SELECT 1", Trace: testSpanContext()})
+	ctxAt := 1 + 1 + len("SELECT 1")
+	if _, err := decodePayload(TagQuery, b[:ctxAt+3]); err == nil {
 		t.Fatal("partial trace context must fail")
 	}
-	// Oversized trailing data fails the no-trailing-bytes check.
-	b = encodePayload(Query{SQL: "SELECT 1", Trace: testSpanContext()})
-	b = append(b, 0xEE)
-	if _, err := decodePayload(TagQuery, b); err == nil {
-		t.Fatal("trailing junk after trace context must fail")
-	}
-	// TraceContext with a short payload fails.
-	if _, err := decodePayload(TagTraceContext, []byte{1, 2}); err == nil {
-		t.Fatal("short TraceContext must fail")
+	// Bytes after the last field fail the no-trailing-bytes check.
+	if _, err := decodePayload(TagQuery, append(b, 0xEE)); err == nil {
+		t.Fatal("trailing junk after AsOf must fail")
 	}
 }
 
-// FuzzTraceContext round-trips arbitrary span contexts and query frames
-// carrying them.
-func FuzzTraceContext(f *testing.F) {
+// FuzzStatementFrames round-trips the statement frames, Query and Execute,
+// over arbitrary trace contexts, read-your-writes bounds and AS OF ticks:
+// every field comes back exactly as it was written.
+func FuzzStatementFrames(f *testing.F) {
 	sc := testSpanContext()
-	f.Add(sc.Trace[:], sc.Span, "SELECT 1", true)
-	f.Add(make([]byte, 16), uint64(0), "", false)
-	f.Fuzz(func(t *testing.T, trace []byte, span uint64, sql string, lineage bool) {
+	f.Add(sc.Trace[:], sc.Span, "SELECT 1", true, uint64(7), uint64(9), uint64(3))
+	f.Add(make([]byte, 16), uint64(0), "", false, uint64(0), uint64(0), uint64(0))
+	f.Add(make([]byte, 16), uint64(1), "SELECT 2", false, uint64(1<<63), uint64(0), uint64(1))
+	f.Fuzz(func(t *testing.T, trace []byte, span uint64, sql string, lineage bool, minApplied, asOf, tag uint64) {
 		var sc obs.SpanContext
 		copy(sc.Trace[:], trace)
 		sc.Span = span
-		q := Query{SQL: sql, WithLineage: lineage, Trace: sc}
-		var buf bytes.Buffer
-		if err := Write(&buf, q); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-		g := got.(Query)
-		// A zero-span-ID context with a non-zero trace still round-trips; a
-		// zero trace ID encodes as absent and decodes to the zero context.
-		want := q
-		if sc.IsZero() {
-			want.Trace = obs.SpanContext{}
-		}
-		if !reflect.DeepEqual(g, want) {
-			t.Fatalf("round trip: got %#v, want %#v", g, want)
+		for _, m := range []Message{
+			Query{SQL: sql, WithLineage: lineage, Trace: sc, MinApplied: minApplied, AsOf: asOf},
+			Execute{Stmt: sql, Tag: tag, WithLineage: lineage, Trace: sc, MinApplied: minApplied},
+		} {
+			var buf bytes.Buffer
+			if err := Write(&buf, m); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			got, err := Read(&buf)
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if !reflect.DeepEqual(got, m) {
+				t.Fatalf("round trip: got %#v, want %#v", got, m)
+			}
 		}
 	})
 }

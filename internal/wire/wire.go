@@ -31,7 +31,6 @@ const (
 	TagTerminate       = 'X'
 	TagStats           = 'T'
 	TagStatsResult     = 't'
-	TagTraceContext    = 'c'
 	TagSubscribe       = 'U'
 	TagSnapshotChunk   = 'K'
 	TagWALSegment      = 'W'
@@ -50,7 +49,7 @@ func Tags() []byte {
 	return []byte{
 		TagStartup, TagQuery, TagRowDescription, TagDataRow, TagLineageRow,
 		TagCommandComplete, TagTupleValues, TagError, TagReady, TagTerminate,
-		TagStats, TagStatsResult, TagTraceContext,
+		TagStats, TagStatsResult,
 		TagSubscribe, TagSnapshotChunk, TagWALSegment, TagReplicaStatus,
 		TagParse, TagParseComplete, TagBind, TagExecute, TagCloseStmt,
 	}
@@ -84,8 +83,6 @@ func TagName(tag byte) string {
 		return "Stats"
 	case TagStatsResult:
 		return "StatsResult"
-	case TagTraceContext:
-		return "TraceContext"
 	case TagSubscribe:
 		return "Subscribe"
 	case TagSnapshotChunk:
@@ -113,39 +110,30 @@ func TagName(tag byte) string {
 // corrupted length prefixes.
 const MaxMessageSize = 64 << 20
 
-// Message is any protocol message.
+// Message is any protocol message. A message's payload is its fields in
+// declaration order, every one of them always present, and a decoder
+// requires the payload to end after the last one (PROTOCOL.md).
 type Message interface{ tag() byte }
 
 // Startup opens a session, announcing the client process identity (used as
-// prov_p on the server) and target database name. Options carries optional
-// capability strings ("trace" requests server-side span recording); encoded
-// as a trailing field, so old peers simply never send any and old servers
-// never see them.
+// prov_p on the server) and target database name.
 type Startup struct {
 	Proc     string
 	Database string
-	Options  []string
 }
 
 // Query asks the server to execute one SQL statement. WithLineage requests
 // Lineage computation even without the PROVENANCE keyword — the switch the
-// LDV audit interceptor flips. Trace is the optional trace-context header:
-// when non-zero, server-side spans for this statement join the client's
-// trace. It is encoded as a trailing fixed-size field, absent when zero, so
-// old peers interoperate.
+// LDV audit interceptor flips. Trace is the statement's trace context: when
+// non-zero, server-side spans for this statement join the client's trace.
 // MinApplied, when non-zero, is the read-your-writes bound for queries sent
 // to a read replica: the server delays execution until its database has
-// applied at least that WAL record sequence. Encoded after the trace
-// context as a trailing uvarint (the trace context is then always present,
-// zero or not, to keep the frame self-describing); absent means no bound.
-// AsOf, when non-zero, pins the statement to the historical snapshot at
-// that logical tick (time travel) unless the SQL carries its own AS OF
-// clause. Third trailing field after MinApplied (which is then
-// force-encoded, zero or not); absent means a head read, so pre-time-travel
-// frames are byte-identical.
+// applied at least that WAL record sequence. AsOf, when non-zero, pins the
+// statement to the historical snapshot at that logical tick (time travel)
+// unless the SQL carries its own AS OF clause.
 type Query struct {
-	SQL         string
 	WithLineage bool
+	SQL         string
 	Trace       obs.SpanContext
 	MinApplied  uint64
 	AsOf        uint64
@@ -173,8 +161,7 @@ type TupleValues struct {
 // statement read and wrote (reenactment provenance for updates).
 // CommitSeq is the WAL record sequence the statement's commit occupies on
 // the primary (0 when nothing was logged); clients feed it back as
-// Query.MinApplied for read-your-writes on replicas. Trailing field,
-// absent when zero, so legacy frames are byte-identical.
+// Query.MinApplied for read-your-writes on replicas.
 type CommandComplete struct {
 	RowsAffected int
 	StmtID       int64
@@ -183,21 +170,15 @@ type CommandComplete struct {
 	WrittenRefs  []engine.TupleRef
 	CommitSeq    uint64
 	// Fingerprint is the statement's normalized-text hash in hex — the join
-	// key against the ldv_stat_statements system view. Trailing field after
-	// CommitSeq (which is force-encoded, zero or not, when a fingerprint is
-	// present, keeping the frame self-describing); absent when "".
+	// key against the ldv_stat_statements system view.
 	Fingerprint string
 	// Tag echoes Execute.Tag so a pipelining client can match each response
-	// group to the Execute that caused it. Trailing field after Fingerprint
-	// (both earlier trailing fields are then force-encoded, keeping the frame
-	// self-describing); absent when zero — plain Query responses are
-	// byte-identical to the pre-v2 protocol.
+	// group to the Execute that caused it; 0 answers a Query.
 	Tag uint64
 }
 
 // Stats request kinds: which observability document the server should
-// return. The zero kind (metrics) is also what an empty payload means, so
-// pre-kind clients keep working.
+// return.
 const (
 	StatsKindMetrics byte = 0 // obs.Snapshot JSON
 	StatsKindTraces  byte = 1 // flight-recorder traces JSON (obs.MarshalTraces)
@@ -207,20 +188,13 @@ const (
 // any wire client can issue (ldvsql's \stats, monitoring probes), analogous
 // to PostgreSQL's pg_stat views but transported as a protocol message rather
 // than a query. Kind selects the document (StatsKindMetrics or
-// StatsKindTraces); it is a trailing field, absent meaning metrics.
+// StatsKindTraces).
 type Stats struct{ Kind byte }
 
 // StatsResult carries the requested document serialized as JSON (an
 // obs.Snapshot or a flight-recorder trace list). The payload is opaque to
 // the wire layer so the protocol does not depend on the metric schema.
 type StatsResult struct{ JSON []byte }
-
-// TraceContext sets the session's default trace context: until the next
-// TraceContext message, statements without their own Query.Trace join this
-// context. Fire-and-forget (no response), so a monitoring wrapper can scope
-// a whole session under one trace with a single extra message. A zero
-// context clears the default.
-type TraceContext struct{ Context obs.SpanContext }
 
 // Error reports a failed statement; the session stays usable.
 type Error struct{ Message string }
@@ -277,8 +251,7 @@ type ReplicaStatus struct {
 // client-chosen Name, parsing it once and registering it for later Bind /
 // Execute. Positional `?` placeholders become parameters. Re-parsing an
 // existing name replaces it. The server answers ParseComplete (or Error)
-// followed by Ready. New in protocol v2; all fields are unconditional —
-// only messages that predate an extension need trailing-field compatibility.
+// followed by Ready.
 type Parse struct {
 	Name string
 	SQL  string
@@ -286,8 +259,7 @@ type Parse struct {
 
 // ParseComplete acknowledges a Parse, echoing the statement name and
 // reporting how many `?` parameters the statement wants plus its normalized
-// fingerprint (the plan-cache and ldv_stat_prepared join key). New in
-// protocol v2.
+// fingerprint (the plan-cache and ldv_stat_prepared join key).
 type ParseComplete struct {
 	Name        string
 	NumParams   int
@@ -295,10 +267,10 @@ type ParseComplete struct {
 }
 
 // Bind supplies parameter values for a prepared statement's next Execute.
-// Fire-and-forget like TraceContext: the server stores the values without
-// responding, so a pipelining client can stream Bind/Execute pairs without
-// intervening round trips. Binding errors (unknown statement, arity
-// mismatch) surface on the Execute. New in protocol v2.
+// Fire-and-forget: the server stores the values without responding, so a
+// pipelining client can stream Bind/Execute pairs without intervening round
+// trips. Binding errors (unknown statement, arity mismatch) surface on the
+// Execute.
 type Bind struct {
 	Stmt string
 	Args []sqlval.Value
@@ -309,8 +281,7 @@ type Bind struct {
 // RowDescription/DataRow/.../CommandComplete/Ready sequence a Query yields,
 // or Error/Ready. Tag is a client-chosen correlation id echoed in
 // CommandComplete.Tag so pipelined responses can be matched in order.
-// WithLineage, Trace and MinApplied mean what they do on Query. New in
-// protocol v2.
+// WithLineage, Trace and MinApplied mean what they do on Query.
 type Execute struct {
 	Stmt        string
 	Tag         uint64
@@ -320,13 +291,12 @@ type Execute struct {
 }
 
 // CloseStmt discards a prepared statement. Fire-and-forget; closing an
-// unknown name is a no-op. New in protocol v2.
+// unknown name is a no-op.
 type CloseStmt struct {
 	Name string
 }
 
 func (Startup) tag() byte         { return TagStartup }
-func (TraceContext) tag() byte    { return TagTraceContext }
 func (Stats) tag() byte           { return TagStats }
 func (StatsResult) tag() byte     { return TagStatsResult }
 func (Query) tag() byte           { return TagQuery }
@@ -392,37 +362,12 @@ func encodePayload(m Message) []byte {
 	case Startup:
 		b = bin.AppendString(b, v.Proc)
 		b = bin.AppendString(b, v.Database)
-		// Options are a trailing field: omitted entirely when empty so the
-		// frame is byte-identical to the pre-options protocol.
-		if len(v.Options) > 0 {
-			b = binary.AppendUvarint(b, uint64(len(v.Options)))
-			for _, o := range v.Options {
-				b = bin.AppendString(b, o)
-			}
-		}
 	case Query:
-		if v.WithLineage {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = bin.AppendBool(b, v.WithLineage)
 		b = bin.AppendString(b, v.SQL)
-		// Trace context trails the frame: exactly 24 bytes when present,
-		// absent when zero, so pre-tracing peers parse the frame unchanged.
-		// A MinApplied bound trails the trace context, and an AS OF tick
-		// trails MinApplied; each later field forces the earlier ones (zero
-		// or not) so the decoder tells the extensions apart by position.
-		switch {
-		case v.AsOf > 0:
-			b = appendSpanContext(b, v.Trace)
-			b = binary.AppendUvarint(b, v.MinApplied)
-			b = binary.AppendUvarint(b, v.AsOf)
-		case v.MinApplied > 0:
-			b = appendSpanContext(b, v.Trace)
-			b = binary.AppendUvarint(b, v.MinApplied)
-		case !v.Trace.IsZero():
-			b = appendSpanContext(b, v.Trace)
-		}
+		b = appendSpanContext(b, v.Trace)
+		b = binary.AppendUvarint(b, v.MinApplied)
+		b = binary.AppendUvarint(b, v.AsOf)
 	case RowDescription:
 		b = binary.AppendUvarint(b, uint64(len(v.Columns)))
 		for _, c := range v.Columns {
@@ -451,56 +396,30 @@ func encodePayload(m Message) []byte {
 		b = binary.AppendUvarint(b, v.End)
 		b = appendRefs(b, v.ReadRefs)
 		b = appendRefs(b, v.WrittenRefs)
-		// Trailing commit sequence, absent when nothing was logged, so the
-		// frame is byte-identical to the pre-replication protocol. A
-		// fingerprint forces it (zero or not): the decoder tells the
-		// trailing fields apart by position, not content. A pipeline tag in
-		// turn forces the fingerprint (empty or not).
-		if v.CommitSeq > 0 || v.Fingerprint != "" || v.Tag != 0 {
-			b = binary.AppendUvarint(b, v.CommitSeq)
-		}
-		if v.Fingerprint != "" || v.Tag != 0 {
-			b = bin.AppendString(b, v.Fingerprint)
-		}
-		if v.Tag != 0 {
-			b = binary.AppendUvarint(b, v.Tag)
-		}
+		b = binary.AppendUvarint(b, v.CommitSeq)
+		b = bin.AppendString(b, v.Fingerprint)
+		b = binary.AppendUvarint(b, v.Tag)
 	case Error:
 		b = bin.AppendString(b, v.Message)
 	case StatsResult:
-		b = append(b, v.JSON...)
+		b = bin.AppendBytes(b, v.JSON)
 	case Ready:
-		if v.InTxn {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = bin.AppendBool(b, v.InTxn)
 	case Stats:
-		// Kind is a trailing field: the metrics kind encodes as the legacy
-		// empty payload.
-		if v.Kind != StatsKindMetrics {
-			b = append(b, v.Kind)
-		}
-	case TraceContext:
-		b = appendSpanContext(b, v.Context)
+		b = append(b, v.Kind)
 	case Subscribe:
 		b = bin.AppendString(b, v.ReplicaID)
 	case SnapshotChunk:
 		b = bin.AppendString(b, v.Table)
-		if v.Done {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = bin.AppendBool(b, v.Done)
 		b = binary.AppendUvarint(b, v.CutSeq)
-		b = append(b, v.Data...) // raw to frame end; length implied
+		b = bin.AppendBytes(b, v.Data)
 	case WALSegment:
 		b = binary.AppendUvarint(b, v.FirstSeq)
 		b = binary.AppendUvarint(b, v.PrimaryTS)
 		b = binary.AppendUvarint(b, uint64(len(v.Records)))
 		for _, rec := range v.Records {
-			b = binary.AppendUvarint(b, uint64(len(rec)))
-			b = append(b, rec...)
+			b = bin.AppendBytes(b, rec)
 		}
 	case ReplicaStatus:
 		b = bin.AppendString(b, v.ID)
@@ -519,14 +438,7 @@ func encodePayload(m Message) []byte {
 	case Execute:
 		b = bin.AppendString(b, v.Stmt)
 		b = binary.AppendUvarint(b, v.Tag)
-		if v.WithLineage {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		// v2 message: the trace context and MinApplied bound are always
-		// present (zero or not) — no legacy peers to stay byte-compatible
-		// with.
+		b = bin.AppendBool(b, v.WithLineage)
 		b = appendSpanContext(b, v.Trace)
 		b = binary.AppendUvarint(b, v.MinApplied)
 	case CloseStmt:
@@ -541,26 +453,9 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 	var m Message
 	switch tag {
 	case TagStartup:
-		s := Startup{Proc: d.Str(), Database: d.Str()}
-		// Trailing options (absent in pre-options frames).
-		if d.Len() > 0 {
-			s.Options = d.strings("option")
-		}
-		m = s
+		m = Startup{Proc: d.Str(), Database: d.Str()}
 	case TagQuery:
-		q := Query{WithLineage: d.Byte() == 1, SQL: d.Str()}
-		// Trailing trace context (absent in pre-tracing frames), then the
-		// optional MinApplied bound, then the optional AS OF tick.
-		if d.Len() > 0 {
-			q.Trace = d.spanContext()
-			if d.Len() > 0 {
-				q.MinApplied = d.Uvarint()
-			}
-			if d.Len() > 0 {
-				q.AsOf = d.Uvarint()
-			}
-		}
-		m = q
+		m = Query{WithLineage: d.Bool(), SQL: d.Str(), Trace: d.spanContext(), MinApplied: d.Uvarint(), AsOf: d.Uvarint()}
 	case TagRowDescription:
 		m = RowDescription{Columns: d.strings("column")}
 	case TagDataRow:
@@ -575,60 +470,35 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 		}
 		m = TupleValues{Refs: refs, Rows: rows}
 	case TagCommandComplete:
-		cc := CommandComplete{
+		m = CommandComplete{
 			RowsAffected: int(d.Varint()),
 			StmtID:       d.Varint(),
 			Start:        d.Uvarint(),
 			End:          d.Uvarint(),
 			ReadRefs:     d.refs(),
 			WrittenRefs:  d.refs(),
+			CommitSeq:    d.Uvarint(),
+			Fingerprint:  d.Str(),
+			Tag:          d.Uvarint(),
 		}
-		// Trailing commit sequence (absent in pre-replication frames), then
-		// the statement fingerprint (absent in pre-introspection frames),
-		// then the pipeline tag (absent outside v2 Execute responses).
-		if d.Len() > 0 {
-			cc.CommitSeq = d.Uvarint()
-		}
-		if d.Len() > 0 {
-			cc.Fingerprint = d.Str()
-		}
-		if d.Len() > 0 {
-			cc.Tag = d.Uvarint()
-		}
-		m = cc
 	case TagError:
 		m = Error{Message: d.Str()}
 	case TagStats:
-		// Tolerate the pre-kind empty payload: absent kind means metrics.
-		var s Stats
-		if d.Len() > 0 {
-			s.Kind = d.Byte()
-		}
-		m = s
-	case TagTraceContext:
-		m = TraceContext{Context: d.spanContext()}
+		m = Stats{Kind: d.Byte()}
 	case TagStatsResult:
-		m = StatsResult{JSON: append([]byte(nil), d.Fixed(d.Len())...)}
+		m = StatsResult{JSON: d.bytes()}
 	case TagReady:
-		// Tolerate the pre-transaction empty payload (old peers, replay
-		// corpora): absent flag means no open transaction.
-		var r Ready
-		if d.Len() > 0 {
-			r.InTxn = d.Byte() == 1
-		}
-		m = r
+		m = Ready{InTxn: d.Bool()}
 	case TagSubscribe:
 		m = Subscribe{ReplicaID: d.Str()}
 	case TagSnapshotChunk:
-		c := SnapshotChunk{Table: d.Str(), Done: d.Byte() == 1, CutSeq: d.Uvarint()}
-		c.Data = append([]byte(nil), d.Fixed(d.Len())...) // raw to frame end
-		m = c
+		m = SnapshotChunk{Table: d.Str(), Done: d.Bool(), CutSeq: d.Uvarint(), Data: d.bytes()}
 	case TagWALSegment:
 		seg := WALSegment{FirstSeq: d.Uvarint(), PrimaryTS: d.Uvarint()}
 		if n := d.Count("record", 1); n > 0 {
 			seg.Records = bin.Make[[]byte](n, d.Len())
 			for i := 0; i < n && d.Err() == nil; i++ {
-				seg.Records = append(seg.Records, append([]byte(nil), d.Raw()...))
+				seg.Records = append(seg.Records, d.bytes())
 			}
 		}
 		m = seg
@@ -644,7 +514,7 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 		m = Execute{
 			Stmt:        d.Str(),
 			Tag:         d.Uvarint(),
-			WithLineage: d.Byte() == 1,
+			WithLineage: d.Bool(),
 			Trace:       d.spanContext(),
 			MinApplied:  d.Uvarint(),
 		}
@@ -686,6 +556,10 @@ type decoder struct {
 	tables  [8]string
 	ntables int
 }
+
+// bytes reads a length-prefixed byte run into a slice of its own (nil when
+// the run is empty), so that a message keeps no frame buffer alive.
+func (d *decoder) bytes() []byte { return append([]byte(nil), d.Raw()...) }
 
 // strings reads a count of strings, then the strings.
 func (d *decoder) strings(what string) []string {

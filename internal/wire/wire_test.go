@@ -51,6 +51,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Ready{},
 		Terminate{},
 		Stats{},
+		Stats{Kind: StatsKindTraces},
 		StatsResult{JSON: []byte(`{"counters":{"engine.stmts":7}}`)},
 		Subscribe{ReplicaID: "replica-1"},
 		Subscribe{},
@@ -178,7 +179,6 @@ func TestDecodeAllocatesInProportion(t *testing.T) {
 		tag    byte
 		prefix []byte
 	}{
-		{"Startup options", TagStartup, []byte{0, 0}},
 		{"RowDescription columns", TagRowDescription, nil},
 		{"DataRow values", TagDataRow, nil},
 		{"LineageRow refs", TagLineageRow, nil},
@@ -289,8 +289,8 @@ func TestWireMetrics(t *testing.T) {
 	if inMsgs.Load() != i0+1 {
 		t.Fatalf("wire.in.msgs.Stats did not increment: %d -> %d", i0, inMsgs.Load())
 	}
-	// A Stats frame is tag + length = 5 bytes on the wire.
-	if got := outBytes.Load() - b0; got != 5 {
-		t.Fatalf("wire.out.bytes delta = %d, want 5", got)
+	// A Stats frame is tag + length + kind = 6 bytes on the wire.
+	if got := outBytes.Load() - b0; got != 6 {
+		t.Fatalf("wire.out.bytes delta = %d, want 6", got)
 	}
 }

@@ -2,8 +2,11 @@ package ldv
 
 import (
 	"fmt"
+	"go/ast"
 	"os"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"ldv/internal/wire"
@@ -74,4 +77,89 @@ func TestProtocolDoc(t *testing.T) {
 			t.Errorf("PROTOCOL.md kind %s tag %q does not match implementation tag %q", name, tag, implTag)
 		}
 	}
+}
+
+// TestProtocolFieldTables is the other half of the proto lint: each kind
+// section's field table names exactly the exported fields of that kind's
+// message struct in internal/wire, in declaration order, which is the order
+// the frame carries them — no table for a kind without fields — so a field
+// added, renamed, moved or deleted in the code cannot leave PROTOCOL.md
+// describing another frame.
+func TestProtocolFieldTables(t *testing.T) {
+	doc, err := os.ReadFile("PROTOCOL.md")
+	if err != nil {
+		t.Fatalf("reading PROTOCOL.md: %v", err)
+	}
+	documented := map[string][]string{} // kind name -> field names of its table
+	for _, loc := range protoHeading.FindAllStringSubmatchIndex(string(doc), -1) {
+		section := string(doc[loc[1]:])
+		if end := strings.Index(section, "\n#"); end >= 0 {
+			section = section[:end]
+		}
+		documented[string(doc[loc[2]:loc[3]])] = tableFields(section)
+	}
+
+	_, pkgs, err := parsePackages("internal/wire", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structs := map[string][]string{} // type name -> exported field names
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					fields := []string{}
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.IsExported() {
+								fields = append(fields, name.Name)
+							}
+						}
+					}
+					structs[ts.Name.Name] = fields
+				}
+				return false
+			})
+		}
+	}
+
+	for _, tag := range wire.Tags() {
+		kind := wire.TagName(tag)
+		want, ok := structs[kind]
+		if !ok {
+			t.Errorf("wire kind %s has no struct type %s in internal/wire", kind, kind)
+			continue
+		}
+		got, ok := documented[kind]
+		if !ok {
+			continue // TestProtocolDoc reports the missing section
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("PROTOCOL.md's %s table names fields %v, wire.%s has %v", kind, got, kind, want)
+		}
+	}
+}
+
+// tableFields returns the first cells of the body rows of the first table
+// in a section (the rows after its header and separator), or an empty list
+// when the section has no table.
+func tableFields(section string) []string {
+	fields := []string{}
+	row := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if row > 0 {
+				break
+			}
+			continue
+		}
+		if row++; row > 2 {
+			fields = append(fields, strings.TrimSpace(strings.Split(line, "|")[1]))
+		}
+	}
+	return fields
 }
