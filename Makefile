@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench bench-smoke bench-gate examples experiments fuzz fuzz-smoke plan-bench recover-bench trace-bench stat-demo repl-bench proto-bench ash-bench asof-bench ops-demo repl-demo clean
+.PHONY: all build vet test check bench bench-smoke bench-gate examples experiments fuzz fuzz-smoke ops-demo repl-demo clean
 
 all: build vet test
 
@@ -21,9 +21,10 @@ test:
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/server/... ./internal/repl/...
 
 # Full verification: vet; the root package's tests, which are the lints —
-# docs (every package needs a godoc comment), trace and wait (every span
-# started and every obs.WaitBegin on the request path is ended via defer, and
-# every wait event is described), metric (every registered metric needs a
+# docs (every package needs a godoc comment), docs-reference (every make
+# target, results/ file and ldv-bench experiment a Markdown code span names
+# exists), trace and wait (every span started and every obs.WaitBegin on the
+# request path is ended via defer, and every wait event is described), metric (every registered metric needs a
 # help string and a conforming name), plan (every plan operator carries the
 # full explain + lineage surface), ast (every SQL expression kind and each of
 # its operands is visited by sqlparse.Walk), proto (every wire message kind is
@@ -40,7 +41,10 @@ check:
 	$(GO) test -race -run TestReplicaCrashMatrix ./internal/repl
 	$(GO) test -race -shuffle=on ./...
 
-# One testing.B benchmark per paper table/figure plus engine micro-benches.
+# Every testing.B micro-benchmark in the tree (engine, planner, wire, codecs,
+# tracing, packaging), each with allocation counts. The paper's tables and
+# figures are `make experiments`; end-to-end numbers are the repository
+# benchmark (`make bench-gate`).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -59,7 +63,7 @@ bench-smoke:
 # BENCH_17.json and BENCH_19.json were recorded on a box a third slower on
 # memory-bound work than BENCH_16.json's, and BENCH_20.json's wire_oltp reads
 # 28 k ops/s where BENCH_16.json's read 33 k: for sql_olap and wire_oltp see
-# ROADMAP item 1a before trusting this gate.
+# ROADMAP item 3 (measurement noise) before trusting this gate.
 bench-gate:
 	mkdir -p .bench_build
 	$(GO) run ./benchmark -runs 10 -trace 0 -o .bench_build/fresh.json > .bench_build/fresh.log
@@ -92,46 +96,6 @@ fuzz:
 
 fuzz-smoke:
 	$(call fuzz_each,5s)
-
-# WAL overhead and recovery-time measurements (EXPERIMENTS.md "Durability").
-recover-bench:
-	$(GO) run ./cmd/ldv-bench -exp durability | tee results/durability.txt
-
-# Secondary-index speedup on selective TPC-H lookups (EXPERIMENTS.md
-# "Planning"; target: >=10x on the point query at SF 0.02).
-plan-bench:
-	$(GO) run ./cmd/ldv-bench -exp planner -sf 0.02 | tee results/planner.txt
-
-# Request-tracing overhead on a read-only workload (budget: <5%).
-trace-bench:
-	$(GO) run ./cmd/ldv-bench -exp tracing | tee results/tracing.txt
-
-# Statement-statistics overhead plus the ldv_stat_statements surface itself
-# (budget: <2%).
-stat-demo:
-	$(GO) run ./cmd/ldv-bench -exp introspection | tee results/introspection.txt
-
-# Read scaling with streaming WAL replicas + steady-state lag
-# (EXPERIMENTS.md "Replication").
-repl-bench:
-	$(GO) run ./cmd/ldv-bench -exp replication | tee results/replication.txt
-
-# Text vs prepared vs pipelined throughput at 1/4/8 sessions
-# (EXPERIMENTS.md "Prepared statements"; target: pipelined >=2x text at 8
-# sessions with a >90% steady-state plan-cache hit rate).
-proto-bench:
-	$(GO) run ./cmd/ldv-bench -exp prepared | tee results/prepared.txt
-
-# Wait-event accounting + ASH sampler overhead on a concurrent read
-# workload, plus the ldv_stat_wait_events / ldv_stat_ash surface itself
-# (budget: <2%).
-ash-bench:
-	$(GO) run ./cmd/ldv-bench -exp ash | tee results/ash.txt
-
-# AS OF read overhead vs head reads plus vacuum reclaim rate under churn
-# (EXPERIMENTS.md "Time travel").
-asof-bench:
-	$(GO) run ./cmd/ldv-bench -exp timetravel | tee results/timetravel.txt
 
 # Boot a throwaway ldvdb with the ops endpoint enabled and show /metrics —
 # the 30-second demo of the observability surface. Cleans up after itself.

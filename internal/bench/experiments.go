@@ -3,12 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 
 	"ldv/internal/engine"
 	"ldv/internal/ldv"
-	"ldv/internal/obs"
 	"ldv/internal/tpch"
 )
 
@@ -120,17 +120,8 @@ func medianAudit(cfg Config, q tpch.Query, sys System) (*AuditOutcome, error) {
 		}
 		outs = append(outs, out)
 	}
-	byTotal := func(i, j int) bool { return outs[i].Steps.SelectMean() < outs[j].Steps.SelectMean() }
-	sortSlice(outs, byTotal)
+	sort.Slice(outs, func(i, j int) bool { return outs[i].Steps.SelectMean() < outs[j].Steps.SelectMean() })
 	return outs[1], nil
-}
-
-func sortSlice(outs []*AuditOutcome, less func(i, j int) bool) {
-	for i := 1; i < len(outs); i++ {
-		for j := i; j > 0 && less(j, j-1); j-- {
-			outs[j], outs[j-1] = outs[j-1], outs[j]
-		}
-	}
 }
 
 // Fig7a prints audit-time per workload step for each system (paper Figure
@@ -173,11 +164,7 @@ func Fig7b(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "%-26s %-14s %-12s %-14s %-14s %-12s\n", SysPlain, "-",
 		ms(plain.Steps.Inserts), ms(plain.Steps.FirstSelect()), ms(plain.Steps.OtherSelects()), ms(plain.Steps.Updates))
 	for _, sys := range ReplaySystems() {
-		auditSys := sys
-		if sys == SysVM {
-			auditSys = SysVM
-		}
-		out, err := RunAudit(cfg, q, auditSys)
+		out, err := RunAudit(cfg, q, sys)
 		if err != nil {
 			return fmt.Errorf("%s audit: %w", sys, err)
 		}
@@ -315,24 +302,14 @@ func VMIComparison(cfg Config, w io.Writer) error {
 // runners.
 func Experiments() map[string]func(Config, io.Writer) error {
 	return map[string]func(Config, io.Writer) error{
-		"table2":        Table2,
-		"table3":        Table3,
-		"fig7a":         Fig7a,
-		"fig7b":         Fig7b,
-		"fig8a":         Fig8a,
-		"fig8b":         Fig8b,
-		"fig9":          Fig9,
-		"vmi":           VMIComparison,
-		"overhead":      Overhead,
-		"tracing":       TracingOverhead,
-		"introspection": IntrospectionOverhead,
-		"ash":           ASHOverhead,
-		"concurrency":   Concurrency,
-		"prepared":      Prepared,
-		"durability":    Durability,
-		"planner":       PlannerBench,
-		"replication":   Replication,
-		"timetravel":    TimeTravel,
+		"table2": Table2,
+		"table3": Table3,
+		"fig7a":  Fig7a,
+		"fig7b":  Fig7b,
+		"fig8a":  Fig8a,
+		"fig8b":  Fig8b,
+		"fig9":   Fig9,
+		"vmi":    VMIComparison,
 		"ablation": func(cfg Config, w io.Writer) error {
 			if err := AblationTemporalPruning(cfg, w); err != nil {
 				return err
@@ -347,7 +324,7 @@ func Experiments() map[string]func(Config, io.Writer) error {
 
 // ExperimentNames lists the ids in presentation order.
 func ExperimentNames() []string {
-	return []string{"table2", "table3", "fig7a", "fig7b", "fig8a", "fig8b", "fig9", "vmi", "overhead", "tracing", "introspection", "ash", "concurrency", "prepared", "planner", "durability", "replication", "timetravel", "ablation"}
+	return []string{"table2", "table3", "fig7a", "fig7b", "fig8a", "fig8b", "fig9", "vmi", "ablation"}
 }
 
 // RunAll executes every experiment in order.
@@ -360,7 +337,5 @@ func RunAll(cfg Config, w io.Writer) error {
 		}
 		fmt.Fprintln(w, strings.Repeat("-", 72))
 	}
-	fmt.Fprintln(w, "==== phase timings (obs spans) ====")
-	PhaseReport(obs.TakeSnapshot(), w)
 	return nil
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"ldv/internal/obs"
 	"ldv/internal/tpch"
@@ -55,37 +53,6 @@ func TestAuditProducesMetrics(t *testing.T) {
 	}
 }
 
-// TestOverheadExperiment runs the §IX-B reproduction end to end and checks
-// the report's accounting invariant: the breakdown partitions the audited
-// wall time exactly (well within the 10% acceptance bound).
-func TestOverheadExperiment(t *testing.T) {
-	cfg := smallConfig()
-	var buf strings.Builder
-	if err := Overhead(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"native execution", "trace construction", "tuple dedup",
-		"= audited total", "audit overhead", "bench.audit",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("overhead output missing %q:\n%s", want, out)
-		}
-	}
-	// Re-derive the invariant from the live registry: after Overhead the
-	// snapshot still holds the audited run.
-	snap := obs.TakeSnapshot()
-	audited := snap.HistogramSumNS("span.bench.audit")
-	rep := obs.BuildOverheadReport(audited/2, audited, snap)
-	if rep.Total() != rep.Audited {
-		t.Fatalf("breakdown does not partition audited time: %v != %v", rep.Total(), rep.Audited)
-	}
-	if rep.Audited <= 0 || rep.Audited > time.Hour {
-		t.Fatalf("implausible audited wall time %v", rep.Audited)
-	}
-}
-
 // TestReplayProducesSpans checks that a packaged run's re-execution records
 // the replay-side spans and timings.
 func TestReplayProducesSpans(t *testing.T) {
@@ -109,31 +76,5 @@ func TestReplayProducesSpans(t *testing.T) {
 		if snap.Histogram(name).Count == 0 {
 			t.Errorf("histogram %s is empty after replay", name)
 		}
-	}
-	var buf strings.Builder
-	PhaseReport(snap, &buf)
-	if !strings.Contains(buf.String(), "bench.replay") {
-		t.Fatalf("phase report missing bench.replay:\n%s", buf.String())
-	}
-}
-
-// TestTracingOverheadExperiment smoke-tests the tracing-overhead experiment:
-// it must run to completion, report both modes and the overhead line, and
-// leave completed request traces in the flight recorder. The <5% budget is
-// asserted by the recorded results, not here — wall-clock ratios under a
-// loaded test runner are too noisy to gate CI on.
-func TestTracingOverheadExperiment(t *testing.T) {
-	var buf strings.Builder
-	if err := TracingOverhead(smallConfig(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"NoTrace baseline", "Traced", "Overhead:", "flight recorder:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("tracing output missing %q:\n%s", want, out)
-		}
-	}
-	if len(obs.Traces()) == 0 {
-		t.Fatal("traced rounds left no traces in the flight recorder")
 	}
 }

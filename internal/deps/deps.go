@@ -122,11 +122,6 @@ func addBlackboxDeps(tr *prov.Trace, adj *prov.Adjacency, pairs map[uint64]struc
 	}
 }
 
-// DirectDeps unions the per-model direct dependencies of a combined trace.
-func DirectDeps(tr *prov.Trace) Set {
-	return render(tr, directDeps(tr, tr.Adjacency()))
-}
-
 func directDeps(tr *prov.Trace, adj *prov.Adjacency) map[uint64]struct{} {
 	pairs := map[uint64]struct{}{}
 	addBlackboxDeps(tr, adj, pairs)
@@ -154,8 +149,9 @@ type Inferencer struct {
 
 // NewInferencer builds an inferencer for a trace whose entities come from
 // the given sequence of models (each model's entity types share a tag).
-// direct is normally DirectDeps(trace) but may be customized (the paper's
-// Figure 6c posits a trace where a same-model dependency is absent).
+// direct is normally the union of LineageDeps and BlackboxDeps but may be
+// customized (the paper's Figure 6c posits a trace where a same-model
+// dependency is absent).
 func NewInferencer(tr *prov.Trace, direct Set, models ...*prov.Model) *Inferencer {
 	pairs := make(map[uint64]struct{}, len(direct))
 	for p := range direct {

@@ -390,11 +390,9 @@ func (s *Session) ExecPrepared(ps *PreparedStmt, args []sqlval.Value, opts ExecO
 		mRowsReturned.Add(int64(len(res.Rows)))
 		mRowsAffected.Add(int64(res.RowsAffected))
 	}
-	if st := obs.Statements(); st.Enabled() {
-		execNS := max(int64(total)-res.planNS, 0)
-		rows := int64(len(res.Rows)) + int64(res.RowsAffected)
-		st.Record(ps.fp.Hash, ps.fp.Text, ps.parseNS, res.planNS, execNS, rows, err != nil, res.TraceID)
-	}
+	execNS := max(int64(total)-res.planNS, 0)
+	rows := int64(len(res.Rows)) + int64(res.RowsAffected)
+	obs.Statements().Record(ps.fp.Hash, ps.fp.Text, ps.parseNS, res.planNS, execNS, rows, err != nil, res.TraceID)
 	s.ws.FinishStatement()
 	if err != nil {
 		return nil, err

@@ -114,15 +114,3 @@ func (m *Machine) runApps(root *osim.Process, apps []App, r appRun) error {
 	}
 	return runErr
 }
-
-// RunApps spawns already-installed applications against an already-running
-// runtime/server — the fine-grained primitive the benchmark harness uses to
-// time individual steps.
-func RunApps(k *osim.Kernel, root *osim.Process, apps []App) error {
-	for _, app := range apps {
-		if err := root.Spawn(app.Binary, app.Libs...); err != nil {
-			return fmt.Errorf("run %s: %w", app.Binary, err)
-		}
-	}
-	return nil
-}

@@ -149,15 +149,6 @@ func NewAuditor(k *osim.Kernel) *Auditor {
 // Detach stops monitoring.
 func (a *Auditor) Detach() { a.kernel.Detach(a) }
 
-// MarkServer declares pid to be (part of) the DB server rather than the
-// application. Server file accesses are collected separately and excluded
-// from the application's PBB trace.
-func (a *Auditor) MarkServer(pid int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.serverPIDs[pid] = true
-}
-
 // MarkServerBinary declares every process spawned from the given binary to
 // be a server process (processes are classified at spawn time, before they
 // issue any syscalls).

@@ -72,8 +72,8 @@ func newASHSampler(capacity int) *ASHSampler {
 	return a
 }
 
-// SetEnabled toggles sampling — the kill switch, mirroring
-// stmtstats.SetEnabled. Disabled, a tick is one atomic load.
+// SetEnabled toggles sampling — the kill switch (ldvdb -ash-hz 0).
+// Disabled, a tick is one atomic load.
 func (a *ASHSampler) SetEnabled(on bool) { a.enabled.Store(on) }
 
 // Enabled reports whether the sampler is recording.

@@ -15,9 +15,9 @@
 //
 // The paper's evaluation (§VIII/§IX) is an exercise in cost attribution:
 // audit-time overhead vs. native execution, package size, replay time. This
-// package is the measurement substrate for that attribution — see
-// OverheadReport for the audit-overhead breakdown that reproduces the
-// paper's native-vs-audited comparison.
+// package is the measurement substrate for that attribution: the Metric*NS
+// histograms the engine and auditor record are what the benchmark's §IX-B
+// breakdown (ldv.* metrics of the ldv_app workload) reads.
 //
 // Metric updates after handle creation are single atomic operations, so
 // instrumented code may keep package-level handles (see GetCounter) and

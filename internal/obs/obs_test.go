@@ -200,29 +200,3 @@ func TestResetKeepsHandles(t *testing.T) {
 		t.Fatalf("histogram min not reset: %d", snap.Histogram("h").Min)
 	}
 }
-
-func TestOverheadReport(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram(MetricLineageNS).Record(int64(10 * time.Millisecond))
-	r.Histogram(MetricTraceNS).Record(int64(5 * time.Millisecond))
-	r.Histogram(MetricDedupNS).Record(int64(2 * time.Millisecond))
-	r.Histogram(MetricSpoolNS).Record(int64(3 * time.Millisecond))
-	rep := BuildOverheadReport(100*time.Millisecond, 130*time.Millisecond, r.Snapshot())
-
-	if rep.Overhead() != 30*time.Millisecond {
-		t.Fatalf("overhead = %v", rep.Overhead())
-	}
-	if rep.Total() != rep.Audited {
-		t.Fatalf("breakdown must partition audited time: total %v != audited %v", rep.Total(), rep.Audited)
-	}
-	if rep.Unattributed != 10*time.Millisecond {
-		t.Fatalf("unattributed = %v, want 10ms", rep.Unattributed)
-	}
-	var buf strings.Builder
-	rep.Render(&buf)
-	for _, want := range []string{"native execution", "trace construction", "tuple dedup", "audit overhead"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("report missing %q:\n%s", want, buf.String())
-		}
-	}
-}

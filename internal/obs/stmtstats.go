@@ -18,9 +18,8 @@ const maxStatementEntries = 4096
 // latency histograms; recording is lock-free after an entry exists (one
 // RLock for the map lookup, then atomics only).
 type StatementStats struct {
-	enabled atomic.Bool
-	mu      sync.RWMutex
-	m       map[uint64]*stmtEntry
+	mu sync.RWMutex
+	m  map[uint64]*stmtEntry
 }
 
 type stmtEntry struct {
@@ -36,21 +35,12 @@ type stmtEntry struct {
 }
 
 func newStatementStats() *StatementStats {
-	s := &StatementStats{m: map[uint64]*stmtEntry{}}
-	s.enabled.Store(true)
-	return s
+	return &StatementStats{m: map[uint64]*stmtEntry{}}
 }
-
-// SetEnabled toggles collection. Disabled, Record is one atomic load — the
-// knob the introspection benchmark flips to measure the subsystem's cost.
-func (s *StatementStats) SetEnabled(on bool) { s.enabled.Store(on) }
-
-// Enabled reports whether collection is on.
-func (s *StatementStats) Enabled() bool { return s.enabled.Load() }
 
 // Record folds one finished statement into its fingerprint's entry.
 func (s *StatementStats) Record(hash uint64, text string, parseNS, planNS, execNS, rows int64, failed bool, traceID string) {
-	if !s.enabled.Load() || hash == 0 {
+	if hash == 0 {
 		return
 	}
 	s.mu.RLock()

@@ -156,9 +156,6 @@ type SessionState struct {
 	stmtWaitNS [numWaitEvents]atomic.Int64
 }
 
-// SessionID returns the session's server-assigned id.
-func (st *SessionState) SessionID() int64 { return st.id }
-
 // ResetStatementWaits zeroes the per-statement wait accumulators. The server
 // calls it when a request arrives — before any of the request's waits (the
 // replica read gate fires before statement execution even begins, so the

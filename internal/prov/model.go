@@ -34,9 +34,6 @@ func (m *Model) IsActivity(typ string) bool { return m.Activities[typ] }
 // IsEntity reports whether typ is an entity type of the model.
 func (m *Model) IsEntity(typ string) bool { return m.Entities[typ] }
 
-// ValidNode reports whether typ is admissible at all.
-func (m *Model) ValidNode(typ string) bool { return m.IsActivity(typ) || m.IsEntity(typ) }
-
 // ValidEdge reports whether an edge with the given label may connect nodes
 // of the given types.
 func (m *Model) ValidEdge(label, fromType, toType string) bool {
