@@ -123,9 +123,9 @@ func printResult(res *engine.Result) {
 			cells[j] = v.String()
 		}
 		fmt.Println(strings.Join(cells, " | "))
-		if res.Lineage != nil && i < len(res.Lineage) && len(res.Lineage[i]) > 0 {
-			refs := make([]string, len(res.Lineage[i]))
-			for j, r := range res.Lineage[i] {
+		if lin := res.LineageRefs(i); len(lin) > 0 {
+			refs := make([]string, len(lin))
+			for j, r := range lin {
 				refs[j] = r.String()
 			}
 			fmt.Printf("  lineage: %s\n", strings.Join(refs, ", "))

@@ -394,8 +394,10 @@ type reply struct {
 // the Ready — into rp. It is the only frame reader after the handshake, so
 // there is one rule for every request: transport and framing failures poison
 // the connection, including a failure to read the Ready that follows a server
-// Error; a server Error whose Ready arrives (keeping the stream synced) does
-// not.
+// Error, and so does a group out of its grammar (PROTOCOL.md): a row after
+// the Provenance frame, a second Provenance frame, or one whose lineage lists
+// do not match the rows one for one; a server Error whose Ready arrives
+// (keeping the stream synced) does not.
 func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 	res := rp.res
 	if res == nil {
@@ -403,7 +405,7 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 		// they are tolerated and dropped.
 		res = new(engine.Result)
 	}
-	var sawLineage, answered bool
+	var sawProvenance, answered bool
 	for {
 		msg, err := wire.Read(nc)
 		if err != nil {
@@ -416,22 +418,19 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 		case wire.RowDescription:
 			res.Columns = m.Columns
 		case wire.DataRow:
+			if sawProvenance {
+				return c.poison("DataRow after Provenance")
+			}
 			res.Rows = append(res.Rows, m.Values)
-			if sawLineage {
-				// Keep lineage aligned even if some rows lack a LineageRow.
-				for len(res.Lineage) < len(res.Rows)-1 {
-					res.Lineage = append(res.Lineage, nil)
-				}
+		case wire.Provenance:
+			switch {
+			case sawProvenance:
+				return c.poison("second Provenance frame")
+			case len(m.Lineage) != len(res.Rows):
+				return c.poison("%d lineage lists for %d rows", len(m.Lineage), len(res.Rows))
 			}
-		case wire.LineageRow:
-			sawLineage = true
-			for len(res.Lineage) < len(res.Rows)-1 {
-				res.Lineage = append(res.Lineage, nil)
-			}
-			res.Lineage = append(res.Lineage, m.Refs)
-		case wire.TupleValues:
-			// At most one per response group, already in set order.
-			res.TupleValues = engine.NewVersionSet(m.Refs, m.Rows)
+			sawProvenance = true
+			res.Lineage, res.TupleValues = m.Lineage, m.Versions
 		case wire.CommandComplete:
 			res.RowsAffected = m.RowsAffected
 			res.StmtID = m.StmtID
@@ -444,11 +443,6 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			rp.tag, answered = m.Tag, true
 			if m.CommitSeq > 0 {
 				c.lastCommitSeq = m.CommitSeq
-			}
-			if sawLineage {
-				for len(res.Lineage) < len(res.Rows) {
-					res.Lineage = append(res.Lineage, nil)
-				}
 			}
 		case wire.ParseComplete:
 			rp.parsed, answered = m, true
@@ -479,10 +473,16 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			}
 			return nil
 		default:
-			c.broken = true
-			return fmt.Errorf("protocol error: unexpected %T", msg)
+			return c.poison("unexpected %T", msg)
 		}
 	}
+}
+
+// poison marks the connection unusable after a response out of the
+// protocol's grammar: where the stream stands is no longer known.
+func (c *Conn) poison(format string, args ...any) error {
+	c.broken = true
+	return fmt.Errorf("%w: protocol error: %s", ErrClosed, fmt.Sprintf(format, args...))
 }
 
 // route picks the connection for one text statement: read-only statements

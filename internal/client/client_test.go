@@ -72,7 +72,7 @@ func TestClientLineageOverWire(t *testing.T) {
 	if len(res.Lineage) != 1 || len(res.Lineage[0]) != 2 {
 		t.Fatalf("lineage = %v", res.Lineage)
 	}
-	for _, ref := range res.Lineage[0] {
+	for _, ref := range res.LineageRefs(0) {
 		if ref.Table != "sales" {
 			t.Errorf("ref table = %s", ref.Table)
 		}

@@ -81,10 +81,11 @@ type Result struct {
 	// Columns and Rows hold query output (empty for DML).
 	Columns []string
 	Rows    [][]sqlval.Value
-	// Lineage[i] lists the input tuple versions result row i depends on.
-	// Non-nil only when lineage was requested (PROVENANCE keyword or
+	// Lineage[i] lists the input tuple versions result row i depends on, as
+	// positions in TupleValues (LineageRefs resolves them). Non-nil only
+	// when lineage was requested (PROVENANCE keyword or
 	// ExecOptions.WithLineage).
-	Lineage [][]TupleRef
+	Lineage [][]int32
 	// RowsAffected counts rows written by DML.
 	RowsAffected int
 	// StmtID is the engine-assigned unique id of this execution.
@@ -99,7 +100,7 @@ type Result struct {
 	// TupleValues carries the attribute values of exactly the tuple
 	// versions referenced by Lineage or ReadRefs — the statement's read
 	// set. Perm-style provenance queries return the full provenance tuples
-	// inline; LDV's packager persists them to CSV. Empty unless lineage was
+	// inline; LDV's auditor keeps them for its package. Empty unless lineage was
 	// requested.
 	TupleValues VersionSet
 	// TraceID is the hex trace identity of the request that executed the

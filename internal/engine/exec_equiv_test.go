@@ -260,10 +260,10 @@ func TestEquivProvenanceLimit(t *testing.T) {
 			}
 			sameRows(t, fmt.Sprintf("%s LIMIT %d", q, n), rowsToStrings(lim), rowsToStrings(full)[:want])
 			for i := range lim.Rows {
-				if !reflect.DeepEqual(lim.Lineage[i], full.Lineage[i]) {
-					t.Errorf("%s LIMIT %d row %d: lineage %v, un-LIMITed %v", q, n, i, lim.Lineage[i], full.Lineage[i])
+				if !reflect.DeepEqual(lim.LineageRefs(i), full.LineageRefs(i)) {
+					t.Errorf("%s LIMIT %d row %d: lineage %v, un-LIMITed %v", q, n, i, lim.LineageRefs(i), full.LineageRefs(i))
 				}
-				for _, ref := range lim.Lineage[i] {
+				for _, ref := range lim.LineageRefs(i) {
 					vals, ok := lim.TupleValues.Lookup(ref)
 					if fullVals, _ := full.TupleValues.Lookup(ref); !ok {
 						t.Errorf("%s LIMIT %d: TupleValues misses lineage ref %v", q, n, ref)

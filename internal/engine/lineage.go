@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -182,38 +183,14 @@ func (l *lineageSink) unionGroups(tuples []tuple, groupOf []int32, n int) [][]vi
 }
 
 // finish is the result boundary, the one place lineage leaves the vid
-// representation: rows (one list per result row; nil for DML) becomes
-// res.Lineage, reads (nil for queries) becomes res.ReadRefs, and the
-// versions either mentions become res.TupleValues. engine.lineage_ns times
-// exactly this; carrying vids through the operators is part of their own
-// time.
+// representation: the versions rows (one list per result row; nil for DML)
+// or reads (nil for queries) mention become res.TupleValues, in set order;
+// rows becomes res.Lineage, each vid replaced by its version's position in
+// that set; and reads becomes res.ReadRefs. engine.lineage_ns times exactly
+// this; carrying vids through the operators is part of their own time.
 func (l *lineageSink) finish(res *Result, rows [][]vid, reads []vid) {
 	t0 := time.Now()
 	defer func() { hLineage.Observe(time.Since(t0)) }()
-	total := len(reads)
-	for _, ids := range rows {
-		total += len(ids)
-	}
-	refs := make([]TupleRef, total)
-	convert := func(ids []vid) []TupleRef {
-		if len(ids) == 0 {
-			return nil
-		}
-		out := refs[:len(ids):len(ids)]
-		refs = refs[len(ids):]
-		for i, id := range ids {
-			v := l.versions[id]
-			out[i] = v.row.ref(v.table.Name)
-		}
-		return out
-	}
-	if rows != nil {
-		res.Lineage = make([][]TupleRef, len(rows))
-		for i, ids := range rows {
-			res.Lineage[i] = convert(ids)
-		}
-	}
-	res.ReadRefs = convert(reads)
 
 	// No more than every registered version can be in use.
 	used := l.union(make([]vid, 0, len(l.versions)), reads)
@@ -229,40 +206,82 @@ func (l *lineageSink) finish(res *Result, rows [][]vid, reads []vid) {
 		return cmp.Compare(va.row.version, vb.row.version)
 	})
 	set := VersionSet{refs: make([]TupleRef, len(used)), vals: make([][]sqlval.Value, len(used))}
+	pos := make([]int32, len(l.versions))
 	for i, id := range used {
 		v := l.versions[id]
 		set.refs[i], set.vals[i] = v.row.ref(v.table.Name), v.row.vals
+		pos[id] = int32(i)
 	}
 	res.TupleValues = set
+
+	if rows != nil {
+		total := 0
+		for _, ids := range rows {
+			total += len(ids)
+		}
+		flat := make([]int32, total)
+		res.Lineage = make([][]int32, len(rows))
+		for i, ids := range rows {
+			if len(ids) == 0 {
+				continue
+			}
+			out := flat[:len(ids):len(ids)]
+			flat = flat[len(ids):]
+			for j, id := range ids {
+				out[j] = pos[id]
+			}
+			res.Lineage[i] = out
+		}
+	}
+	if len(reads) > 0 {
+		res.ReadRefs = make([]TupleRef, len(reads))
+		for i, id := range reads {
+			res.ReadRefs[i] = set.refs[pos[id]]
+		}
+	}
+}
+
+// LineageRefs returns the versions result row i depends on: Lineage[i]
+// resolved against TupleValues.
+func (r *Result) LineageRefs(i int) []TupleRef {
+	if i >= len(r.Lineage) || len(r.Lineage[i]) == 0 {
+		return nil
+	}
+	refs := r.TupleValues.Refs()
+	out := make([]TupleRef, len(r.Lineage[i]))
+	for j, p := range r.Lineage[i] {
+		out[j] = refs[p]
+	}
+	return out
 }
 
 // VersionSet is a set of tuple versions with their attribute values: the
 // provenance tuples a statement's Lineage and ReadRefs refer to, which a
 // Perm PROVENANCE query returns inline. It is ordered by (table, row,
 // version) with no duplicates, so Refs and Values enumerate it
-// deterministically and Lookup is a binary search. The zero value is the
-// empty set.
+// deterministically, a version's position is stable, and Lookup is a binary
+// search. The zero value is the empty set.
 //
-// A VersionSet is immutable, and so is everything reachable from it: a set
-// built by the engine shares each version's value slice with the stored
-// version itself (versions are never modified in place), so callers must
-// not write through Refs, Values or a Lookup result.
+// A set holds its values in one of two forms. One the engine builds shares
+// each version's value slice with the stored version itself (versions are
+// never modified in place). One a client received keeps each version's
+// values as the EncodeRow image the server sent and decodes them only when
+// Values or Lookup asks; AppendRow hands the image on as it came. Either
+// way a VersionSet is immutable, and so is everything reachable from it:
+// callers must not write through Refs, Values or a Lookup result.
 type VersionSet struct {
 	refs []TupleRef
-	vals [][]sqlval.Value // parallel to refs
+	vals [][]sqlval.Value // parallel to refs; nil in an encoded set
+	rows []byte           // an encoded set's row images, back to back
+	ends []uint32         // ends[i] is where version i's image ends in rows
 }
 
 // NewVersionSet builds a set from parallel slices, which it takes over.
-// Input already in set order (what a server sends) is adopted as is;
-// anything else is sorted, and of several entries for one version the first
-// is kept.
+// Input already in set order is adopted as is; anything else is sorted, and
+// of several entries for one version the first is kept.
 func NewVersionSet(refs []TupleRef, vals [][]sqlval.Value) VersionSet {
 	s := VersionSet{refs: refs, vals: vals}
-	ordered := true
-	for i := 1; i < len(refs) && ordered; i++ {
-		ordered = refLess(refs[i-1], refs[i])
-	}
-	if ordered {
+	if inSetOrder(refs) {
 		return s
 	}
 	sort.Stable(byRef(s))
@@ -275,6 +294,32 @@ func NewVersionSet(refs []TupleRef, vals [][]sqlval.Value) VersionSet {
 	}
 	s.refs, s.vals = s.refs[:n], s.vals[:n]
 	return s
+}
+
+// NewEncodedVersionSet builds a set that keeps its values encoded: version
+// i's values are the EncodeRow image rows[ends[i-1]:ends[i]] (from 0 for the
+// first; ends ascend), an image sqlval.SkipRow has accepted. refs must be in set order —
+// positions into the set are what lineage is made of, so a set that arrives
+// out of order cannot be mended by sorting it — and the set takes over all
+// three slices.
+func NewEncodedVersionSet(refs []TupleRef, rows []byte, ends []uint32) (VersionSet, error) {
+	if len(ends) != len(refs) || (len(ends) > 0 && int(ends[len(ends)-1]) != len(rows)) {
+		return VersionSet{}, fmt.Errorf("version set: %d refs, %d row images over %d bytes", len(refs), len(ends), len(rows))
+	}
+	if !inSetOrder(refs) {
+		return VersionSet{}, fmt.Errorf("version set: refs are not in (table, row, version) order")
+	}
+	return VersionSet{refs: refs, rows: rows, ends: ends}, nil
+}
+
+// inSetOrder reports whether refs strictly ascend in set order.
+func inSetOrder(refs []TupleRef) bool {
+	for i := 1; i < len(refs); i++ {
+		if !refLess(refs[i-1], refs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func refLess(a, b TupleRef) bool {
@@ -303,14 +348,67 @@ func (s VersionSet) Len() int { return len(s.refs) }
 // Refs returns the versions in set order.
 func (s VersionSet) Refs() []TupleRef { return s.refs }
 
-// Values returns the versions' attribute values, parallel to Refs.
-func (s VersionSet) Values() [][]sqlval.Value { return s.vals }
+// Values returns the versions' attribute values, parallel to Refs. An
+// encoded set decodes them all, on every call, into one backing array of
+// values whose TEXT values share one string.
+func (s VersionSet) Values() [][]sqlval.Value {
+	if s.vals != nil || len(s.refs) == 0 {
+		return s.vals
+	}
+	text := string(s.rows)
+	vals := make([][]sqlval.Value, len(s.refs))
+	var slab []sqlval.Value
+	for i := range vals {
+		from := len(slab)
+		slab = s.decode(slab, i, text)
+		vals[i] = slab[from:len(slab):len(slab)]
+	}
+	return vals
+}
 
 // Lookup returns the attribute values of version ref, if it is in the set.
 func (s VersionSet) Lookup(ref TupleRef) ([]sqlval.Value, bool) {
 	i := sort.Search(len(s.refs), func(i int) bool { return !refLess(s.refs[i], ref) })
-	if i < len(s.refs) && s.refs[i] == ref {
+	if i == len(s.refs) || s.refs[i] != ref {
+		return nil, false
+	}
+	if s.vals != nil {
 		return s.vals[i], true
 	}
-	return nil, false
+	return s.decode(nil, i, ""), true
+}
+
+// AppendRow appends the EncodeRow image of version i's values to dst: the
+// bytes an encoded set was given, or the encoding of an engine-built set's
+// values.
+func (s VersionSet) AppendRow(dst []byte, i int) []byte {
+	if s.vals != nil {
+		return sqlval.EncodeRow(dst, s.vals[i])
+	}
+	return append(dst, s.row(i)...)
+}
+
+// row returns an encoded set's image of version i.
+func (s VersionSet) row(i int) []byte {
+	var from uint32
+	if i > 0 {
+		from = s.ends[i-1]
+	}
+	return s.rows[from:s.ends[i]]
+}
+
+// decode appends an encoded set's version i to dst; text, when non-empty,
+// is string(s.rows), which TEXT values are then cut from.
+func (s VersionSet) decode(dst []sqlval.Value, i int, text string) []sqlval.Value {
+	img := s.row(i)
+	if text != "" {
+		from := s.ends[i] - uint32(len(img))
+		text = text[from:s.ends[i]]
+	}
+	out, _, err := sqlval.AppendDecodeRow(dst, img, text)
+	if err != nil {
+		// NewEncodedVersionSet's contract: every image was checked.
+		panic(fmt.Sprintf("engine: version %v holds an unchecked row image: %v", s.refs[i], err))
+	}
+	return out
 }

@@ -287,7 +287,8 @@ func TestLineageOracle(t *testing.T) {
 				// (a) duplicate-free, and the reference's set.
 				want := referenceLineage(t, db, c)
 				used := map[engine.TupleRef]bool{}
-				for i, lin := range res.Lineage {
+				for i := range res.Lineage {
+					lin := res.LineageRefs(i)
 					got := refSet(lin)
 					if len(got) != len(lin) {
 						t.Errorf("row %d: lineage lists a version twice: %v", i, lin)
@@ -316,7 +317,7 @@ func TestLineageOracle(t *testing.T) {
 
 				// (b) on a few rows: sufficient, and nothing else necessary.
 				for _, i := range rng.Perm(len(res.Rows))[:min(3, len(res.Rows))] {
-					row, lin := res.Rows[i], res.Lineage[i]
+					row, lin := res.Rows[i], res.LineageRefs(i)
 					if over := mustRun(t, restrictedDB(t, res, lin), c.sql, engine.ExecOptions{}); !hasRow(over, row) {
 						t.Errorf("row %d %v is not reproduced from its %d lineage versions alone: %v", i, row, len(lin), rowStrings(over))
 					}
@@ -356,8 +357,8 @@ func TestLineageOracle(t *testing.T) {
 					t.Fatalf("client sees %d rows, %d lineage entries; in-process %d, %d", len(wired.Rows), len(wired.Lineage), len(res.Rows), len(res.Lineage))
 				}
 				for i := range res.Lineage {
-					if !reflect.DeepEqual(wired.Lineage[i], res.Lineage[i]) {
-						t.Errorf("row %d: client lineage %v, in-process %v", i, wired.Lineage[i], res.Lineage[i])
+					if got, want := wired.LineageRefs(i), res.LineageRefs(i); !reflect.DeepEqual(got, want) {
+						t.Errorf("row %d: client lineage %v, in-process %v", i, got, want)
 					}
 				}
 				if got, want := sortedRefs(versionRefs(wired)), sortedRefs(versionRefs(res)); !reflect.DeepEqual(got, want) {
@@ -403,9 +404,10 @@ func TestLineageOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					for who, prep := range map[string]*engine.Result{"in process": local, "over the wire": remote} {
-						if !reflect.DeepEqual(rowStrings(prep), rowStrings(res)) || !reflect.DeepEqual(prep.Lineage, res.Lineage) {
+						sameLineage := reflect.DeepEqual(lineageRefs(prep), lineageRefs(res))
+						if !reflect.DeepEqual(rowStrings(prep), rowStrings(res)) || !sameLineage {
 							t.Errorf("prepared run %d %s: %d rows, lineage equal %v; text %d rows",
-								run, who, len(prep.Rows), reflect.DeepEqual(prep.Lineage, res.Lineage), len(res.Rows))
+								run, who, len(prep.Rows), sameLineage, len(res.Rows))
 						}
 						if got, want := sortedRefs(versionRefs(prep)), sortedRefs(versionRefs(res)); !reflect.DeepEqual(got, want) {
 							t.Errorf("prepared run %d %s: version set %v, text %v", run, who, got, want)

@@ -9,8 +9,8 @@ import (
 
 func lineageTables(res *Result) map[string]int {
 	counts := map[string]int{}
-	for _, lin := range res.Lineage {
-		for _, ref := range lin {
+	for i := range res.Lineage {
+		for _, ref := range res.LineageRefs(i) {
 			counts[ref.Table]++
 		}
 	}
@@ -33,7 +33,7 @@ func TestSelectLineageSimpleFilter(t *testing.T) {
 		t.Fatalf("lineage size = %d, want 2", len(res.Lineage[0]))
 	}
 	// Verify the lineage refs point at the right tuples.
-	for _, ref := range res.Lineage[0] {
+	for _, ref := range res.LineageRefs(0) {
 		vals, ok := db.LookupVersion(ref)
 		if !ok {
 			t.Fatalf("lineage ref %v not found", ref)
@@ -66,8 +66,8 @@ func TestLineagePerRow(t *testing.T) {
 		}
 	}
 	// Lineage must follow ORDER BY reordering: row i's lineage tuple has a=i+1.
-	for i, lin := range res.Lineage {
-		vals, _ := db.LookupVersion(lin[0])
+	for i := range res.Lineage {
+		vals, _ := db.LookupVersion(res.LineageRefs(i)[0])
 		if vals[0].Int() != int64(i+1) {
 			t.Errorf("row %d lineage points at a=%d", i, vals[0].Int())
 		}
@@ -134,8 +134,8 @@ func TestFilteredOutTuplesNotInLineage(t *testing.T) {
 	db := newTestDB(t, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1), (2), (3)", ExecOptions{})
 	res := mustExec(t, db, "SELECT PROVENANCE a FROM t WHERE a <> 2", ExecOptions{})
-	for _, lin := range res.Lineage {
-		for _, ref := range lin {
+	for i := range res.Lineage {
+		for _, ref := range res.LineageRefs(i) {
 			vals, _ := db.LookupVersion(ref)
 			if vals[0].Int() == 2 {
 				t.Fatal("filtered tuple leaked into lineage")
@@ -150,7 +150,7 @@ func TestLineageSurvivesVersioning(t *testing.T) {
 	mustExec(t, db, "INSERT INTO t VALUES (1)", ExecOptions{})
 	upd := mustExec(t, db, "UPDATE t SET a = 2", ExecOptions{WithLineage: true})
 	res := mustExec(t, db, "SELECT PROVENANCE a FROM t", ExecOptions{})
-	ref := res.Lineage[0][0]
+	ref := res.LineageRefs(0)[0]
 	if ref.Version != upd.WrittenRefs[0].Version {
 		t.Fatalf("lineage version = %d, want post-update %d", ref.Version, upd.WrittenRefs[0].Version)
 	}

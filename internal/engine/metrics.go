@@ -25,7 +25,7 @@ var (
 	hSnapshotAge = obs.NewHistogram("engine.snapshot_age_ticks", "Logical-clock age of transaction snapshots at statement start")
 
 	hParse   = obs.NewHistogram("engine.parse_ns", "SQL parse latency")
-	hLineage = obs.NewHistogram(obs.MetricLineageNS, "Time per statement at the result boundary of lineage capture: vids to TupleRefs, and the version-set build")
+	hLineage = obs.NewHistogram(obs.MetricLineageNS, "Time per statement at the result boundary of lineage capture: the version-set build, and vids to positions in it")
 
 	// Durability: WAL traffic (records, bytes, group-commit flushes and
 	// their latency) and what the last recovery replayed.

@@ -350,17 +350,29 @@ func writeTableHead(w *bin.Writer, name string, schema Schema) {
 // writeLiveRecord writes one record of the live-row section: the version
 // header, the prov_usedby stamp and the values.
 func writeLiveRecord(w *bin.Writer, id RowID, version uint64, proc string, stmt, usedBy int64, vals []sqlval.Value) {
+	writeLiveHeader(w, id, version, proc, stmt, usedBy)
+	sqlval.WriteRow(w, vals)
+}
+
+// writeLiveHeader writes a live-row record up to its values.
+func writeLiveHeader(w *bin.Writer, id RowID, version uint64, proc string, stmt, usedBy int64) {
 	writeVersion(w, id, version, nil, proc, stmt)
 	w.Varint(usedBy)
-	sqlval.WriteRow(w, vals)
 }
 
 // AppendLiveRecord appends to dst the live-row record a table file holds for
 // a preloaded version — one no process or statement of the database's life
 // produced and none has stamped — with the given row id, version and values.
-// A server-included package's auditor encodes each relevant version so, once.
 func AppendLiveRecord(dst []byte, id RowID, version uint64, vals []sqlval.Value) []byte {
 	return bin.AppendTo(dst, func(w *bin.Writer) { writeLiveRecord(w, id, version, "", 0, 0, vals) })
+}
+
+// AppendLiveHeader appends to dst AppendLiveRecord's record up to its
+// values: a caller holding the values' EncodeRow image completes the record
+// by appending the image. A server-included package's auditor builds each
+// relevant version's record so, once, from the image the server sent.
+func AppendLiveHeader(dst []byte, id RowID, version uint64) []byte {
+	return bin.AppendTo(dst, func(w *bin.Writer) { writeLiveHeader(w, id, version, "", 0, 0) })
 }
 
 // EncodeTableFile seals the table file of a table that holds only the live

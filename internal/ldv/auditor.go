@@ -51,6 +51,10 @@ type Auditor struct {
 	relevantN  int
 	duplicates int // reads of a version already relevant, suppressed
 
+	// hasRead, hasReturned and readFrom are the edge labels a statement
+	// links by the thousand, resolved once against the trace's model.
+	hasRead, hasReturned, readFrom uint8
+
 	// CollectLineage controls whether the audit interceptor forces Lineage
 	// computation on every statement. Server-included packaging requires it;
 	// a server-excluded-only audit runs without it, which is why that mode
@@ -69,13 +73,14 @@ const (
 	flagAppCreated                   // the application wrote the version
 )
 
-// relevantTable holds one table's relevant tuple versions. Each is encoded
+// relevantTable holds one table's relevant tuple versions. Each is recorded
 // once, when it first becomes relevant — the "write accessed tuples to
 // external storage" cost the paper charges to the first (cold-cache) query
 // of an audited run (§IX-B); later queries hit the dedup flags and skip it.
-// The encoding is the table file's live-row record of a preloaded version
-// (engine.AppendLiveRecord), and the same bytes are the spool's and the
-// package's row section.
+// The record is the table file's live-row record of a preloaded version
+// (engine.AppendLiveRecord's bytes): its header, then the values' image as
+// the server sent it, never decoded on the way. The same bytes are the
+// spool's and the package's row section.
 type relevantTable struct {
 	name    string
 	rows    []relevantRow // in first-relevance order
@@ -86,13 +91,16 @@ type relevantTable struct {
 type relevantRow struct {
 	row     engine.RowID
 	version uint64
-	vals    []sqlval.Value
+	vals    int // the values' image is recs[vals:end]
 	end     int // the record is recs[previous row's end:end]
 }
 
-// add encodes one tuple version at the end of the table.
-func (t *relevantTable) add(ref engine.TupleRef, vals []sqlval.Value) {
-	t.recs = engine.AppendLiveRecord(t.recs, ref.Row, ref.Version, vals)
+// add records version i of set at the end of the table.
+func (t *relevantTable) add(set engine.VersionSet, i int) {
+	ref := set.Refs()[i]
+	t.recs = engine.AppendLiveHeader(t.recs, ref.Row, ref.Version)
+	vals := len(t.recs)
+	t.recs = set.AppendRow(t.recs, i)
 	t.rows = append(t.rows, relevantRow{row: ref.Row, version: ref.Version, vals: vals, end: len(t.recs)})
 }
 
@@ -142,6 +150,10 @@ func NewAuditor(k *osim.Kernel) *Auditor {
 		tables:         map[string]*relevantTable{},
 		CollectLineage: true,
 	}
+	// The combined model has these labels, so resolving them cannot fail.
+	a.hasRead, _ = a.trace.LabelIndex(prov.EdgeHasRead)
+	a.hasReturned, _ = a.trace.LabelIndex(prov.EdgeHasReturned)
+	a.readFrom, _ = a.trace.LabelIndex(prov.EdgeReadFrom)
 	k.Trace(a)
 	return a
 }
@@ -403,20 +415,29 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 
 	// hasRead edges: every tuple version in some result row's lineage or in
 	// the DML read set — which is exactly the version set the result
-	// carries the values of.
-	read, values := res.TupleValues.Refs(), res.TupleValues.Values()
+	// carries the values of. The set is in table order, so a table name is
+	// interned once per run of its versions; nodes is parallel to the set,
+	// which is what lineage positions index.
+	set := res.TupleValues
+	read := set.Refs()
 	nodes := make([]prov.Ref, len(read))
+	var key prov.Key
 	for i, ref := range read {
-		nodes[i] = a.ensureTuple(ref)
-		_, _ = tr.Link(nodes[i], stmt, prov.EdgeHasRead, iv, traceID)
+		if i == 0 || ref.Table != read[i-1].Table {
+			key = tr.TupleKey(ref.Table, 0, 0)
+		}
+		key.A, key.B = uint64(ref.Row), ref.Version
+		nodes[i], _ = tr.Intern(key, prov.TypeTuple)
+		_, _ = tr.LinkIndex(nodes[i], stmt, a.hasRead, iv, traceID)
 	}
 	a.tupleFetched += len(read)
 	mTuplesFetched.Add(int64(len(read)))
 
 	// Relevant-tuple rule (§VII-D): read by the application and not created
-	// by it. A version is encoded the first time it is relevant, and what
+	// by it. A version is recorded the first time it is relevant, and what
 	// this statement added is spooled before the next one runs.
 	d0 := time.Now()
+	var rt *relevantTable
 	for i, node := range nodes {
 		f := a.flags(node)
 		switch {
@@ -426,7 +447,10 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 			mTuplesDeduped.Inc()
 		default:
 			*f |= flagRelevant
-			a.table(read[i].Table).add(read[i], values[i])
+			if rt == nil || rt.name != read[i].Table {
+				rt = a.table(read[i].Table)
+			}
+			rt.add(set, i)
 			a.relevantN++
 			mTuplesStored.Inc()
 		}
@@ -441,7 +465,7 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	written := make([]prov.Ref, len(res.WrittenRefs))
 	for i, ref := range res.WrittenRefs {
 		written[i] = a.ensureTuple(ref)
-		_, _ = tr.Link(stmt, written[i], prov.EdgeHasReturned, iv, traceID)
+		_, _ = tr.LinkIndex(stmt, written[i], a.hasReturned, iv, traceID)
 		*a.flags(written[i]) |= flagAppCreated
 	}
 	switch stype {
@@ -468,15 +492,15 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 
 	// Result tuples of queries: returned by the statement, read by the
 	// process (the cross-model readFrom edge), and dependent on their
-	// lineage (Definition 7).
+	// lineage (Definition 7) — positions in the version set, so nodes[pos].
 	if stype == prov.TypeQuery {
 		for i := range res.Rows {
 			rnode, _ := tr.Intern(prov.ResultKey(res.StmtID, i), prov.TypeTuple)
-			_, _ = tr.Link(stmt, rnode, prov.EdgeHasReturned, iv, traceID)
-			_, _ = tr.Link(rnode, proc, prov.EdgeReadFrom, iv, traceID)
-			if res.Lineage != nil {
-				for _, ref := range res.Lineage[i] {
-					a.linkDep(ref, rnode)
+			_, _ = tr.LinkIndex(stmt, rnode, a.hasReturned, iv, traceID)
+			_, _ = tr.LinkIndex(rnode, proc, a.readFrom, iv, traceID)
+			if i < len(res.Lineage) {
+				for _, pos := range res.Lineage[i] {
+					_ = tr.LinkDep(nodes[pos], rnode)
 				}
 			}
 		}
@@ -504,7 +528,8 @@ func (a *Auditor) spool() {
 }
 
 // RelevantTuples returns the relevant tuple versions grouped by table, each
-// with its values, ordered by (row, version).
+// with its values — decoded from the recorded images — ordered by (row,
+// version).
 func (a *Auditor) RelevantTuples() map[string][]RelevantTuple {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -516,9 +541,11 @@ func (a *Auditor) RelevantTuples() map[string][]RelevantTuple {
 		rows := make([]RelevantTuple, 0, len(t.rows))
 		for _, i := range t.order() {
 			r := t.rows[i]
+			// The image was checked on receipt, so it decodes.
+			vals, _, _ := sqlval.DecodeRow(t.recs[r.vals:r.end])
 			rows = append(rows, RelevantTuple{
 				Ref:    engine.TupleRef{Table: name, Row: r.row, Version: r.version},
-				Values: r.vals,
+				Values: vals,
 			})
 		}
 		out[name] = rows

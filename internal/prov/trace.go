@@ -245,11 +245,30 @@ func (tr *Trace) label(r Ref, id string) string {
 // the edge type against the model. trace is the string-table index of the
 // recording request's trace id, 0 for none.
 func (tr *Trace) Link(from, to Ref, label string, t Interval, trace StrID) (Edge, error) {
+	li, err := tr.LabelIndex(label)
+	if err != nil {
+		return Edge{}, err
+	}
+	return tr.link(from, to, int(li), t, trace)
+}
+
+// LabelIndex resolves an edge label to its index in the trace's label table,
+// the value Edge.Label holds, for LinkIndex.
+func (tr *Trace) LabelIndex(label string) (uint8, error) {
 	li := indexOf(tr.labels, label)
 	if li < 0 {
-		return Edge{}, fmt.Errorf("trace: edge label %q is not part of model %s", label, tr.Model.Name)
+		return 0, fmt.Errorf("trace: edge label %q is not part of model %s", label, tr.Model.Name)
 	}
-	return tr.link(from, to, li, t, trace)
+	return uint8(li), nil
+}
+
+// LinkIndex is Link with the label already resolved by LabelIndex, for a
+// caller that links many edges of a few labels.
+func (tr *Trace) LinkIndex(from, to Ref, label uint8, t Interval, trace StrID) (Edge, error) {
+	if int(label) >= len(tr.labels) {
+		return Edge{}, fmt.Errorf("trace: edge label %d outside the model's %d", label, len(tr.labels))
+	}
+	return tr.link(from, to, int(label), t, trace)
 }
 
 // link is Link with the label already resolved to its table index.

@@ -1,6 +1,6 @@
 // Package server implements the LDV database server: it owns an engine.DB,
 // accepts wire-protocol connections, executes statements, and streams
-// results (with per-row Lineage when requested). The server can run
+// results (with their provenance when requested). The server can run
 // standalone on a net.Listener or as a simulated process inside osim, where
 // its data directory lives in the simulated filesystem so file-granularity
 // packagers observe real DB data files.
@@ -449,26 +449,21 @@ func (c *clientConn) resolve(r request, parent *obs.Span) (*engine.PreparedStmt,
 	return ps, c.args[r.name], nil
 }
 
-// streamResult writes one statement's response group — RowDescription, rows
-// (with lineage when computed), inline provenance tuples, CommandComplete —
-// shared by the Query and Execute paths. tag is echoed in CommandComplete.Tag
-// for pipelined Executes (0 for plain queries).
+// streamResult writes one statement's response group — RowDescription, rows,
+// the one Provenance frame when the statement has provenance, CommandComplete
+// — shared by the Query and Execute paths. tag is echoed in
+// CommandComplete.Tag for pipelined Executes (0 for plain queries).
 func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 	if err := wire.Write(conn, wire.RowDescription{Columns: res.Columns}); err != nil {
 		return err
 	}
-	for i, row := range res.Rows {
+	for _, row := range res.Rows {
 		if err := wire.Write(conn, wire.DataRow{Values: row}); err != nil {
 			return err
 		}
-		if res.Lineage != nil {
-			if err := wire.Write(conn, wire.LineageRow{Refs: res.Lineage[i]}); err != nil {
-				return err
-			}
-		}
 	}
-	if tv := res.TupleValues; tv.Len() > 0 {
-		if err := wire.Write(conn, wire.TupleValues{Refs: tv.Refs(), Rows: tv.Values()}); err != nil {
+	if len(res.Lineage) > 0 || res.TupleValues.Len() > 0 {
+		if err := wire.Write(conn, wire.Provenance{Versions: res.TupleValues, Lineage: res.Lineage}); err != nil {
 			return err
 		}
 	}

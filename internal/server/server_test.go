@@ -58,9 +58,8 @@ func query(t *testing.T, c net.Conn, sql string, withLineage bool) (rows int, li
 		case wire.RowDescription:
 		case wire.DataRow:
 			rows++
-		case wire.LineageRow:
-			lineageRows++
-		case wire.TupleValues:
+		case wire.Provenance:
+			lineageRows += len(m.Lineage)
 		case wire.CommandComplete:
 		case wire.Error:
 			serverErr = m.Message

@@ -63,8 +63,9 @@ func pathCases(seed int64) (setup string, cases []pathCase) {
 type pathResponse struct {
 	Columns []string
 	Rows    [][]sqlval.Value
-	Lineage [][]engine.TupleRef
-	Tuples  wire.TupleValues
+	Lineage [][]int32
+	Tuples  []engine.TupleRef
+	Values  [][]sqlval.Value
 	Done    wire.CommandComplete
 	Err     string
 	InTxn   bool
@@ -83,10 +84,8 @@ func readPathResponse(t *testing.T, c net.Conn) pathResponse {
 			r.Columns = m.Columns
 		case wire.DataRow:
 			r.Rows = append(r.Rows, m.Values)
-		case wire.LineageRow:
-			r.Lineage = append(r.Lineage, m.Refs)
-		case wire.TupleValues:
-			r.Tuples = m
+		case wire.Provenance:
+			r.Lineage, r.Tuples, r.Values = m.Lineage, m.Versions.Refs(), m.Versions.Values()
 		case wire.CommandComplete:
 			r.Done = m
 		case wire.ParseComplete:
@@ -266,8 +265,8 @@ func TestTextPreparedPipelinedTakeOnePath(t *testing.T) {
 			switch {
 			case tc.fails:
 				continue
-			case tc.lineage && strings.HasPrefix(tc.sql, "SELECT") && (len(r.Rows) == 0 || len(r.Lineage) != len(r.Rows) || len(r.Tuples.Refs) == 0):
-				t.Errorf("seed %d %q: %d rows, %d lineage rows, %d provenance tuples", seed, tc.sql, len(r.Rows), len(r.Lineage), len(r.Tuples.Refs))
+			case tc.lineage && strings.HasPrefix(tc.sql, "SELECT") && (len(r.Rows) == 0 || len(r.Lineage) != len(r.Rows) || len(r.Tuples) == 0):
+				t.Errorf("seed %d %q: %d rows, %d lineage rows, %d provenance tuples", seed, tc.sql, len(r.Rows), len(r.Lineage), len(r.Tuples))
 			case strings.HasPrefix(tc.sql, "UPDATE") && (r.Done.RowsAffected == 0 || len(r.Done.ReadRefs) == 0 || len(r.Done.WrittenRefs) == 0):
 				t.Errorf("seed %d %q: affected %d, read %d, written %d", seed, tc.sql, r.Done.RowsAffected, len(r.Done.ReadRefs), len(r.Done.WrittenRefs))
 			case strings.Contains(tc.sql, "ldv_stat_activity"):

@@ -110,6 +110,63 @@ func decode(b []byte, text string) (Value, int, error) {
 	}
 }
 
+// SkipRow checks one EncodeRow image at the front of b by exactly the rules
+// AppendDecodeRow decodes it by — the count, every varint in its shortest
+// form, every length within b, every kind tag known — and returns the bytes
+// it spans, without materializing a value: what a reader that keeps a row
+// encoded (a provenance frame's versions) validates it with.
+func SkipRow(b []byte) (int, error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 || overlong(b, n) {
+		return 0, fmt.Errorf("decode row: bad count")
+	}
+	off := n
+	if count > uint64(len(b)-off) {
+		return 0, fmt.Errorf("decode row: count %d exceeds buffer", count)
+	}
+	for i := uint64(0); i < count; i++ {
+		used, err := skip(b[off:])
+		if err != nil {
+			return 0, fmt.Errorf("decode row value %d: %w", i, err)
+		}
+		off += used
+	}
+	return off, nil
+}
+
+// skip is decode's checks without the value: the length of the one value
+// at the front of b.
+func skip(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("decode value: empty buffer")
+	}
+	kind := Kind(b[0])
+	rest := b[1:]
+	switch kind {
+	case KindNull:
+		return 1, nil
+	case KindInt, KindBool, KindDate:
+		_, n := binary.Varint(rest)
+		if n <= 0 || overlong(rest, n) {
+			return 0, fmt.Errorf("decode %s: bad varint", kind)
+		}
+		return 1 + n, nil
+	case KindFloat:
+		if len(rest) < 8 {
+			return 0, fmt.Errorf("decode FLOAT: short buffer")
+		}
+		return 9, nil
+	case KindString:
+		l, n := binary.Uvarint(rest)
+		if n <= 0 || overlong(rest, n) || uint64(len(rest)-n) < l {
+			return 0, fmt.Errorf("decode TEXT: bad length")
+		}
+		return 1 + n + int(l), nil
+	default:
+		return 0, fmt.Errorf("decode value: unknown kind tag %d", b[0])
+	}
+}
+
 // overlong reports whether the n-byte varint at the front of b is not in its
 // shortest form. AppendEncode writes only that form, so decoding reads only
 // it — bin.Reader's rule — and an accepted encoding re-encodes to its bytes.

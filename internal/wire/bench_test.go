@@ -51,12 +51,20 @@ func BenchmarkReadCommandComplete(b *testing.B) {
 	})
 }
 
-// BenchmarkReadLineageRow1000: the lineage of one wide result row, 1 000
-// versions over two tables.
-func BenchmarkReadLineageRow1000(b *testing.B) {
+// BenchmarkReadProvenance: the provenance of an audited wide query — 1 000
+// orders-shaped versions over two tables and 50 result rows whose lineage
+// names each of them once.
+func BenchmarkReadProvenance(b *testing.B) {
 	refs := make([]engine.TupleRef, 1000)
+	rows := make([][]sqlval.Value, len(refs))
+	lineage := make([][]int32, 50)
 	for i := range refs {
-		refs[i] = engine.TupleRef{Table: []string{"lineitem", "orders"}[i%2], Row: engine.RowID(i * 30), Version: 1}
+		refs[i] = engine.TupleRef{Table: []string{"lineitem", "orders"}[i/500], Row: engine.RowID(i * 30), Version: 1}
+		rows[i] = []sqlval.Value{
+			sqlval.NewInt(int64(i)), sqlval.NewInt(1201), sqlval.NewString("O"), sqlval.NewFloat(173665.47),
+			sqlval.NewDateDays(9497), sqlval.NewString("5-LOW"), sqlval.NewString("Clerk#000000951"),
+		}
+		lineage[i%50] = append(lineage[i%50], int32(i))
 	}
-	benchRead(b, LineageRow{Refs: refs})
+	benchRead(b, Provenance{Versions: engine.NewVersionSet(refs, rows), Lineage: lineage})
 }

@@ -3,6 +3,9 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"ldv/internal/engine"
+	"ldv/internal/sqlval"
 )
 
 // FuzzRead asserts the frame decoder never panics on arbitrary bytes, and
@@ -27,6 +30,8 @@ func FuzzRead(f *testing.F) {
 		CommandComplete{RowsAffected: 1, Tag: 4},
 		StatsResult{JSON: []byte(`{}`)},
 		Ready{InTxn: true},
+		Provenance{Versions: engine.NewVersionSet([]engine.TupleRef{{Table: "t", Row: 1, Version: 2}},
+			[][]sqlval.Value{{sqlval.NewInt(3), sqlval.NewString("x")}}), Lineage: [][]int32{{0}, nil}},
 	} {
 		var buf bytes.Buffer
 		Write(&buf, m)

@@ -46,8 +46,9 @@ func goldenFrames() []struct {
 		{"row_description_none", RowDescription{}},
 		{"data_row", DataRow{Values: row}},
 		{"data_row_none", DataRow{}},
-		{"lineage_row", LineageRow{Refs: refs}},
-		{"tuple_values", TupleValues{Refs: refs, Rows: [][]sqlval.Value{row, row[:1]}}},
+		{"provenance", Provenance{Versions: engine.NewVersionSet([]engine.TupleRef{refs[1], refs[0]}, [][]sqlval.Value{row[:1], row}),
+			Lineage: [][]int32{{1, 0}, nil}}},
+		{"provenance_none", Provenance{}},
 		{"command_complete", CommandComplete{RowsAffected: -1, StmtID: -3, Start: 10, End: 300,
 			ReadRefs: refs, WrittenRefs: refs[:1], CommitSeq: 17, Fingerprint: "ab12", Tag: 9}},
 		{"command_complete_none", CommandComplete{}},

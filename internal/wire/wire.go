@@ -1,8 +1,10 @@
 // Package wire implements the binary client/server protocol of the LDV
 // database — the libpq analog. Messages are framed as a one-byte type tag
 // plus a big-endian uint32 payload length. The protocol carries, besides
-// ordinary result rows, per-row Lineage (tuple-version references) so that
-// an instrumented client can audit DB provenance without extra round trips.
+// ordinary result rows, a statement's provenance — the tuple versions it
+// read, with their values, and each result row's lineage as positions among
+// them — so that an instrumented client can audit DB provenance without extra
+// round trips.
 package wire
 
 import (
@@ -23,9 +25,8 @@ const (
 	TagQuery           = 'Q'
 	TagRowDescription  = 'R'
 	TagDataRow         = 'D'
-	TagLineageRow      = 'L'
+	TagProvenance      = 'v'
 	TagCommandComplete = 'C'
-	TagTupleValues     = 'V'
 	TagError           = 'E'
 	TagReady           = 'Z'
 	TagTerminate       = 'X'
@@ -47,8 +48,8 @@ const (
 // cannot ship without a name and per-kind counters.
 func Tags() []byte {
 	return []byte{
-		TagStartup, TagQuery, TagRowDescription, TagDataRow, TagLineageRow,
-		TagCommandComplete, TagTupleValues, TagError, TagReady, TagTerminate,
+		TagStartup, TagQuery, TagRowDescription, TagDataRow, TagProvenance,
+		TagCommandComplete, TagError, TagReady, TagTerminate,
 		TagStats, TagStatsResult,
 		TagSubscribe, TagSnapshotChunk, TagWALSegment, TagReplicaStatus,
 		TagParse, TagParseComplete, TagBind, TagExecute, TagCloseStmt,
@@ -67,12 +68,10 @@ func TagName(tag byte) string {
 		return "RowDescription"
 	case TagDataRow:
 		return "DataRow"
-	case TagLineageRow:
-		return "LineageRow"
+	case TagProvenance:
+		return "Provenance"
 	case TagCommandComplete:
 		return "CommandComplete"
-	case TagTupleValues:
-		return "TupleValues"
 	case TagError:
 		return "Error"
 	case TagReady:
@@ -145,15 +144,18 @@ type RowDescription struct{ Columns []string }
 // DataRow carries one result row.
 type DataRow struct{ Values []sqlval.Value }
 
-// LineageRow carries the lineage of the immediately preceding DataRow.
-type LineageRow struct{ Refs []engine.TupleRef }
-
-// TupleValues carries the attribute values of provenance tuple versions
-// referenced by the statement's Lineage or ReadRefs — the inline provenance
-// tuples a Perm PROVENANCE query returns. Rows is parallel to Refs.
-type TupleValues struct {
-	Refs []engine.TupleRef
-	Rows [][]sqlval.Value
+// Provenance carries a statement's provenance, at most once per response
+// group and after its rows. Versions is the set of tuple versions its
+// Lineage and ReadRefs name — the inline provenance tuples a Perm
+// PROVENANCE query returns — as the versions' refs in set order, then each
+// version's values as their EncodeRow image. Lineage holds, for a query run
+// with lineage, one list per result row of the positions in Versions of the
+// versions the row depends on; it is empty otherwise. A reader checks each
+// image as sqlval.SkipRow does and keeps it encoded: the set it decodes is
+// an engine.NewEncodedVersionSet over the frame's own bytes.
+type Provenance struct {
+	Versions engine.VersionSet
+	Lineage  [][]int32
 }
 
 // CommandComplete ends a successful statement, reporting DML counts,
@@ -302,8 +304,7 @@ func (StatsResult) tag() byte     { return TagStatsResult }
 func (Query) tag() byte           { return TagQuery }
 func (RowDescription) tag() byte  { return TagRowDescription }
 func (DataRow) tag() byte         { return TagDataRow }
-func (LineageRow) tag() byte      { return TagLineageRow }
-func (TupleValues) tag() byte     { return TagTupleValues }
+func (Provenance) tag() byte      { return TagProvenance }
 func (CommandComplete) tag() byte { return TagCommandComplete }
 func (Error) tag() byte           { return TagError }
 func (Ready) tag() byte           { return TagReady }
@@ -375,18 +376,24 @@ func encodePayload(m Message) []byte {
 		}
 	case DataRow:
 		b = sqlval.EncodeRow(b, v.Values)
-	case LineageRow:
-		b = appendRefs(b, v.Refs)
-	case TupleValues:
-		b = appendRefs(b, v.Refs)
-		for i, row := range v.Rows {
+	case Provenance:
+		refs := v.Versions.Refs()
+		b = appendRefs(b, refs)
+		for i := range refs {
 			at := len(b)
-			b = sqlval.EncodeRow(b, row)
+			b = v.Versions.AppendRow(b, i)
 			if i == 0 {
 				// Versions of one table are about one size; reserving the
 				// rest at the first one's spares a frame of megabytes its
 				// doublings.
-				b = slices.Grow(b, (len(v.Rows)-1)*(len(b)-at))
+				b = slices.Grow(b, (len(refs)-1)*(len(b)-at))
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(len(v.Lineage)))
+		for _, list := range v.Lineage {
+			b = binary.AppendUvarint(b, uint64(len(list)))
+			for _, pos := range list {
+				b = binary.AppendUvarint(b, uint64(pos))
 			}
 		}
 	case CommandComplete:
@@ -460,15 +467,9 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 		m = RowDescription{Columns: d.strings("column")}
 	case TagDataRow:
 		m = DataRow{Values: sqlval.ReadRow(&d.Reader, nil)}
-	case TagLineageRow:
-		m = LineageRow{Refs: d.refs()}
-	case TagTupleValues:
-		refs := d.refs()
-		rows := make([][]sqlval.Value, 0, len(refs))
-		for i := 0; i < len(refs) && d.Err() == nil; i++ {
-			rows = append(rows, sqlval.ReadRow(&d.Reader, nil))
-		}
-		m = TupleValues{Refs: refs, Rows: rows}
+	case TagProvenance:
+		versions := d.versions()
+		m = Provenance{Versions: versions, Lineage: d.lineage(versions.Len())}
 	case TagCommandComplete:
 		m = CommandComplete{
 			RowsAffected: int(d.Varint()),
@@ -603,6 +604,64 @@ func (d *decoder) refs() []engine.TupleRef {
 		})
 	}
 	return refs
+}
+
+// versions reads a version set: its refs, then one row image per ref, each
+// checked but left encoded in the frame's buffer.
+func (d *decoder) versions() engine.VersionSet {
+	refs := d.refs()
+	if len(refs) == 0 {
+		return engine.VersionSet{}
+	}
+	b, _ := d.Rest()
+	ends := make([]uint32, len(refs))
+	off := 0
+	for i := range ends {
+		n, err := sqlval.SkipRow(b[off:])
+		if err != nil {
+			d.Failf("version %d: %w", i, err)
+			return engine.VersionSet{}
+		}
+		off += n
+		ends[i] = uint32(off)
+	}
+	set, err := engine.NewEncodedVersionSet(refs, d.Fixed(off), ends)
+	if err != nil {
+		d.Failf("%w", err)
+	}
+	return set
+}
+
+// lineage reads a count of position lists, each a count of positions below
+// versions. The lists are cut from one array: every position takes a byte
+// of the frame at least, so the bytes left bound them all.
+func (d *decoder) lineage(versions int) [][]int32 {
+	n := d.Count("lineage list", 1)
+	if n == 0 {
+		return nil
+	}
+	lists := bin.Make[[]int32](n, d.Len())
+	var flat []int32
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.Count("position", 1)
+		if k > 0 && flat == nil {
+			flat = bin.Make[int32](d.Len(), d.Len())
+		}
+		from := len(flat)
+		for ; k > 0 && d.Err() == nil; k-- {
+			pos := d.Uvarint()
+			if pos >= uint64(versions) {
+				d.Failf("lineage position %d beyond the %d versions", pos, versions)
+			}
+			flat = append(flat, int32(pos))
+		}
+		var list []int32
+		if len(flat) > from {
+			list = flat[from:len(flat):len(flat)]
+		}
+		lists = append(lists, list)
+	}
+	return lists
 }
 
 // table reads a ref's table name, reusing the string of an earlier ref of

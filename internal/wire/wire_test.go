@@ -43,8 +43,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 		RowDescription{Columns: []string{"a", "b"}},
 		RowDescription{Columns: []string{}},
 		DataRow{Values: []sqlval.Value{sqlval.NewInt(1), sqlval.Null, sqlval.NewString("x")}},
-		LineageRow{Refs: refs},
-		LineageRow{},
+		Provenance{},
+		provenanceOf(refs[1:], [][]sqlval.Value{{sqlval.NewString("x")}}, [][]int32{{0}, nil}),
 		CommandComplete{RowsAffected: 3, StmtID: 9, Start: 10, End: 20, ReadRefs: refs, WrittenRefs: refs[:1]},
 		CommandComplete{},
 		Error{Message: "boom"},
@@ -86,6 +86,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 				if !g.Args[i].Equal(want.Args[i]) {
 					t.Fatalf("Bind arg %d mismatch", i)
 				}
+			}
+		case Provenance:
+			if !sameProvenance(got.(Provenance), want) {
+				t.Errorf("round trip: got %#v, want %#v", got, m)
 			}
 		case DataRow:
 			g := got.(DataRow)
@@ -181,8 +185,8 @@ func TestDecodeAllocatesInProportion(t *testing.T) {
 	}{
 		{"RowDescription columns", TagRowDescription, nil},
 		{"DataRow values", TagDataRow, nil},
-		{"LineageRow refs", TagLineageRow, nil},
-		{"TupleValues refs", TagTupleValues, nil},
+		{"Provenance refs", TagProvenance, nil},
+		{"Provenance lineage lists", TagProvenance, []byte{0}},
 		{"CommandComplete read refs", TagCommandComplete, []byte{0, 0, 0, 0}},
 		{"CommandComplete written refs", TagCommandComplete, []byte{0, 0, 0, 0, 0}},
 		{"WALSegment records", TagWALSegment, []byte{0, 0}},
