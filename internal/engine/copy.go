@@ -172,7 +172,7 @@ func (s *Session) copyTo(table string, opts ExecOptions, res *Result) ([][]strin
 	}
 	t.mu.RUnlock()
 	if opts.WithLineage {
-		t.touch() // after the last prov_usedby stamp
+		t.stamped() // after the last prov_usedby stamp
 		lin := &lineageSink{stmt: res.StmtID}
 		lin.finish(res, nil, lin.addReads(nil, t, read))
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ldv/internal/faultfs"
@@ -17,7 +18,10 @@ import (
 // — every commit the client was told succeeded is present, nothing the
 // client never issued is present, and a commit that was in flight at the
 // crash (attempted but never acknowledged) is either fully present or fully
-// absent, never partial.
+// absent, never partial. prov_usedby, which no log record carries, is as
+// durable as the table and stamps files that hold it: each recovered table's
+// column is the one it had at the last acknowledged checkpoint, or at the
+// checkpoint in flight at the crash.
 
 // crashOp identifies one workload operation for the contract check.
 type crashOp int
@@ -46,30 +50,91 @@ const (
 	opTxnC        // COMMIT
 	opCkpt2
 	opIns5 // one more logged operation, so there are crash points past the truncation
+	// Stamps files: lineage reads between checkpoints, a checkpoint that
+	// writes only stamps files, one that rewrites a table file and retires its
+	// stamps file, and one that retires both files of a dropped table.
+	opCkpt3
+	opLineage // every live version of t and u (no file operation)
+	opCkptStamps
+	opLineage2 // one version of t, through the index
+	opIns6
+	opCkptRewrite
+	opDropU
+	opCkptDrop
+	opIns7
 	opCount
 )
 
+// isCheckpoint reports whether op is a Checkpoint call.
+func (op crashOp) isCheckpoint() bool {
+	switch op {
+	case opCkpt, opCkptOpenTxn, opCkpt2, opCkpt3, opCkptStamps, opCkptRewrite, opCkptDrop:
+		return true
+	}
+	return false
+}
+
+// usedByCols is the prov_usedby column of each table's live versions, by
+// version ("row@version").
+type usedByCols map[string]map[string]int64
+
+func readUsedBy(t *testing.T, db *DB) usedByCols {
+	t.Helper()
+	cols := usedByCols{}
+	for _, name := range db.TableNames() {
+		res, err := db.Exec("SELECT prov_rowid, prov_v, prov_usedby FROM "+name, ExecOptions{})
+		if err != nil {
+			t.Fatalf("read prov_usedby of %s: %v", name, err)
+		}
+		col := map[string]int64{}
+		for _, r := range res.Rows {
+			col[fmt.Sprintf("%d@%d", r[0].Int(), r[1].Int())] = r[2].Int()
+		}
+		cols[name] = col
+	}
+	return cols
+}
+
 // crashWorkload drives the fixed workload against fs, recording which
-// operations were acknowledged (returned nil). It stops early once an
-// operation fails — after a crash the engine's WAL failure is sticky, and a
-// real client would be dead anyway. boot reports whether the initial
-// recovery itself succeeded.
-func crashWorkload(fs FileSystem) (acked [opCount]bool, boot bool) {
+// operations were acknowledged (returned nil) and, before each checkpoint,
+// the prov_usedby columns it is about to make durable. It stops early once
+// an operation fails — after a crash the engine's WAL failure is sticky, and
+// a real client would be dead anyway. boot reports whether the initial
+// recovery itself succeeded. after, if set, runs after each acknowledged
+// operation.
+func crashWorkload(t *testing.T, fs FileSystem, after func(crashOp)) (acked [opCount]bool, stamps [opCount]usedByCols, boot bool) {
 	db := NewDB(nil)
 	if _, err := db.Recover(fs, "/data"); err != nil {
-		return acked, false
+		return acked, stamps, false
 	}
 	boot = true
 	step := func(op crashOp, run func() error) bool {
+		if op.isCheckpoint() {
+			stamps[op] = readUsedBy(t, db)
+		}
 		if err := run(); err != nil {
 			return false
 		}
 		acked[op] = true
+		if after != nil {
+			after(op)
+		}
 		return true
 	}
 	exec := func(sql string) func() error {
 		return func() error { _, err := db.Exec(sql, ExecOptions{}); return err }
 	}
+	lineage := func(sqls ...string) func() error {
+		return func() error {
+			for _, sql := range sqls {
+				if _, err := db.Exec(sql, ExecOptions{Proc: "reader", WithLineage: true}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	checkpoint := func() error { return db.Checkpoint(fs, "/data") }
 	txn := func(stmts ...string) func() error {
 		return func() error {
 			s := db.NewSession()
@@ -97,7 +162,7 @@ func crashWorkload(fs FileSystem) (acked [opCount]bool, boot bool) {
 		{opUpd2, exec("UPDATE t SET v = 'dos' WHERE v = 'two'")},
 		{opDel3, exec("DELETE FROM t WHERE k = 3")},
 		{opVacuum, exec("VACUUM")}, // writes a walVacuum record, then prunes
-		{opCkpt, func() error { return db.Checkpoint(fs, "/data") }},
+		{opCkpt, checkpoint},
 		{opIns4, exec("INSERT INTO t VALUES (4, 'four')")},
 		{opCreateU, exec("CREATE TABLE u (x INT)")},
 		{opInsU, exec("INSERT INTO u VALUES (42)")},
@@ -115,18 +180,27 @@ func crashWorkload(fs FileSystem) (acked [opCount]bool, boot bool) {
 					return err
 				}
 			}
-			return db.Checkpoint(fs, "/data")
+			return checkpoint()
 		}},
 		{opTxnC, func() error { _, err := open.Exec("COMMIT", ExecOptions{}); return err }},
-		{opCkpt2, func() error { return db.Checkpoint(fs, "/data") }},
+		{opCkpt2, checkpoint},
 		{opIns5, exec("INSERT INTO t VALUES (5, 'five')")},
+		{opCkpt3, checkpoint},
+		{opLineage, lineage("SELECT k FROM t", "SELECT x FROM u")},
+		{opCkptStamps, checkpoint},
+		{opLineage2, lineage("SELECT k FROM t WHERE v = 'one'")},
+		{opIns6, exec("INSERT INTO t VALUES (6, 'six')")},
+		{opCkptRewrite, checkpoint},
+		{opDropU, exec("DROP TABLE u")},
+		{opCkptDrop, checkpoint},
+		{opIns7, exec("INSERT INTO t VALUES (7, 'seven')")},
 	}
 	for _, s := range steps {
 		if !step(s.op, s.run) {
-			return acked, boot
+			return acked, stamps, boot
 		}
 	}
-	return acked, boot
+	return acked, stamps, boot
 }
 
 // hasTable reports whether the recovered catalog holds the table.
@@ -160,7 +234,7 @@ func tableState(t *testing.T, db *DB, table string) map[int64]string {
 // checkContract asserts the durability contract for one crash run. ackedUpTo
 // maps each op to whether it was acknowledged; ops after the first failure
 // were never attempted... except exactly one, the op in flight at the crash.
-func checkContract(t *testing.T, db *DB, acked [opCount]bool, label string) {
+func checkContract(t *testing.T, db *DB, acked [opCount]bool, stamps [opCount]usedByCols, label string) {
 	t.Helper()
 	rows := tableState(t, db, "t")
 
@@ -193,12 +267,15 @@ func checkContract(t *testing.T, db *DB, acked [opCount]bool, label string) {
 	if !attempted[opCreateT] && rows != nil {
 		t.Fatalf("%s: table t exists before CREATE was attempted", label)
 	}
+	checkUsedBy(t, db, acked, attempted, stamps, label)
 	if rows == nil {
 		return // nothing further can be checked
 	}
 	requireRow(1, "one", opIns1, "insert")
 	requireRow(4, "four", opIns4, "insert")
 	requireRow(5, "five", opIns5, "insert")
+	requireRow(6, "six", opIns6, "insert")
+	requireRow(7, "seven", opIns7, "insert")
 
 	// Index contract: an acked CREATE INDEX survives recovery, an
 	// unattempted one is absent, and whatever the crash left behind, a query
@@ -295,8 +372,11 @@ func checkContract(t *testing.T, db *DB, acked [opCount]bool, label string) {
 
 	// DDL on the second table.
 	hasU := hasTable(db, "u")
-	if acked[opCreateU] && !hasU {
+	if acked[opCreateU] && !attempted[opDropU] && !hasU {
 		t.Fatalf("%s: acked CREATE TABLE u lost", label)
+	}
+	if acked[opDropU] && hasU {
+		t.Fatalf("%s: acked DROP TABLE u undone", label)
 	}
 	if !attempted[opCreateU] && hasU {
 		t.Fatalf("%s: table u exists before CREATE was attempted", label)
@@ -317,17 +397,72 @@ func checkContract(t *testing.T, db *DB, acked [opCount]bool, label string) {
 	_ = inFlight
 }
 
+// checkUsedBy checks that each recovered table's prov_usedby column is the
+// one it had at the last acknowledged checkpoint or at the one in flight at
+// the crash — a version neither held is one the log replayed, unstamped.
+func checkUsedBy(t *testing.T, db *DB, acked, attempted [opCount]bool, stamps [opCount]usedByCols, label string) {
+	t.Helper()
+	var durable []usedByCols
+	for op := opCount - 1; op >= 0; op-- {
+		if op.isCheckpoint() && attempted[op] {
+			durable = append(durable, stamps[op])
+			if acked[op] {
+				break
+			}
+		}
+	}
+	if len(durable) == 0 {
+		durable = []usedByCols{{}} // nothing checkpointed: no stamp survives
+	}
+	for name, col := range readUsedBy(t, db) {
+		match := false
+		for _, cols := range durable {
+			same := true
+			for v, s := range col {
+				same = same && s == cols[name][v]
+			}
+			match = match || same
+		}
+		if !match {
+			t.Fatalf("%s: table %s recovered with prov_usedby %v, want its column at the last checkpoint or the one in flight %v", label, name, col, durable)
+		}
+	}
+}
+
 func TestCrashMatrix(t *testing.T) {
 	// Dry run: count the mutating filesystem operations the workload
-	// performs when nothing crashes.
-	dry := faultfs.New(newMapFS(), 0, 0)
-	acked, boot := crashWorkload(dry)
+	// performs when nothing crashes, and check which data files each
+	// checkpoint of the stamps legs wrote and left.
+	rec := newRecFS()
+	dry := faultfs.New(rec, 0, 0)
+	rec.written()
+	files := map[crashOp][]string{}
+	acked, _, boot := crashWorkload(t, dry, func(op crashOp) {
+		for _, p := range rec.written() {
+			if strings.HasSuffix(p, ".tbl") || strings.HasSuffix(p, ".stamps") {
+				files[op] = append(files[op], p[strings.LastIndex(p, "/")+1:])
+			}
+		}
+		if op == opCkptRewrite || op == opCkptDrop {
+			names, _ := rec.ReadDir("/data")
+			files[op] = append(files[op], "then: "+strings.Join(names, " "))
+		}
+	})
 	if !boot {
 		t.Fatal("dry run failed to boot")
 	}
 	for op := crashOp(0); op < opCount; op++ {
 		if !acked[op] {
 			t.Fatalf("dry run: op %d not acknowledged", op)
+		}
+	}
+	for op, want := range map[crashOp]string{
+		opCkptStamps:  "t.stamps u.stamps",
+		opCkptRewrite: "t.tbl then: t.tbl u.stamps u.tbl wal.log",
+		opCkptDrop:    "then: t.tbl wal.log",
+	} {
+		if got := strings.Join(files[op], " "); got != want {
+			t.Errorf("dry run: checkpoint %d wrote and left %q, want %q", op, got, want)
 		}
 	}
 	total := dry.Ops()
@@ -341,7 +476,7 @@ func TestCrashMatrix(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				inner := newMapFS()
 				ffs := faultfs.New(inner, crashAt, frac)
-				acked, _ := crashWorkload(ffs)
+				acked, stamps, _ := crashWorkload(t, ffs, nil)
 				if !ffs.Crashed() {
 					t.Fatalf("crash point %d never reached", crashAt)
 				}
@@ -352,7 +487,7 @@ func TestCrashMatrix(t *testing.T) {
 				if _, err := db.Recover(inner, "/data"); err != nil {
 					t.Fatalf("recovery after %s failed: %v", name, err)
 				}
-				checkContract(t, db, acked, name)
+				checkContract(t, db, acked, stamps, name)
 			})
 		}
 	}

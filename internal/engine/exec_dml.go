@@ -146,7 +146,7 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOpti
 	// addressable, superseded — so recording which ones matched is enough.
 	if ec.lin != nil {
 		reads = ec.lin.addReads(reads, t, matches)
-		t.touch() // for the prov_usedby stamps below, whatever else the loop gets to
+		t.stamped() // for the prov_usedby stamps below, whatever else the loop gets to
 	}
 	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {

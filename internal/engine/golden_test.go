@@ -11,7 +11,7 @@ import (
 // at-a-time codec (the commit before the bulk loader replaced it) and must
 // load and re-encode byte for byte under every later codec. Regenerate it
 // only for a deliberate format change.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.tbl from goldenDB and testdata/all_kinds.walrec from walGoldenEntries")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.tbl from goldenDB, testdata/golden.stamps from goldenStampsDir and testdata/all_kinds.walrec from walGoldenEntries")
 
 const goldenTablePath = "testdata/golden.tbl"
 

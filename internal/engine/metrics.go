@@ -39,12 +39,15 @@ var (
 
 	// Server start and stop: what the sync rule (DESIGN.md "Value layout and
 	// table storage") saved. A table is skipped or kept when it still equals
-	// the file in the directory.
+	// the files in the directory; a table that changed only in its stamps has
+	// its stamps file written.
 	mCkptWritten = obs.NewCounter("engine.checkpoint.tables_written", "Table files a checkpoint encoded and wrote")
-	mCkptSkipped = obs.NewCounter("engine.checkpoint.tables_skipped", "Tables a checkpoint did not write: the file already equals them")
-	mCkptBytes   = obs.NewCounter("engine.checkpoint.bytes_written", "Bytes of table files written by checkpoints")
+	mCkptSkipped = obs.NewCounter("engine.checkpoint.tables_skipped", "Tables a checkpoint did not write: the files already equal them")
+	mCkptStamps  = obs.NewCounter("engine.checkpoint.stamps_written", "Stamps files a checkpoint wrote instead of a table file: the table changed only in its prov_usedby stamps")
+	mCkptBytes   = obs.NewCounter("engine.checkpoint.bytes_written", "Bytes of table and stamps files written by checkpoints")
 	mLoadDecoded = obs.NewCounter("engine.load.tables_decoded", "Table files a data-directory load decoded")
 	mLoadKept    = obs.NewCounter("engine.load.tables_kept", "Table files a data-directory load read and verified but did not decode: the table in memory already equals them")
+	mLoadStamps  = obs.NewCounter("engine.load.stamps_applied", "Stamps files a data-directory load applied over the table file they name")
 
 	// Per-kind statement latency. Unknown statement types fall back to
 	// hExecOther. The family prefix carries the shared description (see init).

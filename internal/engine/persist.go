@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"path"
 	"reflect"
 	"strings"
@@ -64,12 +65,15 @@ func (im *fileImage) in(fs FileSystem, dir string) bool {
 }
 
 // Checkpoint brings dir up to date with the database: every table whose
-// <table>.tbl file there is not already the image the table equals (the sync
-// rule, DESIGN.md "Value layout and table storage") is written, in name
-// order, creating dir if needed. The checkpoint is a fresh snapshot's view:
-// uncommitted writes of transactions open at the time are excluded. When a
-// WAL is attached, a completed checkpoint also truncates the log records it
-// supersedes; see the protocol notes below.
+// <table>.tbl file there, amended by its <table>.stamps file if it has one, is
+// not already the image the table equals (the sync rule, DESIGN.md "Value
+// layout and table storage") is written, in name order, creating dir if
+// needed — only its stamps image when the .tbl still holds everything but
+// prov_usedby, else the table file, after which a .stamps beside it is
+// retired. The checkpoint is a fresh snapshot's view: uncommitted writes of
+// transactions open at the time are excluded. When a WAL is attached, a
+// completed checkpoint also truncates the log records it supersedes; see the
+// protocol notes below.
 //
 // Truncation protocol: commits hold commitMu shared across their WAL
 // append and active-set removal, and Checkpoint holds it exclusively while
@@ -82,7 +86,8 @@ func (im *fileImage) in(fs FileSystem, dir string) bool {
 // end mark, whose commit bumps nothing) is written again — and every commit
 // the snapshot misses sits at or after the cut, which truncateTo preserves.
 // A crash anywhere in between leaves old and new table files mixed with an
-// untruncated log, which recovery resolves by idempotent replay.
+// untruncated log, which recovery resolves by idempotent replay. No log
+// record carries a stamp: a stamps image is durable when its file is written.
 func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	if err := fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -106,31 +111,58 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	db.commitMu.Unlock()
 
 	for _, t := range tables {
-		file := t.Name + ".tbl"
-		had := onDisk[file]
-		delete(onDisk, file) // what is left at the end belongs to dropped tables
-		if im := t.current(); had && im != nil && im.in(fs, dir) {
-			mCkptSkipped.Inc()
-			continue
+		file, sfile := t.Name+".tbl", t.Name+".stamps"
+		had, hadStamps := onDisk[file], onDisk[sfile]
+		// What is left in onDisk at the end belongs to dropped tables, or is a
+		// stamps image no table file here is amended by any more.
+		delete(onDisk, file)
+		if im := t.tblCurrent(); had && im != nil && im.in(fs, dir) {
+			if im.stampsAt == t.stamps.Load() && (hadStamps || !im.hasStamps) {
+				if im.hasStamps {
+					delete(onDisk, sfile) // else it is stale: retired below
+				}
+				mCkptSkipped.Inc()
+				continue
+			}
+			written, err := checkpointStamps(t, im, fs, path.Join(dir, sfile))
+			if err != nil {
+				return err
+			}
+			if written {
+				delete(onDisk, sfile)
+				continue
+			}
 		}
 		t.mu.RLock()
-		at := t.mutations.Load() // before the horizon: see advanceHorizon
+		at, sat := t.mutations.Load(), t.stamps.Load() // before the horizon: see advanceHorizon
 		data, whole := encodeTable(t, snap, db.vacuumHorizon.Load())
 		t.mu.RUnlock()
+		digest := binary.BigEndian.Uint64(data[len(data)-digestLen:])
+		if hadStamps {
+			removed, err := retireStampsFirst(fs, path.Join(dir, sfile), digest)
+			if err != nil {
+				return fmt.Errorf("checkpoint table %s: %w", t.Name, err)
+			}
+			if removed {
+				delete(onDisk, sfile)
+			}
+		}
 		if err := fs.WriteFile(path.Join(dir, file), data); err != nil {
 			return fmt.Errorf("checkpoint table %s: %w", t.Name, err)
 		}
 		mCkptWritten.Inc()
 		mCkptBytes.Add(int64(len(data)))
 		if whole {
-			t.image.Store(&fileImage{digest: binary.BigEndian.Uint64(data[len(data)-digestLen:]), at: at, fs: fs, dir: dir})
+			t.image.Store(&fileImage{digest: digest, at: at, stampsAt: sat, fs: fs, dir: dir})
 		}
 	}
-	// Retire table files whose tables were dropped: once the DROP's WAL
-	// record is truncated below, a stale file would resurrect the table.
+	// Retire table files whose tables were dropped — once the DROP's WAL
+	// record is truncated below, a stale file would resurrect the table — and
+	// stamps images that amend a table file no longer there, after the table
+	// files that replace them.
 	if rm, ok := fs.(FileRemover); ok {
 		for _, n := range names {
-			if strings.HasSuffix(n, ".tbl") && onDisk[n] {
+			if (strings.HasSuffix(n, ".tbl") || strings.HasSuffix(n, ".stamps")) && onDisk[n] {
 				if err := rm.Remove(path.Join(dir, n)); err != nil {
 					return fmt.Errorf("checkpoint: retire %s: %w", n, err)
 				}
@@ -145,14 +177,73 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	return nil
 }
 
+// checkpointStamps writes the stamps image of a table that still equals the
+// .tbl image im but for its prov_usedby stamps, and reports false, writing
+// nothing, when a change came in since the caller looked: the table file
+// must be written.
+func checkpointStamps(t *Table, im *fileImage, fs FileSystem, file string) (bool, error) {
+	t.mu.RLock()
+	at, sat := t.mutations.Load(), t.stamps.Load()
+	var data []byte
+	if at == im.at {
+		data = encodeStamps(t, im.digest)
+	}
+	t.mu.RUnlock()
+	if data == nil {
+		return false, nil
+	}
+	if err := fs.WriteFile(file, data); err != nil {
+		return false, fmt.Errorf("checkpoint table %s: %w", t.Name, err)
+	}
+	mCkptStamps.Inc()
+	mCkptBytes.Add(int64(len(data)))
+	t.image.Store(&fileImage{digest: im.digest, at: at, stampsAt: sat, hasStamps: true,
+		stampsDigest: binary.BigEndian.Uint64(data[len(data)-digestLen:]), fs: fs, dir: im.dir})
+	return true, nil
+}
+
+// retireStampsFirst takes out of the way, before the table file with the
+// given digest is written, a stamps image that would amend it: one that
+// names that digest (the .tbl it amended is being written again byte for
+// byte, and the stamps the table holds are in it now), or one that does not
+// decode. Any other stamps image amends the old .tbl, and is retired only
+// after the new one is in place — a crash in between leaves the new file,
+// which it does not name. On a filesystem that removes no files the image
+// is overwritten with one that names no table file. removed reports that the
+// file is gone.
+func retireStampsFirst(fs FileSystem, file string, digest uint64) (removed bool, err error) {
+	data, err := fs.ReadFile(file)
+	if err != nil {
+		return false, err
+	}
+	if st, err := decodeStamps(data); err == nil && st.tbl != digest {
+		return false, nil
+	}
+	if rm, ok := fs.(FileRemover); ok {
+		return true, rm.Remove(file)
+	}
+	return false, fs.WriteFile(file, sealStamps(noTableFile, nil))
+}
+
 // LoadDir brings the database up to date with dir: every <table>.tbl file
-// there is read and its digest verified, and a file that is not the image
-// its table already equals is decoded into a table that replaces any
-// same-named one. A file must hold the table it is named after.
+// there is read and its digest verified, with the <table>.stamps file beside
+// it if there is one, and a file that is not the image its table already
+// equals is decoded into a table that replaces any same-named one — with the
+// stamps image applied when it names the table file's digest. A stamps image
+// that names another digest is what a crash leaves between a table file's
+// rewrite and its retirement, and is ignored; one whose own digest fails, or
+// whose runs do not cover the table file's live versions, is refused. A file
+// must hold the table it is named after.
 func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("load data dir: %w", err)
+	}
+	stamped := map[string]bool{} // tables with a stamps file
+	for _, n := range names {
+		if tn, ok := strings.CutSuffix(n, ".stamps"); ok {
+			stamped[tn] = true
+		}
 	}
 	var maxTS uint64
 	for _, n := range names {
@@ -168,9 +259,26 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 		if err != nil {
 			return fmt.Errorf("decode table file %s: %w", n, err)
 		}
+		var st *stampsImage
+		if stamped[tn] {
+			sn := tn + ".stamps"
+			sdata, err := fs.ReadFile(path.Join(dir, sn))
+			if err != nil {
+				return fmt.Errorf("load stamps file %s: %w", sn, err)
+			}
+			img, err := decodeStamps(sdata)
+			if err != nil {
+				return fmt.Errorf("decode stamps file %s: %w", sn, err)
+			}
+			if img.tbl == digest {
+				st = &img
+			}
+		}
 		if t, _ := db.lookupTable(tn); t != nil {
-			if im := t.current(); im != nil && im.digest == digest {
-				t.image.Store(&fileImage{digest: digest, at: im.at, fs: fs, dir: dir})
+			if im := t.current(); im != nil && im.digest == digest && im.hasStamps == (st != nil) && (st == nil || im.stampsDigest == st.digest) {
+				kept := *im
+				kept.fs, kept.dir = fs, dir
+				t.image.Store(&kept)
 				mLoadKept.Inc()
 				continue
 			}
@@ -183,11 +291,20 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 			return fmt.Errorf("table file %s holds table %q, not %q", n, img.t.Name, tn)
 		}
 		mLoadDecoded.Inc()
+		im := fileImage{digest: digest, fs: fs, dir: dir}
+		if st != nil {
+			if err := st.apply(img.t); err != nil {
+				return fmt.Errorf("apply stamps file %s.stamps: %w", tn, err)
+			}
+			im.hasStamps, im.stampsDigest = true, st.digest
+			mLoadStamps.Inc()
+		}
 		db.installTable(img)
 		// The table equals its file unless the database is past the file's
 		// horizon: encoded again it would carry the database's.
 		if img.horizon == db.vacuumHorizon.Load() {
-			img.t.image.Store(&fileImage{digest: digest, at: img.t.mutations.Load(), fs: fs, dir: dir})
+			im.at, im.stampsAt = img.t.mutations.Load(), img.t.stamps.Load()
+			img.t.image.Store(&im)
 		}
 		maxTS = max(maxTS, img.maxTS)
 	}
@@ -241,16 +358,148 @@ func digestOf(body []byte) uint64 {
 // tableDigest checks what can be checked of a table file without decoding it
 // — the magic, and the trailer against the bytes before it — and returns the
 // digest.
-func tableDigest(data []byte) (uint64, error) {
-	if len(data) < len(tableFileMagic)+digestLen || string(data[:len(tableFileMagic)]) != tableFileMagic {
-		return 0, fmt.Errorf("bad table file magic")
+func tableDigest(data []byte) (uint64, error) { return sealedDigest(data, tableFileMagic, "table") }
+
+// sealedDigest checks the magic and the digest trailer of a file of the
+// given kind, and returns the digest.
+func sealedDigest(data []byte, magic, kind string) (uint64, error) {
+	if len(data) < len(magic)+digestLen || string(data[:len(magic)]) != magic {
+		return 0, fmt.Errorf("bad %s file magic", kind)
 	}
 	body := data[:len(data)-digestLen]
 	digest := binary.BigEndian.Uint64(data[len(body):])
 	if digest != digestOf(body) {
-		return 0, fmt.Errorf("table file digest mismatch: truncated or corrupt")
+		return 0, fmt.Errorf("%s file digest mismatch: truncated or corrupt", kind)
 	}
 	return digest, nil
+}
+
+// The stamps-file format: the prov_usedby column of a table file's live
+// section, kept beside it as <table>.stamps so that a checkpoint after
+// lineage reads that changed nothing else writes it instead of the table
+// file (the sync rule). Written by encodeStamps, read by decodeStamps:
+//
+//	magic "LDVSTM1\n"
+//	table digest: 8 bytes, big-endian — the .tbl image it amends
+//	nruns, nruns × (length, stamp)
+//	digest: 8 bytes, big-endian, of every byte before them
+//
+// A run is a uvarint length ≥ 1 and a varint stamp, over the live records in
+// file order; runs are maximal (no two neighbours share a stamp) and their
+// lengths sum to the table file's nlive. A full lineage scan gives every
+// version it examines one stamp, so a table it read is one run. The image
+// replaces the whole column: a load applies it only over the table file it
+// names, and ignores it over any other.
+
+const stampsFileMagic = "LDVSTM1\n"
+
+// noTableFile is the table digest of a stamps image that amends no table
+// file: what replaces one that must go on a filesystem that removes nothing.
+const noTableFile = 0
+
+// stampRun is n consecutive live records stamped with one statement id.
+type stampRun struct {
+	n     uint64
+	stamp int64
+}
+
+// stampsImage is a decoded stamps file.
+type stampsImage struct {
+	tbl    uint64 // digest of the table file it amends
+	runs   []stampRun
+	total  uint64 // live records the runs cover
+	digest uint64 // its own
+}
+
+// liveStampRuns returns the prov_usedby column of t's live versions — those
+// with no end mark, which in a table that equals its file are the file's
+// live section, in its order — as maximal runs. Caller holds t.mu at least
+// shared.
+func liveStampRuns(t *Table) []stampRun {
+	var runs []stampRun
+	for _, r := range t.rows {
+		if r.end != 0 {
+			continue
+		}
+		if s := r.usedBy.Load(); len(runs) > 0 && runs[len(runs)-1].stamp == s {
+			runs[len(runs)-1].n++
+		} else {
+			runs = append(runs, stampRun{n: 1, stamp: s})
+		}
+	}
+	return runs
+}
+
+// encodeStamps renders the stamps image that amends the table file with
+// digest tbl, which t equals but for its prov_usedby stamps (caller holds
+// t.mu at least shared and has checked the mutation count under it).
+func encodeStamps(t *Table, tbl uint64) []byte { return sealStamps(tbl, liveStampRuns(t)) }
+
+func sealStamps(tbl uint64, runs []stampRun) []byte {
+	return encodeSealed(func(w *bin.Writer) {
+		w.Fixed([]byte(stampsFileMagic))
+		w.Fixed(binary.BigEndian.AppendUint64(nil, tbl))
+		w.Uvarint(uint64(len(runs)))
+		for _, r := range runs {
+			w.Uvarint(r.n)
+			w.Varint(r.stamp)
+		}
+	})
+}
+
+// decodeStamps reads a stamps file — outside input, like a table file: the
+// digest is verified first, the run count is checked against the bytes left
+// before the runs are sized from it, a run is never empty nor a neighbour's
+// stamp again, and trailing bytes are an error.
+func decodeStamps(data []byte) (stampsImage, error) {
+	digest, err := sealedDigest(data, stampsFileMagic, "stamps")
+	if err != nil {
+		return stampsImage{}, err
+	}
+	r := bin.NewReader(data[len(stampsFileMagic) : len(data)-digestLen])
+	st := stampsImage{digest: digest}
+	if b := r.Fixed(digestLen); b != nil {
+		st.tbl = binary.BigEndian.Uint64(b)
+	}
+	n := r.Count("run", 2)
+	st.runs = bin.Make[stampRun](n, r.Len())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		run := stampRun{n: r.Uvarint(), stamp: r.Varint()}
+		switch {
+		case r.Err() != nil:
+		case run.n == 0:
+			r.Failf("run %d is empty", i)
+		case run.n > math.MaxInt-st.total:
+			r.Failf("run %d: the runs cover more records than a table holds", i)
+		case i > 0 && st.runs[i-1].stamp == run.stamp:
+			r.Failf("run %d has the stamp of the run before it", i)
+		}
+		st.total += run.n
+		st.runs = append(st.runs, run)
+	}
+	return st, r.Done()
+}
+
+// apply sets the prov_usedby stamps of t, just decoded from the table file
+// st names, from the runs: its live versions are that file's live section,
+// in file order.
+func (st *stampsImage) apply(t *Table) error {
+	if live := uint64(t.liveRows.Load()); st.total != live {
+		return fmt.Errorf("stamps cover %d live versions, the table file holds %d", st.total, live)
+	}
+	i, left := 0, uint64(0)
+	for _, r := range t.rows {
+		if r.end != 0 {
+			continue
+		}
+		for left == 0 {
+			left = st.runs[i].n
+			i++
+		}
+		r.usedBy.Store(st.runs[i-1].stamp)
+		left--
+	}
+	return nil
 }
 
 // Row classes of one encode: what encodeTable's first pass decided for each
@@ -277,11 +526,13 @@ func loadedRowBytes(ncols int) int {
 // shared, so no version appears, vanishes or changes class between
 // bin.Encode's passes; prov_usedby, which lineage reads stamp under the
 // shared lock, is the one field that can — a stamp that grows a byte between
-// the passes makes the final append reallocate, nothing worse). The buffer
-// is allocated once at its final size, so a checkpoint allocates the bytes
-// it writes, the class array, and nothing else. whole reports that the image
-// holds every stored version and every end mark: only then does the table
-// equal it.
+// the passes makes the final append reallocate, nothing worse, and the
+// stamps counter the caller read before encoding leaves the table's stamps
+// dirty). The image carries every live version's stamp, so it supersedes any
+// stamps file beside the old one. The buffer is allocated once at its final
+// size, so a checkpoint allocates the bytes it writes, the class array, and
+// nothing else. whole reports that the image holds every stored version and
+// every end mark: only then does the table equal it.
 func encodeTable(t *Table, snap snapshot, horizon uint64) (data []byte, whole bool) {
 	class := make([]uint8, len(t.rows))
 	var nlive, ndead uint64

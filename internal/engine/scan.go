@@ -221,7 +221,7 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	}
 	visible := ec.snap.visible
 	if lin != nil {
-		defer sc.table.touch() // once the last stamp is in, however the scan ends
+		defer sc.table.stamped() // once the last stamp is in, however the scan ends
 		visible = func(r *storedRow) bool {
 			if !ec.snap.visible(r) {
 				return false

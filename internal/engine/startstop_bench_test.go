@@ -15,7 +15,9 @@ import (
 // the engine. Cold is the first start of a process (every file decoded) and
 // the stop after every table changed; Warm and Clean are a start and a stop
 // around a run that wrote nothing (`ldv_wide`), OneDirty the stop after one
-// that wrote `orders` (`ldv_app`).
+// that wrote `orders` (`ldv_app`), Stamped the stop after a lineage scan of
+// `lineitem` (a server-included audit of `ldv_app`'s select, which changes
+// only prov_usedby).
 
 func startStopDB(b *testing.B) (*engine.DB, *osim.FS) {
 	b.Helper()
@@ -48,6 +50,22 @@ func BenchmarkCheckpointOneDirty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		if _, err := db.Exec("UPDATE orders SET o_comment = 'x' WHERE o_orderkey = 1", engine.ExecOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := db.Checkpoint(fs, "/data"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCheckpointStamped(b *testing.B) {
+	db, fs := startStopDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := db.Exec("SELECT count(*) FROM lineitem", engine.ExecOptions{WithLineage: true}); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

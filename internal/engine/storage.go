@@ -85,31 +85,52 @@ type Table struct {
 	// vacuumPruned counts versions this table lost to vacuum passes.
 	vacuumPruned atomic.Int64
 
-	// mutations counts the changes to anything a table file carries, image
-	// is the file the table equalled when mutations read image.at: the sync
-	// rule of DESIGN.md "Value layout and table storage". Nothing ever clears
-	// a dirty bit, so a change that races a checkpoint is never lost.
+	// mutations counts the changes to anything a table file carries but the
+	// prov_usedby stamps, stamps counts the changes to those, and image is
+	// the file the table equalled when the two read image.at and
+	// image.stampsAt: the sync rule of DESIGN.md "Value layout and table
+	// storage". Nothing ever clears a dirty bit, so a change that races a
+	// checkpoint is never lost.
 	mutations atomic.Uint64
+	stamps    atomic.Uint64
 	image     atomic.Pointer[fileImage]
 }
 
 // fileImage names a table file by its digest, with where it was last written
-// or read and the table's mutation count when the table equalled it.
+// or read and the table's two counts when the table equalled it. The file
+// is the .tbl image amended, when hasStamps, by the .stamps image with
+// digest stampsDigest.
 type fileImage struct {
-	digest uint64
-	at     uint64
-	fs     FileSystem
-	dir    string
+	digest       uint64
+	at           uint64
+	stampsAt     uint64
+	hasStamps    bool
+	stampsDigest uint64
+	fs           FileSystem
+	dir          string
 }
 
-// touch records a change to what the table's file would hold. A writer
-// calls it inside its table-lock hold; a lineage read, which stamps
-// prov_usedby under the shared lock, calls it after its last stamp, so an
-// encode that saw only some of the stamps is invalidated by the call.
+// touch records a change to what the table's file would hold other than a
+// prov_usedby stamp. A writer calls it inside its table-lock hold.
 func (t *Table) touch() { t.mutations.Add(1) }
 
-// current returns the file image the table still equals, or nil.
+// stamped records a change to the table's prov_usedby stamps. A lineage
+// read, which stamps under the shared lock, calls it after its last stamp,
+// so an encode that saw only some of the stamps is invalidated by the call.
+func (t *Table) stamped() { t.stamps.Add(1) }
+
+// current returns the file image the table still equals, stamps included,
+// or nil.
 func (t *Table) current() *fileImage {
+	if im := t.tblCurrent(); im != nil && im.stampsAt == t.stamps.Load() {
+		return im
+	}
+	return nil
+}
+
+// tblCurrent returns the file image whose .tbl the table still equals but
+// for its prov_usedby stamps, or nil.
+func (t *Table) tblCurrent() *fileImage {
 	if im := t.image.Load(); im != nil && im.at == t.mutations.Load() {
 		return im
 	}

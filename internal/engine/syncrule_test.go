@@ -12,19 +12,22 @@ import (
 )
 
 // The sync rule against an oracle. A table that Checkpoint skips, or LoadDir
-// keeps, is claimed to equal its file; the oracle encodes it again and
-// compares the bytes. The workload interleaves everything that changes what a
+// keeps, is claimed to equal its files — its table file, amended by its
+// stamps file if it has one; the oracle decodes the two into a fresh
+// database, encodes that table and the one in memory, and compares the
+// bytes, prov_usedby included. The workload interleaves everything that changes what a
 // table file carries — DML, rolled-back and still-open transactions, lineage
 // reads (SELECT, SELECT PROVENANCE, COPY TO) from this goroutine and from a
 // concurrent one, COPY FROM, index DDL, VACUUM — with checkpoints, warm
 // restarts (LoadDir into the same database) and crashes (Recover into a new
-// one), so one missing touch() shows as a skipped table that differs from its
-// file, and a lost commit as a recovered table that differs from the one that
-// crashed.
+// one), so one missing touch() or stamped() shows as a skipped table that
+// differs from its files, and a lost commit as a recovered table that differs
+// from the one that crashed.
 
 // recFS is a mapFS that remembers which paths were written, in order, and can
 // die partway through a checkpoint: with failAfter set, the failAfter-th
-// table file written from then on, and every one after it, is refused.
+// table or stamps file written from then on, and every one after it, is
+// refused.
 type recFS struct {
 	*mapFS
 	mu        sync.Mutex
@@ -36,7 +39,7 @@ func newRecFS() *recFS { return &recFS{mapFS: newMapFS()} }
 
 func (r *recFS) WriteFile(p string, data []byte) error {
 	r.mu.Lock()
-	if r.failAfter > 0 && strings.HasSuffix(p, ".tbl") {
+	if r.failAfter > 0 && (strings.HasSuffix(p, ".tbl") || strings.HasSuffix(p, ".stamps")) {
 		if r.failAfter == 1 {
 			r.mu.Unlock()
 			return fmt.Errorf("recFS: the machine died before %s was written", p)
@@ -58,18 +61,24 @@ func (r *recFS) written() []string {
 	return w
 }
 
+// noRemoveFS is a FileSystem with none of the optional extensions: it
+// neither appends nor removes.
+type noRemoveFS struct{ FileSystem }
+
 const syncDir = "/d"
 
 type syncRun struct {
 	t    *testing.T
 	rng  *rand.Rand
 	fs   *recFS
+	data FileSystem // fs, or fs without its Remove: what checkpoints and loads go through
 	db   *DB
 	open []*Session // sessions holding an open transaction
 	next int        // next unused id
 	idx  []string   // live index names
 
 	skipped, kept int // tables checkpoints did not write, loads did not decode
+	stampsOnly    int // tables checkpoints wrote the stamps file of and not the table file
 
 	// The concurrent lineage reader runs one statement per kick; pending
 	// counts the kicks it has not finished.
@@ -122,9 +131,11 @@ func (w *syncRun) closeTxns() {
 	w.open = nil
 }
 
-// checkSynced is the oracle. Every table that says it equals a file (the
+// checkSynced is the oracle. Every table that says it equals its files (the
 // ones the next checkpoint would skip and the next load would keep) is
-// encoded again, and must be that file byte for byte.
+// decoded from them — the table file and the stamps file it names — into a
+// fresh database, and encoded again there and in memory: the two must be the
+// same bytes.
 func (w *syncRun) checkSynced(after string) {
 	w.t.Helper()
 	w.pending.Wait() // the reader's stamps are in, and counted
@@ -133,30 +144,67 @@ func (w *syncRun) checkSynced(after string) {
 		if im == nil {
 			continue
 		}
-		file, err := w.fs.ReadFile(im.dir + "/" + t.Name + ".tbl")
-		if err != nil {
+		files := newMapFS()
+		for _, ext := range []string{".tbl", ".stamps"} {
+			data, err := w.fs.ReadFile(im.dir + "/" + t.Name + ext)
+			if err == nil {
+				files.files["/f/"+t.Name+ext] = data
+			} else if ext == ".tbl" || im.hasStamps {
+				w.t.Fatalf("after %s: %s: %v", after, t.Name, err)
+			}
+		}
+		if stamps, ok := files.files["/f/"+t.Name+".stamps"]; ok {
+			st, err := decodeStamps(stamps)
+			if err != nil {
+				w.t.Fatalf("after %s: %s: %v", after, t.Name, err)
+			}
+			if names := st.tbl == im.digest; names != im.hasStamps || names && st.digest != im.stampsDigest {
+				w.t.Fatalf("after %s: table %s: its stamps file names its table file = %v, its image has one = %v", after, t.Name, names, im.hasStamps)
+			}
+		}
+		fresh := NewDB(nil)
+		if err := fresh.LoadDir(files, "/f"); err != nil {
 			w.t.Fatalf("after %s: %s: %v", after, t.Name, err)
 		}
+		ft, err := fresh.lookupTable(t.Name)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		ft.mu.RLock()
+		onDisk, _ := encodeTable(ft, fresh.takeSnapshot(0), fresh.vacuumHorizon.Load())
+		ft.mu.RUnlock()
 		t.mu.RLock()
-		data, _ := encodeTable(t, w.db.takeSnapshot(0), w.db.vacuumHorizon.Load())
+		inMemory, _ := encodeTable(t, w.db.takeSnapshot(0), w.db.vacuumHorizon.Load())
 		t.mu.RUnlock()
-		if !bytes.Equal(data, file) {
-			w.t.Fatalf("after %s: table %s says it equals its file and does not", after, t.Name)
+		if !bytes.Equal(onDisk, inMemory) {
+			w.t.Fatalf("after %s: table %s says it equals its files and does not", after, t.Name)
 		}
 	}
 }
 
-// checkpoint checkpoints and counts the tables it skipped.
+// checkpoint checkpoints and counts the tables it skipped and those it wrote
+// only the stamps file of.
 func (w *syncRun) checkpoint() {
 	w.t.Helper()
 	w.fs.written()
-	if err := w.db.Checkpoint(w.fs, syncDir); err != nil {
+	if err := w.db.Checkpoint(w.data, syncDir); err != nil {
 		w.t.Fatal(err)
 	}
-	w.skipped += len(w.db.TableNames())
+	wrote := map[string]string{}
 	for _, p := range w.fs.written() {
-		if strings.HasSuffix(p, ".tbl") {
-			w.skipped--
+		name := p[strings.LastIndex(p, "/")+1:]
+		if tn, ok := strings.CutSuffix(name, ".tbl"); ok {
+			wrote[tn] = ".tbl"
+		} else if tn, ok := strings.CutSuffix(name, ".stamps"); ok && wrote[tn] == "" {
+			wrote[tn] = ".stamps"
+		}
+	}
+	for _, tn := range w.db.TableNames() {
+		switch wrote[tn] {
+		case "":
+			w.skipped++
+		case ".stamps":
+			w.stampsOnly++
 		}
 	}
 }
@@ -182,9 +230,13 @@ func visibleState(t *testing.T, db *DB) string {
 	return sb.String()
 }
 
-func runSyncWorkload(t *testing.T, seed int64) (skipped, kept int) {
+func runSyncWorkload(t *testing.T, seed int64) (skipped, stampsOnly, kept int) {
 	w := &syncRun{t: t, rng: rand.New(rand.NewSource(seed)), fs: newRecFS(), db: NewDB(nil), kicks: make(chan *DB)}
-	if _, err := w.db.Recover(w.fs, syncDir); err != nil {
+	w.data = w.fs
+	if seed%2 == 1 { // stale stamps files stay, and are overwritten or ignored
+		w.data = noRemoveFS{w.fs}
+	}
+	if _, err := w.db.Recover(w.data, syncDir); err != nil {
 		t.Fatal(err)
 	}
 	var reader sync.WaitGroup
@@ -269,7 +321,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, kept int) {
 			w.exec(auto(), []string{"VACUUM", "VACUUM RETAIN 5"}[w.rng.Intn(2)], ExecOptions{})
 		case op < 16 && w.rng.Intn(2) == 0: // a second directory: what is there is another image
 			w.pending.Wait()
-			if err := w.db.Checkpoint(w.fs, "/backup"); err != nil {
+			if err := w.db.Checkpoint(w.data, "/backup"); err != nil {
 				t.Fatal(err)
 			}
 			backup := NewDB(nil)
@@ -293,7 +345,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, kept int) {
 			for _, tbl := range w.db.tableList() {
 				before[tbl] = true
 			}
-			if err := w.db.LoadDir(w.fs, syncDir); err != nil {
+			if err := w.db.LoadDir(w.data, syncDir); err != nil {
 				t.Fatal(err)
 			}
 			for _, tbl := range w.db.tableList() {
@@ -306,7 +358,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, kept int) {
 			want := visibleState(t, w.db)
 			if w.rng.Intn(2) == 0 {
 				w.fs.failAfter = 1 + w.rng.Intn(len(syncTables))
-				_ = w.db.Checkpoint(w.fs, syncDir) // fails, unless it skipped enough tables to finish
+				_ = w.db.Checkpoint(w.data, syncDir) // fails, unless it skipped enough tables to finish
 				w.fs.failAfter = 0
 			}
 			for _, s := range w.open {
@@ -314,7 +366,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, kept int) {
 			}
 			w.open = nil
 			w.db = NewDB(nil)
-			if _, err := w.db.Recover(w.fs, syncDir); err != nil {
+			if _, err := w.db.Recover(w.data, syncDir); err != nil {
 				t.Fatal(err)
 			}
 			if got := visibleState(t, w.db); got != want {
@@ -336,28 +388,31 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, kept int) {
 	if want, got := dumpDB(w.db), dumpDB(fresh); got != want {
 		t.Fatalf("the directory does not hold the database\n--- in memory\n%s\n--- loaded\n%s", want, got)
 	}
-	return w.skipped, w.kept
+	return w.skipped, w.stampsOnly, w.kept
 }
 
 func TestSyncRuleAgainstOracle(t *testing.T) {
-	var skipped, kept int
+	var skipped, stampsOnly, kept int
 	for seed := int64(0); seed < 40; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			s, k := runSyncWorkload(t, seed)
-			skipped, kept = skipped+s, kept+k
+			s, so, k := runSyncWorkload(t, seed)
+			skipped, stampsOnly, kept = skipped+s, stampsOnly+so, kept+k
 		})
 	}
-	t.Logf("%d tables skipped by checkpoints, %d kept by loads", skipped, kept)
-	if skipped < 16 || kept < 16 {
+	t.Logf("%d tables skipped by checkpoints, %d written as stamps files alone, %d kept by loads", skipped, stampsOnly, kept)
+	if skipped < 16 || stampsOnly < 16 || kept < 16 {
 		t.Errorf("the workloads hardly exercise the rule")
 	}
 }
 
 // TestEveryMutatorTouches pins the other half of the rule one operation at a
-// time: whatever changes a byte of a table's file moves its mutation counter
-// — also where another touch or the whole-image condition would cover for a
-// missing one today (a rollback, a prune under a horizon that already moved)
-// — and what changes none leaves a synced table synced.
+// time: whatever changes a byte of a table's file other than a prov_usedby
+// stamp moves its mutation counter — also where another touch or the
+// whole-image condition would cover for a missing one today (a rollback, a
+// prune under a horizon that already moved) — whatever changes a stamp moves
+// its stamps counter, and what changes neither leaves a synced table synced.
+// A lineage read moves the stamps counter alone: a checkpoint after it
+// writes the stamps file, not the table file.
 func TestEveryMutatorTouches(t *testing.T) {
 	db := newTestDB(t, "CREATE TABLE t (id INT PRIMARY KEY, a INT)")
 	fs := newMapFS()
@@ -378,44 +433,49 @@ func TestEveryMutatorTouches(t *testing.T) {
 	lin := run(db.defaultSession(), ExecOptions{FS: fs, WithLineage: true})
 	txn := run(s, ExecOptions{})
 	for _, step := range []struct {
-		name    string
-		do      func()
-		touches bool
+		name            string
+		do              func()
+		touches, stamps bool
 	}{
-		{"insert", auto("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4)"), true},
-		{"update", auto("UPDATE t SET a = 10 WHERE id = 1"), true},
-		{"delete", auto("DELETE FROM t WHERE id = 2"), true},
-		{"select", auto("SELECT * FROM t"), false},
-		{"explain analyze", auto("EXPLAIN ANALYZE SELECT * FROM t"), false},
-		{"select with lineage", lin("SELECT id FROM t WHERE id = 3"), true},
-		{"select provenance", auto("SELECT PROVENANCE id FROM t"), true},
-		{"copy to", auto("COPY t TO '/out.csv'"), false},
-		{"copy to with lineage", lin("COPY t TO '/out.csv'"), true},
-		{"copy from", func() { fs.WriteFile("/in.csv", []byte("9,9\n")); auto("COPY t FROM '/in.csv'")() }, true},
-		{"create index", auto("CREATE INDEX t_a ON t (a)"), true},
-		{"drop index", auto("DROP INDEX t_a"), true},
-		{"begin", txn("BEGIN"), false},
-		{"insert in a transaction", txn("INSERT INTO t VALUES (5, 5)"), true},
-		{"update in a transaction", txn("UPDATE t SET a = 30 WHERE id = 3"), true},
-		{"delete in a transaction", txn("DELETE FROM t WHERE id = 4"), true},
-		{"rollback of all three", txn("ROLLBACK"), true},
-		{"begin again", txn("BEGIN"), false},
-		{"delete again", txn("DELETE FROM t WHERE id = 4"), true},
-		{"rollback of the delete alone", txn("ROLLBACK"), true},
-		{"begin once more", txn("BEGIN"), false},
-		{"insert again", txn("INSERT INTO t VALUES (5, 5)"), true},
-		{"rollback of the insert alone", txn("ROLLBACK"), true},
+		{"insert", auto("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4), (10, 10), (11, 11)"), true, false},
+		{"update", auto("UPDATE t SET a = 10 WHERE id = 1"), true, false},
+		{"delete", auto("DELETE FROM t WHERE id = 2"), true, false},
+		{"select", auto("SELECT * FROM t"), false, false},
+		{"explain analyze", auto("EXPLAIN ANALYZE SELECT * FROM t"), false, false},
+		{"select with lineage", lin("SELECT id FROM t WHERE id = 3"), false, true},
+		{"select provenance", auto("SELECT PROVENANCE id FROM t"), false, true},
+		{"copy to", auto("COPY t TO '/out.csv'"), false, false},
+		{"copy to with lineage", lin("COPY t TO '/out.csv'"), false, true},
+		{"update with lineage", lin("UPDATE t SET a = 12 WHERE id = 1"), true, true},
+		// The DELETE matcher stamps nothing (the versions it reads die), a
+		// subquery's scan does.
+		{"delete with lineage", lin("DELETE FROM t WHERE id = 10"), true, false},
+		{"delete with a lineage subquery", lin("DELETE FROM t WHERE id IN (SELECT id FROM t WHERE a = 11)"), true, true},
+		{"copy from", func() { fs.WriteFile("/in.csv", []byte("9,9\n")); auto("COPY t FROM '/in.csv'")() }, true, false},
+		{"create index", auto("CREATE INDEX t_a ON t (a)"), true, false},
+		{"drop index", auto("DROP INDEX t_a"), true, false},
+		{"begin", txn("BEGIN"), false, false},
+		{"insert in a transaction", txn("INSERT INTO t VALUES (5, 5)"), true, false},
+		{"update in a transaction", txn("UPDATE t SET a = 30 WHERE id = 3"), true, false},
+		{"delete in a transaction", txn("DELETE FROM t WHERE id = 4"), true, false},
+		{"rollback of all three", txn("ROLLBACK"), true, false},
+		{"begin again", txn("BEGIN"), false, false},
+		{"delete again", txn("DELETE FROM t WHERE id = 4"), true, false},
+		{"rollback of the delete alone", txn("ROLLBACK"), true, false},
+		{"begin once more", txn("BEGIN"), false, false},
+		{"insert again", txn("INSERT INTO t VALUES (5, 5)"), true, false},
+		{"rollback of the insert alone", txn("ROLLBACK"), true, false},
 		{"a statement that undoes itself", func() {
 			if _, err := db.Exec("INSERT INTO t VALUES (6, 6), (1, 1)", ExecOptions{}); err == nil {
 				t.Fatal("duplicate key accepted")
 			}
-		}, true},
-		{"vacuum that moves the horizon", auto("VACUUM"), true},
+		}, true, false},
+		{"vacuum that moves the horizon", auto("VACUUM"), true, false},
 		{"vacuum that moves nothing", func() {
 			if _, err := db.VacuumTo(db.VacuumHorizon()); err != nil {
 				t.Fatal(err)
 			}
-		}, false},
+		}, false, false},
 		{"prune under a horizon that had already moved", func() {
 			auto("DELETE FROM t WHERE id = 3")()
 			db.advanceHorizon(db.ClockNow())
@@ -423,12 +483,12 @@ func TestEveryMutatorTouches(t *testing.T) {
 			if db.pruneVersions(db.VacuumHorizon()) != 1 || tbl.mutations.Load() == before {
 				t.Error("pruneVersions removed a version without touching the table")
 			}
-		}, true},
+		}, true, false},
 		{"insert direct", func() {
 			if _, err := db.InsertRowDirect("t", []sqlval.Value{sqlval.NewInt(7), sqlval.NewInt(7)}); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}, true, false},
 		{"restore rows", func() {
 			done := false
 			if err := db.RestoreRows("t", 1, func(r *RestoredRow) (bool, error) {
@@ -438,7 +498,7 @@ func TestEveryMutatorTouches(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}, true, false},
 	} {
 		if s.txn == nil { // an open transaction's versions keep the table from syncing at all
 			if err := db.Checkpoint(fs, "/d"); err != nil {
@@ -448,10 +508,13 @@ func TestEveryMutatorTouches(t *testing.T) {
 				t.Fatalf("before %s: the table is not synced after a checkpoint", step.name)
 			}
 		}
-		before := tbl.mutations.Load()
+		before, stampsBefore := tbl.mutations.Load(), tbl.stamps.Load()
 		step.do()
 		if moved := tbl.mutations.Load() != before; moved != step.touches {
 			t.Errorf("%s: mutation counter moved = %v, want %v", step.name, moved, step.touches)
+		}
+		if moved := tbl.stamps.Load() != stampsBefore; moved != step.stamps {
+			t.Errorf("%s: stamps counter moved = %v, want %v", step.name, moved, step.stamps)
 		}
 	}
 }

@@ -17,11 +17,12 @@ import (
 // counters show it: the server reads every data file on every start (so a
 // file-granularity packager still captures them), but decodes only a file its
 // database does not already equal, and on stop writes only the tables the run
-// changed — a plain run's writes, an audited run's prov_usedby stamps. A
-// server-included replay's server starts from the package's table files and
-// follows the same rule.
+// changed — a plain run's writes as table files, an audited run's
+// prov_usedby stamps as stamps files beside them. A server-included replay's
+// server starts from the package's table files and follows the same rule.
 
-// dataFileTrace records which data files were opened, by whom, for what.
+// dataFileTrace records which data files (table and stamps files) were
+// opened, by whom, for what.
 type dataFileTrace struct {
 	mu     sync.Mutex
 	reads  map[string]bool
@@ -34,12 +35,12 @@ func newDataFileTrace() *dataFileTrace {
 }
 
 func (tr *dataFileTrace) OnEvent(ev osim.Event) {
-	if ev.Kind != osim.EvOpen || !strings.HasSuffix(ev.Path, ".tbl") {
+	if ev.Kind != osim.EvOpen || !strings.HasSuffix(ev.Path, ".tbl") && !strings.HasSuffix(ev.Path, ".stamps") {
 		return
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	name := strings.TrimSuffix(ev.Path[strings.LastIndex(ev.Path, "/")+1:], ".tbl")
+	name := ev.Path[strings.LastIndex(ev.Path, "/")+1:]
 	if ev.Write {
 		tr.writes[name] = true
 	} else {
@@ -80,6 +81,7 @@ func shopApp(name string, stmts ...string) App {
 
 func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 	all := []string{"audit_log", "items", "sales"}
+	allFiles := []string{"audit_log.tbl", "items.tbl", "sales.tbl"}
 	newShop := func(t *testing.T) *Machine {
 		t.Helper()
 		m, err := NewMachine()
@@ -142,11 +144,11 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 		wantWrite []string
 	}{
 		{"plain run of a select-only app", Run, selects, nil},
-		{"plain run of an app that writes one table", Run, writes, []string{"sales"}},
+		{"plain run of an app that writes one table", Run, writes, []string{"sales.tbl"}},
 		{"audited select: the tables whose prov_usedby it stamped", func(m *Machine, apps []App) error {
 			_, err := Audit(m, apps)
 			return err
-		}, selects, []string{"items", "sales"}},
+		}, selects, []string{"items.stamps", "sales.stamps"}},
 		{"select audited without lineage", func(m *Machine, apps []App) error {
 			_, err := AuditWithOptions(m, apps, AuditOptions{})
 			return err
@@ -163,8 +165,8 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 				if err := tc.run(m, []App{tc.app}); err != nil {
 					t.Fatal(err)
 				}
-				if got := sortedKeys(tr.reads); !reflect.DeepEqual(got, all) {
-					t.Errorf("the server read %v, want every data file %v", got, all)
+				if got := sortedKeys(tr.reads); !reflect.DeepEqual(got, allFiles) {
+					t.Errorf("the server read %v, want every data file %v", got, allFiles)
 				}
 				if got := sortedKeys(tr.writes); !reflect.DeepEqual(got, append([]string{}, tc.wantWrite...)) {
 					t.Errorf("the server wrote %v, want %v", got, tc.wantWrite)
@@ -194,6 +196,31 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 						t.Errorf("%s on disk:\n%v\nin memory:\n%v", name, got.Rows, want.Rows)
 					}
 				}
+
+				// A second start on the same machine reads every data file,
+				// stamps files included, and decodes none of them: the
+				// database already equals what the stop wrote.
+				want := map[string]bool{}
+				for _, f := range append(allFiles, tc.wantWrite...) {
+					want[f] = true
+				}
+				again := newDataFileTrace()
+				m.Kernel.Trace(again)
+				defer m.Kernel.Detach(again)
+				applied := obs.Default().Counter("engine.load.stamps_applied")
+				before, appliedBefore := decoded.Load(), applied.Load()
+				if err := Run(m, []App{selects}); err != nil {
+					t.Fatal(err)
+				}
+				if got := sortedKeys(again.reads); !reflect.DeepEqual(got, sortedKeys(want)) {
+					t.Errorf("the second start read %v, want %v", got, sortedKeys(want))
+				}
+				if n, a := decoded.Load()-before, applied.Load()-appliedBefore; n != 0 || a != 0 {
+					t.Errorf("the second start decoded %d table files and applied %d stamps files, want none", n, a)
+				}
+				if len(again.writes) != 0 {
+					t.Errorf("the second stop wrote %v, want nothing", sortedKeys(again.writes))
+				}
 			})
 		}
 	}
@@ -207,7 +234,7 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 		wantWrite []string
 	}{
 		{"server-included replay of a select-only app", selects, nil},
-		{"server-included replay of an app that writes one table", writes, []string{"sales"}},
+		{"server-included replay of an app that writes one table", writes, []string{"sales.tbl"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := boots["persisted"](t)
@@ -233,8 +260,8 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 			if err := setup.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got := sortedKeys(tr.reads); !reflect.DeepEqual(got, all) {
-				t.Errorf("the replayed server read %v, want every packaged table file %v", got, all)
+			if got := sortedKeys(tr.reads); !reflect.DeepEqual(got, allFiles) {
+				t.Errorf("the replayed server read %v, want every packaged table file %v", got, allFiles)
 			}
 			if n := decoded.Load() - before; n != int64(len(all)) {
 				t.Errorf("the replayed server decoded %d table files, want %d", n, len(all))
