@@ -130,6 +130,29 @@ func BenchmarkBuildServerIncluded(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceMarshalWide times the trace's share of package_si_ms on
+// ldv_wide: the audited wide trace marshalled and gzipped at traceGzipLevel,
+// the bytes BuildServerIncluded stores as TracePath. It reports the encoded
+// size as bytes/op and the stored size as gzip-B.
+func BenchmarkTraceMarshalWide(b *testing.B) {
+	_, aud, _ := auditWide(b)
+	tr := aud.Trace()
+	var zipped []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := tr.Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if zipped, err = gzipLevel(data, traceGzipLevel); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+	}
+	b.ReportMetric(float64(len(zipped)), "gzip-B")
+}
+
 // BenchmarkReplayWide times what the repository benchmark reports as
 // replay_si_ms on ldv_wide: the server-included package unmarshalled,
 // prepared and run — the server's start, the application, the server's stop.

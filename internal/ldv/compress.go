@@ -27,12 +27,12 @@ var (
 func gzipBytes(data []byte) ([]byte, error) { return gzipLevel(data, gzip.DefaultCompression) }
 
 // traceGzipLevel is the level the execution trace is stored at. Its binary
-// encoding is already compact (varints, one string table), so the default
-// level's longer match search buys little: on the ldv_wide trace (752 KB
-// encoded) BestSpeed takes 9 ms for 288 KB where the default takes 57 ms for
-// 269 KB (DESIGN.md "Trace format"). The DB log keeps the default: at
-// BestSpeed the ldv_wide log's 193 KB would grow to 221 KB, 1 % of its
-// package (DESIGN.md "Compression").
+// encoding is already compact (delta-coded varint columns, one string
+// table), so the default level's longer match search buys little: on the
+// ldv_wide trace (346 KB encoded) BestSpeed takes 3.3 ms for 131 KB where the
+// default takes 11.9 ms for 113 KB (DESIGN.md "Trace format"). The DB log
+// keeps the default: at BestSpeed the ldv_wide log's 193 KB would grow to
+// 221 KB, 1 % of its package (DESIGN.md "Compression").
 const traceGzipLevel = gzip.BestSpeed
 
 func gzipLevel(data []byte, level int) ([]byte, error) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"ldv/internal/bin"
@@ -23,20 +24,27 @@ import (
 //	         by 1-based position, 0 being ""
 //	nodes    groups ascending by (type name, key kind), each: type string,
 //	         kind, count, then the keys ascending by (string, A, B) with
-//	         only the fields their kind uses; a node's index is its
-//	         position in this table
+//	         only the fields their kind uses, each field a delta from the
+//	         previous key's while the fields before it repeat and whole
+//	         after one that does not; a node's index is its position in
+//	         this table
 //	attrs    one list per Attr in declaration order: (node delta, string),
 //	         nodes strictly ascending
 //	labels   the model's edge labels, ascending
-//	edges    ascending by (begin, end, from, to, label, trace):
-//	         begin delta, end-begin, from, to, label, trace string
-//	deps     ascending by (from, to), each pair once: from delta, to
+//	edges    ascending by (begin, end, from, to, label, trace), column by
+//	         column: the distinct intervals as runs (begin delta, end-begin,
+//	         edges in the run); from, a delta within its run; to, a delta
+//	         while from repeats; label, then trace string, as (value, run
+//	         length) pairs
+//	deps     ascending by (from, to), each pair once: from delta, to (a
+//	         delta while from repeats)
 //
-// Node indices, string indices and the two orders are canonical, so equal
-// traces marshal to equal bytes whatever order they were built in.
+// Node indices, string indices and the three orders are canonical, so equal
+// traces marshal to equal bytes whatever order they were built in; the
+// decoder accepts nothing else, so what it accepts marshals back to itself.
 const (
 	traceMagic   = "LDVT"
-	traceVersion = 1
+	traceVersion = 2
 )
 
 // kindFields says which key fields each kind encodes.
@@ -49,33 +57,46 @@ var kindFields = [numKinds]struct{ str, a, b bool }{
 	KindResult: {a: true, b: true},
 }
 
-// compareKeys orders keys by (kind, string, A, B); the comparisons are
-// spelled out, not folded through cmp.Or, because the sorts over them are
-// most of what Marshal costs.
-func compareKeys(x, y Key) int {
-	switch {
-	case x.Kind != y.Kind:
-		return cmp.Compare(x.Kind, y.Kind)
-	case x.Str != y.Str:
-		return cmp.Compare(x.Str, y.Str)
-	case x.A != y.A:
-		return cmp.Compare(x.A, y.A)
-	}
-	return cmp.Compare(x.B, y.B)
+// canon is a trace's canonical numbering and order — what Marshal writes —
+// computed from content alone, in passes linear in the trace: counting sorts
+// over dense indices, the only comparison sorts being those of the strings
+// and of the few distinct intervals.
+type canon struct {
+	strs    []StrID  // the referenced strings, ascending: canonical index i+1
+	strMap  []StrID  // string-table index → canonical index
+	nodes   []uint32 // refs in canonical order
+	nodeMap []Ref    // ref → canonical index
+
+	// edges holds indices into Trace.edges in canonical order; from, to,
+	// label, trace and ival are indexed like Trace.edges and hold each
+	// edge's canonical node, label and string indices and its interval's
+	// index into ivals, the distinct intervals ascending.
+	edges                        []uint32
+	from, to, label, trace, ival []uint32
+	ivals                        []Interval
+
+	deps []Dep // canonical indices, ascending, each pair once
 }
 
-type sortNode struct {
-	typ uint8
-	key Key // Str already canonical
-	old Ref
+func (tr *Trace) canonicalize() *canon {
+	c := &canon{}
+	c.strs, c.strMap = tr.canonicalStrings()
+	n := len(tr.keys)
+	count := make([]uint32, max(n, len(c.strs)+1, len(tr.types)*int(numKinds), len(tr.labels))+1)
+	c.nodes, c.nodeMap = tr.nodeOrder(c.strMap, len(c.strs)+1, count)
+	tr.edgeOrder(c, count)
+	c.deps = packDeps(tr.deps, c.nodeMap, n)
+	return c
 }
 
-// Marshal serializes the trace to its package representation.
-func (tr *Trace) Marshal() ([]byte, error) {
-	// Canonical string indices: referenced strings only, ascending.
+// canonicalStrings returns the strings the trace references, ascending, and
+// the map from string-table index to canonical index (1-based, 0 for "").
+func (tr *Trace) canonicalStrings() (order, strMap []StrID) {
 	used := make([]bool, len(tr.strs))
 	for _, k := range tr.keys {
-		used[k.Str] = true
+		if kindFields[k.Kind].str {
+			used[k.Str] = true
+		}
 	}
 	for _, table := range tr.attrs {
 		for _, s := range table {
@@ -85,94 +106,270 @@ func (tr *Trace) Marshal() ([]byte, error) {
 	for _, e := range tr.edges {
 		used[e.Trace] = true
 	}
-	var strOrder []StrID
 	for s := 1; s < len(used); s++ {
 		if used[s] {
-			strOrder = append(strOrder, StrID(s))
+			order = append(order, StrID(s))
 		}
 	}
-	slices.SortFunc(strOrder, func(a, b StrID) int { return cmp.Compare(tr.strs[a], tr.strs[b]) })
-	strMap := make([]StrID, len(tr.strs))
-	for i, s := range strOrder {
+	slices.SortFunc(order, func(a, b StrID) int { return cmp.Compare(tr.strs[a], tr.strs[b]) })
+	strMap = make([]StrID, len(tr.strs))
+	for i, s := range order {
 		strMap[s] = StrID(i + 1)
 	}
+	return order, strMap
+}
 
-	// Canonical node indices: by type (the type table is sorted), then key.
-	nodes := make([]sortNode, len(tr.keys))
+// countingPass stably reorders perm by key[perm[i]], each below buckets, into
+// tmp and returns the two slices swapped — or returns them as they were when
+// every key is the same. count is scratch of at least buckets+1 entries.
+func countingPass(perm, tmp, key []uint32, buckets int, count []uint32) ([]uint32, []uint32) {
+	if len(perm) == 0 {
+		return perm, tmp
+	}
+	count = count[:buckets+1]
+	clear(count)
+	for _, p := range perm {
+		count[key[p]+1]++
+	}
+	if count[key[perm[0]]+1] == uint32(len(perm)) {
+		return perm, tmp
+	}
+	for b := 1; b < len(count); b++ {
+		count[b] += count[b-1]
+	}
+	for _, p := range perm {
+		k := key[p]
+		tmp[count[k]] = p
+		count[k]++
+	}
+	return tmp, perm
+}
+
+// nodeOrder returns the refs in canonical order — by (type, kind, string,
+// A, B) — and the inverse map. Two stable counting passes, on the string's
+// canonical index and then on (type, kind), put the nodes in buckets of one
+// type, kind and string; radixAB sorts each bucket on (A, B).
+func (tr *Trace) nodeOrder(strMap []StrID, nstr int, count []uint32) (order []uint32, nodeMap []Ref) {
+	n := len(tr.keys)
+	key := make([]uint32, n)
+	order, tmp := make([]uint32, n), make([]uint32, n)
 	for r, k := range tr.keys {
-		k.Str = strMap[k.Str]
-		nodes[r] = sortNode{typ: tr.typ[r], key: k, old: Ref(r)}
+		key[r] = uint32(strMap[k.Str])
+		order[r] = uint32(r)
 	}
-	slices.SortFunc(nodes, func(x, y sortNode) int {
-		if x.typ != y.typ {
-			return cmp.Compare(x.typ, y.typ)
+	order, tmp = countingPass(order, tmp, key, nstr, count)
+	for r, k := range tr.keys {
+		key[r] = uint32(tr.typ[r])*uint32(numKinds) + uint32(k.Kind)
+	}
+	order, tmp = countingPass(order, tmp, key, len(tr.types)*int(numKinds), count)
+	for lo := 0; lo < n; {
+		first := order[lo]
+		hi := lo + 1
+		for hi < n && tr.typ[order[hi]] == tr.typ[first] && tr.keys[order[hi]].Kind == tr.keys[first].Kind &&
+			strMap[tr.keys[order[hi]].Str] == strMap[tr.keys[first].Str] {
+			hi++
 		}
-		return compareKeys(x.key, y.key)
-	})
-	nodeMap := make([]Ref, len(nodes))
-	for i, n := range nodes {
-		nodeMap[n.old] = Ref(i)
+		tr.radixAB(order[lo:hi], tmp[lo:hi])
+		lo = hi
 	}
+	nodeMap = make([]Ref, n)
+	for i, r := range order {
+		nodeMap[r] = Ref(i)
+	}
+	return order, nodeMap
+}
 
-	edges := make([]Edge, len(tr.edges))
+// radixAB sorts one bucket of refs on (A, B), tmp being scratch of its
+// length: an LSD radix sort over as many 8-bit digits as the bucket's
+// largest B and then its largest A need, skipping a digit every key shares.
+func (tr *Trace) radixAB(b, tmp []uint32) {
+	keys := tr.keys
+	var orA, orB uint64
+	for _, r := range b {
+		orA |= keys[r].A
+		orB |= keys[r].B
+	}
+	src, dst := b, tmp
+	for shift := 0; shift < bits.Len64(orB); shift += 8 {
+		if tr.digitPass(src, dst, false, uint(shift)) {
+			src, dst = dst, src
+		}
+	}
+	for shift := 0; shift < bits.Len64(orA); shift += 8 {
+		if tr.digitPass(src, dst, true, uint(shift)) {
+			src, dst = dst, src
+		}
+	}
+	if len(b) > 0 && &src[0] != &b[0] {
+		copy(b, src)
+	}
+}
+
+// digitPass stably reorders src into dst by the 8-bit digit at shift of each
+// key's A (or B), reporting false, and leaving dst alone, when all share it.
+func (tr *Trace) digitPass(src, dst []uint32, a bool, shift uint) bool {
+	var count [257]uint32
+	for _, r := range src {
+		count[int(tr.digit(r, a, shift))+1]++
+	}
+	if count[int(tr.digit(src[0], a, shift))+1] == uint32(len(src)) {
+		return false
+	}
+	for d := 1; d < len(count); d++ {
+		count[d] += count[d-1]
+	}
+	for _, r := range src {
+		d := tr.digit(r, a, shift)
+		dst[count[d]] = r
+		count[d]++
+	}
+	return true
+}
+
+func (tr *Trace) digit(r uint32, a bool, shift uint) uint8 {
+	if a {
+		return uint8(tr.keys[r].A >> shift)
+	}
+	return uint8(tr.keys[r].B >> shift)
+}
+
+// edgeOrder fills c's edge columns and puts the edges in canonical order —
+// by (interval, from, to, label, trace) — with stable counting passes over
+// a permutation, on trace, label, to, from and the interval's rank.
+func (tr *Trace) edgeOrder(c *canon, count []uint32) {
+	m := len(tr.edges)
+	cols := make([]uint32, 5*m)
+	c.from, c.to, c.label, c.trace, c.ival = cols[:m], cols[m:2*m], cols[2*m:3*m], cols[3*m:4*m], cols[4*m:]
+	order, tmp := make([]uint32, m), make([]uint32, m)
 	for i, e := range tr.edges {
-		e.From, e.To, e.Trace = nodeMap[e.From], nodeMap[e.To], strMap[e.Trace]
-		edges[i] = e
+		c.from[i], c.to[i] = uint32(c.nodeMap[e.From]), uint32(c.nodeMap[e.To])
+		c.label[i], c.trace[i] = uint32(e.Label), uint32(c.strMap[e.Trace])
+		order[i] = uint32(i)
 	}
-	slices.SortFunc(edges, func(x, y Edge) int {
-		switch {
-		case x.T.Begin != y.T.Begin:
-			return cmp.Compare(x.T.Begin, y.T.Begin)
-		case x.T.End != y.T.End:
-			return cmp.Compare(x.T.End, y.T.End)
-		case x.From != y.From:
-			return cmp.Compare(x.From, y.From)
-		case x.To != y.To:
-			return cmp.Compare(x.To, y.To)
-		case x.Label != y.Label:
-			return cmp.Compare(x.Label, y.Label)
+	c.ivals = intervalRanks(tr.edges, c.ival)
+	if len(c.ivals) >= len(count) {
+		count = make([]uint32, len(c.ivals)+1)
+	}
+	n := len(tr.keys)
+	order, tmp = countingPass(order, tmp, c.trace, len(c.strs)+1, count)
+	order, tmp = countingPass(order, tmp, c.label, len(tr.labels), count)
+	order, tmp = countingPass(order, tmp, c.to, n, count)
+	order, tmp = countingPass(order, tmp, c.from, n, count)
+	c.edges, _ = countingPass(order, tmp, c.ival, len(c.ivals), count)
+}
+
+func compareIntervals(x, y Interval) int {
+	return cmp.Or(cmp.Compare(x.Begin, y.Begin), cmp.Compare(x.End, y.End))
+}
+
+// intervalRanks sets rank[i] to the index of edge i's interval among the
+// trace's distinct intervals, which it returns ascending. Edges arrive in
+// begin order and share a few intervals, so the distinct ones are found
+// where the interval changes from one edge to the next, and an edge's rank
+// is looked up only at such a change.
+func intervalRanks(edges []Edge, rank []uint32) []Interval {
+	var ivals []Interval
+	for i, e := range edges {
+		if i == 0 || e.T != edges[i-1].T {
+			ivals = append(ivals, e.T)
 		}
-		return cmp.Compare(x.Trace, y.Trace)
-	})
+	}
+	slices.SortFunc(ivals, compareIntervals)
+	ivals = slices.Compact(ivals)
+	var cur int
+	for i, e := range edges {
+		if i == 0 || e.T != edges[i-1].T {
+			cur, _ = slices.BinarySearchFunc(ivals, e.T, compareIntervals)
+		}
+		rank[i] = uint32(cur)
+	}
+	return ivals
+}
 
-	deps := packDeps(tr.deps, nodeMap)
+// eachRun calls f with the value and length of each maximal run of equal
+// col[order[i]].
+func eachRun(order, col []uint32, f func(v uint32, n int)) {
+	for i := 0; i < len(order); {
+		v := col[order[i]]
+		j := i + 1
+		for j < len(order) && col[order[j]] == v {
+			j++
+		}
+		f(v, j-i)
+		i = j
+	}
+}
 
-	buf := make([]byte, 0, 64+8*len(nodes)+12*len(edges)+6*len(deps))
+// appendKey writes the fields of k its kind uses, each a delta from prev's
+// while the fields before it repeat and whole after one that does not.
+func appendKey(buf []byte, k, prev Key) []byte {
+	f, same := kindFields[k.Kind], true
+	if f.str {
+		buf, same = appendField(buf, same, uint64(k.Str), uint64(prev.Str))
+	}
+	if f.a {
+		buf, same = appendField(buf, same, k.A, prev.A)
+	}
+	if f.b {
+		buf, _ = appendField(buf, same, k.B, prev.B)
+	}
+	return buf
+}
+
+// appendField writes one key field, a delta from old when the fields before
+// it repeat (same), and reports whether the fields through it repeat.
+func appendField(buf []byte, same bool, cur, old uint64) ([]byte, bool) {
+	if !same {
+		return binary.AppendUvarint(buf, cur), false
+	}
+	return binary.AppendUvarint(buf, cur-old), cur == old
+}
+
+// Marshal serializes the trace to its package representation.
+func (tr *Trace) Marshal() ([]byte, error) {
+	c := tr.canonicalize()
+
+	// Room for what an audited trace encodes to (ldv_wide's: 3.3 bytes a
+	// node, 2 an edge, 3.2 a dependency).
+	size := 64 + 4*len(c.nodes) + 2*len(c.edges) + 4*len(c.deps)
+	for _, s := range c.strs {
+		size += len(tr.strs[s]) + 2
+	}
+	for _, table := range tr.attrs {
+		size += 6 * len(table)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, traceMagic...)
 	buf = append(buf, traceVersion)
 	buf = bin.AppendString(buf, tr.Model.Name)
-	buf = binary.AppendUvarint(buf, uint64(len(strOrder)))
-	for _, s := range strOrder {
+	buf = binary.AppendUvarint(buf, uint64(len(c.strs)))
+	for _, s := range c.strs {
 		buf = bin.AppendString(buf, tr.strs[s])
 	}
 
+	sameGroup := func(r, s uint32) bool { return tr.typ[r] == tr.typ[s] && tr.keys[r].Kind == tr.keys[s].Kind }
 	groups := 0
-	for i, n := range nodes {
-		if i == 0 || n.typ != nodes[i-1].typ || n.key.Kind != nodes[i-1].key.Kind {
+	for i, r := range c.nodes {
+		if i == 0 || !sameGroup(r, c.nodes[i-1]) {
 			groups++
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(groups))
-	for i := 0; i < len(nodes); {
-		j := i
-		for j < len(nodes) && nodes[j].typ == nodes[i].typ && nodes[j].key.Kind == nodes[i].key.Kind {
+	for i := 0; i < len(c.nodes); {
+		first := c.nodes[i]
+		j := i + 1
+		for j < len(c.nodes) && sameGroup(c.nodes[j], first) {
 			j++
 		}
-		kind := nodes[i].key.Kind
-		buf = bin.AppendString(buf, tr.types[nodes[i].typ])
-		buf = binary.AppendUvarint(buf, uint64(kind))
+		buf = bin.AppendString(buf, tr.types[tr.typ[first]])
+		buf = binary.AppendUvarint(buf, uint64(tr.keys[first].Kind))
 		buf = binary.AppendUvarint(buf, uint64(j-i))
-		f := kindFields[kind]
-		for _, n := range nodes[i:j] {
-			if f.str {
-				buf = binary.AppendUvarint(buf, uint64(n.key.Str))
-			}
-			if f.a {
-				buf = binary.AppendUvarint(buf, n.key.A)
-			}
-			if f.b {
-				buf = binary.AppendUvarint(buf, n.key.B)
-			}
+		prev := Key{}
+		for _, r := range c.nodes[i:j] {
+			k := tr.keys[r]
+			k.Str = c.strMap[k.Str]
+			buf = appendKey(buf, k, prev)
+			prev = k
 		}
 		i = j
 	}
@@ -184,7 +381,7 @@ func (tr *Trace) Marshal() ([]byte, error) {
 		}
 		entries := make([]entry, 0, len(table))
 		for r, s := range table {
-			entries = append(entries, entry{node: nodeMap[r], str: strMap[s]})
+			entries = append(entries, entry{node: c.nodeMap[r], str: c.strMap[s]})
 		}
 		slices.SortFunc(entries, func(x, y entry) int { return cmp.Compare(x.node, y.node) })
 		buf = binary.AppendUvarint(buf, uint64(len(entries)))
@@ -201,24 +398,47 @@ func (tr *Trace) Marshal() ([]byte, error) {
 		buf = bin.AppendString(buf, l)
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	buf = binary.AppendUvarint(buf, uint64(len(c.edges)))
+	buf = binary.AppendUvarint(buf, uint64(len(c.ivals)))
 	prevBegin := uint64(0)
-	for _, e := range edges {
-		buf = binary.AppendUvarint(buf, e.T.Begin-prevBegin)
-		buf = binary.AppendUvarint(buf, e.T.End-e.T.Begin)
-		buf = binary.AppendUvarint(buf, uint64(e.From))
-		buf = binary.AppendUvarint(buf, uint64(e.To))
-		buf = binary.AppendUvarint(buf, uint64(e.Label))
-		buf = binary.AppendUvarint(buf, uint64(e.Trace))
-		prevBegin = e.T.Begin
+	eachRun(c.edges, c.ival, func(v uint32, n int) {
+		iv := c.ivals[v]
+		buf = binary.AppendUvarint(buf, iv.Begin-prevBegin)
+		buf = binary.AppendUvarint(buf, iv.End-iv.Begin)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		prevBegin = iv.Begin
+	})
+	var prevRun, prevFrom, prevTo uint32
+	for i, e := range c.edges {
+		if i == 0 || c.ival[e] != prevRun {
+			prevRun, prevFrom = c.ival[e], 0
+		}
+		buf = binary.AppendUvarint(buf, uint64(c.from[e]-prevFrom))
+		prevFrom = c.from[e]
+	}
+	for i, e := range c.edges {
+		if i == 0 || c.ival[e] != prevRun || c.from[e] != prevFrom {
+			prevRun, prevFrom, prevTo = c.ival[e], c.from[e], 0
+		}
+		buf = binary.AppendUvarint(buf, uint64(c.to[e]-prevTo))
+		prevTo = c.to[e]
+	}
+	for _, col := range [2][]uint32{c.label, c.trace} {
+		eachRun(c.edges, col, func(v uint32, n int) {
+			buf = binary.AppendUvarint(buf, uint64(v))
+			buf = binary.AppendUvarint(buf, uint64(n))
+		})
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(deps)))
-	prevFrom := uint64(0)
-	for _, d := range deps {
-		buf = binary.AppendUvarint(buf, d>>32-prevFrom)
-		buf = binary.AppendUvarint(buf, d&math.MaxUint32)
-		prevFrom = d >> 32
+	buf = binary.AppendUvarint(buf, uint64(len(c.deps)))
+	var prev Dep
+	for _, d := range c.deps {
+		if d.From != prev.From {
+			prev.To = 0
+		}
+		buf = binary.AppendUvarint(buf, uint64(d.From-prev.From))
+		buf = binary.AppendUvarint(buf, uint64(d.To-prev.To))
+		prev = d
 	}
 	return buf, nil
 }
@@ -233,13 +453,51 @@ func index(r *bin.Reader, limit int, what string) uint32 {
 	return uint32(v)
 }
 
+// readField reads one key field appendField wrote and reports whether the
+// fields through it repeat the previous key's.
+func readField(r *bin.Reader, same bool, old uint64) (uint64, bool) {
+	v := r.Uvarint()
+	if !same {
+		return v, false
+	}
+	if v > math.MaxUint64-old {
+		r.Failf("node key overflows")
+		return 0, false
+	}
+	return old + v, v == 0
+}
+
+// readRuns reads a run-length coded column of n values, each below limit, as
+// (value, run length) pairs — no run empty or past n, none with the value of
+// the run before it — and calls fill for each run.
+func readRuns(r *bin.Reader, n, limit int, what string, fill func(lo, hi int, v uint32)) {
+	for lo, prev := 0, -1; lo < n && r.Err() == nil; {
+		v := index(r, limit, what)
+		k := r.Uvarint()
+		switch {
+		case r.Err() != nil:
+		case k == 0 || k > uint64(n-lo):
+			r.Failf("%s run of %d at edge %d does not fit the %d edges", what, k, lo, n)
+		case int(v) == prev:
+			r.Failf("%s run at edge %d repeats the value of the run before it", what, lo)
+		default:
+			fill(lo, lo+int(k), v)
+			prev, lo = int(v), lo+int(k)
+		}
+	}
+}
+
 // Unmarshal reconstructs a trace serialized with Marshal, treating data as
 // outside input: every count is checked against the bytes remaining before
 // anything is sized by it, every node, string and label index against the
 // table it points into, node types, edge types, intervals and dependency
 // endpoints against the model exactly as Intern, Link and LinkDep check
-// them, table orders and uniqueness as Marshal writes them, and trailing
-// bytes are rejected. The model must match the serialized model name.
+// them; every table must be in the order and every coding in the form
+// Marshal writes — nodes, dependencies and interval runs strictly
+// ascending, edges ascending, the label table the model's, every string
+// referenced — so an accepted input marshals back to its own bytes; and
+// trailing bytes are rejected. The model must match the serialized model
+// name.
 func Unmarshal(data []byte, m *Model) (*Trace, error) {
 	tr, err := unmarshal(data, m)
 	if err != nil {
@@ -273,6 +531,7 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	used := make([]bool, len(tr.strs))
 
 	ngroups := r.Count("node group", 3)
 	prevType, prevKind := -1, Kind(0)
@@ -297,20 +556,28 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 		if ti < prevType || (ti == prevType && kind <= prevKind) {
 			return nil, fmt.Errorf("node group %d (%s, kind %d) out of order", g, typ, kind)
 		}
+		if n == 0 {
+			return nil, fmt.Errorf("node group %d (%s, kind %d) is empty", g, typ, kind)
+		}
 		prevType, prevKind = ti, kind
 		var prev Key
 		for i := 0; i < n && r.Err() == nil; i++ {
-			k := Key{Kind: kind}
+			k, same := Key{Kind: kind}, true
 			if f.str {
-				k.Str = StrID(index(r, len(tr.strs), "string index"))
+				var s uint64
+				if s, same = readField(r, same, uint64(prev.Str)); s >= uint64(len(tr.strs)) {
+					r.Failf("string index %d out of range (have %d)", s, len(tr.strs))
+					break
+				}
+				k.Str, used[s] = StrID(s), true
 			}
 			if f.a {
-				k.A = r.Uvarint()
+				k.A, same = readField(r, same, prev.A)
 			}
 			if f.b {
-				k.B = r.Uvarint()
+				k.B, same = readField(r, same, prev.B)
 			}
-			if i > 0 && compareKeys(prev, k) >= 0 {
+			if i > 0 && same {
 				r.Failf("%s nodes not strictly ascending at %d", typ, i)
 			}
 			if kind == KindNamed {
@@ -351,61 +618,142 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 			if tr.attrs[a] == nil {
 				tr.attrs[a] = map[Ref]StrID{}
 			}
-			tr.attrs[a][Ref(next)] = s
+			tr.attrs[a][Ref(next)], used[s] = s, true
 		}
 	}
 
 	nlabels := r.Count("edge label", 1)
-	labelMap := bin.Make[int](nlabels, r.Len())
 	for i := 0; i < nlabels && r.Err() == nil; i++ {
 		l := r.Str()
-		li := indexOf(tr.labels, l)
-		if r.Err() == nil && li < 0 {
+		switch {
+		case r.Err() != nil:
+		case indexOf(tr.labels, l) < 0:
 			return nil, fmt.Errorf("edge label %q is not part of model %s", l, m.Name)
+		case i >= len(tr.labels) || l != tr.labels[i]:
+			r.Failf("edge label table is not model %s's, ascending", m.Name)
 		}
-		labelMap = append(labelMap, li)
+	}
+	if r.Err() == nil && nlabels != len(tr.labels) {
+		r.Failf("edge label table has %d labels, model %s has %d", nlabels, m.Name, len(tr.labels))
 	}
 
-	nedges := r.Count("edge", 6)
-	begin := uint64(0)
-	for i := 0; i < nedges && r.Err() == nil; i++ {
-		delta, length := r.Uvarint(), r.Uvarint()
-		from := Ref(index(r, len(tr.keys), "edge source"))
-		to := Ref(index(r, len(tr.keys), "edge target"))
-		label := index(r, len(labelMap), "edge label")
-		trace := StrID(index(r, len(tr.strs), "string index"))
-		if r.Err() != nil {
+	nedges := r.Count("edge", 2)
+	nruns := r.Count("interval run", 3)
+	if r.Err() == nil && nruns > nedges {
+		r.Failf("%d interval runs for %d edges", nruns, nedges)
+	}
+	type run struct {
+		iv Interval
+		n  int
+	}
+	ivRuns := bin.Make[run](nruns, r.Len())
+	begin, total := uint64(0), 0
+	for i := 0; i < nruns && r.Err() == nil; i++ {
+		delta, length, n := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		switch {
+		case r.Err() != nil:
+		case delta > math.MaxUint64-begin || length > math.MaxUint64-begin-delta:
+			r.Failf("interval run %d overflows", i)
+		case i > 0 && delta == 0 && length <= ivRuns[i-1].iv.End-begin:
+			r.Failf("interval runs not strictly ascending at %d", i)
+		case n == 0 || n > uint64(nedges-total):
+			r.Failf("interval run %d of %d edges does not fit the %d edges", i, n, nedges)
+		default:
+			begin += delta
+			ivRuns = append(ivRuns, run{iv: Interval{Begin: begin, End: begin + length}, n: int(n)})
+			total += int(n)
+		}
+	}
+	if r.Err() == nil && total != nedges {
+		r.Failf("interval runs hold %d of the %d edges", total, nedges)
+	}
+	edges := bin.Make[Edge](nedges, r.Len())
+	for _, run := range ivRuns {
+		from := uint64(0)
+		for j := 0; j < run.n && r.Err() == nil; j++ {
+			d := r.Uvarint()
+			if d >= uint64(len(tr.keys))-from {
+				r.Failf("edge source out of range (have %d)", len(tr.keys))
+				break
+			}
+			from += d
+			edges = append(edges, Edge{From: Ref(from), T: run.iv})
+		}
+	}
+	to := uint64(0)
+	for i := 0; i < len(edges) && r.Err() == nil; i++ {
+		e := &edges[i]
+		if i == 0 || e.T != edges[i-1].T || e.From != edges[i-1].From {
+			to = 0
+		}
+		d := r.Uvarint()
+		if d >= uint64(len(tr.keys))-to {
+			r.Failf("edge target out of range (have %d)", len(tr.keys))
 			break
 		}
-		if delta > math.MaxUint64-begin || length > math.MaxUint64-begin-delta {
-			r.Failf("edge %d: interval overflows", i)
-			break
+		to += d
+		e.To = Ref(to)
+	}
+	readRuns(r, len(edges), len(tr.labels), "edge label", func(lo, hi int, v uint32) {
+		for i := lo; i < hi; i++ {
+			edges[i].Label = uint8(v)
 		}
-		begin += delta
-		if _, err := tr.link(from, to, labelMap[label], Interval{Begin: begin, End: begin + length}, trace); err != nil {
+	})
+	readRuns(r, len(edges), len(tr.strs), "string index", func(lo, hi int, v uint32) {
+		used[v] = true
+		for i := lo; i < hi; i++ {
+			edges[i].Trace = StrID(v)
+		}
+	})
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	for i, e := range edges {
+		if i > 0 {
+			p := edges[i-1]
+			if e.T == p.T && e.From == p.From && e.To == p.To && (e.Label < p.Label || (e.Label == p.Label && e.Trace < p.Trace)) {
+				return nil, fmt.Errorf("edge %d out of canonical order", i)
+			}
+		}
+		if err := tr.checkEdge(e); err != nil {
 			return nil, err
 		}
 	}
+	tr.edges = edges
 
 	ndeps := r.Count("dependency", 2)
-	from := uint64(0)
+	var from, dto uint64
 	for i := 0; i < ndeps && r.Err() == nil; i++ {
-		delta := r.Uvarint()
-		to := index(r, len(tr.keys), "dependency target")
+		df, dt := r.Uvarint(), r.Uvarint()
 		if r.Err() != nil {
 			break
 		}
-		if delta >= uint64(len(tr.keys))-from {
+		if df >= uint64(len(tr.keys))-from {
 			r.Failf("dependency source out of range (have %d)", len(tr.keys))
 			break
 		}
-		from += delta
-		if err := tr.LinkDep(Ref(from), Ref(to)); err != nil {
+		if from += df; df > 0 {
+			dto = 0
+		} else if i > 0 && dt == 0 {
+			r.Failf("dependencies not strictly ascending at %d", i)
+			break
+		}
+		if dt >= uint64(len(tr.keys))-dto {
+			r.Failf("dependency target out of range (have %d)", len(tr.keys))
+			break
+		}
+		dto += dt
+		if err := tr.LinkDep(Ref(from), Ref(dto)); err != nil {
 			return nil, err
 		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	for s := 1; s < len(used); s++ {
+		if !used[s] {
+			return nil, fmt.Errorf("string %q is referenced by nothing", tr.strs[s])
+		}
 	}
 	return tr, nil
 }

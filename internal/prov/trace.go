@@ -3,7 +3,6 @@ package prov
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 )
@@ -273,23 +272,33 @@ func (tr *Trace) LinkIndex(from, to Ref, label uint8, t Interval, trace StrID) (
 
 // link is Link with the label already resolved to its table index.
 func (tr *Trace) link(from, to Ref, label int, t Interval, trace StrID) (Edge, error) {
-	if int(from) >= len(tr.keys) || int(to) >= len(tr.keys) {
-		return Edge{}, fmt.Errorf("trace: edge %d->%d names a node outside the trace's %d", from, to, len(tr.keys))
-	}
-	if int(trace) >= len(tr.strs) {
-		return Edge{}, fmt.Errorf("trace: edge %s->%s names string %d outside the table's %d", tr.ID(from), tr.ID(to), trace, len(tr.strs))
-	}
-	if !t.Valid() {
-		return Edge{}, fmt.Errorf("trace: invalid interval %v on edge %s->%s", t, tr.ID(from), tr.ID(to))
-	}
-	nt := len(tr.types)
-	if !tr.valid[(label*nt+int(tr.typ[from]))*nt+int(tr.typ[to])] {
-		return Edge{}, fmt.Errorf("trace: edge %s(%s, %s) violates model %s",
-			tr.labels[label], tr.Type(from), tr.Type(to), tr.Model.Name)
-	}
 	e := Edge{From: from, To: to, T: t, Trace: trace, Label: uint8(label)}
+	if err := tr.checkEdge(e); err != nil {
+		return Edge{}, err
+	}
 	tr.edges = append(tr.edges, e)
 	return e, nil
+}
+
+// checkEdge validates e, its label already below the label table's length:
+// both ends and its string are in the trace, its interval is valid, and the
+// model admits its label between its ends' types.
+func (tr *Trace) checkEdge(e Edge) error {
+	if int(e.From) >= len(tr.keys) || int(e.To) >= len(tr.keys) {
+		return fmt.Errorf("trace: edge %d->%d names a node outside the trace's %d", e.From, e.To, len(tr.keys))
+	}
+	if int(e.Trace) >= len(tr.strs) {
+		return fmt.Errorf("trace: edge %s->%s names string %d outside the table's %d", tr.ID(e.From), tr.ID(e.To), e.Trace, len(tr.strs))
+	}
+	if !e.T.Valid() {
+		return fmt.Errorf("trace: invalid interval %v on edge %s->%s", e.T, tr.ID(e.From), tr.ID(e.To))
+	}
+	nt := len(tr.types)
+	if !tr.valid[(int(e.Label)*nt+int(tr.typ[e.From]))*nt+int(tr.typ[e.To])] {
+		return fmt.Errorf("trace: edge %s(%s, %s) violates model %s",
+			tr.labels[e.Label], tr.Type(e.From), tr.Type(e.To), tr.Model.Name)
+	}
+	return nil
 }
 
 // LinkDep records that entity to directly depends on entity from within
@@ -314,28 +323,32 @@ func (tr *Trace) EdgeLabel(e Edge) string { return tr.labels[e.Label] }
 
 // Deps returns the recorded direct dependencies as a set: sorted by
 // (From, To), each pair once.
-func (tr *Trace) Deps() []Dep {
-	packed := packDeps(tr.deps, nil)
-	out := make([]Dep, len(packed))
-	for i, p := range packed {
-		out[i] = Dep{From: Ref(p >> 32), To: Ref(uint32(p))}
-	}
-	return out
-}
+func (tr *Trace) Deps() []Dep { return packDeps(tr.deps, nil, len(tr.keys)) }
 
-// packDeps returns deps as a sorted set of from<<32|to words, the node
-// indices first mapped through remap when it is non-nil. One word per pair
-// lets the sort run on plain integers.
-func packDeps(deps []Dep, remap []Ref) []uint64 {
-	out := make([]uint64, len(deps))
+// packDeps returns deps as a set sorted by (From, To), the node indices —
+// each below n — first mapped through remap when it is non-nil: two stable
+// counting passes over the node indices, on to and then on from, and one
+// that drops repeats.
+func packDeps(deps []Dep, remap []Ref, n int) []Dep {
+	m := len(deps)
+	cols := make([]uint32, 4*m)
+	from, to, order, tmp := cols[:m], cols[m:2*m], cols[2*m:3*m], cols[3*m:]
 	for i, d := range deps {
 		if remap != nil {
 			d = Dep{From: remap[d.From], To: remap[d.To]}
 		}
-		out[i] = uint64(d.From)<<32 | uint64(d.To)
+		from[i], to[i], order[i] = uint32(d.From), uint32(d.To), uint32(i)
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	count := make([]uint32, n+1)
+	order, tmp = countingPass(order, tmp, to, n, count)
+	order, _ = countingPass(order, tmp, from, n, count)
+	out := make([]Dep, 0, m)
+	for _, i := range order {
+		if d := (Dep{From: Ref(from[i]), To: Ref(to[i])}); len(out) == 0 || d != out[len(out)-1] {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // NodeCount reports the number of nodes.
