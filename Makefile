@@ -87,7 +87,7 @@ experiments:
 # cannot miss CI.
 FUZZ_TARGETS = sqlparse:FuzzParse sqlparse:FuzzAsOf plan:FuzzPlan \
 	wire:FuzzRead wire:FuzzPrepared wire:FuzzLineage wire:FuzzStatementFrames wire:FuzzReplMessages \
-	sqlval:FuzzDecode sqlval:FuzzSkipRow engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable engine:FuzzDecodeStamps \
+	sqlval:FuzzDecode sqlval:FuzzSkipRow sqlval:FuzzValueHash engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable engine:FuzzDecodeStamps \
 	ops:FuzzTracesHandler prov:FuzzTraceUnmarshal pack:FuzzUnmarshal ldv:FuzzDBLog
 fuzz_each = for t in $(FUZZ_TARGETS); do $(GO) test ./internal/$${t%:*} -fuzz "^$${t\#*:}$$" -fuzztime $(1) || exit 1; done
 

@@ -151,11 +151,12 @@ func indexContents(ix *tableIndex) string {
 			buckets[key] = append(buckets[key], fmt.Sprintf("%d@%d", r.id, r.version))
 		}
 	}
-	for k, rows := range ix.hash {
-		add(k, rows)
+	keyName := func(v sqlval.Value) string { return v.Kind().String() + " " + v.String() }
+	for e, rows := range ix.buckets {
+		add(keyName(ix.hash.keys[e]), rows)
 	}
 	for _, b := range ix.ordered {
-		add(b.key.GroupKey(), b.rows)
+		add(keyName(b.key), b.rows)
 	}
 	keys := make([]string, 0, len(buckets))
 	for k := range buckets {

@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"ldv/internal/sqlval"
 )
 
 // INTEGERs beyond 2^53, where neighbouring values round to one float64.
@@ -168,6 +170,62 @@ func TestInSetAgreesWithComparisonChainBeyond2To53(t *testing.T) {
 					t.Errorf("%s%s = %v, the chain gives %v", not, in, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestKeyOperationsAroundTwoToThe53: DISTINCT, GROUP BY, COUNT(DISTINCT),
+// a hash join and a hash-index lookup all key on values, and each must give
+// the answer = gives — 2^53 and 2^53 + 1 are two keys, both equal to the
+// FLOAT 2^53 they round to.
+func TestKeyOperationsAroundTwoToThe53(t *testing.T) {
+	db := newTestDB(t,
+		"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)",
+		"CREATE TABLE u (id INTEGER PRIMARY KEY, k INTEGER)",
+		"CREATE TABLE f (id INTEGER PRIMARY KEY, x FLOAT)",
+		"CREATE TABLE h (id INTEGER PRIMARY KEY, k INTEGER)",
+		"CREATE INDEX h_k ON h (k) USING hash",
+		"INSERT INTO t VALUES (1, "+big0+"), (2, "+big1+"), (3, "+big0+"), (4, "+big1+"), (5, NULL)",
+		"INSERT INTO u VALUES (10, "+big1+"), (11, "+big0+"), (12, NULL)",
+		"INSERT INTO f VALUES (20, "+big0+".0)",
+		"INSERT INTO h SELECT id, k FROM t")
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT DISTINCT k FROM t ORDER BY k", "NULL," + big0 + "," + big1},
+		{"SELECT k, count(*) FROM t GROUP BY k ORDER BY k", "NULL|1," + big0 + "|2," + big1 + "|2"},
+		{"SELECT count(DISTINCT k) FROM t", "2"},
+		{"SELECT t.id, u.id FROM t, u WHERE t.k = u.k ORDER BY t.id", "1|11,2|10,3|11,4|10"},
+		{"SELECT t.id, f.id FROM t, f WHERE t.k = f.x ORDER BY t.id", "1|20,2|20,3|20,4|20"},
+		{"SELECT id FROM h WHERE k = " + big1 + " ORDER BY id", "2,4"},
+		{"SELECT id FROM h WHERE k = " + big0 + " ORDER BY id", "1,3"},
+		{"SELECT id FROM h WHERE k = " + big0 + ".0 ORDER BY id", "1,2,3,4"},
+	} {
+		if got := idsOf(t, db, c.sql); got != c.want {
+			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
+		}
+	}
+	if ops := analyzeOps(t, db, "SELECT id FROM h WHERE k = "+big1); !hasOp(ops, "index_scan") {
+		t.Errorf("the lookup does not use the hash index: %v", ops)
+	}
+	tbl, _ := db.lookupTable("h")
+	if keys := tbl.findIndex("h_k").keys.Load(); keys != 2 {
+		t.Errorf("hash index holds %d distinct keys, want 2", keys)
+	}
+}
+
+// TestNULInTextKeys: a key of several TEXT columns is its values, not their
+// bytes run together, so a NUL inside a value cannot make two keys one.
+func TestNULInTextKeys(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT, u TEXT)")
+	for i, p := range [][2]string{{"a\x00sb", ""}, {"a", "b\x00s"}} {
+		mustExec(t, db, "INSERT INTO t VALUES (?, ?, ?)", ExecOptions{Params: []sqlval.Value{
+			sqlval.NewInt(int64(i)), sqlval.NewString(p[0]), sqlval.NewString(p[1])}})
+	}
+	for _, sql := range []string{
+		"SELECT s, u, count(*) FROM t GROUP BY s, u",
+		"SELECT DISTINCT s, u FROM t",
+	} {
+		if got := rowsToStrings(mustExec(t, db, sql, ExecOptions{})); len(got) != 2 {
+			t.Errorf("%s: %d rows %q, want 2", sql, len(got), got)
 		}
 	}
 }

@@ -1,13 +1,18 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"ldv/internal/plan"
+	"ldv/internal/sqlparse"
 	"ldv/internal/sqlval"
 )
 
@@ -432,4 +437,278 @@ func TestEquivJoinReorderKeepsStarOrder(t *testing.T) {
 	sort.Strings(a)
 	sort.Strings(b)
 	sameRows(t, "join commutes", a, b)
+}
+
+// Key operations — hash join, GROUP BY, DISTINCT, COUNT(DISTINCT) and the
+// hash index — hash their keys and confirm candidates by value. Each must
+// answer what comparing the values one pair at a time answers, over data
+// that makes keys interesting: NULL, 0.0 and -0.0, 2 and 2.0, INTEGERs
+// around ±2^53 where neighbours round to one float, and TEXT with NUL bytes
+// and multi-byte characters.
+
+var (
+	keyInts = []sqlval.Value{sqlval.Null, sqlval.NewInt(0), sqlval.NewInt(2), sqlval.NewInt(-2), sqlval.NewInt(7),
+		sqlval.NewInt(1<<53 - 1), sqlval.NewInt(1 << 53), sqlval.NewInt(1<<53 + 1),
+		sqlval.NewInt(-1 << 53), sqlval.NewInt(-1<<53 - 1)}
+	keyFloats = []sqlval.Value{sqlval.Null, sqlval.NewFloat(0), sqlval.NewFloat(math.Copysign(0, -1)),
+		sqlval.NewFloat(2), sqlval.NewFloat(-2), sqlval.NewFloat(2.5), sqlval.NewFloat(7),
+		sqlval.NewFloat(1 << 53), sqlval.NewFloat(-1 << 53), sqlval.NewFloat(1<<53 + 2)}
+	keyTexts = []sqlval.Value{sqlval.Null, sqlval.NewString(""), sqlval.NewString("a"), sqlval.NewString("a\x00sb"),
+		sqlval.NewString("b\x00s"), sqlval.NewString("\x00"), sqlval.NewString("é"), sqlval.NewString("e\u0301"),
+		sqlval.NewString("日本"), sqlval.NewString("ü\x00ö")}
+)
+
+// keyDB builds a and b (n rows each), both (id, n INT, x FLOAT, s TEXT,
+// s2 TEXT) drawn from the key pools, with the given DDL run first.
+func keyDB(t *testing.T, seed int64, n int, ddl ...string) *DB {
+	t.Helper()
+	db := newTestDB(t, append([]string{
+		"CREATE TABLE a (id INT PRIMARY KEY, n INT, x FLOAT, s TEXT, s2 TEXT)",
+		"CREATE TABLE b (id INT PRIMARY KEY, n INT, x FLOAT, s TEXT, s2 TEXT)",
+	}, ddl...)...)
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(pool []sqlval.Value) sqlval.Value { return pool[rng.Intn(len(pool))] }
+	for _, tbl := range []string{"a", "b"} {
+		for i := 0; i < n; i++ {
+			mustExec(t, db, "INSERT INTO "+tbl+" VALUES (?, ?, ?, ?, ?)", ExecOptions{Params: []sqlval.Value{
+				sqlval.NewInt(int64(i)), pick(keyInts), pick(keyFloats), pick(keyTexts), pick(keyTexts)}})
+		}
+	}
+	return db
+}
+
+// notDistinct is SQL's IS NOT DISTINCT FROM: two NULLs, or two values
+// Compare calls equal.
+func notDistinct(u, v sqlval.Value) bool {
+	if u.IsNull() || v.IsNull() {
+		return u.IsNull() && v.IsNull()
+	}
+	c, ok := u.Compare(v)
+	return ok && c == 0
+}
+
+// naiveGroups puts each row in the first earlier group whose first row it
+// is not distinct from, column by column, and returns the groups' members
+// in order of first appearance.
+func naiveGroups(rows [][]sqlval.Value) [][]int {
+	var groups [][]int
+rows:
+	for i, r := range rows {
+		for g, m := range groups {
+			same := true
+			for c := range r {
+				same = same && notDistinct(rows[m[0]][c], r[c])
+			}
+			if same {
+				groups[g] = append(groups[g], i)
+				continue rows
+			}
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// naiveCountDistinct counts the non-NULL values of col among members that
+// are distinct from one another.
+func naiveCountDistinct(rows [][]sqlval.Value, members []int, col int) int {
+	var seen []sqlval.Value
+members:
+	for _, m := range members {
+		v := rows[m][col]
+		if v.IsNull() {
+			continue
+		}
+		for _, s := range seen {
+			if notDistinct(s, v) {
+				continue members
+			}
+		}
+		seen = append(seen, v)
+	}
+	return len(seen)
+}
+
+// keyRow renders a row with each value's kind, so -0 and 0, or 2 and 2.0,
+// stay told apart.
+func keyRow(vals []sqlval.Value) string {
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = fmt.Sprintf("%s:%q", v.Kind(), v.String())
+	}
+	return strings.Join(parts, "|")
+}
+
+func keyRows(res *Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = keyRow(r)
+	}
+	return out
+}
+
+// TestEquivKeyedJoin: a hash join on keys returns what the same predicate
+// returns as a filter over the cross join — NOT (x <> y), which the planner
+// cannot use as a join key, holds exactly where x = y does — and in the
+// same order: a and b are the same size, so b is the build side, and each
+// row of a meets its matches in b's order, as the cross join's nested
+// loop does.
+func TestEquivKeyedJoin(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		db := keyDB(t, seed, 40)
+		for _, keys := range [][][2]string{
+			{{"a.n", "b.n"}}, {{"a.n", "b.x"}}, {{"a.x", "b.n"}}, {{"a.x", "b.x"}}, {{"a.s", "b.s"}}, {{"a.s", "b.s2"}},
+			{{"a.s", "b.s"}, {"a.s2", "b.s2"}}, {{"a.n", "b.x"}, {"a.x", "b.n"}}, {{"a.s", "b.s2"}, {"a.n", "b.n"}},
+		} {
+			var eqs, nes []string
+			for _, k := range keys {
+				eqs = append(eqs, k[0]+" = "+k[1])
+				nes = append(nes, "NOT ("+k[0]+" <> "+k[1]+")")
+			}
+			cols := "SELECT a.id, b.id, a.n, a.x, a.s, a.s2, b.n, b.x, b.s, b.s2 FROM a, b WHERE "
+			hash, filter := cols+strings.Join(eqs, " AND "), cols+strings.Join(nes, " AND ")
+			if got, want := joinKeys(t, db, hash), len(keys); got != want {
+				t.Fatalf("%s: planned with %d join keys, want %d", hash, got, want)
+			}
+			if n := joinKeys(t, db, filter); n != 0 {
+				t.Fatalf("%s: the reference plans %d join keys", filter, n)
+			}
+			got, want := keyRows(mustExec(t, db, hash, ExecOptions{})), keyRows(mustExec(t, db, filter, ExecOptions{}))
+			sameRows(t, fmt.Sprintf("seed %d: %s", seed, hash), got, want)
+		}
+	}
+}
+
+// joinKeys counts the join keys of the statement's plan.
+func joinKeys(t *testing.T, db *DB, sql string) int {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	var walk func(plan.Node)
+	walk = func(nd plan.Node) {
+		if j, ok := nd.(*plan.HashJoinNode); ok {
+			n += len(j.LeftKeys)
+		}
+		for _, c := range nd.Children() {
+			walk(c)
+		}
+	}
+	walk(plan.PlanStatement(dbCatalog{db}, stmt).Root)
+	return n
+}
+
+// TestEquivKeyedGrouping: GROUP BY, DISTINCT and COUNT(DISTINCT) return the
+// groups a naive pairwise grouping finds, in order of first appearance,
+// each represented by its first row.
+func TestEquivKeyedGrouping(t *testing.T) {
+	cols := []string{"id", "n", "x", "s", "s2"}
+	for seed := int64(1); seed <= 4; seed++ {
+		db := keyDB(t, seed, 120)
+		mustExec(t, db, "UPDATE a SET x = x * 0 WHERE id < 10", ExecOptions{}) // more -0.0 and 0.0
+		mustExec(t, db, "DELETE FROM a WHERE id >= 110", ExecOptions{})
+		rows := mustExec(t, db, "SELECT "+strings.Join(cols, ", ")+" FROM a", ExecOptions{}).Rows
+		project := func(names []string) [][]sqlval.Value {
+			out := make([][]sqlval.Value, len(rows))
+			for i, r := range rows {
+				for _, name := range names {
+					for c, col := range cols {
+						if col == name {
+							out[i] = append(out[i], r[c])
+						}
+					}
+				}
+			}
+			return out
+		}
+		for _, key := range [][]string{{"n"}, {"x"}, {"s"}, {"n", "x"}, {"s", "s2"}, {"x", "s", "n"}} {
+			list := strings.Join(key, ", ")
+			keyed := project(key)
+			groups := naiveGroups(keyed)
+			var wantGroups, wantDistinct []string
+			for _, m := range groups {
+				rep := keyed[m[0]]
+				wantDistinct = append(wantDistinct, keyRow(rep))
+				wantGroups = append(wantGroups, keyRow(append(append([]sqlval.Value(nil), rep...),
+					sqlval.NewInt(int64(len(m))),
+					sqlval.NewInt(int64(naiveCountDistinct(rows, m, 1))),
+					sqlval.NewInt(int64(naiveCountDistinct(rows, m, 2))),
+					sqlval.NewInt(int64(naiveCountDistinct(rows, m, 4))))))
+			}
+			group := "SELECT " + list + ", count(*), count(DISTINCT n), count(DISTINCT x), count(DISTINCT s2) FROM a GROUP BY " + list
+			sameRows(t, fmt.Sprintf("seed %d: %s", seed, group), keyRows(mustExec(t, db, group, ExecOptions{})), wantGroups)
+			distinct := "SELECT DISTINCT " + list + " FROM a"
+			sameRows(t, fmt.Sprintf("seed %d: %s", seed, distinct), keyRows(mustExec(t, db, distinct, ExecOptions{})), wantDistinct)
+		}
+	}
+}
+
+// TestEquivHashIndexLookup: a hash index's lookupEq returns exactly the
+// versions a filter over every version returns — for probes of the
+// column's own kind and of the other numeric kind — through inserts,
+// updates, deletes, a rolled-back insert and a rebuild, and its key and
+// entry counts are the distinct non-NULL keys and the non-NULL versions.
+func TestEquivHashIndexLookup(t *testing.T) {
+	probes := append(append(append([]sqlval.Value(nil), keyInts...), keyFloats...), keyTexts...)
+	for seed := int64(1); seed <= 3; seed++ {
+		db := keyDB(t, seed, 80,
+			"CREATE INDEX a_n ON a (n) USING hash",
+			"CREATE INDEX a_x ON a (x) USING hash",
+			"CREATE INDEX a_s ON a (s) USING hash")
+		tbl, err := db.lookupTable("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			for _, ix := range tbl.indexList() {
+				var keys []sqlval.Value
+				entries := 0
+				for _, r := range tbl.rows {
+					k := r.vals[ix.col]
+					if k.IsNull() {
+						continue
+					}
+					entries++
+					if slices.IndexFunc(keys, func(o sqlval.Value) bool { return notDistinct(o, k) }) < 0 {
+						keys = append(keys, k)
+					}
+				}
+				if ix.keys.Load() != int64(len(keys)) || ix.entries.Load() != int64(entries) {
+					t.Errorf("%s: %s counts %d keys, %d entries; want %d, %d", stage, ix.name, ix.keys.Load(), ix.entries.Load(), len(keys), entries)
+				}
+				for _, p := range probes {
+					var want []*storedRow
+					for _, r := range tbl.rows {
+						if c, ok := r.vals[ix.col].Compare(p); ok && c == 0 {
+							want = append(want, r)
+						}
+					}
+					got := slices.Clone(ix.lookupEq(p))
+					byID := func(a, b *storedRow) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.version, b.version)) }
+					slices.SortFunc(got, byID)
+					slices.SortFunc(want, byID)
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: %s lookupEq(%s %v) = %d versions, a filter finds %d", stage, ix.name, p.Kind(), p, len(got), len(want))
+					}
+				}
+			}
+		}
+		check("loaded")
+		mustExec(t, db, "UPDATE a SET n = 0, x = -x WHERE id % 5 = 0", ExecOptions{})
+		mustExec(t, db, "DELETE FROM a WHERE id % 7 = 0", ExecOptions{})
+		s := db.NewSession()
+		for _, q := range []string{"BEGIN", "INSERT INTO a VALUES (1000, 12345, 12345.5, 'only here', NULL)", "ROLLBACK"} {
+			if _, err := s.Exec(q, ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("after DML")
+		tbl.mu.Lock()
+		tbl.rebuildIndexes()
+		tbl.mu.Unlock()
+		check("rebuilt")
+	}
 }

@@ -348,20 +348,20 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *li
 	if err != nil {
 		return relation{}, err
 	}
-	var kb keyBuilder
-	keyOf := func(t tuple, keys []bound) (key []byte, ok bool, err error) {
-		kb.reset()
-		for _, k := range keys {
+	// evalKey evaluates a tuple's key into dst; ok is false when a column is
+	// NULL, which never joins.
+	evalKey := func(t tuple, keys []bound, dst []sqlval.Value) (ok bool, err error) {
+		for i, k := range keys {
 			v, err := k(t.vals, nil)
 			if err != nil {
-				return nil, false, err
+				return false, err
 			}
 			if v.IsNull() {
-				return nil, false, nil // NULL never joins
+				return false, nil
 			}
-			kb.add(v)
+			dst[i] = v
 		}
-		return kb.buf, true, nil
+		return true, nil
 	}
 
 	// Build on the smaller side.
@@ -372,27 +372,31 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *li
 		build, probe = left, right
 		buildKeys, probeKeys = lk, rk
 	}
-	table := make(map[string][]int, len(build.tuples))
+	table := newKeyTable(len(buildKeys), len(build.tuples))
+	rowOf := make([]int32, 0, len(build.tuples)) // by entry: its build tuple
+	key := make([]sqlval.Value, len(buildKeys))
 	out.tuples = make([]tuple, 0, len(probe.tuples)) // a foreign-key join emits about one row per probe
 	for i, t := range build.tuples {
-		k, ok, err := keyOf(t, buildKeys)
+		ok, err := evalKey(t, buildKeys, key)
 		if err != nil {
 			return relation{}, err
 		}
 		if ok {
-			table[string(k)] = append(table[string(k)], i)
+			table.add(key, hashKey(key))
+			rowOf = append(rowOf, int32(i))
 		}
 	}
 	for _, p := range probe.tuples {
-		k, ok, err := keyOf(p, probeKeys)
+		ok, err := evalKey(p, probeKeys, key)
 		if err != nil {
 			return relation{}, err
 		}
 		if !ok {
 			continue
 		}
-		for _, bi := range table[string(k)] {
-			b := build.tuples[bi]
+		h := hashKey(key)
+		for e := table.find(key, h); e >= 0; e = table.findNext(e, key, h) {
+			b := build.tuples[rowOf[e]]
 			if buildRight {
 				out.tuples = append(out.tuples, combine(p, b))
 			} else {
@@ -401,16 +405,6 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *li
 		}
 	}
 	return out, nil
-}
-
-// keyBuilder concatenates the GroupKeys of a join or grouping key into one
-// reused buffer; map lookups by string(buf) do not allocate.
-type keyBuilder struct{ buf []byte }
-
-func (kb *keyBuilder) reset() { kb.buf = kb.buf[:0] }
-
-func (kb *keyBuilder) add(v sqlval.Value) {
-	kb.buf = append(v.AppendGroupKey(kb.buf), 0)
 }
 
 // aggRelation carries the relation plus, for aggregate queries, each
@@ -475,43 +469,40 @@ func aggregate(s *sqlparse.Select, rel relation, lin *lineageSink) (*aggRelation
 
 	type group struct {
 		rep  tuple // representative tuple (first member)
-		ord  int32 // position in order
-		accs []*aggAcc
+		accs []aggAcc
 	}
-	newGroup := func(rep tuple) *group {
-		g := &group{rep: rep, accs: make([]*aggAcc, len(aggCalls))}
+	var accs slab[aggAcc]
+	newGroup := func(rep tuple) group {
+		g := group{rep: rep, accs: accs.take(len(aggCalls))}
 		for i, c := range aggCalls {
 			g.accs[i] = newAggAcc(c)
 		}
 		return g
 	}
 
-	groups := map[string]*group{}
-	var order []*group
+	groups := newKeyTable(len(groupBy), 0) // entry = position in order
+	var order []group
 	var groupOf []int32 // by input tuple, kept for the lineage union
 	if lin != nil {
 		groupOf = make([]int32, len(rel.tuples))
 	}
-	var kb keyBuilder
+	key := make([]sqlval.Value, len(groupBy))
 	for ti, t := range rel.tuples {
-		kb.reset()
-		for _, g := range groupBy {
-			v, err := g(t.vals, nil)
-			if err != nil {
+		for i, g := range groupBy {
+			if key[i], err = g(t.vals, nil); err != nil {
 				return nil, err
 			}
-			kb.add(v)
 		}
-		grp, ok := groups[string(kb.buf)]
-		if !ok {
-			grp = newGroup(t)
-			grp.ord = int32(len(order))
-			groups[string(kb.buf)] = grp
-			order = append(order, grp)
+		h := hashKey(key)
+		g := groups.find(key, h)
+		if g < 0 {
+			g = groups.add(key, h)
+			order = append(order, newGroup(t))
 		}
 		if lin != nil {
-			groupOf[ti] = grp.ord
+			groupOf[ti] = g
 		}
+		grp := &order[g]
 		for i, arg := range args {
 			var v sqlval.Value
 			if arg != nil {
@@ -533,14 +524,15 @@ func aggregate(s *sqlparse.Select, rel relation, lin *lineageSink) (*aggRelation
 	}
 	out := &aggRelation{slots: slots, aggs: [][]sqlval.Value{}}
 	out.rel.env = rel.env
+	var vals slab[sqlval.Value]
 	for g, grp := range order {
 		t := grp.rep
 		if lin != nil {
 			t.lineage = lineage[g]
 		}
-		results := make([]sqlval.Value, len(aggCalls))
-		for i, acc := range grp.accs {
-			results[i] = acc.result()
+		results := vals.take(len(aggCalls))
+		for i := range grp.accs {
+			results[i] = grp.accs[i].result()
 		}
 		// HAVING filters whole groups, evaluated with the aggregate context.
 		if having != nil {
@@ -568,13 +560,13 @@ type aggAcc struct {
 	sumInt   int64
 	intOnly  bool
 	min, max sqlval.Value
-	seen     map[string]bool
+	seen     *keyTable // the DISTINCT aggregate's values so far
 }
 
-func newAggAcc(c *sqlparse.FuncExpr) *aggAcc {
-	a := &aggAcc{fn: c.Name, star: c.Star, distinct: c.Distinct, intOnly: true}
+func newAggAcc(c *sqlparse.FuncExpr) aggAcc {
+	a := aggAcc{fn: c.Name, star: c.Star, distinct: c.Distinct, intOnly: true}
 	if c.Distinct {
-		a.seen = map[string]bool{}
+		a.seen = newKeyTable(1, 0)
 	}
 	return a
 }
@@ -588,11 +580,12 @@ func (a *aggAcc) add(v sqlval.Value) {
 		return
 	}
 	if a.distinct {
-		k := v.GroupKey()
-		if a.seen[k] {
+		key := []sqlval.Value{v}
+		h := v.Hash(0)
+		if a.seen.find(key, h) >= 0 {
 			return
 		}
-		a.seen[k] = true
+		a.seen.add(key, h)
 	}
 	a.count++
 	switch a.fn {
@@ -779,26 +772,22 @@ func (ec *stmtCtx) project(s *sqlparse.Select, sp *selPlan, ar *aggRelation) (co
 	if sp.distinct != nil {
 		if err = ec.ops.node(sp.distinct, func() (int, error) {
 			projected = make([][]sqlval.Value, len(tuples))
-			first := map[string]int32{} // projected row -> its position in picked
-			var groupOf []int32         // by input tuple, kept for the lineage union
+			first := newKeyTable(len(outs), 0) // entry = the row's position in picked
+			var groupOf []int32                // by input tuple, kept for the lineage union
 			if ec.lin != nil {
 				groupOf = make([]int32, len(tuples))
 			}
-			var kb keyBuilder
 			picked = picked[:0]
 			for i := range tuples {
-				projected[i] = vals.take(len(outs))
-				if err := evalRow(outs, i, projected[i]); err != nil {
+				row := vals.take(len(outs))
+				projected[i] = row
+				if err := evalRow(outs, i, row); err != nil {
 					return 0, err
 				}
-				kb.reset()
-				for _, v := range projected[i] {
-					kb.add(v)
-				}
-				g, dup := first[string(kb.buf)]
-				if !dup {
-					g = int32(len(picked))
-					first[string(kb.buf)] = g
+				h := hashKey(row)
+				g := first.find(row, h)
+				if g < 0 {
+					g = first.add(row, h)
 					picked = append(picked, i)
 				}
 				if ec.lin != nil {

@@ -370,22 +370,15 @@ func (en *env) bindIn(e *sqlparse.InExpr, aggs aggSlots) (bound, error) {
 }
 
 // inSet is a constant IN list, or an IN-subquery's rows, as a hash set that
-// answers exactly what comparing the probe with each member in turn would.
-// Members are keyed by
-// kind and payload (valKey), which is Compare's equality within a kind; the
-// one equality across kinds, INTEGER against FLOAT as two floats (2 = 2.0),
-// is a second probe: an integer probe also looks for the float it converts
-// to among the FLOAT members, a float probe looks in intImages, the floats
-// the INTEGER members convert to. hasNull/classes record what makes a
+// answers exactly what comparing the probe with each member in turn would:
+// its members are a keyTable, whose SameKey is Compare's equality across
+// INTEGER and FLOAT too (2 = 2.0). hasNull/classes record what makes a
 // non-matching probe's result NULL instead of FALSE — a NULL member, or a
 // member of a kind the probe cannot be compared with.
 type inSet struct {
-	members   map[valKey]struct{}
-	intImages map[valKey]struct{} // float64(m) of every INTEGER member m; nil if none
-	hasFloat  bool
-	hasNull   bool
-	classes   uint8 // bit per comparability class present among the members
-	sizeHint  int
+	members *keyTable
+	hasNull bool
+	classes uint8 // bit per comparability class present among the members
 }
 
 // kindClass is the comparability class of a non-NULL kind: Compare orders
@@ -422,7 +415,7 @@ func constInSet(list []sqlparse.Expr, members []bound) *inSet {
 
 // newInSet returns an empty set sized for n members.
 func newInSet(n int) *inSet {
-	return &inSet{members: make(map[valKey]struct{}, n), sizeHint: n}
+	return &inSet{members: newKeyTable(1, n)}
 }
 
 func (s *inSet) add(v sqlval.Value) {
@@ -430,17 +423,11 @@ func (s *inSet) add(v sqlval.Value) {
 		s.hasNull = true
 		return
 	}
-	s.members[keyOf(v)] = struct{}{}
-	s.classes |= kindClass(v.Kind())
-	switch v.Kind() {
-	case sqlval.KindInt:
-		if s.intImages == nil {
-			s.intImages = make(map[valKey]struct{}, s.sizeHint)
-		}
-		s.intImages[floatKey(float64(v.Int()))] = struct{}{}
-	case sqlval.KindFloat:
-		s.hasFloat = true
+	key, h := []sqlval.Value{v}, v.Hash(0)
+	if s.members.find(key, h) < 0 {
+		s.members.add(key, h)
 	}
+	s.classes |= kindClass(v.Kind())
 }
 
 // probe reports whether v equals a member and, if not, whether some
@@ -449,19 +436,10 @@ func (s *inSet) probe(v sqlval.Value) (matched, anyNull bool) {
 	if v.IsNull() {
 		return false, true
 	}
-	k := keyOf(v)
-	_, ok := s.members[k]
-	switch {
-	case ok:
-	case k.kind == sqlval.KindInt && s.hasFloat:
-		_, ok = s.members[floatKey(float64(v.Int()))]
-	case k.kind == sqlval.KindFloat && s.intImages != nil:
-		_, ok = s.intImages[k]
-	}
-	if ok {
+	if s.members.find([]sqlval.Value{v}, v.Hash(0)) >= 0 {
 		return true, false
 	}
-	return false, s.hasNull || s.classes&^kindClass(k.kind) != 0
+	return false, s.hasNull || s.classes&^kindClass(v.Kind()) != 0
 }
 
 // cmpOp says which outcomes of Compare (-1, 0, +1, indexed +1) satisfy a

@@ -22,7 +22,8 @@ import (
 // predicates for non-NULL literals, and NULL never satisfies an equality
 // or range comparison.
 //
-// Two kinds exist: "hash" (equality lookups, a GroupKey map) and
+// Two kinds exist: "hash" (equality lookups, a keyTable with one exact
+// bucket per distinct key) and
 // "ordered" (equality and range lookups, a sorted bucket slice searched
 // with binary search). Structure mutations happen under the owning table's
 // write lock — the same lock every row mutation already holds — while the
@@ -42,8 +43,9 @@ type tableIndex struct {
 	col    int    // column position in the table schema
 	kind   string // "hash" or "ordered"
 
-	hash    map[string][]*storedRow // kind "hash": GroupKey -> versions
-	ordered []indexBucket           // kind "ordered": buckets sorted by key
+	hash    *keyTable      // kind "hash": one entry per distinct key
+	buckets [][]*storedRow // kind "hash": by entry, the versions under its key
+	ordered []indexBucket  // kind "ordered": buckets sorted by key
 
 	entries atomic.Int64 // indexed tuple versions
 	keys    atomic.Int64 // distinct keys currently present
@@ -53,9 +55,30 @@ type tableIndex struct {
 func newTableIndex(name, column string, col int, kind string) *tableIndex {
 	ix := &tableIndex{name: name, column: column, col: col, kind: kind}
 	if kind == "hash" {
-		ix.hash = make(map[string][]*storedRow)
+		ix.hash = newKeyTable(1, 0)
 	}
 	return ix
+}
+
+// hashBucket returns the entry of a hash index's bucket for key, or -1,
+// and key's hash.
+func (ix *tableIndex) hashBucket(key sqlval.Value) (int32, uint64) {
+	h := key.Hash(0)
+	return ix.hash.find([]sqlval.Value{key}, h), h
+}
+
+// addToBucket files one version under its key in a hash index and reports
+// whether the key is new. A bucket an insert rollback emptied keeps its
+// entry, and counts as new again when its key comes back; the next rebuild
+// drops it.
+func (ix *tableIndex) addToBucket(key sqlval.Value, r *storedRow) bool {
+	e, h := ix.hashBucket(key)
+	if e < 0 {
+		e = ix.hash.add([]sqlval.Value{key}, h)
+		ix.buckets = append(ix.buckets, nil)
+	}
+	ix.buckets[e] = append(ix.buckets[e], r)
+	return len(ix.buckets[e]) == 1
 }
 
 // bucketAt finds the ordered-bucket position of key: the first bucket not
@@ -69,9 +92,7 @@ func (ix *tableIndex) bucketAt(key sqlval.Value) (int, bool) {
 
 // sameKey reports whether two non-NULL keys share a bucket of an ordered
 // index: Compare calls them equal. (The ordering is SortLess, which is
-// Compare's, so the two agree on where a bucket starts and ends; a
-// GroupKey, which formats every number as a float, would fold the INTEGERs
-// beyond 2^53 that Compare keeps apart.)
+// Compare's, so the two agree on where a bucket starts and ends.)
 func sameKey(a, b sqlval.Value) bool {
 	c, ok := a.Compare(b)
 	return ok && c == 0
@@ -84,10 +105,7 @@ func (ix *tableIndex) insert(r *storedRow) {
 		return
 	}
 	if ix.kind == "hash" {
-		gk := key.GroupKey()
-		rows, ok := ix.hash[gk]
-		ix.hash[gk] = append(rows, r)
-		if !ok {
+		if ix.addToBucket(key, r) {
 			ix.keys.Add(1)
 		}
 	} else {
@@ -120,16 +138,17 @@ func (ix *tableIndex) remove(r *storedRow) {
 		return rows, false
 	}
 	if ix.kind == "hash" {
-		gk := key.GroupKey()
-		rows, removed := drop(ix.hash[gk])
+		e, _ := ix.hashBucket(key)
+		if e < 0 {
+			return
+		}
+		rows, removed := drop(ix.buckets[e])
 		if !removed {
 			return
 		}
+		ix.buckets[e] = rows
 		if len(rows) == 0 {
-			delete(ix.hash, gk)
 			ix.keys.Add(-1)
-		} else {
-			ix.hash[gk] = rows
 		}
 		ix.entries.Add(-1)
 	} else if i, exact := ix.bucketAt(key); exact {
@@ -151,25 +170,17 @@ func (ix *tableIndex) remove(r *storedRow) {
 // INDEX, applied or executed; table-file loads; a vacuum pass).
 func (ix *tableIndex) rebuild(rows []*storedRow) {
 	if ix.kind == "hash" {
-		ix.hash = make(map[string][]*storedRow)
-		nkeys := int64(0)
+		ix.hash, ix.buckets = newKeyTable(1, 0), nil
+		nkeys, total := int64(0), int64(0)
 		for _, r := range rows {
-			key := r.vals[ix.col]
-			if key.IsNull() {
-				continue
-			}
-			gk := key.GroupKey()
-			bucket, ok := ix.hash[gk]
-			ix.hash[gk] = append(bucket, r)
-			if !ok {
-				nkeys++
+			if key := r.vals[ix.col]; !key.IsNull() {
+				if ix.addToBucket(key, r) {
+					nkeys++
+				}
+				total++
 			}
 		}
 		ix.keys.Store(nkeys)
-		total := int64(0)
-		for _, b := range ix.hash {
-			total += int64(len(b))
-		}
 		ix.entries.Store(total)
 		return
 	}
@@ -200,7 +211,16 @@ func (ix *tableIndex) rebuild(rows []*storedRow) {
 // least the table's read lock and applies visibility itself).
 func (ix *tableIndex) lookupEq(key sqlval.Value) []*storedRow {
 	if ix.kind == "hash" {
-		return ix.hash[key.GroupKey()]
+		e, h := ix.hashBucket(key)
+		if e < 0 {
+			return nil
+		}
+		rows, k := ix.buckets[e], []sqlval.Value{key}
+		// A FLOAT probe equals every INTEGER key that rounds to it.
+		for e = ix.hash.findNext(e, k, h); e >= 0; e = ix.hash.findNext(e, k, h) {
+			rows = append(rows[:len(rows):len(rows)], ix.buckets[e]...)
+		}
+		return rows
 	}
 	if i, exact := ix.bucketAt(key); exact {
 		return ix.ordered[i].rows

@@ -167,10 +167,9 @@ func newTable(name string, schema Schema) *Table {
 func (t *Table) RowCount() int { return int(t.liveRows.Load()) }
 
 // valKey identifies a value up to equality within its own kind: the kind
-// plus the payload Compare looks at. It is the comparable map key where a
-// formatted GroupKey string used to be — the primary-key index (a pk column
-// holds one kind, so this is exact there: INTEGER keys beyond 2^53 stay
-// distinct) and the members of a constant IN list.
+// plus the payload Compare looks at. It keys the primary-key index (a pk
+// column holds one kind, so this is exact there: INTEGER keys beyond 2^53
+// stay distinct).
 type valKey struct {
 	kind sqlval.Kind
 	bits uint64 // integer, bool (0/1), day offset, or the float's bits
@@ -182,7 +181,11 @@ func keyOf(v sqlval.Value) valKey {
 	case sqlval.KindInt:
 		return valKey{kind: sqlval.KindInt, bits: uint64(v.Int())}
 	case sqlval.KindFloat:
-		return floatKey(v.Float())
+		f := v.Float()
+		if f == 0 {
+			f = 0 // -0.0 compares equal to 0.0 but has different bits
+		}
+		return valKey{kind: sqlval.KindFloat, bits: math.Float64bits(f)}
 	case sqlval.KindString:
 		return valKey{kind: sqlval.KindString, s: v.Str()}
 	case sqlval.KindBool:
@@ -194,13 +197,6 @@ func keyOf(v sqlval.Value) valKey {
 		return valKey{kind: sqlval.KindDate, bits: uint64(v.Days())}
 	}
 	return valKey{}
-}
-
-func floatKey(f float64) valKey {
-	if f == 0 {
-		f = 0 // -0.0 compares equal to 0.0 but has different bits
-	}
-	return valKey{kind: sqlval.KindFloat, bits: math.Float64bits(f)}
 }
 
 // admitRow is the one row check, shared by insertRow and the bulk loader:

@@ -7,7 +7,7 @@ package sqlval
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -292,60 +292,54 @@ func SortLess(a, b Value) bool {
 	return a.kind < b.kind
 }
 
-// Hash returns a hash of the value suitable for hash joins and grouping.
-// Values that are Equal hash identically (numeric cross-kind included).
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	switch v.kind {
-	case KindNull:
-		h.Write([]byte{0})
+// SameKey reports whether v and o are one key to a join, GROUP BY,
+// DISTINCT, hash index or IN set: Equal, which is Compare's equality and
+// puts two NULLs together (a join drops NULL keys before it asks), except
+// that a NaN is the same key as a NaN only — Compare calls it equal to
+// every number, which no hash could agree with.
+func (v Value) SameKey(o Value) bool {
+	if v.kind == KindFloat && o.kind == KindFloat {
+		a, b := v.float(), o.float()
+		return a == b || a != a && b != b
+	}
+	return v.Equal(o)
+}
+
+// Hash folds v into the running hash h of a key — a key of several columns
+// folds them in order, from 0 — and agrees with SameKey: keys it calls
+// equal hash equal. A number hashes by its float64 value, −0 folded into 0
+// and every NaN into one, so 2 and 2.0 collide and so do the INTEGERs
+// beyond 2^53 that round to one float (SameKey tells those apart). TEXT
+// hashes by its bytes, BOOL and DATE by kind plus payload.
+func (v Value) Hash(h uint64) uint64 {
+	x, kind := uint64(v.n), v.kind
+	switch kind {
+	case KindInt:
+		x = math.Float64bits(float64(v.n))
+	case KindFloat:
+		kind = KindInt
+		if f := v.float(); f == 0 {
+			x = 0
+		} else if f != f {
+			x = math.Float64bits(math.NaN())
+		}
 	case KindString:
-		h.Write([]byte{1})
-		h.Write([]byte(v.s))
-	case KindBool:
-		h.Write([]byte{2, byte(v.n)})
-	case KindDate:
-		var buf [9]byte
-		buf[0] = 3
-		putUint64(buf[1:], uint64(v.n))
-		h.Write(buf[:])
-	default: // numeric: hash by float64 so 1 and 1.0 collide deliberately
-		f, _ := v.AsFloat()
-		var buf [9]byte
-		buf[0] = 4
-		putUint64(buf[1:], math.Float64bits(f))
-		h.Write(buf[:])
+		x = maphash.String(stringSeed, v.s)
 	}
-	return h.Sum64()
+	return mix64(h^x) + uint64(kind)
 }
 
-// GroupKey returns a string key under which Equal values collide, used for
-// GROUP BY and duplicate elimination.
-func (v Value) GroupKey() string {
-	var buf [32]byte
-	return string(v.AppendGroupKey(buf[:0]))
-}
+// stringSeed seeds the TEXT hash; a hash lives in one process's memory.
+var stringSeed = maphash.MakeSeed()
 
-// AppendGroupKey appends the value's GroupKey to dst, for callers that
-// assemble multi-column keys in a reused buffer.
-func (v Value) AppendGroupKey(dst []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(dst, 0)
-	case KindString:
-		return append(append(dst, 's'), v.s...)
-	case KindBool:
-		return strconv.AppendInt(append(dst, 'b'), v.n, 10)
-	case KindDate:
-		return strconv.AppendInt(append(dst, 'd'), v.n, 10)
-	default:
-		f, _ := v.AsFloat()
-		return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
-	}
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+// mix64 is MurmurHash3's 64-bit finalizer: every input bit reaches every
+// output bit, so a table can index by the low bits even of a float, whose
+// low bits are zero for every small integer.
+func mix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,40 +172,56 @@ func TestSortLessTotalOrder(t *testing.T) {
 	}
 }
 
+// TestHashEqualValuesCollide: keys SameKey calls equal hash equal, with
+// one column or several; keys of different kinds, or differently split
+// across columns, are apart.
 func TestHashEqualValuesCollide(t *testing.T) {
-	if NewInt(7).Hash() != NewFloat(7.0).Hash() {
-		t.Error("7 and 7.0 must hash identically")
+	for _, p := range [][2]Value{
+		{NewInt(7), NewFloat(7.0)},
+		{NewFloat(0), NewFloat(math.Copysign(0, -1))},
+		{NewInt(0), NewFloat(math.Copysign(0, -1))},
+		{NewFloat(math.NaN()), NewFloat(-math.NaN())},
+		{NewInt(9007199254740993), NewFloat(9007199254740992)},
+		{NewString("x"), NewString("x")},
+		{Null, Null},
+	} {
+		if !p[0].SameKey(p[1]) || p[0].Hash(0) != p[1].Hash(0) || p[0].Hash(42) != p[1].Hash(42) {
+			t.Errorf("%v (%s) and %v (%s) must be one key and hash equal", p[0], p[0].Kind(), p[1], p[1].Kind())
+		}
 	}
-	if NewString("x").Hash() == NewString("y").Hash() {
-		t.Error("different strings should hash differently (fnv)")
+	// Apart: the kinds, and neighbours beyond 2^53 (which still collide).
+	for _, p := range [][2]Value{
+		{NewString("1"), NewInt(1)},
+		{NewBool(true), NewInt(1)},
+		{NewDateDays(1), NewInt(1)},
+		{NewDateDays(1), NewBool(true)},
+		{NewString(""), Null},
+		{NewString("x"), NewString("y")},
+		{NewFloat(math.NaN()), NewFloat(1)},
+	} {
+		if p[0].SameKey(p[1]) || p[0].Hash(0) == p[1].Hash(0) {
+			t.Errorf("%v (%s) and %v (%s) must be different keys with different hashes", p[0], p[0].Kind(), p[1], p[1].Kind())
+		}
 	}
-}
-
-func TestGroupKeyDistinguishesKinds(t *testing.T) {
-	// '1' (text) and 1 (int) must not collide.
-	if NewString("1").GroupKey() == NewInt(1).GroupKey() {
-		t.Error("text '1' and int 1 group keys collide")
+	if a, b := NewInt(9007199254740993), NewInt(9007199254740992); a.SameKey(b) {
+		t.Error("2^53 + 1 and 2^53 must be different keys")
 	}
-	// but 1 and 1.0 must collide (they are Equal).
-	if NewInt(1).GroupKey() != NewFloat(1).GroupKey() {
-		t.Error("1 and 1.0 group keys must collide")
+	// Two columns fold in order: ('a\x00sb', '') and ('a', 'b\x00s') are
+	// different keys, and so are (1, 2) and (2, 1).
+	fold := func(vs ...Value) (h uint64) {
+		for _, v := range vs {
+			h = v.Hash(h)
+		}
+		return h
 	}
-}
-
-// TestAppendGroupKeyConcatenates: keys appended into one buffer are the
-// GroupKeys laid end to end, whatever the buffer already holds and however
-// long the value (GroupKey itself goes through a fixed-size scratch array).
-func TestAppendGroupKeyConcatenates(t *testing.T) {
-	vals := []Value{Null, NewInt(-7), NewFloat(2.5), NewFloat(1e21), NewBool(true),
-		NewDate(1995, 3, 15), NewString(""), NewString(strings.Repeat("long text ", 20))}
-	var buf []byte
-	want := ""
-	for _, v := range vals {
-		buf = v.AppendGroupKey(buf)
-		want += v.GroupKey()
+	if fold(NewString("a\x00sb"), NewString("")) == fold(NewString("a"), NewString("b\x00s")) {
+		t.Error("NUL-bearing TEXT split across two columns collides")
 	}
-	if string(buf) != want {
-		t.Errorf("appended keys = %q, want %q", buf, want)
+	if fold(NewInt(1), NewInt(2)) == fold(NewInt(2), NewInt(1)) {
+		t.Error("(1, 2) and (2, 1) collide")
+	}
+	if fold(NewInt(2), NewString("x")) != fold(NewFloat(2), NewString("x")) {
+		t.Error("(2, 'x') and (2.0, 'x') must hash equal")
 	}
 }
 
@@ -294,7 +309,7 @@ func TestQuickRowCodecRoundTrip(t *testing.T) {
 func TestQuickHashConsistentWithEqual(t *testing.T) {
 	f := func(a, b quickValue) bool {
 		if a.V.Equal(b.V) {
-			return a.V.Hash() == b.V.Hash() && a.V.GroupKey() == b.V.GroupKey()
+			return a.V.SameKey(b.V) && a.V.Hash(0) == b.V.Hash(0)
 		}
 		return true
 	}
