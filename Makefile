@@ -88,7 +88,7 @@ experiments:
 FUZZ_TARGETS = sqlparse:FuzzParse sqlparse:FuzzAsOf plan:FuzzPlan \
 	wire:FuzzRead wire:FuzzPrepared wire:FuzzLineage wire:FuzzStatementFrames wire:FuzzReplMessages \
 	sqlval:FuzzDecode sqlval:FuzzSkipRow sqlval:FuzzValueHash engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable engine:FuzzDecodeStamps \
-	ops:FuzzTracesHandler prov:FuzzTraceUnmarshal pack:FuzzUnmarshal ldv:FuzzDBLog
+	ops:FuzzTracesHandler prov:FuzzTraceUnmarshal prov:FuzzTraceIndex pack:FuzzUnmarshal ldv:FuzzDBLog
 fuzz_each = for t in $(FUZZ_TARGETS); do $(GO) test ./internal/$${t%:*} -fuzz "^$${t\#*:}$$" -fuzztime $(1) || exit 1; done
 
 fuzz:

@@ -51,10 +51,6 @@ type Auditor struct {
 	relevantN  int
 	duplicates int // reads of a version already relevant, suppressed
 
-	// hasRead, hasReturned and readFrom are the edge labels a statement
-	// links by the thousand, resolved once against the trace's model.
-	hasRead, hasReturned, readFrom uint8
-
 	// CollectLineage controls whether the audit interceptor forces Lineage
 	// computation on every statement. Server-included packaging requires it;
 	// a server-excluded-only audit runs without it, which is why that mode
@@ -150,10 +146,6 @@ func NewAuditor(k *osim.Kernel) *Auditor {
 		tables:         map[string]*relevantTable{},
 		CollectLineage: true,
 	}
-	// The combined model has these labels, so resolving them cannot fail.
-	a.hasRead, _ = a.trace.LabelIndex(prov.EdgeHasRead)
-	a.hasReturned, _ = a.trace.LabelIndex(prov.EdgeHasReturned)
-	a.readFrom, _ = a.trace.LabelIndex(prov.EdgeReadFrom)
 	k.Trace(a)
 	return a
 }
@@ -280,15 +272,6 @@ func (a *Auditor) table(name string) *relevantTable {
 	return t
 }
 
-func (a *Auditor) tupleKey(ref engine.TupleRef) prov.Key {
-	return a.trace.TupleKey(ref.Table, uint64(ref.Row), ref.Version)
-}
-
-func (a *Auditor) ensureTuple(ref engine.TupleRef) prov.Ref {
-	r, _ := a.trace.Intern(a.tupleKey(ref), prov.TypeTuple)
-	return r
-}
-
 // flags returns the dedup flags of tuple node r.
 func (a *Auditor) flags(r prov.Ref) *uint8 {
 	if n := a.trace.NodeCount(); len(a.tupleFlags) < n {
@@ -413,11 +396,11 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	iv := prov.Interval{Begin: res.Start, End: res.End}
 	_, _ = tr.Link(proc, stmt, prov.EdgeRun, iv, traceID)
 
-	// hasRead edges: every tuple version in some result row's lineage or in
-	// the DML read set — which is exactly the version set the result
-	// carries the values of. The set is in table order, so a table name is
-	// interned once per run of its versions; nodes is parallel to the set,
-	// which is what lineage positions index.
+	// hasRead edges, one run: every tuple version in some result row's
+	// lineage or in the DML read set — which is exactly the version set the
+	// result carries the values of. The set is in table order, so a table
+	// name is interned once per run of its versions; nodes is parallel to
+	// the set, which is what lineage positions index.
 	set := res.TupleValues
 	read := set.Refs()
 	nodes := make([]prov.Ref, len(read))
@@ -428,8 +411,8 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		}
 		key.A, key.B = uint64(ref.Row), ref.Version
 		nodes[i], _ = tr.Intern(key, prov.TypeTuple)
-		_, _ = tr.LinkIndex(nodes[i], stmt, a.hasRead, iv, traceID)
 	}
+	_ = tr.LinkRun(stmt, nodes, false, prov.EdgeHasRead, iv, traceID)
 	a.tupleFetched += len(read)
 	mTuplesFetched.Add(int64(len(read)))
 
@@ -460,14 +443,14 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	spoolDur = time.Since(s0)
 	dedupDur = time.Since(d0)
 
-	// hasReturned edges for stored tuples produced by DML, plus version
-	// dependencies (an updated version depends on its predecessor).
+	// hasReturned edges for stored tuples produced by DML, one run, plus
+	// version dependencies (an updated version depends on its predecessor).
 	written := make([]prov.Ref, len(res.WrittenRefs))
 	for i, ref := range res.WrittenRefs {
-		written[i] = a.ensureTuple(ref)
-		_, _ = tr.LinkIndex(stmt, written[i], a.hasReturned, iv, traceID)
+		written[i], _ = tr.Intern(tr.TupleKey(ref.Table, uint64(ref.Row), ref.Version), prov.TypeTuple)
 		*a.flags(written[i]) |= flagAppCreated
 	}
+	_ = tr.LinkRun(stmt, written, true, prov.EdgeHasReturned, iv, traceID)
 	switch stype {
 	case prov.TypeUpdate:
 		// Reenactment pairing: old and new version share the row id.
@@ -477,41 +460,38 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		}
 		for _, old := range res.ReadRefs {
 			if i, ok := byRow[old.Row]; ok && old.Table == res.WrittenRefs[i].Table {
-				a.linkDep(old, written[i])
+				if src, ok := tr.LookupTuple(old.Table, uint64(old.Row), old.Version); ok {
+					_ = tr.LinkDep(src, written[i])
+				}
 			}
 		}
 	case prov.TypeInsert:
 		// INSERT ... SELECT: conservatively, every written tuple depends on
 		// every read tuple (per-row lineage is not tracked across the copy).
 		for _, old := range res.ReadRefs {
-			for _, nw := range written {
-				a.linkDep(old, nw)
-			}
-		}
-	}
-
-	// Result tuples of queries: returned by the statement, read by the
-	// process (the cross-model readFrom edge), and dependent on their
-	// lineage (Definition 7) — positions in the version set, so nodes[pos].
-	if stype == prov.TypeQuery {
-		for i := range res.Rows {
-			rnode, _ := tr.Intern(prov.ResultKey(res.StmtID, i), prov.TypeTuple)
-			_, _ = tr.LinkIndex(stmt, rnode, a.hasReturned, iv, traceID)
-			_, _ = tr.LinkIndex(rnode, proc, a.readFrom, iv, traceID)
-			if i < len(res.Lineage) {
-				for _, pos := range res.Lineage[i] {
-					_ = tr.LinkDep(nodes[pos], rnode)
+			if src, ok := tr.LookupTuple(old.Table, uint64(old.Row), old.Version); ok {
+				for _, nw := range written {
+					_ = tr.LinkDep(src, nw)
 				}
 			}
 		}
 	}
-}
 
-// linkDep records that node to depends on stored tuple version from, if the
-// trace has seen from.
-func (a *Auditor) linkDep(from engine.TupleRef, to prov.Ref) {
-	if src, ok := a.trace.Lookup(a.tupleKey(from)); ok {
-		_ = a.trace.LinkDep(src, to)
+	// Result tuples of queries: returned by the statement and read by the
+	// process (readFrom), a run each, and dependent on their lineage
+	// (Definition 7) — positions in the version set, so nodes[pos].
+	if stype == prov.TypeQuery {
+		results := make([]prov.Ref, len(res.Rows))
+		for i := range results {
+			results[i], _ = tr.Intern(prov.ResultKey(res.StmtID, i), prov.TypeTuple)
+			if i < len(res.Lineage) {
+				for _, pos := range res.Lineage[i] {
+					_ = tr.LinkDep(nodes[pos], results[i])
+				}
+			}
+		}
+		_ = tr.LinkRun(stmt, results, true, prov.EdgeHasReturned, iv, traceID)
+		_ = tr.LinkRun(proc, results, false, prov.EdgeReadFrom, iv, traceID)
 	}
 }
 

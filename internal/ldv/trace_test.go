@@ -3,6 +3,8 @@ package ldv
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"slices"
@@ -456,5 +458,99 @@ func TestOpensAreReleased(t *testing.T) {
 	defer aud.mu.Unlock()
 	if len(aud.opens) != 0 {
 		t.Errorf("%d open-file stacks left after every file was closed: %v", len(aud.opens), aud.opens)
+	}
+}
+
+// wideTraceDigest is the content of the audited ldv_wide trace, pinned at
+// the commit before the trace's node index and edge runs changed
+// representation: any later representation change must leave it equal.
+const wideTraceDigest = "e41262a907eec98c8dc40a6000dda1064ff4a8b585bb6113303271b943233c85"
+
+// The audited wide trace's content — every node's id, type and label, the
+// edges by time as (from, to, label, interval, traced or not) and the
+// dependency set — hashes to the pinned digest. Request-trace ids are
+// random per run, so only their presence enters the hash.
+func TestAuditedWideTraceContentPinned(t *testing.T) {
+	_, aud, _ := auditWide(t)
+	tr := aud.Trace()
+	h := sha256.New()
+	for _, n := range tr.Nodes() {
+		fmt.Fprintf(h, "node %s %s %q\n", n.ID, n.Type, n.Label)
+	}
+	for _, e := range tr.EdgesByTime() {
+		fmt.Fprintf(h, "edge %s %s %s %v %t\n", tr.ID(e.From), tr.ID(e.To), tr.EdgeLabel(e), e.T, e.Trace != 0)
+	}
+	for _, d := range tr.Deps() {
+		fmt.Fprintf(h, "dep %s %s\n", tr.ID(d.From), tr.ID(d.To))
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d nodes, %d edges, %d deps", tr.NodeCount(), tr.EdgeCount(), len(tr.Deps()))
+	if got != wideTraceDigest {
+		t.Errorf("audited ldv_wide trace digest = %s, pinned %s", got, wideTraceDigest)
+	}
+}
+
+// An audited INSERT ... SELECT records that every version it wrote depends
+// on every version it read — exactly the k × m pairs — and an audited
+// UPDATE pairs each old version with the new version of the same row.
+func TestAuditedDMLDependencies(t *testing.T) {
+	m, err := NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DB.ExecScript(`
+		CREATE TABLE src (id INTEGER PRIMARY KEY, v INTEGER);
+		CREATE TABLE dst (id INTEGER PRIMARY KEY, v INTEGER);
+		INSERT INTO src VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50);`, engine.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	app := shopApp("copier",
+		"INSERT INTO dst SELECT id, v FROM src WHERE id <= 3",
+		"UPDATE src SET v = v + 1 WHERE id >= 4")
+	aud, err := Audit(m, []App{app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := aud.Trace()
+	// The versions each statement read and wrote, by its hasRead and
+	// hasReturned edges.
+	read, wrote := map[string][]string{}, map[string][]string{}
+	for _, e := range tr.Edges() {
+		switch tr.EdgeLabel(e) {
+		case prov.EdgeHasRead:
+			read[tr.Type(e.To)] = append(read[tr.Type(e.To)], tr.ID(e.From))
+		case prov.EdgeHasReturned:
+			wrote[tr.Type(e.From)] = append(wrote[tr.Type(e.From)], tr.ID(e.To))
+		}
+	}
+	var want []string
+	ins, upd := read[prov.TypeInsert], read[prov.TypeUpdate]
+	if len(ins) != 3 || len(wrote[prov.TypeInsert]) != 3 {
+		t.Fatalf("INSERT ... SELECT read %v and wrote %v, want 3 and 3", ins, wrote[prov.TypeInsert])
+	}
+	for _, from := range ins {
+		for _, to := range wrote[prov.TypeInsert] {
+			want = append(want, from+" -> "+to)
+		}
+	}
+	if len(upd) != 2 || len(wrote[prov.TypeUpdate]) != 2 {
+		t.Fatalf("UPDATE read %v and wrote %v, want 2 and 2", upd, wrote[prov.TypeUpdate])
+	}
+	for _, from := range upd {
+		at := strings.LastIndexByte(from, '@')
+		for _, to := range wrote[prov.TypeUpdate] {
+			if strings.HasPrefix(to, from[:at+1]) {
+				want = append(want, from+" -> "+to)
+			}
+		}
+	}
+	var got []string
+	for _, d := range tr.Deps() {
+		got = append(got, tr.ID(d.From)+" -> "+tr.ID(d.To))
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if len(want) != 3*3+2 || !slices.Equal(got, want) {
+		t.Errorf("deps:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

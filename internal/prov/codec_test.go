@@ -354,6 +354,30 @@ func TestUnmarshalAllocatesInProportion(t *testing.T) {
 			t.Errorf("%s: refusing a %d-byte trace allocated %d bytes (%.1f per byte)", c.section, n, grew, float64(grew)/n)
 		}
 	}
+
+	// An accepted trace of tuple versions whose row ids lie 2^20 apart (five
+	// bytes a node): the node index is as large as the node count needs,
+	// whatever the row ids are.
+	tr := NewTrace(CombinedDefault())
+	for i := 0; i < n/5; i++ {
+		if _, err := tr.Intern(tr.TupleKey("t", uint64(i)<<20, 1), TypeTuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := tr.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Unmarshal(data, CombinedDefault())
+	runtime.ReadMemStats(&after)
+	if err != nil || got.NodeCount() != n/5 {
+		t.Fatalf("sparse row ids: decoding a %d-byte trace of %d nodes: %v", len(data), n/5, err)
+	}
+	if grew := int(after.TotalAlloc - before.TotalAlloc); grew > perByte*len(data) {
+		t.Errorf("sparse row ids: accepting a %d-byte trace allocated %d bytes (%.1f per byte)", len(data), grew, float64(grew)/float64(len(data)))
+	}
 }
 
 // FuzzTraceUnmarshal: no input makes the decoder panic, and whatever it

@@ -560,6 +560,7 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 			return nil, fmt.Errorf("node group %d (%s, kind %d) is empty", g, typ, kind)
 		}
 		prevType, prevKind = ti, kind
+		tr.reserve(len(tr.keys) + bin.Reserve(n, 24+1+2*4, r.Len())) // a node's key, type and two slots
 		var prev Key
 		for i := 0; i < n && r.Err() == nil; i++ {
 			k, same := Key{Kind: kind}, true
@@ -586,12 +587,12 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 				}
 			}
 			prev = k
-			tr.index[k] = Ref(len(tr.keys))
-			tr.keys = append(tr.keys, k)
-			tr.typ = append(tr.typ, uint8(ti))
-		}
-		if r.Err() == nil && len(tr.index) != len(tr.keys) {
-			r.Failf("a %s node repeats the key of an earlier node", typ)
+			slot, dup := tr.find(k)
+			if dup != 0 {
+				r.Failf("a %s node repeats the key of an earlier node", typ)
+				break
+			}
+			tr.add(k, ti, slot)
 		}
 	}
 	if r.Err() != nil {
@@ -708,16 +709,14 @@ func unmarshal(data []byte, m *Model) (*Trace, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	for i, e := range edges {
-		if i > 0 {
-			p := edges[i-1]
-			if e.T == p.T && e.From == p.From && e.To == p.To && (e.Label < p.Label || (e.Label == p.Label && e.Trace < p.Trace)) {
-				return nil, fmt.Errorf("edge %d out of canonical order", i)
-			}
+	for i := 1; i < len(edges); i++ {
+		e, p := edges[i], edges[i-1]
+		if e.T == p.T && e.From == p.From && e.To == p.To && (e.Label < p.Label || (e.Label == p.Label && e.Trace < p.Trace)) {
+			return nil, fmt.Errorf("edge %d out of canonical order", i)
 		}
-		if err := tr.checkEdge(e); err != nil {
-			return nil, err
-		}
+	}
+	if err := tr.checkEdges(edges); err != nil {
+		return nil, err
 	}
 	tr.edges = edges
 

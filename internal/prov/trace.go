@@ -1,8 +1,11 @@
 package prov
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -88,9 +91,12 @@ type Trace struct {
 	strs   []string
 	strIdx map[string]StrID
 
-	keys  []Key   // by Ref
-	typ   []uint8 // by Ref, index into types
-	index map[Key]Ref
+	keys []Key   // by Ref
+	typ  []uint8 // by Ref, index into types
+	// slots is the node index over keys, open-addressed, per-trace seeded:
+	// Ref+1 or 0 (empty); a power of two, at least twice the node count.
+	slots []Ref
+	seed  maphash.Seed
 	attrs [numAttrs]map[Ref]StrID
 
 	edges []Edge
@@ -103,7 +109,8 @@ func NewTrace(m *Model) *Trace {
 		Model:  m,
 		strs:   []string{""},
 		strIdx: map[string]StrID{"": 0},
-		index:  map[Key]Ref{},
+		slots:  make([]Ref, 16),
+		seed:   maphash.MakeSeed(),
 	}
 	for t := range m.Activities {
 		tr.types = append(tr.types, t)
@@ -169,23 +176,80 @@ func (tr *Trace) Intern(k Key, typ string) (Ref, error) {
 	if ti < 0 {
 		return 0, fmt.Errorf("trace: node type %q is not part of model %s", typ, tr.Model.Name)
 	}
-	if r, ok := tr.index[k]; ok {
-		if int(tr.typ[r]) != ti {
-			return 0, fmt.Errorf("trace: node %q exists with type %q, not %q", tr.ID(r), tr.types[tr.typ[r]], typ)
-		}
-		return r, nil
+	slot, r := tr.find(k)
+	if r == 0 {
+		return tr.add(k, ti, slot), nil
 	}
-	r := Ref(len(tr.keys))
-	tr.keys = append(tr.keys, k)
-	tr.typ = append(tr.typ, uint8(ti))
-	tr.index[k] = r
+	r--
+	if int(tr.typ[r]) != ti {
+		return 0, fmt.Errorf("trace: node %q exists with type %q, not %q", tr.ID(r), tr.types[tr.typ[r]], typ)
+	}
 	return r, nil
 }
 
 // Lookup returns the node with key k.
 func (tr *Trace) Lookup(k Key) (Ref, bool) {
-	r, ok := tr.index[k]
-	return r, ok
+	if _, r := tr.find(k); r != 0 {
+		return r - 1, true
+	}
+	return 0, false
+}
+
+// LookupTuple returns the node of a stored tuple version. Unlike TupleKey it
+// never grows the string table: a table it has not seen names no node.
+func (tr *Trace) LookupTuple(table string, row, version uint64) (Ref, bool) {
+	if s, ok := tr.strIdx[table]; ok {
+		return tr.Lookup(Key{Kind: KindTuple, Str: s, A: row, B: version})
+	}
+	return 0, false
+}
+
+// find probes linearly from k's hash for the slot holding k and returns it
+// with k's Ref+1, or the empty slot where k belongs with 0.
+func (tr *Trace) find(k Key) (slot int, r Ref) {
+	var b [24]byte
+	binary.LittleEndian.PutUint64(b[0:], uint64(k.Kind)<<32|uint64(k.Str))
+	binary.LittleEndian.PutUint64(b[8:], k.A)
+	binary.LittleEndian.PutUint64(b[16:], k.B)
+	mask := len(tr.slots) - 1
+	for i := int(maphash.Bytes(tr.seed, b[:])) & mask; ; i = (i + 1) & mask {
+		if r := tr.slots[i]; r == 0 || tr.keys[r-1] == k {
+			return i, r
+		}
+	}
+}
+
+// add appends a node with key k and type index ti in the empty slot find
+// returned for k, doubling the index (and columns) once it is half full.
+func (tr *Trace) add(k Key, ti, slot int) Ref {
+	r := Ref(len(tr.keys))
+	tr.keys = append(tr.keys, k)
+	tr.typ = append(tr.typ, uint8(ti))
+	tr.slots[slot] = r + 1
+	if 2*len(tr.keys) >= len(tr.slots) {
+		tr.reserve(len(tr.slots))
+	}
+	return r
+}
+
+// reserve makes room for n nodes in the node columns and in an index they
+// fill at most half, re-placing every node if the index grows.
+func (tr *Trace) reserve(n int) {
+	if n > cap(tr.keys) {
+		tr.keys = append(make([]Key, 0, n), tr.keys...)
+		tr.typ = append(make([]uint8, 0, n), tr.typ...)
+	}
+	size := len(tr.slots)
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(tr.slots) {
+		tr.slots = make([]Ref, size)
+		for r, k := range tr.keys {
+			slot, _ := tr.find(k)
+			tr.slots[slot] = Ref(r) + 1
+		}
+	}
 }
 
 // Type returns node r's type label.
@@ -241,62 +305,62 @@ func (tr *Trace) label(r Ref, id string) string {
 }
 
 // Link connects two nodes with a typed, time-annotated edge, validating
-// the edge type against the model. trace is the string-table index of the
-// recording request's trace id, 0 for none.
+// the edge type against the model: a run of one. trace is the
+// string-table index of the recording request's trace id, 0 for none.
 func (tr *Trace) Link(from, to Ref, label string, t Interval, trace StrID) (Edge, error) {
-	li, err := tr.LabelIndex(label)
-	if err != nil {
+	if err := tr.LinkRun(from, []Ref{to}, true, label, t, trace); err != nil {
 		return Edge{}, err
 	}
-	return tr.link(from, to, int(li), t, trace)
+	return tr.edges[len(tr.edges)-1], nil
 }
 
-// LabelIndex resolves an edge label to its index in the trace's label table,
-// the value Edge.Label holds, for LinkIndex.
-func (tr *Trace) LabelIndex(label string) (uint8, error) {
+// LinkRun links hub -> each of ends (each of ends -> hub unless out), in
+// order, under one label, interval and request trace. The edges grow once,
+// at least doubling; on error nothing is linked.
+func (tr *Trace) LinkRun(hub Ref, ends []Ref, out bool, label string, t Interval, trace StrID) error {
 	li := indexOf(tr.labels, label)
 	if li < 0 {
-		return 0, fmt.Errorf("trace: edge label %q is not part of model %s", label, tr.Model.Name)
+		return fmt.Errorf("trace: edge label %q is not part of model %s", label, tr.Model.Name)
 	}
-	return uint8(li), nil
+	n := len(tr.edges)
+	if n+len(ends) > cap(tr.edges) {
+		tr.edges = slices.Grow(tr.edges, max(len(ends), n))
+	}
+	for _, end := range ends {
+		e := Edge{From: hub, To: end, T: t, Trace: trace, Label: uint8(li)}
+		if !out {
+			e.From, e.To = end, hub
+		}
+		tr.edges = append(tr.edges, e)
+	}
+	if err := tr.checkEdges(tr.edges[n:]); err != nil {
+		tr.edges = tr.edges[:n]
+		return err
+	}
+	return nil
 }
 
-// LinkIndex is Link with the label already resolved by LabelIndex, for a
-// caller that links many edges of a few labels.
-func (tr *Trace) LinkIndex(from, to Ref, label uint8, t Interval, trace StrID) (Edge, error) {
-	if int(label) >= len(tr.labels) {
-		return Edge{}, fmt.Errorf("trace: edge label %d outside the model's %d", label, len(tr.labels))
-	}
-	return tr.link(from, to, int(label), t, trace)
-}
-
-// link is Link with the label already resolved to its table index.
-func (tr *Trace) link(from, to Ref, label int, t Interval, trace StrID) (Edge, error) {
-	e := Edge{From: from, To: to, T: t, Trace: trace, Label: uint8(label)}
-	if err := tr.checkEdge(e); err != nil {
-		return Edge{}, err
-	}
-	tr.edges = append(tr.edges, e)
-	return e, nil
-}
-
-// checkEdge validates e, its label already below the label table's length:
-// both ends and its string are in the trace, its interval is valid, and the
-// model admits its label between its ends' types.
-func (tr *Trace) checkEdge(e Edge) error {
-	if int(e.From) >= len(tr.keys) || int(e.To) >= len(tr.keys) {
-		return fmt.Errorf("trace: edge %d->%d names a node outside the trace's %d", e.From, e.To, len(tr.keys))
-	}
-	if int(e.Trace) >= len(tr.strs) {
-		return fmt.Errorf("trace: edge %s->%s names string %d outside the table's %d", tr.ID(e.From), tr.ID(e.To), e.Trace, len(tr.strs))
-	}
-	if !e.T.Valid() {
-		return fmt.Errorf("trace: invalid interval %v on edge %s->%s", e.T, tr.ID(e.From), tr.ID(e.To))
-	}
+// checkEdges is the one edge validator, labels already in range: interval
+// and request trace once a run that shares them, then per edge a bounds
+// check of its ends and one read of the model's admitted-triple table.
+func (tr *Trace) checkEdges(edges []Edge) error {
 	nt := len(tr.types)
-	if !tr.valid[(int(e.Label)*nt+int(tr.typ[e.From]))*nt+int(tr.typ[e.To])] {
-		return fmt.Errorf("trace: edge %s(%s, %s) violates model %s",
-			tr.labels[e.Label], tr.Type(e.From), tr.Type(e.To), tr.Model.Name)
+	for i, e := range edges {
+		if int(e.From) >= len(tr.keys) || int(e.To) >= len(tr.keys) {
+			return fmt.Errorf("trace: edge %d->%d names a node outside the trace's %d", e.From, e.To, len(tr.keys))
+		}
+		if i == 0 || e.T != edges[i-1].T || e.Trace != edges[i-1].Trace {
+			if int(e.Trace) >= len(tr.strs) {
+				return fmt.Errorf("trace: edge %s->%s names string %d outside the table's %d", tr.ID(e.From), tr.ID(e.To), e.Trace, len(tr.strs))
+			}
+			if !e.T.Valid() {
+				return fmt.Errorf("trace: invalid interval %v on edge %s->%s", e.T, tr.ID(e.From), tr.ID(e.To))
+			}
+		}
+		if !tr.valid[(int(e.Label)*nt+int(tr.typ[e.From]))*nt+int(tr.typ[e.To])] {
+			return fmt.Errorf("trace: edge %s(%s, %s) violates model %s",
+				tr.labels[e.Label], tr.Type(e.From), tr.Type(e.To), tr.Model.Name)
+		}
 	}
 	return nil
 }
