@@ -52,7 +52,7 @@ bench:
 # every benchmark once, so one that no longer builds or runs fails the push
 # instead of rotting.
 bench-smoke:
-	$(GO) test ./internal/engine ./internal/client ./internal/wire ./internal/prov ./internal/ldv ./internal/deps ./internal/pack -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/engine ./internal/client ./internal/wire ./internal/prov ./internal/ldv ./internal/deps ./internal/pack ./internal/obs -run '^$$' -bench . -benchtime 1x
 
 # The regression gate over the repository benchmark (benchmark/README.md):
 # a fresh ten-run set (seeds 42..51, ~20 min) compared against the newest

@@ -34,8 +34,7 @@ func AuditWithOptions(m *Machine, apps []App, opts AuditOptions) (*Auditor, erro
 	if err := m.InstallApps(apps); err != nil {
 		return nil, err
 	}
-	aud := NewAuditor(m.Kernel)
-	aud.CollectLineage = opts.CollectLineage
+	aud := NewAuditor(m.Kernel, opts)
 	aud.MarkServerBinary(ServerBinaryPath)
 	defer aud.Detach()
 

@@ -51,11 +51,11 @@ type Auditor struct {
 	relevantN  int
 	duplicates int // reads of a version already relevant, suppressed
 
-	// CollectLineage controls whether the audit interceptor forces Lineage
-	// computation on every statement. Server-included packaging requires it;
-	// a server-excluded-only audit runs without it, which is why that mode
-	// is cheaper in §IX-B.
-	CollectLineage bool
+	// collectLineage (AuditOptions.CollectLineage) makes the audit
+	// interceptor force Lineage computation on every statement.
+	// Server-included packaging requires it; a server-excluded-only audit
+	// runs without it, which is why that mode is cheaper in §IX-B.
+	collectLineage bool
 
 	// dbLog records every session's interactions in order for
 	// server-excluded replay.
@@ -132,7 +132,7 @@ const SpoolDir = "/var/spool/ldv-audit"
 
 // NewAuditor creates an auditor and attaches it to the kernel. Call Detach
 // when monitoring ends.
-func NewAuditor(k *osim.Kernel) *Auditor {
+func NewAuditor(k *osim.Kernel, opts AuditOptions) *Auditor {
 	a := &Auditor{
 		kernel:         k,
 		trace:          prov.NewTrace(prov.CombinedDefault()),
@@ -144,7 +144,7 @@ func NewAuditor(k *osim.Kernel) *Auditor {
 		filesWritten:   map[string]bool{},
 		serverFiles:    map[string]bool{},
 		tables:         map[string]*relevantTable{},
-		CollectLineage: true,
+		collectLineage: opts.CollectLineage,
 	}
 	k.Trace(a)
 	return a
@@ -301,7 +301,7 @@ type auditInterceptor struct {
 // BeforeQuery forces lineage computation on every statement — the query
 // modification the paper applies in the instrumented client library.
 func (ic *auditInterceptor) BeforeQuery(info *client.QueryInfo) (*engine.Result, error) {
-	if ic.aud.CollectLineage {
+	if ic.aud.collectLineage {
 		info.WithLineage = true
 	}
 	return nil, nil

@@ -49,10 +49,8 @@ type ASHSampler struct {
 	enabled atomic.Bool
 	rate    atomic.Int64 // Hz
 
-	mu     sync.Mutex
-	ring   []ASHSample
-	next   int
-	filled bool
+	mu      sync.Mutex
+	samples ring[ASHSample]
 
 	once sync.Once
 }
@@ -66,7 +64,9 @@ func newASHSampler(capacity int) *ASHSampler {
 	if capacity <= 0 {
 		capacity = DefaultASHCapacity
 	}
-	a := &ASHSampler{ring: make([]ASHSample, capacity)}
+	// The sampler is always on, so its ring fills; it is allocated whole up
+	// front rather than grown.
+	a := &ASHSampler{samples: ring[ASHSample]{buf: make([]ASHSample, 0, capacity), size: capacity}}
 	a.enabled.Store(true)
 	a.rate.Store(DefaultASHRate)
 	return a
@@ -153,12 +153,7 @@ func (a *ASHSampler) sampleOnce(now time.Time) {
 	}
 	a.mu.Lock()
 	for _, s := range samples {
-		a.ring[a.next] = s
-		a.next++
-		if a.next == len(a.ring) {
-			a.next = 0
-			a.filled = true
-		}
+		a.samples.add(s)
 	}
 	a.mu.Unlock()
 	mASHSamples.Add(int64(len(samples)))
@@ -168,14 +163,7 @@ func (a *ASHSampler) sampleOnce(now time.Time) {
 // first) — the provider behind ldv_stat_ash and the /ash endpoint.
 func (a *ASHSampler) Samples() []ASHSample {
 	a.mu.Lock()
-	var out []ASHSample
-	if a.filled {
-		out = make([]ASHSample, 0, len(a.ring))
-		out = append(out, a.ring[a.next:]...)
-		out = append(out, a.ring[:a.next]...)
-	} else {
-		out = append([]ASHSample(nil), a.ring[:a.next]...)
-	}
+	out := a.samples.all()
 	a.mu.Unlock()
 	// Ring order is already chronological per-tick; a stable sort keeps the
 	// contract explicit even if ticks ever interleave with a reset.
@@ -187,19 +175,11 @@ func (a *ASHSampler) Samples() []ASHSample {
 func (a *ASHSampler) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.filled {
-		return len(a.ring)
-	}
-	return a.next
+	return len(a.samples.buf)
 }
 
 func (a *ASHSampler) reset() {
 	a.mu.Lock()
-	a.next = 0
-	a.filled = false
+	a.samples.reset()
 	a.mu.Unlock()
 }
-
-// ResetASH clears the ASH ring (the benchmark harness isolates runs with
-// it, alongside Registry.Reset for the metrics).
-func ResetASH() { defaultASH.reset() }

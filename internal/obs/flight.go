@@ -1,38 +1,40 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 )
 
-// The flight recorder keeps the last completed traces — each a causal tree
-// of spans sharing one TraceID — in a bounded ring, queryable over the wire
-// protocol (Stats kind "traces") and over the ops endpoint (GET /traces).
-// Spans accumulate per trace while any of them is open; once an *entry*
-// span (one that originated the trace, or joined it from a wire context —
-// i.e. whose parent is not a local span) has ended and no local spans of
-// the trace remain open, the collected tree is sealed into a TraceRecord
-// and the working state is dropped. Sealing on entry spans rather than
-// only true roots is what makes the recorder work across processes: a TCP
-// server never sees the client's root end, but its own server.query entry
-// span closing (after every engine child) completes the server's local
-// view of the trace. Each process therefore records the portion of the
-// trace it executed; in-process deployments (net.Pipe, the simulated
-// machine) share one registry and seal the full client-to-WAL tree when
-// the client root ends last. Traces that never drain (a crashed client, a
-// leaked span) are evicted oldest-first once too many are in flight, so an
-// abandoned trace costs bounded memory, not a leak.
+// The flight recorder keeps the spans this process finished most recently
+// and assembles them into request traces — each a causal tree of spans
+// sharing one TraceID — only when read: over the wire protocol (Stats kind
+// "traces") and the ops endpoint (GET /traces). Ending a span appends its
+// record to one bounded ring; that is all a span costs the recorder. A
+// trace is listed once one of its *entry* spans has ended — a span whose
+// parent is not a local span: it originated the trace or joined it from a
+// wire context. So a TCP server, which never sees the client's root end,
+// lists its local view once its server.query entry span ends; in one
+// process (net.Pipe, the simulated machine) client and server share a
+// registry, and the client root, ending last, names the whole tree.
+//
+// No trace is shown with a part missing. Span ids are handed out in start
+// order, and every local span of a trace starts after the trace's first
+// entry span and (spans nesting) ends before it. The ring drops spans in
+// the order they ended, so if it dropped a span of a trace whose entry span
+// it still holds, that entry's id is at most lost, the highest id the ring
+// has dropped, and the trace is left out.
 
-// TraceRecord is one completed request trace: the root span's identity plus
-// every span that joined the trace, ordered by start time.
+// TraceRecord is one request trace: its entry span's identity plus every
+// span of the trace the recorder holds, ordered by start time.
 type TraceRecord struct {
 	Trace TraceID `json:"trace"`
-	// Root names the span that originated (and completed) the trace.
+	// Root names the trace's last-ended entry span: the outermost one.
 	Root       string `json:"root"`
 	StartUnix  int64  `json:"start_unix_ns"`
 	DurationNS int64  `json:"duration_ns"`
@@ -41,175 +43,99 @@ type TraceRecord struct {
 	Spans []SpanRecord `json:"spans"`
 }
 
-// Flight-recorder sizing: DefaultTraceCapacity completed traces are
-// retained; at most maxOpenTraces may be accumulating concurrently, each
-// holding at most maxSpansPerTrace spans. Overflow drops the oldest open
-// trace (or the newest span), never blocks.
+// Flight-recorder sizing: Traces lists at most DefaultTraceCapacity traces,
+// assembled from the last spanCapacity finished spans.
 const (
 	DefaultTraceCapacity = 256
-	maxOpenTraces        = 1024
-	maxSpansPerTrace     = 512
+	spanCapacity         = 16 * DefaultTraceCapacity
 )
 
-// openTrace is the working state of one trace still accumulating spans.
-type openTrace struct {
-	spans []SpanRecord
-	// inFlight counts locally started, not-yet-ended spans; the trace can
-	// only seal when it drains to zero.
-	inFlight int
-	// entryEnded is set when an entry span (root or wire-joined) finishes;
-	// entryRec is the latest such span, which names the sealed record. The
-	// outermost entry span ends last, so the final overwrite wins.
-	entryEnded bool
-	entryRec   SpanRecord
+// finishedSpan is one ring entry: the record plus whether the span was an
+// entry span (one that lists its trace).
+type finishedSpan struct {
+	SpanRecord
+	entry bool
 }
 
-// flightRecorder is the bounded completed-trace ring plus the per-trace
-// working state of spans still accumulating.
 type flightRecorder struct {
 	mu    sync.Mutex
-	open  map[TraceID]*openTrace
-	order []TraceID // open traces in first-seen order, for eviction
-
-	ring  []TraceRecord
-	next  int
-	full  bool
-	total int64 // lifetime completed-trace count, including evicted
+	spans ring[finishedSpan]
+	lost  uint64 // the highest span id the ring has overwritten
 }
 
-func newFlightRecorder(capacity int) *flightRecorder {
-	return &flightRecorder{
-		open: map[TraceID]*openTrace{},
-		ring: make([]TraceRecord, capacity),
+func newFlightRecorder() *flightRecorder {
+	return &flightRecorder{spans: ring[finishedSpan]{size: spanCapacity}}
+}
+
+// observe records one finished span.
+func (f *flightRecorder) observe(rec SpanRecord, entry bool) {
+	f.mu.Lock()
+	if old := f.spans.add(finishedSpan{rec, entry}); old.ID > f.lost {
+		f.lost = old.ID
 	}
+	f.mu.Unlock()
 }
 
-// lookup returns the working state for a trace, creating (and, at the open
-// cap, evicting oldest-first) as needed. Callers hold f.mu.
-func (f *flightRecorder) lookup(trace TraceID) *openTrace {
-	ot, known := f.open[trace]
-	if !known {
-		if len(f.order) >= maxOpenTraces {
-			oldest := f.order[0]
-			f.order = f.order[1:]
-			delete(f.open, oldest)
+// traces assembles the held spans into at most DefaultTraceCapacity whole
+// traces, newest first (newest by their last-ended entry span, because "the
+// last N requests" is what an operator asks the flight recorder for).
+func (f *flightRecorder) traces() []TraceRecord {
+	f.mu.Lock()
+	spans, lost := f.spans.all(), f.lost
+	f.mu.Unlock()
+
+	type assembly struct {
+		rec    TraceRecord
+		minID  uint64
+		listed bool
+	}
+	byTrace := map[TraceID]*assembly{}
+	var order []*assembly // by their last-ended entry span, newest first
+	for i := len(spans) - 1; i >= 0; i-- {
+		sp := &spans[i]
+		a := byTrace[sp.Trace]
+		if a == nil {
+			a = &assembly{rec: TraceRecord{Trace: sp.Trace}, minID: sp.ID}
+			byTrace[sp.Trace] = a
 		}
-		ot = &openTrace{}
-		f.open[trace] = ot
-		f.order = append(f.order, trace)
+		if sp.entry && !a.listed {
+			a.listed = true
+			a.rec.Root, a.rec.StartUnix, a.rec.DurationNS = sp.Name, sp.StartUnix, sp.DurationNS
+			order = append(order, a)
+		}
+		a.rec.Spans = append(a.rec.Spans, sp.SpanRecord)
+		a.minID = min(a.minID, sp.ID)
 	}
-	return ot
-}
-
-// begin notes that a span of the trace has started, keeping the in-flight
-// count that gates sealing.
-func (f *flightRecorder) begin(trace TraceID) {
-	if trace.IsZero() {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lookup(trace).inFlight++
-}
-
-// observe folds one finished span into its trace. entry marks a span whose
-// parent is not a local span (it originated the trace or joined it from a
-// wire context); once an entry span has ended and no local spans remain in
-// flight, the trace seals into the ring.
-func (f *flightRecorder) observe(trace TraceID, rec SpanRecord, entry bool) {
-	if trace.IsZero() {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ot := f.lookup(trace)
-	// An eviction between begin and observe loses the count; clamp so a
-	// recreated trace still drains.
-	if ot.inFlight > 0 {
-		ot.inFlight--
-	}
-	if len(ot.spans) < maxSpansPerTrace {
-		ot.spans = append(ot.spans, rec)
-	}
-	if entry {
-		ot.entryEnded = true
-		ot.entryRec = rec
-	}
-	if !ot.entryEnded || ot.inFlight > 0 {
-		return
-	}
-	delete(f.open, trace)
-	for i, id := range f.order {
-		if id == trace {
-			f.order = append(f.order[:i], f.order[i+1:]...)
+	var out []TraceRecord
+	for _, a := range order {
+		if len(out) == DefaultTraceCapacity {
 			break
 		}
-	}
-	spans := ot.spans
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].StartUnix != spans[j].StartUnix {
-			return spans[i].StartUnix < spans[j].StartUnix
+		if a.minID <= lost {
+			continue
 		}
-		return spans[i].ID < spans[j].ID
-	})
-	f.ring[f.next] = TraceRecord{
-		Trace:      trace,
-		Root:       ot.entryRec.Name,
-		StartUnix:  ot.entryRec.StartUnix,
-		DurationNS: ot.entryRec.DurationNS,
-		Spans:      spans,
+		slices.SortFunc(a.rec.Spans, func(x, y SpanRecord) int {
+			if c := cmp.Compare(x.StartUnix, y.StartUnix); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.ID, y.ID)
+		})
+		out = append(out, a.rec)
 	}
-	f.next++
-	f.total++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.full = true
-	}
-}
-
-// records returns retained completed traces newest-first plus the lifetime
-// total (newest-first because "the last N requests" is what an operator
-// asks the flight recorder for).
-func (f *flightRecorder) records() ([]TraceRecord, int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []TraceRecord
-	appendReversed := func(part []TraceRecord) {
-		for i := len(part) - 1; i >= 0; i-- {
-			out = append(out, part[i])
-		}
-	}
-	if f.full {
-		out = make([]TraceRecord, 0, len(f.ring))
-		appendReversed(f.ring[:f.next])
-		appendReversed(f.ring[f.next:])
-	} else {
-		appendReversed(f.ring[:f.next])
-	}
-	return out, f.total
+	return out
 }
 
 func (f *flightRecorder) reset() {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.open = map[TraceID]*openTrace{}
-	f.order = nil
-	f.next = 0
-	f.full = false
-	f.total = 0
-	for i := range f.ring {
-		f.ring[i] = TraceRecord{}
-	}
+	f.spans.reset()
+	f.lost = 0
+	f.mu.Unlock()
 }
 
-// Traces returns the completed traces retained by the registry's flight
-// recorder, newest-first.
-func (r *Registry) Traces() []TraceRecord {
-	recs, _ := r.flight.records()
-	return recs
-}
+// Traces returns the registry's whole request traces, newest first.
+func (r *Registry) Traces() []TraceRecord { return r.flight.traces() }
 
-// Traces returns the default registry's completed traces, newest-first.
+// Traces returns the default registry's request traces, newest first.
 func Traces() []TraceRecord { return defaultRegistry.Traces() }
 
 // tracesDoc is the JSON envelope served over the wire Stats extension and

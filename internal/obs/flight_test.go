@@ -1,23 +1,24 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
 
-// TestFlightRecorderEvictsAbandonedTraces covers the leak path the ring
-// bound alone does not: spans that are started and never ended (a crashed
-// client, a leaked span) accumulate open-trace working state. The recorder
-// must evict abandoned traces oldest-first at maxOpenTraces, so an unbounded
-// stream of leaks costs bounded memory — and well-behaved traces sealing
-// concurrently with the leaks must still reach the ring.
+// TestFlightRecorderEvictsAbandonedTraces covers the leak path: spans that
+// are started and never ended (a crashed client, a leaked span) must not
+// keep completed traces from being listed, and must cost the recorder
+// nothing — the ring lists exactly DefaultTraceCapacity completed traces,
+// each whole.
 func TestFlightRecorderEvictsAbandonedTraces(t *testing.T) {
 	r := NewRegistry()
 
-	// Leak far more traces than the open cap, interleaved with completed
-	// ones, from several goroutines (run under -race by `make check`).
+	// Leak far more traces than the listing holds, interleaved with
+	// completed ones, from several goroutines (run under -race by
+	// `make check`).
 	const writers = 4
-	const perWriter = 2 * maxOpenTraces / writers
+	const perWriter = 2 * DefaultTraceCapacity
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -33,71 +34,119 @@ func TestFlightRecorderEvictsAbandonedTraces(t *testing.T) {
 	}
 	wg.Wait()
 
-	r.flight.mu.Lock()
-	open, order := len(r.flight.open), len(r.flight.order)
-	r.flight.mu.Unlock()
-	if open > maxOpenTraces || order > maxOpenTraces {
-		t.Fatalf("open traces = %d (order %d), want <= %d", open, order, maxOpenTraces)
-	}
-	if open == 0 {
-		t.Fatal("expected abandoned traces to remain open up to the cap")
-	}
-
-	// Completed traces sealed normally throughout: the ring is full of them
-	// and no leaked-only trace was sealed.
 	traces := r.Traces()
 	if len(traces) != DefaultTraceCapacity {
 		t.Fatalf("retained %d traces, want %d", len(traces), DefaultTraceCapacity)
 	}
 	for _, tr := range traces {
 		if tr.Root != "completed" {
-			t.Fatalf("sealed trace root = %q, want only completed traces", tr.Root)
+			t.Fatalf("listed trace root = %q, want only completed traces", tr.Root)
 		}
 		if len(tr.Spans) != 2 {
-			t.Fatalf("sealed trace has %d spans, want 2", len(tr.Spans))
+			t.Fatalf("listed trace has %d spans, want 2", len(tr.Spans))
 		}
 	}
 }
 
-// TestFlightRecorderDrainsEvictedTrace pins the begin/observe clamp: when a
-// trace's working state is evicted between a child's begin and its End, the
-// recreated state must still drain and seal when the entry span ends, rather
-// than waiting forever on a lost in-flight count.
-func TestFlightRecorderDrainsEvictedTrace(t *testing.T) {
+// TestFlightRecorderListsOnlyWholeTraces pushes more spans than the ring
+// holds, so the oldest traces lose spans to it: those are never listed
+// (not even in part), and every newer trace is listed whole.
+func TestFlightRecorderListsOnlyWholeTraces(t *testing.T) {
 	r := NewRegistry()
-	root := r.StartSpan("victim")
-	child := root.Child("stage")
-
-	// Push the victim trace out of the open set while its spans are live.
-	for i := 0; i < maxOpenTraces+1; i++ {
-		_ = r.StartSpan("filler")
+	const perTrace = 30 // root + 29 children
+	const whole = spanCapacity / perTrace
+	if whole >= DefaultTraceCapacity || spanCapacity%perTrace == 0 {
+		t.Fatal("sizes must leave one trace cut by the ring, inside the listing bound")
 	}
-
-	child.End()
-	root.End()
-	for _, tr := range r.Traces() {
-		if tr.Root == "victim" {
-			return
+	const n = whole + 20
+	ids := make([]TraceID, n)
+	for i := range ids {
+		root := r.StartSpan(fmt.Sprintf("t%d", i))
+		ids[i] = root.TraceID()
+		for c := 0; c < perTrace-1; c++ {
+			root.Child("stage").End()
+		}
+		root.End()
+	}
+	// The ring holds the newest spanCapacity spans: the last whole traces
+	// complete, and the root plus the last children of the one before them.
+	traces := r.Traces()
+	if len(traces) != whole {
+		t.Fatalf("listed %d traces, want %d", len(traces), whole)
+	}
+	for k, tr := range traces {
+		i := n - 1 - k
+		if tr.Trace != ids[i] || tr.Root != fmt.Sprintf("t%d", i) {
+			t.Fatalf("trace %d = %s root=%q, want t%d", k, tr.Trace, tr.Root, i)
+		}
+		if len(tr.Spans) != perTrace {
+			t.Fatalf("trace t%d has %d spans, want %d", i, len(tr.Spans), perTrace)
 		}
 	}
-	t.Fatal("evicted trace did not seal after its entry span ended")
 }
 
-// TestFlightRecorderCapsSpansPerTrace: a trace accumulating more spans than
-// maxSpansPerTrace keeps the first spans and drops the rest, bounding the
-// sealed record's size.
-func TestFlightRecorderCapsSpansPerTrace(t *testing.T) {
+// TestFlightRecorderSkipsTraceLargerThanRing: a trace with more spans than
+// the ring holds can never be listed whole, so it is not listed.
+func TestFlightRecorderSkipsTraceLargerThanRing(t *testing.T) {
 	r := NewRegistry()
 	root := r.StartSpan("big")
-	for i := 0; i < maxSpansPerTrace+50; i++ {
+	for i := 0; i < spanCapacity+50; i++ {
 		root.Child("stage").End()
 	}
 	root.End()
-	traces := r.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("traces = %d, want 1", len(traces))
+	if traces := r.Traces(); len(traces) != 0 {
+		t.Fatalf("traces = %d (first has %d spans), want none", len(traces), len(traces[0].Spans))
 	}
-	if got := len(traces[0].Spans); got != maxSpansPerTrace {
-		t.Fatalf("sealed spans = %d, want cap %d", got, maxSpansPerTrace)
+}
+
+// TestRingWrapOrder checks ring[T] just below, at and above its size: it
+// keeps the newest entries oldest first, and add returns what it overwrote.
+func TestRingWrapOrder(t *testing.T) {
+	const size = 4
+	for _, n := range []int{size - 1, size, size + 1, 2*size + 3} {
+		r := ring[int]{size: size}
+		for v := 1; v <= n; v++ {
+			want := 0
+			if v > size {
+				want = v - size
+			}
+			if old := r.add(v); old != want {
+				t.Fatalf("n=%d: add(%d) overwrote %d, want %d", n, v, old, want)
+			}
+		}
+		got := r.all()
+		first := max(1, n-size+1)
+		if len(got) != n-first+1 {
+			t.Fatalf("n=%d: all() = %v, want %d..%d", n, got, first, n)
+		}
+		for i, v := range got {
+			if v != first+i {
+				t.Fatalf("n=%d: all() = %v, want %d..%d", n, got, first, n)
+			}
+		}
+		r.reset()
+		if len(r.all()) != 0 {
+			t.Fatalf("n=%d: reset left %v", n, r.all())
+		}
+		if r.add(7); len(r.all()) != 1 {
+			t.Fatalf("n=%d: after reset all() = %v, want [7]", n, r.all())
+		}
+	}
+}
+
+// BenchmarkRequestSpans is what one traced request costs the span layer: a
+// client root, a server entry joined from its context, and three engine
+// children, all ended.
+func BenchmarkRequestSpans(b *testing.B) {
+	r := NewRegistry()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		root := r.StartSpan("client.query")
+		srv := r.StartSpanIn("server.query", root.Context())
+		srv.Child("engine.parse").End()
+		srv.Child("engine.plan").End()
+		srv.Child("engine.exec").End()
+		srv.End()
+		root.End()
 	}
 }

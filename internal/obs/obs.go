@@ -9,9 +9,9 @@
 // Spans carry 128-bit trace IDs (TraceID/SpanContext) that propagate across
 // the wire protocol, so one client request forms a single causal tree —
 // client, server, engine, WAL — reconstructed by the flight recorder: a
-// bounded ring of completed traces (TraceRecord) queryable over the wire
-// Stats extension and the ops endpoint, and renderable as an ASCII
-// waterfall.
+// bounded ring of finished spans, assembled into request traces
+// (TraceRecord) when read over the wire Stats extension or the ops
+// endpoint, and renderable as an ASCII waterfall.
 //
 // The paper's evaluation (§VIII/§IX) is an exercise in cost attribution:
 // audit-time overhead vs. native execution, package size, replay time. This
@@ -86,7 +86,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		flight:   newFlightRecorder(DefaultTraceCapacity),
+		flight:   newFlightRecorder(),
 		stmts:    newStatementStats(),
 	}
 }
@@ -151,8 +151,6 @@ func (r *Registry) logicalNow() uint64 {
 
 // Reset zeroes every metric and clears the flight recorder. Existing handles
 // stay valid — callers holding a *Counter keep recording into the same metric.
-// The benchmark harness resets between the native and audited runs so the
-// overhead report attributes costs to exactly one run.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -179,7 +177,8 @@ func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
 // GetHistogram returns a named histogram in the default registry.
 func GetHistogram(name string) *Histogram { return defaultRegistry.Histogram(name) }
 
-// Reset zeroes the default registry and clears the ASH sample ring.
+// Reset zeroes the default registry and clears the ASH sample ring: a test
+// that reads either starts from nothing with it.
 func Reset() {
 	defaultRegistry.Reset()
 	defaultASH.reset()

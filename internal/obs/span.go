@@ -18,9 +18,8 @@ type Attr struct {
 // to a trace: StartSpan originates a fresh 128-bit TraceID, Child inherits
 // its parent's, and StartSpanIn joins a trace whose context arrived over the
 // wire. End records the finished span into the `span.<name>` latency
-// histogram and into the flight recorder (which seals the trace once its
-// entry span has ended and no local spans remain in flight — see the flight
-// recorder's doc comment).
+// histogram and appends it to the flight recorder, which assembles traces
+// when they are read (see its doc comment).
 //
 // All methods are safe on a nil *Span and do nothing, so instrumented code
 // can thread an optional parent span without nil checks at every call site.
@@ -31,7 +30,7 @@ type Span struct {
 	parent uint64
 	// entry marks a span whose parent is not a local span: it originated
 	// the trace (StartSpan) or joined it from a wire context (StartSpanIn).
-	// Its End makes the trace eligible to seal into a TraceRecord.
+	// Once one has ended, the flight recorder lists its trace.
 	entry    bool
 	name     string
 	start    time.Time
@@ -51,7 +50,6 @@ func (r *Registry) StartSpan(name string) *Span {
 		start:    time.Now(),
 		startTck: r.logicalNow(),
 	}
-	r.flight.begin(s.trace)
 	return s
 }
 
@@ -75,7 +73,6 @@ func (r *Registry) StartSpanIn(name string, sc SpanContext) *Span {
 		start:    time.Now(),
 		startTck: r.logicalNow(),
 	}
-	r.flight.begin(s.trace)
 	return s
 }
 
@@ -98,7 +95,6 @@ func (s *Span) Child(name string) *Span {
 		start:    time.Now(),
 		startTck: s.reg.logicalNow(),
 	}
-	s.reg.flight.begin(c.trace)
 	return c
 }
 
@@ -156,7 +152,7 @@ func (s *Span) End() time.Duration {
 		EndTick:    s.reg.logicalNow(),
 		Attrs:      s.attrs,
 	}
-	s.reg.flight.observe(s.trace, rec, s.entry)
+	s.reg.flight.observe(rec, s.entry)
 	s.reg.Histogram("span." + s.name).Observe(d)
 	return d
 }

@@ -58,7 +58,7 @@ func TestASHEndpointBadParams(t *testing.T) {
 }
 
 func TestASHEndpointEmpty(t *testing.T) {
-	obs.ResetASH()
+	obs.Reset()
 	h := Handler(testRegistry(t))
 	code, body, ctype := get(t, h, "/ash")
 	if code != http.StatusOK {
@@ -76,7 +76,7 @@ func TestASHEndpointEmpty(t *testing.T) {
 }
 
 func TestASHEndpoint(t *testing.T) {
-	obs.ResetASH()
+	obs.Reset()
 	obs.ASH().SetEnabled(true)
 	obs.ASH().SetRate(2000)
 	defer obs.ASH().SetRate(obs.DefaultASHRate)
