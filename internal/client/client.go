@@ -64,10 +64,6 @@ type Interceptor interface {
 	// pipelined execution reports when its response group has been read —
 	// also the ones a failed Flush drains, which the server did execute.
 	AfterQuery(info QueryInfo, res *engine.Result, err error)
-	// OnConnect runs when a connection is established (addr) or replayed.
-	OnConnect(proc, addr string)
-	// OnClose runs when the connection closes.
-	OnClose(proc string)
 }
 
 // BaseInterceptor is a no-op Interceptor for embedding.
@@ -78,12 +74,6 @@ func (BaseInterceptor) BeforeQuery(*QueryInfo) (*engine.Result, error) { return 
 
 // AfterQuery implements Interceptor.
 func (BaseInterceptor) AfterQuery(QueryInfo, *engine.Result, error) {}
-
-// OnConnect implements Interceptor.
-func (BaseInterceptor) OnConnect(string, string) {}
-
-// OnClose implements Interceptor.
-func (BaseInterceptor) OnClose(string) {}
 
 // Conn is one client session, optionally holding a second session to a read
 // replica that read-only statements are routed to.
@@ -166,9 +156,6 @@ func Dial(d Dialer, addr string, opts Options) (*Conn, error) {
 			}
 			c.rnc = rnc
 		}
-	}
-	for _, ic := range c.interceptors {
-		ic.OnConnect(opts.Proc, addr)
 	}
 	return c, nil
 }
@@ -522,9 +509,6 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, ic := range c.interceptors {
-		ic.OnClose(c.proc)
-	}
 	if c.rnc != nil {
 		_ = wire.Write(c.rnc, wire.Terminate{})
 		_ = c.rnc.Close()

@@ -1,11 +1,12 @@
-// Package csvrec is the CSV dialect LDV writes into files and reads back
-// byte for byte: the provenance tables of a server-included package, and the
-// files of COPY ... TO / COPY ... FROM. Records end in '\n', fields are
-// separated by ',', and a field holding a comma, a quote or a line break is
-// quoted with its quotes doubled — what encoding/csv writes. Reading is where
-// it differs: encoding/csv's Reader folds a quoted CR LF to LF, so TEXT
-// "a\r\nb" would come back as "a\nb"; Reader returns every quoted byte as it
-// stands.
+// Package csvrec is the CSV dialect of COPY ... TO and COPY ... FROM, which
+// LDV writes into files and reads back byte for byte. Records end in '\n',
+// fields are separated by ',', and a field holding a comma, a quote or a line
+// break is quoted with its quotes doubled — what encoding/csv writes. An
+// unquoted \N is NULL, so a field whose text is \N is quoted too
+// (PostgreSQL's CSV rule). Reading is where it differs from encoding/csv,
+// whose Reader folds a quoted CR LF to LF, so TEXT "a\r\nb" would come back
+// as "a\nb": Reader returns every quoted byte as it stands, and says which
+// fields it read quoted.
 package csvrec
 
 import (
@@ -14,13 +15,16 @@ import (
 	"io"
 )
 
-// Quote makes dst[start:], a field just appended, a valid CSV field: one
-// holding a comma, a quote or a line break is wrapped in quotes with its
-// quotes doubled, as encoding/csv's Writer does; anything else is left as it
-// is — an empty field and one that starts with a space included, which
-// Reader takes literally.
+// Null is the field that stands for SQL NULL when it is not quoted.
+const Null = `\N`
+
+// Quote makes dst[start:], a field just appended, a valid CSV field that is
+// not NULL: one holding a comma, a quote or a line break is wrapped in quotes
+// with its quotes doubled, as encoding/csv's Writer does, and so is one that
+// is exactly Null; anything else is left as it is — an empty field and one
+// that starts with a space included, which Reader takes literally.
 func Quote(dst []byte, start int) []byte {
-	if bytes.IndexAny(dst[start:], ",\"\r\n") < 0 {
+	if bytes.IndexAny(dst[start:], ",\"\r\n") < 0 && string(dst[start:]) != Null {
 		return dst
 	}
 	raw := append([]byte(nil), dst[start:]...)
@@ -41,11 +45,16 @@ func Quote(dst []byte, start int) []byte {
 // written elsewhere with CR LF line ends loads (Quote never leaves a CR
 // unquoted).
 type Reader struct {
-	Data []byte   // the records not yet read
-	buf  []byte   // the current record's fields, unquoted, back to back
-	ends []int    // where each of them ends in buf
-	rec  []string // the record handed out, reused by the next Read
+	Data   []byte   // the records not yet read
+	buf    []byte   // the current record's fields, unquoted, back to back
+	ends   []int    // where each of them ends in buf
+	quoted []bool   // whether each of them was quoted
+	rec    []string // the record handed out, reused by the next Read
 }
+
+// Quoted reports whether field i of the record Read last returned was
+// quoted: an unquoted Null is NULL, a quoted one the text \N.
+func (r *Reader) Quoted(i int) bool { return r.quoted[i] }
 
 // Read returns the next record, valid until the following call, or io.EOF.
 func (r *Reader) Read() ([]string, error) {
@@ -53,9 +62,10 @@ func (r *Reader) Read() ([]string, error) {
 	if len(d) == 0 {
 		return nil, io.EOF
 	}
-	r.buf, r.ends = r.buf[:0], r.ends[:0]
+	r.buf, r.ends, r.quoted = r.buf[:0], r.ends[:0], r.quoted[:0]
 	for more := true; more; {
-		if len(d) > 0 && d[0] == '"' {
+		quoted := len(d) > 0 && d[0] == '"'
+		if quoted {
 			for d = d[1:]; ; d = d[1:] {
 				i := bytes.IndexByte(d, '"')
 				if i < 0 {
@@ -86,6 +96,7 @@ func (r *Reader) Read() ([]string, error) {
 			d = d[i:]
 		}
 		r.ends = append(r.ends, len(r.buf))
+		r.quoted = append(r.quoted, quoted)
 		more = len(d) > 0 && d[0] == ','
 		if len(d) > 0 {
 			d = d[1:] // the separator

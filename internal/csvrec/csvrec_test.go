@@ -47,3 +47,27 @@ func TestReaderReadsWhatQuoteWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestQuotedTellsNullFromText: Quote leaves Null unquoted only when it is
+// appended as it is, never when it is a field's text, and Reader says which
+// fields it read quoted — so an unquoted \N and a quoted one read apart.
+func TestQuotedTellsNullFromText(t *testing.T) {
+	data := append([]byte(Null), ',')
+	data = Quote(append(data, Null...), len(data))
+	data = append(data, ",\"x\",y\n"...)
+	if string(data) != "\\N,\"\\N\",\"x\",y\n" {
+		t.Fatalf("wrote %q", data)
+	}
+	r := Reader{Data: data}
+	rec, err := r.Read()
+	if err != nil || !reflect.DeepEqual(rec, []string{Null, Null, "x", "y"}) {
+		t.Fatalf("read %q, %v", rec, err)
+	}
+	var quoted []bool
+	for i := range rec {
+		quoted = append(quoted, r.Quoted(i))
+	}
+	if want := []bool{false, true, true, false}; !reflect.DeepEqual(quoted, want) {
+		t.Fatalf("Quoted = %v, want %v", quoted, want)
+	}
+}

@@ -58,7 +58,7 @@ func (f *FS) WriteFile(path string, data []byte) error {
 	return nil
 }
 
-// AppendFile implements engine.FileAppender: an fsynced append, the WAL's
+// AppendFile implements engine.FileSystem: an fsynced append, the WAL's
 // group-commit flush unit. A crash mid-call may leave a prefix of data at
 // the tail — the torn-record case the WAL's checksums detect.
 func (f *FS) AppendFile(path string, data []byte) error {
@@ -79,7 +79,7 @@ func (f *FS) AppendFile(path string, data []byte) error {
 	return err
 }
 
-// Remove implements engine.FileRemover.
+// Remove implements engine.FileSystem.
 func (f *FS) Remove(path string) error {
 	return os.Remove(f.resolve(path))
 }

@@ -15,10 +15,8 @@ import (
 // other (Session.execute); the file it names is read or written through the
 // filesystem the execution was handed (ExecOptions.FS) — the server passes
 // its own, so the access is attributed to the server process (and therefore
-// lands in file-granularity packages). Records are CSV; NULL is \N.
-
-// copyNull is the record representation of SQL NULL (PostgreSQL's \N).
-const copyNull = `\N`
+// lands in file-granularity packages). Records are CSV (internal/csvrec);
+// NULL is an unquoted \N.
 
 // execCopy runs COPY table FROM/TO 'path' into res.
 func (s *Session) execCopy(cp *sqlparse.Copy, opts ExecOptions, res *Result) error {
@@ -27,20 +25,9 @@ func (s *Session) execCopy(cp *sqlparse.Copy, opts ExecOptions, res *Result) err
 		return fmt.Errorf("COPY needs a filesystem, and this execution was given none (ExecOptions.FS); a server passes its own")
 	}
 	if cp.To {
-		records, err := s.copyTo(cp.Table, opts, res)
+		data, err := s.copyTo(cp.Table, opts, res)
 		if err != nil {
 			return err
-		}
-		var data []byte
-		for _, rec := range records {
-			for i, field := range rec {
-				if i > 0 {
-					data = append(data, ',')
-				}
-				start := len(data)
-				data = csvrec.Quote(append(data, field...), start)
-			}
-			data = append(data, '\n')
 		}
 		if err := fs.WriteFile(cp.Path, data); err != nil {
 			return fmt.Errorf("COPY TO %s: %w", cp.Path, err)
@@ -51,27 +38,15 @@ func (s *Session) execCopy(cp *sqlparse.Copy, opts ExecOptions, res *Result) err
 	if err != nil {
 		return fmt.Errorf("COPY FROM %s: %w", cp.Path, err)
 	}
-	r := csvrec.Reader{Data: data}
-	var records [][]string
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("COPY FROM %s: record %d: %w", cp.Path, len(records)+1, err)
-		}
-		records = append(records, append([]string(nil), rec...))
-	}
-	return s.copyFrom(cp.Table, records, opts, res)
+	return s.copyFrom(cp.Table, &csvrec.Reader{Data: data}, opts, res)
 }
 
-// copyFrom bulk-loads text records into a table, coercing each field by
-// the column's declared type. Rows are stamped like INSERTs (the calling
+// copyFrom bulk-loads the records r holds into a table, coercing each field
+// by the column's declared type. Rows are stamped like INSERTs (the calling
 // process and statement own them); like DML, the load runs inside the
 // session's open transaction or an implicit one, so a failed load leaves
 // nothing behind and a concurrent snapshot never sees a torn load.
-func (s *Session) copyFrom(table string, records [][]string, opts ExecOptions, res *Result) error {
+func (s *Session) copyFrom(table string, r *csvrec.Reader, opts ExecOptions, res *Result) error {
 	db := s.db
 	t, err := db.lookupTable(table)
 	if err != nil {
@@ -86,20 +61,28 @@ func (s *Session) copyFrom(table string, records [][]string, opts ExecOptions, r
 	rmark := len(txn.redo)
 	t.mu.Lock()
 	err = func() error {
-		for ln, rec := range records {
+		for ln := 1; ; ln++ {
+			rec, err := r.Read()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("COPY %s: record %d: %w", table, ln, err)
+			}
 			if len(rec) != len(t.Schema.Columns) {
 				return fmt.Errorf("COPY %s: record %d has %d fields, want %d",
-					table, ln+1, len(rec), len(t.Schema.Columns))
+					table, ln, len(rec), len(t.Schema.Columns))
 			}
 			vals := make([]sqlval.Value, len(rec))
 			for i, field := range rec {
-				v, err := parseCopyField(t.Schema.Columns[i], field)
-				if err != nil {
-					return fmt.Errorf("COPY %s record %d: %w", table, ln+1, err)
+				if field == csvrec.Null && !r.Quoted(i) {
+					continue // vals[i] is NULL
 				}
-				vals[i] = v
+				if vals[i], err = parseCopyField(t.Schema.Columns[i], field); err != nil {
+					return fmt.Errorf("COPY %s record %d: %w", table, ln, err)
+				}
 			}
-			r := &storedRow{
+			row := &storedRow{
 				id:      db.newRowID(),
 				vals:    vals,
 				version: db.clock.Tick(),
@@ -107,15 +90,14 @@ func (s *Session) copyFrom(table string, records [][]string, opts ExecOptions, r
 				stmt:    res.StmtID,
 				txnID:   txn.id,
 			}
-			if err := t.insertRow(r); err != nil {
-				return fmt.Errorf("COPY %s record %d: %w", table, ln+1, err)
+			if err := t.insertRow(row); err != nil {
+				return fmt.Errorf("COPY %s record %d: %w", table, ln, err)
 			}
-			txn.logUndo(t, undoInsert(t, r))
-			txn.logRedo(redoInsertEntry(table, r))
-			res.WrittenRefs = append(res.WrittenRefs, r.ref(table))
+			txn.logUndo(t, undoInsert(t, row))
+			txn.logRedo(redoInsertEntry(table, row))
+			res.WrittenRefs = append(res.WrittenRefs, row.ref(table))
 			res.RowsAffected++
 		}
-		return nil
 	}()
 	if err != nil {
 		if uerr := txn.undoFrom(mark); uerr != nil {
@@ -134,9 +116,9 @@ func (s *Session) copyFrom(table string, records [][]string, opts ExecOptions, r
 	return err
 }
 
-// copyTo dumps the snapshot-visible rows of a table as text records in row
+// copyTo dumps the snapshot-visible rows of a table as CSV records in row
 // order (the session's transaction snapshot, or a fresh cut).
-func (s *Session) copyTo(table string, opts ExecOptions, res *Result) ([][]string, error) {
+func (s *Session) copyTo(table string, opts ExecOptions, res *Result) ([]byte, error) {
 	db := s.db
 	t, err := db.lookupTable(table)
 	if err != nil {
@@ -149,21 +131,24 @@ func (s *Session) copyTo(table string, opts ExecOptions, res *Result) ([][]strin
 		snap = db.takeSnapshot(0)
 	}
 	t.mu.RLock()
-	records := make([][]string, 0, len(t.rows))
+	var data []byte
 	var read []*storedRow
 	for _, r := range t.rows {
 		if !snap.visible(r) {
 			continue
 		}
-		rec := make([]string, len(r.vals))
 		for i, v := range r.vals {
+			if i > 0 {
+				data = append(data, ',')
+			}
 			if v.IsNull() {
-				rec[i] = copyNull
+				data = append(data, csvrec.Null...)
 			} else {
-				rec[i] = v.String()
+				start := len(data)
+				data = csvrec.Quote(append(data, v.String()...), start)
 			}
 		}
-		records = append(records, rec)
+		data = append(data, '\n')
 		if opts.WithLineage {
 			read = append(read, r)
 			r.usedBy.Store(res.StmtID)
@@ -176,14 +161,11 @@ func (s *Session) copyTo(table string, opts ExecOptions, res *Result) ([][]strin
 		lin := &lineageSink{stmt: res.StmtID}
 		lin.finish(res, nil, lin.addReads(nil, t, read))
 	}
-	return records, nil
+	return data, nil
 }
 
 // parseCopyField coerces one text field to the column's type.
 func parseCopyField(c Column, field string) (sqlval.Value, error) {
-	if field == copyNull {
-		return sqlval.Null, nil
-	}
 	switch c.Type {
 	case sqlval.KindInt:
 		n, err := strconv.ParseInt(field, 10, 64)

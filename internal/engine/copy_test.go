@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"ldv/internal/sqlval"
 )
 
 // TestCopyRunsWhereAFilesystemIsGiven: COPY is an ordinary statement of the
@@ -34,5 +37,43 @@ func TestCopyRunsWhereAFilesystemIsGiven(t *testing.T) {
 	}
 	if out, _ := fs.ReadFile("/out.csv"); string(out) != "1,one\n2,\\N\n" {
 		t.Fatalf("COPY TO wrote %q", out)
+	}
+}
+
+// TestCopyKeepsTheTextBackslashN: NULL is an unquoted \N, so COPY TO quotes a
+// TEXT value that is \N, and COPY FROM reads a quoted \N as that text — the
+// value survives the round trip beside a NULL.
+func TestCopyKeepsTheTextBackslashN(t *testing.T) {
+	db := NewDB(nil)
+	for _, sql := range []string{"CREATE TABLE t (a INT PRIMARY KEY, b TEXT)", "CREATE TABLE u (a INT PRIMARY KEY, b TEXT)"} {
+		if _, err := db.Exec(sql, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range []sqlval.Value{sqlval.NewString(`\N`), sqlval.Null, sqlval.NewString(`\\N`)} {
+		if _, err := db.Exec("INSERT INTO t VALUES (?, ?)", ExecOptions{Params: []sqlval.Value{sqlval.NewInt(int64(i + 1)), v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := newMapFS()
+	if _, err := db.Exec("COPY t TO '/out.csv'", ExecOptions{FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := fs.ReadFile("/out.csv"); string(out) != "1,\"\\N\"\n2,\\N\n3,\\\\N\n" {
+		t.Fatalf("COPY TO wrote %q", out)
+	}
+	if _, err := db.Exec("COPY u FROM '/out.csv'", ExecOptions{FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec("SELECT a, b FROM u ORDER BY a", ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, fmt.Sprintf("%v %q null=%v", r[0], r[1].String(), r[1].IsNull()))
+	}
+	if want := []string{`1 "\\N" null=false`, `2 "NULL" null=true`, `3 "\\\\N" null=false`}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("COPY TO then COPY FROM loaded %q, want %q", got, want)
 	}
 }

@@ -21,6 +21,14 @@ import (
 type Clock interface {
 	// Tick advances the clock and returns the new time.
 	Tick() uint64
+	// Now reads the clock without advancing it. Replication heartbeats
+	// report it so a replica can express its lag in ticks.
+	Now() uint64
+	// AdvanceTo moves the clock to at least t. Loading, recovery and the
+	// replica's apply push it past every timestamp the restored state
+	// carries, so new ticks never collide with (or sort before) restored
+	// versions and end marks.
+	AdvanceTo(t uint64)
 }
 
 // counterClock is the default standalone clock.
@@ -30,18 +38,19 @@ type counterClock struct {
 
 func (c *counterClock) Tick() uint64 { return c.t.Add(1) }
 
-// Now reads the clock without advancing it (see ClockReader).
 func (c *counterClock) Now() uint64 { return c.t.Load() }
+
+func (c *counterClock) AdvanceTo(t uint64) {
+	for {
+		cur := c.t.Load()
+		if cur >= t || c.t.CompareAndSwap(cur, t) {
+			return
+		}
+	}
+}
 
 // NewCounterClock returns a fresh logical clock starting at 1.
 func NewCounterClock() Clock { return &counterClock{} }
-
-// ClockReader is implemented by clocks that can be read without ticking.
-// Replication heartbeats use it to report the primary's current time so a
-// replica can express its lag in ticks.
-type ClockReader interface {
-	Now() uint64
-}
 
 // ExecOptions control one statement execution.
 type ExecOptions struct {
@@ -228,14 +237,8 @@ func (db *DB) SetReadOnly(ro bool) { db.readOnly.Store(ro) }
 // ReadOnly reports whether the database currently rejects writes.
 func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 
-// ClockNow peeks at the logical clock without advancing it, returning 0
-// when the clock cannot be read passively.
-func (db *DB) ClockNow() uint64 {
-	if r, ok := db.clock.(ClockReader); ok {
-		return r.Now()
-	}
-	return 0
-}
+// ClockNow peeks at the logical clock without advancing it.
+func (db *DB) ClockNow() uint64 { return db.clock.Now() }
 
 // newStmtID assigns a database-wide unique statement id.
 func (db *DB) newStmtID() int64 { return db.nextStmt.Add(1) }

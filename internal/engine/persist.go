@@ -18,10 +18,10 @@ import (
 // scheme, recover.go for replay. Checkpoint below is the log's only
 // truncation point.
 
-// FileSystem is the minimal filesystem surface the engine needs to persist
-// its data directory. Both the simulated OS filesystem and the real disk
-// satisfy it; the DB server writes through the simulated one so that
-// file-granularity packagers (PTU) observe real data files.
+// FileSystem is the filesystem surface the engine needs to persist its data
+// directory. Both the simulated OS filesystem and the real disk satisfy it;
+// the DB server writes through the simulated one so that file-granularity
+// packagers (PTU) observe real data files.
 //
 // Atomicity contract: WriteFile must replace the file's contents
 // atomically with respect to crashes — after a failure mid-call, a reader
@@ -29,30 +29,19 @@ import (
 // never a partial mix. (osim swaps an in-memory node; diskfs writes a
 // temporary file and renames it over the target.) Crash recovery leans on
 // this: checkpoint table files and the truncated WAL image are each
-// all-or-nothing, so torn state can only appear at the tail of an append
-// (FileAppender), where the WAL's record checksums detect and discard it.
+// all-or-nothing. AppendFile, the WAL's one write per group commit, may
+// instead leave a prefix of its bytes at the file's tail after a crash;
+// the WAL's record checksums detect and discard that torn tail. Remove
+// retires a file: Checkpoint removes the table files of dropped tables —
+// once the DROP's WAL record is truncated away a stale file would bring the
+// table back at the next load — and stamps images that amend no table file
+// any more.
 type FileSystem interface {
 	WriteFile(path string, data []byte) error
+	AppendFile(path string, data []byte) error
 	ReadFile(path string) ([]byte, error)
 	ReadDir(path string) ([]string, error)
 	MkdirAll(path string) error
-}
-
-// FileAppender is the optional append extension. Unlike WriteFile, an
-// append interrupted by a crash may leave a prefix of the new bytes at the
-// file's tail. The WAL prefers appends (one flush per group commit instead
-// of rewriting the whole log) and tolerates the torn-tail semantics; when
-// the FileSystem does not implement it, the WAL falls back to atomic
-// whole-file rewrites of a mirrored image.
-type FileAppender interface {
-	AppendFile(path string, data []byte) error
-}
-
-// FileRemover is the optional delete extension. Checkpoint uses it to
-// retire the table files of dropped tables; without it a stale .tbl file
-// survives checkpoints and the table it holds reappears on the next
-// recovery once the WAL record of the DROP has been truncated away.
-type FileRemover interface {
 	Remove(path string) error
 }
 
@@ -160,12 +149,10 @@ func (db *DB) Checkpoint(fs FileSystem, dir string) error {
 	// record is truncated below, a stale file would resurrect the table — and
 	// stamps images that amend a table file no longer there, after the table
 	// files that replace them.
-	if rm, ok := fs.(FileRemover); ok {
-		for _, n := range names {
-			if (strings.HasSuffix(n, ".tbl") || strings.HasSuffix(n, ".stamps")) && onDisk[n] {
-				if err := rm.Remove(path.Join(dir, n)); err != nil {
-					return fmt.Errorf("checkpoint: retire %s: %w", n, err)
-				}
+	for _, n := range names {
+		if (strings.HasSuffix(n, ".tbl") || strings.HasSuffix(n, ".stamps")) && onDisk[n] {
+			if err := fs.Remove(path.Join(dir, n)); err != nil {
+				return fmt.Errorf("checkpoint: retire %s: %w", n, err)
 			}
 		}
 	}
@@ -202,15 +189,13 @@ func checkpointStamps(t *Table, im *fileImage, fs FileSystem, file string) (bool
 	return true, nil
 }
 
-// retireStampsFirst takes out of the way, before the table file with the
-// given digest is written, a stamps image that would amend it: one that
-// names that digest (the .tbl it amended is being written again byte for
-// byte, and the stamps the table holds are in it now), or one that does not
-// decode. Any other stamps image amends the old .tbl, and is retired only
-// after the new one is in place — a crash in between leaves the new file,
-// which it does not name. On a filesystem that removes no files the image
-// is overwritten with one that names no table file. removed reports that the
-// file is gone.
+// retireStampsFirst removes, before the table file with the given digest is
+// written, a stamps image that would amend it: one that names that digest
+// (the .tbl it amended is being written again byte for byte, and the stamps
+// the table holds are in it now), or one that does not decode. Any other
+// stamps image amends the old .tbl, and is retired only after the new one is
+// in place — a crash in between leaves the new file, which it does not name.
+// removed reports that the file is gone.
 func retireStampsFirst(fs FileSystem, file string, digest uint64) (removed bool, err error) {
 	data, err := fs.ReadFile(file)
 	if err != nil {
@@ -219,10 +204,7 @@ func retireStampsFirst(fs FileSystem, file string, digest uint64) (removed bool,
 	if st, err := decodeStamps(data); err == nil && st.tbl != digest {
 		return false, nil
 	}
-	if rm, ok := fs.(FileRemover); ok {
-		return true, rm.Remove(file)
-	}
-	return false, fs.WriteFile(file, sealStamps(noTableFile, nil))
+	return true, fs.Remove(file)
 }
 
 // LoadDir brings the database up to date with dir: every <table>.tbl file
@@ -311,9 +293,7 @@ func (db *DB) LoadDir(fs FileSystem, dir string) error {
 	// Advance the clock past every loaded stamp: dead versions carry end
 	// stamps, and a fresh clock behind them would read the ends as
 	// still-in-the-future (the versions would look alive again).
-	if adv, ok := db.clock.(ClockAdvancer); ok {
-		adv.AdvanceTo(maxTS)
-	}
+	db.clock.AdvanceTo(maxTS)
 	return nil
 }
 
@@ -392,10 +372,6 @@ func sealedDigest(data []byte, magic, kind string) (uint64, error) {
 // names, and ignores it over any other.
 
 const stampsFileMagic = "LDVSTM1\n"
-
-// noTableFile is the table digest of a stamps image that amends no table
-// file: what replaces one that must go on a filesystem that removes nothing.
-const noTableFile = 0
 
 // stampRun is n consecutive live records stamped with one statement id.
 type stampRun struct {

@@ -26,25 +26,6 @@ type RecoveryStats struct {
 	TornBytes    int64 // trailing bytes discarded as torn/corrupt
 }
 
-// ClockAdvancer is implemented by clocks that can jump forward. Recovery
-// uses it to push the logical clock past every timestamp the restored state
-// carries, so new ticks never collide with (or sort before) recovered
-// versions and end marks.
-type ClockAdvancer interface {
-	// AdvanceTo moves the clock to at least t.
-	AdvanceTo(t uint64)
-}
-
-// AdvanceTo implements ClockAdvancer for the default counter clock.
-func (c *counterClock) AdvanceTo(t uint64) {
-	for {
-		cur := c.t.Load()
-		if cur >= t || c.t.CompareAndSwap(cur, t) {
-			return
-		}
-	}
-}
-
 // Recover restores the database from dir: it loads the checkpointed table
 // files, replays every intact WAL record after them, truncates any torn log
 // tail, and attaches the WAL so subsequent commits are logged. The id
@@ -153,7 +134,5 @@ func (db *DB) finishRecovery() {
 	}
 	db.advanceNextRow(maxRow)
 	db.advanceNextStmt(maxStmt)
-	if adv, ok := db.clock.(ClockAdvancer); ok {
-		adv.AdvanceTo(maxTS)
-	}
+	db.clock.AdvanceTo(maxTS)
 }

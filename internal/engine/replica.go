@@ -191,9 +191,7 @@ func (a *Applier) apply(x *Txn, seq uint64, payload []byte) (uint64, error) {
 	}
 	// Advance the clock before the visibility flip so any snapshot that can
 	// see this record also post-dates its timestamps.
-	if adv, ok := a.db.clock.(ClockAdvancer); ok {
-		adv.AdvanceTo(maxTS)
-	}
+	a.db.clock.AdvanceTo(maxTS)
 	return maxTS, nil
 }
 

@@ -61,17 +61,12 @@ func (r *recFS) written() []string {
 	return w
 }
 
-// noRemoveFS is a FileSystem with none of the optional extensions: it
-// neither appends nor removes.
-type noRemoveFS struct{ FileSystem }
-
 const syncDir = "/d"
 
 type syncRun struct {
 	t    *testing.T
 	rng  *rand.Rand
 	fs   *recFS
-	data FileSystem // fs, or fs without its Remove: what checkpoints and loads go through
 	db   *DB
 	open []*Session // sessions holding an open transaction
 	next int        // next unused id
@@ -187,7 +182,7 @@ func (w *syncRun) checkSynced(after string) {
 func (w *syncRun) checkpoint() {
 	w.t.Helper()
 	w.fs.written()
-	if err := w.db.Checkpoint(w.data, syncDir); err != nil {
+	if err := w.db.Checkpoint(w.fs, syncDir); err != nil {
 		w.t.Fatal(err)
 	}
 	wrote := map[string]string{}
@@ -232,11 +227,7 @@ func visibleState(t *testing.T, db *DB) string {
 
 func runSyncWorkload(t *testing.T, seed int64) (skipped, stampsOnly, kept int) {
 	w := &syncRun{t: t, rng: rand.New(rand.NewSource(seed)), fs: newRecFS(), db: NewDB(nil), kicks: make(chan *DB)}
-	w.data = w.fs
-	if seed%2 == 1 { // stale stamps files stay, and are overwritten or ignored
-		w.data = noRemoveFS{w.fs}
-	}
-	if _, err := w.db.Recover(w.data, syncDir); err != nil {
+	if _, err := w.db.Recover(w.fs, syncDir); err != nil {
 		t.Fatal(err)
 	}
 	var reader sync.WaitGroup
@@ -321,7 +312,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, stampsOnly, kept int) {
 			w.exec(auto(), []string{"VACUUM", "VACUUM RETAIN 5"}[w.rng.Intn(2)], ExecOptions{})
 		case op < 16 && w.rng.Intn(2) == 0: // a second directory: what is there is another image
 			w.pending.Wait()
-			if err := w.db.Checkpoint(w.data, "/backup"); err != nil {
+			if err := w.db.Checkpoint(w.fs, "/backup"); err != nil {
 				t.Fatal(err)
 			}
 			backup := NewDB(nil)
@@ -345,7 +336,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, stampsOnly, kept int) {
 			for _, tbl := range w.db.tableList() {
 				before[tbl] = true
 			}
-			if err := w.db.LoadDir(w.data, syncDir); err != nil {
+			if err := w.db.LoadDir(w.fs, syncDir); err != nil {
 				t.Fatal(err)
 			}
 			for _, tbl := range w.db.tableList() {
@@ -358,7 +349,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, stampsOnly, kept int) {
 			want := visibleState(t, w.db)
 			if w.rng.Intn(2) == 0 {
 				w.fs.failAfter = 1 + w.rng.Intn(len(syncTables))
-				_ = w.db.Checkpoint(w.data, syncDir) // fails, unless it skipped enough tables to finish
+				_ = w.db.Checkpoint(w.fs, syncDir) // fails, unless it skipped enough tables to finish
 				w.fs.failAfter = 0
 			}
 			for _, s := range w.open {
@@ -366,7 +357,7 @@ func runSyncWorkload(t *testing.T, seed int64) (skipped, stampsOnly, kept int) {
 			}
 			w.open = nil
 			w.db = NewDB(nil)
-			if _, err := w.db.Recover(w.data, syncDir); err != nil {
+			if _, err := w.db.Recover(w.fs, syncDir); err != nil {
 				t.Fatal(err)
 			}
 			if got := visibleState(t, w.db); got != want {

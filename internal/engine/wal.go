@@ -83,17 +83,15 @@ type redoEntry struct {
 // WAL is an append-only redo log over a FileSystem. It is safe for
 // concurrent use; see the package comment above for the batching scheme.
 type WAL struct {
-	fs       FileSystem
-	appender FileAppender // nil when fs cannot append; mirror is used instead
-	path     string
+	fs   FileSystem
+	path string
 
 	mu          sync.Mutex
 	notFlushing *sync.Cond
 	cur         *walBatch
 	flushing    bool
-	size        int64  // flushed bytes, including the magic header
-	mirror      []byte // full log contents; maintained only without appender
-	failed      error  // sticky flush failure
+	size        int64 // flushed bytes, including the magic header
+	failed      error // sticky flush failure
 
 	// enqSeq numbers records as they enter a batch: the Nth record accepted
 	// by this WAL instance has sequence N (1-based). Sequences are the
@@ -125,11 +123,6 @@ func openWAL(fs FileSystem, dir string, data []byte) *WAL {
 		// sequences keep rising within this process even across EnableWAL
 		// re-opens of a non-empty log.
 		w.enqSeq = uint64(len(SplitWALBatch(data[len(walMagic):])))
-	}
-	if a, ok := fs.(FileAppender); ok {
-		w.appender = a
-	} else {
-		w.mirror = append([]byte(nil), data...)
 	}
 	return w
 }
@@ -210,7 +203,7 @@ func (w *WAL) flushLoop() {
 		w.mu.Unlock()
 
 		t0 := time.Now()
-		err := w.write(b.buf)
+		err := w.fs.AppendFile(w.path, b.buf)
 		hWALFlush.Observe(time.Since(t0))
 		mWALFlushes.Inc()
 
@@ -238,22 +231,6 @@ func (w *WAL) flushLoop() {
 	w.mu.Unlock()
 }
 
-// write persists one batch: a single append when the filesystem supports
-// it, otherwise an atomic whole-file rewrite of the mirrored contents.
-func (w *WAL) write(buf []byte) error {
-	if w.appender != nil {
-		return w.appender.AppendFile(w.path, buf)
-	}
-	next := make([]byte, 0, len(w.mirror)+len(buf))
-	next = append(next, w.mirror...)
-	next = append(next, buf...)
-	if err := w.fs.WriteFile(w.path, next); err != nil {
-		return err
-	}
-	w.mirror = next
-	return nil
-}
-
 // truncateTo drops every byte before cut (an absolute offset captured while
 // commits were excluded), keeping the magic header and the tail. Called by
 // Checkpoint after the table files superseding those records are durable.
@@ -269,15 +246,9 @@ func (w *WAL) truncateTo(cut int64) error {
 	if cut <= int64(len(walMagic)) {
 		return nil // nothing before the cut but the header
 	}
-	var data []byte
-	if w.appender == nil {
-		data = w.mirror
-	} else {
-		d, err := w.fs.ReadFile(w.path)
-		if err != nil {
-			return fmt.Errorf("wal truncate: %w", err)
-		}
-		data = d
+	data, err := w.fs.ReadFile(w.path)
+	if err != nil {
+		return fmt.Errorf("wal truncate: %w", err)
 	}
 	if cut > int64(len(data)) {
 		cut = int64(len(data))
@@ -289,9 +260,6 @@ func (w *WAL) truncateTo(cut int64) error {
 		return fmt.Errorf("wal truncate: %w", err)
 	}
 	w.size = int64(len(next))
-	if w.appender == nil {
-		w.mirror = next
-	}
 	mWALTruncations.Inc()
 	return nil
 }

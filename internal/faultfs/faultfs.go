@@ -13,9 +13,9 @@
 // the torn tail a real append can leave, which the WAL's record checksums
 // must detect.
 //
-// The package declares its own filesystem interface structurally identical
-// to engine.FileSystem plus the append/remove extensions, so it imports
-// nothing from the engine and the engine's tests can import it freely.
+// The package declares its own filesystem interface, structurally
+// engine.FileSystem, so it imports nothing from the engine and the engine's
+// tests can import it freely.
 package faultfs
 
 import (
@@ -24,9 +24,8 @@ import (
 	"sync"
 )
 
-// Inner is the full filesystem surface the wrapper forwards to: the
-// engine.FileSystem methods plus the append and remove extensions
-// (satisfied by osim.FS and diskfs.FS).
+// Inner is the filesystem surface the wrapper forwards to: structurally
+// engine.FileSystem (satisfied by osim.FS and diskfs.FS).
 type Inner interface {
 	WriteFile(path string, data []byte) error
 	ReadFile(path string) ([]byte, error)

@@ -275,3 +275,48 @@ func TestServerStartStopTouchOnlyWhatChanged(t *testing.T) {
 		})
 	}
 }
+
+// A table an application drops stays dropped: the server's stop retires its
+// file, so neither the next start on the same machine nor a fresh load of the
+// data directory brings it back.
+func TestDroppedTableStaysDropped(t *testing.T) {
+	m, err := NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DB.ExecScript(`
+		CREATE TABLE sales (id INTEGER PRIMARY KEY, price FLOAT);
+		CREATE TABLE scratch (id INTEGER PRIMARY KEY, note TEXT);
+		INSERT INTO sales VALUES (1, 5), (2, 11);
+		INSERT INTO scratch VALUES (1, 'tmp');`, engine.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PersistData(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(m, []App{shopApp("cleanup", "DROP TABLE scratch")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(m, []App{shopApp("report", "SELECT count(*) FROM sales")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DB.TableNames(); !reflect.DeepEqual(got, []string{"sales"}) {
+		t.Errorf("after the next start the server holds %v, want [sales]", got)
+	}
+	fresh := engine.NewDB(nil)
+	if err := fresh.LoadDir(m.Kernel.FS(), m.DataDir); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.TableNames(); !reflect.DeepEqual(got, []string{"sales"}) {
+		t.Errorf("the data directory loads %v, want [sales]", got)
+	}
+	names, err := m.Kernel.FS().ReadDir(m.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "scratch.") {
+			t.Errorf("the data directory still holds %s", n)
+		}
+	}
+}

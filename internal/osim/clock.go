@@ -42,9 +42,9 @@ func (c *Clock) Now() uint64 {
 	return c.t
 }
 
-// AdvanceTo moves the clock to at least t (engine.ClockAdvancer). Crash
-// recovery uses it so ticks after a restart sort strictly after every
-// timestamp the restored state carries.
+// AdvanceTo moves the clock to at least t. Crash recovery uses it so ticks
+// after a restart sort strictly after every timestamp the restored state
+// carries.
 func (c *Clock) AdvanceTo(t uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

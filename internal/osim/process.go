@@ -143,8 +143,16 @@ func (p *Process) ReadFile(path string) ([]byte, error) {
 }
 
 // WriteFile is the create/write/close convenience.
-func (p *Process) WriteFile(path string, data []byte) error {
-	f, err := p.Create(path)
+func (p *Process) WriteFile(path string, data []byte) error { return writeVia(p.Create, path, data) }
+
+// AppendFile is the open-for-append/write/close convenience.
+func (p *Process) AppendFile(path string, data []byte) error {
+	return writeVia(p.OpenAppend, path, data)
+}
+
+// writeVia opens path with open, writes data and closes it.
+func writeVia(open func(string) (*File, error), path string, data []byte) error {
+	f, err := open(path)
 	if err != nil {
 		return err
 	}

@@ -15,27 +15,14 @@ type ProcFS struct {
 func NewProcFS(p *Process) *ProcFS { return &ProcFS{p: p} }
 
 // WriteFile creates or replaces a file via traced open/write/close.
-func (f *ProcFS) WriteFile(path string, data []byte) error {
-	file, err := f.p.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := file.Write(data); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
-}
+func (f *ProcFS) WriteFile(path string, data []byte) error { return f.p.WriteFile(path, data) }
+
+// AppendFile appends to a file, creating it if absent, via traced
+// open/write/close: a monitor sees it as a write, like WriteFile.
+func (f *ProcFS) AppendFile(path string, data []byte) error { return f.p.AppendFile(path, data) }
 
 // ReadFile reads a whole file via traced open/read/close.
-func (f *ProcFS) ReadFile(path string) ([]byte, error) {
-	file, err := f.p.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer file.Close()
-	return file.ReadAll()
-}
+func (f *ProcFS) ReadFile(path string) ([]byte, error) { return f.p.ReadFile(path) }
 
 // ReadDir lists a directory (metadata access; not traced, like getdents
 // under PTU's file-level monitoring).
@@ -46,17 +33,14 @@ func (f *ProcFS) ReadDir(path string) ([]string, error) {
 // MkdirAll creates directories (not traced; PTU tracks files).
 func (f *ProcFS) MkdirAll(path string) error { return f.p.kernel.fs.MkdirAll(path) }
 
+// Remove deletes a file (not traced, like ReadDir and MkdirAll: unlink opens
+// nothing, so a file-level monitor records no interaction).
+func (f *ProcFS) Remove(path string) error { return f.p.kernel.fs.Remove(path) }
+
 // Symlink creates a symbolic link.
 func (f *ProcFS) Symlink(target, linkPath string) error {
 	return f.p.kernel.fs.Symlink(target, linkPath)
 }
-
-var _ interface {
-	WriteFile(string, []byte) error
-	ReadFile(string) ([]byte, error)
-	ReadDir(string) ([]string, error)
-	MkdirAll(string) error
-} = (*ProcFS)(nil)
 
 // String identifies the view for diagnostics.
 func (f *ProcFS) String() string { return fmt.Sprintf("procfs(pid=%d)", f.p.PID) }
