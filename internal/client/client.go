@@ -323,58 +323,12 @@ func (c *Conn) send(nc net.Conn, frames []byte) error {
 	return nil
 }
 
-// Stats fetches the server's observability snapshot via a wire Stats
-// request. Fully-replayed sessions have no server to ask and return the
-// local process's snapshot instead (the replayer runs in-process anyway).
-func (c *Conn) Stats() (*obs.Snapshot, error) {
-	if c.closed || c.broken {
-		return nil, ErrClosed
-	}
-	if c.nc == nil {
-		return obs.TakeSnapshot(), nil
-	}
-	var rp reply
-	if err := c.roundTrip(wire.Stats{Kind: wire.StatsKindMetrics}, &rp); err != nil {
-		return nil, err
-	}
-	return obs.ParseSnapshot(rp.stats)
-}
-
-// Traces fetches the server's flight recorder — its completed request
-// traces, newest-first — via the wire Stats extension. Fully-replayed
-// sessions return the local process's flight recorder.
-func (c *Conn) Traces() ([]obs.TraceRecord, error) {
-	if c.closed || c.broken {
-		return nil, ErrClosed
-	}
-	if c.nc == nil {
-		return obs.Traces(), nil
-	}
-	var rp reply
-	if err := c.roundTrip(wire.Stats{Kind: wire.StatsKindTraces}, &rp); err != nil {
-		return nil, err
-	}
-	return obs.ParseTraces(rp.stats)
-}
-
-// roundTrip sends one request that is not a statement (Parse, Stats) to the
-// primary and reads its response group.
-func (c *Conn) roundTrip(m wire.Message, rp *reply) error {
-	c.wbuf.Reset()
-	_ = wire.Write(&c.wbuf, m) // encoding into a buffer cannot fail
-	if err := c.send(c.nc, c.wbuf.Bytes()); err != nil {
-		return err
-	}
-	return c.readResponse(c.nc, rp)
-}
-
 // reply is what one response group carried: a statement's frames collected
-// into res, or the answer to a Parse or Stats request.
+// into res, or the answer to a Parse request.
 type reply struct {
 	res    *engine.Result
 	tag    uint64 // CommandComplete.Tag: 0 unless the execution was pipelined
 	parsed wire.ParseComplete
-	stats  []byte
 }
 
 // readResponse collects one response group — everything up to and including
@@ -388,8 +342,8 @@ type reply struct {
 func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 	res := rp.res
 	if res == nil {
-		// A Parse or Stats reply: statement frames are no answer to these;
-		// they are tolerated and dropped.
+		// A Parse reply: statement frames are no answer to it; they are
+		// tolerated and dropped.
 		res = new(engine.Result)
 	}
 	var sawProvenance, answered bool
@@ -433,8 +387,6 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			}
 		case wire.ParseComplete:
 			rp.parsed, answered = m, true
-		case wire.StatsResult:
-			rp.stats, answered = m.JSON, true
 		case wire.Error:
 			// Drain the Ready that follows an error.
 			next, rerr := wire.Read(nc)

@@ -123,14 +123,10 @@ func TestClientClosedConn(t *testing.T) {
 
 // TestConnPoisonsWhenErrorIsNotFollowedByReady: every request is read by the
 // one response loop, so a server Error whose Ready never arrives poisons the
-// connection whatever was asked — a statement, a Stats request or a Parse.
-// (Stats used to return the server error and leave the desynced stream in
-// use.)
+// connection whatever was asked — a statement or a Parse.
 func TestConnPoisonsWhenErrorIsNotFollowedByReady(t *testing.T) {
 	requests := map[string]func(*Conn) error{
 		"Query":   func(c *Conn) error { _, err := c.Query("SELECT 1"); return err },
-		"Stats":   func(c *Conn) error { _, err := c.Stats(); return err },
-		"Traces":  func(c *Conn) error { _, err := c.Traces(); return err },
 		"Prepare": func(c *Conn) error { _, err := c.Prepare("SELECT 1"); return err },
 	}
 	for name, request := range requests {

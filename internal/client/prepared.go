@@ -68,8 +68,13 @@ func (c *Conn) Prepare(sql string) (*Stmt, error) {
 		st.numParams, st.fingerprint = n, fp.String()
 		return st, nil
 	}
+	c.wbuf.Reset()
+	_ = wire.Write(&c.wbuf, wire.Parse{Name: st.name, SQL: sql}) // encoding into a buffer cannot fail
 	var rp reply
-	if err := c.roundTrip(wire.Parse{Name: st.name, SQL: sql}, &rp); err != nil {
+	if err := c.send(c.nc, c.wbuf.Bytes()); err != nil {
+		return nil, err
+	}
+	if err := c.readResponse(c.nc, &rp); err != nil {
 		return nil, err
 	}
 	st.numParams, st.fingerprint = rp.parsed.NumParams, rp.parsed.Fingerprint

@@ -44,8 +44,8 @@ func TestConnPoisonsAfterTruncatedFrame(t *testing.T) {
 	if _, err := conn.Query("SELECT 1"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("poisoned conn accepted a query: %v", err)
 	}
-	if _, err := conn.Stats(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("poisoned conn accepted a stats request: %v", err)
+	if _, err := conn.Prepare("SELECT 1"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("poisoned conn accepted a prepare request: %v", err)
 	}
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)

@@ -40,8 +40,7 @@ func findTrace(traces []obs.TraceRecord, id string) (obs.TraceRecord, bool) {
 // TestEndToEndTrace runs statements through a real TCP connection against a
 // WAL-backed server and asserts the whole request path — client, server,
 // engine stages, and WAL commit — lands in one trace under one trace id,
-// retrievable both over the wire (Conn.Traces) and over the ops endpoint
-// (GET /traces).
+// retrievable over the ops endpoint (GET /traces).
 func TestEndToEndTrace(t *testing.T) {
 	obs.Reset()
 	db := engine.NewDB(nil)
@@ -100,8 +99,14 @@ func TestEndToEndTrace(t *testing.T) {
 		t.Fatalf("pipeline: %v, %v", piped, err)
 	}
 
-	// Over the wire: the Stats extension returns the flight recorder.
-	traces, err := conn.Traces()
+	// The ops endpoint serves the flight recorder over HTTP.
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("GET", "/traces", nil)
+	ops.Handler(obs.Default()).ServeHTTP(rec, req)
+	if rec.Code != 200 {
+		t.Fatalf("/traces code = %d", rec.Code)
+	}
+	traces, err := obs.ParseTraces(rec.Body.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +152,6 @@ func TestEndToEndTrace(t *testing.T) {
 		if sp.Trace != sel.Trace {
 			t.Errorf("span %q carries foreign trace id %s", sp.Name, sp.Trace)
 		}
-	}
-
-	// Over HTTP: the ops endpoint serves the same flight recorder.
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/traces", nil)
-	ops.Handler(obs.Default()).ServeHTTP(rec, req)
-	if rec.Code != 200 {
-		t.Fatalf("/traces code = %d", rec.Code)
-	}
-	httpTraces, err := obs.ParseTraces(rec.Body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := findTrace(httpTraces, selRes.TraceID); !ok {
-		t.Error("select trace not served by GET /traces")
 	}
 
 	// The waterfall rendering names every stage under the trace header.
@@ -218,11 +208,7 @@ func TestNoTraceLeavesNoTrace(t *testing.T) {
 	if piped, err := p.Flush(); err != nil || len(piped) != 1 || piped[0].TraceID != "" {
 		t.Errorf("NoTrace pipeline: %v, %v", piped, err)
 	}
-	traces, err := conn.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 0 {
+	if traces := obs.Traces(); len(traces) != 0 {
 		t.Errorf("flight recorder not empty: %d traces", len(traces))
 	}
 }

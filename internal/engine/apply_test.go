@@ -401,9 +401,10 @@ func TestRecoverOverAFileNewerThanItsLog(t *testing.T) {
 
 // TestApplyKeyFreedByALaterCommit: a transaction deletes k and stays open
 // while another inserts k again and commits first, so the log holds the new
-// k before the end mark that freed the old one. The primary accepted that
-// history; the replica and recovery must apply it too, and leave the key
-// where the primary has it: with the newest live version.
+// k before the end mark that freed the old one. A primary now refuses that
+// INSERT (the open delete holds the key), but a log an earlier primary wrote
+// can hold the history; the replica and recovery must apply it, and leave
+// the key where the primary has it: with the newest live version.
 func TestApplyKeyFreedByALaterCommit(t *testing.T) {
 	fs := newMapFS()
 	p, _ := recoverInto(t, fs, "/d")
@@ -417,6 +418,11 @@ func TestApplyKeyFreedByALaterCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Let the key go as an earlier primary did, so the INSERT is accepted.
+	tbl, _ := p.lookupTable("t")
+	tbl.mu.Lock()
+	clear(tbl.released)
+	tbl.mu.Unlock()
 	mustExec(t, p, "INSERT INTO t VALUES (1, 'new')", ExecOptions{})
 	if _, err := s.Exec("COMMIT", ExecOptions{}); err != nil {
 		t.Fatal(err)

@@ -410,6 +410,7 @@ func (db *DB) commitTxn(x *Txn, parent *obs.Span, ws *obs.SessionState) (uint64,
 	if db.wal == nil || len(x.redo) == 0 {
 		cts := db.endTxnCommitted(x.id)
 		db.commitMu.RUnlock()
+		x.freeKeys()
 		db.commitTxnHist(x, cts, 0)
 		return 0, nil
 	}
@@ -422,6 +423,7 @@ func (db *DB) commitTxn(x *Txn, parent *obs.Span, ws *obs.SessionState) (uint64,
 	if err == nil {
 		cts := db.endTxnCommitted(x.id)
 		db.commitMu.RUnlock()
+		x.freeKeys()
 		db.commitTxnHist(x, cts, seq)
 		return seq, nil
 	}
@@ -572,8 +574,16 @@ func (db *DB) LookupVersion(ref TupleRef) ([]sqlval.Value, bool) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	// Copied under the table lock, so every writer of a version in the
+	// table registered before the copy: missing from it means committed.
+	db.txnMu.RLock()
+	active := db.activeLocked()
+	db.txnMu.RUnlock()
 	for _, r := range t.rows {
-		if r.id == ref.Row && r.version == ref.Version && !db.txnActive(r.txnID) {
+		if r.id == ref.Row && r.version == ref.Version {
+			if _, open := active[r.txnID]; open {
+				return nil, false
+			}
 			return append([]sqlval.Value(nil), r.vals...), true
 		}
 	}

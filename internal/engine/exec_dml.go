@@ -10,10 +10,11 @@ import (
 
 // The write path always runs inside a transaction (the session wraps
 // auto-commit DML in an implicit one) while holding the target table's write
-// lock. Writes read the *current committed* state rather than the snapshot —
-// first-updater-wins: a row already modified by a concurrent uncommitted
-// transaction raises a serialization error instead of silently producing a
-// lost update.
+// lock. UPDATE and DELETE match rows against the write cut (writeCut), not
+// the transaction's snapshot — first-updater-wins: a row already modified by
+// a concurrent uncommitted transaction raises a serialization error instead
+// of silently producing a lost update. A primary key a concurrent
+// uncommitted transaction released is refused the same way.
 
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT. Produced tuple
 // versions are stamped with the executing process and statement so that
@@ -77,25 +78,35 @@ func (ec *stmtCtx) execInsert(s *sqlparse.Insert, tree *plan.Tree, opts ExecOpti
 		for i, slot := range colIdx {
 			vals[slot] = in[i]
 		}
-		r := &storedRow{
-			id:      ec.db.newRowID(),
-			vals:    vals,
-			version: ec.db.clock.Tick(),
-			proc:    opts.Proc,
-			stmt:    res.StmtID,
-			txnID:   ec.txn.id,
-		}
-		if err := t.insertRow(r); err != nil {
+		if err := ec.insertVersion(t, vals, opts, res); err != nil {
 			return err
 		}
-		ec.txn.logUndo(t, undoInsert(t, r))
-		ec.txn.logRedo(redoInsertEntry(s.Table, r))
-		res.WrittenRefs = append(res.WrittenRefs, r.ref(s.Table))
-		res.RowsAffected++
 	}
 	if ec.lin != nil {
 		ec.lin.finish(res, nil, reads)
 	}
+	return nil
+}
+
+// insertVersion is the per-row step of INSERT and COPY FROM: a new version
+// of vals, stamped with the executing process and statement, stored under
+// the primary key and logged for undo and for the WAL.
+func (ec *stmtCtx) insertVersion(t *Table, vals []sqlval.Value, opts ExecOptions, res *Result) error {
+	r := &storedRow{
+		id:      ec.db.newRowID(),
+		vals:    vals,
+		version: ec.db.clock.Tick(),
+		proc:    opts.Proc,
+		stmt:    res.StmtID,
+		txnID:   ec.txn.id,
+	}
+	if err := t.insertRow(r); err != nil {
+		return err
+	}
+	ec.txn.logUndo(t, undoInsert(t, r))
+	ec.txn.logRedo(redoInsertEntry(t.Name, r))
+	res.WrittenRefs = append(res.WrittenRefs, r.ref(t.Name))
+	res.RowsAffected++
 	return nil
 }
 
@@ -180,10 +191,10 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOpti
 			oldKey := keyOf(r.vals[pk])
 			newKey := keyOf(newVals[pk])
 			if newKey != oldKey {
-				if _, dup := t.pkIndex[newKey]; dup {
-					return fmt.Errorf("table %s: duplicate primary key %s", s.Table, newVals[pk])
+				if err := t.claimable(newKey, newVals[pk], ec.txn.id); err != nil {
+					return err
 				}
-				delete(t.pkIndex, oldKey)
+				t.releaseKey(oldKey, ec.txn)
 			}
 			t.pkIndex[newKey] = nv
 		}
@@ -223,9 +234,8 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, tree *plan.Tree, opts ExecOpti
 	for _, r := range matches {
 		t.setEnd(r, ec.db.clock.Tick(), ec.txn.id)
 		if pk >= 0 {
-			key := keyOf(r.vals[pk])
-			if t.pkIndex[key] == r {
-				delete(t.pkIndex, key)
+			if key := keyOf(r.vals[pk]); t.pkIndex[key] == r {
+				t.releaseKey(key, ec.txn)
 			}
 		}
 		ec.txn.logUndo(t, undoDelete(t, r))
@@ -239,12 +249,14 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, tree *plan.Tree, opts ExecOpti
 }
 
 // matchRows runs an UPDATE's or DELETE's access subtree — the WHERE clause
-// as the planner lowered it — over the current committed state of a table
-// (plus the transaction's own writes) and returns the matching live
-// versions, with the stored layout the caller can bind further expressions
-// against. It is the scan leaf under the DML visibility rule: a matching
-// row end-marked by a concurrent uncommitted transaction is a write-write
-// conflict — first-updater-wins, the later writer errors out.
+// as the planner lowered it — over the write cut of a table (what was
+// committed when the statement's locks were taken, plus the transaction's
+// own writes) and returns the matching live versions, with the stored
+// layout the caller can bind further expressions against. The cut is a
+// snapshot like any read's; the one thing a write adds is that a matching
+// version end-marked by a transaction open at the cut — which the cut
+// shows, since that end mark is not yet part of it — is a write-write
+// conflict: first-updater-wins, the later writer errors out.
 //
 // The access path comes from the planner: when an index predicate applies,
 // only the candidate versions in the matching buckets are considered.
@@ -257,19 +269,8 @@ func (ec *stmtCtx) matchRows(t *Table, access plan.Node) (*storedLayout, []*stor
 	if err != nil {
 		return nil, nil, err
 	}
-	self := ec.txn.id
-	visible := func(r *storedRow) bool {
-		if r.txnID != self && ec.db.txnActive(r.txnID) {
-			return false // uncommitted insert of another transaction
-		}
-		// An end mark hides the version once it is final — set by this
-		// transaction or by a committed one. Set by a concurrent
-		// uncommitted transaction it leaves the version in play: a conflict
-		// if it matches.
-		return r.end == 0 || r.endTxn != self && ec.db.txnActive(r.endTxn)
-	}
 	var matches []*storedRow
-	err = ec.run(sc, visible, func(r *storedRow) (bool, error) {
+	err = ec.run(sc, ec.db.writeCut(ec.txn.id), func(r *storedRow) (bool, error) {
 		if r.end != 0 {
 			return false, fmt.Errorf("could not serialize access due to concurrent update on table %s", t.Name)
 		}

@@ -32,6 +32,8 @@ func stmtTables(stmt sqlparse.Statement) lockSet {
 		ls.writes[s.Table] = true
 	case *sqlparse.Delete:
 		ls.writes[s.Table] = true
+	case *sqlparse.Copy: // COPY FROM; COPY TO runs as its SELECT
+		ls.writes[s.Table] = true
 	}
 	ls.addReads(stmt)
 	return ls

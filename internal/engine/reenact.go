@@ -77,53 +77,43 @@ func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Resul
 		snap.self = rec.TxnID
 		snap.selfBound = h.Start
 
-		replay := func(sel *sqlparse.Select) (*Result, error) {
-			ec := &stmtCtx{db: db, snap: snap, ws: s.ws, vals: execVals{params: h.Params}}
-			unlock := ec.plan(sel, opts.Span)
-			defer unlock()
-			inner := &Result{StmtID: db.newStmtID(), Start: rec.SnapTS}
-			err := ec.execSelect(sel, ExecOptions{Params: h.Params, WithLineage: true, Proc: opts.Proc}, inner)
-			return inner, err
-		}
-
+		// What the statement read: a SELECT's own query, an UPDATE's or
+		// DELETE's dry run, an INSERT's source query. A literal INSERT counts
+		// its rows; the file a COPY FROM loaded is not part of the history,
+		// so its recorded count stands.
+		var sel *sqlparse.Select
 		var rows int
-		var resultText, lineageText string
 		switch p := stmt.(type) {
 		case *sqlparse.Select:
-			inner, err := replay(p)
-			if err != nil {
-				return fmt.Errorf("REENACT statement %d: %w", ord, err)
-			}
-			rows = len(inner.Rows)
-			resultText = renderResultRows(inner.Rows)
-			lineageText = renderLineage(inner)
+			sel = p
 		case *sqlparse.Update:
-			inner, err := replay(dryRunSelect(p.Table, p.Where))
-			if err != nil {
-				return fmt.Errorf("REENACT statement %d: %w", ord, err)
-			}
-			rows = len(inner.Rows)
-			lineageText = renderLineage(inner)
+			sel = dryRunSelect(p.Table, p.Where)
 		case *sqlparse.Delete:
-			inner, err := replay(dryRunSelect(p.Table, p.Where))
+			sel = dryRunSelect(p.Table, p.Where)
+		case *sqlparse.Insert:
+			sel, rows = p.Query, len(p.Rows)
+		case *sqlparse.Copy:
+			if p.To {
+				return fmt.Errorf("REENACT statement %d: COPY TO cannot be replayed", ord)
+			}
+			rows = h.Rows
+		default:
+			return fmt.Errorf("REENACT statement %d: only SELECT, INSERT, UPDATE, DELETE, COPY FROM can be replayed, got %T", ord, stmt)
+		}
+		var resultText, lineageText string
+		if sel != nil {
+			ec := &stmtCtx{db: db, snap: snap, ws: s.ws, vals: execVals{params: h.Params}}
+			unlock := ec.plan(sel, opts.Span)
+			inner := &Result{StmtID: db.newStmtID(), Start: rec.SnapTS}
+			err := ec.execSelect(sel, ExecOptions{Params: h.Params, WithLineage: true, Proc: opts.Proc}, inner)
+			unlock()
 			if err != nil {
 				return fmt.Errorf("REENACT statement %d: %w", ord, err)
 			}
-			rows = len(inner.Rows)
-			lineageText = renderLineage(inner)
-		case *sqlparse.Insert:
-			if p.Query != nil {
-				inner, err := replay(p.Query)
-				if err != nil {
-					return fmt.Errorf("REENACT statement %d: %w", ord, err)
-				}
-				rows = len(inner.Rows)
-				lineageText = renderLineage(inner)
-			} else {
-				rows = len(p.Rows)
+			rows, lineageText = len(inner.Rows), renderLineage(inner)
+			if sel == stmt { // a SELECT's rows are its result
+				resultText = renderResultRows(inner.Rows)
 			}
-		default:
-			return fmt.Errorf("REENACT statement %d: only SELECT, INSERT, UPDATE, DELETE can be replayed, got %T", ord, stmt)
 		}
 
 		res.Rows = append(res.Rows, []sqlval.Value{

@@ -10,7 +10,7 @@ import (
 
 // Every base-table access — the leaves of a SELECT, the row matcher of
 // UPDATE and DELETE — is one routine: walk a row source (the table's heap
-// or an index's candidates), skip the versions a visibility rule hides, run
+// or an index's candidates), skip the versions a snapshot hides, run
 // the conjuncts of the filter the plan put directly above the leaf against
 // the *stored* values, and hand each survivor to the caller. Nothing is
 // copied for a version that is invisible or filtered out.
@@ -88,6 +88,9 @@ type leafScan struct {
 	rows   []*storedRow
 	lay    *storedLayout
 	preds  []bound
+	// stamp, when non-zero, is the statement id run writes to prov_usedby of
+	// every visible version it examines.
+	stamp int64
 }
 
 // openScan resolves a leaf, or a filter directly over one, to its row
@@ -139,13 +142,13 @@ func (ec *stmtCtx) openScan(n plan.Node) (*leafScan, error) {
 	return sc, nil
 }
 
-// run walks the source. visible is the statement's visibility rule; emit
-// receives each version that is visible and passes every conjunct, and
-// returns false to end the scan early. A predicate that fails to evaluate
-// fails the statement. engine.rows_scanned counts every version walked;
-// EXPLAIN ANALYZE keeps one row per plan node — the leaf reports the
-// visible versions it examined, the fused filter the survivors.
-func (ec *stmtCtx) run(sc *leafScan, visible func(*storedRow) bool, emit func(*storedRow) (more bool, err error)) error {
+// run walks the source. emit receives each version snap makes visible that
+// passes every conjunct, and returns false to end the scan early. A
+// predicate that fails to evaluate fails the statement. engine.rows_scanned
+// counts every version walked; EXPLAIN ANALYZE keeps one row per plan node —
+// the leaf reports the visible versions it examined, the fused filter the
+// survivors.
+func (ec *stmtCtx) run(sc *leafScan, snap snapshot, emit func(*storedRow) (more bool, err error)) error {
 	emitted := 0
 	scan := func() (examined int, err error) {
 		walked := 0
@@ -153,8 +156,11 @@ func (ec *stmtCtx) run(sc *leafScan, visible func(*storedRow) bool, emit func(*s
 	rows:
 		for _, r := range sc.rows {
 			walked++
-			if !visible(r) {
+			if !snap.visible(r) {
 				continue
+			}
+			if sc.stamp != 0 {
+				r.usedBy.Store(sc.stamp)
 			}
 			examined++
 			if len(sc.preds) > 0 {
@@ -219,16 +225,9 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	if sc.table == nil {
 		lin = nil
 	}
-	visible := ec.snap.visible
 	if lin != nil {
+		sc.stamp = lin.stmt
 		defer sc.table.stamped() // once the last stamp is in, however the scan ends
-		visible = func(r *storedRow) bool {
-			if !ec.snap.visible(r) {
-				return false
-			}
-			r.usedBy.Store(lin.stmt)
-			return true
-		}
 	}
 	ncols, stop := sc.lay.ncols, sc.leaf.StopAfter
 	// Size the output by the planner's estimate (never past the source or
@@ -248,7 +247,7 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	}
 	var vals slab[sqlval.Value]
 	var ids slab[vid]
-	err = ec.run(sc, visible, func(r *storedRow) (bool, error) {
+	err = ec.run(sc, ec.snap, func(r *storedRow) (bool, error) {
 		tp := tuple{vals: vals.take(len(from))}
 		for i, s := range from {
 			if s < ncols {

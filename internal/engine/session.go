@@ -97,6 +97,25 @@ type Txn struct {
 	// DB's transaction history — and, when the transaction wrote anything,
 	// appended to its WAL record as walStmt entries — at commit.
 	hist []StmtRecord
+
+	// released lists, per table, the primary keys the transaction took out
+	// of the index (Table.releaseKey).
+	released map[*Table][]valKey
+}
+
+// freeKeys lets other transactions claim the keys x released, once x has
+// committed. It takes each table's write lock in turn, so the caller holds
+// none.
+func (x *Txn) freeKeys() {
+	for t, keys := range x.released {
+		t.mu.Lock()
+		for _, key := range keys {
+			if t.released[key] == x.id {
+				delete(t.released, key)
+			}
+		}
+		t.mu.Unlock()
+	}
 }
 
 // recordStmt appends one executed statement to the transaction's reenactment
@@ -221,32 +240,37 @@ func (db *DB) endTxnCommitted(id int64) uint64 {
 	return cts
 }
 
-// txnActive reports whether a transaction is currently uncommitted (the
-// write path's first-updater-wins conflict check reads the *current* state,
-// not a snapshot).
-func (db *DB) txnActive(id int64) bool {
-	if id == 0 {
-		return false
-	}
-	db.txnMu.RLock()
-	_, ok := db.activeTxns[id]
-	db.txnMu.RUnlock()
-	return ok
-}
-
-// takeSnapshot captures a logical-clock cut. Ticking before copying the
-// active set is what makes the cut consistent: a transaction missing from
-// the copy either committed (visible, correctly) or registered after the
-// tick, in which case all its writes post-date ts.
-func (db *DB) takeSnapshot(self int64) snapshot {
-	ts := db.clock.Tick()
-	db.txnMu.RLock()
+// activeLocked copies the active set, the start of every cut. Caller holds
+// txnMu, in either mode.
+func (db *DB) activeLocked() map[int64]struct{} {
 	active := make(map[int64]struct{}, len(db.activeTxns))
 	for id := range db.activeTxns {
 		active[id] = struct{}{}
 	}
-	db.txnMu.RUnlock()
-	return snapshot{ts: ts, active: active, self: self}
+	return active
+}
+
+// takeSnapshot captures a logical-clock cut. The tick and the copy of the
+// active set happen under one hold of txnMu: a commit leaves the active set
+// under txnMu's write lock, so it lands either before the tick — every
+// version it wrote is at or below ts and it is missing from the copy, so
+// all its writes are visible — or after the copy, which lists it, so none
+// are. A transaction that registers after the copy writes only past ts.
+func (db *DB) takeSnapshot(self int64) snapshot {
+	db.txnMu.RLock()
+	defer db.txnMu.RUnlock()
+	return snapshot{ts: db.clock.Tick(), active: db.activeLocked(), self: self}
+}
+
+// writeCut is the cut an UPDATE or DELETE matches stored versions against,
+// taken under its table locks: what was committed when the active set is
+// copied, plus the statement's own transaction. Its time is open-ended and
+// takes no tick: under the write lock nothing in the table is newer than the
+// copy, and an audited run's clock, shared with its OS trace, stays put.
+func (db *DB) writeCut(self int64) snapshot {
+	db.txnMu.RLock()
+	defer db.txnMu.RUnlock()
+	return snapshot{ts: ^uint64(0), active: db.activeLocked(), self: self}
 }
 
 // takeSnapshotAsOf captures a historical cut at tick t: the regular
@@ -258,16 +282,13 @@ func (db *DB) takeSnapshot(self int64) snapshot {
 // bounds.
 func (db *DB) takeSnapshotAsOf(t uint64) snapshot {
 	db.txnMu.RLock()
-	active := make(map[int64]struct{}, len(db.activeTxns))
-	for id := range db.activeTxns {
-		active[id] = struct{}{}
-	}
+	defer db.txnMu.RUnlock()
+	active := db.activeLocked()
 	for id, cts := range db.committedTs {
 		if cts > t {
 			active[id] = struct{}{}
 		}
 	}
-	db.txnMu.RUnlock()
 	return snapshot{ts: t, active: active, asOf: true}
 }
 
@@ -460,9 +481,6 @@ func (s *Session) execute(ps *PreparedStmt, opts ExecOptions, res *Result) error
 		}
 	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
 		err = s.execDMLStmt(stmt, opts, res, nil)
-		if err == nil && s.txn != nil {
-			s.txn.recordStmt(stmt, res, opts.Params)
-		}
 	case *sqlparse.Explain:
 		err = s.execExplainStmt(st, opts, res)
 	case *sqlparse.CreateTable:
@@ -490,7 +508,14 @@ func (s *Session) execute(ps *PreparedStmt, opts ExecOptions, res *Result) error
 			res.CommitSeq, err = db.execDropIndex(st)
 		}
 	case *sqlparse.Copy:
-		err = s.execCopy(st, opts, res)
+		switch {
+		case opts.FS == nil:
+			err = fmt.Errorf("COPY needs a filesystem, and this execution was given none (ExecOptions.FS); a server passes its own")
+		case st.To:
+			err = s.execCopyTo(st, opts, res)
+		default:
+			err = s.execDMLStmt(stmt, opts, res, nil)
+		}
 	case *sqlparse.Vacuum:
 		if s.txn != nil {
 			err = fmt.Errorf("VACUUM is not allowed inside a transaction")
@@ -538,11 +563,13 @@ func (s *Session) execSelectStmt(sel *sqlparse.Select, opts ExecOptions, res *Re
 	return ec.execSelect(sel, opts, res)
 }
 
-// execDMLStmt runs a write statement. Outside an explicit transaction the
-// statement gets an implicit one, which both gives it statement-level
-// atomicity (a mid-statement error rolls back its partial writes) and keeps
-// its in-flight writes invisible to concurrent snapshots until it finishes.
-// oc, when non-nil, collects per-operator actuals (EXPLAIN ANALYZE).
+// execDMLStmt runs a write statement — INSERT, UPDATE, DELETE, COPY FROM —
+// and records it in its transaction's history. Outside an explicit
+// transaction the statement gets an implicit one, which both gives it
+// statement-level atomicity (a mid-statement error rolls back its partial
+// writes) and keeps its in-flight writes invisible to concurrent snapshots
+// until it finishes. oc, when non-nil, collects per-operator actuals
+// (EXPLAIN ANALYZE).
 func (s *Session) execDMLStmt(stmt sqlparse.Statement, opts ExecOptions, res *Result, oc *opCollector) error {
 	db := s.db
 	txn := s.txn
@@ -553,17 +580,20 @@ func (s *Session) execDMLStmt(stmt sqlparse.Statement, opts ExecOptions, res *Re
 		defer s.ws.SetTxn(0)
 	}
 	err := s.applyDML(stmt, opts, res, txn, oc)
-	if implicit {
-		if err != nil {
-			db.endTxn(txn.id) // abort; undo already ran, nothing to log
-			return err
-		}
-		// Durability point of auto-commit DML. Record the statement first so
-		// the implicit transaction is reenactable like an explicit one.
+	if err == nil {
+		// Before an implicit commit, so the implicit transaction is
+		// reenactable like an explicit one.
 		txn.recordStmt(stmt, res, opts.Params)
-		res.CommitSeq, err = db.commitTxn(txn, opts.Span, s.ws)
+	}
+	if !implicit {
 		return err
 	}
+	if err != nil {
+		db.endTxn(txn.id) // abort; undo already ran, nothing to log
+		return err
+	}
+	// Durability point of auto-commit DML.
+	res.CommitSeq, err = db.commitTxn(txn, opts.Span, s.ws)
 	return err
 }
 
@@ -594,6 +624,8 @@ func (s *Session) applyDML(stmt sqlparse.Statement, opts ExecOptions, res *Resul
 			err = ec.execUpdate(st, tree, opts, res)
 		case *sqlparse.Delete:
 			err = ec.execDelete(st, tree, opts, res)
+		case *sqlparse.Copy:
+			err = ec.execCopyFrom(st, opts, res)
 		}
 		return res.RowsAffected, err
 	})

@@ -59,6 +59,11 @@ type Table struct {
 	rows    []*storedRow
 	pkIndex map[valKey]*storedRow // key of pk value -> live latest version; nil if no pk
 
+	// released maps a primary key an open transaction deleted or updated
+	// away to its id: no other may claim the key until a commit frees it
+	// (Txn.freeKeys) or a rollback restores it (restorePK).
+	released map[valKey]int64
+
 	// indexes is the table's secondary-index list, sorted by name. It is
 	// copy-on-write behind an atomic pointer: structure mutations (DDL and
 	// per-index entry maintenance) happen under t.mu's write lock, but the
@@ -147,12 +152,12 @@ func (t *Table) setEnd(r *storedRow, end uint64, txn int64) {
 	t.touch()
 }
 
-func (t *Table) clearEnd(r *storedRow) error {
+func (t *Table) clearEnd(r *storedRow) {
 	r.end, r.endTxn = 0, 0
 	t.liveRows.Add(1)
 	t.deadVersions.Add(-1)
 	t.touch()
-	return t.restorePK(r)
+	t.restorePK(r)
 }
 
 func newTable(name string, schema Schema) *Table {
@@ -223,12 +228,40 @@ func (t *Table) admitRow(r *storedRow) error {
 	if t.pkIndex != nil && r.end == 0 {
 		pk := t.Schema.PrimaryKeyIndex()
 		key := keyOf(r.vals[pk])
-		if _, dup := t.pkIndex[key]; dup {
-			return fmt.Errorf("table %s: duplicate primary key %s", t.Name, r.vals[pk])
+		if err := t.claimable(key, r.vals[pk], r.txnID); err != nil {
+			return err
 		}
 		t.pkIndex[key] = r
 	}
 	return nil
+}
+
+// claimable reports why transaction txn may not give a live version the
+// primary key key (whose value is v): a live version holds it, or another
+// open transaction released it and may yet roll back. Caller holds the
+// table write lock.
+func (t *Table) claimable(key valKey, v sqlval.Value, txn int64) error {
+	if _, dup := t.pkIndex[key]; dup {
+		return fmt.Errorf("table %s: duplicate primary key %s", t.Name, v)
+	}
+	if owner, held := t.released[key]; held && owner != txn {
+		return fmt.Errorf("could not serialize access due to concurrent update on table %s: primary key %s was released by an open transaction", t.Name, v)
+	}
+	return nil
+}
+
+// releaseKey drops key from the primary-key index on behalf of x, which
+// holds it until it ends. Caller holds the table write lock.
+func (t *Table) releaseKey(key valKey, x *Txn) {
+	delete(t.pkIndex, key)
+	if t.released == nil {
+		t.released = map[valKey]int64{}
+	}
+	t.released[key] = x.id
+	if x.released == nil {
+		x.released = map[*Table][]valKey{}
+	}
+	x.released[t] = append(x.released[t], key)
 }
 
 // insertRow validates and appends a live row version, enforcing the primary
@@ -382,18 +415,17 @@ func (t *Table) releasePK(r *storedRow) {
 	}
 }
 
-// restorePK re-points the pk index at a version whose end mark is being
-// rolled back. A concurrent insert may have claimed the key while the
-// delete/update was uncommitted — that collision surfaces here.
-func (t *Table) restorePK(r *storedRow) error {
-	pk := t.Schema.PrimaryKeyIndex()
-	if pk < 0 {
-		return nil
+// restorePK gives a version whose end mark is being rolled back its primary
+// key again, taking the key back from the released set: no other transaction
+// can have claimed it in between. Only the applier can find the key held —
+// by a version its log placed before the end mark that freed the key
+// (Applier.insert) — and that version keeps it.
+func (t *Table) restorePK(r *storedRow) {
+	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
+		key := keyOf(r.vals[pk])
+		if _, held := t.pkIndex[key]; !held {
+			t.pkIndex[key] = r
+		}
+		delete(t.released, key)
 	}
-	key := keyOf(r.vals[pk])
-	if cur, ok := t.pkIndex[key]; ok && cur != r {
-		return fmt.Errorf("table %s: rollback conflict: primary key %s was re-used by a concurrent transaction", t.Name, r.vals[pk])
-	}
-	t.pkIndex[key] = r
-	return nil
 }

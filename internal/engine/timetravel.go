@@ -72,6 +72,8 @@ func stmtKindName(stmt sqlparse.Statement) string {
 		return "update"
 	case *sqlparse.Delete:
 		return "delete"
+	case *sqlparse.Copy:
+		return "copy"
 	default:
 		return "other"
 	}

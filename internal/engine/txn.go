@@ -22,11 +22,15 @@ func undoUpdate(t *Table, old, successor *storedRow) func() error {
 		if err := t.removeRow(successor); err != nil {
 			return err
 		}
-		return t.clearEnd(old)
+		t.clearEnd(old)
+		return nil
 	}
 }
 
 // undoDelete clears a delete's end mark.
 func undoDelete(t *Table, r *storedRow) func() error {
-	return func() error { return t.clearEnd(r) }
+	return func() error {
+		t.clearEnd(r)
+		return nil
+	}
 }

@@ -116,10 +116,7 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 	// begins mid-pass ticks past the horizon and cannot end-mark below it,
 	// and one that commits mid-pass merely survives until the next pass.
 	db.txnMu.RLock()
-	active := make(map[int64]struct{}, len(db.activeTxns))
-	for id := range db.activeTxns {
-		active[id] = struct{}{}
-	}
+	active := db.activeLocked()
 	db.txnMu.RUnlock()
 	committed := func(id int64) bool {
 		if id == 0 {

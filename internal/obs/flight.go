@@ -138,8 +138,7 @@ func (r *Registry) Traces() []TraceRecord { return r.flight.traces() }
 // Traces returns the default registry's request traces, newest first.
 func Traces() []TraceRecord { return defaultRegistry.Traces() }
 
-// tracesDoc is the JSON envelope served over the wire Stats extension and
-// the ops endpoint's /traces handler.
+// tracesDoc is the JSON envelope the ops endpoint's /traces handler serves.
 type tracesDoc struct {
 	Traces []TraceRecord `json:"traces"`
 }

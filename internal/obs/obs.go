@@ -10,8 +10,8 @@
 // the wire protocol, so one client request forms a single causal tree —
 // client, server, engine, WAL — reconstructed by the flight recorder: a
 // bounded ring of finished spans, assembled into request traces
-// (TraceRecord) when read over the wire Stats extension or the ops
-// endpoint, and renderable as an ASCII waterfall.
+// (TraceRecord) when read in process or over the ops endpoint, and
+// renderable as an ASCII waterfall.
 //
 // The paper's evaluation (§VIII/§IX) is an exercise in cost attribution:
 // audit-time overhead vs. native execution, package size, replay time. This

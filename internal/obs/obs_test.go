@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -149,8 +150,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSnapshot(data)
-	if err != nil {
+	back := new(Snapshot)
+	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Counter("engine.stmts") != 7 {

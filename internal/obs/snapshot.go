@@ -58,16 +58,6 @@ func TakeSnapshot() *Snapshot { return defaultRegistry.Snapshot() }
 // JSON serializes the snapshot.
 func (s *Snapshot) JSON() ([]byte, error) { return json.Marshal(s) }
 
-// ParseSnapshot deserializes a snapshot produced by JSON (e.g. the payload
-// of a wire StatsResult message).
-func ParseSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("obs: parse snapshot: %w", err)
-	}
-	return &s, nil
-}
-
 // Counter returns a counter's value (0 when absent) — test convenience.
 func (s *Snapshot) Counter(name string) int64 { return s.Counters[name] }
 

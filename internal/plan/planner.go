@@ -21,7 +21,7 @@ const filterSelectivity = 1.0 / 3
 
 // PlanStatement lowers any plannable statement, its uncorrelated subqueries
 // included, returning nil for statement kinds that have no execution tree
-// (DDL, COPY, transaction control).
+// (DDL, transaction control).
 func PlanStatement(cat Catalog, stmt sqlparse.Statement) *Tree {
 	return planStatement(cat, stmt, 0)
 }
@@ -44,6 +44,8 @@ func planStatement(cat Catalog, stmt sqlparse.Statement, depth int) *Tree {
 			n.Query, n.Est = q.Root, q.Root.EstRows()
 			tree.Select, tree.Init, tree.Reordered = q.Select, q.Init, q.Reordered
 		}
+	case *sqlparse.Copy: // COPY FROM loads a file: an INSERT of its records
+		tree = &Tree{Root: &InsertNode{Table: s.Table}}
 	case *sqlparse.Update:
 		access, est := planAccess(cat, s.Table, s.Where)
 		tree = &Tree{Root: &UpdateNode{Table: s.Table, Access: access, Est: est}}

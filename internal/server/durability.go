@@ -10,7 +10,7 @@ import (
 )
 
 // Checkpoints taken by the server (periodic background ones and explicit
-// Checkpoint calls), for the Stats endpoint.
+// Checkpoint calls), for the metrics snapshot.
 var mCheckpoints = obs.NewCounter("server.checkpoints", "Checkpoints taken by the server")
 
 // durability is the server's background checkpointer state, created by

@@ -22,7 +22,7 @@ import (
 	"ldv/internal/wire"
 )
 
-// Session and statement accounting for the Stats endpoint.
+// Session and statement accounting, for the metrics snapshot.
 var (
 	mSessions       = obs.NewCounter("server.sessions", "Client sessions accepted")
 	gActiveSessions = obs.NewGauge("server.active_sessions", "Client sessions currently connected")
@@ -259,8 +259,6 @@ func (s *Server) HandleConn(conn net.Conn) {
 				lineage: m.WithLineage, trace: m.Trace, minApplied: m.MinApplied})
 		case wire.Parse:
 			err = c.parse(m)
-		case wire.Stats:
-			err = c.stats(m)
 		case wire.Subscribe:
 			src := s.replicationSource()
 			if src == nil {
@@ -340,25 +338,6 @@ func waitSummary(ws *obs.SessionState) string {
 		return "none"
 	}
 	return fmt.Sprintf("%s:%s/%s", ev.Name(), time.Duration(domNS), time.Duration(totalNS))
-}
-
-// stats serves a Stats request with the requested observability document:
-// the metrics snapshot, or the flight recorder's completed traces.
-func (c *clientConn) stats(req wire.Stats) error {
-	var data []byte
-	var err error
-	switch req.Kind {
-	case wire.StatsKindMetrics:
-		data, err = obs.TakeSnapshot().JSON()
-	case wire.StatsKindTraces:
-		data, err = obs.MarshalTraces(obs.Traces())
-	default:
-		err = fmt.Errorf("unknown stats kind %d", req.Kind)
-	}
-	if err != nil {
-		return c.fail(err)
-	}
-	return wire.Write(c.out, wire.StatsResult{JSON: data})
 }
 
 // request is a Query or an Execute frame with the differences between the

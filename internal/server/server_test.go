@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ldv/internal/engine"
-	"ldv/internal/obs"
 	"ldv/internal/osim"
 	"ldv/internal/sqlval"
 	"ldv/internal/wire"
@@ -286,51 +285,5 @@ func TestServerCopyRoundTripsAwkwardText(t *testing.T) {
 	}
 	if got := rows("t2"); got[len(got)-2] != `20 "q," null=false` || got[len(got)-1] != `21 "plain" null=false` {
 		t.Fatalf("CR LF file loaded as %q", got[len(got)-2:])
-	}
-}
-
-func TestServerStatsRequest(t *testing.T) {
-	s := newTestServer(t)
-	c := dial(t, s, "proc:stats")
-	defer c.Close()
-	if _, _, serr := query(t, c, "SELECT a FROM t", false); serr != "" {
-		t.Fatal(serr)
-	}
-	if err := wire.Write(c, wire.Stats{}); err != nil {
-		t.Fatal(err)
-	}
-	var snap *obs.Snapshot
-	for snap == nil {
-		msg, err := wire.Read(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch m := msg.(type) {
-		case wire.StatsResult:
-			snap, err = obs.ParseSnapshot(m.JSON)
-			if err != nil {
-				t.Fatalf("bad snapshot JSON: %v", err)
-			}
-		case wire.Error:
-			t.Fatalf("server error: %s", m.Message)
-		default:
-			t.Fatalf("unexpected message %#v", msg)
-		}
-	}
-	// The Ready that ends the Stats exchange.
-	if msg, err := wire.Read(c); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(wire.Ready); !ok {
-		t.Fatalf("expected Ready after StatsResult, got %#v", msg)
-	}
-	// Metrics are process-global, so assert floors, not exact values.
-	if snap.Counter("server.sessions") < 1 {
-		t.Fatal("server.sessions not counted")
-	}
-	if snap.Counter("server.stmts") < 1 {
-		t.Fatal("server.stmts not counted")
-	}
-	if snap.Counter("engine.stmts") < 1 {
-		t.Fatal("engine.stmts not counted")
 	}
 }

@@ -17,7 +17,7 @@ func FuzzRead(f *testing.F) {
 		CommandComplete{RowsAffected: 3, StmtID: 9},
 		Query{SQL: "SELECT 1", Trace: testSpanContext()},
 		Startup{Proc: "p", Database: "db"},
-		Stats{Kind: StatsKindTraces},
+		Terminate{},
 		Subscribe{ReplicaID: "r1"},
 		SnapshotChunk{Table: "t", Data: []byte{1, 2}, Done: true, CutSeq: 9},
 		WALSegment{FirstSeq: 3, PrimaryTS: 8, Records: [][]byte{{4, 5}}},
@@ -28,7 +28,7 @@ func FuzzRead(f *testing.F) {
 		Bind{Stmt: "s1"},
 		Execute{Stmt: "s1", Tag: 4},
 		CommandComplete{RowsAffected: 1, Tag: 4},
-		StatsResult{JSON: []byte(`{}`)},
+		Error{Message: "boom"},
 		Ready{InTxn: true},
 		Provenance{Versions: engine.NewVersionSet([]engine.TupleRef{{Table: "t", Row: 1, Version: 2}},
 			[][]sqlval.Value{{sqlval.NewInt(3), sqlval.NewString("x")}}), Lineage: [][]int32{{0}, nil}},
@@ -39,12 +39,12 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add([]byte{'D', 0, 0, 0, 4, 1, 2, 3, 4})
 	f.Add([]byte{'?', 0xff, 0xff, 0xff, 0xff})
-	// A Ready and a Stats without their field, a metrics Stats with its
-	// field, a Query whose WithLineage byte is 2: each is either rejected or
-	// must write back byte for byte.
+	// A Ready without its field, a Terminate with one byte too many, a
+	// frame of an undefined kind, a Query whose WithLineage byte is 2: each
+	// is either rejected or must write back byte for byte.
 	f.Add([]byte{'Z', 0, 0, 0, 0})
+	f.Add([]byte{'X', 0, 0, 0, 1, 0})
 	f.Add([]byte{'T', 0, 0, 0, 0})
-	f.Add([]byte{'T', 0, 0, 0, 1, 0})
 	f.Add([]byte{'Q', 0, 0, 0, 2, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

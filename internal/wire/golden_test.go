@@ -56,9 +56,6 @@ func goldenFrames() []struct {
 		{"ready", Ready{}},
 		{"ready_in_txn", Ready{InTxn: true}},
 		{"terminate", Terminate{}},
-		{"stats", Stats{}},
-		{"stats_traces", Stats{Kind: StatsKindTraces}},
-		{"stats_result", StatsResult{JSON: []byte(`{"counters":{"engine.stmts":7}}`)}},
 		{"subscribe", Subscribe{ReplicaID: "replica-1"}},
 		{"snapshot_chunk", SnapshotChunk{Table: "orders", CutSeq: 0, Data: []byte{1, 2, 3}}},
 		{"snapshot_done", SnapshotChunk{Done: true, CutSeq: 99}},

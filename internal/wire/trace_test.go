@@ -24,8 +24,6 @@ func TestTraceContextRoundTrip(t *testing.T) {
 		// A zero trace id with a span id is kept as it is.
 		Query{SQL: "SELECT 1", Trace: obs.SpanContext{Span: sc.Span}},
 		Execute{Stmt: "s1", Trace: obs.SpanContext{Span: 1}},
-		Stats{Kind: StatsKindTraces},
-		Stats{Kind: StatsKindMetrics},
 	} {
 		var buf bytes.Buffer
 		if err := Write(&buf, m); err != nil {

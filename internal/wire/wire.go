@@ -30,8 +30,6 @@ const (
 	TagError           = 'E'
 	TagReady           = 'Z'
 	TagTerminate       = 'X'
-	TagStats           = 'T'
-	TagStatsResult     = 't'
 	TagSubscribe       = 'U'
 	TagSnapshotChunk   = 'K'
 	TagWALSegment      = 'W'
@@ -50,7 +48,6 @@ func Tags() []byte {
 	return []byte{
 		TagStartup, TagQuery, TagRowDescription, TagDataRow, TagProvenance,
 		TagCommandComplete, TagError, TagReady, TagTerminate,
-		TagStats, TagStatsResult,
 		TagSubscribe, TagSnapshotChunk, TagWALSegment, TagReplicaStatus,
 		TagParse, TagParseComplete, TagBind, TagExecute, TagCloseStmt,
 	}
@@ -78,10 +75,6 @@ func TagName(tag byte) string {
 		return "Ready"
 	case TagTerminate:
 		return "Terminate"
-	case TagStats:
-		return "Stats"
-	case TagStatsResult:
-		return "StatsResult"
 	case TagSubscribe:
 		return "Subscribe"
 	case TagSnapshotChunk:
@@ -178,25 +171,6 @@ type CommandComplete struct {
 	// group to the Execute that caused it; 0 answers a Query.
 	Tag uint64
 }
-
-// Stats request kinds: which observability document the server should
-// return.
-const (
-	StatsKindMetrics byte = 0 // obs.Snapshot JSON
-	StatsKindTraces  byte = 1 // flight-recorder traces JSON (obs.MarshalTraces)
-)
-
-// Stats asks the server for an observability document — a metadata request
-// any wire client can issue (ldvsql's \stats, monitoring probes), analogous
-// to PostgreSQL's pg_stat views but transported as a protocol message rather
-// than a query. Kind selects the document (StatsKindMetrics or
-// StatsKindTraces).
-type Stats struct{ Kind byte }
-
-// StatsResult carries the requested document serialized as JSON (an
-// obs.Snapshot or a flight-recorder trace list). The payload is opaque to
-// the wire layer so the protocol does not depend on the metric schema.
-type StatsResult struct{ JSON []byte }
 
 // Error reports a failed statement; the session stays usable.
 type Error struct{ Message string }
@@ -299,8 +273,6 @@ type CloseStmt struct {
 }
 
 func (Startup) tag() byte         { return TagStartup }
-func (Stats) tag() byte           { return TagStats }
-func (StatsResult) tag() byte     { return TagStatsResult }
 func (Query) tag() byte           { return TagQuery }
 func (RowDescription) tag() byte  { return TagRowDescription }
 func (DataRow) tag() byte         { return TagDataRow }
@@ -408,12 +380,8 @@ func encodePayload(m Message) []byte {
 		b = binary.AppendUvarint(b, v.Tag)
 	case Error:
 		b = bin.AppendString(b, v.Message)
-	case StatsResult:
-		b = bin.AppendBytes(b, v.JSON)
 	case Ready:
 		b = bin.AppendBool(b, v.InTxn)
-	case Stats:
-		b = append(b, v.Kind)
 	case Subscribe:
 		b = bin.AppendString(b, v.ReplicaID)
 	case SnapshotChunk:
@@ -484,10 +452,6 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 		}
 	case TagError:
 		m = Error{Message: d.Str()}
-	case TagStats:
-		m = Stats{Kind: d.Byte()}
-	case TagStatsResult:
-		m = StatsResult{JSON: d.bytes()}
 	case TagReady:
 		m = Ready{InTxn: d.Bool()}
 	case TagSubscribe:

@@ -50,9 +50,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Error{Message: "boom"},
 		Ready{},
 		Terminate{},
-		Stats{},
-		Stats{Kind: StatsKindTraces},
-		StatsResult{JSON: []byte(`{"counters":{"engine.stmts":7}}`)},
 		Subscribe{ReplicaID: "replica-1"},
 		Subscribe{},
 		SnapshotChunk{Table: "orders", Data: []byte{1, 2, 3}},
@@ -275,25 +272,25 @@ func TestPipeConversation(t *testing.T) {
 }
 
 func TestWireMetrics(t *testing.T) {
-	outMsgs := obs.GetCounter("wire.out.msgs.Stats")
-	inMsgs := obs.GetCounter("wire.in.msgs.Stats")
+	outMsgs := obs.GetCounter("wire.out.msgs.Ready")
+	inMsgs := obs.GetCounter("wire.in.msgs.Ready")
 	outBytes := obs.GetCounter("wire.out.bytes")
 	m0, i0, b0 := outMsgs.Load(), inMsgs.Load(), outBytes.Load()
 
 	var buf bytes.Buffer
-	if err := Write(&buf, Stats{}); err != nil {
+	if err := Write(&buf, Ready{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if outMsgs.Load() != m0+1 {
-		t.Fatalf("wire.out.msgs.Stats did not increment: %d -> %d", m0, outMsgs.Load())
+		t.Fatalf("wire.out.msgs.Ready did not increment: %d -> %d", m0, outMsgs.Load())
 	}
 	if inMsgs.Load() != i0+1 {
-		t.Fatalf("wire.in.msgs.Stats did not increment: %d -> %d", i0, inMsgs.Load())
+		t.Fatalf("wire.in.msgs.Ready did not increment: %d -> %d", i0, inMsgs.Load())
 	}
-	// A Stats frame is tag + length + kind = 6 bytes on the wire.
+	// A Ready frame is tag + length + InTxn = 6 bytes on the wire.
 	if got := outBytes.Load() - b0; got != 6 {
 		t.Fatalf("wire.out.bytes delta = %d, want 6", got)
 	}
