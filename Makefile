@@ -52,11 +52,11 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# CI smoke variant of the engine, client, wire and trace/packaging micro-benchmarks:
+# CI smoke variant of the engine, client, wire, trace/packaging, parser and value micro-benchmarks:
 # every benchmark once, so one that no longer builds or runs fails the push
 # instead of rotting.
 bench-smoke:
-	$(GO) test ./internal/engine ./internal/client ./internal/wire ./internal/prov ./internal/ldv ./internal/deps ./internal/pack ./internal/obs -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/engine ./internal/client ./internal/wire ./internal/prov ./internal/ldv ./internal/deps ./internal/pack ./internal/obs ./internal/sqlparse ./internal/sqlval -run '^$$' -bench . -benchtime 1x
 
 # The regression gate over the repository benchmark (benchmark/README.md):
 # a fresh ten-run set (seeds 42..51, ~20 min) compared against the newest
@@ -91,7 +91,7 @@ experiments:
 # cannot miss CI.
 FUZZ_TARGETS = sqlparse:FuzzParse sqlparse:FuzzAsOf plan:FuzzPlan \
 	wire:FuzzRead wire:FuzzPrepared wire:FuzzLineage wire:FuzzStatementFrames wire:FuzzReplMessages \
-	sqlval:FuzzDecode sqlval:FuzzSkipRow sqlval:FuzzValueHash engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable engine:FuzzDecodeStamps \
+	sqlval:FuzzDecode sqlval:FuzzSkipRow sqlval:FuzzValueHash engine:FuzzWALDecode engine:FuzzWALScan engine:FuzzDecodeTable engine:FuzzDecodeStamps engine:FuzzConjunctKernel \
 	ops:FuzzTracesHandler prov:FuzzTraceUnmarshal prov:FuzzTraceIndex pack:FuzzUnmarshal ldv:FuzzDBLog
 fuzz_each = for t in $(FUZZ_TARGETS); do $(GO) test ./internal/$${t%:*} -fuzz "^$${t\#*:}$$" -fuzztime $(1) || exit 1; done
 

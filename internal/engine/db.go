@@ -504,6 +504,7 @@ func (db *DB) RestoreRows(table string, sizeHint int, next func(*RestoredRow) (b
 	ld := t.newRowLoader(sizeHint, sizeHint, sizeHint)
 	defer func() {
 		ld.finish()
+		t.rebuildIndexes()
 		db.advanceNextRow(ld.maxRow)
 	}()
 	var row RestoredRow
@@ -581,7 +582,7 @@ func (db *DB) LookupVersion(ref TupleRef) ([]sqlval.Value, bool) {
 	db.txnMu.RUnlock()
 	for _, r := range t.rows {
 		if r.id == ref.Row && r.version == ref.Version {
-			if _, open := active[r.txnID]; open {
+			if active.has(r.txnID) {
 				return nil, false
 			}
 			return append([]sqlval.Value(nil), r.vals...), true

@@ -282,7 +282,7 @@ func (en *env) bindBinary(e *sqlparse.BinaryExpr, aggs aggSlots) (bound, error) 
 		want := cmpOps[e.Op]
 		return both(func(l, r sqlval.Value) (sqlval.Value, error) { return compareBool(l, r, want), nil }), nil
 	case "LIKE":
-		return both(func(l, r sqlval.Value) (sqlval.Value, error) {
+		like := func(l, r sqlval.Value) (sqlval.Value, error) {
 			m, ok := sqlval.Like(l, r)
 			if !ok {
 				if l.IsNull() || r.IsNull() {
@@ -291,7 +291,21 @@ func (en *env) bindBinary(e *sqlparse.BinaryExpr, aggs aggSlots) (bound, error) 
 				return sqlval.Null, fmt.Errorf("LIKE requires text operands, got %s and %s", l.Kind(), r.Kind())
 			}
 			return sqlval.NewBool(m), nil
-		}), nil
+		}
+		switch e.Right.(type) {
+		case *sqlparse.Literal, *sqlparse.Param:
+			// A constant pattern is compiled once, not once per row.
+			if pv, _ := r(nil, nil); pv.Kind() == sqlval.KindString {
+				pat := sqlval.CompileLike(pv.Str())
+				return one(l, func(lv sqlval.Value) (sqlval.Value, error) {
+					if lv.Kind() != sqlval.KindString {
+						return like(lv, pv)
+					}
+					return sqlval.NewBool(pat.Match(lv.Str())), nil
+				}), nil
+			}
+		}
+		return both(like), nil
 	case "+":
 		// "+" doubles as concatenation when either side is text, matching the
 		// lenient behaviour of several engines; otherwise numeric.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -21,6 +22,12 @@ import (
 // buckets. NULL keys are not indexed: the planner only emits index
 // predicates for non-NULL literals, and NULL never satisfies an equality
 // or range comparison.
+//
+// Every table with a PRIMARY KEY has one index it never declared: a hash
+// index named <table>_pkey over the key column, derived from the schema —
+// never written as an index definition, never created or dropped by DDL —
+// so `pk = K` is a probe. (Table.pkIndex, the live-holder map that enforces
+// uniqueness, is separate.)
 //
 // Two kinds exist: "hash" (equality lookups, a keyTable with one exact
 // bucket per distinct key) and
@@ -42,15 +49,23 @@ type tableIndex struct {
 	column string
 	col    int    // column position in the table schema
 	kind   string // "hash" or "ordered"
+	// implicit marks the primary key's index, <table>_pkey: derived from
+	// the schema, never written as an index definition, never dropped.
+	implicit bool
 
-	hash    *keyTable      // kind "hash": one entry per distinct key
-	buckets [][]*storedRow // kind "hash": by entry, the versions under its key
-	ordered []indexBucket  // kind "ordered": buckets sorted by key
+	hash    *keyTable        // kind "hash": one entry per distinct key
+	buckets [][]*storedRow   // kind "hash": by entry, the versions under its key
+	first   slab[*storedRow] // kind "hash": where a bucket's first version goes
+	ordered []indexBucket    // kind "ordered": buckets sorted by key
 
 	entries atomic.Int64 // indexed tuple versions
 	keys    atomic.Int64 // distinct keys currently present
 	scans   atomic.Int64 // index scans served at execution
 }
+
+// pkeySuffix names a primary key's implicit index: <table>_pkey. CREATE
+// INDEX refuses every name that ends in it.
+const pkeySuffix = "_pkey"
 
 func newTableIndex(name, column string, col int, kind string) *tableIndex {
 	ix := &tableIndex{name: name, column: column, col: col, kind: kind}
@@ -70,14 +85,23 @@ func (ix *tableIndex) hashBucket(key sqlval.Value) (int32, uint64) {
 // addToBucket files one version under its key in a hash index and reports
 // whether the key is new. A bucket an insert rollback emptied keeps its
 // entry, and counts as new again when its key comes back; the next rebuild
-// drops it.
+// drops it. A new bucket is cut from a slab, so an index whose keys are
+// mostly unique (a primary key's) does not allocate once per key.
 func (ix *tableIndex) addToBucket(key sqlval.Value, r *storedRow) bool {
 	e, h := ix.hashBucket(key)
 	if e < 0 {
 		e = ix.hash.add([]sqlval.Value{key}, h)
+		if len(ix.buckets) == cap(ix.buckets) {
+			ix.buckets = slices.Grow(ix.buckets, max(len(ix.buckets), 8)) // doubling, as keyTable.add
+		}
 		ix.buckets = append(ix.buckets, nil)
 	}
-	ix.buckets[e] = append(ix.buckets[e], r)
+	if ix.buckets[e] == nil {
+		ix.buckets[e] = ix.first.take(1)
+		ix.buckets[e][0] = r
+	} else {
+		ix.buckets[e] = append(ix.buckets[e], r)
+	}
 	return len(ix.buckets[e]) == 1
 }
 
@@ -167,10 +191,19 @@ func (ix *tableIndex) remove(r *storedRow) {
 }
 
 // rebuild re-derives the whole index from a table's version array (CREATE
-// INDEX, applied or executed; table-file loads; a vacuum pass).
+// INDEX, applied or executed; table-file loads and RestoreRows; a vacuum
+// pass that left a hash index mostly empty buckets).
 func (ix *tableIndex) rebuild(rows []*storedRow) {
 	if ix.kind == "hash" {
-		ix.hash, ix.buckets = newKeyTable(1, 0), nil
+		// A primary key has about one key per version: size for that, so a
+		// load or a vacuum builds it in a few allocations, not by doubling.
+		hint := 0
+		ix.first = slab[*storedRow]{}
+		if ix.implicit {
+			hint = len(rows)
+			ix.first = slab[*storedRow]{free: make([]*storedRow, hint), rows: slabMaxRows}
+		}
+		ix.hash, ix.buckets = newKeyTable(1, hint), make([][]*storedRow, 0, hint)
 		nkeys, total := int64(0), int64(0)
 		for _, r := range rows {
 			if key := r.vals[ix.col]; !key.IsNull() {
@@ -205,6 +238,48 @@ func (ix *tableIndex) rebuild(rows []*storedRow) {
 	}
 	ix.keys.Store(int64(len(ix.ordered)))
 	ix.entries.Store(int64(len(pairs)))
+}
+
+// prune drops every version gone reports from the index, filtering each
+// bucket in place and in order (a vacuum pass; caller holds the table write
+// lock) — no hashing, no sort, no allocation. A hash index keeps the entry
+// of a bucket it empties, so once those outnumber its keys it is rebuilt
+// from rows, the table's remaining versions.
+func (ix *tableIndex) prune(gone func(*storedRow) bool, rows []*storedRow) {
+	var entries, keys int64
+	keep := func(b []*storedRow) []*storedRow {
+		kept := b[:0]
+		for _, r := range b {
+			if !gone(r) {
+				kept = append(kept, r)
+			}
+		}
+		clear(b[len(kept):])
+		if entries += int64(len(kept)); len(kept) > 0 {
+			keys++
+		}
+		return kept
+	}
+	if ix.kind == "hash" {
+		for e, b := range ix.buckets {
+			ix.buckets[e] = keep(b)
+		}
+		if int64(len(ix.buckets)) > 2*keys+64 {
+			ix.rebuild(rows)
+			return
+		}
+	} else {
+		kept := ix.ordered[:0]
+		for _, b := range ix.ordered {
+			if b.rows = keep(b.rows); len(b.rows) > 0 {
+				kept = append(kept, b)
+			}
+		}
+		clear(ix.ordered[len(kept):])
+		ix.ordered = kept
+	}
+	ix.entries.Store(entries)
+	ix.keys.Store(keys)
 }
 
 // lookupEq returns every version whose key equals key (caller holds at
@@ -346,6 +421,9 @@ func (db *DB) execCreateIndex(s *sqlparse.CreateIndex) (uint64, error) {
 	if strings.HasPrefix(s.Name, "ldv_stat_") {
 		return 0, fmt.Errorf("index name %q is reserved for system views", s.Name)
 	}
+	if strings.HasSuffix(s.Name, pkeySuffix) {
+		return 0, fmt.Errorf("index name %q is reserved for primary keys", s.Name)
+	}
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
 	db.idxMu.Lock()
@@ -395,6 +473,9 @@ func (db *DB) execDropIndex(s *sqlparse.DropIndex) (uint64, error) {
 		return 0, fmt.Errorf("index %q does not exist", s.Name)
 	}
 	ix := t.findIndex(s.Name)
+	if ix.implicit {
+		return 0, fmt.Errorf("index %q is the primary key of table %q and cannot be dropped", s.Name, t.Name)
+	}
 	t.mu.Lock()
 	t.removeIndex(s.Name)
 	t.mu.Unlock()
@@ -432,7 +513,9 @@ func tableStats(t *Table) plan.TableStats {
 	}
 	cols = append(cols, provColumns[:]...)
 	ts := plan.TableStats{Rows: t.liveRows.Load(), Columns: cols, Hidden: len(provColumns)}
-	for _, ix := range t.indexList() {
+	idxs := t.indexList()
+	ts.Indexes = make([]plan.IndexMeta, 0, len(idxs))
+	for _, ix := range idxs {
 		ts.Indexes = append(ts.Indexes, plan.IndexMeta{
 			Name: ix.name, Column: ix.column, Kind: ix.kind,
 			Entries: ix.entries.Load(), Distinct: ix.keys.Load(),

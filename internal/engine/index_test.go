@@ -226,8 +226,12 @@ func TestIndexStatView(t *testing.T) {
 	mustExec(t, db, "SELECT a FROM t WHERE b = 10", ExecOptions{})
 	res := mustExec(t, db,
 		"SELECT name, table_name, column_name, kind, entries, scans FROM ldv_stat_indexes", ExecOptions{})
-	if len(res.Rows) != 1 {
-		t.Fatalf("ldv_stat_indexes rows = %v, want 1", rowsToStrings(res))
+	// The primary key's implicit index is listed beside the declared one.
+	if len(res.Rows) != 2 {
+		t.Fatalf("ldv_stat_indexes rows = %v, want 2", rowsToStrings(res))
+	}
+	if got := strings.Join(rowsToStrings(res)[1:], " "); got != "t_pkey|t|a|hash|3|0" {
+		t.Errorf("primary key index row = %q", got)
 	}
 	r := res.Rows[0]
 	if r[0].Str() != "ix_b" || r[1].Str() != "t" || r[2].Str() != "b" || r[3].Str() != "ordered" {
@@ -241,7 +245,7 @@ func TestIndexStatView(t *testing.T) {
 	}
 	mustExec(t, db, "DROP INDEX ix_b", ExecOptions{})
 	res = mustExec(t, db, "SELECT name FROM ldv_stat_indexes", ExecOptions{})
-	if len(res.Rows) != 0 {
+	if len(res.Rows) != 1 {
 		t.Errorf("dropped index still listed: %v", rowsToStrings(res))
 	}
 }

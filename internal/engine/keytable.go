@@ -1,6 +1,10 @@
 package engine
 
-import "ldv/internal/sqlval"
+import (
+	"slices"
+
+	"ldv/internal/sqlval"
+)
 
 // keyTable is the engine's one value-keyed hash table: a hash join's build
 // side, GROUP BY's groups, DISTINCT's rows, a DISTINCT aggregate's values,
@@ -74,6 +78,14 @@ chain:
 // and returns the entry.
 func (kt *keyTable) add(key []sqlval.Value, h uint64) int32 {
 	e := int32(len(kt.hashes))
+	if len(kt.hashes) == cap(kt.hashes) {
+		// Double the entry columns: append grows a large slice by a quarter,
+		// which copies a table that grows to n entries about 5n times over.
+		n := max(len(kt.hashes), 8)
+		kt.keys = slices.Grow(kt.keys, n*kt.width)
+		kt.hashes = slices.Grow(kt.hashes, n)
+		kt.next = slices.Grow(kt.next, n)
+	}
 	kt.keys = append(kt.keys, key...)
 	kt.hashes = append(kt.hashes, h)
 	kt.next = append(kt.next, -1)

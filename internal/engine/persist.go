@@ -523,10 +523,10 @@ func encodeTable(t *Table, snap snapshot, horizon uint64) (data []byte, whole bo
 		if r.end == 0 {
 			continue
 		}
-		if _, open := snap.active[r.txnID]; open {
+		if snap.active.has(r.txnID) {
 			continue // uncommitted insert: its record sits beyond the WAL cut
 		}
-		if _, open := snap.active[r.endTxn]; open {
+		if snap.active.has(r.endTxn) {
 			continue // end mark not committed (classed live above)
 		}
 		class[i] = rowDead
@@ -550,10 +550,18 @@ func writeTable(w *bin.Writer, t *Table, class []uint8, nlive, ndead, horizon ui
 			writeLiveRecord(w, r.id, r.version, r.proc, r.stmt, r.usedBy.Load(), r.vals)
 		}
 	}
-	idxs := t.indexList()
-	w.Uvarint(uint64(len(idxs)))
+	// The primary key's index is the schema's, not a definition.
+	idxs, declared := t.indexList(), 0
 	for _, ix := range idxs {
-		writeIndexDef(w, ix.name, ix.column, ix.kind)
+		if !ix.implicit {
+			declared++
+		}
+	}
+	w.Uvarint(uint64(declared))
+	for _, ix := range idxs {
+		if !ix.implicit {
+			writeIndexDef(w, ix.name, ix.column, ix.kind)
+		}
 	}
 	// Time-travel section: committed dead versions — the history AS OF and
 	// reenactment read — and the retention horizon. Without it a checkpoint
@@ -737,6 +745,7 @@ func decodeTableBody(data []byte) (tableImage, error) {
 		return tableImage{}, err
 	}
 	// Index contents are derived last so they cover the dead versions too.
+	img.t.rebuildIndexes() // the primary key's
 	for _, ix := range idxs {
 		ix.rebuild(img.t.rows)
 		img.t.addIndex(ix)

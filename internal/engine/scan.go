@@ -23,16 +23,18 @@ import (
 type storedLayout struct {
 	env    env
 	ncols  int
-	hidden bool // some bound expression reads a prov_* attribute
+	types  []sqlval.Kind // by schema column, its declared type
+	hidden bool          // some bound expression reads a prov_* attribute
 	buf    []sqlval.Value
 }
 
 func newStoredLayout(cols []Column, as string, vals *execVals) *storedLayout {
-	l := &storedLayout{ncols: len(cols)}
+	l := &storedLayout{ncols: len(cols), types: make([]sqlval.Kind, len(cols))}
 	l.env.vals = vals
 	l.env.bindings = make([]binding, 0, len(cols)+len(provColumns))
-	for _, c := range cols {
+	for i, c := range cols {
 		l.env.bindings = append(l.env.bindings, binding{table: as, name: c.Name})
+		l.types[i] = c.Type
 	}
 	for _, pc := range provColumns {
 		l.env.bindings = append(l.env.bindings, binding{table: as, name: pc})
@@ -79,15 +81,16 @@ func (r *storedRow) prov(k int) sqlval.Value {
 }
 
 // leafScan is an opened plan leaf: the versions to walk, the stored layout,
-// and the fused filter's conjuncts bound against it.
+// and the fused filter's conjuncts compiled against it (kernel.go).
 type leafScan struct {
 	node   plan.Node        // the ScanNode or IndexScanNode
 	leaf   *plan.Leaf       // its shared part
 	filter *plan.FilterNode // the filter fused onto it; nil when the leaf is bare
 	table  *Table           // nil for a system view: no lineage, nothing to stamp
+	index  *tableIndex      // the index probed for rows; nil when they are the heap
 	rows   []*storedRow
 	lay    *storedLayout
-	preds  []bound
+	preds  []kernel
 	// stamp, when non-zero, is the statement id run writes to prov_usedby of
 	// every visible version it examines.
 	stamp int64
@@ -119,7 +122,7 @@ func (ec *stmtCtx) openScan(n plan.Node) (*leafScan, error) {
 			// A vanished index is impossible while the statement holds the
 			// table lock; walking the heap instead is always equivalent.
 			if ix := t.findIndex(isn.Index); ix != nil {
-				sc.rows = indexCandidates(ix, isn, &ec.vals)
+				sc.index, sc.rows = ix, indexCandidates(ix, isn, &ec.vals)
 				ix.scans.Add(1)
 			}
 		}
@@ -130,9 +133,9 @@ func (ec *stmtCtx) openScan(n plan.Node) (*leafScan, error) {
 	}
 	sc.lay = newStoredLayout(cols, sc.leaf.As, &ec.vals)
 	if sc.filter != nil {
-		sc.preds = make([]bound, len(sc.filter.Conjuncts))
+		sc.preds = make([]kernel, len(sc.filter.Conjuncts))
 		for i, c := range sc.filter.Conjuncts {
-			p, err := sc.lay.bind(c)
+			p, err := sc.lay.kernel(c)
 			if err != nil {
 				return nil, err
 			}
@@ -166,11 +169,11 @@ func (ec *stmtCtx) run(sc *leafScan, snap snapshot, emit func(*storedRow) (more 
 			if len(sc.preds) > 0 {
 				vals := sc.lay.vals(r)
 				for _, p := range sc.preds {
-					v, err := p(vals, nil)
+					pass, err := p(vals)
 					if err != nil {
 						return examined, err
 					}
-					if !isTrue(v) {
+					if !pass {
 						continue rows
 					}
 				}
@@ -228,6 +231,12 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	if lin != nil {
 		sc.stamp = lin.stmt
 		defer sc.table.stamped() // once the last stamp is in, however the scan ends
+		if sc.index != nil && sc.index.implicit {
+			// The primary key's index narrows no read's stamps: a lineage
+			// read stamps what the full scan it replaces would have, as it
+			// did before the key had an index. The filter still selects.
+			sc.rows = sc.table.rows
+		}
 	}
 	ncols, stop := sc.lay.ncols, sc.leaf.StopAfter
 	// Size the output by the planner's estimate (never past the source or

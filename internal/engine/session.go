@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -31,9 +32,9 @@ import (
 
 // snapshot is an immutable logical-clock cut of the database.
 type snapshot struct {
-	ts     uint64             // logical time of the cut
-	active map[int64]struct{} // transactions uncommitted at the cut
-	self   int64              // reading transaction's own id (0 = none)
+	ts     uint64 // logical time of the cut
+	active txnSet // transactions uncommitted at the cut
+	self   int64  // reading transaction's own id (0 = none)
 
 	// asOf marks a historical (AS OF) cut. The only rule change: rows whose
 	// transaction tag was stripped by recovery or bulk load (txnID 0) are
@@ -53,15 +54,16 @@ type snapshot struct {
 // begin ≤ snapshot < end, where writes of transactions active at the cut
 // (other than the reader's own) sit beyond the horizon on both bounds.
 func (s snapshot) visible(r *storedRow) bool {
-	if s.self == 0 || r.txnID != s.self {
-		if _, uncommitted := s.active[r.txnID]; uncommitted {
-			return false
-		}
+	if r.txnID == 0 {
 		// Preloaded/bulk rows (txnID 0) are committed by definition and may
 		// carry versions from a previous database life (LoadDir, RestoreRows)
 		// that post-date this clock — they are always begin-visible, except
 		// under a historical cut, which trusts write stamps only.
-		if (r.txnID != 0 || s.asOf) && r.version > s.ts {
+		if s.asOf && r.version > s.ts {
+			return false
+		}
+	} else if r.txnID != s.self {
+		if s.active.has(r.txnID) || r.version > s.ts {
 			return false
 		}
 	} else if s.selfBound != 0 && r.version >= s.selfBound {
@@ -76,10 +78,28 @@ func (s snapshot) visible(r *storedRow) bool {
 		}
 		return false // the reader itself superseded/deleted it
 	}
-	if _, uncommitted := s.active[r.endTxn]; uncommitted {
+	if s.active.has(r.endTxn) {
 		return true // end mark not committed at the cut
 	}
 	return r.end > s.ts
+}
+
+// txnSet is a copy of the active set: transaction ids, sorted, nil when
+// none was open.
+type txnSet []int64
+
+// has reports whether id is in the set; 0, no transaction, never is.
+func (a txnSet) has(id int64) bool {
+	if len(a) <= 8 {
+		for _, x := range a {
+			if x == id {
+				return true
+			}
+		}
+		return false
+	}
+	_, found := slices.BinarySearch(a, id)
+	return found
 }
 
 // Txn is one session's open transaction: its identity in the active set,
@@ -242,11 +262,15 @@ func (db *DB) endTxnCommitted(id int64) uint64 {
 
 // activeLocked copies the active set, the start of every cut. Caller holds
 // txnMu, in either mode.
-func (db *DB) activeLocked() map[int64]struct{} {
-	active := make(map[int64]struct{}, len(db.activeTxns))
-	for id := range db.activeTxns {
-		active[id] = struct{}{}
+func (db *DB) activeLocked() txnSet {
+	if len(db.activeTxns) == 0 {
+		return nil
 	}
+	active := make(txnSet, 0, len(db.activeTxns))
+	for id := range db.activeTxns {
+		active = append(active, id)
+	}
+	slices.Sort(active)
 	return active
 }
 
@@ -286,9 +310,10 @@ func (db *DB) takeSnapshotAsOf(t uint64) snapshot {
 	active := db.activeLocked()
 	for id, cts := range db.committedTs {
 		if cts > t {
-			active[id] = struct{}{}
+			active = append(active, id)
 		}
 	}
+	slices.Sort(active)
 	return snapshot{ts: t, active: active, asOf: true}
 }
 

@@ -160,10 +160,16 @@ func (t *Table) clearEnd(r *storedRow) {
 	t.restorePK(r)
 }
 
+// newTable returns an empty table. A primary key gets the uniqueness map
+// and its implicit hash index, <name>_pkey, which the planner probes like
+// any other.
 func newTable(name string, schema Schema) *Table {
 	t := &Table{Name: name, Schema: schema}
-	if schema.PrimaryKeyIndex() >= 0 {
+	if pk := schema.PrimaryKeyIndex(); pk >= 0 {
 		t.pkIndex = make(map[valKey]*storedRow)
+		ix := newTableIndex(name+pkeySuffix, schema.Columns[pk].Name, pk, "hash")
+		ix.implicit = true
+		t.indexes.Store(&[]*tableIndex{ix})
 	}
 	return t
 }
@@ -298,7 +304,9 @@ func (t *Table) appendLive(r *storedRow) {
 // caller's TEXT values and proc names are substrings of (decodeTable: one
 // string per table file). Vacuum drops versions from t.rows and the
 // indexes, but the memory of a slab — and of that string — returns to the
-// collector only when the last version of the load is gone.
+// collector only when the last version of the load is gone. The loader
+// feeds no index: its caller rebuilds the table's indexes once the last
+// version is in.
 type rowLoader struct {
 	t      *Table
 	rows   []storedRow
@@ -362,7 +370,6 @@ func (l *rowLoader) add(r *storedRow) error {
 		return err
 	}
 	l.t.rows = append(l.t.rows, r)
-	l.t.indexInsert(r)
 	if r.end == 0 {
 		l.live++
 	} else {

@@ -107,10 +107,9 @@ func (db *DB) advanceHorizon(h uint64) {
 }
 
 // pruneVersions removes every committed version end-marked at or before the
-// horizon, one table at a time under its write lock, and rebuilds that
-// table's secondary indexes (dead versions are indexed too, so filtering
-// in place and re-deriving beats per-row removal). Returns the number of
-// versions reclaimed.
+// horizon, one table at a time under its write lock, from the table's
+// versions and, filtered in place, from its indexes (dead versions are
+// indexed too). Returns the number of versions reclaimed.
 func (db *DB) pruneVersions(horizon uint64) int64 {
 	// One copy of the active set for the whole pass: a transaction that
 	// begins mid-pass ticks past the horizon and cannot end-mark below it,
@@ -118,12 +117,8 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 	db.txnMu.RLock()
 	active := db.activeLocked()
 	db.txnMu.RUnlock()
-	committed := func(id int64) bool {
-		if id == 0 {
-			return true
-		}
-		_, uncommitted := active[id]
-		return !uncommitted
+	gone := func(r *storedRow) bool {
+		return r.end != 0 && r.end <= horizon && !active.has(r.endTxn) && !active.has(r.txnID)
 	}
 
 	var pruned int64
@@ -132,7 +127,7 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 		kept := t.rows[:0]
 		removed := 0
 		for _, r := range t.rows {
-			if r.end != 0 && r.end <= horizon && committed(r.endTxn) && committed(r.txnID) {
+			if gone(r) {
 				removed++
 				continue
 			}
@@ -143,7 +138,9 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 				t.rows[i] = nil
 			}
 			t.rows = kept
-			t.rebuildIndexes()
+			for _, ix := range t.indexList() {
+				ix.prune(gone, kept)
+			}
 			t.touch()
 			t.versions.Add(-int64(removed))
 			t.deadVersions.Add(-int64(removed))

@@ -88,8 +88,8 @@ func TestReplicaCrashMatrix(t *testing.T) {
 		// The replicated index answers queries and matches the primary.
 		assertSameRows(t, pdb, rdb, "SELECT k FROM kv WHERE v = 'moved' ORDER BY k")
 		ixs := rows(t, rdb, "SELECT name FROM ldv_stat_indexes ORDER BY name")
-		if len(ixs) != 1 || ixs[0] != "ix_v|" {
-			t.Fatalf("crash at op %d: replica indexes = %v, want [ix_v]", i, ixs)
+		if len(ixs) != 2 || ixs[0] != "ix_v|" || ixs[1] != "kv_pkey|" {
+			t.Fatalf("crash at op %d: replica indexes = %v, want [ix_v kv_pkey]", i, ixs)
 		}
 		r.Stop()
 
