@@ -377,7 +377,6 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			res.StmtID = m.StmtID
 			res.Start = m.Start
 			res.End = m.End
-			res.ReadRefs = m.ReadRefs
 			res.WrittenRefs = m.WrittenRefs
 			res.CommitSeq = m.CommitSeq
 			res.Fingerprint = m.Fingerprint

@@ -61,8 +61,7 @@ func (ec *stmtCtx) execCopyFrom(cp *sqlparse.Copy, opts ExecOptions, res *Result
 
 // execCopyTo writes what SELECT * FROM the table reads as CSV records, in
 // row order. The result is a write's: RowsAffected counts the records,
-// ReadRefs lists the versions read in row order, TupleValues their values,
-// and no rows come back.
+// TupleValues holds the versions read, and no rows come back.
 func (s *Session) execCopyTo(cp *sqlparse.Copy, opts ExecOptions, res *Result) error {
 	if err := s.execSelectStmt(dryRunSelect(cp.Table, nil), opts, res, nil); err != nil {
 		return err
@@ -81,12 +80,6 @@ func (s *Session) execCopyTo(cp *sqlparse.Copy, opts ExecOptions, res *Result) e
 			}
 		}
 		data = append(data, '\n')
-	}
-	refs := res.TupleValues.Refs()
-	for _, l := range res.Lineage { // one version per row; none from a system view
-		for _, p := range l {
-			res.ReadRefs = append(res.ReadRefs, refs[p])
-		}
 	}
 	res.RowsAffected = len(res.Rows)
 	res.Columns, res.Rows, res.Lineage = nil, nil, nil

@@ -101,16 +101,13 @@ type Result struct {
 	StmtID int64
 	// Start and End bound the execution on the logical timeline.
 	Start, End uint64
-	// ReadRefs lists tuple versions read by a DML statement (the pre-update
-	// versions for UPDATE/DELETE, the query lineage for INSERT ... SELECT).
-	ReadRefs []TupleRef
 	// WrittenRefs lists tuple versions produced by a DML statement.
 	WrittenRefs []TupleRef
-	// TupleValues carries the attribute values of exactly the tuple
-	// versions referenced by Lineage or ReadRefs — the statement's read
-	// set. Perm-style provenance queries return the full provenance tuples
-	// inline; LDV's auditor keeps them for its package. Empty unless lineage was
-	// requested.
+	// TupleValues is the statement's read set with the versions' values:
+	// what Lineage references, or what a DML statement read (UPDATE/DELETE
+	// pre-images, an INSERT ... SELECT's lineage, subquery reads). Perm-style
+	// provenance queries return it inline; LDV's auditor keeps it for its
+	// package. Empty unless lineage was requested.
 	TupleValues VersionSet
 	// TraceID is the hex trace identity of the request that executed the
 	// statement ("" when tracing is off). The client sets it from its root
@@ -563,6 +560,23 @@ func (db *DB) ScanAll(table string) ([]TupleRef, [][]sqlval.Value, error) {
 		rows = append(rows, append([]sqlval.Value(nil), r.vals...))
 	}
 	return refs, rows, nil
+}
+
+// UsedBy returns the prov_usedby stamp of every stored version of a table,
+// live or superseded: the id of the last statement whose version set held
+// it, or 0.
+func (db *DB) UsedBy(table string) (map[TupleRef]int64, error) {
+	t, err := db.lookupTable(table)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[TupleRef]int64, len(t.rows))
+	for _, r := range t.rows {
+		out[r.ref(table)] = r.usedBy.Load()
+	}
+	return out, nil
 }
 
 // LookupVersion fetches the values of a committed tuple version, if present.

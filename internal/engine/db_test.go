@@ -173,14 +173,14 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 	if after[2].Str() != "p2" {
 		t.Errorf("prov_p = %q", after[2].Str())
 	}
-	// Reenactment: ReadRefs reference the *pre-update* version.
-	if len(res.ReadRefs) != 1 || res.ReadRefs[0].Version != uint64(before) {
-		t.Fatalf("ReadRefs = %v, want version %d", res.ReadRefs, before)
+	// Reenactment: the read set references the *pre-update* version.
+	if len(res.TupleValues.Refs()) != 1 || res.TupleValues.Refs()[0].Version != uint64(before) {
+		t.Fatalf("read set = %v, want version %d", res.TupleValues.Refs(), before)
 	}
 	if len(res.WrittenRefs) != 1 || res.WrittenRefs[0].Version != uint64(after[0].Int()) {
 		t.Fatalf("WrittenRefs = %v", res.WrittenRefs)
 	}
-	if res.ReadRefs[0].Row != res.WrittenRefs[0].Row {
+	if res.TupleValues.Refs()[0].Row != res.WrittenRefs[0].Row {
 		t.Error("update must keep the row id")
 	}
 }
@@ -189,8 +189,8 @@ func TestDeleteRecordsReads(t *testing.T) {
 	db := newTestDB(t, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1), (2), (3)", ExecOptions{})
 	res := mustExec(t, db, "DELETE FROM t WHERE a <> 2", ExecOptions{WithLineage: true})
-	if res.RowsAffected != 2 || len(res.ReadRefs) != 2 {
-		t.Fatalf("delete: affected=%d reads=%d", res.RowsAffected, len(res.ReadRefs))
+	if res.RowsAffected != 2 || len(res.TupleValues.Refs()) != 2 {
+		t.Fatalf("delete: affected=%d reads=%d", res.RowsAffected, len(res.TupleValues.Refs()))
 	}
 	left := mustExec(t, db, "SELECT a FROM t", ExecOptions{})
 	if len(left.Rows) != 1 || left.Rows[0][0].Int() != 2 {
@@ -364,10 +364,10 @@ func TestInsertSelect(t *testing.T) {
 	if res.RowsAffected != 2 {
 		t.Fatalf("affected = %d", res.RowsAffected)
 	}
-	if len(res.ReadRefs) != 2 {
-		t.Fatalf("insert-select must record read lineage, got %v", res.ReadRefs)
+	if len(res.TupleValues.Refs()) != 2 {
+		t.Fatalf("insert-select must record read lineage, got %v", res.TupleValues.Refs())
 	}
-	for _, r := range res.ReadRefs {
+	for _, r := range res.TupleValues.Refs() {
 		if r.Table != "src" {
 			t.Errorf("read ref table = %s", r.Table)
 		}

@@ -120,7 +120,7 @@ func redoInsertEntry(table string, r *storedRow) redoEntry {
 }
 
 // execUpdate applies an UPDATE. Provenance is captured by reenactment: the
-// pre-update tuple versions are recorded (ReadRefs) *before* the
+// pre-update tuple versions are recorded (the read set) *before* the
 // modification is applied, mirroring GProM's retrieve-then-execute strategy
 // (§VII-B of the paper). Each modified row version is end-marked and a
 // successor version appended.
@@ -157,13 +157,9 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOpti
 	// addressable, superseded — so recording which ones matched is enough.
 	if ec.lin != nil {
 		reads = ec.lin.addReads(reads, t, matches)
-		t.stamped() // for the prov_usedby stamps below, whatever else the loop gets to
 	}
 	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {
-		if ec.lin != nil {
-			r.usedBy.Store(res.StmtID)
-		}
 		newVals := append([]sqlval.Value(nil), r.vals...)
 		old := lay.vals(r)
 		for i, set := range setExprs {

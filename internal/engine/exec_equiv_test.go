@@ -221,17 +221,31 @@ func TestEquivHiddenAttributes(t *testing.T) {
 	sameRows(t, "k after SET k = prov_rowid",
 		rowsToStrings(mustExec(t, db, fmt.Sprintf("SELECT k, prov_rowid FROM t WHERE id = %d", id), ExecOptions{})),
 		[]string{fmt.Sprintf("%d|%d", rid, rid)})
-	// prov_usedby: a lineage scan stamps every visible version it examines
-	// with its statement id, before the filter and the select list read it.
-	visible := rowsToStrings(mustExec(t, db, "SELECT id FROM t", ExecOptions{}))
-	prov := mustExec(t, db, "SELECT PROVENANCE id, prov_usedby FROM t WHERE k2 > 3", ExecOptions{})
+	// prov_usedby: a lineage statement stamps its version set — here, the
+	// rows it returns — once its result is final, so neither its filter nor
+	// its select list sees its own stamp, and capturing lineage changes no
+	// row. A later lineage read sees the earlier one's stamp.
+	const q = "SELECT id, prov_usedby FROM t WHERE k2 > 3"
+	const unstamped = "SELECT id, prov_usedby FROM t WHERE prov_usedby = 0"
+	for _, sql := range []string{unstamped, q} {
+		plain := rowsToStrings(mustExec(t, db, sql, ExecOptions{}))
+		sameRows(t, "lineage rows of "+sql, rowsToStrings(mustExec(t, db, sql, ExecOptions{WithLineage: true})), plain)
+	}
+	prov := mustExec(t, db, "SELECT PROVENANCE"+q[len("SELECT"):], ExecOptions{})
+	if len(prov.Rows) == 0 {
+		t.Fatal("no rows with k2 > 3")
+	}
+	var returned []string
 	for _, row := range prov.Rows {
+		returned = append(returned, row[0].String())
+	}
+	sameRows(t, "rows stamped by the lineage read",
+		rowsToStrings(mustExec(t, db, fmt.Sprintf("SELECT id FROM t WHERE prov_usedby = %d", prov.StmtID), ExecOptions{})), returned)
+	for _, row := range mustExec(t, db, q, ExecOptions{WithLineage: true}).Rows {
 		if row[1].Int() != prov.StmtID {
-			t.Errorf("prov_usedby in a lineage select list = %v, want the statement's id %d", row[1], prov.StmtID)
+			t.Errorf("prov_usedby in a lineage select list = %v, want the previous lineage read's id %d", row[1], prov.StmtID)
 		}
 	}
-	sameRows(t, "rows stamped by the lineage scan",
-		rowsToStrings(mustExec(t, db, fmt.Sprintf("SELECT id FROM t WHERE prov_usedby = %d", prov.StmtID), ExecOptions{})), visible)
 	self := mustExec(t, db, "SELECT PROVENANCE id FROM t WHERE prov_usedby > 0 AND k2 > 3", ExecOptions{})
 	if len(self.Rows) != len(prov.Rows) {
 		t.Errorf("filter on prov_usedby under lineage: %d rows, want %d", len(self.Rows), len(prov.Rows))

@@ -24,14 +24,10 @@ type relation struct {
 	tuples []tuple
 }
 
-// execSelect runs a SELECT as a statement of its own, filling res. With
-// lineage requested it opens the statement's lineage sink and, once the
-// rows are final, converts what the operators carried to the Result's
-// references and version set.
-func (ec *stmtCtx) execSelect(s *sqlparse.Select, opts ExecOptions, res *Result) error {
-	if opts.WithLineage || s.Provenance {
-		ec.lin = &lineageSink{stmt: res.StmtID}
-	}
+// execSelect runs a SELECT as a statement of its own, filling res. When
+// its caller opened a lineage sink, it converts what the operators carried,
+// once the rows are final, to the Result's lineage and version set.
+func (ec *stmtCtx) execSelect(s *sqlparse.Select, res *Result) error {
 	var lineage [][]vid
 	var err error
 	if res.Columns, res.Rows, lineage, err = ec.query(ec.db.planTree(stmtCatalog{ec}, ec.prep, s)); err != nil {

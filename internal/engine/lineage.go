@@ -14,8 +14,9 @@ import (
 // stand for the stored versions themselves. A leaf assigns a version its vid
 // the first time it emits it; joins concatenate, grouping and DISTINCT union
 // with a stamp array, and nothing hashes a table name or copies a value.
-// The one conversion to TupleRef, and the one collection of the referenced
-// versions' values, happen in finish, at the result boundary.
+// The one conversion to TupleRef, the one collection of the referenced
+// versions' values, and the one prov_usedby stamp happen in finish, at the
+// result boundary.
 
 // vid is a statement-local dense index into lineageSink.versions.
 type vid uint32
@@ -28,9 +29,12 @@ type version struct {
 }
 
 // lineageSink is non-nil on a stmtCtx while the statement captures lineage
-// (and reenactment reads): scans stamp prov_usedby with stmt and register
-// the versions they emit.
+// (and reenactment reads): leaves register the versions they emit, and
+// finish stamps the statement's version set.
 type lineageSink struct {
+	// stmt is what finish stamps into prov_usedby of every version in the
+	// version set: the statement's id, or 0 for a REENACT replay, which no
+	// client ran and which stamps nothing.
 	stmt     int64
 	versions []version
 	// leaves records the tables a leaf has been opened on. The value stays
@@ -186,7 +190,9 @@ func (l *lineageSink) unionGroups(tuples []tuple, groupOf []int32, n int) [][]vi
 // representation: the versions rows (one list per result row; nil for DML)
 // or reads (nil for queries) mention become res.TupleValues, in set order;
 // rows becomes res.Lineage, each vid replaced by its version's position in
-// that set; and reads becomes res.ReadRefs. engine.lineage_ns times exactly
+// that set. Each version in the set gets the sink's stmt as its prov_usedby
+// stamp — the one stamp writer besides the table-file decoders — while the
+// statement still holds its table locks. engine.lineage_ns times exactly
 // this; carrying vids through the operators is part of their own time.
 func (l *lineageSink) finish(res *Result, rows [][]vid, reads []vid) {
 	t0 := time.Now()
@@ -211,6 +217,12 @@ func (l *lineageSink) finish(res *Result, rows [][]vid, reads []vid) {
 		v := l.versions[id]
 		set.refs[i], set.vals[i] = v.row.ref(v.table.Name), v.row.vals
 		pos[id] = int32(i)
+		if l.stmt != 0 {
+			v.row.usedBy.Store(l.stmt)
+			if i+1 == len(used) || l.versions[used[i+1]].table != v.table {
+				v.table.stamped() // the set is in table order: its last stamp
+			}
+		}
 	}
 	res.TupleValues = set
 
@@ -233,12 +245,6 @@ func (l *lineageSink) finish(res *Result, rows [][]vid, reads []vid) {
 			res.Lineage[i] = out
 		}
 	}
-	if len(reads) > 0 {
-		res.ReadRefs = make([]TupleRef, len(reads))
-		for i, id := range reads {
-			res.ReadRefs[i] = set.refs[pos[id]]
-		}
-	}
 }
 
 // LineageRefs returns the versions result row i depends on: Lineage[i]
@@ -256,9 +262,9 @@ func (r *Result) LineageRefs(i int) []TupleRef {
 }
 
 // VersionSet is a set of tuple versions with their attribute values: the
-// provenance tuples a statement's Lineage and ReadRefs refer to, which a
-// Perm PROVENANCE query returns inline. It is ordered by (table, row,
-// version) with no duplicates, so Refs and Values enumerate it
+// provenance tuples a statement read (its Lineage's, or a DML statement's
+// read set), which a Perm PROVENANCE query returns inline. It is ordered by
+// (table, row, version) with no duplicates, so Refs and Values enumerate it
 // deterministically, a version's position is stable, and Lookup is a binary
 // search. The zero value is the empty set.
 //

@@ -9,7 +9,7 @@ import (
 // A primary key is a hash index, <table>_pkey, and `pk = K` probes it. The
 // probe must be invisible but for speed: every statement by key answers
 // exactly as the same statement written `pk + 0 = K`, which no index can
-// serve — rows, RowsAffected, ReadRefs, WrittenRefs and serialization
+// serve — rows, RowsAffected, the read set, WrittenRefs and serialization
 // errors — while other transactions hold the key, after rollbacks, AS OF
 // and VACUUM.
 
@@ -127,7 +127,7 @@ func runProbeScenario(t *testing.T, db *DB, steps []probeStep, key string) []str
 			if err != nil {
 				line += " error: " + err.Error()
 			} else {
-				line += fmt.Sprintf(" rows=%v affected=%d read=%v written=%v", rowsToStrings(res), res.RowsAffected, res.ReadRefs, res.WrittenRefs)
+				line += fmt.Sprintf(" rows=%v affected=%d read=%v written=%v", rowsToStrings(res), res.RowsAffected, res.TupleValues.Refs(), res.WrittenRefs)
 			}
 			out = append(out, line)
 		}
@@ -217,6 +217,25 @@ func TestPrimaryKeyIndexIsImplicit(t *testing.T) {
 	}
 	if got := rowsToStrings(mustExec(t, loaded, "SELECT o_comment FROM orders WHERE o_orderkey = 3", ExecOptions{})); fmt.Sprint(got) != "[c3]" {
 		t.Errorf("probe after load = %v", got)
+	}
+}
+
+// TestLineageReadRunsItsPlan: capturing lineage changes neither the plan
+// nor what runs. A lineage `pk = K` read probes the primary key's index as
+// a plain one does, EXPLAIN ANALYZE's leaf examines the one version the
+// probe finds, and only that version — the statement's version set — is
+// stamped.
+func TestLineageReadRunsItsPlan(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 10), (2, 20)", ExecOptions{})
+	res := mustExec(t, db, "EXPLAIN ANALYZE SELECT PROVENANCE b FROM t WHERE a = 2", ExecOptions{})
+	leaf := res.Rows[0]
+	if got := fmt.Sprintf("%s %s rows=%d", leaf[0].Str(), leaf[1].Str(), leaf[3].Int()); !strings.HasPrefix(got, "index_scan t via t_pkey") || !strings.HasSuffix(got, "rows=1") {
+		t.Errorf("EXPLAIN ANALYZE leaf: %s, want an index_scan via t_pkey of 1 row", got)
+	}
+	stamped := rowsToStrings(mustExec(t, db, "SELECT a FROM t WHERE prov_usedby <> 0", ExecOptions{}))
+	if fmt.Sprint(stamped) != "[2]" {
+		t.Errorf("rows stamped by the lineage read: %v, want [2]", stamped)
 	}
 }
 

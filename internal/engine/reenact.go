@@ -102,10 +102,12 @@ func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Resul
 		}
 		var resultText, lineageText string
 		if sel != nil {
-			ec := &stmtCtx{db: db, snap: snap, ws: s.ws, vals: execVals{params: h.Params}}
+			// A lineage sink with no statement id: the replay stamps no
+			// prov_usedby, as no client ran it.
+			ec := &stmtCtx{db: db, snap: snap, ws: s.ws, vals: execVals{params: h.Params}, lin: &lineageSink{}}
 			unlock := ec.plan(sel, opts.Span)
 			inner := &Result{StmtID: db.newStmtID(), Start: rec.SnapTS}
-			err := ec.execSelect(sel, ExecOptions{Params: h.Params, WithLineage: true, Proc: opts.Proc}, inner)
+			err := ec.execSelect(sel, inner)
 			unlock()
 			if err != nil {
 				return fmt.Errorf("REENACT statement %d: %w", ord, err)

@@ -86,14 +86,11 @@ type leafScan struct {
 	node   plan.Node        // the ScanNode or IndexScanNode
 	leaf   *plan.Leaf       // its shared part
 	filter *plan.FilterNode // the filter fused onto it; nil when the leaf is bare
-	table  *Table           // nil for a system view: no lineage, nothing to stamp
+	table  *Table           // nil for a system view, which has no lineage
 	index  *tableIndex      // the index probed for rows; nil when they are the heap
 	rows   []*storedRow
 	lay    *storedLayout
 	preds  []kernel
-	// stamp, when non-zero, is the statement id run writes to prov_usedby of
-	// every visible version it examines.
-	stamp int64
 }
 
 // openScan resolves a leaf, or a filter directly over one, to its row
@@ -162,9 +159,6 @@ func (ec *stmtCtx) run(sc *leafScan, snap snapshot, emit func(*storedRow) (more 
 			if !snap.visible(r) {
 				continue
 			}
-			if sc.stamp != 0 {
-				r.usedBy.Store(sc.stamp)
-			}
 			examined++
 			if len(sc.preds) > 0 {
 				vals := sc.lay.vals(r)
@@ -199,10 +193,7 @@ func (ec *stmtCtx) run(sc *leafScan, snap snapshot, emit func(*storedRow) (more 
 // statement reads (every column and hidden attribute when it names none),
 // all qualified by the effective table name. In lineage mode each emitted
 // tuple starts with itself — the vid the sink gives the stored version — as
-// lineage, and the scan stamps prov_usedby on every visible version it
-// examines — the versioning write the paper charges to audit overhead
-// (§IX-B). The stamp is atomic because the scan holds only the table's read
-// lock.
+// lineage.
 func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	sc, err := ec.openScan(n)
 	if err != nil {
@@ -227,16 +218,6 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 	lin := ec.lin
 	if sc.table == nil {
 		lin = nil
-	}
-	if lin != nil {
-		sc.stamp = lin.stmt
-		defer sc.table.stamped() // once the last stamp is in, however the scan ends
-		if sc.index != nil && sc.index.implicit {
-			// The primary key's index narrows no read's stamps: a lineage
-			// read stamps what the full scan it replaces would have, as it
-			// did before the key had an index. The filter still selects.
-			sc.rows = sc.table.rows
-		}
 	}
 	ncols, stop := sc.lay.ncols, sc.leaf.StopAfter
 	// Size the output by the planner's estimate (never past the source or

@@ -7,7 +7,9 @@
 // stored tuple carries the hidden attributes prov_rowid (a database-unique
 // row identifier), prov_v (logical timestamp of the version), prov_p (the
 // process that created the version), and prov_usedby (the last statement
-// that read it). These are addressable as ordinary columns in queries.
+// that read it: whose version set — a query's lineage, a DML statement's
+// read set — held it, stamped once that statement's result was final; 0 if
+// none). These are addressable as ordinary columns in queries.
 package engine
 
 import (

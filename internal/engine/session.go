@@ -580,12 +580,15 @@ func (s *Session) execSelectStmt(sel *sqlparse.Select, opts ExecOptions, res *Re
 	default:
 		ec.snap = s.db.takeSnapshot(0)
 	}
+	if opts.WithLineage || sel.Provenance {
+		ec.lin = &lineageSink{stmt: res.StmtID}
+	}
 	unlock := ec.plan(sel, opts.Span)
 	defer unlock()
 	res.planNS = ec.planNS
 	sp := opts.Span.Child("engine.exec")
 	defer sp.End()
-	return ec.execSelect(sel, opts, res)
+	return ec.execSelect(sel, res)
 }
 
 // execDMLStmt runs a write statement — INSERT, UPDATE, DELETE, COPY FROM —

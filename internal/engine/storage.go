@@ -27,9 +27,10 @@ func (r TupleRef) String() string {
 // place: an UPDATE appends a successor version and end-marks the old one, a
 // DELETE only end-marks. id, vals, version, proc, stmt, and txnID are
 // immutable after insertion; end and endTxn change only under the table's
-// write lock (set by UPDATE/DELETE, cleared again by rollback); usedBy is
-// atomic because lineage-collecting reads stamp it while holding only the
-// read lock.
+// write lock (set by UPDATE/DELETE, cleared again by rollback); usedBy,
+// prov_usedby, is stamped by lineageSink.finish with the id of a statement
+// whose version set holds the version, atomically because a read holds
+// only the table's read lock.
 type storedRow struct {
 	id      RowID
 	vals    []sqlval.Value
@@ -119,9 +120,10 @@ type fileImage struct {
 // prov_usedby stamp. A writer calls it inside its table-lock hold.
 func (t *Table) touch() { t.mutations.Add(1) }
 
-// stamped records a change to the table's prov_usedby stamps. A lineage
-// read, which stamps under the shared lock, calls it after its last stamp,
-// so an encode that saw only some of the stamps is invalidated by the call.
+// stamped records a change to the table's prov_usedby stamps. A statement's
+// lineage sink, which stamps under the shared lock, calls it after the
+// table's last stamp, so an encode that saw only some of the stamps is
+// invalidated by the call.
 func (t *Table) stamped() { t.stamps.Add(1) }
 
 // current returns the file image the table still equals, stamps included,

@@ -133,13 +133,13 @@ func TestSubqueryLineageInUpdate(t *testing.T) {
 	db := subqueryDB(t)
 	res := mustExec(t, db, "UPDATE emp SET salary = 0 WHERE dept = (SELECT id FROM dept WHERE name = 'ops')", ExecOptions{WithLineage: true})
 	deptSeen := false
-	for _, ref := range res.ReadRefs {
+	for _, ref := range res.TupleValues.Refs() {
 		if ref.Table == "dept" {
 			deptSeen = true
 		}
 	}
 	if !deptSeen {
-		t.Fatalf("update ReadRefs missing dept provenance: %v", res.ReadRefs)
+		t.Fatalf("update read set missing dept provenance: %v", res.TupleValues.Refs())
 	}
 }
 

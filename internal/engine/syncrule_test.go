@@ -438,9 +438,8 @@ func TestEveryMutatorTouches(t *testing.T) {
 		{"copy to", auto("COPY t TO '/out.csv'"), false, false},
 		{"copy to with lineage", lin("COPY t TO '/out.csv'"), false, true},
 		{"update with lineage", lin("UPDATE t SET a = 12 WHERE id = 1"), true, true},
-		// The DELETE matcher stamps nothing (the versions it reads die), a
-		// subquery's scan does.
-		{"delete with lineage", lin("DELETE FROM t WHERE id = 10"), true, false},
+		// A DELETE's read set is the versions it ends: they keep their stamp.
+		{"delete with lineage", lin("DELETE FROM t WHERE id = 10"), true, true},
 		{"delete with a lineage subquery", lin("DELETE FROM t WHERE id IN (SELECT id FROM t WHERE a = 11)"), true, true},
 		{"copy from", func() { fs.WriteFile("/in.csv", []byte("9,9\n")); auto("COPY t FROM '/in.csv'")() }, true, false},
 		{"create index", auto("CREATE INDEX t_a ON t (a)"), true, false},

@@ -343,6 +343,36 @@ func TestReenactTransaction(t *testing.T) {
 	}
 }
 
+// TestReenactStampsNothing: a REENACT replay captures lineage, but it is no
+// statement a client ran, so it leaves every prov_usedby stamp — and the
+// table's stamps counter — as it found them.
+func TestReenactStampsNothing(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (a INT, b INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 10), (2, 20)", ExecOptions{})
+	s := db.NewSession()
+	defer s.Close()
+	for _, sql := range []string{"BEGIN", "UPDATE t SET b = 11 WHERE a = 1", "SELECT b FROM t WHERE a = 1", "COMMIT"} {
+		if _, err := s.Exec(sql, ExecOptions{}); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	txid := lastTxnID(t, db)
+	mustExec(t, db, "SELECT PROVENANCE b FROM t WHERE a = 1", ExecOptions{}) // one stamp to keep
+	tbl, _ := db.lookupTable("t")
+	const stamps = "SELECT a, prov_usedby FROM t ORDER BY a"
+	before, counter := asOfRows(t, db, stamps), tbl.stamps.Load()
+	res := mustExec(t, db, fmt.Sprintf("REENACT TRANSACTION %d", txid), ExecOptions{WithLineage: true})
+	if len(res.Rows) != 2 || res.Rows[0][7].String() == "" || res.Rows[1][7].String() == "" {
+		t.Fatalf("REENACT = %v, want two replays with lineage", res.Rows)
+	}
+	if got := asOfRows(t, db, stamps); got != before {
+		t.Errorf("prov_usedby after REENACT = %s, before %s", got, before)
+	}
+	if tbl.stamps.Load() != counter {
+		t.Error("REENACT moved the stamps counter")
+	}
+}
+
 func TestReenactWhatIfSubstitute(t *testing.T) {
 	db := newTestDB(t, "CREATE TABLE t (k INT, v INT)")
 	s := db.NewSession()

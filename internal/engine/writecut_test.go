@@ -238,8 +238,8 @@ func TestReenactListsCopyFrom(t *testing.T) {
 }
 
 // TestCopyToReadsTheSelectSnapshot: COPY TO writes what SELECT * reads —
-// under a session-level AS OF too — and reports the versions it read in row
-// order.
+// under a session-level AS OF too — and reports the versions it read as its
+// version set.
 func TestCopyToReadsTheSelectSnapshot(t *testing.T) {
 	db := newTestDB(t, "CREATE TABLE t (a INT PRIMARY KEY, b TEXT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 'one'), (2, 'two')", ExecOptions{})
@@ -257,12 +257,9 @@ func TestCopyToReadsTheSelectSnapshot(t *testing.T) {
 		if out, _ := fs.ReadFile("/out.csv"); string(out) != want.String() {
 			t.Fatalf("AS OF %d: COPY TO wrote %q, SELECT * reads %q", at, out, want.String())
 		}
-		var refs []TupleRef
-		for i := range sel.Rows {
-			refs = append(refs, sel.LineageRefs(i)...)
-		}
-		if res.RowsAffected != len(sel.Rows) || fmt.Sprint(res.ReadRefs) != fmt.Sprint(refs) ||
-			res.Rows != nil || res.Columns != nil || res.Lineage != nil || res.TupleValues.Len() != len(refs) {
+		refs := sel.TupleValues.Refs()
+		if res.RowsAffected != len(sel.Rows) || fmt.Sprint(res.TupleValues.Refs()) != fmt.Sprint(refs) ||
+			res.Rows != nil || res.Columns != nil || res.Lineage != nil || len(refs) != len(sel.Rows) {
 			t.Fatalf("AS OF %d: COPY TO result %+v, SELECT * read %v", at, res, refs)
 		}
 	}

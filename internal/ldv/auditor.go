@@ -458,21 +458,17 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		for i, ref := range res.WrittenRefs {
 			byRow[ref.Row] = i
 		}
-		for _, old := range res.ReadRefs {
-			if i, ok := byRow[old.Row]; ok && old.Table == res.WrittenRefs[i].Table {
-				if src, ok := tr.LookupTuple(old.Table, uint64(old.Row), old.Version); ok {
-					_ = tr.LinkDep(src, written[i])
-				}
+		for i, old := range read {
+			if w, ok := byRow[old.Row]; ok && old.Table == res.WrittenRefs[w].Table {
+				_ = tr.LinkDep(nodes[i], written[w])
 			}
 		}
 	case prov.TypeInsert:
 		// INSERT ... SELECT: conservatively, every written tuple depends on
 		// every read tuple (per-row lineage is not tracked across the copy).
-		for _, old := range res.ReadRefs {
-			if src, ok := tr.LookupTuple(old.Table, uint64(old.Row), old.Version); ok {
-				for _, nw := range written {
-					_ = tr.LinkDep(src, nw)
-				}
+		for _, src := range nodes {
+			for _, nw := range written {
+				_ = tr.LinkDep(src, nw)
 			}
 		}
 	}

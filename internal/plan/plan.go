@@ -26,7 +26,7 @@ const (
 	// LineageNone contributes nothing (e.g. a table-less VALUES source).
 	LineageNone LineageMode = iota
 	// LineageSource seeds each output tuple's lineage with the scanned
-	// version and stamps prov_usedby — base-table access paths.
+	// version — base-table access paths.
 	LineageSource
 	// LineageMerge merges the lineage of the input tuples it combines
 	// (joins).

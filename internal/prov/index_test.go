@@ -9,7 +9,7 @@ import (
 // FuzzTraceIndex drives the node index with a key stream drawn from the
 // input — every key kind, the same row id in several tables, several
 // versions a row, a statement re-interned under another type — and checks
-// every Intern, Lookup and LookupTuple against a plain map[Key]Ref.
+// every Intern and Lookup against a plain map[Key]Ref.
 func FuzzTraceIndex(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07"))
 	f.Add(bytes.Repeat([]byte{4, 1, 7, 0, 4, 1, 7, 1, 0x14, 1, 7, 2}, 40))
@@ -77,15 +77,6 @@ func FuzzTraceIndex(f *testing.F) {
 			if got, ok := tr.Lookup(k); !ok || got != r || tr.keys[r] != k {
 				t.Fatalf("Lookup(%+v) = %d, %v; interned as %d", k, got, ok, r)
 			}
-			if k.Kind == KindTuple {
-				if got, ok := tr.LookupTuple(tr.String(k.Str), k.A, k.B); !ok || got != r {
-					t.Fatalf("LookupTuple(%+v) = %d, %v; interned as %d", k, got, ok, r)
-				}
-			}
-		}
-		strs := len(tr.strs)
-		if _, ok := tr.LookupTuple("no such table", 0, 0); ok || len(tr.strs) != strs {
-			t.Fatalf("LookupTuple of an unseen table found a node or grew the string table")
 		}
 	})
 }

@@ -195,15 +195,6 @@ func (tr *Trace) Lookup(k Key) (Ref, bool) {
 	return 0, false
 }
 
-// LookupTuple returns the node of a stored tuple version. Unlike TupleKey it
-// never grows the string table: a table it has not seen names no node.
-func (tr *Trace) LookupTuple(table string, row, version uint64) (Ref, bool) {
-	if s, ok := tr.strIdx[table]; ok {
-		return tr.Lookup(Key{Kind: KindTuple, Str: s, A: row, B: version})
-	}
-	return 0, false
-}
-
 // find probes linearly from k's hash for the slot holding k and returns it
 // with k's Ref+1, or the empty slot where k belongs with 0.
 func (tr *Trace) find(k Key) (slot int, r Ref) {

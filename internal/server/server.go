@@ -451,7 +451,6 @@ func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 		StmtID:       res.StmtID,
 		Start:        res.Start,
 		End:          res.End,
-		ReadRefs:     res.ReadRefs,
 		WrittenRefs:  res.WrittenRefs,
 		CommitSeq:    res.CommitSeq,
 		Fingerprint:  res.Fingerprint,

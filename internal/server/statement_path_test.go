@@ -267,8 +267,8 @@ func TestTextPreparedPipelinedTakeOnePath(t *testing.T) {
 				continue
 			case tc.lineage && strings.HasPrefix(tc.sql, "SELECT") && (len(r.Rows) == 0 || len(r.Lineage) != len(r.Rows) || len(r.Tuples) == 0):
 				t.Errorf("seed %d %q: %d rows, %d lineage rows, %d provenance tuples", seed, tc.sql, len(r.Rows), len(r.Lineage), len(r.Tuples))
-			case strings.HasPrefix(tc.sql, "UPDATE") && (r.Done.RowsAffected == 0 || len(r.Done.ReadRefs) == 0 || len(r.Done.WrittenRefs) == 0):
-				t.Errorf("seed %d %q: affected %d, read %d, written %d", seed, tc.sql, r.Done.RowsAffected, len(r.Done.ReadRefs), len(r.Done.WrittenRefs))
+			case strings.HasPrefix(tc.sql, "UPDATE") && (r.Done.RowsAffected == 0 || len(r.Tuples) == 0 || len(r.Done.WrittenRefs) == 0):
+				t.Errorf("seed %d %q: affected %d, read %d, written %d", seed, tc.sql, r.Done.RowsAffected, len(r.Tuples), len(r.Done.WrittenRefs))
 			case strings.Contains(tc.sql, "ldv_stat_activity"):
 				active := []sqlval.Value{sqlval.NewString("active"), sqlval.NewString(tc.sql)}
 				if len(r.Rows) != 1 || !reflect.DeepEqual(r.Rows[0], active) {

@@ -50,7 +50,7 @@ func goldenFrames() []struct {
 			Lineage: [][]int32{{1, 0}, nil}}},
 		{"provenance_none", Provenance{}},
 		{"command_complete", CommandComplete{RowsAffected: -1, StmtID: -3, Start: 10, End: 300,
-			ReadRefs: refs, WrittenRefs: refs[:1], CommitSeq: 17, Fingerprint: "ab12", Tag: 9}},
+			WrittenRefs: refs[:1], CommitSeq: 17, Fingerprint: "ab12", Tag: 9}},
 		{"command_complete_none", CommandComplete{}},
 		{"error", Error{Message: "boom: naïve"}},
 		{"ready", Ready{}},

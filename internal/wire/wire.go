@@ -138,14 +138,15 @@ type RowDescription struct{ Columns []string }
 type DataRow struct{ Values []sqlval.Value }
 
 // Provenance carries a statement's provenance, at most once per response
-// group and after its rows. Versions is the set of tuple versions its
-// Lineage and ReadRefs name — the inline provenance tuples a Perm
-// PROVENANCE query returns — as the versions' refs in set order, then each
-// version's values as their EncodeRow image. Lineage holds, for a query run
-// with lineage, one list per result row of the positions in Versions of the
-// versions the row depends on; it is empty otherwise. A reader checks each
-// image as sqlval.SkipRow does and keeps it encoded: the set it decodes is
-// an engine.NewEncodedVersionSet over the frame's own bytes.
+// group and after its rows. Versions is the statement's read set — the
+// versions its Lineage names, or those a DML statement read; the inline
+// provenance tuples a Perm PROVENANCE query returns — as the versions' refs
+// in set order, then each version's values as their EncodeRow image.
+// Lineage holds, for a query run with lineage, one list per result row of
+// the positions in Versions of the versions the row depends on; it is empty
+// otherwise. A reader checks each image as sqlval.SkipRow does and keeps it
+// encoded: the set it decodes is an engine.NewEncodedVersionSet over the
+// frame's own bytes.
 type Provenance struct {
 	Versions engine.VersionSet
 	Lineage  [][]int32
@@ -153,7 +154,7 @@ type Provenance struct {
 
 // CommandComplete ends a successful statement, reporting DML counts,
 // statement identity, its logical-time interval, and the tuple versions the
-// statement read and wrote (reenactment provenance for updates).
+// statement wrote (what it read is its Provenance frame).
 // CommitSeq is the WAL record sequence the statement's commit occupies on
 // the primary (0 when nothing was logged); clients feed it back as
 // Query.MinApplied for read-your-writes on replicas.
@@ -161,7 +162,6 @@ type CommandComplete struct {
 	RowsAffected int
 	StmtID       int64
 	Start, End   uint64
-	ReadRefs     []engine.TupleRef
 	WrittenRefs  []engine.TupleRef
 	CommitSeq    uint64
 	// Fingerprint is the statement's normalized-text hash in hex — the join
@@ -373,7 +373,6 @@ func encodePayload(m Message) []byte {
 		b = binary.AppendVarint(b, v.StmtID)
 		b = binary.AppendUvarint(b, v.Start)
 		b = binary.AppendUvarint(b, v.End)
-		b = appendRefs(b, v.ReadRefs)
 		b = appendRefs(b, v.WrittenRefs)
 		b = binary.AppendUvarint(b, v.CommitSeq)
 		b = bin.AppendString(b, v.Fingerprint)
@@ -444,7 +443,6 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 			StmtID:       d.Varint(),
 			Start:        d.Uvarint(),
 			End:          d.Uvarint(),
-			ReadRefs:     d.refs(),
 			WrittenRefs:  d.refs(),
 			CommitSeq:    d.Uvarint(),
 			Fingerprint:  d.Str(),

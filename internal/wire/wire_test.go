@@ -45,7 +45,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		DataRow{Values: []sqlval.Value{sqlval.NewInt(1), sqlval.Null, sqlval.NewString("x")}},
 		Provenance{},
 		provenanceOf(refs[1:], [][]sqlval.Value{{sqlval.NewString("x")}}, [][]int32{{0}, nil}),
-		CommandComplete{RowsAffected: 3, StmtID: 9, Start: 10, End: 20, ReadRefs: refs, WrittenRefs: refs[:1]},
+		CommandComplete{RowsAffected: 3, StmtID: 9, Start: 10, End: 20, WrittenRefs: refs[:1]},
 		CommandComplete{},
 		Error{Message: "boom"},
 		Ready{},
@@ -217,11 +217,11 @@ func (quickRefs) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 func TestQuickCommandCompleteRoundTrip(t *testing.T) {
-	f := func(affected int32, stmt int64, start, end uint32, rr, wr quickRefs) bool {
+	f := func(affected int32, stmt int64, start, end uint32, wr quickRefs) bool {
 		m := CommandComplete{
 			RowsAffected: int(affected), StmtID: stmt,
 			Start: uint64(start), End: uint64(end),
-			ReadRefs: rr.Refs, WrittenRefs: wr.Refs,
+			WrittenRefs: wr.Refs,
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, m); err != nil {
@@ -235,7 +235,7 @@ func TestQuickCommandCompleteRoundTrip(t *testing.T) {
 		if g.RowsAffected != m.RowsAffected || g.StmtID != m.StmtID || g.Start != m.Start || g.End != m.End {
 			return false
 		}
-		return len(g.ReadRefs) == len(m.ReadRefs) && len(g.WrittenRefs) == len(m.WrittenRefs)
+		return len(g.WrittenRefs) == len(m.WrittenRefs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
