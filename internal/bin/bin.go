@@ -249,6 +249,14 @@ func Encode(extra int, write func(w *Writer)) []byte {
 	return w.buf
 }
 
+// Size runs write against a counting Writer and returns the bytes it
+// counted — for a caller that finds room for the encoding itself.
+func Size(write func(w *Writer)) int {
+	var w Writer
+	write(&w)
+	return w.n
+}
+
 // AppendTo runs write against a Writer that appends to dst, and returns the
 // extended buffer — for records appended one at a time to a growing run.
 func AppendTo(dst []byte, write func(w *Writer)) []byte {

@@ -92,6 +92,7 @@ type Conn struct {
 
 	stmtSeq int          // server-side statement names handed out by Prepare
 	wbuf    bytes.Buffer // a request's frames, sent in one write
+	rd      wire.Reader  // reads every response group, on either session
 }
 
 // Options configure Dial.
@@ -193,7 +194,10 @@ func (c *Conn) LastCommitSeq() uint64 { return c.lastCommitSeq }
 
 // Query executes one SQL statement and returns its full result. On a
 // connection with a read replica attached, read-only statements outside a
-// transaction are routed to the replica.
+// transaction are routed to the replica. The result's rows share one slab
+// of values and their TEXT values one string (engine.Result), so an
+// application that keeps one row keeps its whole response; it shares
+// nothing with any other result of the connection.
 func (c *Conn) Query(sql string) (*engine.Result, error) { return c.QueryAt(sql, 0) }
 
 // Exec executes a statement, discarding rows (convenience alias).
@@ -339,7 +343,12 @@ type reply struct {
 // the Provenance frame, a second Provenance frame, or one whose lineage lists
 // do not match the rows one for one; a server Error whose Ready arrives
 // (keeping the stream synced) does not.
+//
+// The frames go through the connection's wire.Reader: its buffers are reused
+// from group to group, and the group's rows are decoded once its Ready has
+// arrived, into one slab (wire.Reader.Rows).
 func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
+	defer c.rd.Reset()
 	res := rp.res
 	if res == nil {
 		// A Parse reply: statement frames are no answer to it; they are
@@ -347,8 +356,9 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 		res = new(engine.Result)
 	}
 	var sawProvenance, answered bool
+	nrows := 0
 	for {
-		msg, err := wire.Read(nc)
+		msg, err := c.rd.Read(nc)
 		if err != nil {
 			// The stream position is gone; no further frame boundary can be
 			// trusted, so poison the connection.
@@ -362,13 +372,13 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			if sawProvenance {
 				return c.poison("DataRow after Provenance")
 			}
-			res.Rows = append(res.Rows, m.Values)
+			nrows++
 		case wire.Provenance:
 			switch {
 			case sawProvenance:
 				return c.poison("second Provenance frame")
-			case len(m.Lineage) != len(res.Rows):
-				return c.poison("%d lineage lists for %d rows", len(m.Lineage), len(res.Rows))
+			case len(m.Lineage) != nrows:
+				return c.poison("%d lineage lists for %d rows", len(m.Lineage), nrows)
 			}
 			sawProvenance = true
 			res.Lineage, res.TupleValues = m.Lineage, m.Versions
@@ -388,7 +398,7 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			rp.parsed, answered = m, true
 		case wire.Error:
 			// Drain the Ready that follows an error.
-			next, rerr := wire.Read(nc)
+			next, rerr := c.rd.Read(nc)
 			if rerr != nil {
 				c.broken = true
 				return fmt.Errorf("server error: %s (then %w: %v)", m.Message, ErrClosed, rerr)
@@ -408,6 +418,9 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 			}
 			if !answered {
 				return fmt.Errorf("protocol error: Ready before an answer")
+			}
+			if res.Rows, err = c.rd.Rows(); err != nil {
+				return c.poison("%v", err)
 			}
 			return nil
 		default:

@@ -87,7 +87,10 @@ type ExecOptions struct {
 
 // Result is the outcome of one statement execution.
 type Result struct {
-	// Columns and Rows hold query output (empty for DML).
+	// Columns and Rows hold query output (empty for DML). A Result a client
+	// read off the wire holds its rows in one slab: every row is a slice of
+	// one []sqlval.Value, and its TEXT values are substrings of one string,
+	// so an application that keeps one row keeps its whole response.
 	Columns []string
 	Rows    [][]sqlval.Value
 	// Lineage[i] lists the input tuple versions result row i depends on, as

@@ -394,6 +394,14 @@ func (s VersionSet) AppendRow(dst []byte, i int) []byte {
 	return append(dst, s.row(i)...)
 }
 
+// RowLen returns the length of the image AppendRow appends for version i.
+func (s VersionSet) RowLen(i int) int {
+	if s.vals != nil {
+		return sqlval.EncodedRowLen(s.vals[i])
+	}
+	return len(s.row(i))
+}
+
 // row returns an encoded set's image of version i.
 func (s VersionSet) row(i int) []byte {
 	var from uint32

@@ -220,8 +220,54 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 		lin = nil
 	}
 	ncols, stop := sc.lay.ncols, sc.leaf.StopAfter
-	// Size the output by the planner's estimate (never past the source or
-	// the stop) rather than growing it from nothing.
+	var vals slab[sqlval.Value]
+	var ids slab[vid]
+	var known map[*storedRow]vid
+	// values lays a survivor out as the emitted columns; lineage gives it
+	// its vid.
+	values := func(r *storedRow) []sqlval.Value {
+		out := vals.take(len(from))
+		for i, s := range from {
+			if s < ncols {
+				out[i] = r.vals[s]
+			} else {
+				out[i] = r.prov(s - ncols)
+			}
+		}
+		return out
+	}
+	lineage := func(r *storedRow) []vid {
+		if lin == nil {
+			return nil
+		}
+		l := ids.take(1)
+		l[0] = lin.add(known, sc.table, r)
+		return l
+	}
+	if sc.filter != nil && stop == 0 {
+		// A fused filter's estimate is a guess (a third of the rows per
+		// conjunct), so the survivors are collected first and the output
+		// sized from their count: the leaf pays for the rows it keeps, not
+		// for the ones it might have.
+		var hits []*storedRow
+		if err := ec.run(sc, ec.snap, func(r *storedRow) (bool, error) {
+			hits = append(hits, r)
+			return true, nil
+		}); err != nil {
+			return relation{}, err
+		}
+		if lin != nil {
+			known = lin.openLeaf(sc.table, len(hits))
+		}
+		rel.tuples = make([]tuple, len(hits))
+		for k, r := range hits {
+			rel.tuples[k] = tuple{vals: values(r), lineage: lineage(r)}
+		}
+		return rel, nil
+	}
+	// Without a filter the source bounds the output, and so does a stop: it
+	// is sized by the planner's estimate within those bounds and filled as
+	// the scan goes.
 	hint := sc.leaf.Est
 	if sc.filter != nil {
 		hint = sc.filter.Est
@@ -231,26 +277,11 @@ func (ec *stmtCtx) execLeaf(n plan.Node) (relation, error) {
 		hint = min(hint, float64(stop))
 	}
 	rel.tuples = make([]tuple, 0, int(hint))
-	var known map[*storedRow]vid
 	if lin != nil {
 		known = lin.openLeaf(sc.table, int(hint))
 	}
-	var vals slab[sqlval.Value]
-	var ids slab[vid]
 	err = ec.run(sc, ec.snap, func(r *storedRow) (bool, error) {
-		tp := tuple{vals: vals.take(len(from))}
-		for i, s := range from {
-			if s < ncols {
-				tp.vals[i] = r.vals[s]
-			} else {
-				tp.vals[i] = r.prov(s - ncols)
-			}
-		}
-		if lin != nil {
-			tp.lineage = ids.take(1)
-			tp.lineage[0] = lin.add(known, sc.table, r)
-		}
-		rel.tuples = append(rel.tuples, tp)
+		rel.tuples = append(rel.tuples, tuple{vals: values(r), lineage: lineage(r)})
 		return len(rel.tuples) != stop, nil
 	})
 	return rel, err

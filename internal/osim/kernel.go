@@ -145,12 +145,33 @@ func (k *Kernel) InstallLibrary(path string, size int) error {
 	return k.fs.WriteFile(path, fakeELF(path, size))
 }
 
-// fakeELF builds deterministic placeholder binary content of roughly the
-// requested size so package-size accounting is meaningful.
+// fakeELF returns deterministic placeholder binary content of roughly the
+// requested size so package-size accounting is meaningful. An image is a
+// function of (name, size) alone and costs an LCG step per byte — tens of
+// milliseconds for a server binary of megabytes — so each is generated once
+// per process and then shared: callers must not write to it (FS.WriteFile
+// stores a copy).
 func fakeELF(name string, size int) []byte {
-	if size < 16 {
-		size = 16
+	size = max(size, 16)
+	key := elfKey{name, size}
+	if img, ok := elfImages.Load(key); ok {
+		return img.([]byte)
 	}
+	img, _ := elfImages.LoadOrStore(key, genELF(name, size))
+	return img.([]byte)
+}
+
+// elfKey names one fakeELF image.
+type elfKey struct {
+	name string
+	size int
+}
+
+// elfImages caches fakeELF's images by elfKey.
+var elfImages sync.Map
+
+// genELF generates the image fakeELF caches.
+func genELF(name string, size int) []byte {
 	buf := make([]byte, size)
 	copy(buf, "\x7fELF(sim)")
 	seed := uint64(14695981039346656037)

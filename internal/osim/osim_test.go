@@ -471,6 +471,43 @@ func TestFakeELFDeterministic(t *testing.T) {
 	}
 }
 
+// Two kernels install the same binary image, generated once and shared by
+// fakeELF; each filesystem holds its own copy, so writing into one kernel's
+// file in place changes neither the other kernel's file nor the image the
+// next boot installs.
+func TestInstalledBinariesAreCopies(t *testing.T) {
+	const path, size = "/usr/bin/served", 1 << 20
+	k1, k2 := NewKernel(), NewKernel()
+	for _, k := range []*Kernel{k1, k2} {
+		if err := k.InstallBinary(path, size, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := k1.FS().ReadFile(path)
+	b, _ := k2.FS().ReadFile(path)
+	if len(a) != size || !bytes.Equal(a, b) {
+		t.Fatalf("the two kernels installed %d and %d different bytes", len(a), len(b))
+	}
+	k1.fs.mu.Lock()
+	img := k1.fs.nodes[path].data
+	for i := range img {
+		img[i] ^= 0xff
+	}
+	k1.fs.mu.Unlock()
+	if got, _ := k2.FS().ReadFile(path); !bytes.Equal(got, b) {
+		t.Fatal("writing one kernel's binary changed the other kernel's")
+	}
+	if !bytes.Equal(fakeELF(path, size), b) {
+		t.Fatal("writing one kernel's binary changed the cached image")
+	}
+	if err := k1.FS().WriteFile(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := k2.FS().ReadFile(path); !bytes.Equal(got, b) {
+		t.Fatal("overwriting one kernel's binary changed the other kernel's")
+	}
+}
+
 func TestQuickFSPathNormalization(t *testing.T) {
 	fs := NewFS()
 	f := func(segs []uint8) bool {

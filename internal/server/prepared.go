@@ -32,7 +32,7 @@ func (c *clientConn) parse(m wire.Parse) error {
 	delete(c.args, m.Name) // a re-Parse invalidates any earlier Bind
 	c.mu.Unlock()
 	mStmtsPrepared.Inc()
-	return wire.Write(c.out, wire.ParseComplete{Name: m.Name, NumParams: ps.NumParams, Fingerprint: ps.Info().Fingerprint})
+	return wire.WriteBuffered(c.out, wire.ParseComplete{Name: m.Name, NumParams: ps.NumParams, Fingerprint: ps.Info().Fingerprint})
 }
 
 // bind stores parameter values for a statement's next Execute. Unknown names

@@ -296,12 +296,12 @@ func (s *Server) HandleConn(conn net.Conn) {
 }
 
 func (c *clientConn) ready() error {
-	return wire.Write(c.out, wire.Ready{InTxn: c.sess.InTxn()})
+	return wire.WriteBuffered(c.out, wire.Ready{InTxn: c.sess.InTxn()})
 }
 
 // fail answers a request with an Error frame; the frame loop's Ready follows.
 func (c *clientConn) fail(err error) error {
-	return wire.Write(c.out, wire.Error{Message: err.Error()})
+	return wire.WriteBuffered(c.out, wire.Error{Message: err.Error()})
 }
 
 // readClient blocks for the next client message under a client.read wait,
@@ -431,18 +431,18 @@ func (c *clientConn) resolve(r request, parent *obs.Span) (*engine.PreparedStmt,
 // streamResult writes one statement's response group — RowDescription, rows,
 // the one Provenance frame when the statement has provenance, CommandComplete
 // — shared by the Query and Execute paths. tag is echoed in
-// CommandComplete.Tag for pipelined Executes (0 for plain queries).
-func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
-	if err := wire.Write(conn, wire.RowDescription{Columns: res.Columns}); err != nil {
+// CommandComplete.Tag for pipelined Executes (0 for plain queries). Every
+// frame is encoded in place in out's buffer, a row straight from its values
+// (wire.WriteDataRows): a result costs no allocation per row.
+func streamResult(out *bufio.Writer, res *engine.Result, tag uint64) error {
+	if err := wire.WriteBuffered(out, wire.RowDescription{Columns: res.Columns}); err != nil {
 		return err
 	}
-	for _, row := range res.Rows {
-		if err := wire.Write(conn, wire.DataRow{Values: row}); err != nil {
-			return err
-		}
+	if err := wire.WriteDataRows(out, res.Rows); err != nil {
+		return err
 	}
 	if len(res.Lineage) > 0 || res.TupleValues.Len() > 0 {
-		if err := wire.Write(conn, wire.Provenance{Versions: res.TupleValues, Lineage: res.Lineage}); err != nil {
+		if err := wire.WriteBuffered(out, wire.Provenance{Versions: res.TupleValues, Lineage: res.Lineage}); err != nil {
 			return err
 		}
 	}
@@ -456,5 +456,5 @@ func streamResult(conn io.Writer, res *engine.Result, tag uint64) error {
 		Fingerprint:  res.Fingerprint,
 		Tag:          tag,
 	}
-	return wire.Write(conn, cc)
+	return wire.WriteBuffered(out, cc)
 }

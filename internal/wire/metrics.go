@@ -3,9 +3,10 @@ package wire
 import "ldv/internal/obs"
 
 // Frame accounting: every Write/Read records total messages and bytes
-// (header + payload) plus a per-kind message counter. Both endpoints of a
-// simulated connection live in this process, so "out" means frames passed
-// to Write and "in" means frames returned by Read, regardless of role.
+// (header + payload) plus a per-kind message counter; a run of rows written
+// or read in bulk (WriteDataRows, Reader) is recorded once per run. Both
+// endpoints of a simulated connection live in this process, so "out" means
+// frames written and "in" means frames read, regardless of role.
 var (
 	mOutMsgs  = obs.NewCounter("wire.out.msgs", "Frames written to the wire")
 	mOutBytes = obs.NewCounter("wire.out.bytes", "Bytes written to the wire (header + payload)")
@@ -25,18 +26,20 @@ func init() {
 	}
 }
 
-func recordOut(tag byte, frameBytes int) {
-	mOutMsgs.Inc()
+// recordOut counts frames of one kind written, frameBytes in all.
+func recordOut(tag byte, frames, frameBytes int) {
+	mOutMsgs.Add(int64(frames))
 	mOutBytes.Add(int64(frameBytes))
 	if c := mOutByTag[tag]; c != nil {
-		c.Inc()
+		c.Add(int64(frames))
 	}
 }
 
-func recordIn(tag byte, frameBytes int) {
-	mInMsgs.Inc()
+// recordIn counts frames of one kind read, frameBytes in all.
+func recordIn(tag byte, frames, frameBytes int) {
+	mInMsgs.Add(int64(frames))
 	mInBytes.Add(int64(frameBytes))
 	if c := mInByTag[tag]; c != nil {
-		c.Inc()
+		c.Add(int64(frames))
 	}
 }

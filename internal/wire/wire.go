@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"ldv/internal/bin"
 	"ldv/internal/engine"
@@ -291,135 +290,166 @@ func (Bind) tag() byte            { return TagBind }
 func (Execute) tag() byte         { return TagExecute }
 func (CloseStmt) tag() byte       { return TagCloseStmt }
 
-// Write sends one message.
+// headerLen is a frame header's size: the tag byte, then the payload's
+// length as a big-endian uint32.
+const headerLen = 5
+
+// Write sends one message: its frame, encoded into a buffer of exactly its
+// size, in one write.
 func Write(w io.Writer, m Message) error {
-	payload := encodePayload(m)
-	header := [5]byte{m.tag()}
-	binary.BigEndian.PutUint32(header[1:], uint32(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("wire write header: %w", err)
+	b := appendFrame(make([]byte, 0, headerLen+payloadLen(m)), m.tag(), func(b []byte) []byte {
+		return appendPayload(b, m)
+	})
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("wire write: %w", err)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("wire write payload: %w", err)
-		}
-	}
-	recordOut(m.tag(), len(header)+len(payload))
+	recordOut(m.tag(), 1, len(b))
 	return nil
+}
+
+// payloadLen returns the length of m's payload, from a counting pass over
+// the one description of it, writePayload.
+func payloadLen(m Message) int {
+	return bin.Size(func(w *bin.Writer) { writePayload(w, m) })
+}
+
+// appendPayload appends m's payload to b.
+func appendPayload(b []byte, m Message) []byte {
+	return bin.AppendTo(b, func(w *bin.Writer) { writePayload(w, m) })
+}
+
+// appendFrame appends a frame of the given tag to b: its header, the
+// payload that payload appends, and the payload's length patched into the
+// header once it is known.
+func appendFrame(b []byte, tag byte, payload func([]byte) []byte) []byte {
+	at := len(b)
+	b = payload(append(b, tag, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at+1:], uint32(len(b)-at-headerLen))
+	return b
 }
 
 // Read receives one message.
 func Read(r io.Reader) (Message, error) {
-	var header [5]byte
+	var header [headerLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(header[1:])
-	if size > MaxMessageSize {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", size)
+	size, err := payloadSize(header)
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("wire read payload: %w", err)
 	}
-	m, err := decodePayload(header[0], payload)
+	return decode(header[0], payload)
+}
+
+// payloadSize returns the payload length a frame header announces, refusing
+// one beyond MaxMessageSize.
+func payloadSize(header [headerLen]byte) (int, error) {
+	size := binary.BigEndian.Uint32(header[1:])
+	if size > MaxMessageSize {
+		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", size)
+	}
+	return int(size), nil
+}
+
+// decode decodes one frame's payload and counts the frame as read.
+func decode(tag byte, payload []byte) (Message, error) {
+	m, err := decodePayload(tag, payload)
 	if err == nil {
-		recordIn(header[0], len(header)+len(payload))
+		recordIn(tag, 1, headerLen+len(payload))
 	}
 	return m, err
 }
 
-func encodePayload(m Message) []byte {
-	var b []byte
+// writePayload is the one description of every kind's payload: its fields
+// in declaration order, each always present. A counting bin.Writer sizes a
+// frame with it, a writing one encodes the frame.
+func writePayload(w *bin.Writer, m Message) {
 	switch v := m.(type) {
 	case Startup:
-		b = bin.AppendString(b, v.Proc)
-		b = bin.AppendString(b, v.Database)
+		w.Str(v.Proc)
+		w.Str(v.Database)
 	case Query:
-		b = bin.AppendBool(b, v.WithLineage)
-		b = bin.AppendString(b, v.SQL)
-		b = appendSpanContext(b, v.Trace)
-		b = binary.AppendUvarint(b, v.MinApplied)
-		b = binary.AppendUvarint(b, v.AsOf)
+		w.Bool(v.WithLineage)
+		w.Str(v.SQL)
+		writeSpanContext(w, v.Trace)
+		w.Uvarint(v.MinApplied)
+		w.Uvarint(v.AsOf)
 	case RowDescription:
-		b = binary.AppendUvarint(b, uint64(len(v.Columns)))
+		w.Uvarint(uint64(len(v.Columns)))
 		for _, c := range v.Columns {
-			b = bin.AppendString(b, c)
+			w.Str(c)
 		}
 	case DataRow:
-		b = sqlval.EncodeRow(b, v.Values)
+		sqlval.WriteRow(w, v.Values)
 	case Provenance:
 		refs := v.Versions.Refs()
-		b = appendRefs(b, refs)
+		writeRefs(w, refs)
 		for i := range refs {
-			at := len(b)
-			b = v.Versions.AppendRow(b, i)
-			if i == 0 {
-				// Versions of one table are about one size; reserving the
-				// rest at the first one's spares a frame of megabytes its
-				// doublings.
-				b = slices.Grow(b, (len(refs)-1)*(len(b)-at))
-			}
+			w.Append(func() int { return v.Versions.RowLen(i) },
+				func(b []byte) []byte { return v.Versions.AppendRow(b, i) })
 		}
-		b = binary.AppendUvarint(b, uint64(len(v.Lineage)))
+		w.Uvarint(uint64(len(v.Lineage)))
 		for _, list := range v.Lineage {
-			b = binary.AppendUvarint(b, uint64(len(list)))
+			w.Uvarint(uint64(len(list)))
 			for _, pos := range list {
-				b = binary.AppendUvarint(b, uint64(pos))
+				w.Uvarint(uint64(pos))
 			}
 		}
 	case CommandComplete:
-		b = binary.AppendVarint(b, int64(v.RowsAffected))
-		b = binary.AppendVarint(b, v.StmtID)
-		b = binary.AppendUvarint(b, v.Start)
-		b = binary.AppendUvarint(b, v.End)
-		b = appendRefs(b, v.WrittenRefs)
-		b = binary.AppendUvarint(b, v.CommitSeq)
-		b = bin.AppendString(b, v.Fingerprint)
-		b = binary.AppendUvarint(b, v.Tag)
+		w.Varint(int64(v.RowsAffected))
+		w.Varint(v.StmtID)
+		w.Uvarint(v.Start)
+		w.Uvarint(v.End)
+		writeRefs(w, v.WrittenRefs)
+		w.Uvarint(v.CommitSeq)
+		w.Str(v.Fingerprint)
+		w.Uvarint(v.Tag)
 	case Error:
-		b = bin.AppendString(b, v.Message)
+		w.Str(v.Message)
 	case Ready:
-		b = bin.AppendBool(b, v.InTxn)
+		w.Bool(v.InTxn)
 	case Subscribe:
-		b = bin.AppendString(b, v.ReplicaID)
+		w.Str(v.ReplicaID)
 	case SnapshotChunk:
-		b = bin.AppendString(b, v.Table)
-		b = bin.AppendBool(b, v.Done)
-		b = binary.AppendUvarint(b, v.CutSeq)
-		b = bin.AppendBytes(b, v.Data)
+		w.Str(v.Table)
+		w.Bool(v.Done)
+		w.Uvarint(v.CutSeq)
+		w.Raw(v.Data)
 	case WALSegment:
-		b = binary.AppendUvarint(b, v.FirstSeq)
-		b = binary.AppendUvarint(b, v.PrimaryTS)
-		b = binary.AppendUvarint(b, uint64(len(v.Records)))
+		w.Uvarint(v.FirstSeq)
+		w.Uvarint(v.PrimaryTS)
+		w.Uvarint(uint64(len(v.Records)))
 		for _, rec := range v.Records {
-			b = bin.AppendBytes(b, rec)
+			w.Raw(rec)
 		}
 	case ReplicaStatus:
-		b = bin.AppendString(b, v.ID)
-		b = binary.AppendUvarint(b, v.AppliedSeq)
-		b = binary.AppendUvarint(b, v.AppliedTS)
+		w.Str(v.ID)
+		w.Uvarint(v.AppliedSeq)
+		w.Uvarint(v.AppliedTS)
 	case Parse:
-		b = bin.AppendString(b, v.Name)
-		b = bin.AppendString(b, v.SQL)
+		w.Str(v.Name)
+		w.Str(v.SQL)
 	case ParseComplete:
-		b = bin.AppendString(b, v.Name)
-		b = binary.AppendUvarint(b, uint64(v.NumParams))
-		b = bin.AppendString(b, v.Fingerprint)
+		w.Str(v.Name)
+		w.Uvarint(uint64(v.NumParams))
+		w.Str(v.Fingerprint)
 	case Bind:
-		b = bin.AppendString(b, v.Stmt)
-		b = sqlval.EncodeRow(b, v.Args)
+		w.Str(v.Stmt)
+		sqlval.WriteRow(w, v.Args)
 	case Execute:
-		b = bin.AppendString(b, v.Stmt)
-		b = binary.AppendUvarint(b, v.Tag)
-		b = bin.AppendBool(b, v.WithLineage)
-		b = appendSpanContext(b, v.Trace)
-		b = binary.AppendUvarint(b, v.MinApplied)
+		w.Str(v.Stmt)
+		w.Uvarint(v.Tag)
+		w.Bool(v.WithLineage)
+		writeSpanContext(w, v.Trace)
+		w.Uvarint(v.MinApplied)
 	case CloseStmt:
-		b = bin.AppendString(b, v.Name)
+		w.Str(v.Name)
 	case Terminate:
 	}
-	return b
 }
 
 func decodePayload(tag byte, b []byte) (Message, error) {
@@ -494,17 +524,13 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 	return m, nil
 }
 
-func appendRefs(b []byte, refs []engine.TupleRef) []byte {
-	b = binary.AppendUvarint(b, uint64(len(refs)))
-	if len(refs) > 0 {
-		b = slices.Grow(b, len(refs)*(len(refs[0].Table)+8))
-	}
+func writeRefs(w *bin.Writer, refs []engine.TupleRef) {
+	w.Uvarint(uint64(len(refs)))
 	for _, r := range refs {
-		b = bin.AppendString(b, r.Table)
-		b = binary.AppendUvarint(b, uint64(r.Row))
-		b = binary.AppendUvarint(b, r.Version)
+		w.Str(r.Table)
+		w.Uvarint(uint64(r.Row))
+		w.Uvarint(r.Version)
 	}
-	return b
 }
 
 // decoder is a frame's cursor: the one bin.Reader every format decodes
@@ -538,10 +564,12 @@ func (d *decoder) strings(what string) []string {
 // trace ID plus big-endian 8-byte span ID.
 const spanContextSize = 16 + 8
 
-// appendSpanContext encodes sc in its fixed 24-byte wire form.
-func appendSpanContext(b []byte, sc obs.SpanContext) []byte {
-	b = append(b, sc.Trace[:]...)
-	return binary.BigEndian.AppendUint64(b, sc.Span)
+// writeSpanContext writes sc in its fixed 24-byte wire form.
+func writeSpanContext(w *bin.Writer, sc obs.SpanContext) {
+	var span [8]byte
+	binary.BigEndian.PutUint64(span[:], sc.Span)
+	w.Fixed(sc.Trace[:])
+	w.Fixed(span[:])
 }
 
 func (d *decoder) spanContext() (sc obs.SpanContext) {
