@@ -33,16 +33,16 @@ test:
 # and the public-API tests; the
 # durability and replication crash matrices under the race detector; then
 # the whole tree under the race detector with shuffled test order (to
-# surface order-dependent state); last, the two concurrency invariants (no
-# torn read, no lost update), which fail only on rare interleavings, a few
-# hundred times each on one and on several CPUs.
+# surface order-dependent state); last, the three concurrency invariants (no
+# torn read, no lost update, no key held twice), which fail only on rare
+# interleavings, a few hundred times each on one and on several CPUs.
 check:
 	$(GO) vet ./...
 	$(GO) test .
 	$(GO) test -race -run TestCrashMatrix ./internal/engine
 	$(GO) test -race -run TestReplicaCrashMatrix ./internal/repl
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -count=300 -cpu 1,2,4 -run '^TestConcurrentTransfersKeepInvariant$$' ./internal/engine
+	$(GO) test -count=300 -cpu 1,2,4 -run '^(TestConcurrentTransfersKeepInvariant|TestConcurrentKeyClaims)$$' ./internal/engine
 	$(GO) test -count=200 -cpu 1,2,4 -run '^TestServerMixedWorkloadConcurrent$$' ./internal/server
 
 # Every testing.B micro-benchmark in the tree (engine, planner, wire, codecs,

@@ -16,8 +16,8 @@ import (
 // the primary ships, and at the end a third database recovers from a copy of
 // the primary's directory. The three must hold the same versions — dead ones
 // too, with their stamps — the same counters and retention horizon, and the
-// same transaction history; and each must hold secondary indexes equal to a
-// rebuild and a primary-key map equal to its live set.
+// same transaction history; and each must hold indexes equal to a rebuild
+// and one live version per primary key.
 
 // shipped is one flushed group-commit batch, as a shipper hook receives it.
 type shipped struct {
@@ -110,8 +110,8 @@ func versionState(db *DB) string {
 }
 
 // checkDerived checks what a database derives from its versions: every
-// secondary index holds exactly what a rebuild from the versions holds, and
-// the primary-key map holds exactly the live versions, each under its key.
+// index holds exactly what a rebuild from the versions holds, and every live
+// version is the only live version in its key's <table>_pkey bucket.
 func checkDerived(t *testing.T, label string, db *DB) {
 	t.Helper()
 	for _, tbl := range db.tableList() {
@@ -123,19 +123,21 @@ func checkDerived(t *testing.T, label string, db *DB) {
 				t.Errorf("%s: index %s differs from a rebuild\n--- index\n%s\n--- rebuild\n%s", label, ix.name, got, want)
 			}
 		}
-		if pk := tbl.Schema.PrimaryKeyIndex(); pk >= 0 {
-			live := 0
+		if ix := tbl.pkey; ix != nil {
 			for _, r := range tbl.rows {
 				if r.end != 0 {
 					continue
 				}
-				live++
-				if tbl.pkIndex[keyOf(r.vals[pk])] != r {
-					t.Errorf("%s: table %s: live version %d@%d does not hold its key %s", label, tbl.Name, r.id, r.version, r.vals[pk])
+				filed := false
+				for _, v := range ix.bucket(r.vals[ix.col]) {
+					filed = filed || v == r
+					if v != r && v.end == 0 {
+						t.Errorf("%s: table %s: live versions %d@%d and %d@%d share the key %s", label, tbl.Name, r.id, r.version, v.id, v.version, r.vals[ix.col])
+					}
 				}
-			}
-			if len(tbl.pkIndex) != live {
-				t.Errorf("%s: table %s: %d primary-key entries for %d live versions", label, tbl.Name, len(tbl.pkIndex), live)
+				if !filed {
+					t.Errorf("%s: table %s: live version %d@%d is not in its key's bucket %s", label, tbl.Name, r.id, r.version, r.vals[ix.col])
+				}
 			}
 		}
 		tbl.mu.RUnlock()
@@ -418,14 +420,25 @@ func TestApplyKeyFreedByALaterCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the key go as an earlier primary did, so the INSERT is accepted.
-	tbl, _ := p.lookupTable("t")
-	tbl.mu.Lock()
-	clear(tbl.released)
-	tbl.mu.Unlock()
-	mustExec(t, p, "INSERT INTO t VALUES (1, 'new')", ExecOptions{})
+	if _, err := p.Exec("INSERT INTO t VALUES (1, 'new')", ExecOptions{}); err == nil || !strings.Contains(err.Error(), "could not serialize") {
+		t.Fatalf("INSERT of a key an open transaction freed: %v", err)
+	}
+	// The earlier primary's record of that INSERT, logged and applied here
+	// as that primary's own commit would have been.
+	insert := encodeWALTxn(0, []redoEntry{{kind: walInsert, table: "t", id: p.newRowID(), version: p.clock.Tick(),
+		vals: []sqlval.Value{sqlval.NewInt(1), sqlval.NewString("new")}}})
+	seq, err := p.WAL().Commit(insert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.NewApplier().ApplyRecord(seq, insert); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Exec("COMMIT", ExecOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	if got := rowsToStrings(mustExec(t, p, "SELECT k, v FROM t", ExecOptions{})); fmt.Sprint(got) != "[1|new]" {
+		t.Fatalf("the primary reads %v, want the newest version alone", got)
 	}
 	f.catchUp(t)
 	rec, _ := recoverInto(t, fs, "/d")

@@ -308,3 +308,19 @@ func BenchmarkEncodeWALRecord(b *testing.B) {
 		encodeWALTxn(77, redo)
 	}
 }
+
+// BenchmarkAsOfSnapshot takes an AS OF cut a hundred ticks behind the head
+// of a full commit registry (committedTsCap stamps), as an AS OF point read
+// against a churning table does.
+func BenchmarkAsOfSnapshot(b *testing.B) {
+	db := NewDB(nil)
+	for i := 0; i < committedTsCap; i++ {
+		db.endTxnCommitted(db.beginTxn().id)
+	}
+	at := db.ClockNow() - 100
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db.takeSnapshotAsOf(at)
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -259,4 +260,65 @@ func TestConcurrentTransfersKeepInvariant(t *testing.T) {
 	if got := rowsToStrings(mustExec(t, db, "SELECT SUM(bal) FROM acct", ExecOptions{})); got[0] != "100" {
 		t.Fatalf("final sum = %v", got)
 	}
+}
+
+// Concurrent transactions claim and release the keys of a 4-key table: each
+// round is one transaction of an INSERT, a DELETE, a key-changing UPDATE or
+// an UPDATE of another column, committed or rolled back. A statement may
+// fail only on the key rule or first-updater-wins, and no reader ever sees
+// two rows with one key; at the end every live version holds its key alone.
+func TestConcurrentKeyClaims(t *testing.T) {
+	db := newTestDB(t, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 0), (2, 0)", ExecOptions{})
+
+	const writers, rounds = 4, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			s, reader := db.NewSession(), db.NewSession()
+			defer s.Close()
+			defer reader.Close()
+			exec := func(s *Session, sql string) (*Result, error) {
+				res, err := s.Exec(sql, ExecOptions{})
+				if err != nil && !strings.Contains(err.Error(), "duplicate primary key") && !strings.Contains(err.Error(), "could not serialize") {
+					return nil, fmt.Errorf("%s: %w", sql, err)
+				}
+				return res, nil
+			}
+			for i := 0; i < rounds; i++ {
+				k, k2 := 1+rng.Intn(4), 1+rng.Intn(4)
+				stmt := []string{
+					fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", k, w),
+					fmt.Sprintf("DELETE FROM t WHERE id = %d", k),
+					fmt.Sprintf("UPDATE t SET id = %d WHERE id = %d", k2, k),
+					fmt.Sprintf("UPDATE t SET v = v + 1 WHERE id = %d", k),
+				}[rng.Intn(4)]
+				for _, sql := range []string{"BEGIN", stmt, []string{"COMMIT", "ROLLBACK"}[rng.Intn(2)]} {
+					if _, err := exec(s, sql); err != nil {
+						errs <- err
+						return
+					}
+				}
+				res, err := reader.Exec("SELECT id, COUNT(*) FROM t GROUP BY id HAVING COUNT(*) > 1", ExecOptions{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := rowsToStrings(res); len(got) != 0 {
+					errs <- fmt.Errorf("after %q: keys held twice: %v", stmt, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	checkDerived(t, "after the rounds", db)
 }

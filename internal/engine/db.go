@@ -162,13 +162,14 @@ type DB struct {
 
 	// txnMu guards the transaction registries: the active set (id → snapshot
 	// tick, 0 while the snapshot is still being captured — vacuum treats that
-	// as "unknown, defer"), the commit-timestamp map historical snapshots
-	// classify committed transactions with, and the reenactment history.
-	txnMu       sync.RWMutex
-	activeTxns  map[int64]uint64
-	nextTxn     int64
-	committedTs map[int64]uint64
-	txnHist     map[int64]*TxnRecord
+	// as "unknown, defer"), the commit-timestamp registry historical
+	// snapshots classify committed transactions with, and the reenactment
+	// history.
+	txnMu      sync.RWMutex
+	activeTxns map[int64]uint64
+	nextTxn    int64
+	committed  []commitStamp // in commit-tick order
+	txnHist    map[int64]*TxnRecord
 
 	// vacuumMu serializes vacuum passes; vacuumHorizon is the current
 	// retention floor (no version end-marked at or before it survives, and
@@ -217,13 +218,12 @@ func NewDB(clock Clock) *DB {
 		clock = NewCounterClock()
 	}
 	db := &DB{
-		tables:      make(map[string]*Table),
-		clock:       clock,
-		activeTxns:  make(map[int64]uint64),
-		committedTs: make(map[int64]uint64),
-		txnHist:     make(map[int64]*TxnRecord),
-		virtual:     make(map[string]*VirtualTable),
-		planCache:   make(map[uint64]planCacheEntry),
+		tables:     make(map[string]*Table),
+		clock:      clock,
+		activeTxns: make(map[int64]uint64),
+		txnHist:    make(map[int64]*TxnRecord),
+		virtual:    make(map[string]*VirtualTable),
+		planCache:  make(map[uint64]planCacheEntry),
 	}
 	db.registerBuiltinVirtualTables()
 	return db
@@ -410,7 +410,6 @@ func (db *DB) commitTxn(x *Txn, parent *obs.Span, ws *obs.SessionState) (uint64,
 	if db.wal == nil || len(x.redo) == 0 {
 		cts := db.endTxnCommitted(x.id)
 		db.commitMu.RUnlock()
-		x.freeKeys()
 		db.commitTxnHist(x, cts, 0)
 		return 0, nil
 	}
@@ -423,7 +422,6 @@ func (db *DB) commitTxn(x *Txn, parent *obs.Span, ws *obs.SessionState) (uint64,
 	if err == nil {
 		cts := db.endTxnCommitted(x.id)
 		db.commitMu.RUnlock()
-		x.freeKeys()
 		db.commitTxnHist(x, cts, seq)
 		return seq, nil
 	}
@@ -467,7 +465,7 @@ func (db *DB) InsertRowDirect(table string, vals []sqlval.Value) (TupleRef, erro
 	}
 	r := &storedRow{id: db.newRowID(), vals: vals, version: db.clock.Tick()}
 	t.mu.Lock()
-	err = t.insertRow(r)
+	err = t.insertRow(db, r)
 	t.mu.Unlock()
 	if err != nil {
 		return TupleRef{}, err
@@ -492,8 +490,8 @@ type RestoredRow struct {
 // between calls (the values are copied into the loader's slab, TEXT values
 // still share the caller's string bytes). sizeHint is the expected number
 // of rows — an estimate only sizes the slabs. Rows are checked as an INSERT
-// checks them; on the first bad one loading stops, the rows before it stay,
-// and the error is returned.
+// checks them, their keys once the last is in (claimKeys); on an error the
+// table is left as it was and the error is returned.
 func (db *DB) RestoreRows(table string, sizeHint int, next func(*RestoredRow) (bool, error)) error {
 	t, err := db.lookupTable(table)
 	if err != nil {
@@ -501,25 +499,34 @@ func (db *DB) RestoreRows(table string, sizeHint int, next func(*RestoredRow) (b
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ld := t.newRowLoader(sizeHint, sizeHint, sizeHint)
-	defer func() {
-		ld.finish()
-		t.rebuildIndexes()
-		db.advanceNextRow(ld.maxRow)
-	}()
+	start := len(t.rows)
+	ld := t.newRowLoader(sizeHint, sizeHint)
 	var row RestoredRow
 	for {
-		ok, err := next(&row)
-		if err != nil || !ok {
-			return err
+		var ok bool
+		if ok, err = next(&row); err != nil || !ok {
+			break
 		}
 		r := ld.next()
 		r.id, r.version, r.proc = row.ID, row.Version, row.Proc
 		ld.vals = append(ld.vals, row.Vals...)
-		if err := ld.add(r); err != nil {
-			return err
+		if err = ld.add(r); err != nil {
+			break
 		}
 	}
+	if err == nil {
+		t.rebuildIndexes()
+		err = t.claimKeys(db, t.rows[start:])
+	}
+	if err != nil {
+		clear(t.rows[start:])
+		t.rows = t.rows[:start]
+		t.rebuildIndexes()
+		return err
+	}
+	ld.finish()
+	db.advanceNextRow(ld.maxRow)
+	return nil
 }
 
 // advanceNextRow moves the row-id generator to at least id, so ids assigned

@@ -14,7 +14,7 @@ import (
 // the transaction's snapshot — first-updater-wins: a row already modified by
 // a concurrent uncommitted transaction raises a serialization error instead
 // of silently producing a lost update. A primary key a concurrent
-// uncommitted transaction released is refused the same way.
+// uncommitted transaction released is refused the same way (claimKey).
 
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT. Produced tuple
 // versions are stamped with the executing process and statement so that
@@ -100,7 +100,7 @@ func (ec *stmtCtx) insertVersion(t *Table, vals []sqlval.Value, opts ExecOptions
 		stmt:    res.StmtID,
 		txnID:   ec.txn.id,
 	}
-	if err := t.insertRow(r); err != nil {
+	if err := t.insertRow(ec.db, r); err != nil {
 		return err
 	}
 	ec.txn.logUndo(t, undoInsert(t, r))
@@ -181,18 +181,12 @@ func (ec *stmtCtx) execUpdate(s *sqlparse.Update, tree *plan.Tree, opts ExecOpti
 			stmt:    res.StmtID,
 			txnID:   ec.txn.id,
 		}
-		// Keep the pk index pointing at the live latest version; all checks
-		// precede any mutation so an error leaves this row untouched.
-		if pk >= 0 {
-			oldKey := keyOf(r.vals[pk])
-			newKey := keyOf(newVals[pk])
-			if newKey != oldKey {
-				if err := t.claimable(newKey, newVals[pk], ec.txn.id); err != nil {
-					return err
-				}
-				t.releaseKey(oldKey, ec.txn)
+		// A new key must be claimed before any mutation, so an error leaves
+		// this row untouched; the end mark on r releases the old one.
+		if pk >= 0 && !newVals[pk].SameKey(r.vals[pk]) {
+			if err := t.claimKey(ec.db, nv); err != nil {
+				return err
 			}
-			t.pkIndex[newKey] = nv
 		}
 		t.setEnd(r, nv.version, ec.txn.id)
 		t.appendLive(nv)
@@ -226,14 +220,8 @@ func (ec *stmtCtx) execDelete(s *sqlparse.Delete, tree *plan.Tree, opts ExecOpti
 	if ec.lin != nil {
 		reads = ec.lin.addReads(reads, t, matches)
 	}
-	pk := t.Schema.PrimaryKeyIndex()
 	for _, r := range matches {
 		t.setEnd(r, ec.db.clock.Tick(), ec.txn.id)
-		if pk >= 0 {
-			if key := keyOf(r.vals[pk]); t.pkIndex[key] == r {
-				t.releaseKey(key, ec.txn)
-			}
-		}
 		ec.txn.logUndo(t, undoDelete(t, r))
 		ec.txn.logRedo(redoEntry{kind: walEnd, table: s.Table, id: r.id, version: r.version, end: r.end})
 		res.RowsAffected++

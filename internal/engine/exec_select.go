@@ -344,9 +344,9 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *li
 	if err != nil {
 		return relation{}, err
 	}
-	// evalKey evaluates a tuple's key into dst; ok is false when a column is
+	// joinKey evaluates a tuple's key into dst; ok is false when a column is
 	// NULL, which never joins.
-	evalKey := func(t tuple, keys []bound, dst []sqlval.Value) (ok bool, err error) {
+	joinKey := func(t tuple, keys []bound, dst []sqlval.Value) (ok bool, err error) {
 		for i, k := range keys {
 			v, err := k(t.vals, nil)
 			if err != nil {
@@ -373,7 +373,7 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *li
 	key := make([]sqlval.Value, len(buildKeys))
 	out.tuples = make([]tuple, 0, len(probe.tuples)) // a foreign-key join emits about one row per probe
 	for i, t := range build.tuples {
-		ok, err := evalKey(t, buildKeys, key)
+		ok, err := joinKey(t, buildKeys, key)
 		if err != nil {
 			return relation{}, err
 		}
@@ -383,7 +383,7 @@ func hashJoin(left, right relation, leftKeys, rightKeys []sqlparse.Expr, lin *li
 		}
 	}
 	for _, p := range probe.tuples {
-		ok, err := evalKey(p, probeKeys, key)
+		ok, err := joinKey(p, probeKeys, key)
 		if err != nil {
 			return relation{}, err
 		}

@@ -26,8 +26,9 @@ import (
 // Every table with a PRIMARY KEY has one index it never declared: a hash
 // index named <table>_pkey over the key column, derived from the schema —
 // never written as an index definition, never created or dropped by DDL —
-// so `pk = K` is a probe. (Table.pkIndex, the live-holder map that enforces
-// uniqueness, is separate.)
+// so `pk = K` is a probe. It is also the one record of who holds a key:
+// Table.claimKey reads a key's holder, and whoever released it, off the
+// versions in the key's bucket.
 //
 // Two kinds exist: "hash" (equality lookups, a keyTable with one exact
 // bucket per distinct key) and
@@ -80,6 +81,16 @@ func newTableIndex(name, column string, col int, kind string) *tableIndex {
 func (ix *tableIndex) hashBucket(key sqlval.Value) (int32, uint64) {
 	h := key.Hash(0)
 	return ix.hash.find([]sqlval.Value{key}, h), h
+}
+
+// bucket returns the versions a hash index files under exactly key (SameKey),
+// without lookupEq's widening of a FLOAT probe to the INTEGER keys that
+// round to it.
+func (ix *tableIndex) bucket(key sqlval.Value) []*storedRow {
+	if e, _ := ix.hashBucket(key); e >= 0 {
+		return ix.buckets[e]
+	}
+	return nil
 }
 
 // addToBucket files one version under its key in a hash index and reports

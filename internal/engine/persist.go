@@ -366,10 +366,13 @@ func sealedDigest(data []byte, magic, kind string) (uint64, error) {
 //
 // A run is a uvarint length ≥ 1 and a varint stamp, over the live records in
 // file order; runs are maximal (no two neighbours share a stamp) and their
-// lengths sum to the table file's nlive. A full lineage scan gives every
-// version it examines one stamp, so a table it read is one run. The image
-// replaces the whole column: a load applies it only over the table file it
-// names, and ignores it over any other.
+// lengths sum to the table file's nlive. A lineage read stamps its version
+// set — the versions its result came from, not every version it examined —
+// so a read that returned every live version leaves one run, and a
+// selective one a run for each stretch of returned versions and each
+// stretch between them: a file of many runs. The image replaces the whole
+// column: a load applies it only over the table file it names, and ignores
+// it over any other.
 
 const stampsFileMagic = "LDVSTM1\n"
 
@@ -700,7 +703,8 @@ type tableImage struct {
 // snapshot off the network): the digest is verified first, every count is
 // checked against the bytes remaining before memory is sized from it, every
 // version passes the row check an INSERT passes (admitRow: arity, column
-// kinds, primary key), and trailing bytes are an error. Versions and values
+// kinds), every live one the primary-key rule (claimKeys, once the live
+// versions are indexed), and trailing bytes are an error. Versions and values
 // come from the bulk loader's slabs and every string is a substring of one
 // copy of data — see rowLoader for what that keeps alive.
 func decodeTable(data []byte) (tableImage, error) {
@@ -723,8 +727,13 @@ func decodeTableBody(data []byte) (tableImage, error) {
 	if err := img.loadRows(r, false); err != nil {
 		return tableImage{}, err
 	}
+	// The live versions are in: their keys are checked before reading on.
+	img.t.rebuildIndexes() // the primary key's
+	if err := img.t.claimKeys(nil, img.t.rows); err != nil {
+		return tableImage{}, err
+	}
 	// Index definitions are installed after the last row is in, so the
-	// loader feeds no index row by row.
+	// loader feeds no secondary index row by row.
 	var idxs []*tableIndex
 	for n := r.Count("index", 3); n > 0 && r.Err() == nil; n-- {
 		iname, icol, ikind := readIndexDef(r)
@@ -737,6 +746,7 @@ func decodeTableBody(data []byte) (tableImage, error) {
 	if r.Err() != nil {
 		return tableImage{}, r.Err()
 	}
+	live := len(img.t.rows)
 	if err := img.loadRows(r, true); err != nil {
 		return tableImage{}, err
 	}
@@ -745,7 +755,9 @@ func decodeTableBody(data []byte) (tableImage, error) {
 		return tableImage{}, err
 	}
 	// Index contents are derived last so they cover the dead versions too.
-	img.t.rebuildIndexes() // the primary key's
+	for _, v := range img.t.rows[live:] {
+		img.t.indexInsert(v) // the primary key's
+	}
 	for _, ix := range idxs {
 		ix.rebuild(img.t.rows)
 		img.t.addIndex(ix)
@@ -764,11 +776,7 @@ func (img *tableImage) loadRows(r *bin.Reader, dead bool) error {
 		return r.Err()
 	}
 	room := bin.Reserve(n, loadedRowBytes(ncols), r.Len())
-	live := room
-	if dead {
-		live = 0
-	}
-	ld := t.newRowLoader(n, room, live)
+	ld := t.newRowLoader(n, room)
 	defer ld.finish()
 	for i := 0; i < n; i++ {
 		v := ld.next()

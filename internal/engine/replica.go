@@ -15,23 +15,27 @@ import (
 //     transaction: its versions and end marks carry that transaction's id,
 //     and its undo log collects how to take them back. A replica applies a
 //     record in a registered apply transaction, so a concurrent snapshot
-//     classifies the half-applied record as uncommitted and skips it;
-//     committing it after the clock has passed the record's stamps is the
-//     atomic visibility flip — a read sees a record all or nothing, and
+//     classifies the half-applied record as uncommitted and skips it — the
+//     transaction is active at the cut or registered after it; the record's
+//     stamps are the primary's, which the replica's clock may be past, so
+//     they alone would not exclude it. Committing it after the clock has
+//     passed the record's stamps is the atomic visibility flip — a read sees a record all or nothing, and
 //     records become visible strictly in ship order, so every snapshot is a
 //     prefix of the primary's commit history. A record that fails part-way
 //     is rolled back, never committed: no snapshot ever sees part of it.
 //     Recover applies a record at boot, to a quiescent database, in
 //     transaction 0, which is committed from the start.
-//   - Primary-key and secondary indexes are maintained entry by entry;
-//     CREATE INDEX builds the index at once. Within one record an UPDATE's
-//     end mark precedes its insert — the order exec_dml logs them — so the
-//     key is free by the time the successor version claims it. The key goes
-//     to the newest live version: a replayed version older than the live
-//     version holding its key (a table file written after VACUUM pruned it,
-//     with the log not yet cut) leaves the key to that holder, and a version
-//     newer than the holder takes it over (the primary let a transaction
-//     reuse a key another one had freed and not yet committed).
+//   - Indexes, the primary key's included, are maintained entry by entry;
+//     CREATE INDEX builds the index at once. A replayed version is appended
+//     without the primary-key rule (claimKey): the log is a history the
+//     primary already checked, and it may hold two live versions of a key
+//     for a while — a version a table file written after VACUUM pruned it
+//     comes back from the log (its end mark follows), or an earlier primary
+//     let a transaction reuse a key another had freed and not yet committed
+//     (TestApplyKeyFreedByALaterCommit). Either way the key's holder is its
+//     newest live version once the record that ends the other is applied,
+//     and a rollback needs no key step: removing a version or clearing an
+//     end mark is the key change.
 //   - walStmt entries rebuild the transaction history with the record's WAL
 //     sequence, and a walVacuum entry is applied with one prune.
 //
@@ -239,7 +243,6 @@ func (a *Applier) applyEntry(x *Txn, e redoEntry) error {
 		// exclude it.
 		if r := a.versionsOf(t)[TupleRef{Row: e.id, Version: e.version}]; r != nil && r.end == 0 {
 			t.setEnd(r, e.end, x.id)
-			t.releasePK(r)
 			x.logUndo(t, undoDelete(t, r))
 		}
 	case walCreateIndex:
@@ -259,8 +262,8 @@ func (a *Applier) applyEntry(x *Txn, e redoEntry) error {
 	return nil
 }
 
-// insert applies a walInsert entry under the primary-key rule: the key goes
-// to the newest live version. Caller holds the table write lock.
+// insert applies a walInsert entry: the version is checked as a row and
+// appended, with no key check. Caller holds the table write lock.
 func (a *Applier) insert(x *Txn, t *Table, e redoEntry) error {
 	m := a.versionsOf(t)
 	ref := TupleRef{Row: e.id, Version: e.version}
@@ -268,31 +271,12 @@ func (a *Applier) insert(x *Txn, t *Table, e redoEntry) error {
 		return nil
 	}
 	r := &storedRow{id: e.id, vals: e.vals, version: e.version, proc: e.proc, stmt: e.stmt, txnID: x.id}
-	var key valKey
-	var holder *storedRow
-	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 && pk < len(r.vals) {
-		key = keyOf(r.vals[pk])
-		if holder = t.pkIndex[key]; holder != nil {
-			delete(t.pkIndex, key) // so insertRow's check lets r in
-		}
-	}
-	err := t.insertRow(r)
-	if holder != nil && (err != nil || holder.version > r.version) {
-		t.pkIndex[key] = holder
-	}
-	if err != nil {
+	if err := t.admitRow(r); err != nil {
 		return err
 	}
+	t.appendLive(r)
 	m[ref] = r
-	undo := undoInsert(t, r)
-	if holder != nil {
-		undo = func() error {
-			err := t.removeRow(r)
-			t.pkIndex[key] = holder // whether or not r took the key over
-			return err
-		}
-	}
-	x.logUndo(t, undo)
+	x.logUndo(t, undoInsert(t, r))
 	a.db.advanceNextRow(e.id)
 	a.db.advanceNextStmt(e.stmt)
 	return nil

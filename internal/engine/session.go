@@ -19,10 +19,11 @@ import (
 //     writing transaction's id permanently, so COMMIT is O(1) — it only
 //     deregisters the id. ROLLBACK replays the undo log in reverse.
 //   - A snapshot is a logical-clock timestamp plus a copy of the active set
-//     (PostgreSQL's xip-list scheme). A version is visible when it was begun
-//     by the reader itself, or begun at-or-before the snapshot time by a
-//     transaction not active at snapshot capture — and not end-marked under
-//     the same rule. Readers therefore never see uncommitted or torn writes
+//     and the last transaction id registered (PostgreSQL's xip-list and
+//     xmax). A version is visible when it was begun by the reader itself, or
+//     begun at-or-before the snapshot time by a transaction registered and
+//     not active at snapshot capture — and not end-marked under the same
+//     rule. Readers therefore never see uncommitted or torn writes
 //     and never block on writers.
 //   - Lock hierarchy: the DB catalog mutex (tables map, short critical
 //     sections only) is acquired before any table lock and never while one
@@ -34,6 +35,7 @@ import (
 type snapshot struct {
 	ts     uint64 // logical time of the cut
 	active txnSet // transactions uncommitted at the cut
+	xmax   int64  // the last transaction registered at the cut
 	self   int64  // reading transaction's own id (0 = none)
 
 	// asOf marks a historical (AS OF) cut. The only rule change: rows whose
@@ -51,8 +53,10 @@ type snapshot struct {
 }
 
 // visible reports whether a tuple version is part of the snapshot:
-// begin ≤ snapshot < end, where writes of transactions active at the cut
-// (other than the reader's own) sit beyond the horizon on both bounds.
+// begin ≤ snapshot < end, where writes of transactions active at the cut or
+// registered after it (other than the reader's own) sit beyond the horizon
+// on both bounds. The second half matters for the applier, whose versions
+// carry the primary's stamps, which a replica's clock may be past.
 func (s snapshot) visible(r *storedRow) bool {
 	if r.txnID == 0 {
 		// Preloaded/bulk rows (txnID 0) are committed by definition and may
@@ -63,7 +67,7 @@ func (s snapshot) visible(r *storedRow) bool {
 			return false
 		}
 	} else if r.txnID != s.self {
-		if s.active.has(r.txnID) || r.version > s.ts {
+		if s.active.has(r.txnID) || r.txnID > s.xmax || r.version > s.ts {
 			return false
 		}
 	} else if s.selfBound != 0 && r.version >= s.selfBound {
@@ -78,7 +82,7 @@ func (s snapshot) visible(r *storedRow) bool {
 		}
 		return false // the reader itself superseded/deleted it
 	}
-	if s.active.has(r.endTxn) {
+	if s.active.has(r.endTxn) || r.endTxn > s.xmax {
 		return true // end mark not committed at the cut
 	}
 	return r.end > s.ts
@@ -117,25 +121,6 @@ type Txn struct {
 	// DB's transaction history — and, when the transaction wrote anything,
 	// appended to its WAL record as walStmt entries — at commit.
 	hist []StmtRecord
-
-	// released lists, per table, the primary keys the transaction took out
-	// of the index (Table.releaseKey).
-	released map[*Table][]valKey
-}
-
-// freeKeys lets other transactions claim the keys x released, once x has
-// committed. It takes each table's write lock in turn, so the caller holds
-// none.
-func (x *Txn) freeKeys() {
-	for t, keys := range x.released {
-		t.mu.Lock()
-		for _, key := range keys {
-			if t.released[key] == x.id {
-				delete(t.released, key)
-			}
-		}
-		t.mu.Unlock()
-	}
 }
 
 // recordStmt appends one executed statement to the transaction's reenactment
@@ -244,16 +229,17 @@ func (db *DB) endTxn(id int64) {
 }
 
 // endTxnCommitted is endTxn for the commit path: in the same critical
-// section that flips the transaction visible, its commit timestamp is
-// recorded so historical (AS OF) snapshots can classify it. Returns the
-// commit tick.
+// section that flips the transaction visible, its commit tick is taken and
+// recorded so historical (AS OF) snapshots can classify it. Every commit
+// ticks under txnMu's write lock, so the registry is appended to in tick
+// order. Returns the commit tick.
 func (db *DB) endTxnCommitted(id int64) uint64 {
-	cts := db.clock.Tick()
 	db.txnMu.Lock()
+	cts := db.clock.Tick()
 	delete(db.activeTxns, id)
-	db.committedTs[id] = cts
-	if len(db.committedTs) > committedTsCap {
-		db.pruneCommittedTsLocked()
+	db.committed = append(db.committed, commitStamp{id: id, ts: cts})
+	if len(db.committed) > committedTsCap {
+		db.dropCommitsLocked(len(db.committed) / 2)
 	}
 	db.txnMu.Unlock()
 	gTxnsActive.Add(-1)
@@ -279,11 +265,11 @@ func (db *DB) activeLocked() txnSet {
 // under txnMu's write lock, so it lands either before the tick — every
 // version it wrote is at or below ts and it is missing from the copy, so
 // all its writes are visible — or after the copy, which lists it, so none
-// are. A transaction that registers after the copy writes only past ts.
+// are. A transaction that registers after the copy has an id past xmax.
 func (db *DB) takeSnapshot(self int64) snapshot {
 	db.txnMu.RLock()
 	defer db.txnMu.RUnlock()
-	return snapshot{ts: db.clock.Tick(), active: db.activeLocked(), self: self}
+	return snapshot{ts: db.clock.Tick(), active: db.activeLocked(), xmax: db.nextTxn, self: self}
 }
 
 // writeCut is the cut an UPDATE or DELETE matches stored versions against,
@@ -294,7 +280,7 @@ func (db *DB) takeSnapshot(self int64) snapshot {
 func (db *DB) writeCut(self int64) snapshot {
 	db.txnMu.RLock()
 	defer db.txnMu.RUnlock()
-	return snapshot{ts: ^uint64(0), active: db.activeLocked(), self: self}
+	return snapshot{ts: ^uint64(0), active: db.activeLocked(), xmax: db.nextTxn, self: self}
 }
 
 // takeSnapshotAsOf captures a historical cut at tick t: the regular
@@ -308,13 +294,11 @@ func (db *DB) takeSnapshotAsOf(t uint64) snapshot {
 	db.txnMu.RLock()
 	defer db.txnMu.RUnlock()
 	active := db.activeLocked()
-	for id, cts := range db.committedTs {
-		if cts > t {
-			active = append(active, id)
-		}
+	for _, c := range db.committed[db.commitsUpTo(t):] {
+		active = append(active, c.id)
 	}
 	slices.Sort(active)
-	return snapshot{ts: t, active: active, asOf: true}
+	return snapshot{ts: t, active: active, xmax: db.nextTxn, asOf: true}
 }
 
 // Session is one client's statement stream: it owns the open transaction (if

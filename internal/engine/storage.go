@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,7 +47,10 @@ func (r *storedRow) ref(table string) TupleRef {
 }
 
 // Table is the storage for one relation: an append-only slice of tuple
-// versions plus a primary-key hash index over the *live latest* versions.
+// versions and the indexes over them. A primary key is held by its versions:
+// the implicit <name>_pkey index files every version under its key, and
+// claimKey reads who holds a key from that bucket — no other structure
+// records it.
 // The RWMutex is the table's entry in the engine's lock hierarchy: statements
 // acquire table locks (readers share, writers exclude) after resolving names
 // under the DB catalog lock and never the other way around.
@@ -56,14 +58,9 @@ type Table struct {
 	Name   string
 	Schema Schema
 
-	mu      sync.RWMutex
-	rows    []*storedRow
-	pkIndex map[valKey]*storedRow // key of pk value -> live latest version; nil if no pk
-
-	// released maps a primary key an open transaction deleted or updated
-	// away to its id: no other may claim the key until a commit frees it
-	// (Txn.freeKeys) or a rollback restores it (restorePK).
-	released map[valKey]int64
+	mu   sync.RWMutex
+	rows []*storedRow
+	pkey *tableIndex // the primary key's implicit index, <name>_pkey; nil without a primary key
 
 	// indexes is the table's secondary-index list, sorted by name. It is
 	// copy-on-write behind an atomic pointer: structure mutations (DDL and
@@ -146,7 +143,8 @@ func (t *Table) tblCurrent() *fileImage {
 
 // setEnd end-marks a live version on behalf of txn (0: replayed from the
 // log); clearEnd takes the mark back on rollback. Caller holds the table
-// write lock and maintains the primary-key index.
+// write lock. The mark is the key change too: a version with one no longer
+// holds its primary key (claimKey).
 func (t *Table) setEnd(r *storedRow, end uint64, txn int64) {
 	r.end, r.endTxn = end, txn
 	t.liveRows.Add(-1)
@@ -159,19 +157,17 @@ func (t *Table) clearEnd(r *storedRow) {
 	t.liveRows.Add(1)
 	t.deadVersions.Add(-1)
 	t.touch()
-	t.restorePK(r)
 }
 
-// newTable returns an empty table. A primary key gets the uniqueness map
-// and its implicit hash index, <name>_pkey, which the planner probes like
+// newTable returns an empty table. A primary key gets its implicit hash
+// index, <name>_pkey, which holds the key and which the planner probes like
 // any other.
 func newTable(name string, schema Schema) *Table {
 	t := &Table{Name: name, Schema: schema}
 	if pk := schema.PrimaryKeyIndex(); pk >= 0 {
-		t.pkIndex = make(map[valKey]*storedRow)
-		ix := newTableIndex(name+pkeySuffix, schema.Columns[pk].Name, pk, "hash")
-		ix.implicit = true
-		t.indexes.Store(&[]*tableIndex{ix})
+		t.pkey = newTableIndex(name+pkeySuffix, schema.Columns[pk].Name, pk, "hash")
+		t.pkey.implicit = true
+		t.indexes.Store(&[]*tableIndex{t.pkey})
 	}
 	return t
 }
@@ -179,45 +175,10 @@ func newTable(name string, schema Schema) *Table {
 // RowCount returns the number of live (not end-marked) tuple versions.
 func (t *Table) RowCount() int { return int(t.liveRows.Load()) }
 
-// valKey identifies a value up to equality within its own kind: the kind
-// plus the payload Compare looks at. It keys the primary-key index (a pk
-// column holds one kind, so this is exact there: INTEGER keys beyond 2^53
-// stay distinct).
-type valKey struct {
-	kind sqlval.Kind
-	bits uint64 // integer, bool (0/1), day offset, or the float's bits
-	s    string
-}
-
-func keyOf(v sqlval.Value) valKey {
-	switch v.Kind() {
-	case sqlval.KindInt:
-		return valKey{kind: sqlval.KindInt, bits: uint64(v.Int())}
-	case sqlval.KindFloat:
-		f := v.Float()
-		if f == 0 {
-			f = 0 // -0.0 compares equal to 0.0 but has different bits
-		}
-		return valKey{kind: sqlval.KindFloat, bits: math.Float64bits(f)}
-	case sqlval.KindString:
-		return valKey{kind: sqlval.KindString, s: v.Str()}
-	case sqlval.KindBool:
-		if v.Bool() {
-			return valKey{kind: sqlval.KindBool, bits: 1}
-		}
-		return valKey{kind: sqlval.KindBool}
-	case sqlval.KindDate:
-		return valKey{kind: sqlval.KindDate, bits: uint64(v.Days())}
-	}
-	return valKey{}
-}
-
-// admitRow is the one row check, shared by insertRow and the bulk loader:
-// arity, every value against its column (a value of another kind goes
-// through checkValue, which coerces or rejects it) and, for a live version,
-// the primary key, which it claims. A version that arrives end-marked (a
-// dead version from a table file) holds no key. Caller holds the table
-// write lock.
+// admitRow is the one row check, shared by insertRow, the applier and the
+// bulk loader: arity, and every value against its column (a value of another
+// kind goes through checkValue, which coerces or rejects it). Caller holds
+// the table write lock.
 func (t *Table) admitRow(r *storedRow) error {
 	if len(r.vals) != len(t.Schema.Columns) {
 		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
@@ -233,57 +194,79 @@ func (t *Table) admitRow(r *storedRow) error {
 		}
 		r.vals[i] = v
 	}
-	if t.pkIndex != nil && r.end == 0 {
-		pk := t.Schema.PrimaryKeyIndex()
-		key := keyOf(r.vals[pk])
-		if err := t.claimable(key, r.vals[pk], r.txnID); err != nil {
-			return err
+	return nil
+}
+
+// claimKey is the one primary-key rule: it reports why r, a live version
+// written by transaction r.txnID, may not hold its key K. K may not be NULL.
+// K is taken while a version of K's <name>_pkey bucket other than r has no
+// end mark, and blocked while one carries the end mark of another
+// transaction the write cut shows open, which may yet roll back. INSERT,
+// COPY FROM, a key-changing UPDATE and, once its indexes are rebuilt, the
+// bulk loader ask it; the applier does not (see replica.go). db supplies the
+// write cut, copied only when such an end mark is found; it may be nil for
+// a table no transaction has written, whose versions carry none. Caller
+// holds the table write lock.
+func (t *Table) claimKey(db *DB, r *storedRow) error {
+	if t.pkey == nil {
+		return nil
+	}
+	key := r.vals[t.pkey.col]
+	if key.IsNull() {
+		return fmt.Errorf("table %s: null value in primary key column %s", t.Name, t.pkey.column)
+	}
+	bucket, ended := t.pkey.bucket(key), false
+	for _, v := range bucket {
+		if v != r && v.end == 0 {
+			return fmt.Errorf("table %s: duplicate primary key %s", t.Name, key)
 		}
-		t.pkIndex[key] = r
+		ended = ended || v.endTxn != 0 && v.endTxn != r.txnID
+	}
+	if !ended {
+		return nil
+	}
+	cut := db.writeCut(r.txnID)
+	for _, v := range bucket {
+		if v.endTxn != r.txnID && cut.active.has(v.endTxn) {
+			return fmt.Errorf("could not serialize access due to concurrent update on table %s: primary key %s was released by an open transaction", t.Name, key)
+		}
 	}
 	return nil
 }
 
-// claimable reports why transaction txn may not give a live version the
-// primary key key (whose value is v): a live version holds it, or another
-// open transaction released it and may yet roll back. Caller holds the
-// table write lock.
-func (t *Table) claimable(key valKey, v sqlval.Value, txn int64) error {
-	if _, dup := t.pkIndex[key]; dup {
-		return fmt.Errorf("table %s: duplicate primary key %s", t.Name, v)
+// claimKeys runs claimKey over the live versions among rows: the bulk
+// loader's one key check, once the table's indexes cover the load.
+func (t *Table) claimKeys(db *DB, rows []*storedRow) error {
+	if t.pkey == nil {
+		return nil
 	}
-	if owner, held := t.released[key]; held && owner != txn {
-		return fmt.Errorf("could not serialize access due to concurrent update on table %s: primary key %s was released by an open transaction", t.Name, v)
+	for _, r := range rows {
+		if r.end == 0 {
+			if err := t.claimKey(db, r); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// releaseKey drops key from the primary-key index on behalf of x, which
-// holds it until it ends. Caller holds the table write lock.
-func (t *Table) releaseKey(key valKey, x *Txn) {
-	delete(t.pkIndex, key)
-	if t.released == nil {
-		t.released = map[valKey]int64{}
-	}
-	t.released[key] = x.id
-	if x.released == nil {
-		x.released = map[*Table][]valKey{}
-	}
-	x.released[t] = append(x.released[t], key)
-}
-
-// insertRow validates and appends a live row version, enforcing the primary
-// key (caller holds the table write lock).
-func (t *Table) insertRow(r *storedRow) error {
+// insertRow checks and appends a live row version of an INSERT, a COPY
+// FROM or InsertRowDirect, which must be able to claim its primary key
+// (caller holds the table write lock).
+func (t *Table) insertRow(db *DB, r *storedRow) error {
 	if err := t.admitRow(r); err != nil {
+		return err
+	}
+	if err := t.claimKey(db, r); err != nil {
 		return err
 	}
 	t.appendLive(r)
 	return nil
 }
 
-// appendLive stores an admitted live version (insertRow, and UPDATE's
-// successor version, whose key the statement has already moved).
+// appendLive stores an admitted live version (insertRow; UPDATE's successor
+// version, whose key the statement has already claimed if it changed; and
+// the applier's replayed one).
 func (t *Table) appendLive(r *storedRow) {
 	t.rows = append(t.rows, r)
 	t.indexInsert(r)
@@ -299,16 +282,16 @@ func (t *Table) appendLive(r *storedRow) {
 // []sqlval.Value slab, both sized from the caller's row count — the room a
 // decoder could back with the bytes it had left (bin.Reserve), or only a
 // hint. A slab that runs out is followed by another, never regrown (see
-// slabRows). Each version goes through admitRow, the check insertRow runs.
+// slabRows). Each version goes through admitRow, the row check insertRow
+// runs; its caller rebuilds the table's indexes once the last version is in
+// and then checks the keys of the load at once (claimKeys).
 //
 // What a loaded table keeps alive: each slab lives as long as any version
 // carved from it is reachable, and so does whatever backing string the
 // caller's TEXT values and proc names are substrings of (decodeTable: one
 // string per table file). Vacuum drops versions from t.rows and the
 // indexes, but the memory of a slab — and of that string — returns to the
-// collector only when the last version of the load is gone. The loader
-// feeds no index: its caller rebuilds the table's indexes once the last
-// version is in.
+// collector only when the last version of the load is gone.
 type rowLoader struct {
 	t      *Table
 	rows   []storedRow
@@ -322,13 +305,10 @@ type rowLoader struct {
 }
 
 // newRowLoader prepares t for n more versions, with room for the first room
-// of them, live of those holding a primary key (caller holds the table
-// write lock, or owns a table not yet published).
-func (t *Table) newRowLoader(n, room, live int) rowLoader {
+// of them (caller holds the table write lock, or owns a table not yet
+// published).
+func (t *Table) newRowLoader(n, room int) rowLoader {
 	t.rows = slices.Grow(t.rows, room)
-	if t.pkIndex != nil && len(t.pkIndex) == 0 && live > 0 {
-		t.pkIndex = make(map[valKey]*storedRow, live)
-	}
 	return rowLoader{
 		t:    t,
 		rows: make([]storedRow, 0, room),
@@ -390,14 +370,14 @@ func (l *rowLoader) finish() {
 	l.t.deadVersions.Add(l.dead)
 }
 
-// removeRow physically removes a version (insert rollback only), keeping the
-// pk index consistent. Searches from the end: rolled-back inserts are recent.
+// removeRow physically removes a version (insert rollback only), from the
+// table and its indexes. Searches from the end: rolled-back inserts are
+// recent.
 func (t *Table) removeRow(r *storedRow) error {
 	for i := len(t.rows) - 1; i >= 0; i-- {
 		if t.rows[i] != r {
 			continue
 		}
-		t.releasePK(r)
 		last := len(t.rows) - 1
 		t.rows[i] = t.rows[last]
 		t.rows = t.rows[:last]
@@ -412,29 +392,4 @@ func (t *Table) removeRow(r *storedRow) error {
 		return nil
 	}
 	return fmt.Errorf("table %s: row %d not found", t.Name, r.id)
-}
-
-// releasePK drops r's primary-key entry if r holds its key (caller holds the
-// table write lock).
-func (t *Table) releasePK(r *storedRow) {
-	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
-		if key := keyOf(r.vals[pk]); t.pkIndex[key] == r {
-			delete(t.pkIndex, key)
-		}
-	}
-}
-
-// restorePK gives a version whose end mark is being rolled back its primary
-// key again, taking the key back from the released set: no other transaction
-// can have claimed it in between. Only the applier can find the key held —
-// by a version its log placed before the end mark that freed the key
-// (Applier.insert) — and that version keeps it.
-func (t *Table) restorePK(r *storedRow) {
-	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
-		key := keyOf(r.vals[pk])
-		if _, held := t.pkIndex[key]; !held {
-			t.pkIndex[key] = r
-		}
-		delete(t.released, key)
-	}
 }

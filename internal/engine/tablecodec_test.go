@@ -123,9 +123,23 @@ func dumpDB(db *DB) string {
 		}
 		sort.Strings(lines)
 		sb.WriteString(strings.Join(lines, "\n") + "\n")
-		fmt.Fprintf(&sb, "  pk entries %d\n", len(t.pkIndex))
+		fmt.Fprintf(&sb, "  pk keys held %d\n", keysHeld(db, t))
 	}
 	return sb.String()
+}
+
+// keysHeld counts the live versions of t the primary-key rule lets hold
+// their keys: all of them, in a table whose live keys are distinct.
+func keysHeld(db *DB, t *Table) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	held := 0
+	for _, r := range t.rows {
+		if r.end == 0 && t.pkey != nil && t.claimKey(db, r) == nil {
+			held++
+		}
+	}
+	return held
 }
 
 func checkpointFiles(t testing.TB, db *DB) *mapFS {

@@ -160,20 +160,24 @@ func (db *DB) txnHistSnapshot() []TxnRecord {
 	return out
 }
 
-// pruneCommittedTsLocked drops the oldest half of the commit-timestamp
-// registry (by commit tick). Caller holds txnMu.
-func (db *DB) pruneCommittedTsLocked() {
-	ts := make([]uint64, 0, len(db.committedTs))
-	for _, cts := range db.committedTs {
-		ts = append(ts, cts)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	median := ts[len(ts)/2]
-	for id, cts := range db.committedTs {
-		if cts < median {
-			delete(db.committedTs, id)
-		}
-	}
+// commitStamp is one entry of the commit-timestamp registry: a committed
+// transaction and the tick it became visible at.
+type commitStamp struct {
+	id int64
+	ts uint64
+}
+
+// commitsUpTo returns how many registered commits ticked at or before t:
+// the registry's later entries are the transactions an AS OF t cut treats
+// as in flight. Caller holds txnMu.
+func (db *DB) commitsUpTo(t uint64) int {
+	return sort.Search(len(db.committed), func(i int) bool { return db.committed[i].ts > t })
+}
+
+// dropCommitsLocked drops the registry's n oldest commit stamps. Caller
+// holds txnMu's write lock.
+func (db *DB) dropCommitsLocked(n int) {
+	db.committed = db.committed[:copy(db.committed, db.committed[n:])]
 }
 
 // pruneTxnHistLocked drops the oldest half of the reenactment history (by

@@ -425,3 +425,39 @@ func TestReenactRejectedBelowVacuumHorizon(t *testing.T) {
 		t.Fatal("REENACT below the vacuum horizon not rejected")
 	}
 }
+
+// TestCommitRegistryIsOrderedAndBounded: the commit-timestamp registry is
+// kept in commit-tick order, loses its oldest half past committedTsCap and
+// its prefix at or below a vacuum horizon, and an AS OF cut treats exactly
+// the commits after its tick as in flight.
+func TestCommitRegistryIsOrderedAndBounded(t *testing.T) {
+	db := NewDB(nil)
+	ids := make([]int64, 0, committedTsCap+10)
+	for len(ids) < cap(ids) {
+		x := db.beginTxn()
+		db.endTxnCommitted(x.id)
+		ids = append(ids, x.id)
+	}
+	if n := len(db.committed); n > committedTsCap || n < committedTsCap/2 {
+		t.Fatalf("%d commits registered, cap %d", n, committedTsCap)
+	}
+	for i := 1; i < len(db.committed); i++ {
+		if db.committed[i-1].ts >= db.committed[i].ts {
+			t.Fatalf("registry out of tick order at %d: %v %v", i, db.committed[i-1], db.committed[i])
+		}
+	}
+	last := db.committed[len(db.committed)-3:]
+	snap := db.takeSnapshotAsOf(last[0].ts)
+	for _, c := range last {
+		if in := snap.active.has(c.id); in != (c.ts > last[0].ts) {
+			t.Fatalf("AS OF %d: commit %v in flight = %v", last[0].ts, c, in)
+		}
+	}
+	if got := db.committed[len(db.committed)-1].id; got != ids[len(ids)-1] {
+		t.Fatalf("the newest registered commit is %d, want %d", got, ids[len(ids)-1])
+	}
+	db.pruneMetaBelow(last[1].ts)
+	if len(db.committed) != 1 || db.committed[0] != last[2] {
+		t.Fatalf("after a vacuum at %d the registry holds %v", last[1].ts, db.committed)
+	}
+}

@@ -157,11 +157,7 @@ func (db *DB) pruneVersions(horizon uint64) int64 {
 // can ever be consulted again.
 func (db *DB) pruneMetaBelow(horizon uint64) {
 	db.txnMu.Lock()
-	for id, cts := range db.committedTs {
-		if cts <= horizon {
-			delete(db.committedTs, id)
-		}
-	}
+	db.dropCommitsLocked(db.commitsUpTo(horizon))
 	for id, rec := range db.txnHist {
 		if rec.SnapTS < horizon {
 			delete(db.txnHist, id)
