@@ -385,6 +385,7 @@ func (c *Conn) readResponse(nc net.Conn, rp *reply) error {
 		case wire.CommandComplete:
 			res.RowsAffected = m.RowsAffected
 			res.StmtID = m.StmtID
+			res.Kind = m.Kind
 			res.Start = m.Start
 			res.End = m.End
 			res.WrittenRefs = m.WrittenRefs

@@ -161,6 +161,51 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
+// churnedKeyHistory is how many times BenchmarkInsertChurnedKey deletes and
+// re-inserts its key before it starts timing.
+const churnedKeyHistory = 16000
+
+// BenchmarkInsertChurnedKey times the INSERT of a primary key that has been
+// deleted and re-inserted churnedKeyHistory times with no VACUUM: claimKey
+// reads the key's holder off its `<table>_pkey` bucket, which holds every
+// version the key ever had, so this is the cost of a key's history to a
+// writer. Each iteration deletes the key untimed, then inserts it timed.
+func BenchmarkInsertChurnedKey(b *testing.B) {
+	db := NewDB(nil)
+	if _, err := db.ExecScript("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER); INSERT INTO k VALUES (1, 0)", ExecOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	del, err := db.Prepare("DELETE FROM k WHERE id = 1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ins, err := db.Prepare("INSERT INTO k VALUES (1, ?)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := db.defaultSession()
+	cycle := func(i int) {
+		if _, err := s.ExecPrepared(del, nil, ExecOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		_, err := s.ExecPrepared(ins, []sqlval.Value{sqlval.NewInt(int64(i))}, ExecOptions{})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for i := 0; i < churnedKeyHistory; i++ {
+		cycle(i)
+	}
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
+}
+
 func BenchmarkUpdateWithReenactment(b *testing.B) {
 	db := benchDB(b, 10000)
 	b.ResetTimer()

@@ -100,6 +100,8 @@ type Result struct {
 	Lineage [][]int32
 	// RowsAffected counts rows written by DML.
 	RowsAffected int
+	// Kind is what the statement does to tuples (StmtKind).
+	Kind StmtKind
 	// StmtID is the engine-assigned unique id of this execution.
 	StmtID int64
 	// Start and End bound the execution on the logical timeline.

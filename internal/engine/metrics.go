@@ -74,17 +74,15 @@ func init() {
 	obs.DescribePrefix("engine.exec_ns.", "Statement latency by statement kind")
 }
 
+// hExecByKind is the latency histogram of each statement kind. COPY shares
+// hExecOther with what is left of StmtOther once execHistogram has taken
+// out DDL and transaction control.
+var hExecByKind = [...]*obs.Histogram{StmtOther: hExecOther, StmtSelect: hExecSelect, StmtInsert: hExecInsert,
+	StmtUpdate: hExecUpdate, StmtDelete: hExecDelete, StmtCopyFrom: hExecOther, StmtCopyTo: hExecOther}
+
 // execHistogram picks the latency histogram for a parsed statement.
 func execHistogram(stmt sqlparse.Statement) *obs.Histogram {
 	switch s := stmt.(type) {
-	case *sqlparse.Select:
-		return hExecSelect
-	case *sqlparse.Insert:
-		return hExecInsert
-	case *sqlparse.Update:
-		return hExecUpdate
-	case *sqlparse.Delete:
-		return hExecDelete
 	case *sqlparse.CreateTable, *sqlparse.DropTable,
 		*sqlparse.CreateIndex, *sqlparse.DropIndex:
 		return hExecDDL
@@ -92,7 +90,6 @@ func execHistogram(stmt sqlparse.Statement) *obs.Histogram {
 		return hExecTxn
 	case *sqlparse.Explain:
 		return execHistogram(s.Stmt)
-	default:
-		return hExecOther
 	}
+	return hExecByKind[stmtKind(stmt)]
 }

@@ -53,6 +53,7 @@ type PreparedStmt struct {
 	// fingerprint's hex key, rendered here once, and the text.
 	info    obs.StmtInfo
 	parseNS int64
+	kind    StmtKind
 	// latency is the histogram of the statement's kind; writes marks the
 	// kinds a read-only database refuses.
 	latency *obs.Histogram
@@ -66,8 +67,49 @@ type PreparedStmt struct {
 	cacheHits atomic.Int64
 }
 
-// Statement returns the parsed statement (shared, not to be modified).
-func (ps *PreparedStmt) Statement() sqlparse.Statement { return ps.stmt }
+// StmtKind is what a statement does to tuples, worked out once when it is
+// prepared and carried on its Result — and in CommandComplete — so no
+// consumer has to read it off the SQL text.
+type StmtKind uint8
+
+const (
+	StmtOther    StmtKind = iota // DDL, transaction control, EXPLAIN, VACUUM, ...
+	StmtSelect                   // SELECT
+	StmtInsert                   // INSERT, INSERT ... SELECT
+	StmtUpdate                   // UPDATE
+	StmtDelete                   // DELETE
+	StmtCopyFrom                 // COPY ... FROM: a bulk load
+	StmtCopyTo                   // COPY ... TO: an export
+)
+
+// stmtKindNames name the kinds as the transaction history records them:
+// COPY in either direction is "copy".
+var stmtKindNames = [...]string{"other", "select", "insert", "update", "delete", "copy", "copy"}
+
+func (k StmtKind) String() string { return stmtKindNames[k] }
+
+// Valid reports whether k is a kind the engine defines.
+func (k StmtKind) Valid() bool { return int(k) < len(stmtKindNames) }
+
+// stmtKind classifies a parsed statement.
+func stmtKind(stmt sqlparse.Statement) StmtKind {
+	switch s := stmt.(type) {
+	case *sqlparse.Select:
+		return StmtSelect
+	case *sqlparse.Insert:
+		return StmtInsert
+	case *sqlparse.Update:
+		return StmtUpdate
+	case *sqlparse.Delete:
+		return StmtDelete
+	case *sqlparse.Copy:
+		if s.To {
+			return StmtCopyTo
+		}
+		return StmtCopyFrom
+	}
+	return StmtOther
+}
 
 // Info returns the statement's fingerprint key — the 16-digit hex join key
 // against ldv_stat_statements — and text, as sessions publish them.
@@ -104,6 +146,7 @@ func newPrepared(stmt sqlparse.Statement, fp sqlparse.Fingerprint, nparams int, 
 		fp:        fp,
 		info:      obs.StmtInfo{Fingerprint: fp.String(), SQL: sql},
 		parseNS:   parseNS,
+		kind:      stmtKind(stmt),
 		latency:   execHistogram(stmt),
 		writes:    stmtWrites(stmt),
 	}

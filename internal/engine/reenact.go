@@ -121,7 +121,7 @@ func (s *Session) execReenact(st *sqlparse.Reenact, opts ExecOptions, res *Resul
 		res.Rows = append(res.Rows, []sqlval.Value{
 			sqlval.NewInt(int64(ord)),
 			sqlval.NewString(sql),
-			sqlval.NewString(stmtKindName(stmt)),
+			sqlval.NewString(stmtKind(stmt).String()),
 			sqlval.NewInt(int64(rows)),
 			sqlval.NewInt(int64(h.Rows)),
 			sqlval.NewBool(rows == h.Rows),

@@ -132,7 +132,7 @@ func (x *Txn) recordStmt(stmt sqlparse.Statement, res *Result, params []sqlval.V
 	}
 	x.hist = append(x.hist, StmtRecord{
 		SQL:    stmt.String(),
-		Kind:   stmtKindName(stmt),
+		Kind:   stmtKind(stmt).String(),
 		Start:  res.Start,
 		End:    x.db.ClockNow(),
 		Rows:   rows,
@@ -398,7 +398,7 @@ func (s *Session) ExecPrepared(ps *PreparedStmt, args []sqlval.Value, opts ExecO
 	db := s.db
 	opts.Params, opts.prep = args, ps
 	t0 := time.Now()
-	res := &Result{StmtID: db.newStmtID(), Start: db.clock.Tick(), Fingerprint: ps.info.Fingerprint}
+	res := &Result{Kind: ps.kind, StmtID: db.newStmtID(), Start: db.clock.Tick(), Fingerprint: ps.info.Fingerprint}
 	if opts.Span != nil {
 		res.TraceID = opts.Span.TraceID().String()
 	}

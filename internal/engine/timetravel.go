@@ -61,24 +61,6 @@ func (h StmtRecord) redoEntry(snapTS uint64) redoEntry {
 	}
 }
 
-// stmtKindName labels a statement for the history record.
-func stmtKindName(stmt sqlparse.Statement) string {
-	switch stmt.(type) {
-	case *sqlparse.Select:
-		return "select"
-	case *sqlparse.Insert:
-		return "insert"
-	case *sqlparse.Update:
-		return "update"
-	case *sqlparse.Delete:
-		return "delete"
-	case *sqlparse.Copy:
-		return "copy"
-	default:
-		return "other"
-	}
-}
-
 // commitTxnHist publishes a committed transaction's statement history.
 func (db *DB) commitTxnHist(x *Txn, cts, seq uint64) {
 	if len(x.hist) == 0 {

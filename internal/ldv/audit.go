@@ -34,18 +34,17 @@ func AuditWithOptions(m *Machine, apps []App, opts AuditOptions) (*Auditor, erro
 	if err := m.InstallApps(apps); err != nil {
 		return nil, err
 	}
-	aud := NewAuditor(m.Kernel, opts)
-	aud.MarkServerBinary(ServerBinaryPath)
-	defer aud.Detach()
-
+	aud := newAuditor(m.Kernel, opts)
 	SetRuntime(m.Kernel, &Runtime{Mode: ModeAudit, Addr: m.Addr, Database: m.Database, Auditor: aud})
 	defer ClearRuntime(m.Kernel)
 
 	err := m.runApps(m.Kernel.Start("ldv-audit"), apps, appRun{server: true,
 		startErr: "audit: start server: %w", appErr: "audit: run %s: %w", stopErr: "audit: stop server: %w"})
+	m.Kernel.Detach(aud)
 	if err != nil {
 		return nil, err
 	}
+	aud.fold()
 	return aud, nil
 }
 

@@ -3,8 +3,6 @@ package ldv
 import (
 	"cmp"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,36 +15,31 @@ import (
 
 // Auditor is the LDV monitor (`ldv-audit`): it attaches to the simulated
 // kernel as a tracer (the ptrace role, §VII-A) and to client connections as
-// an interceptor (the instrumented-libpq role, §VII-C), incrementally
-// building the combined execution trace, the relevant-tuple set for
-// server-included packaging, and the interaction log for server-excluded
-// packaging.
+// an interceptor (the instrumented-libpq role, §VII-C). While the
+// application runs it keeps a log — every syscall event, and one record per
+// statement — and does the one thing §VII-D asks of it per statement: work
+// out which tuple versions are newly relevant and write them to disk at
+// once. When monitoring stops, one fold of the log builds the combined
+// execution trace, the interaction log for server-excluded packaging and the
+// counters; from then on the auditor is immutable and its accessors take no
+// lock.
 type Auditor struct {
 	mu sync.Mutex
 
 	kernel *osim.Kernel
 	trace  *prov.Trace
 
-	// open interactions: open times per (pid, path, write) awaiting close.
-	opens map[openKey][]uint64
-
-	serverPIDs     map[int]bool
-	serverBinaries map[string]bool
-	appPIDs        map[int]bool
-
-	// filesRead/filesWritten index app-process file accesses; serverFiles
-	// collects every file the server process touched (binaries, libraries,
-	// data files).
-	filesRead    map[string]bool
-	filesWritten map[string]bool
-	serverFiles  map[string]bool
+	// The log, in arrival order: syscall events and statement records, each
+	// knowing how many events came before it.
+	events  []osim.Event
+	records []stmtRecord
 
 	// tables is the in-memory duplicate-suppression table of §VII-D: per
 	// table the application read from, the tuple versions that must ship in
 	// a server-included package. tupleFlags, indexed by trace node, says
 	// which tuple versions are already in it and which the application
 	// created itself — those are excluded (§II).
-	tables     map[string]*relevantTable
+	tables     map[string]*relevantTable // a table is added with its first relevant version
 	tupleFlags []uint8
 	relevantN  int
 	duplicates int // reads of a version already relevant, suppressed
@@ -58,10 +51,32 @@ type Auditor struct {
 	collectLineage bool
 
 	// dbLog records every session's interactions in order for
-	// server-excluded replay.
-	dbLog        []*SessionLog
-	stmtCount    int
-	tupleFetched int // provenance tuples transferred (audit-cost metric)
+	// server-excluded replay: a session's log is opened with it, and the
+	// fold fills in its entries.
+	dbLog []*SessionLog
+
+	// Built by the fold: the files application processes read and wrote and
+	// every file the server process touched (binaries, libraries, data
+	// files), sorted, and the counters.
+	appRead, appWritten, serverFiles []string
+	stmtCount                        int
+	tupleFetched                     int // provenance tuples transferred (audit-cost metric)
+}
+
+// stmtRecord is one audited statement as the log holds it: its SE-log
+// entry, who ran it, what the engine says it was, when it ran, its lineage,
+// and the trace nodes the §VII-D step interned for the versions it read
+// (parallel to its version set, which lineage positions index) and wrote.
+type stmtRecord struct {
+	LogEntry
+	log            *SessionLog // the session's
+	pid            int
+	events         int // syscall events logged before the statement's record
+	kind           engine.StmtKind
+	stmt           int64
+	iv             prov.Interval
+	lineage        [][]int32
+	nodes, written []prov.Ref
 }
 
 const (
@@ -116,12 +131,6 @@ func (t *relevantTable) order() []int {
 	return idx
 }
 
-type openKey struct {
-	pid   int
-	path  string
-	write bool
-}
-
 // SpoolDir is where the auditor incrementally persists newly relevant
 // tuples during monitoring — §VII-D: "immediately compute the provenance
 // for every operation ... and write these tuples to files on disk", one
@@ -130,19 +139,11 @@ type openKey struct {
 // most of these writes; later queries hit the dedup table.
 const SpoolDir = "/var/spool/ldv-audit"
 
-// NewAuditor creates an auditor and attaches it to the kernel. Call Detach
-// when monitoring ends.
-func NewAuditor(k *osim.Kernel, opts AuditOptions) *Auditor {
+// newAuditor creates an auditor and attaches it to the kernel.
+func newAuditor(k *osim.Kernel, opts AuditOptions) *Auditor {
 	a := &Auditor{
 		kernel:         k,
 		trace:          prov.NewTrace(prov.CombinedDefault()),
-		opens:          map[openKey][]uint64{},
-		serverPIDs:     map[int]bool{},
-		serverBinaries: map[string]bool{},
-		appPIDs:        map[int]bool{},
-		filesRead:      map[string]bool{},
-		filesWritten:   map[string]bool{},
-		serverFiles:    map[string]bool{},
 		tables:         map[string]*relevantTable{},
 		collectLineage: opts.CollectLineage,
 	}
@@ -150,126 +151,30 @@ func NewAuditor(k *osim.Kernel, opts AuditOptions) *Auditor {
 	return a
 }
 
-// Detach stops monitoring.
-func (a *Auditor) Detach() { a.kernel.Detach(a) }
-
-// MarkServerBinary declares every process spawned from the given binary to
-// be a server process (processes are classified at spawn time, before they
-// issue any syscalls).
-func (a *Auditor) MarkServerBinary(path string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.serverBinaries[path] = true
-}
-
-// Trace returns the combined execution trace built so far.
+// Trace returns the combined execution trace.
 func (a *Auditor) Trace() *prov.Trace { return a.trace }
 
 // StatementCount reports how many DB statements were audited.
-func (a *Auditor) StatementCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stmtCount
-}
+func (a *Auditor) StatementCount() int { return a.stmtCount }
 
 // ProvenanceTupleCount reports how many provenance tuples were transferred
 // during auditing (before dedup) — the dominant audit cost in §IX-B.
-func (a *Auditor) ProvenanceTupleCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tupleFetched
-}
+func (a *Auditor) ProvenanceTupleCount() int { return a.tupleFetched }
 
 // RelevantTupleCount reports the deduplicated relevant-tuple count.
-func (a *Auditor) RelevantTupleCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.relevantN
-}
+func (a *Auditor) RelevantTupleCount() int { return a.relevantN }
 
 // DuplicateTupleCount reports how many reads of an already relevant tuple
 // version the duplicate-suppression table kept out of the package — what
 // storage without it (§VII-D) would have stored on top of
 // RelevantTupleCount.
-func (a *Auditor) DuplicateTupleCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.duplicates
-}
+func (a *Auditor) DuplicateTupleCount() int { return a.duplicates }
 
-// OnEvent implements osim.Tracer, translating syscall events into PBB trace
-// structure (§VII-A): spawn becomes an executed edge, an open/close pair
-// becomes a readFrom or hasWritten edge annotated with the interval between
-// first open and close.
+// OnEvent implements osim.Tracer: it logs the syscall event for the fold.
 func (a *Auditor) OnEvent(ev osim.Event) {
-	countEvent(ev.Kind)
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	switch ev.Kind {
-	case osim.EvSpawn:
-		if a.serverBinaries[ev.Path] {
-			a.serverPIDs[ev.PID] = true
-			return
-		}
-		if a.serverPIDs[ev.PID] {
-			return
-		}
-		a.appPIDs[ev.PID] = true
-		child := a.ensureProc(ev.PID)
-		a.trace.SetAttr(child, prov.AttrBinary, ev.Path)
-		parent := a.ensureProc(ev.PPID) // the root harness process counts too
-		_, _ = a.trace.Link(parent, child, prov.EdgeExecuted, prov.Point(ev.Time), 0)
-	case osim.EvOpen:
-		key := openKey{pid: ev.PID, path: ev.Path, write: ev.Write}
-		a.opens[key] = append(a.opens[key], ev.Time)
-	case osim.EvClose:
-		key := openKey{pid: ev.PID, path: ev.Path, write: ev.Write}
-		stack := a.opens[key]
-		if len(stack) == 0 {
-			return // close without tracked open (tracer attached mid-flight)
-		}
-		openT := stack[0]
-		if len(stack) == 1 {
-			delete(a.opens, key)
-		} else {
-			a.opens[key] = stack[1:]
-		}
-		if a.serverPIDs[ev.PID] {
-			a.serverFiles[ev.Path] = true
-			return
-		}
-		proc := a.ensureProc(ev.PID)
-		file, _ := a.trace.Intern(a.trace.FileKey(ev.Path), prov.TypeFile)
-		iv := prov.Interval{Begin: openT, End: ev.Time}
-		if ev.Write {
-			a.filesWritten[ev.Path] = true
-			_, _ = a.trace.Link(proc, file, prov.EdgeHasWritten, iv, 0)
-		} else {
-			a.filesRead[ev.Path] = true
-			_, _ = a.trace.Link(file, proc, prov.EdgeReadFrom, iv, 0)
-		}
-	case osim.EvConnect, osim.EvExit:
-		// Connects surface in the trace through run edges when statements
-		// execute; exits need no trace structure.
-	}
-}
-
-// The node types below are all part of the combined model, so Intern cannot
-// fail on them.
-
-func (a *Auditor) ensureProc(pid int) prov.Ref {
-	r, _ := a.trace.Intern(prov.ProcKey(pid), prov.TypeProcess)
-	return r
-}
-
-// table returns the relevant-tuple table for name, creating it on first use.
-func (a *Auditor) table(name string) *relevantTable {
-	t := a.tables[name]
-	if t == nil {
-		t = &relevantTable{name: name}
-		a.tables[name] = t
-	}
-	return t
+	a.events = append(a.events, ev)
+	a.mu.Unlock()
 }
 
 // flags returns the dedup flags of tuple node r.
@@ -307,121 +212,57 @@ func (ic *auditInterceptor) BeforeQuery(info *client.QueryInfo) (*engine.Result,
 	return nil, nil
 }
 
-// AfterQuery folds the statement's provenance into the trace, the
-// relevant-tuple table, and the replay log.
+// AfterQuery records the statement: the §VII-D step, then one append to the
+// log. Everything else the audit learns from it, the fold works out.
 func (ic *auditInterceptor) AfterQuery(info client.QueryInfo, res *engine.Result, err error) {
-	ic.aud.recordStatement(ic.pid, ic.log, info, res, err)
-}
-
-// statementType classifies SQL text into a PLin activity type from its
-// leading keyword; COPY is a bulk load (an insert: it produces tuples) or an
-// export (a query) depending on the direction keyword after the table name.
-func statementType(sql string) string {
-	word, rest := nextWord(sql)
-	switch {
-	case strings.EqualFold(word, "INSERT"):
-		return prov.TypeInsert
-	case strings.EqualFold(word, "UPDATE"):
-		return prov.TypeUpdate
-	case strings.EqualFold(word, "DELETE"):
-		return prov.TypeDelete
-	case strings.EqualFold(word, "COPY"):
-		_, rest = nextWord(rest) // the table
-		if dir, _ := nextWord(rest); strings.EqualFold(dir, "FROM") {
-			return prov.TypeInsert
-		}
-	}
-	return prov.TypeQuery
-}
-
-// nextWord splits off the first whitespace-delimited word of s.
-func nextWord(s string) (word, rest string) {
-	s = strings.TrimLeft(s, " \t\r\n")
-	if i := strings.IndexAny(s, " \t\r\n"); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, ""
-}
-
-func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInfo, res *engine.Result, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Partition this call's cost for the overhead report: everything is
-	// trace construction except the dedup-table and spool intervals, which
-	// are timed separately and subtracted.
-	t0 := time.Now()
-	var dedupDur, spoolDur time.Duration
-	defer func() {
-		total := time.Since(t0)
-		hTraceNS.Observe(total - dedupDur)
-		hDedupNS.Observe(dedupDur - spoolDur)
-		hSpoolNS.Observe(spoolDur)
-	}()
-
 	// The log keeps the values as the client decoded them: the client hands
 	// the interceptor a fresh Args slice and a fresh slice per row. The list
 	// of rows is cloned, so an application that reorders or filters its
 	// result in place does not rewrite what a replay will serve.
-	entry := LogEntry{SQL: info.SQL, Args: info.Args}
+	rec := stmtRecord{LogEntry: LogEntry{SQL: info.SQL, Args: info.Args}, log: ic.log, pid: ic.pid}
 	if err != nil {
-		entry.Error = err.Error()
-		log.Entries = append(log.Entries, entry)
-		mAudLogEntries.Inc()
-		return
+		rec.Error = err.Error()
+	} else {
+		rec.TraceID, rec.Columns, rec.RowsAffected, rec.Rows = res.TraceID, res.Columns, res.RowsAffected, slices.Clone(res.Rows)
+		rec.kind, rec.stmt, rec.lineage = res.Kind, res.StmtID, res.Lineage
+		rec.iv = prov.Interval{Begin: res.Start, End: res.End}
 	}
-	entry.TraceID = res.TraceID
-	entry.Columns = res.Columns
-	entry.RowsAffected = res.RowsAffected
-	entry.Rows = slices.Clone(res.Rows)
-	log.Entries = append(log.Entries, entry)
-	mAudLogEntries.Inc()
-	a.stmtCount++
-	mAudStmts.Inc()
+	a := ic.aud
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err == nil {
+		a.relevance(&rec, res)
+	}
+	rec.events = len(a.events)
+	a.records = append(a.records, rec)
+}
 
+// relevance is the §VII-D step. It interns the tuple nodes of the
+// statement's version set — the trace's node index is the duplicate table —
+// records each version that is relevant for the first time (read by the
+// application, not created by it), spools what the statement added before
+// the next one runs, and interns the versions the statement wrote, flagged
+// as created by the application. Interning is timed as trace construction.
+func (a *Auditor) relevance(rec *stmtRecord, res *engine.Result) {
+	t0 := time.Now()
 	tr := a.trace
-	stype := statementType(info.SQL)
-	stmt, aerr := tr.Intern(prov.StmtKey(res.StmtID), stype)
-	if aerr != nil {
-		return
-	}
-	tr.SetAttr(stmt, prov.AttrSQL, info.SQL)
-	if len(info.Args) > 0 {
-		// What tells two executions of one prepared statement apart when
-		// people read the trace (ldv-trace, DOT, PROV-JSON).
-		tr.SetAttr(stmt, prov.AttrLabel, describeStatement(info.SQL, info.Args))
-	}
-	tr.SetAttr(stmt, prov.AttrTrace, res.TraceID)
-	traceID := tr.InternString(res.TraceID)
-	proc := a.ensureProc(pid)
-	iv := prov.Interval{Begin: res.Start, End: res.End}
-	_, _ = tr.Link(proc, stmt, prov.EdgeRun, iv, traceID)
-
-	// hasRead edges, one run: every tuple version in some result row's
-	// lineage or in the DML read set — which is exactly the version set the
-	// result carries the values of. The set is in table order, so a table
-	// name is interned once per run of its versions; nodes is parallel to
-	// the set, which is what lineage positions index.
+	// The set is in table order, so a table name is interned once per run of
+	// its versions.
 	set := res.TupleValues
 	read := set.Refs()
-	nodes := make([]prov.Ref, len(read))
+	rec.nodes = make([]prov.Ref, len(read))
 	var key prov.Key
 	for i, ref := range read {
 		if i == 0 || ref.Table != read[i-1].Table {
 			key = tr.TupleKey(ref.Table, 0, 0)
 		}
 		key.A, key.B = uint64(ref.Row), ref.Version
-		nodes[i], _ = tr.Intern(key, prov.TypeTuple)
+		rec.nodes[i], _ = tr.Intern(key, prov.TypeTuple)
 	}
-	_ = tr.LinkRun(stmt, nodes, false, prov.EdgeHasRead, iv, traceID)
-	a.tupleFetched += len(read)
-	mTuplesFetched.Add(int64(len(read)))
 
-	// Relevant-tuple rule (§VII-D): read by the application and not created
-	// by it. A version is recorded the first time it is relevant, and what
-	// this statement added is spooled before the next one runs.
 	d0 := time.Now()
 	var rt *relevantTable
-	for i, node := range nodes {
+	for i, node := range rec.nodes {
 		f := a.flags(node)
 		switch {
 		case *f&flagAppCreated != 0:
@@ -431,7 +272,10 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 		default:
 			*f |= flagRelevant
 			if rt == nil || rt.name != read[i].Table {
-				rt = a.table(read[i].Table)
+				if rt = a.tables[read[i].Table]; rt == nil {
+					rt = &relevantTable{name: read[i].Table}
+					a.tables[rt.name] = rt
+				}
 			}
 			rt.add(set, i)
 			a.relevantN++
@@ -440,55 +284,16 @@ func (a *Auditor) recordStatement(pid int, log *SessionLog, info client.QueryInf
 	}
 	s0 := time.Now()
 	a.spool()
-	spoolDur = time.Since(s0)
-	dedupDur = time.Since(d0)
 
-	// hasReturned edges for stored tuples produced by DML, one run, plus
-	// version dependencies (an updated version depends on its predecessor).
-	written := make([]prov.Ref, len(res.WrittenRefs))
+	w0 := time.Now()
+	rec.written = make([]prov.Ref, len(res.WrittenRefs))
 	for i, ref := range res.WrittenRefs {
-		written[i], _ = tr.Intern(tr.TupleKey(ref.Table, uint64(ref.Row), ref.Version), prov.TypeTuple)
-		*a.flags(written[i]) |= flagAppCreated
+		rec.written[i], _ = tr.Intern(tr.TupleKey(ref.Table, uint64(ref.Row), ref.Version), prov.TypeTuple)
+		*a.flags(rec.written[i]) |= flagAppCreated
 	}
-	_ = tr.LinkRun(stmt, written, true, prov.EdgeHasReturned, iv, traceID)
-	switch stype {
-	case prov.TypeUpdate:
-		// Reenactment pairing: old and new version share the row id.
-		byRow := make(map[engine.RowID]int, len(written))
-		for i, ref := range res.WrittenRefs {
-			byRow[ref.Row] = i
-		}
-		for i, old := range read {
-			if w, ok := byRow[old.Row]; ok && old.Table == res.WrittenRefs[w].Table {
-				_ = tr.LinkDep(nodes[i], written[w])
-			}
-		}
-	case prov.TypeInsert:
-		// INSERT ... SELECT: conservatively, every written tuple depends on
-		// every read tuple (per-row lineage is not tracked across the copy).
-		for _, src := range nodes {
-			for _, nw := range written {
-				_ = tr.LinkDep(src, nw)
-			}
-		}
-	}
-
-	// Result tuples of queries: returned by the statement and read by the
-	// process (readFrom), a run each, and dependent on their lineage
-	// (Definition 7) — positions in the version set, so nodes[pos].
-	if stype == prov.TypeQuery {
-		results := make([]prov.Ref, len(res.Rows))
-		for i := range results {
-			results[i], _ = tr.Intern(prov.ResultKey(res.StmtID, i), prov.TypeTuple)
-			if i < len(res.Lineage) {
-				for _, pos := range res.Lineage[i] {
-					_ = tr.LinkDep(nodes[pos], results[i])
-				}
-			}
-		}
-		_ = tr.LinkRun(stmt, results, true, prov.EdgeHasReturned, iv, traceID)
-		_ = tr.LinkRun(proc, results, false, prov.EdgeReadFrom, iv, traceID)
-	}
+	hTraceNS.Observe(d0.Sub(t0) + time.Since(w0))
+	hDedupNS.Observe(s0.Sub(d0))
+	hSpoolNS.Observe(w0.Sub(s0))
 }
 
 // spool appends the records added since the last call to the per-table
@@ -507,13 +312,8 @@ func (a *Auditor) spool() {
 // with its values — decoded from the recorded images — ordered by (row,
 // version).
 func (a *Auditor) RelevantTuples() map[string][]RelevantTuple {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make(map[string][]RelevantTuple, len(a.tables))
 	for name, t := range a.tables {
-		if len(t.rows) == 0 {
-			continue
-		}
 		rows := make([]RelevantTuple, 0, len(t.rows))
 		for _, i := range t.order() {
 			r := t.rows[i]
@@ -529,26 +329,10 @@ func (a *Auditor) RelevantTuples() map[string][]RelevantTuple {
 	return out
 }
 
-// relevantTableNames lists the tables with relevant tuples, sorted.
-func (a *Auditor) relevantTableNames() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var names []string
-	for name, t := range a.tables {
-		if len(t.rows) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // tableFile seals the package's table file of one table: its relevant
 // versions' records — the bytes encoded at first relevance — in (row,
 // version) order.
 func (a *Auditor) tableFile(name string, schema engine.Schema) []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var recs [][]byte
 	if t := a.tables[name]; t != nil {
 		recs = make([][]byte, 0, len(t.rows))
@@ -569,37 +353,14 @@ type RelevantTuple struct {
 	Values []sqlval.Value
 }
 
-// AppFiles returns the paths read and written by application processes.
-func (a *Auditor) AppFiles() (read, written []string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for p := range a.filesRead {
-		read = append(read, p)
-	}
-	for p := range a.filesWritten {
-		written = append(written, p)
-	}
-	sort.Strings(read)
-	sort.Strings(written)
-	return read, written
-}
+// AppFiles returns the paths read and written by application processes,
+// sorted. The slices are the auditor's own.
+func (a *Auditor) AppFiles() (read, written []string) { return a.appRead, a.appWritten }
 
-// ServerFiles returns every path the DB server process touched.
-func (a *Auditor) ServerFiles() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.serverFiles))
-	for p := range a.serverFiles {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+// ServerFiles returns every path the DB server process touched, sorted. The
+// slice is the auditor's own.
+func (a *Auditor) ServerFiles() []string { return a.serverFiles }
 
 // DBLog returns the recorded per-session interaction logs in session-open
 // order.
-func (a *Auditor) DBLog() []*SessionLog {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]*SessionLog(nil), a.dbLog...)
-}
+func (a *Auditor) DBLog() []*SessionLog { return append([]*SessionLog(nil), a.dbLog...) }

@@ -5,11 +5,11 @@ import (
 	"ldv/internal/osim"
 )
 
-// Audit-monitor accounting. The three latency histograms partition
-// recordStatement's cost into the components of the paper's audit-overhead
-// breakdown (§IX-B): trace construction, duplicate suppression, and
-// spool/log writes — which the benchmark reports as the ldv_app workload's
-// ldv.trace_build_ms / ldv.dedup_ms / ldv.spool_ms.
+// Audit-monitor accounting. The three latency histograms partition the
+// auditor's cost into the paper's audit-overhead breakdown (§IX-B): trace
+// construction (a statement's tuple nodes, and the fold at stop), duplicate
+// suppression and spool writes — the benchmark's ldv.trace_build_ms /
+// ldv.dedup_ms / ldv.spool_ms.
 var (
 	mAudStmts      = obs.NewCounter("auditor.stmts", "Statements observed by the audit monitor")
 	mAudLogEntries = obs.NewCounter("auditor.log_entries", "DB-log entries written by the audit monitor")
@@ -19,7 +19,7 @@ var (
 
 	hTraceNS = obs.NewHistogram(obs.MetricTraceNS, "Auditor time building trace nodes and edges")
 	hDedupNS = obs.NewHistogram(obs.MetricDedupNS, "Auditor time in duplicate suppression")
-	hSpoolNS = obs.NewHistogram(obs.MetricSpoolNS, "Auditor time spooling tuples and log entries")
+	hSpoolNS = obs.NewHistogram(obs.MetricSpoolNS, "Auditor time spooling newly relevant tuples")
 
 	// mAudEvents counts intercepted syscall events by kind, indexed by
 	// osim.EventKind. The family is described by prefix below.

@@ -41,7 +41,7 @@ func BuildServerIncluded(m *Machine, aud *Auditor, apps []App) (*pack.Archive, e
 		}
 		arch.Add(ProvDataDir+"/"+name+".tbl", aud.tableFile(name, t.Schema))
 	}
-	for _, name := range aud.relevantTableNames() {
+	for _, name := range sortedKeys(aud.tables) {
 		if !arch.Has(ProvDataDir + "/" + name + ".tbl") {
 			return nil, fmt.Errorf("package provenance: relevant table %q is no longer in the database", name)
 		}

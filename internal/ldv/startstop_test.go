@@ -3,7 +3,6 @@ package ldv
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -47,15 +46,6 @@ func (tr *dataFileTrace) OnEvent(ev osim.Event) {
 		tr.reads[name] = true
 	}
 	tr.pids[ev.PID] = true
-}
-
-func sortedKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // shopApp is one application process running the given statements.

@@ -398,29 +398,93 @@ func TestSpoolIsThePackageRowSection(t *testing.T) {
 	}
 }
 
-func TestStatementType(t *testing.T) {
-	cases := map[string]string{
-		"INSERT INTO t VALUES (1)":        prov.TypeInsert,
-		"  \n\tinsert into t values (1)":  prov.TypeInsert,
-		"UPDATE t SET a = 1":              prov.TypeUpdate,
-		"delete from t":                   prov.TypeDelete,
-		"SELECT ' TO ' FROM t":            prov.TypeQuery,
-		"COPY t FROM '/in.csv'":           prov.TypeInsert,
-		"copy t\nfrom '/in.csv'":          prov.TypeInsert,
-		"COPY t TO '/out.csv'":            prov.TypeQuery,
-		"COPY t FROM '/in TO /out.csv'":   prov.TypeInsert, // the path is not the direction
-		"COPY t TO '/dump FROM /old.csv'": prov.TypeQuery,
-		"COPY":                            prov.TypeQuery,
-		"":                                prov.TypeQuery,
-		"INSERTED":                        prov.TypeQuery,
+// A statement's activity type is the kind the engine classified it as, not
+// a guess from the SQL text's first word: a statement behind a comment is
+// typed by what it is, and an UPDATE's old → new version dependencies enter
+// the trace with it. COPY ... FROM is a bulk insert and COPY ... TO a query;
+// EXPLAIN ANALYZE of an UPDATE writes no trace dependencies and is a query.
+func TestStatementKindFromEngine(t *testing.T) {
+	m, err := NewMachine()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for sql, want := range cases {
-		if got := statementType(sql); got != want {
-			t.Errorf("statementType(%q) = %s, want %s", sql, got, want)
+	if _, err := m.DB.ExecScript(`
+		CREATE TABLE src (id INTEGER PRIMARY KEY, v INTEGER);
+		CREATE TABLE dst (id INTEGER PRIMARY KEY, v INTEGER);
+		INSERT INTO src VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50);`, engine.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Kernel.FS().WriteFile("/in.csv", []byte("6,60\n")); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		update  = "-- note\nUPDATE src SET v = v + 1 WHERE id >= 4"
+		insert  = "-- copy three\nINSERT INTO dst SELECT id, v FROM src WHERE id <= 3"
+		del     = "-- and drop one\nDELETE FROM dst WHERE id = 3"
+		load    = "COPY src FROM '/in.csv'"
+		export  = "COPY dst TO '/out.csv'"
+		explain = "EXPLAIN ANALYZE UPDATE src SET v = 0 WHERE id = 1"
+	)
+	aud, err := Audit(m, []App{shopApp("kinds", update, insert, del, load, export, explain)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := aud.Trace()
+	want := map[string]string{
+		update: prov.TypeUpdate, insert: prov.TypeInsert, del: prov.TypeDelete,
+		load: prov.TypeInsert, export: prov.TypeQuery, explain: prov.TypeQuery,
+	}
+	stmts := map[string]prov.Ref{}
+	for r := prov.Ref(0); int(r) < tr.NodeCount(); r++ {
+		if tr.Key(r).Kind == prov.KindStmt {
+			stmts[tr.Attr(r, prov.AttrSQL)] = r
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { statementType("  insert into t values (1)") }); n != 0 {
-		t.Errorf("statementType allocates %v times per call", n)
+	for sql, typ := range want {
+		if r, ok := stmts[sql]; !ok {
+			t.Errorf("%q: no statement node", sql)
+		} else if got := tr.Type(r); got != typ {
+			t.Errorf("%q typed %s, want %s", sql, got, typ)
+		}
+	}
+	// The versions each statement read and wrote, by its edges, and the
+	// dependencies into what it wrote.
+	read, wrote := map[prov.Ref][]string{}, map[prov.Ref][]string{}
+	for _, e := range tr.Edges() {
+		switch tr.EdgeLabel(e) {
+		case prov.EdgeHasRead:
+			read[e.To] = append(read[e.To], tr.ID(e.From))
+		case prov.EdgeHasReturned:
+			if tr.Key(e.To).Kind == prov.KindTuple {
+				wrote[e.From] = append(wrote[e.From], tr.ID(e.To))
+			}
+		}
+	}
+	deps := map[string][]string{}
+	for _, d := range tr.Deps() {
+		deps[tr.ID(d.To)] = append(deps[tr.ID(d.To)], tr.ID(d.From))
+	}
+	upd := stmts[update]
+	if len(read[upd]) != 2 || len(wrote[upd]) != 2 {
+		t.Fatalf("UPDATE read %v and wrote %v, want 2 and 2", read[upd], wrote[upd])
+	}
+	for _, nw := range wrote[upd] {
+		from := deps[nw]
+		if len(from) != 1 || !strings.HasPrefix(nw, from[0][:strings.LastIndexByte(from[0], '@')+1]) || !slices.Contains(read[upd], from[0]) {
+			t.Errorf("UPDATE's new version %s depends on %v, want its old version alone", nw, from)
+		}
+	}
+	ins := stmts[insert]
+	if len(read[ins]) != 3 || len(wrote[ins]) != 3 {
+		t.Fatalf("INSERT ... SELECT read %v and wrote %v, want 3 and 3", read[ins], wrote[ins])
+	}
+	for _, nw := range wrote[ins] {
+		if got := deps[nw]; len(got) != 3 {
+			t.Errorf("INSERT ... SELECT's %s depends on %v, want every version it read", nw, got)
+		}
+	}
+	if got := len(wrote[stmts[load]]); got != 1 {
+		t.Errorf("COPY FROM wrote %d versions, want 1", got)
 	}
 }
 
@@ -448,16 +512,6 @@ func TestTupleRefOfNodeStrict(t *testing.T) {
 		if ref, ok := TupleRefOfNode(id); ok {
 			t.Errorf("TupleRefOfNode(%q) accepted as %v", id, ref)
 		}
-	}
-}
-
-// An open that has been matched by its close leaves nothing behind.
-func TestOpensAreReleased(t *testing.T) {
-	_, aud, _ := auditAlice(t)
-	aud.mu.Lock()
-	defer aud.mu.Unlock()
-	if len(aud.opens) != 0 {
-		t.Errorf("%d open-file stacks left after every file was closed: %v", len(aud.opens), aud.opens)
 	}
 }
 

@@ -51,7 +51,7 @@ func wideWorkload() []wideStatement {
 }
 
 // buildWide replays the recorded statements into a fresh trace the way
-// ldv.Auditor.recordStatement does: typed keys in, no string ids, and each
+// the fold of ldv.Auditor's log does: typed keys in, no string ids, and each
 // statement's edges linked as runs — its reads, its result rows returned,
 // the result rows read by the process.
 func buildWide(tb testing.TB, stmts []wideStatement) *Trace {

@@ -246,6 +246,9 @@ func (tr *Trace) reserve(n int) {
 // Type returns node r's type label.
 func (tr *Trace) Type(r Ref) string { return tr.types[tr.typ[r]] }
 
+// Key returns node r's key.
+func (tr *Trace) Key(r Ref) Key { return tr.keys[r] }
+
 // IsEntity reports whether node r is an entity (not an activity).
 func (tr *Trace) IsEntity(r Ref) bool { return tr.entity[tr.typ[r]] }
 

@@ -449,6 +449,7 @@ func streamResult(out *bufio.Writer, res *engine.Result, tag uint64) error {
 	cc := wire.CommandComplete{
 		RowsAffected: res.RowsAffected,
 		StmtID:       res.StmtID,
+		Kind:         res.Kind,
 		Start:        res.Start,
 		End:          res.End,
 		WrittenRefs:  res.WrittenRefs,

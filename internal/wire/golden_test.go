@@ -49,7 +49,7 @@ func goldenFrames() []struct {
 		{"provenance", Provenance{Versions: engine.NewVersionSet([]engine.TupleRef{refs[1], refs[0]}, [][]sqlval.Value{row[:1], row}),
 			Lineage: [][]int32{{1, 0}, nil}}},
 		{"provenance_none", Provenance{}},
-		{"command_complete", CommandComplete{RowsAffected: -1, StmtID: -3, Start: 10, End: 300,
+		{"command_complete", CommandComplete{RowsAffected: -1, StmtID: -3, Kind: engine.StmtCopyFrom, Start: 10, End: 300,
 			WrittenRefs: refs[:1], CommitSeq: 17, Fingerprint: "ab12", Tag: 9}},
 		{"command_complete_none", CommandComplete{}},
 		{"error", Error{Message: "boom: naïve"}},

@@ -152,14 +152,15 @@ type Provenance struct {
 }
 
 // CommandComplete ends a successful statement, reporting DML counts,
-// statement identity, its logical-time interval, and the tuple versions the
-// statement wrote (what it read is its Provenance frame).
+// statement identity and kind, its logical-time interval, and the tuple
+// versions the statement wrote (what it read is its Provenance frame).
 // CommitSeq is the WAL record sequence the statement's commit occupies on
 // the primary (0 when nothing was logged); clients feed it back as
 // Query.MinApplied for read-your-writes on replicas.
 type CommandComplete struct {
 	RowsAffected int
 	StmtID       int64
+	Kind         engine.StmtKind
 	Start, End   uint64
 	WrittenRefs  []engine.TupleRef
 	CommitSeq    uint64
@@ -402,6 +403,7 @@ func writePayload(w *bin.Writer, m Message) {
 	case CommandComplete:
 		w.Varint(int64(v.RowsAffected))
 		w.Varint(v.StmtID)
+		w.Byte(byte(v.Kind))
 		w.Uvarint(v.Start)
 		w.Uvarint(v.End)
 		writeRefs(w, v.WrittenRefs)
@@ -468,9 +470,10 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 		versions := d.versions()
 		m = Provenance{Versions: versions, Lineage: d.lineage(versions.Len())}
 	case TagCommandComplete:
-		m = CommandComplete{
+		cc := CommandComplete{
 			RowsAffected: int(d.Varint()),
 			StmtID:       d.Varint(),
+			Kind:         engine.StmtKind(d.Byte()),
 			Start:        d.Uvarint(),
 			End:          d.Uvarint(),
 			WrittenRefs:  d.refs(),
@@ -478,6 +481,10 @@ func decodePayload(tag byte, b []byte) (Message, error) {
 			Fingerprint:  d.Str(),
 			Tag:          d.Uvarint(),
 		}
+		if !cc.Kind.Valid() {
+			d.Failf("statement kind %d out of range", cc.Kind)
+		}
+		m = cc
 	case TagError:
 		m = Error{Message: d.Str()}
 	case TagReady:

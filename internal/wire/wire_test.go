@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,13 @@ func TestReadErrors(t *testing.T) {
 	buf.Write([]byte{'Z', 0, 0, 0, 2, 0, 0})
 	if _, err := Read(&buf); err == nil {
 		t.Error("trailing bytes must fail")
+	}
+	// A statement kind the engine does not define (7, after RowsAffected 0
+	// and StmtID 0).
+	buf.Reset()
+	buf.Write([]byte{'C', 0, 0, 0, 9, 0, 0, 7, 0, 0, 0, 0, 0, 0})
+	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "statement kind 7") {
+		t.Errorf("out-of-range statement kind: %v, want it refused", err)
 	}
 	// EOF.
 	buf.Reset()
